@@ -13,9 +13,8 @@ so future PRs can see event-loop regressions.  Two measurements:
 
 * **Bursty 4-replica scenario** — the cookbook's bursty multi-tenant scenario
   shape at the paper's request sizes, where per-event engine work (prefix
-  tree, scheduler) dominates; the fast paths (event queue + eviction heap +
-  incremental calibration) still help, but the headline 2x belongs to the
-  loop-bound regime above.
+  tree, scheduler) dominates; the fast paths (event queue + eviction heap)
+  still help, but the headline 2x belongs to the loop-bound regime above.
 
 Both comparisons assert that old and new produce byte-identical summaries —
 the speedup is free of behaviour change.

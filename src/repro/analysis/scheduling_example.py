@@ -96,6 +96,7 @@ def run_scheduling_example(policy: str, *, cache_blocks: int = 8,
         decision = scheduler.select(queue, kv, now=now)
         engine_request = decision.request
         queue.remove(engine_request)
+        scheduler.on_remove(engine_request)
         lease = kv.begin_execution(
             engine_request.block_hashes, engine_request.num_tokens,
             reserve_full_kv=False, now=now,

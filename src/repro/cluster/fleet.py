@@ -117,9 +117,8 @@ class Fleet:
         use_event_queue: Track per-replica next-event times in a heap (default)
             instead of scanning every replica per event.  Results are
             identical; ``False`` restores the original scans for comparison.
-        engine_fast_paths: Build replicas with the engine-level fast paths
-            (heap-based prefix-cache eviction, incremental JCT-calibration
-            lookups).  Results are identical; the flag exists for the
+        engine_fast_paths: Build replicas with the heap-based prefix-cache
+            eviction.  Results are identical; the flag exists for the
             old-vs-new event-loop benchmark.
         tier_config: Optional tiered prefix-cache configuration
             (:class:`~repro.kvcache.tiers.TierConfig`).  When enabled the

@@ -221,10 +221,9 @@ class EngineInstance:
         interconnect: Link between shards (needed when TP or PP > 1).
         max_input_length: User-provided MIL used by the profile run.
         name: Instance name (unique within a serving system).
-        fast_paths: Use the heap-based prefix-cache eviction and the
-            incremental JCT-calibration lookup (default).  Behaviour is
-            identical either way; ``False`` restores the original full scans
-            for before/after benchmarks.
+        fast_paths: Use the heap-based prefix-cache eviction (default).
+            Behaviour is identical either way; ``False`` restores the
+            original full-tree scan for before/after benchmarks.
         tier_config: Optional tiered prefix-cache configuration
             (:class:`~repro.kvcache.tiers.TierConfig`).  When enabled, the
             instance runs a GPU -> host -> cluster hierarchy instead of the
@@ -319,7 +318,6 @@ class EngineInstance:
             )
         self.scheduler: Scheduler = make_scheduler(
             spec.scheduling_policy, estimator=estimator, fairness_lambda=spec.fairness_lambda,
-            incremental_lookup=fast_paths,
         )
         self._waiting: list[EngineRequest] = []
         self._stages = [_Stage(index=i) for i in range(spec.pipeline_parallel)]
@@ -406,6 +404,11 @@ class EngineInstance:
         self._waiting.append(engine_request)
         return True
 
+    def _dequeue(self, engine_request: EngineRequest) -> None:
+        """Take a request off the waiting queue (started, rejected or cancelled)."""
+        self._waiting.remove(engine_request)
+        self.scheduler.on_remove(engine_request)
+
     # ------------------------------------------------------------ execution
 
     def _stage_times(self, uncached_tokens: int, cached_tokens: int) -> list[float]:
@@ -441,7 +444,7 @@ class EngineInstance:
             if self.num_running > 0:
                 # Another in-flight request holds the pool; retry after it finishes.
                 return False
-            self._waiting.remove(engine_request)
+            self._dequeue(engine_request)
             engine_request.state = RequestState.REJECTED
             engine_request.rejection_reason = str(exc)
             self._rejected.append(FinishedRequest(
@@ -459,7 +462,7 @@ class EngineInstance:
             ))
             return True
 
-        self._waiting.remove(engine_request)
+        self._dequeue(engine_request)
         engine_request.state = RequestState.RUNNING
         engine_request.start_time = now
 
@@ -613,7 +616,7 @@ class EngineInstance:
         """
         for engine_request in self._waiting:
             if engine_request.request_id == request_id:
-                self._waiting.remove(engine_request)
+                self._dequeue(engine_request)
                 engine_request.state = RequestState.REJECTED
                 return "waiting"
         for stage in self._stages:
@@ -669,7 +672,9 @@ class EngineInstance:
             lost_work += job.engine_request.num_tokens
             in_flight += 1
             stage.job = None
-        evacuated.extend(request.request for request in self._waiting)
+        for engine_request in self._waiting:
+            evacuated.append(engine_request.request)
+            self.scheduler.on_remove(engine_request)
         self._waiting.clear()
         return evacuated, in_flight, lost_work
 

@@ -2,9 +2,9 @@
 
 An :class:`EngineRequest` wraps a workload :class:`~repro.workloads.trace.Request`
 with everything the engine tracks about it: its block hashes for the prefix
-cache, when it entered the queue, its lifecycle state, and the memoised JCT
-calibration (so continuous calibration only recomputes a request's score when
-the prefix cache has actually changed since the last computation).
+cache, when it entered the queue, its lifecycle state, and its latest JCT
+calibration (the cached-token count and base score the scheduler last derived
+for it, tagged with the prefix-cache version it was derived against).
 """
 
 from __future__ import annotations
@@ -24,9 +24,13 @@ class RequestState(enum.Enum):
     REJECTED = "rejected"
 
 
-@dataclass
+@dataclass(eq=False)
 class EngineRequest:
-    """One request as tracked by an engine instance."""
+    """One request as tracked by an engine instance.
+
+    Compared and hashed by identity: queues remove requests without a
+    field-by-field comparison, and the scheduler keys its index on them.
+    """
 
     request: Request
     block_hashes: tuple[int, ...]

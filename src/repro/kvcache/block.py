@@ -11,7 +11,7 @@ including that block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.perf import memo
@@ -100,7 +100,7 @@ def hash_token_blocks(tokens: Sequence[int], block_size: int) -> list[int]:
     return hashes
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     """One physical KV-cache block (page).
 
@@ -118,7 +118,6 @@ class Block:
     num_tokens: int = 0
     ref_count: int = 0
     last_access: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
     @property
     def is_pinned(self) -> bool:

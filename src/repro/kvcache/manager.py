@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Container, Sequence
 
 from repro.errors import AllocationError, CapacityError, TierError
 from repro.kvcache.allocator import BlockAllocator
@@ -166,13 +166,19 @@ class KVCacheManager:
 
     @property
     def cache_version(self) -> int:
-        """Monotonic version of the prefix cache contents.
-
-        The scheduler's continuous JCT calibration re-runs lookups only when
-        this changes, which keeps calibration cheap without ever acting on a
-        stale cache state.
-        """
+        """Monotonic version of the prefix cache contents (bumped on every
+        insertion or eviction)."""
         return self._cache.version
+
+    def take_changes(self, watched: Container[int]) -> set[int] | None:
+        """Watched content hashes inserted into or evicted from the GPU prefix
+        cache since the previous call.
+
+        The delta feed of the scheduler's frontier-indexed recalibration; see
+        :meth:`~repro.kvcache.prefix_tree.RadixPrefixCache.take_changes`
+        (None means ``watched`` was not being watched until now).
+        """
+        return self._cache.take_changes(watched)
 
     @property
     def prefix_caching_enabled(self) -> bool:
@@ -241,24 +247,14 @@ class KVCacheManager:
     def lookup_from(self, block_hashes: Sequence[int], hint_blocks: int) -> int:
         """:meth:`lookup`, resumed from a previous match of ``hint_blocks`` blocks.
 
-        Exploits the radix-tree invariant that only leaves are ever evicted —
-        if a chained block hash is resident, its whole ancestor chain is too.
-        The walk therefore backtracks from the hint to the deepest
-        still-resident block (zero steps when nothing on this chain was
-        evicted) and extends forward from there, instead of re-walking from
-        the root.  The result is exactly ``lookup(block_hashes)``; only the
-        cost differs — O(blocks changed on this chain) instead of O(match
-        length) per continuous-calibration pass.
+        The result is exactly ``lookup(block_hashes)``; the walk backtracks
+        and extends from the hint instead of starting at the root (see
+        :meth:`~repro.kvcache.prefix_tree.RadixPrefixCache.match_length`), so
+        it costs O(blocks changed on this chain) instead of O(match length).
         """
         if not self._enable_prefix_caching:
             return 0
-        cache = self._cache
-        matched = min(hint_blocks, len(block_hashes))
-        while matched > 0 and block_hashes[matched - 1] not in cache:
-            matched -= 1
-        while matched < len(block_hashes) and block_hashes[matched] in cache:
-            matched += 1
-        return matched * self._block_size
+        return self._cache.match_length(block_hashes, hint_blocks) * self._block_size
 
     def lookup_offloaded(self, block_hashes: Sequence[int]) -> int:
         """Tokens of the request available in the CPU offload store."""

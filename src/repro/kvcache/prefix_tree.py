@@ -20,20 +20,25 @@ candidates are pushed back once the eviction pass ends.  The creation-sequence
 tie-break reproduces the iteration order the original full scan used, so the
 heap evicts the exact same victims in the exact same order; construct with
 ``use_eviction_heap=False`` to get the original O(tree) scan for comparison.
+
+The tree also keeps a change record for one watcher (the SRJF scheduler's
+frontier index, see :mod:`repro.core.scheduler`): the watched content hashes
+inserted or evicted since the watcher last called :meth:`take_changes`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Container, Iterator, Sequence
 
 from repro.errors import AllocationError
 from repro.kvcache.allocator import BlockAllocator
 from repro.kvcache.block import Block
 
 
-@dataclass
+@dataclass(slots=True)
 class _TreeNode:
     """One cached block inside the radix tree."""
 
@@ -89,6 +94,8 @@ class RadixPrefixCache:
         self._misses = 0
         self._insertions = 0
         self._evictions = 0
+        self._watched: Container[int] = ()
+        self._changed: set[int] = set()
         #: Optional hook fired as ``on_evict(content_hash, num_tokens)`` for
         #: every evicted block.  Purely observational — victim selection and
         #: eviction order are identical with or without it; the tiered prefix
@@ -104,10 +111,7 @@ class RadixPrefixCache:
 
     @property
     def version(self) -> int:
-        """Monotonic counter bumped on every insertion or eviction.
-
-        The scheduler uses this to know when cached JCT calibrations are stale.
-        """
+        """Monotonic counter bumped on every insertion or eviction."""
         return self._version
 
     @property
@@ -132,6 +136,26 @@ class RadixPrefixCache:
 
     def __contains__(self, content_hash: int) -> bool:
         return content_hash in self._nodes
+
+    def take_changes(self, watched: Container[int]) -> set[int] | None:
+        """Watched content hashes inserted or evicted since the previous call.
+
+        ``watched`` is a live container of hashes that its owner keeps
+        updating.  A change is recorded only if its hash is watched when it
+        happens, so the record never outgrows the watched set and stays empty
+        while nothing is watched.  One container is watched at a time: when
+        ``watched`` is not the one already watched, the tree starts watching
+        it with an empty record and returns None, since it has no record for
+        the caller.
+        """
+        if watched is not self._watched:
+            self._watched = watched
+            self._changed = set()
+            return None
+        changed = self._changed
+        if changed:
+            self._changed = set()
+        return changed
 
     # ---------------------------------------------------------------- lookup
 
@@ -160,11 +184,21 @@ class RadixPrefixCache:
             self._hits += 1
         return PrefixMatch(num_blocks=len(matched), num_tokens=tokens, blocks=tuple(matched))
 
-    def match_length(self, block_hashes: Sequence[int]) -> int:
-        """Return only the number of cached leading blocks (no LRU update)."""
-        count = 0
-        for content_hash in block_hashes:
-            if content_hash not in self._nodes:
+    def match_length(self, block_hashes: Sequence[int], hint: int = 0) -> int:
+        """Return only the number of cached leading blocks (no LRU update).
+
+        ``hint`` is an earlier match length of the same chain.  Only leaves
+        are evicted and hashes are chained, so the cached part of a chain is
+        a prefix of it: the walk backtracks from the hint to the deepest
+        cached block and extends forward from there.  The result does not
+        depend on the hint; the cost is the number of blocks that changed.
+        """
+        nodes = self._nodes
+        count = min(hint, len(block_hashes))
+        while count > 0 and block_hashes[count - 1] not in nodes:
+            count -= 1
+        for content_hash in islice(block_hashes, count, None):
+            if content_hash not in nodes:
                 break
             count += 1
         return count
@@ -229,6 +263,8 @@ class RadixPrefixCache:
                 else:
                     parent.children[content_hash] = node
                 self._nodes[content_hash] = node
+                if content_hash in self._watched:
+                    self._changed.add(content_hash)
                 self._note_candidate(node)
                 node.block.pin()
                 path.append(node.block)
@@ -332,6 +368,8 @@ class RadixPrefixCache:
                 # The parent just became evictable; give it a live heap entry.
                 self._note_candidate(node.parent)
         del self._nodes[node.content_hash]
+        if node.content_hash in self._watched:
+            self._changed.add(node.content_hash)
         self._allocator.free(node.block)
         self._evictions += 1
         self._version += 1
@@ -370,6 +408,7 @@ class RadixPrefixCache:
                 raise AllocationError("cannot clear the prefix cache while blocks are pinned")
         for node in list(self._nodes.values()):
             self._allocator.free(node.block)
+        self._changed.update(self._watched)
         self._nodes.clear()
         self._roots.clear()
         if self._lru_heap is not None:

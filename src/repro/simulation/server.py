@@ -27,10 +27,9 @@ class ServingSystem:
         max_input_length: MIL every instance is provisioned for (usually the
             workload's longest request).
         router: Routing policy; defaults to the paper's user-id router.
-        engine_fast_paths: Build instances with the engine-level fast paths
-            (heap-based prefix-cache eviction, incremental JCT-calibration
-            lookups).  Results are identical; ``False`` restores the original
-            scans for before/after benchmarks.
+        engine_fast_paths: Build instances with the heap-based prefix-cache
+            eviction.  Results are identical; ``False`` restores the original
+            scan for before/after benchmarks.
     """
 
     def __init__(self, spec: EngineSpec, model: ModelConfig, cluster: ClusterSpec, *,

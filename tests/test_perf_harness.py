@@ -135,11 +135,11 @@ def test_perf_report_compare_detects_regression(tmp_path):
 
 
 def test_committed_baseline_matches_schema():
-    """The repo-root BENCH_pr10.json baseline stays loadable and complete."""
-    path = REPO_ROOT / "BENCH_pr10.json"
-    assert path.exists(), "BENCH_pr10.json baseline missing from the repo root"
+    """The repo-root BENCH_pr12.json baseline stays loadable and complete."""
+    path = REPO_ROOT / "BENCH_pr12.json"
+    assert path.exists(), "BENCH_pr12.json baseline missing from the repo root"
     report = json.loads(path.read_text(encoding="utf-8"))
-    assert report["label"] == "pr10"
+    assert report["label"] == "pr12"
     assert {case["name"] for case in report["cases"]} == set(PINNED_CASES)
     assert report["memoization"]["identical"] is True
     assert report["parallel"]["identical"] is True
