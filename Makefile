@@ -8,7 +8,8 @@
 #   make perf        - perf-regression harness vs the committed BENCH baseline
 #   make bench-selftest - repo benchmark self-test: tracer targets found, exact counters,
 #                    tracing changes no result (perfbench/selftest.py)
-#   make fuzz        - scenario + metamorphic fuzzers, full 200-example derandomized profile
+#   make fuzz        - scenario + metamorphic fuzzers and the scheduler / prefix-cache
+#                    oracles, full derandomized profile
 #   make test-shard-identity - sharded-engine differential suite (byte-identity at shards=4)
 #   make obs-check   - validate observability exports + disabled-path seed fingerprints
 #   make test-resilience - resilience unit + identity suite (policies-off byte-identical)
@@ -55,7 +56,8 @@ bench-selftest:
 	$(PYTHON) perfbench/selftest.py
 
 fuzz:
-	HYPOTHESIS_PROFILE=fuzz $(PYTHON) -m pytest tests/test_scenario_fuzz.py tests/test_metamorphic.py -q
+	HYPOTHESIS_PROFILE=fuzz $(PYTHON) -m pytest tests/test_scenario_fuzz.py tests/test_metamorphic.py \
+		tests/test_scheduler_oracle.py tests/test_prefix_cache_oracle.py -q
 
 obs-check:
 	$(PYTHON) scripts/obs_check.py

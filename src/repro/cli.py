@@ -46,7 +46,13 @@ from repro.analysis.reporting import (
 from repro.analysis.sweep import compare_engines, paper_qps_points, base_throughput, qps_sweep
 from repro.baselines.registry import ENGINE_ORDER, all_engine_specs, get_engine_spec
 from repro.cluster import Fleet, QueueDepthAdmission, ReactiveAutoscaler
-from repro.errors import FaultScheduleError, ObsError, ReproError, ResilienceError
+from repro.errors import (
+    ConfigurationError,
+    FaultScheduleError,
+    ObsError,
+    ReproError,
+    ResilienceError,
+)
 from repro.faults import fault_schedule_from_dict
 from repro.resilience import resilience_from_dict
 from repro.hardware.cluster import get_hardware_setup, list_hardware_setups, HARDWARE_SETUPS
@@ -196,6 +202,10 @@ def _load_resilience(path: str):
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        # numpy rejects negative seeds with a bare ValueError deep in an
+        # arrival process; refuse them up front as a config error.
+        raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
     spec = get_engine_spec(args.engine)
     setup = get_hardware_setup(args.setup)
     trace = get_workload(args.workload, num_users=args.num_users)
@@ -269,11 +279,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     spec = load_scenario(args.config)
     if args.no_resilience and spec.resilience is not None:
         spec = dataclasses.replace(spec, resilience=None)
-    result = run_scenario(
-        spec, record=args.record,
-        use_event_queue=not args.legacy_loop,
-        engine_fast_paths=not args.legacy_loop,
-    )
+    result = run_scenario(spec, record=args.record)
     print(format_scenario_report(result))
     return 0
 
@@ -286,12 +292,7 @@ def _cmd_scenario_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_suite(args: argparse.Namespace) -> int:
-    results = run_scenario_suite(
-        args.dir,
-        max_workers=args.workers,
-        use_event_queue=not args.legacy_loop,
-        engine_fast_paths=not args.legacy_loop,
-    )
+    results = run_scenario_suite(args.dir, max_workers=args.workers)
     rows = []
     for result in results:
         summary = result.result.summary
@@ -639,9 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument("--no-resilience", action="store_true",
                               help="ignore the config's \"resilience\" block "
                                    "(for policy-on/off comparisons)")
-    scenario_run.add_argument("--legacy-loop", action="store_true",
-                              help="use the pre-heap event loop and cache scans "
-                                   "(identical results, for comparison)")
     scenario_run.set_defaults(func=_cmd_scenario_run)
 
     scenario_replay = scenario_sub.add_parser(
@@ -661,9 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_suite.add_argument("--workers", type=int, default=None,
                                 help="fan scenarios across this many processes "
                                      "(default: serial; results are identical)")
-    scenario_suite.add_argument("--legacy-loop", action="store_true",
-                                help="use the pre-heap event loop and cache scans "
-                                     "(identical results, for comparison)")
     scenario_suite.set_defaults(func=_cmd_scenario_suite)
 
     scenario_arrivals = scenario_sub.add_parser(

@@ -19,14 +19,12 @@ production-shaped serving tier:
 
 Replica clocks are advanced lazily: an event at simulated time *t* only
 advances replicas whose next internal event is due at or before *t*, so a
-mostly idle fleet costs almost nothing per event regardless of its size.  By
-default the fleet finds those due replicas with a heap-based
+mostly idle fleet costs almost nothing per event regardless of its size.  The
+fleet finds those due replicas with a heap-based
 :class:`~repro.simulation.events.EventQueue` (one live entry per serving
 replica, refreshed whenever a replica is submitted to, advanced, or scaled)
-instead of scanning every replica per event; construct with
-``use_event_queue=False`` to get the original linear scans — the results are
-identical, and the flag exists for the before/after benchmark.  The driving
-loop lives in :func:`repro.simulation.simulator.simulate_fleet`.
+instead of scanning every replica per event.  The driving loop lives in
+:func:`repro.simulation.simulator.simulate_fleet`.
 """
 
 from __future__ import annotations
@@ -114,12 +112,6 @@ class Fleet:
         admission: Optional load-shedding policy consulted before routing.
         autoscaler: Optional reactive autoscaler.
         name: Fleet name used in reports.
-        use_event_queue: Track per-replica next-event times in a heap (default)
-            instead of scanning every replica per event.  Results are
-            identical; ``False`` restores the original scans for comparison.
-        engine_fast_paths: Build replicas with the heap-based prefix-cache
-            eviction.  Results are identical; the flag exists for the
-            old-vs-new event-loop benchmark.
         tier_config: Optional tiered prefix-cache configuration
             (:class:`~repro.kvcache.tiers.TierConfig`).  When enabled the
             fleet builds one shared cluster (L3) store, wires every replica —
@@ -149,8 +141,6 @@ class Fleet:
                  admission: AdmissionPolicy | None = None,
                  autoscaler: Autoscaler | None = None,
                  name: str = "fleet",
-                 use_event_queue: bool = True,
-                 engine_fast_paths: bool = True,
                  tier_config: TierConfig | None = None,
                  cluster_service=None,
                  recorder=None,
@@ -167,7 +157,6 @@ class Fleet:
         self.template = replica_specs[0]
         self.admission = admission
         self.autoscaler = autoscaler
-        self._engine_fast_paths = engine_fast_paths
         self.tier_config = tier_config if tier_config is not None and tier_config.enabled else None
         self.cluster_store: ClusterPrefixStore | None = None
         if self.tier_config is not None:
@@ -189,9 +178,8 @@ class Fleet:
                 # their references, so every tier operation flows through it.
                 self.cluster_store = cluster_service(self.cluster_store)
         self.stats = FleetStats()
-        #: Replicas advanced by the most recent :meth:`advance_to` call —
-        #: identical on the heap and scan paths, so the driving loop can count
-        #: processed events consistently (see
+        #: Replicas advanced by the most recent :meth:`advance_to` call, so
+        #: the driving loop can count processed events (see
         #: :class:`repro.simulation.simulator.FleetSimulationResult`).
         self.last_advance_count = 0
         self.scale_events: list[ScaleEvent] = []
@@ -208,7 +196,7 @@ class Fleet:
         self._brownout = 1.0
         self._shed: list[FinishedRequest] = []
         self._replica_seq = 0
-        self._events: EventQueue | None = EventQueue() if use_event_queue else None
+        self._events = EventQueue()
         self._states_by_key: dict[int, _ReplicaState] = {}
         self._active: list[_ReplicaState] = [
             self._build_replica(spec, now=0.0) for spec in replica_specs
@@ -288,7 +276,6 @@ class Fleet:
             interconnect=spec.interconnect,
             max_input_length=self.max_input_length,
             name=f"{spec.engine.name}-{index}",
-            fast_paths=self._engine_fast_paths,
             tier_config=self.tier_config,
             cluster_store=self.cluster_store,
         )
@@ -309,8 +296,7 @@ class Fleet:
 
     def _refresh_event(self, state: _ReplicaState) -> None:
         """Record the replica's current next-event time in the event queue."""
-        if self._events is not None:
-            self._events.update(state.key, state.instance.next_event_time())
+        self._events.update(state.key, state.instance.next_event_time())
 
     # ---------------------------------------------------------------- state
 
@@ -350,11 +336,6 @@ class Fleet:
             state.instance.is_idle() for state in self._active + self._draining
         )
 
-    @property
-    def engine_fast_paths(self) -> bool:
-        """Whether replicas are built with the engine-level fast paths."""
-        return self._engine_fast_paths
-
     def shard_manifest(self) -> list[tuple[int, str, ReplicaSpec | None]]:
         """``(key, instance name, spec)`` per routable replica, in router order.
 
@@ -376,11 +357,6 @@ class Fleet:
         ``update`` / ``discard`` calls — including fault deliveries for a
         replica — land in the shard that owns the replica's key.
         """
-        if self._events is None:
-            raise ConfigurationError(
-                "sharded event discovery requires the event-queue fleet path "
-                "(use_event_queue=True)"
-            )
         for state in self._all_serving():
             queue.update(state.key, state.instance.next_event_time())
         self._events = queue
@@ -504,15 +480,7 @@ class Fleet:
 
     def next_event_time(self) -> float | None:
         """Earliest internal event across routable and draining replicas."""
-        if self._events is not None:
-            return self._events.next_time()
-        times = [
-            t for t in (
-                state.instance.next_event_time() for state in self._all_serving()
-            )
-            if t is not None
-        ]
-        return min(times) if times else None
+        return self._events.next_time()
 
     def advance_to(self, now: float) -> list[FinishedRequest]:
         """Advance replicas whose next event is due at or before ``now``.
@@ -522,31 +490,20 @@ class Fleet:
         have emptied, and returns the requests that finished on the way.
         """
         finished: list[FinishedRequest] = []
-        advanced = 0
-        if self._events is not None:
-            due = self._events.pop_due(now)
-            advanced = len(due)
-            if len(due) == 1:
-                state = self._states_by_key[due[0]]
-                finished.extend(state.instance.advance_to(now))
-                self._refresh_event(state)
-            elif due:
-                # Advance in serving order (actives, then draining) so the
-                # autoscaler observes completions in the same order the
-                # linear-scan path produced.
-                due_keys = set(due)
-                for state in self._all_serving():
-                    if state.key in due_keys:
-                        finished.extend(state.instance.advance_to(now))
-                        self._refresh_event(state)
-        else:
+        due = self._events.pop_due(now)
+        if len(due) == 1:
+            state = self._states_by_key[due[0]]
+            finished.extend(state.instance.advance_to(now))
+            self._refresh_event(state)
+        elif due:
+            # Advance in serving order (actives, then draining), not due
+            # order, so the autoscaler observes completions in serving order.
+            due_keys = set(due)
             for state in self._all_serving():
-                next_time = state.instance.next_event_time()
-                if next_time is None or next_time > now:
-                    continue
-                finished.extend(state.instance.advance_to(now))
-                advanced += 1
-        self.last_advance_count = advanced
+                if state.key in due_keys:
+                    finished.extend(state.instance.advance_to(now))
+                    self._refresh_event(state)
+        self.last_advance_count = len(due)
         finished = self._observe(finished)
         self._retire_drained(now)
         return finished
@@ -623,8 +580,7 @@ class Fleet:
                 state.retired_at = now
                 self._flush_retiring(state)
                 self._retired.append(state)
-                if self._events is not None:
-                    self._events.discard(state.key)
+                self._events.discard(state.key)
             else:
                 still_draining.append(state)
         self._draining = still_draining
@@ -759,8 +715,7 @@ class Fleet:
             was_active = False
         else:
             return False, "replica not active"
-        if self._events is not None:
-            self._events.discard(state.key)
+        self._events.discard(state.key)
         state.crashed = True
         state.retired_at = now
         self._crashed.append(state)

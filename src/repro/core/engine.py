@@ -221,9 +221,6 @@ class EngineInstance:
         interconnect: Link between shards (needed when TP or PP > 1).
         max_input_length: User-provided MIL used by the profile run.
         name: Instance name (unique within a serving system).
-        fast_paths: Use the heap-based prefix-cache eviction (default).
-            Behaviour is identical either way; ``False`` restores the
-            original full-tree scan for before/after benchmarks.
         tier_config: Optional tiered prefix-cache configuration
             (:class:`~repro.kvcache.tiers.TierConfig`).  When enabled, the
             instance runs a GPU -> host -> cluster hierarchy instead of the
@@ -240,7 +237,6 @@ class EngineInstance:
     def __init__(self, spec: EngineSpec, model: ModelConfig, gpu: GPUSpec, *,
                  interconnect: Interconnect | None = None,
                  max_input_length: int, name: str = "instance-0",
-                 fast_paths: bool = True,
                  tier_config=None, cluster_store=None) -> None:
         if spec.gpus_per_instance > 1 and interconnect is None:
             raise ConfigurationError(
@@ -305,7 +301,6 @@ class EngineInstance:
             offload_store=offload_store,
             tiers=tiers,
             enable_prefix_caching=spec.enable_prefix_caching,
-            use_eviction_heap=fast_paths,
         )
         estimator: JCTEstimator | None = None
         if spec.use_fitted_jct:

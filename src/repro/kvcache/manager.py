@@ -101,8 +101,7 @@ class KVCacheManager:
     def __init__(self, capacity_tokens: int, *, block_size: int = 256,
                  offload_store: CPUOffloadStore | None = None,
                  tiers: TieredPrefixStore | None = None,
-                 enable_prefix_caching: bool = True,
-                 use_eviction_heap: bool = True) -> None:
+                 enable_prefix_caching: bool = True) -> None:
         if capacity_tokens < 0:
             raise CapacityError("capacity_tokens must be non-negative")
         if tiers is not None and offload_store is not None:
@@ -119,7 +118,7 @@ class KVCacheManager:
         self._capacity_tokens = capacity_tokens
         num_blocks = capacity_tokens // block_size
         self._allocator = BlockAllocator(num_blocks, block_size)
-        self._cache = RadixPrefixCache(self._allocator, use_eviction_heap=use_eviction_heap)
+        self._cache = RadixPrefixCache(self._allocator)
         self._offload = offload_store
         self._tiers = tiers
         if tiers is not None:

@@ -16,10 +16,10 @@ when a node is created and when it becomes a leaf again after a child is
 evicted, and entries are validated when popped — dead and interior nodes are
 dropped, a node whose timestamp moved since its entry was pushed is re-keyed
 in place (lazy decrease-key, so cache touches stay O(1)), and pinned
-candidates are pushed back once the eviction pass ends.  The creation-sequence
-tie-break reproduces the iteration order the original full scan used, so the
-heap evicts the exact same victims in the exact same order; construct with
-``use_eviction_heap=False`` to get the original O(tree) scan for comparison.
+candidates are pushed back once the eviction pass ends.  The victim is always
+the unpinned leaf with the smallest ``(last_access, creation_seq)``: ties on
+the timestamp go to the older node.  ``tests/test_prefix_cache_oracle.py``
+checks that order against a full-scan reference cache.
 
 The tree also keeps a change record for one watcher (the SRJF scheduler's
 frontier index, see :mod:`repro.core.scheduler`): the watched content hashes
@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Container, Iterator, Sequence
+from typing import Container, Sequence
 
 from repro.errors import AllocationError
 from repro.kvcache.allocator import BlockAllocator
@@ -76,18 +76,13 @@ class RadixPrefixCache:
 
     Args:
         allocator: Shared physical block pool.
-        use_eviction_heap: Select eviction victims with the lazy LRU heap
-            (default) instead of a full-tree scan per eviction.  The victim
-            order is identical; the flag exists for before/after benchmarks.
     """
 
-    def __init__(self, allocator: BlockAllocator, *, use_eviction_heap: bool = True) -> None:
+    def __init__(self, allocator: BlockAllocator) -> None:
         self._allocator = allocator
         self._nodes: dict[int, _TreeNode] = {}
         self._roots: dict[int, _TreeNode] = {}
-        self._lru_heap: list[tuple[float, int, _TreeNode]] | None = (
-            [] if use_eviction_heap else None
-        )
+        self._lru_heap: list[tuple[float, int, _TreeNode]] = []
         self._node_seq = 0
         self._version = 0
         self._hits = 0
@@ -104,8 +99,7 @@ class RadixPrefixCache:
 
     def _note_candidate(self, node: _TreeNode) -> None:
         """Push a fresh LRU-heap entry for ``node`` at its current timestamp."""
-        if self._lru_heap is not None:
-            heapq.heappush(self._lru_heap, (node.block.last_access, node.seq, node))
+        heapq.heappush(self._lru_heap, (node.block.last_access, node.seq, node))
 
     # ---------------------------------------------------------------- state
 
@@ -292,12 +286,6 @@ class RadixPrefixCache:
 
     # -------------------------------------------------------------- eviction
 
-    def _evictable_leaves(self) -> Iterator[_TreeNode]:
-        """Yield unpinned leaf nodes (the only legal eviction victims)."""
-        for node in self._nodes.values():
-            if node.is_leaf and not node.block.is_pinned:
-                yield node
-
     @property
     def num_evictable_blocks(self) -> int:
         """Number of blocks that could be reclaimed right now.
@@ -308,24 +296,7 @@ class RadixPrefixCache:
         return sum(1 for node in self._nodes.values() if not node.block.is_pinned)
 
     def evict_blocks(self, count: int) -> int:
-        """Evict up to ``count`` blocks in LRU order; return how many were evicted."""
-        if self._lru_heap is not None:
-            return self._evict_from_heap(count)
-        evicted = 0
-        while evicted < count:
-            victim = min(
-                self._evictable_leaves(),
-                key=lambda node: node.block.last_access,
-                default=None,
-            )
-            if victim is None:
-                break
-            self._remove_node(victim)
-            evicted += 1
-        return evicted
-
-    def _evict_from_heap(self, count: int) -> int:
-        """Heap-based victim selection (same LRU order as the full scan).
+        """Evict up to ``count`` blocks in LRU order; return how many were evicted.
 
         Every evictable node has at least one heap entry — pushed at its
         creation and whenever it becomes a leaf again — whose key never
@@ -336,8 +307,7 @@ class RadixPrefixCache:
         decrease-key, paid only when evictions actually happen rather than on
         every cache touch), and a pinned candidate is parked and re-pushed
         after the pass.  The first entry that survives validation is the true
-        ``(last_access, seq)`` minimum over evictable leaves — the exact node
-        ``min`` over the full scan would have picked.
+        ``(last_access, seq)`` minimum over the unpinned leaves.
         """
         heap = self._lru_heap
         pinned: list[tuple[float, int, _TreeNode]] = []
@@ -411,6 +381,5 @@ class RadixPrefixCache:
         self._changed.update(self._watched)
         self._nodes.clear()
         self._roots.clear()
-        if self._lru_heap is not None:
-            self._lru_heap.clear()
+        self._lru_heap.clear()
         self._version += 1

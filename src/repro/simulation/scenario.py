@@ -330,8 +330,7 @@ def build_mix(spec: ScenarioSpec) -> MixedTrace:
     return mix_tenants(spec.tenants, name=spec.name, seed=spec.seed)
 
 
-def _build_fleet(spec: ScenarioSpec, max_input_length: int, *,
-                 use_event_queue: bool, engine_fast_paths: bool) -> Fleet:
+def _build_fleet(spec: ScenarioSpec, max_input_length: int) -> Fleet:
     admission = None
     if spec.max_queue_depth is not None:
         admission = QueueDepthAdmission(spec.max_queue_depth)
@@ -356,8 +355,6 @@ def _build_fleet(spec: ScenarioSpec, max_input_length: int, *,
         admission=admission,
         autoscaler=autoscaler,
         name=spec.name,
-        use_event_queue=use_event_queue,
-        engine_fast_paths=engine_fast_paths,
         tier_config=spec.kv_tiers,
         # Sharded tiered runs talk to the L3 store through the versioned,
         # latency-stamped message bus (transparent: results are identical).
@@ -422,8 +419,6 @@ def _tenant_reports(spec: ScenarioSpec, requests: list[Request],
 
 def run_scenario(spec: ScenarioSpec, *, record: str | Path | None = None,
                  requests: list[Request] | None = None,
-                 use_event_queue: bool = True,
-                 engine_fast_paths: bool = True,
                  keep_fleet: bool = False) -> ScenarioResult:
     """Run a scenario end to end.
 
@@ -434,8 +429,6 @@ def run_scenario(spec: ScenarioSpec, *, record: str | Path | None = None,
             before the simulation runs.
         requests: Pre-built request stream (used by :func:`replay_scenario`);
             skips workload generation and arrival assignment entirely.
-        use_event_queue / engine_fast_paths: Fast-path switches, identical
-            results either way (see :class:`repro.cluster.Fleet`).
         keep_fleet: Attach the simulated fleet to the result so callers (the
             invariant checks) can inspect end-of-run KV residency; off by
             default because a fleet does not pickle across suite workers.
@@ -457,10 +450,7 @@ def run_scenario(spec: ScenarioSpec, *, record: str | Path | None = None,
     max_input_length = spec.max_input_length
     if max_input_length is None:
         max_input_length = max(request.num_tokens for request in requests)
-    fleet = _build_fleet(
-        spec, max_input_length,
-        use_event_queue=use_event_queue, engine_fast_paths=engine_fast_paths,
-    )
+    fleet = _build_fleet(spec, max_input_length)
     chaos = (spec.faults is not None and spec.faults.active) or (
         spec.resilience is not None
     )
@@ -506,20 +496,14 @@ def discover_scenarios(directory: str | Path) -> list[Path]:
     return paths
 
 
-def _suite_task(task: tuple) -> ScenarioResult:
+def _suite_task(path: str) -> ScenarioResult:
     """Load and run one scenario config (module-level for the parallel runner)."""
-    path, use_event_queue, engine_fast_paths = task
-    spec = load_scenario(path)
-    return run_scenario(
-        spec, use_event_queue=use_event_queue, engine_fast_paths=engine_fast_paths,
-    )
+    return run_scenario(load_scenario(path))
 
 
 def run_scenario_suite(scenarios: str | Path | list[str | Path], *,
                        runner: ParallelRunner | None = None,
-                       max_workers: int | None = None,
-                       use_event_queue: bool = True,
-                       engine_fast_paths: bool = True) -> list[ScenarioResult]:
+                       max_workers: int | None = None) -> list[ScenarioResult]:
     """Run a whole suite of scenario configs, optionally across processes.
 
     Args:
@@ -529,8 +513,6 @@ def run_scenario_suite(scenarios: str | Path | list[str | Path], *,
             independent simulation, and each worker re-derives the request
             stream from the config's explicit seeds, so parallel results are
             byte-identical to a serial run.
-        use_event_queue / engine_fast_paths: Fast-path switches passed through
-            to every :func:`run_scenario`.
 
     Returns:
         One :class:`ScenarioResult` per config, in config order.
@@ -542,13 +524,10 @@ def run_scenario_suite(scenarios: str | Path | list[str | Path], *,
         if not paths:
             raise ScenarioError("run_scenario_suite needs at least one scenario")
     active = resolve_runner(runner, max_workers)
-    tasks = [(str(path), use_event_queue, engine_fast_paths) for path in paths]
-    return active.map(_suite_task, tasks)
+    return active.map(_suite_task, [str(path) for path in paths])
 
 
-def replay_scenario(spec: ScenarioSpec, trace_path: str | Path, *,
-                    use_event_queue: bool = True,
-                    engine_fast_paths: bool = True) -> ScenarioResult:
+def replay_scenario(spec: ScenarioSpec, trace_path: str | Path) -> ScenarioResult:
     """Replay a recorded trace through the scenario's serving configuration.
 
     The trace supplies the exact request stream (ids, token segments, arrival
@@ -556,7 +535,4 @@ def replay_scenario(spec: ScenarioSpec, trace_path: str | Path, *,
     same spec reproduces the original run's metrics exactly.
     """
     _, requests = load_trace(trace_path)
-    return run_scenario(
-        spec, requests=requests,
-        use_event_queue=use_event_queue, engine_fast_paths=engine_fast_paths,
-    )
+    return run_scenario(spec, requests=requests)

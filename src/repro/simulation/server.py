@@ -27,14 +27,13 @@ class ServingSystem:
         max_input_length: MIL every instance is provisioned for (usually the
             workload's longest request).
         router: Routing policy; defaults to the paper's user-id router.
-        engine_fast_paths: Build instances with the heap-based prefix-cache
-            eviction.  Results are identical; ``False`` restores the original
-            scan for before/after benchmarks.
+
+    :func:`~repro.simulation.simulator.simulate` drives the instances
+    directly, through its own event queue over :attr:`instances`.
     """
 
     def __init__(self, spec: EngineSpec, model: ModelConfig, cluster: ClusterSpec, *,
-                 max_input_length: int, router: Router | None = None,
-                 engine_fast_paths: bool = True) -> None:
+                 max_input_length: int, router: Router | None = None) -> None:
         if cluster.num_gpus % spec.gpus_per_instance != 0:
             raise ConfigurationError(
                 f"engine {spec.name!r} needs {spec.gpus_per_instance} GPUs per instance, "
@@ -50,7 +49,6 @@ class ServingSystem:
                 interconnect=cluster.interconnect,
                 max_input_length=max_input_length,
                 name=f"{spec.name}-{index}",
-                fast_paths=engine_fast_paths,
             )
             for index in range(num_instances)
         ]
@@ -58,13 +56,11 @@ class ServingSystem:
 
     @classmethod
     def for_setup(cls, spec: EngineSpec, setup: HardwareSetup, *,
-                  max_input_length: int, router: Router | None = None,
-                  engine_fast_paths: bool = True) -> "ServingSystem":
+                  max_input_length: int, router: Router | None = None) -> "ServingSystem":
         """Build a serving system for one of the paper's hardware setups."""
         return cls(
             spec, get_model(setup.model_name), setup.cluster,
             max_input_length=max_input_length, router=router,
-            engine_fast_paths=engine_fast_paths,
         )
 
     # ---------------------------------------------------------------- state
@@ -93,19 +89,6 @@ class ServingSystem:
         instance = self.instances[index]
         instance.submit(request, now)
         return instance
-
-    def next_event_time(self) -> float | None:
-        """Earliest internal event across all instances."""
-        times = [t for t in (instance.next_event_time() for instance in self.instances)
-                 if t is not None]
-        return min(times) if times else None
-
-    def advance_to(self, now: float) -> list[FinishedRequest]:
-        """Advance every instance to ``now``; return requests finished on the way."""
-        finished: list[FinishedRequest] = []
-        for instance in self.instances:
-            finished.extend(instance.advance_to(now))
-        return finished
 
     # -------------------------------------------------------------- results
 

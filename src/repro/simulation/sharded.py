@@ -253,7 +253,6 @@ class _ShardTask:
     replicas: tuple
     model: object
     max_input_length: int
-    fast_paths: bool
     #: ``(key, Request)`` in global arrival order.
     arrivals: tuple
     max_simulated_seconds: float
@@ -296,7 +295,6 @@ class ShardEngine:
                 interconnect=spec.interconnect,
                 max_input_length=task.max_input_length,
                 name=name,
-                fast_paths=task.fast_paths,
             )
             instance.obs = self.obs
             instance.obs_key = key
@@ -462,7 +460,6 @@ def simulate_fleet_decoupled(fleet, requests, plan: ShardPlan, *,
             replicas=replicas,
             model=fleet.model,
             max_input_length=fleet.max_input_length,
-            fast_paths=fleet.engine_fast_paths,
             arrivals=tuple(shard_arrivals[shard_id]),
             max_simulated_seconds=max_simulated_seconds,
             max_events=max_events,

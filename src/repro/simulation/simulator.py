@@ -13,13 +13,10 @@ fleet's autoscaler gets a chance to add or drain a replica.  With a single
 replica and the same router, ``simulate_fleet`` reproduces :func:`simulate`
 exactly — the equivalence the fleet tests pin down.
 
-Both loops default to a heap-based fast path: instead of scanning every
-instance for its next event time on every iteration (O(instances) per event),
-an :class:`~repro.simulation.events.EventQueue` keeps one live heap entry per
-instance and only the instance an event actually touched is re-examined.  Pass
-``use_event_queue=False`` to run the original linear-scan loop — the two paths
-produce identical results (a property the test suite pins), so the flag exists
-for the before/after benchmark and as a cross-check.
+Both loops find due instances through an
+:class:`~repro.simulation.events.EventQueue`: one live heap entry per
+instance, and only the instances an event actually touched are re-examined,
+so an event costs O(log instances) rather than a scan over every instance.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.core.engine import FinishedRequest
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.obs import profiler as _profiler
 from repro.obs.recorder import ObsData
 from repro.simulation.events import EventQueue, TIME_EPSILON
@@ -48,9 +45,9 @@ class SimulationResult:
     """Everything a benchmark needs from one simulation run.
 
     ``num_events`` counts the *processed* simulation events — one per request
-    arrival plus one per instance advanced on an internal event — identically
-    on the heap and linear-scan paths, so events-per-second is comparable
-    across loops, fleets, and the perf harness.
+    arrival plus one per instance advanced on an internal event — so
+    events-per-second is comparable across loops, fleets, and the perf
+    harness.
     """
 
     engine_name: str
@@ -71,8 +68,7 @@ class SimulationResult:
 
 def simulate(system: ServingSystem, requests: list[Request], *,
              max_simulated_seconds: float = 1e7,
-             max_events: int = 10_000_000,
-             use_event_queue: bool = True) -> SimulationResult:
+             max_events: int = 10_000_000) -> SimulationResult:
     """Replay ``requests`` against ``system`` until everything drains.
 
     Args:
@@ -80,8 +76,6 @@ def simulate(system: ServingSystem, requests: list[Request], *,
         requests: Requests with ``arrival_time`` assigned, in any order.
         max_simulated_seconds: Safety limit on simulated time.
         max_events: Safety limit on processed events.
-        use_event_queue: Use the heap-based event queue (default) instead of
-            the linear scan; results are identical either way.
 
     Raises:
         SimulationError: if either safety limit is hit (which indicates a bug
@@ -93,22 +87,17 @@ def simulate(system: ServingSystem, requests: list[Request], *,
     events = 0
     prof = _profiler.ACTIVE
 
-    queue: EventQueue | None = None
-    if use_event_queue:
-        queue = EventQueue()
-        instances = system.instances
-        index_of = {id(instance): index for index, instance in enumerate(instances)}
-        for index, instance in enumerate(instances):
-            queue.update(index, instance.next_event_time())
+    queue = EventQueue()
+    instances = system.instances
+    index_of = {id(instance): index for index, instance in enumerate(instances)}
+    for index, instance in enumerate(instances):
+        queue.update(index, instance.next_event_time())
 
     while True:
         next_arrival = (
             pending[arrival_index].arrival_time if arrival_index < len(pending) else math.inf
         )
-        if queue is not None:
-            next_internal = queue.next_time()
-        else:
-            next_internal = system.next_event_time()
+        next_internal = queue.next_time()
         next_internal = math.inf if next_internal is None else next_internal
 
         if math.isinf(next_arrival) and math.isinf(next_internal):
@@ -126,15 +115,13 @@ def simulate(system: ServingSystem, requests: list[Request], *,
             arrival_index += 1
             instance = system.submit(request, now)
             instance.advance_to(now)
-            if queue is not None:
-                queue.update(index_of[id(instance)], instance.next_event_time())
+            queue.update(index_of[id(instance)], instance.next_event_time())
             events += 1
             if prof:
                 prof.add("arrival", perf_counter() - tick)
-        elif queue is not None:
+        else:
             # The engine fires events within TIME_EPSILON of `now`, so drain
-            # every instance in that window — exactly the set the linear scan's
-            # whole-system advance would have moved.
+            # every instance in that window.
             tick = perf_counter() if prof else 0.0
             due = queue.pop_due(now, epsilon=TIME_EPSILON)
             for key in due:
@@ -146,20 +133,6 @@ def simulate(system: ServingSystem, requests: list[Request], *,
             # desyncs and an iteration advances nothing.
             batch = max(len(due), 1)
             events += batch
-            if prof:
-                prof.add("advance", perf_counter() - tick, batch)
-        else:
-            # Count the instances with a due event before the whole-system
-            # advance moves them — the same set the heap path pops, so both
-            # paths report identical event counts.
-            tick = perf_counter() if prof else 0.0
-            batch = max(sum(
-                1 for instance in system.instances
-                if (next_time := instance.next_event_time()) is not None
-                and next_time <= now + TIME_EPSILON
-            ), 1)
-            events += batch
-            system.advance_to(now)
             if prof:
                 prof.add("advance", perf_counter() - tick, batch)
 
@@ -187,9 +160,8 @@ class FleetSimulationResult:
 
     ``num_events`` counts processed events exactly like
     :class:`SimulationResult` — one per arrival plus one per replica advanced
-    on an internal event, identically whether the fleet finds its due replicas
-    with the event queue or a scan — so events-per-second is comparable
-    between the single-system and fleet loops.
+    on an internal event — so events-per-second is comparable between the
+    single-system and fleet loops.
     """
 
     fleet_name: str
@@ -240,9 +212,7 @@ def simulate_fleet(fleet, requests: list[Request], *,
     and the fleet's earliest internal event wins.  On an arrival the fleet
     admits, routes, and advances only the replica that received the request;
     on an internal event only replicas with due events advance (per-replica
-    clocks).  After every event the fleet's autoscaler may scale.  Whether the
-    fleet finds its due replicas with the event queue or a scan is the fleet's
-    own ``use_event_queue`` constructor flag.
+    clocks).  After every event the fleet's autoscaler may scale.
 
     With a fault schedule the merge gains a third source: the schedule's
     events are loaded into their own :class:`~repro.simulation.events.EventQueue`
@@ -278,8 +248,11 @@ def simulate_fleet(fleet, requests: list[Request], *,
             (:func:`~repro.perf.runner.derive_task_seeds`).
 
     Raises:
+        ConfigurationError: if ``shards`` is less than 1.
         SimulationError: if either safety limit is hit.
     """
+    if shards < 1:
+        raise ConfigurationError(f"shards must be at least 1, got {shards}")
     sharding_info = None
     if shards > 1:
         # Lazy import: `sharded` imports this module for the result types.

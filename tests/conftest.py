@@ -1,18 +1,50 @@
-"""Shared fixtures for the test suite.
+"""Shared fixtures and hypothesis profiles for the test suite.
 
 Fixtures keep the expensive objects (workload traces, serving systems) small so
 the whole suite stays fast; benchmarks use paper-scale parameters instead.
+
+The fuzzers and differential oracles run under one of two derandomized
+hypothesis profiles, so a failure reproduces on every run:
+
+* ``fuzz`` — 200 examples; ``make fuzz`` selects it with
+  ``HYPOTHESIS_PROFILE=fuzz``.
+* ``fuzz-smoke`` — 25 examples; the tier-1 default, so the regular suite
+  stays fast but never skips a fuzzer entirely.
+
+Test modules decorate with ``settings.get_profile("fuzz-run")``, the one of
+the two this run selected.  The differential oracles use ``"oracle-run"``,
+the same profile at eight times the examples: an oracle example takes
+milliseconds, a scenario-fuzz example a whole simulation.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core.engine import prefillonly_engine_spec
 from repro.hardware.cluster import get_hardware_setup
 from repro.hardware.gpu import get_gpu
 from repro.model.config import get_model
 from repro.workloads.registry import get_workload
+
+settings.register_profile(
+    "fuzz",
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=(HealthCheck.too_slow, HealthCheck.data_too_large),
+)
+settings.register_profile("fuzz-smoke", settings.get_profile("fuzz"), max_examples=25)
+settings.register_profile("fuzz-run", settings.get_profile(
+    "fuzz" if os.environ.get("HYPOTHESIS_PROFILE") == "fuzz" else "fuzz-smoke"
+))
+settings.register_profile(
+    "oracle-run", settings.get_profile("fuzz-run"),
+    max_examples=8 * settings.get_profile("fuzz-run").max_examples,
+)
 
 
 @pytest.fixture(scope="session")

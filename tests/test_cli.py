@@ -104,6 +104,29 @@ def test_fleet_malformed_faults_file_exits_2_with_json_path(tmp_path, capsys):
     assert "missing required key 'at'" in err
 
 
+def test_fleet_negative_seed_exits_2(capsys):
+    code = main([
+        "fleet", "--setup", "h100", "--workload", "post-recommendation",
+        "--num-users", "2", "--replicas", "2", "--seed", "-1",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "prefillonly: error:" in err
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("shards", ["0", "-2"])
+def test_fleet_shard_count_below_one_exits_2(shards, capsys):
+    code = main([
+        "fleet", "--setup", "h100", "--workload", "post-recommendation",
+        "--num-users", "2", "--replicas", "2", "--shards", shards,
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "prefillonly: error:" in err
+    assert "shards must be at least 1" in err
+
+
 def test_scenario_run_malformed_config_exits_2_with_json_path(tmp_path, capsys):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({

@@ -23,18 +23,17 @@ and inverted comparisons that leave every single-run invariant intact — a
 router preferring the fullest queue, an admission check shedding below the
 limit, a transfer-time model dividing by bandwidth upside down.
 
-Profiles are shared with the invariant fuzzer (``HYPOTHESIS_PROFILE=fuzz``
-selects 200 examples; the tier-1 default is the 25-example smoke profile),
-and both are derandomized, so the corpus each relation was verified over is
-the corpus CI replays.
+Profiles are the shared ``fuzz`` / ``fuzz-smoke`` pair (``tests/conftest.py``;
+``HYPOTHESIS_PROFILE=fuzz`` selects 200 examples, the tier-1 default is the
+25-example smoke profile), and both are derandomized, so the corpus each
+relation was verified over is the corpus CI replays.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
-from hypothesis import HealthCheck, assume, given, note, settings
+from hypothesis import assume, given, note, settings
 
 from repro.simulation.invariants import scenario_fingerprint
 from repro.simulation.scenario import build_mix, run_scenario, scenario_from_dict
@@ -47,17 +46,7 @@ from repro.spec.fuzz import (
     interconnect_pair_configs,
 )
 
-settings.register_profile(
-    "fuzz",
-    max_examples=200,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=(HealthCheck.too_slow, HealthCheck.data_too_large),
-)
-settings.register_profile("fuzz-smoke", settings.get_profile("fuzz"), max_examples=25)
-
-_PROFILE = "fuzz" if os.environ.get("HYPOTHESIS_PROFILE") == "fuzz" else "fuzz-smoke"
-fuzz_settings = settings.get_profile(_PROFILE)
+fuzz_settings = settings.get_profile("fuzz-run")
 
 
 def _run_pair(base: dict, better: dict):

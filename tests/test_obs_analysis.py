@@ -17,12 +17,11 @@ import dataclasses
 import gzip
 import io
 import json
-import os
 from math import fsum
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 
 from repro.cli import main
 from repro.errors import ObsError, ScenarioSpecError
@@ -49,17 +48,7 @@ from repro.spec.core import from_dict
 from repro.spec.fuzz import scenario_configs
 from repro.spec.models import AlertRuleSpec
 
-settings.register_profile(
-    "fuzz",
-    max_examples=200,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=(HealthCheck.too_slow, HealthCheck.data_too_large),
-)
-settings.register_profile("fuzz-smoke", settings.get_profile("fuzz"), max_examples=25)
-
-_PROFILE = "fuzz" if os.environ.get("HYPOTHESIS_PROFILE") == "fuzz" else "fuzz-smoke"
-fuzz_settings = settings.get_profile(_PROFILE)
+fuzz_settings = settings.get_profile("fuzz-run")
 
 REPO_ROOT = Path(__file__).parent.parent
 SCENARIOS = REPO_ROOT / "examples" / "scenarios"

@@ -116,8 +116,7 @@ def _simulate(stem: str, *, shards: int, shard_workers: int, shard_mode: str):
     max_input_length = spec.max_input_length
     if max_input_length is None:
         max_input_length = max(request.num_tokens for request in requests)
-    fleet = _build_fleet(spec, max_input_length,
-                         use_event_queue=True, engine_fast_paths=True)
+    fleet = _build_fleet(spec, max_input_length)
     return simulate_fleet(
         fleet, requests, faults=spec.faults, shards=spec.shards,
         lookahead=spec.lookahead, shard_workers=shard_workers,

@@ -252,6 +252,7 @@ def test_latency_summary_invariants(samples):
         ))
     summary = summarize_finished(records)
     assert summary.p50_latency <= summary.p90_latency <= summary.p99_latency <= summary.max_latency
-    assert 0 < summary.mean_latency <= summary.max_latency
+    # The float mean of equal latencies can round an ulp above their maximum.
+    assert 0 < summary.mean_latency <= summary.max_latency * (1 + 1e-12)
     assert summary.throughput_rps > 0
     assert summary.mean_latency >= summary.mean_execution_time * 0.999

@@ -1,4 +1,4 @@
-"""Tests for the scenario engine: arrivals, mixing, trace files, fast paths.
+"""Tests for the scenario engine: arrivals, mixing, trace files, event loops.
 
 The two load-bearing properties pinned here:
 
@@ -6,16 +6,22 @@ The two load-bearing properties pinned here:
   round-trip bit-for-bit (property-based over generated segment structures and
   arrival processes), and a recorded scenario replays to the exact metrics of
   the original run.
-* **Fast-path equivalence** — the heap-based event loops (simulator event
-  queue, fleet event queue, prefix-cache eviction heap, incremental JCT
-  calibration) produce results identical to the seed implementation's linear
-  scans on the existing workloads.
+* **Loop goldens** — the paper-figure ``simulate`` loop and a two-replica
+  fleet loop reproduce the fingerprints in
+  ``tests/golden/loop_fingerprints.json`` record for record.  To regenerate
+  after an *intentional* simulation change::
+
+      REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_scenario.py -q
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,89 +309,78 @@ def test_lookup_from_matches_lookup_for_any_hint():
         assert kv.lookup_from(hashes, hint) == kv.lookup(hashes)
 
 
-def test_eviction_heap_matches_scan_victim_order():
-    """Heap-based and scan-based caches evict identical victims under churn."""
-    import numpy as np
+# ------------------------------------------------------------- loop goldens
 
-    from repro.kvcache.allocator import BlockAllocator
-    from repro.kvcache.prefix_tree import RadixPrefixCache
+LOOP_GOLDEN = Path(__file__).parent / "golden" / "loop_fingerprints.json"
 
-    rng = np.random.default_rng(0)
-    caches = [
-        RadixPrefixCache(BlockAllocator(24, 16), use_eviction_heap=True),
-        RadixPrefixCache(BlockAllocator(24, 16), use_eviction_heap=False),
-    ]
-    chains = [tuple(int(rng.integers(1, 2**30)) for _ in range(rng.integers(1, 9)))
-              for _ in range(12)]
-    for step in range(300):
-        chain = chains[int(rng.integers(len(chains)))]
-        op = rng.integers(3)
-        count = int(rng.integers(1, 4))
-        for cache in caches:
-            if op == 0:
-                cache.insert(chain, block_size=16, now=float(step))
-            elif op == 1:
-                cache.match(chain, now=float(step))
-            else:
-                cache.evict_blocks(count)
-        assert caches[0].stats == caches[1].stats
-        assert (sorted(h for h in chains[0] if h in caches[0])
-                == sorted(h for h in chains[0] if h in caches[1]))
-    assert caches[0].stats["evictions"] > 0
+#: ``simulate`` runs on the 4x8 trace, one per arrival process.
+SIMULATE_ARRIVALS = {
+    "poisson": {"rate": 4.0, "seed": 1},
+    "burst": {"seed": 2},
+    "mmpp": {"base_rate": 2.0, "burst_rate": 20.0, "seed": 3},
+}
+
+#: Two-replica fleet runs under MMPP bursts, one per workload.
+FLEET_WORKLOADS = {
+    "post-recommendation": {"num_users": 5, "posts_per_user": 8},
+    "credit-verification": {"num_users": 8},
+}
 
 
-# ---------------------------------------------------- heap/scan equivalence
+def _loop_fingerprint(result) -> dict:
+    """Summary, event count, cache stats and a digest of every terminal record."""
+    records = sorted(
+        [r.request_id, r.instance_name, r.cached_tokens,
+         r.arrival_time, r.start_time, r.finish_time]
+        for r in result.finished + result.rejected
+    )
+    fingerprint = {
+        "summary": dataclasses.asdict(result.summary),
+        "num_events": result.num_events,
+        "cache_stats": result.cache_stats,
+        "records": hashlib.sha256(json.dumps(records).encode()).hexdigest(),
+    }
+    if hasattr(result, "fleet"):
+        fingerprint["fleet"] = result.fleet.as_dict()
+    return json.loads(json.dumps(fingerprint))
 
 
-def test_simulate_heap_loop_matches_seed_scan(small_trace):
-    """Event-queue and linear-scan loops agree record-for-record."""
-    setup = get_hardware_setup("h100")
-    for arrival in (make_arrival("poisson", rate=4.0, seed=1),
-                    make_arrival("burst", seed=2),
-                    make_arrival("mmpp", base_rate=2.0, burst_rate=20.0, seed=3)):
-        requests = arrival.assign(list(small_trace.requests))
-        results = {}
-        for fast in (True, False):
-            system = ServingSystem.for_setup(
-                prefillonly_engine_spec(), setup,
-                max_input_length=small_trace.max_request_tokens,
-                engine_fast_paths=fast,
-            )
-            results[fast] = simulate(system, requests, use_event_queue=fast)
-        assert results[True].summary == results[False].summary
-        fast_records = [(r.request_id, r.start_time, r.finish_time, r.cached_tokens)
-                        for r in results[True].finished]
-        seed_records = [(r.request_id, r.start_time, r.finish_time, r.cached_tokens)
-                        for r in results[False].finished]
-        assert fast_records == seed_records
-        assert results[True].cache_stats == results[False].cache_stats
+def _check_loop_golden(key: str, fingerprint: dict) -> None:
+    golden = json.loads(LOOP_GOLDEN.read_text(encoding="utf-8")) if LOOP_GOLDEN.exists() else {}
+    if os.environ.get("REPRO_UPDATE_GOLDENS") == "1":
+        golden[key] = fingerprint
+        LOOP_GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n",
+                               encoding="utf-8")
+        return
+    assert key in golden, f"no golden for {key}; generate it with REPRO_UPDATE_GOLDENS=1"
+    assert fingerprint == golden[key], f"{key} drifted from {LOOP_GOLDEN.name}"
 
 
-@pytest.mark.parametrize("workload,params", [
-    ("post-recommendation", {"num_users": 5, "posts_per_user": 8}),
-    ("credit-verification", {"num_users": 8}),
-])
-def test_fleet_heap_loop_matches_seed_scan(workload, params):
-    """Fleet fast paths reproduce the seed scans on the existing workloads."""
-    trace = get_workload(workload, seed=1, **params)
-    setup = get_hardware_setup("h100")
+@pytest.mark.parametrize("arrival", sorted(SIMULATE_ARRIVALS))
+def test_simulate_matches_loop_golden(arrival, small_trace):
+    """The paper-figure loop: one prefillonly system on the h100 setup."""
+    requests = make_arrival(arrival, **SIMULATE_ARRIVALS[arrival]).assign(
+        list(small_trace.requests)
+    )
+    system = ServingSystem.for_setup(
+        prefillonly_engine_spec(), get_hardware_setup("h100"),
+        max_input_length=small_trace.max_request_tokens,
+    )
+    _check_loop_golden(f"simulate/{arrival}", _loop_fingerprint(simulate(system, requests)))
+
+
+@pytest.mark.parametrize("workload", sorted(FLEET_WORKLOADS))
+def test_fleet_matches_loop_golden(workload):
+    trace = get_workload(workload, seed=1, **FLEET_WORKLOADS[workload])
     requests = make_arrival("mmpp", base_rate=2.0, burst_rate=15.0, seed=4).assign(
         list(trace.requests)
     )
-    results = {}
-    for fast in (True, False):
-        fleet = Fleet.for_setup(
-            prefillonly_engine_spec(), setup,
-            max_input_length=trace.max_request_tokens,
-            num_replicas=2,
-            use_event_queue=fast,
-            engine_fast_paths=fast,
-        )
-        results[fast] = simulate_fleet(fleet, requests)
-    assert results[True].summary == results[False].summary
-    assert results[True].fleet.as_dict() == results[False].fleet.as_dict()
-    assert results[True].cache_stats == results[False].cache_stats
-    assert results[True].num_events == results[False].num_events
+    fleet = Fleet.for_setup(
+        prefillonly_engine_spec(), get_hardware_setup("h100"),
+        max_input_length=trace.max_request_tokens,
+        num_replicas=2,
+    )
+    _check_loop_golden(f"fleet/{workload}", _loop_fingerprint(simulate_fleet(fleet, requests)))
 
 
 # ------------------------------------------------------------ scenario runs

@@ -6,23 +6,18 @@ invariants in :mod:`repro.simulation.invariants` — request conservation,
 goodput bound, single KV residency, tenant consistency — plus same-seed
 bit-reproducibility via a second independent run.
 
-Profiles (selected with ``HYPOTHESIS_PROFILE=fuzz``, e.g. via ``make fuzz``):
-
-* ``fuzz`` — 200 examples, derandomized; the CI fuzz job.
-* ``fuzz-smoke`` — 25 examples, derandomized; the tier-1 default, so the
-  regular suite stays fast but never skips the fuzzer entirely.
-
-Both profiles are derandomized: a failure reproduces on every run, and the
-falsifying example's notes include the scenario JSON so it can be saved to a
-file and replayed with ``prefillonly scenario run --config <file>``.
+The hypothesis profiles are the shared ``fuzz`` / ``fuzz-smoke`` pair
+(``tests/conftest.py``; ``make fuzz`` runs the 200-example one).  Both are
+derandomized: a failure reproduces on every run, and the falsifying example's
+notes include the scenario JSON so it can be saved to a file and replayed
+with ``prefillonly scenario run --config <file>``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
-from hypothesis import HealthCheck, assume, given, note, settings
+from hypothesis import assume, given, note, settings
 
 from repro.simulation.invariants import (
     check_scenario_invariants,
@@ -33,17 +28,7 @@ from repro.spec.core import from_dict, normalize, to_dict
 from repro.spec.fuzz import _ARRIVAL_STRATEGIES, _WORKLOAD_STRATEGIES, scenario_configs
 from repro.spec.models import ScenarioModel
 
-settings.register_profile(
-    "fuzz",
-    max_examples=200,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=(HealthCheck.too_slow, HealthCheck.data_too_large),
-)
-settings.register_profile("fuzz-smoke", settings.get_profile("fuzz"), max_examples=25)
-
-_PROFILE = "fuzz" if os.environ.get("HYPOTHESIS_PROFILE") == "fuzz" else "fuzz-smoke"
-fuzz_settings = settings.get_profile(_PROFILE)
+fuzz_settings = settings.get_profile("fuzz-run")
 
 
 def test_fuzzer_matches_runtime_registries():

@@ -9,6 +9,8 @@ reference that re-looks-up every waiting request from the root, and every
 waiting request's stored cached-token count against a fresh lookup.  Once
 the queue drains, the scheduler's frontier index and the radix tree's change
 record must be empty, and must stay empty while nothing waits.
+
+Runs under the shared ``oracle-run`` hypothesis profile (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ ops = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings.get_profile("oracle-run")
 @given(ops=ops, capacity_blocks=st.integers(3, 10),
        fairness=st.sampled_from([0.0, 500.0, 2.5]),
        estimator=st.sampled_from([None, ESTIMATOR]),

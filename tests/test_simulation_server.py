@@ -63,12 +63,6 @@ def test_parallel_engines_share_interconnect_from_setup(h100_setup, tiny_trace):
         assert system.instances[0].spec.gpus_per_instance == 2
 
 
-def test_next_event_time_none_when_idle(h100_setup, tiny_trace):
-    system = build(prefillonly_engine_spec(), h100_setup, tiny_trace)
-    assert system.next_event_time() is None
-    assert system.advance_to(1.0) == []
-
-
 def test_simulator_event_guard(h100_setup, tiny_trace):
     system = build(prefillonly_engine_spec(), h100_setup, tiny_trace)
     requests = UniformArrivalProcess(rate=10.0).assign(list(tiny_trace))
