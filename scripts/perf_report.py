@@ -1,34 +1,25 @@
 #!/usr/bin/env python
-"""Perf-harness driver: run, compare, and bench-sweep entry points.
+"""Serial-vs-parallel engine sweep: the ``make bench-sweep`` entry point.
 
-Three subcommands (see ``docs/PERFORMANCE.md`` for the workflow):
-
-* ``run``     — run the pinned suite and write ``BENCH_<label>.json``
-  (wraps :func:`repro.perf.harness.run_harness`);
-* ``compare`` — compare a new bench file against a committed baseline and
-  exit non-zero on an events-per-second regression beyond the tolerance.
-  ``--normalize`` divides each case's events/s by the geometric mean of the
-  file's cases first, comparing the *shape* of the profile rather than raw
-  machine speed — the right mode on CI, where runner hardware varies;
-* ``sweep``   — the ``make bench-sweep`` entry: time the engine-comparison
-  fan-out serially and with N workers, assert the results are byte-identical,
-  and (optionally) enforce a minimum speedup when the machine actually has
-  the cores for it.
+``sweep`` times the engine-comparison fan-out (``compare_engines`` over every
+registered engine and a four-point rate grid) serially and with N worker
+processes, fails if the two results differ by a byte, and (optionally)
+enforces a minimum speedup when the machine actually has the cores for it.
 
 Run with::
 
-    PYTHONPATH=src python scripts/perf_report.py run --label pr4
-    PYTHONPATH=src python scripts/perf_report.py compare BENCH_pr4.json BENCH_pr.json
     PYTHONPATH=src python scripts/perf_report.py sweep --workers 4
+
+The repo benchmark proper lives in ``perfbench/`` (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -36,102 +27,58 @@ from repro.obs.logging import LOG_LEVELS, configure, get_logger  # noqa: E402
 
 logger = get_logger("scripts.perf_report")
 
-
-def _load_bench(path: str) -> dict:
-    file = Path(path)
-    if not file.exists():
-        raise SystemExit(f"perf_report: bench file not found: {path}")
-    return json.loads(file.read_text(encoding="utf-8"))
+#: Trace size per scale: (post-recommendation users, posts per user).
+SCALES = {"tiny": (3, 4), "small": (8, 50), "paper": (20, 50)}
 
 
-def _events_per_s(report: dict) -> dict[str, float]:
-    return {case["name"]: case["events_per_s"] for case in report.get("cases", [])}
+def measure_parallel(scale: str = "small", *, workers: int = 4) -> dict:
+    """Time the engine sweep serially and with ``workers`` processes.
 
-
-def _normalized(rates: dict[str, float], shared: list[str]) -> dict[str, float]:
-    """Each case's events/s divided by the geometric mean over ``shared``."""
-    log_sum = sum(math.log(rates[name]) for name in shared if rates[name] > 0)
-    mean = math.exp(log_sum / len(shared)) if shared else 1.0
-    return {name: rates[name] / mean for name in shared}
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    from repro.perf.harness import format_harness_report, run_harness
-
-    report = run_harness(
-        args.label,
-        scale=args.scale,
-        workers=args.workers,
-        out_dir=args.out,
-        memo_comparison=not args.no_memo_comparison,
-        parallel_check=not args.no_parallel_check,
-        baseline=args.baseline,
-    )
-    print(format_harness_report(report))
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    baseline = _load_bench(args.baseline)
-    new = _load_bench(args.new)
-    base_rates = _events_per_s(baseline)
-    new_rates = _events_per_s(new)
-    shared = [name for name in base_rates if name in new_rates]
-    if not shared:
-        logger.error("no shared cases between the two bench files")
-        return 1
-    if args.normalize:
-        base_rates = _normalized(base_rates, shared)
-        new_rates = _normalized(new_rates, shared)
-
-    failures = []
-    print(f"comparing {args.new} against baseline {args.baseline} "
-          f"(max regression {args.max_regression:.0%}"
-          f"{', normalized' if args.normalize else ''}):")
-    for name in shared:
-        old_rate, new_rate = base_rates[name], new_rates[name]
-        change = new_rate / old_rate - 1.0 if old_rate > 0 else 0.0
-        marker = "ok"
-        if change < -args.max_regression:
-            marker = "REGRESSION"
-            failures.append(name)
-        print(f"  {name:<16} {old_rate:>12.1f} -> {new_rate:>12.1f} events/s "
-              f"({change:+.1%}) {marker}")
-    if failures:
-        _print_phase_attribution(failures, new, baseline)
-        logger.error("events/s regression in: %s", ", ".join(failures))
-        return 1
-    print("perf_report: no regression")
-    return 0
-
-
-def _print_phase_attribution(failures: list, new: dict, baseline: dict) -> None:
-    """Name the hot-loop phase that grew in each regressed case.
-
-    Prefers the new file's recorded ``phase_deltas`` section (written by
-    ``run --baseline``); recomputes from the two files' per-case profiler
-    phases when absent.
+    ``workers`` is clamped to the machine's core count: extra processes on a
+    saturated machine only add overhead, and on a single-core box the runner
+    degrades to its (identical-result) serial path.
     """
-    from repro.obs.analysis import diff_bench_phases
+    from repro.analysis.sweep import compare_engines
+    from repro.baselines.registry import all_engine_specs
+    from repro.hardware.cluster import get_hardware_setup
+    from repro.perf.runner import ParallelRunner
+    from repro.workloads.registry import get_workload
 
-    deltas = (new.get("phase_deltas") or {}).get("cases")
-    if deltas is None:
-        deltas = diff_bench_phases(new, baseline)
-    for name in failures:
-        entry = deltas.get(name)
-        if entry is None or entry.get("top_regressed") is None:
-            print(f"  {name}: no profiled phase data to attribute")
-            continue
-        phase = entry["top_regressed"]
-        stats = entry["phases"][phase]
-        print(f"  {name}: phase {phase!r} grew from "
-              f"{stats['baseline_share']:.1%} to {stats['share']:.1%} of the "
-              f"hot loop")
+    workers = min(workers, os.cpu_count() or 1)
+    users, posts = SCALES[scale]
+    specs = all_engine_specs()
+    setup = get_hardware_setup("h100")
+    trace = get_workload("post-recommendation", num_users=users,
+                         posts_per_user=posts, seed=0)
+    qps_values = [2.0, 8.0, 16.0, 32.0]
+
+    start = time.perf_counter()
+    serial = compare_engines(specs, setup, trace, qps_values)
+    serial_wall = time.perf_counter() - start
+
+    runner = ParallelRunner(max_workers=workers)
+    start = time.perf_counter()
+    parallel = compare_engines(specs, setup, trace, qps_values, runner=runner)
+    parallel_wall = time.perf_counter() - start
+
+    def signature(sweep: dict) -> str:
+        return json.dumps(
+            {name: [point.as_dict() for point in points] for name, points in sweep.items()},
+            sort_keys=True, separators=(",", ":"),
+        )
+
+    return {
+        "workers": workers,
+        "mode": runner.last_mode,
+        "tasks": sum(len(points) for points in serial.values()),
+        "serial_wall_s": serial_wall,
+        "parallel_wall_s": parallel_wall,
+        "speedup": serial_wall / parallel_wall if parallel_wall > 0 else 0.0,
+        "identical": signature(serial) == signature(parallel),
+    }
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.perf.harness import measure_parallel
-
     result = measure_parallel(args.scale, workers=args.workers)
     print(f"bench-sweep ({result['tasks']} engine x rate simulations, "
           f"scale={args.scale}):")
@@ -140,6 +87,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
           f"({result['speedup']:.2f}x, mode={result['mode']})")
     print("  parallel results byte-identical to serial: "
           f"{result['identical']}")
+    if not result["identical"]:
+        logger.error("parallel sweep differs from serial sweep")
+        return 1
     cores = os.cpu_count() or 1
     if args.min_speedup is not None:
         if cores < args.workers:
@@ -155,36 +105,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perf_report",
-        description="Run / compare the perf-regression harness",
+        description="Serial vs parallel engine sweep",
     )
     parser.add_argument("--log-level", default="warning", choices=LOG_LEVELS,
                         help="structured logging level for diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="run the pinned suite, write BENCH_<label>.json")
-    run_parser.add_argument("--label", default="local")
-    run_parser.add_argument("--scale", default="small", choices=["tiny", "small", "paper"])
-    run_parser.add_argument("--workers", type=int, default=4)
-    run_parser.add_argument("--out", default=".")
-    run_parser.add_argument("--no-memo-comparison", action="store_true")
-    run_parser.add_argument("--no-parallel-check", action="store_true")
-    run_parser.add_argument("--baseline", default=None, metavar="BENCH_JSON",
-                            help="earlier BENCH file to compute the "
-                                 "phase_deltas section against")
-    run_parser.set_defaults(func=cmd_run)
-
-    compare_parser = sub.add_parser("compare", help="fail on events/s regression")
-    compare_parser.add_argument("baseline", help="committed baseline BENCH file")
-    compare_parser.add_argument("new", help="freshly produced BENCH file")
-    compare_parser.add_argument("--max-regression", type=float, default=0.20,
-                                help="tolerated fractional events/s drop per case")
-    compare_parser.add_argument("--normalize", action="store_true",
-                                help="compare machine-speed-normalized profiles "
-                                     "(recommended across different hardware)")
-    compare_parser.set_defaults(func=cmd_compare)
-
     sweep_parser = sub.add_parser("sweep", help="serial vs parallel engine sweep")
-    sweep_parser.add_argument("--scale", default="small", choices=["tiny", "small", "paper"])
+    sweep_parser.add_argument("--scale", default="small", choices=sorted(SCALES))
     sweep_parser.add_argument("--workers", type=int, default=4)
     sweep_parser.add_argument("--min-speedup", type=float, default=None,
                               help="fail below this speedup (only enforced when "

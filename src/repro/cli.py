@@ -15,9 +15,6 @@ Subcommands map to the main things a user wants to do without writing code:
   closed-loop arrivals, trace recording), run a whole ``suite`` directory of
   configs (optionally across CPU cores), or list the ``arrivals``.  The
   cookbook in ``docs/SCENARIOS.md`` has one worked example per knob;
-* ``prefillonly perf``      — the perf-regression harness: time the pinned
-  suite, cross-check memoized and parallel execution, and write
-  ``BENCH_<label>.json`` (see ``docs/PERFORMANCE.md``);
 * ``prefillonly obs``       — run a scenario with recording force-enabled and
   ``export`` its spans / Chrome trace / Prometheus snapshot, or print the
   ``summary`` / per-tenant ``slo`` report (see ``docs/OBSERVABILITY.md``).
@@ -61,7 +58,6 @@ from repro.model.config import MODEL_REGISTRY, get_model
 from repro.obs.analysis import (
     DEFAULT_ALERT_RULES,
     decompose_requests,
-    diff_bench_phases,
     diff_runs,
     evaluate_alerts,
     top_exemplars,
@@ -206,6 +202,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         # numpy rejects negative seeds with a bare ValueError deep in an
         # arrival process; refuse them up front as a config error.
         raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
+    if args.replicas is not None and args.replicas < 1:
+        raise ConfigurationError(f"--replicas must be at least 1, got {args.replicas}")
     spec = get_engine_spec(args.engine)
     setup = get_hardware_setup(args.setup)
     trace = get_workload(args.workload, num_users=args.num_users)
@@ -307,22 +305,6 @@ def _cmd_scenario_suite(args: argparse.Namespace) -> int:
             "events": result.result.num_events,
         })
     print(format_table(rows, title=f"Scenario suite: {args.dir}"))
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.perf.harness import format_harness_report, run_harness
-
-    report = run_harness(
-        args.label,
-        scale=args.scale,
-        workers=args.workers,
-        out_dir=args.out,
-        memo_comparison=not args.no_memo_comparison,
-        parallel_check=not args.no_parallel_check,
-        baseline=args.baseline,
-    )
-    print(format_harness_report(report))
     return 0
 
 
@@ -443,47 +425,9 @@ def _cmd_obs_exemplars(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_diff_input(path: str):
-    """A diff operand: a ``repro-spans/v1`` file or a ``BENCH_*.json`` report."""
-    text = _read_spans_text(path)
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError:
-        document = None
-    if isinstance(document, dict) and "cases" in document:
-        return "bench", document
-    return "spans", parse_spans(text)
-
-
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    kind_a, baseline = _load_diff_input(args.baseline)
-    kind_b, candidate = _load_diff_input(args.candidate)
-    if kind_a != kind_b:
-        raise ObsError(
-            f"cannot diff a {kind_a} input against a {kind_b} input; pass "
-            f"two spans files or two BENCH_*.json reports"
-        )
-    if kind_a == "bench":
-        deltas = diff_bench_phases(candidate, baseline)
-        if not deltas:
-            print("no shared profiled cases between the two bench reports")
-            return 0
-        rows = [
-            {"case": case, "phase": phase, **stats}
-            for case, entry in sorted(deltas.items())
-            for phase, stats in entry["phases"].items()
-        ]
-        print(format_table(rows, title="Bench hot-loop phase shares "
-                                       "(candidate - baseline)"))
-        regressed = {
-            case: entry["top_regressed"]
-            for case, entry in sorted(deltas.items()) if entry["top_regressed"]
-        }
-        for case, phase in regressed.items():
-            print(f"{case}: largest share gain in phase {phase!r}")
-        if args.fail_on_delta and regressed:
-            return 1
-        return 0
+    baseline = parse_spans(_read_spans_text(args.baseline))
+    candidate = parse_spans(_read_spans_text(args.candidate))
     diff = diff_runs(baseline, candidate)
     print(format_run_diff_report(diff))
     if args.fail_on_delta and not diff.is_zero:
@@ -666,28 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_arrivals.set_defaults(func=_cmd_scenario_arrivals)
 
-    perf_parser = subparsers.add_parser(
-        "perf", help="run the perf-regression harness (see docs/PERFORMANCE.md)"
-    )
-    perf_parser.add_argument("--label", default="local",
-                             help="bench label; output file is BENCH_<label>.json")
-    perf_parser.add_argument("--scale", default="small",
-                             choices=["tiny", "small", "paper"],
-                             help="pinned-suite workload scale")
-    perf_parser.add_argument("--workers", type=int, default=4,
-                             help="worker processes for the parallel cross-check "
-                                  "(clamped to the machine's cores)")
-    perf_parser.add_argument("--out", default=".",
-                             help="directory the BENCH file is written to")
-    perf_parser.add_argument("--no-memo-comparison", action="store_true",
-                             help="skip the memoization on/off measurement")
-    perf_parser.add_argument("--no-parallel-check", action="store_true",
-                             help="skip the parallel-vs-serial sweep cross-check")
-    perf_parser.add_argument("--baseline", default=None, metavar="BENCH_JSON",
-                             help="earlier BENCH_*.json to compute the "
-                                  "phase_deltas section against")
-    perf_parser.set_defaults(func=_cmd_perf)
-
     obs_parser = subparsers.add_parser(
         "obs", help="export / summarise a scenario run's spans & telemetry "
                     "(see docs/OBSERVABILITY.md)"
@@ -759,14 +681,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_diff = obs_sub.add_parser(
         "diff",
-        help="attribute the delta between two recordings (or two "
-             "BENCH_*.json reports) to phases, replicas, and span kinds",
+        help="attribute the delta between two recordings to phases, "
+             "replicas, and span kinds",
     )
     obs_diff.add_argument("baseline",
-                          help="baseline repro-spans/v1 file or BENCH_*.json "
+                          help="baseline repro-spans/v1 file "
                                "('-' reads stdin; .gz files are decompressed)")
-    obs_diff.add_argument("candidate",
-                          help="candidate repro-spans/v1 file or BENCH_*.json")
+    obs_diff.add_argument("candidate", help="candidate repro-spans/v1 file")
     obs_diff.add_argument("--fail-on-delta", action="store_true",
                           help="exit 1 when any tracked quantity differs "
                                "(CI guard for same-seed reproducibility)")

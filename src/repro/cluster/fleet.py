@@ -1,8 +1,9 @@
 """A fleet of engine replicas behind one entry point.
 
-:class:`Fleet` generalises :class:`~repro.simulation.server.ServingSystem`
-from "one homogeneous engine layout derived from a cluster spec" to a
-production-shaped serving tier:
+:class:`Fleet` is the simulator's one serving model.  The paper's deployment
+(one engine instance per GPU behind a user-id router) is its
+:class:`~repro.simulation.server.ServingSystem` preset; the general fleet is
+a production-shaped serving tier:
 
 * N replicas, each a full :class:`~repro.core.engine.EngineInstance`, built
   from per-replica :class:`ReplicaSpec` records so GPU types and engine
@@ -23,7 +24,8 @@ mostly idle fleet costs almost nothing per event regardless of its size.  The
 fleet finds those due replicas with a heap-based
 :class:`~repro.simulation.events.EventQueue` (one live entry per serving
 replica, refreshed whenever a replica is submitted to, advanced, or scaled)
-instead of scanning every replica per event.  The driving loop lives in
+instead of scanning every replica per event.  The driving loop, for every
+fleet including the paper's serving system, is
 :func:`repro.simulation.simulator.simulate_fleet`.
 """
 

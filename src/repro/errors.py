@@ -57,16 +57,6 @@ class InvariantViolation(SimulationError):
         super().__init__(f"invariant {invariant!r} violated: {message}")
 
 
-class PerfCheckError(ReproError):
-    """A perf-harness identity cross-check failed (results diverged).
-
-    Raised — never ``assert``-ed, so ``python -O`` cannot strip the check —
-    when a memoized run differs from an unmemoized one or a parallel run
-    differs from a serial one.  Either means a correctness bug, not a perf
-    problem.
-    """
-
-
 class WorkloadError(ReproError):
     """A workload generator was configured with invalid parameters."""
 

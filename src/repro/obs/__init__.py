@@ -3,8 +3,8 @@
 ``repro.obs`` is the observability layer of the reproduction: per-request
 lifecycle spans recorded in *simulated time*, time-series metrics sampled on
 a configurable simulated-time interval, exporters (``repro-spans/v1`` JSONL,
-Chrome trace-event JSON, Prometheus text), and a wall-clock self-profiler
-for the simulator hot loop.  See ``docs/OBSERVABILITY.md``.
+Chrome trace-event JSON, Prometheus text), and post-hoc trace analytics
+(critical paths, run diffs, burn-rate alerts).  See ``docs/OBSERVABILITY.md``.
 
 The hard contract mirrors the rest of the system: with observability
 disabled (the default), simulation results are byte-identical to a build
@@ -46,7 +46,6 @@ from repro.obs.analysis import (
     alert_rule_from_model,
     critical_path_report,
     decompose_requests,
-    diff_bench_phases,
     diff_runs,
     evaluate_alerts,
     top_exemplars,
@@ -81,7 +80,6 @@ __all__ = [
     "alert_rule_from_model",
     "critical_path_report",
     "decompose_requests",
-    "diff_bench_phases",
     "diff_runs",
     "evaluate_alerts",
     "top_exemplars",

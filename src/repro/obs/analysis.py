@@ -16,10 +16,7 @@ reproducibility contract is preserved by construction.  Three capabilities:
 * **Run-diff forensics** (:func:`diff_runs`) — two recordings are decomposed
   and their latency/throughput difference is attributed to phases, replicas,
   and span kinds, ranked by contribution; identical recordings produce an
-  all-zero diff (pinned by a test).  :func:`diff_bench_phases` is the
-  wall-clock counterpart over two ``BENCH_*.json`` reports, which is how a
-  CI perf regression names the regressed hot-loop phase
-  (see ``docs/PERFORMANCE.md``).
+  all-zero diff (pinned by a test).
 * **SLO error budgets & burn-rate alerts** (:func:`evaluate_alerts`) —
   multi-window burn-rate rules (Google SRE style: the alert fires only while
   *both* a long and a short window burn the error budget faster than the
@@ -54,7 +51,6 @@ __all__ = [
     "critical_path_report",
     "top_exemplars",
     "diff_runs",
-    "diff_bench_phases",
     "evaluate_alerts",
 ]
 
@@ -443,66 +439,6 @@ def diff_runs(a: ObsData, b: ObsData) -> RunDiff:
         kinds=tuple(kind_rows),
         is_zero=is_zero,
     )
-
-
-def diff_bench_phases(report: dict, baseline: dict) -> dict:
-    """Per-case hot-loop phase deltas between two ``BENCH_*.json`` reports.
-
-    For every case both reports share, each profiled phase's *share* of the
-    case's total profiled wall clock is compared — shares, not raw seconds,
-    so the attribution is machine-speed-invariant (the same reasoning as
-    ``perf_report.py compare --normalize``).  Returns::
-
-        {case: {"phases": {phase: {"baseline_share", "share", "delta_share"}},
-                "top_regressed": <phase with the largest share gain, or None>}}
-
-    which :func:`repro.perf.harness.run_harness` embeds as the bench file's
-    ``phase_deltas`` section so a CI events/s regression names the phase
-    that grew.
-    """
-    def case_phases(bench: dict) -> dict:
-        return {
-            case["name"]: case.get("phases") or {}
-            for case in bench.get("cases", [])
-        }
-
-    def shares(phases: dict) -> dict:
-        total = sum(stats.get("wall_s", 0.0) for stats in phases.values())
-        if total <= 0:
-            return {}
-        return {
-            phase: stats.get("wall_s", 0.0) / total
-            for phase, stats in phases.items()
-        }
-
-    new_cases = case_phases(report)
-    base_cases = case_phases(baseline)
-    deltas: dict = {}
-    for name in new_cases:
-        if name not in base_cases:
-            continue
-        new_shares = shares(new_cases[name])
-        base_shares = shares(base_cases[name])
-        if not new_shares or not base_shares:
-            continue
-        rows = {}
-        for phase in sorted(set(new_shares) | set(base_shares)):
-            base_share = base_shares.get(phase, 0.0)
-            new_share = new_shares.get(phase, 0.0)
-            rows[phase] = {
-                "baseline_share": round(base_share, 4),
-                "share": round(new_share, 4),
-                "delta_share": round(new_share - base_share, 4),
-            }
-        regressed = [
-            (stats["delta_share"], phase) for phase, stats in rows.items()
-            if stats["delta_share"] > 0
-        ]
-        deltas[name] = {
-            "phases": rows,
-            "top_regressed": max(regressed)[1] if regressed else None,
-        }
-    return deltas
 
 
 # ---------------------------------------------------------- burn-rate alerts

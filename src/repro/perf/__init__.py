@@ -11,13 +11,10 @@ PR 2 and PR 3 made the *inner* event loop fast; this package makes the
   analytic-model caches (LRU-cached latency model, memoized profile runs and
   JCT estimators, interned hash chains).  Memoization never changes results —
   every cached value is bit-identical to a fresh computation — so the switch
-  exists purely for before/after measurement;
-* :mod:`repro.perf.harness` — the standing perf-regression harness: a pinned
-  suite of simulations plus an analytic-model case, timed and written to
-  ``BENCH_<label>.json`` so the repo records its perf trajectory.
+  exists purely for before/after measurement.
 
-``repro.perf.harness`` is imported lazily (it pulls in the analysis layer,
-which itself uses this package's runner).
+The repo benchmark that measures the simulator end to end and layer by layer
+lives outside the package, in ``perfbench/`` (see ``docs/PERFORMANCE.md``).
 """
 
 from repro.perf.memo import clear_all_caches, memo_enabled, set_memo_enabled

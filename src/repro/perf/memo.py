@@ -16,9 +16,9 @@ Several hot analytic paths memoize their results:
 Every memoized value is **bit-identical** to a fresh computation (the caches
 store exactly what the uncached code path would have returned, keyed on every
 input that affects the result), so memoization never changes simulation
-results.  The global switch exists purely for measurement: the perf harness
-(:mod:`repro.perf.harness`) times the pinned suite with memoization off and on
-to report the speedup, and the test suite pins the on/off equivalence.
+results.  The global switch exists purely for measurement: it lets a caller
+time the same run with memoization off and on, and ``tests/test_memoization.py``
+pins the on/off equivalence.
 
 Set the ``REPRO_NO_MEMO=1`` environment variable to start a process with
 memoization disabled, or call :func:`set_memo_enabled` at runtime (which also

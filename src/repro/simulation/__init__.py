@@ -13,13 +13,15 @@ paper's evaluation grid:
   :func:`make_arrival`;
 * :mod:`repro.simulation.routing`  — user-id, least-loaded, and
   prefix-affinity routing policies;
-* :mod:`repro.simulation.server`   — a serving system (router + instances);
+* :mod:`repro.simulation.server`   — the paper's serving system, a
+  :class:`~repro.cluster.fleet.Fleet` preset (one instance per GPU behind a
+  user-id router);
 * :mod:`repro.simulation.events`   — the heap-based
-  :class:`~repro.simulation.events.EventQueue` behind the simulator's and the
-  fleet's fast event loops;
-* :mod:`repro.simulation.simulator` — the event loops (:func:`simulate` for a
-  single serving system, :func:`simulate_fleet` for a
-  :class:`~repro.cluster.fleet.Fleet` of replicas);
+  :class:`~repro.simulation.events.EventQueue` the fleet finds due replicas
+  with;
+* :mod:`repro.simulation.simulator` — the event loop (:func:`simulate_fleet`
+  for any :class:`~repro.cluster.fleet.Fleet`, and :func:`simulate`, its
+  single-system result for a serving system);
 * :mod:`repro.simulation.scenario` — the scenario engine: JSON-config
   multi-tenant scenarios with per-tenant SLO reporting and bit-for-bit trace
   record/replay (``prefillonly scenario`` on the command line,

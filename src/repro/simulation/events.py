@@ -15,21 +15,18 @@ Stale heap entries — left behind when a source's next event time changes —
 are detected lazily at the top of the heap: an entry is live only if it still
 matches the source's last recorded time.  Each source therefore has at most
 one *live* entry, and the heap never needs random-access deletion.  The
-driving loops (:func:`repro.simulation.simulator.simulate`,
-:class:`repro.cluster.fleet.Fleet`) call :meth:`update` after every mutation
-of a source (a submit, an advance, a scale event), which is exactly the set of
-points where a source's timeline can change.
+fleet (:class:`repro.cluster.fleet.Fleet`, which the fleet loop
+:func:`repro.simulation.simulator.simulate_fleet` drives) calls
+:meth:`update` after every mutation of a replica (a submit, an advance, a
+scale event), which is exactly the set of points where a source's timeline
+can change.
 """
 
 from __future__ import annotations
 
 import heapq
 
-__all__ = ["TIME_EPSILON", "EventQueue"]
-
-#: Tolerance used when comparing event times, matching the engine's internal
-#: epsilon so a heap-driven loop fires the same events per iteration as a scan.
-TIME_EPSILON = 1e-9
+__all__ = ["EventQueue"]
 
 
 class EventQueue:
@@ -73,8 +70,8 @@ class EventQueue:
         entry = self.peek()
         return None if entry is None else entry[0]
 
-    def pop_due(self, now: float, *, epsilon: float = 0.0) -> list[int]:
-        """Remove and return every key whose event time is ≤ ``now + epsilon``.
+    def pop_due(self, now: float) -> list[int]:
+        """Remove and return every key whose event time is ≤ ``now``.
 
         Popped keys have their recorded time cleared; the caller advances each
         source and then :meth:`update`\\ s it with its new next-event time.
@@ -84,22 +81,20 @@ class EventQueue:
         # this is the fleet loop's per-event hot path, and the (time, key)
         # tuples the entries variant builds are pure overhead here.
         due: list[int] = []
-        limit = now + epsilon
         heap = self._heap
         while heap:
             time, key = heap[0]
             if self._times.get(key) != time:
                 heapq.heappop(heap)
                 continue
-            if time > limit:
+            if time > now:
                 break
             heapq.heappop(heap)
             self._times[key] = None
             due.append(key)
         return due
 
-    def pop_due_entries(self, now: float, *,
-                        epsilon: float = 0.0) -> list[tuple[float, int]]:
+    def pop_due_entries(self, now: float) -> list[tuple[float, int]]:
         """Like :meth:`pop_due`, but return the ``(time, key)`` pairs.
 
         The times let a caller holding several queues merge their due lists
@@ -109,14 +104,13 @@ class EventQueue:
         :class:`repro.simulation.sharded.ShardedEventQueue` relies on).
         """
         due: list[tuple[float, int]] = []
-        limit = now + epsilon
         heap = self._heap
         while heap:
             time, key = heap[0]
             if self._times.get(key) != time:
                 heapq.heappop(heap)
                 continue
-            if time > limit:
+            if time > now:
                 break
             heapq.heappop(heap)
             self._times[key] = None

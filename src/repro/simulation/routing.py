@@ -27,9 +27,8 @@ class Router(abc.ABC):
 
     Args:
         num_instances: Number of routable instances.  Kept current by the
-            owner (a :class:`~repro.simulation.server.ServingSystem` never
-            changes it; a :class:`~repro.cluster.Fleet` calls :meth:`resize`
-            on every scale event).
+            owning :class:`~repro.cluster.Fleet`, which calls :meth:`resize`
+            when it is built and on every change of its replica set.
     """
 
     #: Whether :meth:`route` reads ``queue_depths``.  Routers that ignore them
@@ -184,8 +183,8 @@ class PrefixAffinityRouter(Router):
     def route(self, request: Request, queue_depths: list[int]) -> int:
         """Pick the instance with the best cache-affinity-minus-load score."""
         if not self._instances:
-            # Never bound to a fleet (e.g. used standalone in a ServingSystem):
-            # degrade gracefully to sticky user routing.
+            # Never bound to a fleet (used standalone): degrade gracefully to
+            # sticky user routing.
             return self._sticky_route(request.user_id)
         hits = self.estimated_hits(request)
         if not any(hits):

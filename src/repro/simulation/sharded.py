@@ -163,16 +163,13 @@ class ShardedEventQueue:
         head = self.peek()
         return None if head is None else head[0]
 
-    def pop_due(self, now: float, *, epsilon: float = 0.0) -> list[int]:
+    def pop_due(self, now: float) -> list[int]:
         """Drain every shard's due events, merged into global order."""
-        return [key for _, key in self.pop_due_entries(now, epsilon=epsilon)]
+        return [key for _, key in self.pop_due_entries(now)]
 
-    def pop_due_entries(self, now: float, *,
-                        epsilon: float = 0.0) -> list[tuple[float, int]]:
+    def pop_due_entries(self, now: float) -> list[tuple[float, int]]:
         """Per-shard due lists merged by the ``(time, key)`` sequence key."""
-        per_shard = [
-            shard.pop_due_entries(now, epsilon=epsilon) for shard in self._shards
-        ]
+        per_shard = [shard.pop_due_entries(now) for shard in self._shards]
         return list(heapq.merge(*per_shard))
 
 

@@ -1,35 +1,32 @@
 """The discrete-event simulation loop.
 
-:func:`simulate` replays a list of requests (with arrival times already
-assigned by an arrival process) against a :class:`~repro.simulation.server.ServingSystem`
-and returns every completion record plus the aggregate summary.  The loop is a
-classic two-source event merge: the next request arrival versus the earliest
-internal engine event (a pipeline stage finishing), whichever comes first.
+:func:`simulate_fleet` replays a list of requests (with arrival times already
+assigned by an arrival process) against a :class:`~repro.cluster.fleet.Fleet`
+and returns every completion record plus the aggregate and fleet summaries.
+The loop is an event merge over up to four sources — the next request
+arrival, the fleet's earliest internal engine event (a pipeline stage
+finishing), the next fault of an optional chaos schedule, and the next
+resilience-policy timer — whichever comes first.  Each replica advances on its
+own clock (only replicas whose next event is due move at all), found through
+the fleet's :class:`~repro.simulation.events.EventQueue`, so an event costs
+O(log replicas) rather than a scan over every replica; after every event the
+fleet's autoscaler gets a chance to add or drain a replica.
 
-:func:`simulate_fleet` drives a :class:`~repro.cluster.fleet.Fleet` with the
-same two-source merge, but the fleet advances each replica on its own clock
-(only replicas whose next event is due move at all), and after every event the
-fleet's autoscaler gets a chance to add or drain a replica.  With a single
-replica and the same router, ``simulate_fleet`` reproduces :func:`simulate`
-exactly — the equivalence the fleet tests pin down.
-
-Both loops find due instances through an
-:class:`~repro.simulation.events.EventQueue`: one live heap entry per
-instance, and only the instances an event actually touched are re-examined,
-so an event costs O(log instances) rather than a scan over every instance.
+:func:`simulate` is the paper-figure entry point: a
+:class:`~repro.simulation.server.ServingSystem` is the fleet the paper's
+deployment rule builds, so it runs through the same loop and only reduces the
+result to the single-system :class:`SimulationResult`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from time import perf_counter
 
 from repro.core.engine import FinishedRequest
 from repro.errors import ConfigurationError, SimulationError
-from repro.obs import profiler as _profiler
 from repro.obs.recorder import ObsData
-from repro.simulation.events import EventQueue, TIME_EPSILON
+from repro.simulation.events import EventQueue
 from repro.simulation.metrics import (
     FleetSummary,
     LatencySummary,
@@ -45,9 +42,8 @@ class SimulationResult:
     """Everything a benchmark needs from one simulation run.
 
     ``num_events`` counts the *processed* simulation events — one per request
-    arrival plus one per instance advanced on an internal event — so
-    events-per-second is comparable across loops, fleets, and the perf
-    harness.
+    arrival plus one per instance advanced on an internal event — exactly as
+    :class:`FleetSimulationResult` does, since both come from the fleet loop.
     """
 
     engine_name: str
@@ -71,6 +67,9 @@ def simulate(system: ServingSystem, requests: list[Request], *,
              max_events: int = 10_000_000) -> SimulationResult:
     """Replay ``requests`` against ``system`` until everything drains.
 
+    Runs :func:`simulate_fleet` on the system and keeps the single-system
+    fields of its result.
+
     Args:
         system: The serving system under test.
         requests: Requests with ``arrival_time`` assigned, in any order.
@@ -81,73 +80,16 @@ def simulate(system: ServingSystem, requests: list[Request], *,
         SimulationError: if either safety limit is hit (which indicates a bug
             in an engine's event logic, not a legitimate overload).
     """
-    pending = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-    arrival_index = 0
-    now = 0.0
-    events = 0
-    prof = _profiler.ACTIVE
-
-    queue = EventQueue()
-    instances = system.instances
-    index_of = {id(instance): index for index, instance in enumerate(instances)}
-    for index, instance in enumerate(instances):
-        queue.update(index, instance.next_event_time())
-
-    while True:
-        next_arrival = (
-            pending[arrival_index].arrival_time if arrival_index < len(pending) else math.inf
-        )
-        next_internal = queue.next_time()
-        next_internal = math.inf if next_internal is None else next_internal
-
-        if math.isinf(next_arrival) and math.isinf(next_internal):
-            break
-
-        now = min(next_arrival, next_internal)
-        if now > max_simulated_seconds:
-            raise SimulationError(
-                f"simulation exceeded {max_simulated_seconds} simulated seconds"
-            )
-
-        if next_arrival <= next_internal:
-            tick = perf_counter() if prof else 0.0
-            request = pending[arrival_index]
-            arrival_index += 1
-            instance = system.submit(request, now)
-            instance.advance_to(now)
-            queue.update(index_of[id(instance)], instance.next_event_time())
-            events += 1
-            if prof:
-                prof.add("arrival", perf_counter() - tick)
-        else:
-            # The engine fires events within TIME_EPSILON of `now`, so drain
-            # every instance in that window.
-            tick = perf_counter() if prof else 0.0
-            due = queue.pop_due(now, epsilon=TIME_EPSILON)
-            for key in due:
-                instance = instances[key]
-                instance.advance_to(now)
-                queue.update(key, instance.next_event_time())
-            # A finite next_internal means >= 1 source is due; the max() keeps
-            # the max_events runaway guard armed even if event bookkeeping
-            # desyncs and an iteration advances nothing.
-            batch = max(len(due), 1)
-            events += batch
-            if prof:
-                prof.add("advance", perf_counter() - tick, batch)
-
-        if events > max_events:
-            raise SimulationError(f"simulation exceeded {max_events} events")
-
-    finished = system.finished_requests()
-    rejected = system.rejected_requests()
+    result = simulate_fleet(system, requests,
+                            max_simulated_seconds=max_simulated_seconds,
+                            max_events=max_events)
     return SimulationResult(
-        engine_name=system.spec.name,
-        finished=finished,
-        rejected=rejected,
-        summary=summarize_finished(finished, rejected),
-        cache_stats=system.cache_stats(),
-        num_events=events,
+        engine_name=system.name,
+        finished=result.finished,
+        rejected=result.rejected,
+        summary=result.summary,
+        cache_stats=result.cache_stats,
+        num_events=result.num_events,
     )
 
 
@@ -158,10 +100,9 @@ class FleetSimulationResult:
     ``rejected`` contains engine-level rejections *and* admission-control
     sheds; ``shed`` is the admission-control subset on its own.
 
-    ``num_events`` counts processed events exactly like
-    :class:`SimulationResult` — one per arrival plus one per replica advanced
-    on an internal event — so events-per-second is comparable between the
-    single-system and fleet loops.
+    ``num_events`` counts processed events — one per arrival, one per replica
+    advanced on an internal event, one per delivered fault and one per
+    policy-timer batch.
     """
 
     fleet_name: str
@@ -208,11 +149,11 @@ def simulate_fleet(fleet, requests: list[Request], *,
                    shard_seed: int = 0) -> FleetSimulationResult:
     """Replay ``requests`` against a :class:`~repro.cluster.fleet.Fleet`.
 
-    The event merge mirrors :func:`simulate`: the earliest of the next arrival
-    and the fleet's earliest internal event wins.  On an arrival the fleet
-    admits, routes, and advances only the replica that received the request;
-    on an internal event only replicas with due events advance (per-replica
-    clocks).  After every event the fleet's autoscaler may scale.
+    The earliest of the next arrival and the fleet's earliest internal event
+    wins.  On an arrival the fleet admits, routes, and advances only the
+    replica that received the request; on an internal event only replicas
+    with due events advance (per-replica clocks).  After every event the
+    fleet's autoscaler may scale.
 
     With a fault schedule the merge gains a third source: the schedule's
     events are loaded into their own :class:`~repro.simulation.events.EventQueue`
@@ -283,7 +224,6 @@ def simulate_fleet(fleet, requests: list[Request], *,
     arrival_index = 0
     now = 0.0
     events = 0
-    prof = _profiler.ACTIVE
     obs = fleet.obs
     obs_sampling = obs.enabled and obs.metrics
     gauge_rows = fleet.obs_gauge_rows
@@ -321,51 +261,31 @@ def simulate_fleet(fleet, requests: list[Request], *,
         if obs_sampling:
             # Before the event batch at `now`: a sample at boundary b <= now
             # reflects the state after all events strictly before b.
-            tick = perf_counter() if prof else 0.0
             obs.maybe_sample(now, gauge_rows)
-            if prof:
-                prof.add("sample", perf_counter() - tick)
 
         if (next_fault <= next_arrival and next_fault <= next_internal
                 and next_fault <= next_policy):
-            tick = perf_counter() if prof else 0.0
             due = fault_queue.pop_due(now)
             for index in due:
                 fleet.apply_fault(fault_events[index], now)
-            batch = max(len(due), 1)
-            events += batch
-            if prof:
-                prof.add("fault", perf_counter() - tick, batch)
+            events += max(len(due), 1)
         elif next_policy <= next_arrival and next_policy <= next_internal:
             # Policy timers beat arrivals and internal completions on ties:
             # a request whose deadline coincides with its own finish counts
             # as a deadline miss, deterministically.
-            tick = perf_counter() if prof else 0.0
             fleet.apply_policy_timers(now)
             events += 1
-            if prof:
-                prof.add("policy", perf_counter() - tick)
         elif next_arrival <= next_internal:
-            tick = perf_counter() if prof else 0.0
             request = pending[arrival_index]
             arrival_index += 1
             fleet.submit(request, now)
             events += 1
-            if prof:
-                prof.add("arrival", perf_counter() - tick)
         else:
-            tick = perf_counter() if prof else 0.0
             fleet.advance_to(now)
             # max() keeps the max_events runaway guard armed even if a buggy
             # fleet reports a due event but advances no replica.
-            batch = max(fleet.last_advance_count, 1)
-            events += batch
-            if prof:
-                prof.add("advance", perf_counter() - tick, batch)
-        tick = perf_counter() if prof else 0.0
+            events += max(fleet.last_advance_count, 1)
         fleet.maybe_autoscale(now)
-        if prof:
-            prof.add("autoscale", perf_counter() - tick)
 
         if events > max_events:
             raise SimulationError(f"fleet simulation exceeded {max_events} events")

@@ -115,6 +115,18 @@ def test_fleet_negative_seed_exits_2(capsys):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("replicas", ["0", "-2"])
+def test_fleet_replicas_below_one_exits_2(replicas, capsys):
+    code = main([
+        "fleet", "--setup", "h100", "--workload", "post-recommendation",
+        "--num-users", "2", "--replicas", replicas,
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "prefillonly: error:" in err
+    assert "--replicas must be at least 1" in err
+
+
 @pytest.mark.parametrize("shards", ["0", "-2"])
 def test_fleet_shard_count_below_one_exits_2(shards, capsys):
     code = main([

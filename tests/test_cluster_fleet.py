@@ -8,9 +8,10 @@ from repro.cluster import (
     ReactiveAutoscaler,
     ReplicaSpec,
 )
+from repro.baselines.registry import all_engine_specs
 from repro.core.engine import prefillonly_engine_spec
 from repro.errors import ConfigurationError
-from repro.hardware.cluster import ClusterSpec
+from repro.hardware.cluster import HARDWARE_SETUPS, ClusterSpec
 from repro.model.config import get_model
 from repro.simulation.arrival import PoissonArrivalProcess, UniformArrivalProcess
 from repro.simulation.server import ServingSystem
@@ -97,6 +98,30 @@ def test_two_replica_fleet_matches_two_instance_serving_system(h100_setup, tiny_
 
     key = lambda record: record.request_id  # noqa: E731
     assert sorted(fleet_result.finished, key=key) == sorted(single.finished, key=key)
+
+
+# ------------------------------------------------ the serving-system preset
+
+
+def test_serving_system_is_the_for_setup_fleet():
+    """ServingSystem builds the replicas Fleet.for_setup builds, on every layout."""
+    mil = 2_048  # servable by every engine on every setup
+    for spec in all_engine_specs():
+        for setup in HARDWARE_SETUPS.values():
+            system = ServingSystem.for_setup(spec, setup, max_input_length=mil)
+            fleet = Fleet.for_setup(spec, setup, max_input_length=mil)
+            # (key, replica name, ReplicaSpec(engine, gpu, interconnect)).
+            assert system.shard_manifest() == fleet.shard_manifest()
+            assert type(system.router) is type(fleet.router)
+            assert system.instances == system.replicas
+            assert system.num_instances == fleet.num_replicas
+            if spec.gpus_per_instance > 1:
+                cluster = ClusterSpec(gpu=setup.cluster.gpu,
+                                      num_gpus=spec.gpus_per_instance + 1,
+                                      interconnect=setup.cluster.interconnect)
+                with pytest.raises(ConfigurationError):
+                    ServingSystem(spec, get_model(setup.model_name), cluster,
+                                  max_input_length=mil)
 
 
 # --------------------------------------------------------- admission control

@@ -1,11 +1,10 @@
 """Edge-case and property tests for the lazy-deletion event heap.
 
-The scenarios PR 2 left untested: several sources firing within
-``TIME_EPSILON`` of each other, sources removed mid-heap (an autoscaler
-draining a replica whose stale entries still sit in the heap), exhaustion of
-an emptied queue, and — via hypothesis — equivalence of the heap against a
-naive linear-scan model under random event storms, both at the data-structure
-level and through the full simulation loop.
+Covers the cases beyond the basic queue tests: equal-time sources, sources
+removed mid-heap (an autoscaler draining a replica whose stale entries still
+sit in the heap), exhaustion of an emptied queue, and — via hypothesis —
+equivalence of the heap against a naive linear-scan model under random event
+storms, both at the data-structure level and through an emulated event loop.
 """
 
 from __future__ import annotations
@@ -14,20 +13,10 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.simulation.events import TIME_EPSILON, EventQueue
+from repro.simulation.events import EventQueue
 
 
-# ---------------------------------------------------------- epsilon clusters
-
-
-def test_pop_due_drains_everything_within_epsilon():
-    queue = EventQueue()
-    queue.update(0, 1.0)
-    queue.update(1, 1.0 + TIME_EPSILON / 2)   # inside the window
-    queue.update(2, 1.0 + TIME_EPSILON)       # exactly on the boundary
-    queue.update(3, 1.0 + 3 * TIME_EPSILON)   # outside
-    assert queue.pop_due(1.0, epsilon=TIME_EPSILON) == [0, 1, 2]
-    assert queue.next_time() == 1.0 + 3 * TIME_EPSILON
+# ---------------------------------------------------------- equal-time sources
 
 
 def test_equal_times_fire_in_key_order_regardless_of_insertion_order():
@@ -128,10 +117,10 @@ class _ScanModel:
         live = [t for t in self.times.values() if t is not None]
         return min(live) if live else None
 
-    def pop_due(self, now: float, epsilon: float = 0.0) -> list[int]:
+    def pop_due(self, now: float) -> list[int]:
         due = sorted(
             (time, key) for key, time in self.times.items()
-            if time is not None and time <= now + epsilon
+            if time is not None and time <= now
         )
         for _, key in due:
             self.times[key] = None
@@ -143,8 +132,7 @@ _ops = st.lists(
         st.tuples(st.just("update"), st.integers(0, 7),
                   st.one_of(st.none(), st.floats(0, 100, allow_nan=False))),
         st.tuples(st.just("discard"), st.integers(0, 7)),
-        st.tuples(st.just("pop"), st.floats(0, 100, allow_nan=False),
-                  st.sampled_from([0.0, TIME_EPSILON])),
+        st.tuples(st.just("pop"), st.floats(0, 100, allow_nan=False)),
     ),
     min_size=1, max_size=80,
 )
@@ -164,8 +152,8 @@ def test_heap_matches_linear_scan_under_random_event_storms(operations):
             queue.discard(key)
             model.discard(key)
         else:
-            _, now, epsilon = operation
-            assert queue.pop_due(now, epsilon=epsilon) == model.pop_due(now, epsilon)
+            _, now = operation
+            assert queue.pop_due(now) == model.pop_due(now)
         assert queue.next_time() == model.next_time()
         assert len(queue) == len([t for t in model.times.values() if t is not None])
 
@@ -181,9 +169,9 @@ def test_simulation_loops_agree_under_random_storms(event_times):
     """Heap-driven and scan-driven loops fire identical event sequences.
 
     Each "instance" is a scripted stub that fires its pre-assigned event
-    times in order; the two loop flavours of
-    :func:`repro.simulation.simulator.simulate`'s event merge are emulated
-    on it and must visit the same (time, instance) sequence.
+    times in order; a heap-driven event merge and the linear scan it
+    replaced are emulated on it and must visit the same (time, instance)
+    sequence.
     """
 
     class _Stub:
@@ -195,7 +183,7 @@ def test_simulation_loops_agree_under_random_storms(event_times):
             return self.pending[0] if self.pending else None
 
         def advance_to(self, now: float) -> None:
-            while self.pending and self.pending[0] <= now + TIME_EPSILON:
+            while self.pending and self.pending[0] <= now:
                 self.fired.append(self.pending.pop(0))
 
     def drive_with_heap(stubs: list[_Stub]) -> list[tuple[float, int]]:
@@ -205,7 +193,7 @@ def test_simulation_loops_agree_under_random_storms(event_times):
         order: list[tuple[float, int]] = []
         while queue.next_time() is not None:
             now = queue.next_time()
-            for key in queue.pop_due(now, epsilon=TIME_EPSILON):
+            for key in queue.pop_due(now):
                 stubs[key].advance_to(now)
                 order.append((now, key))
                 queue.update(key, stubs[key].next_event_time())
@@ -221,7 +209,7 @@ def test_simulation_loops_agree_under_random_storms(event_times):
             now = min(live)
             for index, stub in enumerate(stubs):
                 next_time = stub.next_event_time()
-                if next_time is not None and next_time <= now + TIME_EPSILON:
+                if next_time is not None and next_time <= now:
                     stub.advance_to(now)
                     order.append((now, index))
 

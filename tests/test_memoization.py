@@ -276,18 +276,13 @@ def test_jct_estimator_interned_fit_is_identical(h100_gpu, llama_70b):
 # ------------------------------------------------------- end-to-end identity
 
 
-def test_simulation_results_identical_with_memo_on_and_off(h100_setup, small_post_trace):
-    """A full simulation must not change by a bit when memoization is off."""
-    from repro.analysis.sweep import run_once
-    from repro.core.engine import prefillonly_engine_spec
-
-    spec = prefillonly_engine_spec()
+def _assert_identical_with_memo_on_and_off(run) -> None:
     was = memo.memo_enabled()
     try:
         memo.set_memo_enabled(True)
-        warm = run_once(spec, h100_setup, small_post_trace, qps=6.0)
+        warm = run()
         memo.set_memo_enabled(False)
-        cold = run_once(spec, h100_setup, small_post_trace, qps=6.0)
+        cold = run()
     finally:
         memo.set_memo_enabled(was)
     assert warm.summary == cold.summary
@@ -297,3 +292,49 @@ def test_simulation_results_identical_with_memo_on_and_off(h100_setup, small_pos
                     for r in cold.finished]
     assert warm_records == cold_records
     assert warm.num_events == cold.num_events
+
+
+def test_simulation_results_identical_with_memo_on_and_off(h100_setup, small_post_trace):
+    """A full simulation must not change by a bit when memoization is off."""
+    from repro.analysis.sweep import run_once
+    from repro.core.engine import prefillonly_engine_spec
+
+    spec = prefillonly_engine_spec()
+    _assert_identical_with_memo_on_and_off(
+        lambda: run_once(spec, h100_setup, small_post_trace, qps=6.0)
+    )
+
+
+def test_tiered_chaos_fleet_identical_with_memo_on_and_off(h100_setup, small_post_trace):
+    """Fitted-JCT replicas over the tiered prefix cache, under every fault kind."""
+    from repro.cluster import Fleet
+    from repro.core.engine import prefillonly_engine_spec
+    from repro.faults import fault_schedule_from_dict
+    from repro.kvcache.tiers import TierConfig
+    from repro.simulation.arrival import make_arrival
+    from repro.simulation.simulator import simulate_fleet
+
+    faults = fault_schedule_from_dict({
+        "enabled": True,
+        "warm_restore_blocks": 256,
+        "events": [
+            {"kind": "crash", "replica": 0, "at": 2.0, "recover_at": 7.0},
+            {"kind": "slow", "replica": 2, "at": 1.0, "duration": 6.0,
+             "multiplier": 2.5},
+            {"kind": "brownout", "at": 3.0, "duration": 4.0, "multiplier": 4.0},
+            {"kind": "outage", "at": 5.0, "duration": 2.0},
+        ],
+    })
+
+    def run():
+        fleet = Fleet.for_setup(
+            prefillonly_engine_spec().with_overrides(use_fitted_jct=True), h100_setup,
+            max_input_length=small_post_trace.max_request_tokens, num_replicas=4,
+            tier_config=TierConfig(enabled=True, host_gib=2.0, cluster_gib=8.0),
+        )
+        requests = make_arrival("mmpp", base_rate=4.0, burst_rate=40.0, seed=2).assign(
+            list(small_post_trace.requests)
+        )
+        return simulate_fleet(fleet, requests, faults=faults)
+
+    _assert_identical_with_memo_on_and_off(run)

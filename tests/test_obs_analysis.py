@@ -30,7 +30,6 @@ from repro.obs.analysis import (
     PHASES,
     AlertRule,
     decompose_requests,
-    diff_bench_phases,
     diff_runs,
     evaluate_alerts,
     top_exemplars,
@@ -182,27 +181,6 @@ def test_slow_node_fault_ranks_affected_replica_and_phase_first():
     assert diff.phases[0]["delta_s"] > 0
 
 
-def test_diff_bench_phases_names_the_grown_phase():
-    def bench(route_s: float, advance_s: float) -> dict:
-        return {"cases": [{
-            "name": "fleet-4",
-            "phases": {
-                "route": {"wall_s": route_s, "events": 10, "events_per_s": 1.0},
-                "advance": {"wall_s": advance_s, "events": 10, "events_per_s": 1.0},
-            },
-        }]}
-
-    deltas = diff_bench_phases(bench(3.0, 1.0), bench(1.0, 1.0))
-    assert deltas["fleet-4"]["top_regressed"] == "route"
-    route = deltas["fleet-4"]["phases"]["route"]
-    assert route["baseline_share"] == 0.5
-    assert route["share"] == 0.75
-    assert route["delta_share"] == 0.25
-    # Identical reports attribute nothing.
-    same = diff_bench_phases(bench(1.0, 1.0), bench(1.0, 1.0))
-    assert same["fleet-4"]["top_regressed"] is None
-
-
 # -------------------------------------------------------------------- alerts
 
 
@@ -335,35 +313,6 @@ def test_cli_missing_spans_file_exits_2(capsys):
 def test_cli_critical_path_without_config_or_spans_exits_2(capsys):
     assert main(["obs", "critical-path"]) == 2
     assert "either --config" in capsys.readouterr().err
-
-
-def test_cli_diff_rejects_mixed_bench_and_spans(tmp_path, capsys):
-    spans_path = tmp_path / "run.spans.jsonl"
-    spans_path.write_text(export_spans(_cookbook_recording("steady_poisson")),
-                          encoding="utf-8")
-    bench_path = tmp_path / "BENCH_x.json"
-    bench_path.write_text(json.dumps({"cases": []}), encoding="utf-8")
-    assert main(["obs", "diff", str(spans_path), str(bench_path)]) == 2
-    assert "cannot diff" in capsys.readouterr().err
-
-
-def test_cli_diff_bench_reports_phase_attribution(tmp_path, capsys):
-    def bench(path: Path, route_s: float) -> None:
-        path.write_text(json.dumps({"cases": [{
-            "name": "fleet-4",
-            "phases": {
-                "route": {"wall_s": route_s, "events": 1, "events_per_s": 1.0},
-                "advance": {"wall_s": 1.0, "events": 1, "events_per_s": 1.0},
-            },
-        }]}), encoding="utf-8")
-
-    base = tmp_path / "BENCH_base.json"
-    new = tmp_path / "BENCH_new.json"
-    bench(base, 1.0)
-    bench(new, 3.0)
-    assert main(["obs", "diff", str(base), str(new), "--fail-on-delta"]) == 1
-    output = capsys.readouterr().out
-    assert "largest share gain in phase 'route'" in output
 
 
 def test_cli_alerts_writes_schema_valid_export(tmp_path, capsys):

@@ -281,17 +281,6 @@ def test_event_queue_lazy_deletion_and_ties():
     assert queue.peek() is None
 
 
-def test_event_queue_pop_due_epsilon():
-    from repro.simulation.events import EventQueue
-
-    queue = EventQueue()
-    queue.update(0, 1.0)
-    queue.update(1, 1.0 + 5e-10)
-    queue.update(2, 1.1)
-    assert queue.pop_due(1.0, epsilon=1e-9) == [0, 1]
-    assert queue.next_time() == 1.1
-
-
 # ------------------------------------------- cache fast-path micro-behaviour
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.perf.runner import derive_task_seeds
-from repro.simulation.events import TIME_EPSILON, EventQueue
+from repro.simulation.events import EventQueue
 from repro.simulation.sharded import ShardedEventQueue, ShardPlan
 
 
@@ -93,8 +93,7 @@ _ops = st.lists(
         st.tuples(st.just("update"), st.integers(0, 15),
                   st.one_of(st.none(), st.floats(0, 100, allow_nan=False))),
         st.tuples(st.just("discard"), st.integers(0, 15)),
-        st.tuples(st.just("pop"), st.floats(0, 100, allow_nan=False),
-                  st.sampled_from([0.0, TIME_EPSILON])),
+        st.tuples(st.just("pop"), st.floats(0, 100, allow_nan=False)),
     ),
     min_size=1, max_size=80,
 )
@@ -117,11 +116,8 @@ def test_sharded_merge_matches_single_queue_under_random_storms(
             single.discard(key)
             sharded.discard(key)
         else:
-            _, now, epsilon = operation
-            assert (
-                sharded.pop_due_entries(now, epsilon=epsilon)
-                == single.pop_due_entries(now, epsilon=epsilon)
-            )
+            _, now = operation
+            assert sharded.pop_due_entries(now) == single.pop_due_entries(now)
         assert sharded.next_time() == single.next_time()
         assert sharded.peek() == single.peek()
         assert len(sharded) == len(single)

@@ -35,11 +35,17 @@ def test_max_input_length_exposed(h100_setup, tiny_trace):
 
 def test_queue_depths_reflect_submissions(h100_setup, tiny_trace):
     system = build(prefillonly_engine_spec(), h100_setup, tiny_trace)
-    request = list(tiny_trace)[0]
-    request.arrival_time = 0.0
-    system.submit(request, now=0.0)
-    assert sum(system.queue_depths()) == 1
+    requests = list(tiny_trace)
+    first = requests[0]
+    second = next(r for r in requests[1:] if r.user_id == first.user_id)
+    first.arrival_time = second.arrival_time = 0.0
+    # A submit starts the request at once on its idle instance ...
+    system.submit(first, now=0.0)
     assert not system.is_idle()
+    assert system.queue_depths() == [0, 0]
+    # ... so the same user's next request waits behind it.
+    system.submit(second, now=0.0)
+    assert sorted(system.queue_depths()) == [0, 1]
 
 
 def test_custom_router_is_used(h100_setup, tiny_trace):
