@@ -3,8 +3,9 @@
 
 Fails (exit code 1) when the documentation drifts from the code:
 
-* every ``repro.*`` dotted name mentioned in README.md or docs/*.md must
-  resolve to an importable module, or to an attribute of one;
+* every ``repro.*`` dotted name mentioned in README.md, docs/*.md, or the
+  docstrings and comments of ``src/repro/**/*.py`` must resolve to an
+  importable module, or to an attribute of one;
 * every ``python -m repro.cli <subcommand> --flag ...`` line inside a fenced
   code block must name a real subcommand and real flags — walking *nested*
   subcommand trees (``scenario run``) to the deepest parser, so each flag is
@@ -27,14 +28,18 @@ Run with::
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
+import io
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOC_FILES = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+SOURCE_FILES = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
 
 DOTTED_NAME = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 FENCED_BLOCK = re.compile(r"```[a-z]*\n(.*?)```", re.DOTALL)
@@ -43,25 +48,50 @@ MD_LINK = re.compile(r"\]\(([^)#][^)]*)\)")
 
 
 def check_dotted_names(text: str, errors: list[str], *, source: str) -> None:
-    """Verify every ``repro.*`` dotted name is a module or module attribute."""
+    """Verify every ``repro.*`` dotted name is a module or an attribute of one.
+
+    The longest importable prefix is the module; every later part must then
+    resolve as an attribute of the one before, so ``repro.pkg.mod.Class.method``
+    checks the class and the method.
+    """
     for name in sorted(set(DOTTED_NAME.findall(text))):
-        stripped = name.rstrip(".")
-        try:
-            importlib.import_module(stripped)
+        parts = name.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                target = importlib.import_module(".".join(parts[:cut]))
+                break
+            except ImportError:
+                continue
+        else:
+            errors.append(f"{source}: {name!r} is not an importable module")
             continue
-        except ImportError:
-            pass
-        module_name, _, attribute = stripped.rpartition(".")
-        try:
-            module = importlib.import_module(module_name)
-        except ImportError:
-            errors.append(f"{source}: {stripped!r} is not an importable module")
-            continue
-        if not hasattr(module, attribute):
-            errors.append(
-                f"{source}: {module_name!r} has no attribute {attribute!r} "
-                f"(referenced as {stripped!r})"
-            )
+        for index in range(cut, len(parts)):
+            if not hasattr(target, parts[index]):
+                errors.append(
+                    f"{source}: {'.'.join(parts[:index])!r} has no attribute "
+                    f"{parts[index]!r} (referenced as {name!r})"
+                )
+                break
+            target = getattr(target, parts[index])
+
+
+def source_prose(source: str) -> str:
+    """The docstrings and comments of one Python source file, joined.
+
+    String literals that are not docstrings are code, not prose, and are
+    left out.
+    """
+    parts = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring:
+                parts.append(docstring)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            parts.append(token.string)
+    return "\n".join(parts)
 
 
 def _subparsers_action(parser: argparse.ArgumentParser) -> argparse._SubParsersAction | None:
@@ -214,6 +244,11 @@ def main(argv: list[str] | None = None) -> int:
         check_dotted_names(text, errors, source=source)
         check_cli_lines(text, errors, source=source)
         check_links(text, errors, source=source, base=path.parent)
+        checked += 1
+    for path in SOURCE_FILES:
+        source = str(path.relative_to(REPO_ROOT))
+        check_dotted_names(source_prose(path.read_text(encoding="utf-8")),
+                           errors, source=source)
         checked += 1
     if errors:
         print(f"docs-check: {len(errors)} problem(s) found:", file=sys.stderr)

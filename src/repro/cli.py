@@ -259,7 +259,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     result = simulate_fleet(
         fleet, requests, faults=faults,
         shards=args.shards,
-        lookahead=args.lookahead,
         shard_workers=args.shard_workers,
         shard_seed=args.seed,
     )
@@ -267,7 +266,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         info = result.sharding
         print(
             f"sharding: {info['shards']} shards, {info['mode']} mode "
-            f"({info['executed']}), lookahead {info['lookahead_s']:.2e}s"
+            f"({info['executed']})"
         )
     print(format_fleet_report(result))
     return 0
@@ -563,10 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="worker processes for decoupled sharded runs "
                                    "(default: one per shard up to the CPU count; "
                                    "1 keeps the shard engines in-process)")
-    fleet_parser.add_argument("--lookahead", type=float, default=None,
-                              help="conservative cross-shard lookahead window in "
-                                   "simulated seconds (default: derived from the "
-                                   "modelled interconnect latency)")
     fleet_parser.set_defaults(func=_cmd_fleet)
 
     scenario_parser = subparsers.add_parser(

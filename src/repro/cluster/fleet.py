@@ -120,11 +120,6 @@ class Fleet:
             including autoscaled clones — into it, warms the routed replica
             before dispatch (router-hint prefetch), and drains retiring
             replicas' hot prefixes into the shared store on scale-down.
-        cluster_service: Optional wrapper applied to the freshly built L3
-            store before any replica binds a reference to it — how sharded
-            runs interpose the versioned, latency-stamped
-            :class:`~repro.kvcache.tiers.ShardStoreBus` message facade.  Must
-            be transparent (pure delegation) so results stay byte-identical.
         recorder: Optional :class:`~repro.obs.recorder.TraceRecorder` the
             fleet, its replicas, and their tier stores report span events to;
             None installs the no-op null recorder (the default, behaviour
@@ -144,7 +139,6 @@ class Fleet:
                  autoscaler: Autoscaler | None = None,
                  name: str = "fleet",
                  tier_config: TierConfig | None = None,
-                 cluster_service=None,
                  recorder=None,
                  policies: ResilienceConfig | None = None) -> None:
         if not replica_specs:
@@ -174,11 +168,6 @@ class Fleet:
             self.cluster_store = build_cluster_store(
                 self.tier_config, block_bytes=kv_block_bytes(self.template.engine, model)
             )
-            if self.cluster_store is not None and cluster_service is not None:
-                # Wrap the L3 store in a cross-shard service facade (e.g.
-                # repro.kvcache.tiers.ShardStoreBus) *before* replicas bind
-                # their references, so every tier operation flows through it.
-                self.cluster_store = cluster_service(self.cluster_store)
         self.stats = FleetStats()
         #: Replicas advanced by the most recent :meth:`advance_to` call, so
         #: the driving loop can count processed events (see
@@ -349,19 +338,6 @@ class Fleet:
             (state.key, state.instance.name, state.spec)
             for state in self._active
         ]
-
-    def shard_events(self, queue) -> None:
-        """Swap event discovery onto a sharded queue with the same interface.
-
-        ``queue`` (a :class:`~repro.simulation.sharded.ShardedEventQueue`)
-        must reproduce the single-queue drain order; every live next-event
-        time is re-registered so the swap is seamless mid-run.  All later
-        ``update`` / ``discard`` calls — including fault deliveries for a
-        replica — land in the shard that owns the replica's key.
-        """
-        for state in self._all_serving():
-            queue.update(state.key, state.instance.next_event_time())
-        self._events = queue
 
     def _all_serving(self) -> list[_ReplicaState]:
         return self._active + self._draining

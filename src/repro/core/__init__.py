@@ -12,7 +12,7 @@ This package contains the pieces that make PrefillOnly PrefillOnly:
 * :mod:`repro.core.profile_run` — the startup profile run that turns a
   user-provided maximum input length into a KV-cache budget;
 * :mod:`repro.core.engine` — the engine specification and the simulated engine
-  instance, with :func:`repro.core.engine.prefillonly_engine` building the
+  instance, with :func:`repro.core.engine.prefillonly_engine_spec` building the
   paper's configuration (hybrid prefilling + suffix discarding + calibrated
   SRJF).
 """

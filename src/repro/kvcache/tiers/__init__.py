@@ -10,9 +10,6 @@ into a full hierarchy that the fleet layer can share:
   (``always`` / ``on-nth-hit`` / ``never``);
 * :mod:`repro.kvcache.tiers.cluster_store` — the fleet-shared L3
   :class:`ClusterPrefixStore` with per-replica hit accounting;
-* :mod:`repro.kvcache.tiers.shard_bus` — :class:`ShardStoreBus`, the
-  versioned, latency-stamped message facade sharded fleet runs interpose in
-  front of the L3 store (see ``docs/SHARDING.md``);
 * :mod:`repro.kvcache.tiers.store` — :class:`TieredPrefixStore`, the
   per-replica object that layers L1 (radix tree) over L2 (host) over L3 and
   implements fetch / promote / demote / prefetch / drain.
@@ -22,7 +19,6 @@ into a full hierarchy that the fleet layer can share:
 
 from repro.kvcache.tiers.cluster_store import ClusterPrefixStore, ClusterStoreStats
 from repro.kvcache.tiers.config import TIER_NAMES, TierConfig, tier_config_from_dict
-from repro.kvcache.tiers.shard_bus import ShardStoreBus, StoreMessage
 from repro.kvcache.tiers.policy import (
     PROMOTION_POLICIES,
     AlwaysPromote,
@@ -51,8 +47,6 @@ __all__ = [
     "make_promotion_policy",
     "ClusterPrefixStore",
     "ClusterStoreStats",
-    "ShardStoreBus",
-    "StoreMessage",
     "TieredPrefixStore",
     "TierLookup",
     "TierStats",

@@ -14,8 +14,8 @@ Span events are stored as ``(time, key, kind, attrs, seq)`` where ``key`` is
 the replica's logical shard key (:data:`GLOBAL_KEY` for fleet-scoped events)
 and ``seq`` is a per-``(key, kind)`` sequence number local to the recording
 buffer.  The canonical export order is ``(time, key, kind_rank, seq)`` — the
-same ``(time, key)`` discipline :class:`~repro.simulation.events.ShardedEventQueue`
-merges shard heaps by.  Because every event kind has a single origin (submit
+``(time, key)`` order the fleet's event queue drains due replicas in, refined
+by kind and sequence.  Because every event kind has a single origin (submit
 and route always come from the coordinator, start and finish always from the
 owning replica's engine), events tied on ``(time, key, kind)`` never split
 across shard buffers, so sorting merged per-shard buffers reproduces the

@@ -22,8 +22,8 @@ into a :class:`PolicyRuntime` the :class:`~repro.cluster.fleet.Fleet` drives:
 The standing invariant, pinned by tests: with the block absent or
 ``enabled: false``, every simulation result is byte-identical to a build
 without this package; with a fixed seed, enabled runs are bit-reproducible
-across shard counts, shard modes, and worker pools (policies force the
-lockstep sharded path).  See ``docs/RESILIENCE.md``.
+across shard counts, shard modes, and worker pools (policies force lockstep
+mode, the ordinary fleet loop).  See ``docs/RESILIENCE.md``.
 """
 
 from repro.resilience.config import (

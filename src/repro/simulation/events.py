@@ -98,10 +98,9 @@ class EventQueue:
         """Like :meth:`pop_due`, but return the ``(time, key)`` pairs.
 
         The times let a caller holding several queues merge their due lists
-        back into the single-queue global order — since keys are globally
+        back into the single-queue global order: since keys are globally
         unique, sorting merged entries by ``(time, key)`` reproduces exactly
-        what one queue holding every source would have returned (the law
-        :class:`repro.simulation.sharded.ShardedEventQueue` relies on).
+        what one queue holding every source would have returned.
         """
         due: list[tuple[float, int]] = []
         heap = self._heap

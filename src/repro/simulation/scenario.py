@@ -67,7 +67,7 @@ from repro.cluster import Fleet, QueueDepthAdmission, ReactiveAutoscaler
 from repro.errors import ScenarioError
 from repro.faults import FaultSchedule, fault_schedule_from_model
 from repro.hardware.cluster import get_hardware_setup
-from repro.kvcache.tiers import ShardStoreBus, TierConfig
+from repro.kvcache.tiers import TierConfig
 from repro.kvcache.tiers.config import tier_config_from_model
 from repro.obs.analysis import alert_rule_from_model
 from repro.obs.logging import get_logger, set_context
@@ -126,13 +126,11 @@ class ScenarioSpec:
     #: ``docs/FAULTS.md``).  None or ``enabled: false`` injects nothing, with
     #: results byte-identical to a config that omits the block entirely.
     faults: FaultSchedule | None = None
-    #: Shard count for the sharded simulation engine (see
-    #: ``docs/SHARDING.md``).  1 runs the original unsharded loop; any value
-    #: produces byte-identical results (pinned by the differential suite).
+    #: Shard count (see ``docs/SHARDING.md``).  A decoupled fleet runs on
+    #: the sharded engine; any other fleet runs the ordinary fleet loop and
+    #: the count only labels ``result.sharding``.  Any value produces
+    #: byte-identical results (pinned by the differential suite).
     shards: int = 1
-    #: Explicit conservative lookahead window in simulated seconds; None
-    #: derives it from the modelled interconnect latency.
-    lookahead: float | None = None
     #: Observability configuration, parsed from the ``"observability"``
     #: config block (see ``docs/OBSERVABILITY.md``).  None or ``enabled:
     #: false`` records nothing, with results byte-identical to a config that
@@ -151,10 +149,6 @@ class ScenarioSpec:
             raise ScenarioError(f"scenario {self.name!r}: replicas must be >= 1")
         if self.shards < 1:
             raise ScenarioError(f"scenario {self.name!r}: shards must be >= 1")
-        if self.lookahead is not None and self.lookahead <= 0:
-            raise ScenarioError(
-                f"scenario {self.name!r}: lookahead must be positive"
-            )
         if self.autoscale is not None:
             unknown = set(self.autoscale) - _AUTOSCALE_KEYS
             if unknown:
@@ -252,7 +246,6 @@ def scenario_from_model(model: ScenarioModel) -> ScenarioSpec:
         kv_tiers=kv_tiers,
         faults=faults,
         shards=model.shards,
-        lookahead=model.lookahead,
         observability=observability,
         resilience=resilience,
     )
@@ -356,9 +349,6 @@ def _build_fleet(spec: ScenarioSpec, max_input_length: int) -> Fleet:
         autoscaler=autoscaler,
         name=spec.name,
         tier_config=spec.kv_tiers,
-        # Sharded tiered runs talk to the L3 store through the versioned,
-        # latency-stamped message bus (transparent: results are identical).
-        cluster_service=ShardStoreBus if spec.shards > 1 else None,
         recorder=recorder,
         policies=spec.resilience,
     )
@@ -457,11 +447,10 @@ def run_scenario(spec: ScenarioSpec, *, record: str | Path | None = None,
     result = simulate_fleet(
         fleet, requests, faults=spec.faults,
         shards=spec.shards,
-        lookahead=spec.lookahead,
         # Scenario runs keep the shard engines in-process: the suite runner
         # already parallelizes across scenarios, and `keep_fleet` callers
         # (the invariant checks) need the fully simulated fleet object,
-        # which only the globally-sequenced lockstep mode produces.
+        # which only the lockstep mode (the fleet loop itself) produces.
         shard_workers=1,
         shard_mode="lockstep" if keep_fleet else "auto",
         shard_seed=spec.seed,

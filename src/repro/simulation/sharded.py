@@ -1,66 +1,44 @@
 """Sharded parallel discrete-event simulation for 1000+ replica fleets.
 
 :func:`repro.simulation.simulator.simulate_fleet` is one process walking one
-:class:`~repro.simulation.events.EventQueue`.  This module partitions a
-fleet's replicas across shards — each walking its own event queue — while
-keeping the bit-reproducibility contract: ``shards=1`` and every ``shards=N``
-run produce byte-identical :func:`~repro.simulation.invariants.scenario_fingerprint`
-results (pinned by ``tests/test_sharded_identity.py``).
-
-Two execution modes, picked per run:
-
-**Lockstep** (always available).  The fleet's single event queue is swapped
-for a :class:`ShardedEventQueue` — one :class:`EventQueue` per shard, keys
-routed to their owning shard by :meth:`ShardPlan.owner`, due events merged
-back into the global order by ``(time, key)``.  Because replica keys are
-globally unique, the merged order equals what one queue holding every source
-returns (the law ``tests/test_sharded_merge.py`` fuzzes), so the driving loop
-— and therefore every feature riding on it: admission, autoscaling, KV tiers,
-chaos schedules — is byte-identical by construction.  Fault deliveries land
-in the owning shard's queue for the same reason: the fleet's ``update`` /
-``discard`` calls for a replica always hit the shard that owns its key.
-Lockstep is the conservative end of the lookahead spectrum: a zero-length
-window, every cross-shard event globally sequenced.
-
-**Decoupled** (parallel).  When nothing couples replicas mid-run — no
-admission policy, no autoscaler, no KV tiers or L3 store, no active fault
-schedule, and a router that neither reads queue depths nor replica state
+:class:`~repro.simulation.events.EventQueue`.  When nothing couples replicas
+mid-run — no admission policy, no autoscaler, no KV tiers, no active fault
+schedule, no resilience policies, and a router that neither reads queue
+depths nor replica state
 (:attr:`~repro.simulation.routing.Router.consults_instances`) — routing is a
-pure function of the arrival sequence.  The coordinator pre-routes every
-arrival through the fleet's own router (same calls, same order, same
-decisions as the unsharded loop), partitions replicas across shards, and each
-shard replays its substream in its own :class:`ShardEngine` — optionally in a
+pure function of the arrival sequence, and this module shards the run for
+real.  The coordinator pre-routes every arrival through the fleet's own
+router (same calls, same order, same decisions as the unsharded loop),
+partitions replicas across shards by :meth:`ShardPlan.owner`, and each shard
+replays its substream in its own :class:`ShardEngine` — optionally in a
 worker process pool (:class:`~repro.perf.runner.ParallelRunner`, with its
 serial in-process fallback).  Per-replica event trajectories are identical to
 the unsharded loop because replicas in a decoupled fleet never interact;
 results are merged back in replica-key order, which is exactly the fleet's
 ``_all_states()`` results order, so even float summaries (order-sensitive
-``np.mean`` reductions) match bit-for-bit.  Between the start and end
-barriers a decoupled shard may run arbitrarily far ahead — the conservative
-lookahead window (:func:`derive_lookahead`, floored at the modelled
-interconnect latency: no cross-shard effect can land sooner than one
-link-latency after it is sent) is what would bound that freedom the moment a
-coupled feature (L3 traffic, faults) re-enters; those runs fall back to
-lockstep today.
+``np.mean`` reductions) match bit-for-bit (pinned by
+``tests/test_sharded_identity.py``).
+
+A fleet that fails :func:`fleet_is_decoupled` runs the ordinary fleet loop
+unchanged — the ``"lockstep"`` mode of :func:`resolve_shard_mode` — and the
+shard count only labels ``result.sharding``.
 
 Determinism contract (see ``docs/SHARDING.md``):
 
 * per-shard seed streams come from
   :func:`~repro.perf.runner.derive_task_seeds` — a pure function of
   ``(base_seed, shard)``, independent of worker count and scheduling;
-* cross-shard merge ties resolve by the fixed ``(time, key)`` sequence key;
-* replica ``key % num_shards`` ownership is stable across crash/recover
-  cycles, so chaos schedules replay bit-exactly on any shard count.
+* per-shard results and observability buffers merge back by replica key, so
+  the merged record is the unsharded one;
+* replica ``key % num_shards`` ownership is a pure function of the key.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.hardware.interconnect import PCIE_GEN4
 from repro.obs.logging import set_context
 from repro.obs.recorder import (
     GLOBAL_KEY,
@@ -73,9 +51,7 @@ from repro.simulation.events import EventQueue
 
 __all__ = [
     "ShardPlan",
-    "ShardedEventQueue",
     "ShardEngine",
-    "derive_lookahead",
     "fleet_is_decoupled",
     "resolve_shard_mode",
     "simulate_fleet_decoupled",
@@ -87,17 +63,14 @@ class ShardPlan:
     """How a fleet's replicas map onto shards, plus the per-shard seed streams.
 
     Ownership is ``key % num_shards`` over the fleet's replica keys.  Keys are
-    assigned once per replica ever built (crash recovery builds a fresh
-    instance under a fresh key), so ownership is a pure function of the key —
-    a fault targeting a replica is always delivered to the shard that owns it,
-    on every shard count, which is what keeps chaos schedules replayable.
+    assigned once per replica ever built, so ownership is a pure function of
+    the key.
 
     ``shard_seeds`` are derived with
-    :func:`~repro.perf.runner.derive_task_seeds`: any stochastic component
-    running inside shard *i* must draw from stream ``shard_seeds[i]`` so its
-    randomness is independent of worker count and scheduling order.  (The
-    simulation core itself is deterministic; chaos schedules pre-generate
-    their randomness at build time.)
+    :func:`~repro.perf.runner.derive_task_seeds`, so stream *i* is independent
+    of worker count and scheduling order.  The simulation core itself is
+    deterministic and draws from none of them; they are recorded in
+    ``result.sharding``.
     """
 
     num_shards: int
@@ -117,87 +90,6 @@ class ShardPlan:
         return key % self.num_shards
 
 
-class ShardedEventQueue:
-    """N per-shard :class:`EventQueue`\\ s behind the single-queue interface.
-
-    Drop-in for the fleet's event queue (``update`` / ``discard`` /
-    ``next_time`` / ``pop_due`` — the full surface
-    :class:`~repro.cluster.fleet.Fleet` uses): each key's entries live in its
-    owning shard's queue, the global head is the minimum shard head by
-    ``(time, key)``, and :meth:`pop_due` merges the per-shard due lists by
-    ``(time, key)``.  Keys are globally unique, so the merge reproduces the
-    exact drain order of one queue holding every source — the identity
-    ``tests/test_sharded_merge.py`` pins under random event storms.
-    """
-
-    def __init__(self, plan: ShardPlan) -> None:
-        self.plan = plan
-        self._shards = [EventQueue() for _ in range(plan.num_shards)]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def shard(self, shard_id: int) -> EventQueue:
-        """The event queue of one shard (for inspection/tests)."""
-        return self._shards[shard_id]
-
-    def update(self, key: int, time: float | None) -> None:
-        """Record ``key``'s next event time in its owning shard's queue."""
-        self._shards[self.plan.owner(key)].update(key, time)
-
-    def discard(self, key: int) -> None:
-        """Forget ``key`` in its owning shard's queue."""
-        self._shards[self.plan.owner(key)].discard(key)
-
-    def peek(self) -> tuple[float, int] | None:
-        """Globally earliest live ``(time, key)`` across every shard."""
-        best: tuple[float, int] | None = None
-        for shard in self._shards:
-            head = shard.peek()
-            if head is not None and (best is None or head < best):
-                best = head
-        return best
-
-    def next_time(self) -> float | None:
-        """Time of the globally earliest live entry, or ``None``."""
-        head = self.peek()
-        return None if head is None else head[0]
-
-    def pop_due(self, now: float) -> list[int]:
-        """Drain every shard's due events, merged into global order."""
-        return [key for _, key in self.pop_due_entries(now)]
-
-    def pop_due_entries(self, now: float) -> list[tuple[float, int]]:
-        """Per-shard due lists merged by the ``(time, key)`` sequence key."""
-        per_shard = [shard.pop_due_entries(now) for shard in self._shards]
-        return list(heapq.merge(*per_shard))
-
-
-def derive_lookahead(fleet, lookahead: float | None = None) -> float:
-    """The conservative lookahead window, in simulated seconds.
-
-    An explicit ``lookahead`` (scenario/CLI ``lookahead`` field) wins.
-    Otherwise the window is derived from the modelled interconnect latency:
-    the fastest link any cross-shard effect could travel — the L3 cluster
-    store's link if the fleet has one, else the replicas' shard-to-shard
-    interconnect, else PCIe gen4.  No cross-shard message can be delivered
-    sooner than one link-latency after it is sent, so a shard holding no
-    undelivered inputs may always run that far ahead safely.
-    """
-    if lookahead is not None:
-        if lookahead <= 0:
-            raise ConfigurationError("lookahead must be positive")
-        return float(lookahead)
-    latencies = []
-    store = getattr(fleet, "cluster_store", None)
-    if store is not None:
-        latencies.append(store.link.latency)
-    for _, _, spec in fleet.shard_manifest():
-        if spec is not None and spec.interconnect is not None:
-            latencies.append(spec.interconnect.latency)
-    return min(latencies) if latencies else PCIE_GEN4.latency
-
-
 def fleet_is_decoupled(fleet, faults) -> bool:
     """True when no feature couples replicas mid-run.
 
@@ -210,9 +102,8 @@ def fleet_is_decoupled(fleet, faults) -> bool:
         fleet.admission is None
         and fleet.autoscaler is None
         and fleet.tier_config is None
-        and fleet.cluster_store is None
         and (faults is None or not faults.active)
-        and getattr(fleet, "policies", None) is None
+        and fleet.policies is None
         and not router.needs_queue_depths
         and not router.consults_instances
         and fleet.stats.num_submitted == 0
@@ -224,8 +115,8 @@ def resolve_shard_mode(shard_mode: str, fleet, faults) -> str:
     """Pick ``"parallel"`` or ``"lockstep"`` for this run.
 
     ``"auto"`` runs decoupled fleets in parallel and everything else in
-    lockstep; ``"lockstep"`` forces the globally-sequenced path (e.g. when the
-    caller needs the fully-simulated fleet object afterwards).
+    lockstep, the ordinary fleet loop; ``"lockstep"`` forces the fleet loop
+    (e.g. when the caller needs the fully-simulated fleet object afterwards).
     """
     if shard_mode not in ("auto", "lockstep"):
         raise ConfigurationError(
@@ -393,7 +284,6 @@ def _run_shard(task: _ShardTask) -> dict:
 
 
 def simulate_fleet_decoupled(fleet, requests, plan: ShardPlan, *,
-                             lookahead: float,
                              shard_workers: int | None = None,
                              max_simulated_seconds: float = 1e7,
                              max_events: int = 10_000_000):
@@ -536,7 +426,6 @@ def simulate_fleet_decoupled(fleet, requests, plan: ShardPlan, *,
             "shards": plan.num_shards,
             "workers": shard_workers,
             "executed": runner.last_mode,
-            "lookahead_s": lookahead,
             "shard_seeds": list(plan.shard_seeds),
         },
         obs=(

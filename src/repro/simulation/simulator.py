@@ -113,11 +113,11 @@ class FleetSimulationResult:
     fleet: FleetSummary
     cache_stats: list[dict] = field(default_factory=list)
     num_events: int = 0
-    #: Sharded-run metadata (mode, shard count, lookahead window, per-shard
-    #: seeds) — ``None`` on unsharded runs.  Deliberately excluded from
+    #: What a ``shards > 1`` run asked for and how it executed (mode, shard
+    #: count, workers, executor, per-shard seeds) — ``None`` on unsharded
+    #: runs.  Deliberately excluded from
     #: :func:`~repro.simulation.invariants.scenario_fingerprint`: a sharded
-    #: run is byte-identical to the unsharded path *except* for this record
-    #: of how it was executed.
+    #: run is byte-identical to the unsharded path *except* for this record.
     sharding: dict | None = None
     #: The run's frozen observability record, or ``None`` when the fleet ran
     #: with the null recorder.  Excluded from the scenario fingerprint by the
@@ -143,7 +143,6 @@ def simulate_fleet(fleet, requests: list[Request], *,
                    max_events: int = 10_000_000,
                    faults=None,
                    shards: int = 1,
-                   lookahead: float | None = None,
                    shard_workers: int | None = None,
                    shard_mode: str = "auto",
                    shard_seed: int = 0) -> FleetSimulationResult:
@@ -173,50 +172,50 @@ def simulate_fleet(fleet, requests: list[Request], *,
         faults: Optional :class:`~repro.faults.FaultSchedule` of chaos events
             to inject (None or a disabled/empty schedule injects nothing).
         shards: Partition the fleet's replicas across this many shards (see
-            :mod:`repro.simulation.sharded`).  ``1`` (the default) is the
-            original unsharded path, untouched; any ``shards`` value produces
-            byte-identical results.
-        lookahead: Conservative cross-shard lookahead window in simulated
-            seconds; ``None`` derives it from the modelled interconnect
-            latency (:func:`~repro.simulation.sharded.derive_lookahead`).
+            :mod:`repro.simulation.sharded`).  ``1`` (the default) runs the
+            fleet loop without a ``sharding`` record.  A decoupled fleet runs
+            on the sharded engine; any other fleet runs this loop unchanged
+            and the shard count only labels ``result.sharding``.  Every value
+            produces byte-identical results.
         shard_workers: Worker processes for the decoupled parallel path.
             ``None`` uses one per shard up to the CPU count; ``<= 1`` runs the
             shard engines serially in-process (identical results).
         shard_mode: ``"auto"`` (parallel when the fleet is decoupled, else
-            lockstep) or ``"lockstep"`` (always globally sequenced — required
-            when the caller inspects the fleet object after the run).
-        shard_seed: Base seed the per-shard RNG streams are derived from
-            (:func:`~repro.perf.runner.derive_task_seeds`).
+            lockstep) or ``"lockstep"`` (always this loop — required when the
+            caller inspects the fleet object after the run).
+        shard_seed: Base seed the per-shard seed streams are derived from
+            (:func:`~repro.perf.runner.derive_task_seeds`); the streams are
+            only recorded in ``result.sharding``.
 
     Raises:
-        ConfigurationError: if ``shards`` is less than 1.
+        ConfigurationError: if ``shards`` is less than 1 or ``shard_workers``
+            is negative.
         SimulationError: if either safety limit is hit.
     """
     if shards < 1:
         raise ConfigurationError(f"shards must be at least 1, got {shards}")
+    if shard_workers is not None and shard_workers < 0:
+        raise ConfigurationError(
+            f"shard_workers must be non-negative, got {shard_workers}"
+        )
     sharding_info = None
     if shards > 1:
         # Lazy import: `sharded` imports this module for the result types.
         from repro.simulation import sharded as _sharded
 
         plan = _sharded.ShardPlan(shards, base_seed=shard_seed)
-        window = _sharded.derive_lookahead(fleet, lookahead)
-        mode = _sharded.resolve_shard_mode(shard_mode, fleet, faults)
-        if mode == "parallel":
+        if _sharded.resolve_shard_mode(shard_mode, fleet, faults) == "parallel":
             return _sharded.simulate_fleet_decoupled(
                 fleet, requests, plan,
-                lookahead=window,
                 shard_workers=shard_workers,
                 max_simulated_seconds=max_simulated_seconds,
                 max_events=max_events,
             )
-        fleet.shard_events(_sharded.ShardedEventQueue(plan))
         sharding_info = {
             "mode": "lockstep",
             "shards": shards,
             "workers": 1,
             "executed": "serial",
-            "lookahead_s": window,
             "shard_seeds": list(plan.shard_seeds),
         }
 

@@ -913,12 +913,6 @@ class ScenarioModel:
             "(see ``docs/SHARDING.md``); results are byte-identical on any "
             "value.",
     )
-    lookahead: float | None = spec_field(
-        default=None, types=(int, float), minimum=0.0, exclusive_minimum=True,
-        convert=float,
-        doc="Conservative cross-shard lookahead window in simulated seconds; "
-            "omit to derive it from the modelled interconnect latency.",
-    )
     observability: ObservabilitySpec | None = spec_field(
         default=None, model=ObservabilitySpec,
         doc="Optional tracing & telemetry (see ``docs/OBSERVABILITY.md``).",

@@ -139,6 +139,23 @@ def test_fleet_shard_count_below_one_exits_2(shards, capsys):
     assert "shards must be at least 1" in err
 
 
+@pytest.mark.parametrize("shard_args", [
+    ["--shards", "4"],                              # user-id router: decoupled
+    ["--shards", "4", "--router", "least-loaded"],  # coupled: the fleet loop
+    [],                                             # unsharded
+], ids=["decoupled", "coupled", "unsharded"])
+def test_fleet_negative_shard_workers_exits_2_on_every_path(shard_args, capsys):
+    code = main([
+        "fleet", "--setup", "h100", "--workload", "post-recommendation",
+        "--num-users", "4", "--replicas", "4", "--shard-workers", "-1",
+        *shard_args,
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "prefillonly: error:" in err
+    assert "shard_workers must be non-negative" in err
+
+
 def test_scenario_run_malformed_config_exits_2_with_json_path(tmp_path, capsys):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({

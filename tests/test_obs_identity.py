@@ -119,13 +119,12 @@ def _simulate(stem: str, *, shards: int, shard_workers: int, shard_mode: str):
     fleet = _build_fleet(spec, max_input_length)
     return simulate_fleet(
         fleet, requests, faults=spec.faults, shards=spec.shards,
-        lookahead=spec.lookahead, shard_workers=shard_workers,
-        shard_mode=shard_mode, shard_seed=spec.seed,
+        shard_workers=shard_workers, shard_mode=shard_mode, shard_seed=spec.seed,
     )
 
 
 @pytest.mark.parametrize("shards,workers,mode", [
-    (4, 1, "lockstep"),   # globally sequenced shards
+    (4, 1, "lockstep"),   # the fleet loop itself
     (4, 1, "auto"),       # decoupled in-process parallel path
     (4, 2, "auto"),       # decoupled across a worker pool
     (4, 3, "auto"),       # worker count must not matter

@@ -7,7 +7,8 @@ full :func:`~repro.simulation.invariants.scenario_fingerprint` (unrounded
 floats, per-request records, fleet summaries) is bit-equal at every shard
 count, and two same-seed sharded runs are bit-equal to each other.  These
 tests pin that contract over the whole cookbook, plus the decoupled parallel
-path (with a real worker pool) and the :class:`ShardStoreBus` L3 facade.
+path (with a real worker pool) and the mode decision that picks it: any
+feature coupling replicas mid-run sends the fleet to the ordinary fleet loop.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ from pathlib import Path
 import pytest
 
 from repro.baselines.registry import get_engine_spec
-from repro.cluster import Fleet
+from repro.cluster import Fleet, QueueDepthAdmission, ReactiveAutoscaler
+from repro.faults import FaultEvent, FaultSchedule
 from repro.hardware.cluster import get_hardware_setup
-from repro.kvcache.tiers import ShardStoreBus
+from repro.kvcache.tiers import TierConfig
 from repro.simulation.arrival import make_arrival
 from repro.simulation.invariants import scenario_fingerprint
-from repro.simulation.routing import make_router
+from repro.simulation.routing import LeastLoadedRouter, Router, make_router
 from repro.simulation.scenario import load_scenario, run_scenario
+from repro.simulation.sharded import resolve_shard_mode
 from repro.simulation.simulator import simulate_fleet
 from repro.workloads.registry import get_workload
 
@@ -78,14 +81,16 @@ def _fleet_fingerprint(result) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _build_fleet(num_replicas: int, trace) -> Fleet:
+def _build_fleet(num_replicas: int, trace, **couplings) -> Fleet:
+    """A user-id-routed fleet, plus any ``Fleet`` options in ``couplings``."""
+    couplings.setdefault("router", make_router("user-id", num_replicas))
     return Fleet.for_setup(
         get_engine_spec("prefillonly"),
         get_hardware_setup("h100"),
         max_input_length=trace.max_request_tokens,
         num_replicas=num_replicas,
-        router=make_router("user-id", num_replicas),
         name="identity-fleet",
+        **couplings,
     )
 
 
@@ -133,18 +138,65 @@ def test_lockstep_mode_matches_parallel_mode():
     assert _fleet_fingerprint(lockstep) == _fleet_fingerprint(parallel)
 
 
-# ------------------------------------------------------- L3 shard bus
+# ------------------------------------------------------ shard-mode decision
 
 
-def test_sharded_tiered_scenario_journals_store_traffic():
-    """A sharded tiered run wraps the L3 store in the versioned message bus."""
-    spec = load_scenario(SCENARIO_DIR / "tiered_shared_prefix.json")
-    outcome = run_scenario(dataclasses.replace(spec, shards=2), keep_fleet=True)
-    store = outcome.fleet.cluster_store
-    assert isinstance(store, ShardStoreBus)
-    assert store.num_messages > 0
-    assert store.message_counts.get("publish", 0) > 0
-    seqs = [message.seq for message in store.recent_messages]
-    assert seqs == sorted(seqs)
-    versions = [message.version for message in store.recent_messages]
-    assert versions == sorted(versions)
+class _StateReadingRouter(Router):
+    """Ignores queue depths but reads replica state (no built-in router does)."""
+
+    needs_queue_depths = False
+    consults_instances = True
+
+    def route(self, request, queue_depths):
+        return 0
+
+
+def _submitted_fleet(trace) -> Fleet:
+    fleet = _build_fleet(2, trace)
+    fleet.submit(trace.requests[0], 0.0)
+    return fleet
+
+
+def _scaled_up_fleet(trace) -> Fleet:
+    fleet = _build_fleet(2, trace)
+    fleet.scale_up(0.0)
+    return fleet
+
+
+#: ``trace -> (fleet, faults)`` builders: the bare fleet, then one coupling each.
+_MODE_CASES = {
+    "bare": lambda trace: (_build_fleet(2, trace), None),
+    "admission": lambda trace: (
+        _build_fleet(2, trace, admission=QueueDepthAdmission(4)), None,
+    ),
+    "autoscaler": lambda trace: (
+        _build_fleet(2, trace,
+                     autoscaler=ReactiveAutoscaler(scale_up_rps_per_replica=4.0)),
+        None,
+    ),
+    "kv-tiers": lambda trace: (
+        _build_fleet(2, trace, tier_config=TierConfig(enabled=True)), None,
+    ),
+    "faults": lambda trace: (
+        _build_fleet(2, trace),
+        FaultSchedule([FaultEvent(time=1.0, kind="crash", replica=0)]),
+    ),
+    "least-loaded-router": lambda trace: (
+        _build_fleet(2, trace, router=LeastLoadedRouter(2)), None,
+    ),
+    "state-reading-router": lambda trace: (
+        _build_fleet(2, trace, router=_StateReadingRouter(2)), None,
+    ),
+    "already-submitted": lambda trace: (_submitted_fleet(trace), None),
+    "already-scaled": lambda trace: (_scaled_up_fleet(trace), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_MODE_CASES))
+def test_every_coupling_sends_the_fleet_to_lockstep(case):
+    """Only the bare user-id fleet is decoupled; each coupling alone is not."""
+    trace = get_workload("post-recommendation", num_users=2, posts_per_user=1,
+                         seed=3)
+    fleet, faults = _MODE_CASES[case](trace)
+    expected = "parallel" if case == "bare" else "lockstep"
+    assert resolve_shard_mode("auto", fleet, faults) == expected
