@@ -22,11 +22,12 @@ from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
 from repro.faults import fault_schedule_from_dict
 from repro.hardware.cluster import get_hardware_setup
-from repro.kvcache import TierConfig
+from repro.kvcache import tier_config_from_dict
 from repro.simulation.arrival import MMPPArrivalProcess
 from repro.simulation.metrics import percentile
 from repro.simulation.routing import make_router
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.models import KVTiersSpec
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
 NUM_REPLICAS = 2
@@ -70,7 +71,7 @@ def shared_prefix_trace() -> list[Request]:
     return requests
 
 
-def run_arm(tier_config: TierConfig | None):
+def run_arm(tier_config: KVTiersSpec | None):
     setup = get_hardware_setup("h100")
     spec = prefillonly_engine_spec().with_overrides(kv_capacity_tokens=GPU_KV_TOKENS)
     requests = shared_prefix_trace()
@@ -107,10 +108,11 @@ def post_recovery_p99(result) -> float:
 
 def _compute():
     cold = run_arm(None)
-    warm = run_arm(TierConfig(
-        enabled=True, host_gib=1.0, cluster_gib=16.0,
-        promotion="on-nth-hit", promotion_threshold=2,
-    ))
+    warm = run_arm(tier_config_from_dict({
+        "enabled": True,
+        "tiers": {"host": {"capacity_gib": 1.0}, "cluster": {"capacity_gib": 16.0}},
+        "promotion": "on-nth-hit", "promotion_threshold": 2,
+    }))
     return cold, warm
 
 

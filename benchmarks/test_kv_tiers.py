@@ -24,9 +24,10 @@ from conftest import PAPER_SCALE, show
 from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
 from repro.hardware.cluster import get_hardware_setup
-from repro.kvcache import TierConfig
+from repro.kvcache import tier_config_from_dict
 from repro.simulation.arrival import MMPPArrivalProcess
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.models import KVTiersSpec
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
 NUM_REPLICAS = 2
@@ -68,7 +69,7 @@ def shared_prefix_trace() -> list[Request]:
     return requests
 
 
-def run_arm(tier_config: TierConfig | None):
+def run_arm(tier_config: KVTiersSpec | None):
     setup = get_hardware_setup("h100")
     spec = prefillonly_engine_spec().with_overrides(kv_capacity_tokens=GPU_KV_TOKENS)
     requests = shared_prefix_trace()
@@ -88,10 +89,11 @@ def run_arm(tier_config: TierConfig | None):
 
 
 def _compute():
-    tier_config = TierConfig(
-        enabled=True, host_gib=1.0, cluster_gib=16.0,
-        promotion="on-nth-hit", promotion_threshold=2,
-    )
+    tier_config = tier_config_from_dict({
+        "enabled": True,
+        "tiers": {"host": {"capacity_gib": 1.0}, "cluster": {"capacity_gib": 16.0}},
+        "promotion": "on-nth-hit", "promotion_threshold": 2,
+    })
     discard, _ = run_arm(None)
     tiered, fleet = run_arm(tier_config)
     return discard, tiered, fleet

@@ -6,6 +6,8 @@ Fails (exit code 1) when the documentation drifts from the code:
 * every ``repro.*`` dotted name mentioned in README.md, docs/*.md, or the
   docstrings and comments of ``src/repro/**/*.py`` must resolve to an
   importable module, or to an attribute of one;
+* every name a fenced Python block in README.md or docs/*.md imports with
+  ``from repro... import name`` must exist in that module;
 * every ``python -m repro.cli <subcommand> --flag ...`` line inside a fenced
   code block must name a real subcommand and real flags — walking *nested*
   subcommand trees (``scenario run``) to the deepest parser, so each flag is
@@ -73,6 +75,28 @@ def check_dotted_names(text: str, errors: list[str], *, source: str) -> None:
                 )
                 break
             target = getattr(target, parts[index])
+
+
+def check_python_imports(text: str, errors: list[str], *, source: str) -> None:
+    """Verify the names fenced Python blocks import with ``from repro... import``.
+
+    :func:`check_dotted_names` sees such an import's module but not the names
+    it imports, so each ``module.name`` is resolved the same way, reported
+    with its line.  Blocks that do not parse as Python (shell sessions,
+    JSON) are skipped.
+    """
+    for block in FENCED_BLOCK.finditer(text):
+        try:
+            tree = ast.parse(block.group(1))
+        except SyntaxError:
+            continue
+        offset = text.count("\n", 0, block.start(1))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "repro"):
+                names = " ".join(f"{node.module}.{alias.name}" for alias in node.names)
+                check_dotted_names(names, errors,
+                                   source=f"{source}:{offset + node.lineno}")
 
 
 def source_prose(source: str) -> str:
@@ -242,6 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         text = path.read_text(encoding="utf-8")
         source = str(path.relative_to(REPO_ROOT))
         check_dotted_names(text, errors, source=source)
+        check_python_imports(text, errors, source=source)
         check_cli_lines(text, errors, source=source)
         check_links(text, errors, source=source, base=path.parent)
         checked += 1

@@ -54,7 +54,6 @@ from repro.obs.exporters import (  # noqa: E402
     parse_spans,
 )
 from repro.obs.logging import LOG_LEVELS, configure, get_logger  # noqa: E402
-from repro.obs.recorder import ObsConfig  # noqa: E402
 from repro.obs.schema import validate_json  # noqa: E402
 from repro.analysis.reporting import (  # noqa: E402
     format_alerts_report,
@@ -63,6 +62,7 @@ from repro.analysis.reporting import (  # noqa: E402
 )
 from repro.simulation.invariants import scenario_fingerprint  # noqa: E402
 from repro.simulation.scenario import load_scenario, run_scenario  # noqa: E402
+from repro.spec.models import ObservabilitySpec  # noqa: E402
 
 logger = get_logger("scripts.obs_check")
 
@@ -76,7 +76,7 @@ GOLDEN = REPO_ROOT / "tests" / "golden" / "cookbook_fingerprints.json"
 def check_exports(scenario: str, out_dir: Path) -> None:
     """Export + validate the Chrome trace and Prometheus snapshot."""
     spec = load_scenario(SCENARIOS / f"{scenario}.json")
-    spec = dataclasses.replace(spec, observability=ObsConfig(enabled=True))
+    spec = dataclasses.replace(spec, observability=ObservabilitySpec(enabled=True))
     data = run_scenario(spec).result.obs
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -103,7 +103,7 @@ def check_analysis(scenario: str, alerts_scenario: str, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     spec = load_scenario(SCENARIOS / f"{scenario}.json")
-    spec = dataclasses.replace(spec, observability=ObsConfig(enabled=True))
+    spec = dataclasses.replace(spec, observability=ObservabilitySpec(enabled=True))
     first = run_scenario(spec).result.obs
     second = run_scenario(spec).result.obs
 
@@ -133,7 +133,7 @@ def check_analysis(scenario: str, alerts_scenario: str, out_dir: Path) -> None:
 
     alerts_spec = load_scenario(SCENARIOS / f"{alerts_scenario}.json")
     alerts_spec = dataclasses.replace(
-        alerts_spec, observability=ObsConfig(enabled=True)
+        alerts_spec, observability=ObservabilitySpec(enabled=True)
     )
     alerts_data = run_scenario(alerts_spec).result.obs
     slos = {

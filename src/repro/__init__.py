@@ -69,7 +69,6 @@ from repro.kvcache import (
     ClusterPrefixStore,
     CommitPolicy,
     KVCacheManager,
-    TierConfig,
     TieredPrefixStore,
 )
 from repro.execution import MicroTransformer, MicroTransformerConfig
@@ -153,7 +152,6 @@ __all__ = [
     "list_models",
     "CommitPolicy",
     "KVCacheManager",
-    "TierConfig",
     "TieredPrefixStore",
     "ClusterPrefixStore",
     "MicroTransformer",

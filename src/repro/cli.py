@@ -73,7 +73,6 @@ from repro.obs.exporters import (
 )
 from repro.obs.logging import LOG_LEVELS, configure as configure_logging
 from repro.obs.logging import set_context as set_log_context
-from repro.obs.recorder import ObsConfig
 from repro.hardware.gpu import GPU_REGISTRY
 from repro.simulation.arrival import (
     ARRIVAL_FACTORIES,
@@ -89,6 +88,7 @@ from repro.simulation.scenario import (
     run_scenario_suite,
 )
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.models import ObservabilitySpec
 from repro.workloads.registry import get_workload, list_workloads
 
 
@@ -193,8 +193,8 @@ def _load_resilience(path: str):
         raise ResilienceError(f"{path}: invalid JSON ({exc})") from None
     if isinstance(config, dict) and "resilience" in config:
         config = config["resilience"]
-    compiled = resilience_from_dict(config)
-    return compiled if compiled.active else None
+    resilience = resilience_from_dict(config)
+    return resilience if resilience.active else None
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -340,7 +340,7 @@ def _obs_data(args: argparse.Namespace):
     the identity tests pin that.
     """
     spec = load_scenario(args.config)
-    obs_config = spec.observability if spec.observability is not None else ObsConfig()
+    obs_config = spec.observability or ObservabilitySpec()
     updates: dict = {"enabled": True}
     if args.sample_interval is not None:
         updates["sample_interval_s"] = args.sample_interval

@@ -40,13 +40,13 @@ from repro.hardware.cluster import HardwareSetup
 from repro.hardware.gpu import GPUSpec
 from repro.hardware.interconnect import Interconnect
 from repro.kvcache.manager import CommitPolicy
-from repro.kvcache.tiers import ClusterPrefixStore, TierConfig, build_cluster_store
+from repro.kvcache.tiers import ClusterPrefixStore, build_cluster_store
 from repro.model.config import ModelConfig, get_model
 from repro.obs.recorder import GLOBAL_KEY, NULL_RECORDER
-from repro.resilience.config import ResilienceConfig
 from repro.resilience.policy import PolicyRuntime, HealthAwareRouter, TrackedRequest
 from repro.simulation.events import EventQueue
 from repro.simulation.routing import Router, UserIdRouter
+from repro.spec.models import KVTiersSpec, ResilienceSpec
 from repro.cluster.admission import AdmissionPolicy
 from repro.cluster.autoscaler import Autoscaler, ScaleEvent
 from repro.workloads.trace import Request
@@ -115,7 +115,7 @@ class Fleet:
         autoscaler: Optional reactive autoscaler.
         name: Fleet name used in reports.
         tier_config: Optional tiered prefix-cache configuration
-            (:class:`~repro.kvcache.tiers.TierConfig`).  When enabled the
+            (:class:`~repro.spec.models.KVTiersSpec`).  When enabled the
             fleet builds one shared cluster (L3) store, wires every replica —
             including autoscaled clones — into it, warms the routed replica
             before dispatch (router-hint prefetch), and drains retiring
@@ -124,7 +124,7 @@ class Fleet:
             fleet, its replicas, and their tier stores report span events to;
             None installs the no-op null recorder (the default, behaviour
             identical to a build without the subsystem).
-        policies: Optional :class:`~repro.resilience.ResilienceConfig` of
+        policies: Optional :class:`~repro.spec.models.ResilienceSpec` of
             client-side failure policies — per-request deadlines, seeded
             retry/backoff, hedged requests, circuit-breaker health routing,
             and brownout-tier degradation (see ``docs/RESILIENCE.md``).
@@ -138,9 +138,9 @@ class Fleet:
                  admission: AdmissionPolicy | None = None,
                  autoscaler: Autoscaler | None = None,
                  name: str = "fleet",
-                 tier_config: TierConfig | None = None,
+                 tier_config: KVTiersSpec | None = None,
                  recorder=None,
-                 policies: ResilienceConfig | None = None) -> None:
+                 policies: ResilienceSpec | None = None) -> None:
         if not replica_specs:
             raise ConfigurationError("a fleet needs at least one replica spec")
         self.name = name

@@ -222,7 +222,7 @@ class EngineInstance:
         max_input_length: User-provided MIL used by the profile run.
         name: Instance name (unique within a serving system).
         tier_config: Optional tiered prefix-cache configuration
-            (:class:`~repro.kvcache.tiers.TierConfig`).  When enabled, the
+            (:class:`~repro.spec.models.KVTiersSpec`).  When enabled, the
             instance runs a GPU -> host -> cluster hierarchy instead of the
             flat offload store, and the commit policy's suffix overflow
             demotes down the tiers instead of being discarded.

@@ -20,7 +20,6 @@ from repro.kvcache.offload import CPUOffloadStore
 from repro.kvcache.manager import KVCacheManager, CommitPolicy, CacheStats
 from repro.kvcache.tiers import (
     ClusterPrefixStore,
-    TierConfig,
     TieredPrefixStore,
     TierLookup,
     TierStats,
@@ -39,7 +38,6 @@ __all__ = [
     "KVCacheManager",
     "CommitPolicy",
     "CacheStats",
-    "TierConfig",
     "tier_config_from_dict",
     "TieredPrefixStore",
     "TierLookup",

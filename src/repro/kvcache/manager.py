@@ -198,11 +198,19 @@ class KVCacheManager:
 
         Equals :attr:`cache_version` for a plain manager; a tiered manager
         folds in the tier version (including the shared cluster store's), so
-        a peer replica's publish invalidates stale calibrations here too.
+        a peer replica's publish invalidates stale calibrations here too, and
+        the host and cluster transfer-cost multipliers, which a brownout
+        changes without touching any tier's contents.
         """
-        if self._tiers is None:
+        tiers = self._tiers
+        if tiers is None:
             return self._cache.version
-        return (self._cache.version, self._tiers.version)
+        host, cluster = tiers.host, tiers.cluster
+        return (
+            self._cache.version, tiers.version,
+            host.cost_multiplier if host is not None else 1.0,
+            cluster.cost_multiplier if cluster is not None else 1.0,
+        )
 
     @property
     def num_active_leases(self) -> int:

@@ -4,8 +4,9 @@ The paper's default engine *discards* suffix KV caches; §9 names LMCache-style
 CPU offload as the alternative.  This package generalises that alternative
 into a full hierarchy that the fleet layer can share:
 
-* :mod:`repro.kvcache.tiers.config` — :class:`TierConfig` and the
-  ``"kv_tiers"`` JSON-block parser (typed errors with JSON paths);
+* :mod:`repro.kvcache.tiers.config` — the ``"kv_tiers"`` JSON-block parser
+  (typed errors with JSON paths) into the
+  :class:`~repro.spec.models.KVTiersSpec` every tier builder reads;
 * :mod:`repro.kvcache.tiers.policy` — pluggable promotion policies
   (``always`` / ``on-nth-hit`` / ``never``);
 * :mod:`repro.kvcache.tiers.cluster_store` — the fleet-shared L3
@@ -18,7 +19,7 @@ into a full hierarchy that the fleet layer can share:
 """
 
 from repro.kvcache.tiers.cluster_store import ClusterPrefixStore, ClusterStoreStats
-from repro.kvcache.tiers.config import TIER_NAMES, TierConfig, tier_config_from_dict
+from repro.kvcache.tiers.config import TIER_NAMES, tier_config_from_dict
 from repro.kvcache.tiers.policy import (
     PROMOTION_POLICIES,
     AlwaysPromote,
@@ -37,7 +38,6 @@ from repro.kvcache.tiers.store import (
 
 __all__ = [
     "TIER_NAMES",
-    "TierConfig",
     "tier_config_from_dict",
     "PromotionPolicy",
     "AlwaysPromote",

@@ -1,13 +1,14 @@
-"""Configuration of the tiered prefix-cache subsystem.
+"""Parsing of the tiered prefix-cache configuration.
 
-A :class:`TierConfig` describes the whole hierarchy for one replica: whether
-tiering is on at all, how big the host (L2) and cluster-shared (L3) tiers are,
-which interconnects their transfers are charged through, and the promotion /
-demotion / prefetch policies that move blocks between tiers.  The scenario
-engine parses it from a ``"kv_tiers"`` JSON block via
-:func:`tier_config_from_dict`; the CLI builds it from ``--tier-*`` flags; both
-end up with the same frozen dataclass, which the :class:`~repro.cluster.Fleet`
-hands to every replica it builds.
+A :class:`~repro.spec.models.KVTiersSpec` describes the whole hierarchy for
+one replica: whether tiering is on at all, how big the host (L2) and
+cluster-shared (L3) tiers are, which interconnects their transfers are
+charged through, and the promotion / demotion / prefetch policies that move
+blocks between tiers.  The scenario engine parses it from a ``"kv_tiers"``
+JSON block; the CLI routes its ``--tier-*`` flags through
+:func:`tier_config_from_dict` too; the :class:`~repro.cluster.Fleet` hands
+the one model to every replica it builds, which reads the per-tier sizing
+through ``spec.host`` and ``spec.cluster``.
 
 Config block shape (JSON)::
 
@@ -30,73 +31,12 @@ capacities fail with :class:`~repro.errors.TierCapacityError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.errors import TierCapacityError, TierError
-from repro.kvcache.tiers.policy import PROMOTION_POLICIES
 from repro.spec.core import from_dict
 from repro.spec.models import TIER_NAMES, KVTiersSpec
 
 
-@dataclass(frozen=True)
-class TierConfig:
-    """Everything the tiered prefix cache needs to stand itself up.
-
-    Attributes:
-        enabled: Master switch.  When False every tier code path is skipped
-            and results are byte-identical to a build without tiering.
-        host_gib: Host-memory budget (GiB) of the per-replica L2 store.
-            ``0`` disables L2.
-        cluster_gib: Byte budget (GiB) of the fleet-shared L3 store.
-            ``0`` disables L3.
-        host_link: Interconnect name charged for GPU <-> host transfers.
-        cluster_link: Interconnect name charged for replica <-> cluster-store
-            transfers (peer fetch).
-        promotion: Promotion policy name (see
-            :mod:`repro.kvcache.tiers.policy`).
-        promotion_threshold: The N of ``on-nth-hit``.
-        demote_on_evict: When True, L1 evictions demote into L2 and L2
-            evictions demote into L3 instead of dropping the block.
-        prefetch: When True, the fleet warms the routed replica's L1 with the
-            request's tier-resident continuation before dispatch.
-    """
-
-    enabled: bool = False
-    host_gib: float = 4.0
-    cluster_gib: float = 16.0
-    host_link: str = "pcie-gen4"
-    cluster_link: str = "nvlink"
-    promotion: str = "on-nth-hit"
-    promotion_threshold: int = 2
-    demote_on_evict: bool = True
-    prefetch: bool = True
-
-    def __post_init__(self) -> None:
-        if self.host_gib < 0:
-            raise TierCapacityError(
-                f"host capacity_gib must be non-negative, got {self.host_gib}",
-                tier="host", path="kv_tiers.tiers.host.capacity_gib",
-            )
-        if self.cluster_gib < 0:
-            raise TierCapacityError(
-                f"cluster capacity_gib must be non-negative, got {self.cluster_gib}",
-                tier="cluster", path="kv_tiers.tiers.cluster.capacity_gib",
-            )
-        if self.promotion not in PROMOTION_POLICIES:
-            known = ", ".join(sorted(PROMOTION_POLICIES))
-            raise TierError(
-                f"kv_tiers.promotion: unknown promotion policy "
-                f"{self.promotion!r}; available: {known}"
-            )
-        if self.promotion_threshold < 1:
-            raise TierError(
-                "kv_tiers.promotion_threshold must be >= 1, "
-                f"got {self.promotion_threshold}"
-            )
-
-
-def tier_config_from_dict(config: dict, *, path: str = "kv_tiers") -> TierConfig:
-    """Parse a ``"kv_tiers"`` JSON block into a :class:`TierConfig`.
+def tier_config_from_dict(config: dict, *, path: str = "kv_tiers") -> KVTiersSpec:
+    """Parse a ``"kv_tiers"`` JSON block into a :class:`KVTiersSpec`.
 
     Args:
         config: The decoded JSON object.
@@ -109,24 +49,4 @@ def tier_config_from_dict(config: dict, *, path: str = "kv_tiers") -> TierConfig
         TierCapacityError: if a capacity is negative or not a number.
         TierError: on any other malformed key or value.
     """
-    return tier_config_from_model(from_dict(KVTiersSpec, config, path=path))
-
-
-def tier_config_from_model(model: KVTiersSpec) -> TierConfig:
-    """Convert a parsed :class:`~repro.spec.models.KVTiersSpec` to a config.
-
-    The service half of the model/service split: the spec layer owns shape
-    and value validation; this flattens the per-tier entries into the
-    runtime dataclass every replica consumes.
-    """
-    kwargs: dict = {
-        "enabled": model.enabled,
-        "promotion": model.promotion,
-        "promotion_threshold": model.promotion_threshold,
-        "demote_on_evict": model.demote_on_evict,
-        "prefetch": model.prefetch,
-    }
-    for tier_name, entry in model.tiers.items():
-        kwargs[f"{tier_name}_gib"] = entry.capacity_gib
-        kwargs[f"{tier_name}_link"] = entry.link
-    return TierConfig(**kwargs)
+    return from_dict(KVTiersSpec, config, path=path)

@@ -43,9 +43,9 @@ from dataclasses import dataclass
 from repro.hardware.interconnect import get_interconnect
 from repro.kvcache.offload import CPUOffloadStore
 from repro.kvcache.tiers.cluster_store import ClusterPrefixStore
-from repro.kvcache.tiers.config import TierConfig
 from repro.kvcache.tiers.policy import PromotionPolicy, make_promotion_policy
 from repro.obs.recorder import NULL_RECORDER
+from repro.spec.models import KVTiersSpec
 
 
 @dataclass(frozen=True)
@@ -603,11 +603,11 @@ class TieredPrefixStore:
         self._version += 1
 
 
-def build_tiered_store(config: TierConfig, *, replica: str, block_size: int,
+def build_tiered_store(config: KVTiersSpec, *, replica: str, block_size: int,
                        block_bytes: int,
                        cluster: ClusterPrefixStore | None = None,
                        compute_tokens_per_second: float = 0.0) -> TieredPrefixStore | None:
-    """Construct one replica's tiered store from a :class:`TierConfig`.
+    """Construct one replica's tiered store from a :class:`KVTiersSpec`.
 
     Returns None when the config is disabled.  The cluster store is shared
     fleet-wide and therefore injected, not built here; pass None to run a
@@ -616,11 +616,12 @@ def build_tiered_store(config: TierConfig, *, replica: str, block_size: int,
     if not config.enabled:
         return None
     host = None
-    if config.host_gib > 0:
+    host_tier = config.host
+    if host_tier.capacity_gib > 0:
         host = CPUOffloadStore(
-            capacity_bytes=int(config.host_gib * (1 << 30)),
+            capacity_bytes=int(host_tier.capacity_gib * (1 << 30)),
             block_bytes=block_bytes,
-            link=get_interconnect(config.host_link),
+            link=get_interconnect(host_tier.link),
         )
     return TieredPrefixStore(
         replica=replica,
@@ -634,15 +635,16 @@ def build_tiered_store(config: TierConfig, *, replica: str, block_size: int,
     )
 
 
-def build_cluster_store(config: TierConfig, *, block_bytes: int) -> ClusterPrefixStore | None:
-    """Construct the fleet-shared L3 store from a :class:`TierConfig`.
+def build_cluster_store(config: KVTiersSpec, *, block_bytes: int) -> ClusterPrefixStore | None:
+    """Construct the fleet-shared L3 store from a :class:`KVTiersSpec`.
 
     Returns None when the config is disabled or sizes the cluster tier at 0.
     """
-    if not config.enabled or config.cluster_gib <= 0:
+    cluster_tier = config.cluster
+    if not config.enabled or cluster_tier.capacity_gib <= 0:
         return None
     return ClusterPrefixStore(
-        capacity_bytes=int(config.cluster_gib * (1 << 30)),
+        capacity_bytes=int(cluster_tier.capacity_gib * (1 << 30)),
         block_bytes=block_bytes,
-        link=get_interconnect(config.cluster_link),
+        link=get_interconnect(cluster_tier.link),
     )

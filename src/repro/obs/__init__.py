@@ -16,7 +16,6 @@ counts, and worker pools.
 from repro.obs.recorder import (
     GLOBAL_KEY,
     DEFAULT_LATENCY_BUCKETS,
-    ObsConfig,
     ObsData,
     NULL_RECORDER,
     NullRecorder,
@@ -39,11 +38,9 @@ from repro.obs.analysis import (
     DEFAULT_ALERT_RULES,
     AlertEvent,
     AlertReport,
-    AlertRule,
     CriticalPathReport,
     RequestBreakdown,
     RunDiff,
-    alert_rule_from_model,
     critical_path_report,
     decompose_requests,
     diff_runs,
@@ -54,7 +51,6 @@ from repro.obs.analysis import (
 __all__ = [
     "GLOBAL_KEY",
     "DEFAULT_LATENCY_BUCKETS",
-    "ObsConfig",
     "ObsData",
     "NULL_RECORDER",
     "NullRecorder",
@@ -73,11 +69,9 @@ __all__ = [
     "DEFAULT_ALERT_RULES",
     "AlertEvent",
     "AlertReport",
-    "AlertRule",
     "CriticalPathReport",
     "RequestBreakdown",
     "RunDiff",
-    "alert_rule_from_model",
     "critical_path_report",
     "decompose_requests",
     "diff_runs",

@@ -36,6 +36,7 @@ from math import fsum
 
 from repro.errors import ObsError
 from repro.obs.recorder import ObsData
+from repro.spec.models import AlertRuleSpec
 
 __all__ = [
     "PHASES",
@@ -43,10 +44,8 @@ __all__ = [
     "RequestBreakdown",
     "CriticalPathReport",
     "RunDiff",
-    "AlertRule",
     "AlertEvent",
     "AlertReport",
-    "alert_rule_from_model",
     "decompose_requests",
     "critical_path_report",
     "top_exemplars",
@@ -444,48 +443,15 @@ def diff_runs(a: ObsData, b: ObsData) -> RunDiff:
 # ---------------------------------------------------------- burn-rate alerts
 
 
-@dataclass(frozen=True)
-class AlertRule:
-    """One multi-window burn-rate rule (see ``docs/OBSERVABILITY.md``).
-
-    The error budget is ``1 - objective``; the windowed burn rate is the
-    window's SLO-miss ratio divided by the budget (burn 1.0 consumes exactly
-    the budget over the SLO period).  The rule fires while *both* windows
-    burn at ``burn_rate`` or faster — the long window keeps the alert from
-    flapping, the short window lets it resolve promptly.
-    """
-
-    name: str
-    objective: float = 0.99
-    long_window_s: float = 30.0
-    short_window_s: float = 6.0
-    burn_rate: float = 6.0
-    severity: str = "page"
-    tenant: str | None = None
-
-
 #: The rules ``prefillonly obs alerts`` evaluates when the scenario's
 #: ``"observability"`` block configures none — a fast/slow pair sized for
 #: cookbook-scale runs (tens of simulated seconds, not SRE hours).
 DEFAULT_ALERT_RULES = (
-    AlertRule(name="fast-burn", objective=0.99, long_window_s=10.0,
-              short_window_s=2.0, burn_rate=14.4, severity="page"),
-    AlertRule(name="slow-burn", objective=0.99, long_window_s=30.0,
-              short_window_s=6.0, burn_rate=6.0, severity="ticket"),
+    AlertRuleSpec(name="fast-burn", objective=0.99, long_window_s=10.0,
+                  short_window_s=2.0, burn_rate=14.4, severity="page"),
+    AlertRuleSpec(name="slow-burn", objective=0.99, long_window_s=30.0,
+                  short_window_s=6.0, burn_rate=6.0, severity="ticket"),
 )
-
-
-def alert_rule_from_model(model) -> AlertRule:
-    """Compile one spec-layer :class:`~repro.spec.models.AlertRuleSpec`."""
-    return AlertRule(
-        name=model.name,
-        objective=model.objective,
-        long_window_s=model.long_window_s,
-        short_window_s=model.short_window_s,
-        burn_rate=model.burn_rate,
-        severity=model.severity,
-        tenant=model.tenant,
-    )
 
 
 @dataclass(frozen=True)
@@ -539,8 +505,8 @@ def evaluate_alerts(data: ObsData, rules=DEFAULT_ALERT_RULES, *,
     Args:
         data: The recording (a live run's ``ObsData`` or a parsed spans
             file — only ``finish`` events and ``end_time`` are read).
-        rules: The :class:`AlertRule` list; a rule with ``tenant=None``
-            applies to every tenant in ``slos``.
+        rules: The :class:`~repro.spec.models.AlertRuleSpec` list; a rule
+            with ``tenant=None`` applies to every tenant in ``slos``.
         slos: Tenant name -> latency SLO seconds (a finish is an SLO miss
             when ``latency_s`` exceeds it).  Tenants without an SLO are
             never evaluated.

@@ -23,6 +23,7 @@ import json
 
 from repro.errors import ObsError
 from repro.obs.recorder import GLOBAL_KEY, ObsData
+from repro.spec.models import ObservabilitySpec
 
 __all__ = [
     "SPANS_FORMAT",
@@ -104,10 +105,8 @@ def parse_spans(text: str) -> ObsData:
             f"header promises {header.get('num_events')} events, "
             f"found {len(events)}"
         )
-    from repro.obs.recorder import ObsConfig
-
     return ObsData(
-        config=ObsConfig(enabled=True),
+        config=ObservabilitySpec(enabled=True),
         events=tuple(events),
         replicas=tuple(
             (key, name) for key, name in header.get("replicas", [])

@@ -33,15 +33,16 @@ unsharded series (see :func:`merge_shard_payloads`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum
+
+from repro.spec.models import DEFAULT_LATENCY_BUCKETS, ObservabilitySpec
 
 __all__ = [
     "GLOBAL_KEY",
     "KIND_ORDER",
     "DEFAULT_LATENCY_BUCKETS",
     "SNAPSHOT_ONLY_COUNTERS",
-    "ObsConfig",
     "ObsData",
     "NullRecorder",
     "NULL_RECORDER",
@@ -77,10 +78,6 @@ KIND_ORDER = {
     "degrade": 17,
 }
 
-#: Default request-latency histogram bucket upper edges (seconds).  A value
-#: equal to an edge falls in that edge's bucket (Prometheus ``le`` semantics).
-DEFAULT_LATENCY_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0)
-
 #: Counters kept out of the time series and reported only in the end-of-run
 #: snapshot: they are bumped by the routing coordinator, which in decoupled
 #: parallel shard mode pre-routes the whole stream before simulated time
@@ -89,23 +86,6 @@ DEFAULT_LATENCY_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0
 #: can only occur in configurations the decoupled mode refuses, so their
 #: trajectories are mode-independent.)
 SNAPSHOT_ONLY_COUNTERS = frozenset({"submitted_total", "routed_total"})
-
-
-@dataclass(frozen=True)
-class ObsConfig:
-    """Runtime observability configuration (see the ``"observability"``
-    scenario block in ``docs/SPEC.md``)."""
-
-    enabled: bool = False
-    spans: bool = True
-    metrics: bool = True
-    sample_interval_s: float = 1.0
-    latency_buckets: tuple = DEFAULT_LATENCY_BUCKETS
-    #: Burn-rate alert rules (:class:`repro.obs.analysis.AlertRule`) for the
-    #: post-hoc ``prefillonly obs alerts`` evaluation.  The recorder itself
-    #: never reads them — alerting is a pure read-side analysis, so carrying
-    #: rules here cannot perturb a recording.
-    alerts: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -130,7 +110,7 @@ class ObsData:
         num_boundaries: Sample boundaries recorded (``k = 0 .. n-1``).
     """
 
-    config: ObsConfig
+    config: ObservabilitySpec
     events: tuple = ()
     samples: tuple = ()
     counters: tuple = ()
@@ -187,8 +167,10 @@ class TraceRecorder:
     """Records one run's spans and metrics (see the module docstring).
 
     Args:
-        config: The :class:`ObsConfig` to record under (``enabled`` is
-            implied true — construct the recorder only for enabled runs).
+        config: The :class:`~repro.spec.models.ObservabilitySpec` to record
+            under (``enabled`` is implied true — construct the recorder only
+            for enabled runs).  Its ``alerts`` are never read here: alerting
+            is a pure read-side analysis, so they cannot perturb a recording.
         tenant_slos: Tenant name -> latency SLO (seconds) for the
             ``tenant_slo_ok_total`` attainment counter; tenants without an
             SLO only get ``tenant_finished_total``.
@@ -196,11 +178,12 @@ class TraceRecorder:
 
     enabled = True
 
-    def __init__(self, config: ObsConfig | None = None, *,
+    def __init__(self, config: ObservabilitySpec | None = None, *,
                  tenant_slos: dict | None = None):
-        self.config = config if config is not None else ObsConfig(enabled=True)
+        self.config = config or ObservabilitySpec(enabled=True)
         self.spans = self.config.spans
         self.metrics = self.config.metrics
+        self._buckets = self.config.buckets
         self.tenant_slos = dict(tenant_slos or {})
         #: Last simulated time a hook site reported; demotion events from
         #: un-timestamped eviction cascades borrow it (see
@@ -212,7 +195,7 @@ class TraceRecorder:
         self._counters: dict = {}
         self._samples: list = []
         self._sample_k = 0
-        self._hist_counts = [0] * (len(self.config.latency_buckets) + 1)
+        self._hist_counts = [0] * (len(self._buckets) + 1)
         #: Raw latency observations — the histogram sum is computed with
         #: ``math.fsum`` at freeze/merge time, which is exactly rounded and
         #: therefore independent of observation order, so sharded merges
@@ -310,7 +293,7 @@ class TraceRecorder:
             )
 
     def _observe(self, value: float) -> None:
-        for index, edge in enumerate(self.config.latency_buckets):
+        for index, edge in enumerate(self._buckets):
             if value <= edge:
                 self._hist_counts[index] += 1
                 break
@@ -369,7 +352,7 @@ class TraceRecorder:
             events=tuple(sorted(self._events, key=_event_sort_key)),
             samples=tuple(sorted(self._samples, key=_sample_sort_key)),
             counters=tuple(sorted(self._counters.items())),
-            hist_buckets=tuple(self.config.latency_buckets),
+            hist_buckets=self._buckets,
             hist_counts=tuple(self._hist_counts),
             hist_sum=fsum(self._latencies),
             hist_count=len(self._latencies),
@@ -474,7 +457,7 @@ def merge_shard_payloads(coordinator: TraceRecorder, payloads: list,
         events=tuple(sorted(events, key=_event_sort_key)),
         samples=tuple(sorted(samples, key=_sample_sort_key)),
         counters=tuple(sorted(counters.items())),
-        hist_buckets=tuple(config.latency_buckets),
+        hist_buckets=config.buckets,
         hist_counts=tuple(hist_counts),
         hist_sum=fsum(latencies),
         hist_count=len(latencies),

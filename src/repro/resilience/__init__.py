@@ -1,9 +1,10 @@
 """Resilience policies: deadlines, retries, hedging, breakers, degradation.
 
 This package owns the client-side *reaction* to failure, complementing
-:mod:`repro.faults` (which owns the failures themselves).  A
-:class:`ResilienceConfig` compiled from a JSON ``"resilience"`` block turns
-into a :class:`PolicyRuntime` the :class:`~repro.cluster.fleet.Fleet` drives:
+:mod:`repro.faults` (which owns the failures themselves).  A JSON
+``"resilience"`` block parses into a :class:`~repro.spec.models.ResilienceSpec`
+(:func:`resilience_from_dict`), which the :class:`~repro.cluster.fleet.Fleet`
+hands to the :class:`PolicyRuntime` it drives:
 
 * **deadlines** — requests past ``arrival + timeout_s`` are cancelled in
   queue or mid-flight and accounted as ``deadline_missed``;
@@ -26,16 +27,7 @@ across shard counts, shard modes, and worker pools (policies force lockstep
 mode, the ordinary fleet loop).  See ``docs/RESILIENCE.md``.
 """
 
-from repro.resilience.config import (
-    BreakerPolicy,
-    DeadlinePolicy,
-    DegradationPolicy,
-    HedgePolicy,
-    ResilienceConfig,
-    RetryPolicy,
-    resilience_from_dict,
-    resilience_from_model,
-)
+from repro.resilience.config import resilience_from_dict
 from repro.resilience.policy import (
     BreakerBank,
     CircuitBreaker,
@@ -46,16 +38,9 @@ from repro.resilience.policy import (
 
 __all__ = [
     "BreakerBank",
-    "BreakerPolicy",
     "CircuitBreaker",
-    "DeadlinePolicy",
-    "DegradationPolicy",
     "DegradeController",
     "HealthAwareRouter",
-    "HedgePolicy",
     "PolicyRuntime",
-    "ResilienceConfig",
-    "RetryPolicy",
     "resilience_from_dict",
-    "resilience_from_model",
 ]

@@ -1,10 +1,12 @@
-"""Compiled resilience-policy configuration.
+"""Parsing of the ``"resilience"`` config block.
 
-The frozen runtime mirror of the spec layer's ``"resilience"`` block
-(:class:`repro.spec.models.ResilienceSpec`): the spec models own shape,
-types, ranges, and cross-field validation; this module owns only the
-*compile* step (model -> plain runtime dataclasses) so the hot policy code
-never touches spec machinery.
+The block's runtime config is its spec model,
+:class:`repro.spec.models.ResilienceSpec`, whose optional sub-specs
+(``DeadlineSpec``, ``RetrySpec``, ``HedgeSpec``, ``BreakerSpec``,
+``DegradationSpec``) the policy state machines in
+:mod:`repro.resilience.policy` read directly.  The spec models own shape,
+types, ranges, and cross-field validation; this module is the parse entry
+point for a bare block (the ``fleet --resilience`` file).
 
 Config block shape (JSON)::
 
@@ -24,180 +26,23 @@ Config block shape (JSON)::
     }
 
 Every sub-policy is optional and independent; a block with none of them (or
-``enabled: false``) compiles to an inactive config the fleet treats exactly
-like ``None``.
+``enabled: false``) is inactive (``ResilienceSpec.active`` is false), and the
+fleet treats it exactly like ``None``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.spec.core import from_dict
 from repro.spec.models import ResilienceSpec
 
-__all__ = [
-    "BreakerPolicy",
-    "DeadlinePolicy",
-    "DegradationPolicy",
-    "HedgePolicy",
-    "ResilienceConfig",
-    "RetryPolicy",
-    "resilience_from_dict",
-    "resilience_from_model",
-]
+__all__ = ["resilience_from_dict"]
 
 
-@dataclass(frozen=True)
-class DeadlinePolicy:
-    """Cancel requests older than ``timeout_s`` (measured from arrival)."""
-
-    timeout_s: float
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded, seeded exponential backoff for crash-evacuated requests.
-
-    ``max_attempts`` counts *executions* of one request (the first submission
-    is attempt 1); ``budget_per_tenant`` caps the retries one tenant may
-    consume across the whole run (``None`` = unlimited).  The backoff before
-    re-execution of attempt ``n + 1`` is::
-
-        backoff_base_s * backoff_multiplier ** (n - 1) * (1 + jitter * u)
-
-    with ``u`` drawn from ``default_rng([seed, request_id, n])`` — one
-    independent stream per (request, attempt), the same derivation discipline
-    sharding uses, so the schedule is a pure function of the config.
-    """
-
-    max_attempts: int
-    budget_per_tenant: int | None
-    backoff_base_s: float
-    backoff_multiplier: float
-    jitter: float
-
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """Duplicate stragglers onto a second replica; first completion wins.
-
-    The hedge delay is ``delay_s`` when fixed, otherwise the ``percentile``
-    of the trailing completed latencies once ``min_samples`` completions
-    exist (never below ``min_delay_s``); until then no hedges launch.
-    """
-
-    delay_s: float | None
-    percentile: float
-    min_samples: int
-    min_delay_s: float
-
-
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Per-replica circuit breaker (closed -> open -> half-open -> closed)."""
-
-    window: int
-    failure_ratio: float
-    min_samples: int
-    cooldown_s: float
-    half_open_probes: int
-    slow_latency_s: float | None
-
-
-@dataclass(frozen=True)
-class DegradationPolicy:
-    """Brownout tiers under sustained queue pressure.
-
-    Pressure is the mean waiting-queue depth per routable replica, sampled
-    at every fleet submit.  Tier 1 (``depth_per_replica``) pauses prefetch
-    and L3-publish traffic; tier 2 (``shed_depth_per_replica``) additionally
-    sheds ``low_priority_tenants`` at admission.  A tier engages only after
-    ``sustain_s`` of continuous pressure and releases only after
-    ``recover_s`` below the threshold (hysteresis).
-    """
-
-    depth_per_replica: float
-    shed_depth_per_replica: float | None
-    sustain_s: float
-    recover_s: float
-    low_priority_tenants: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """One compiled ``"resilience"`` block."""
-
-    enabled: bool = True
-    seed: int = 0
-    deadline: DeadlinePolicy | None = None
-    retry: RetryPolicy | None = None
-    hedge: HedgePolicy | None = None
-    breaker: BreakerPolicy | None = None
-    degrade: DegradationPolicy | None = None
-
-    @property
-    def active(self) -> bool:
-        """True when the config will actually change fleet behaviour."""
-        return self.enabled and any(
-            policy is not None
-            for policy in (self.deadline, self.retry, self.hedge,
-                           self.breaker, self.degrade)
-        )
-
-
-def resilience_from_dict(config: dict, *, path: str = "resilience") -> ResilienceConfig:
-    """Parse a ``"resilience"`` JSON block into a :class:`ResilienceConfig`.
+def resilience_from_dict(config: dict, *, path: str = "resilience") -> ResilienceSpec:
+    """Parse a ``"resilience"`` JSON block into a :class:`ResilienceSpec`.
 
     Raises:
         ResilienceSpecError: on any malformed key, type, range, or
             cross-field rule (the message carries the dotted JSON path).
     """
-    return resilience_from_model(from_dict(ResilienceSpec, config, path=path))
-
-
-def resilience_from_model(model: ResilienceSpec) -> ResilienceConfig:
-    """Compile a parsed :class:`~repro.spec.models.ResilienceSpec`."""
-    deadline = retry = hedge = breaker = degrade = None
-    if model.deadline is not None:
-        deadline = DeadlinePolicy(timeout_s=model.deadline.timeout_s)
-    if model.retry is not None:
-        retry = RetryPolicy(
-            max_attempts=model.retry.max_attempts,
-            budget_per_tenant=model.retry.budget_per_tenant,
-            backoff_base_s=model.retry.backoff_base_s,
-            backoff_multiplier=model.retry.backoff_multiplier,
-            jitter=model.retry.jitter,
-        )
-    if model.hedge is not None:
-        hedge = HedgePolicy(
-            delay_s=model.hedge.delay_s,
-            percentile=model.hedge.percentile,
-            min_samples=model.hedge.min_samples,
-            min_delay_s=model.hedge.min_delay_s,
-        )
-    if model.breaker is not None:
-        breaker = BreakerPolicy(
-            window=model.breaker.window,
-            failure_ratio=model.breaker.failure_ratio,
-            min_samples=model.breaker.min_samples,
-            cooldown_s=model.breaker.cooldown_s,
-            half_open_probes=model.breaker.half_open_probes,
-            slow_latency_s=model.breaker.slow_latency_s,
-        )
-    if model.degrade is not None:
-        degrade = DegradationPolicy(
-            depth_per_replica=model.degrade.depth_per_replica,
-            shed_depth_per_replica=model.degrade.shed_depth_per_replica,
-            sustain_s=model.degrade.sustain_s,
-            recover_s=model.degrade.recover_s,
-            low_priority_tenants=tuple(model.degrade.low_priority_tenants),
-        )
-    return ResilienceConfig(
-        enabled=model.enabled,
-        seed=model.seed,
-        deadline=deadline,
-        retry=retry,
-        hedge=hedge,
-        breaker=breaker,
-        degrade=degrade,
-    )
+    return from_dict(ResilienceSpec, config, path=path)

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.resilience.config import ResilienceConfig
 from repro.simulation.routing import Router
+from repro.spec.models import ResilienceSpec
 from repro.workloads.trace import Request
 
 __all__ = [
@@ -124,7 +124,7 @@ class BreakerBank:
     evaluate lazy cooldown transitions at the correct simulated instant.
 
     Args:
-        policy: The :class:`~repro.resilience.config.BreakerPolicy`.
+        policy: The :class:`~repro.spec.models.BreakerSpec`.
         on_transition: Optional ``(key, old_state, new_state, time)``
             callback for observability / counters.
     """
@@ -327,7 +327,7 @@ class PolicyRuntime:
     engines directly.
     """
 
-    def __init__(self, config: ResilienceConfig, *,
+    def __init__(self, config: ResilienceSpec, *,
                  on_breaker_transition=None, on_degrade_transition=None) -> None:
         self.config = config
         self.deadline = config.deadline

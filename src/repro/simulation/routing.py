@@ -19,6 +19,7 @@ from __future__ import annotations
 import abc
 from typing import Sequence
 
+from repro.errors import UnknownNameError
 from repro.workloads.trace import Request
 
 
@@ -216,6 +217,5 @@ def make_router(name: str, num_instances: int) -> Router:
     try:
         factory = ROUTER_FACTORIES[name]
     except KeyError:
-        known = ", ".join(sorted(ROUTER_FACTORIES))
-        raise ValueError(f"unknown router {name!r}; known routers: {known}") from None
+        raise UnknownNameError("router", name, tuple(ROUTER_FACTORIES)) from None
     return factory(num_instances)

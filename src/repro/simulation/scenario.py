@@ -67,16 +67,19 @@ from repro.cluster import Fleet, QueueDepthAdmission, ReactiveAutoscaler
 from repro.errors import ScenarioError
 from repro.faults import FaultSchedule, fault_schedule_from_model
 from repro.hardware.cluster import get_hardware_setup
-from repro.kvcache.tiers import TierConfig
-from repro.kvcache.tiers.config import tier_config_from_model
-from repro.obs.analysis import alert_rule_from_model
 from repro.obs.logging import get_logger, set_context
-from repro.obs.recorder import DEFAULT_LATENCY_BUCKETS, ObsConfig, TraceRecorder
+from repro.obs.recorder import TraceRecorder
 from repro.perf.runner import ParallelRunner, resolve_runner
-from repro.resilience.config import ResilienceConfig, resilience_from_model
 from repro.simulation.arrival import make_arrival
 from repro.spec.core import from_dict, to_dict
-from repro.spec.models import ScenarioModel, TenantModel
+from repro.spec.models import (
+    AutoscaleSpec,
+    KVTiersSpec,
+    ObservabilitySpec,
+    ResilienceSpec,
+    ScenarioModel,
+    TenantModel,
+)
 from repro.simulation.metrics import LatencySummary, summarize_finished
 from repro.simulation.routing import make_router
 from repro.simulation.simulator import FleetSimulationResult, simulate_fleet
@@ -98,11 +101,6 @@ __all__ = [
     "run_scenario_suite",
 ]
 
-_AUTOSCALE_KEYS = {
-    "min_replicas", "max_replicas", "scale_up_rps_per_replica",
-    "window_seconds", "cooldown_seconds",
-}
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -115,13 +113,13 @@ class ScenarioSpec:
     replicas: int | None = None
     router: str = "user-id"
     max_queue_depth: int | None = None
-    autoscale: dict | None = None
+    autoscale: AutoscaleSpec | None = None
     seed: int = 0
     max_input_length: int | None = None
     #: Tiered prefix-cache configuration, parsed from the ``"kv_tiers"``
     #: config block (None or ``enabled: false`` runs without tiering, with
     #: results byte-identical to a config that omits the block entirely).
-    kv_tiers: TierConfig | None = None
+    kv_tiers: KVTiersSpec | None = None
     #: Fault schedule, parsed from the ``"faults"`` config block (see
     #: ``docs/FAULTS.md``).  None or ``enabled: false`` injects nothing, with
     #: results byte-identical to a config that omits the block entirely.
@@ -135,12 +133,12 @@ class ScenarioSpec:
     #: config block (see ``docs/OBSERVABILITY.md``).  None or ``enabled:
     #: false`` records nothing, with results byte-identical to a config that
     #: omits the block entirely.
-    observability: ObsConfig | None = None
+    observability: ObservabilitySpec | None = None
     #: Resilience policies, parsed from the ``"resilience"`` config block
     #: (see ``docs/RESILIENCE.md``).  None, ``enabled: false``, or a block
     #: with no sub-policies changes nothing, with results byte-identical to a
     #: config that omits the block entirely.
-    resilience: ResilienceConfig | None = None
+    resilience: ResilienceSpec | None = None
 
     def __post_init__(self) -> None:
         if not self.tenants:
@@ -149,12 +147,6 @@ class ScenarioSpec:
             raise ScenarioError(f"scenario {self.name!r}: replicas must be >= 1")
         if self.shards < 1:
             raise ScenarioError(f"scenario {self.name!r}: shards must be >= 1")
-        if self.autoscale is not None:
-            unknown = set(self.autoscale) - _AUTOSCALE_KEYS
-            if unknown:
-                raise ScenarioError(
-                    f"scenario {self.name!r}: unknown autoscale keys {sorted(unknown)}"
-                )
 
 
 def _tenant_from_model(model: TenantModel, *, index: int,
@@ -194,44 +186,25 @@ def scenario_from_dict(config: dict) -> ScenarioSpec:
 def scenario_from_model(model: ScenarioModel) -> ScenarioSpec:
     """Convert a parsed :class:`~repro.spec.models.ScenarioModel` to a spec.
 
-    The service half of the model/service split.  Everything the spec layer
-    cannot know lives here: seed-defaulting for tenant workload and arrival
-    streams, arrival-process construction, and compiling the nested
-    ``kv_tiers`` / ``faults`` models into their runtime objects.
+    Only the steps that do real work live here: seed-defaulting for tenant
+    workload and arrival streams, arrival-process construction, and
+    compiling the ``faults`` model into its schedule.  Every other nested
+    block (``autoscale``, ``kv_tiers``, ``observability``, ``resilience``)
+    is its own runtime config and is carried over as parsed; an inactive
+    ``resilience`` block is dropped.
     """
     tenants = tuple(
         _tenant_from_model(entry, index=index, scenario_seed=model.seed)
         for index, entry in enumerate(model.tenants)
     )
-    kv_tiers = None
-    if model.kv_tiers is not None:
-        kv_tiers = tier_config_from_model(model.kv_tiers)
     faults = None
     if model.faults is not None:
         faults = fault_schedule_from_model(
             model.faults, default_replicas=model.replicas
         )
-    observability = None
-    if model.observability is not None:
-        obs_model = model.observability
-        observability = ObsConfig(
-            enabled=obs_model.enabled,
-            spans=obs_model.spans,
-            metrics=obs_model.metrics,
-            sample_interval_s=obs_model.sample_interval_s,
-            latency_buckets=(
-                tuple(obs_model.latency_buckets) if obs_model.latency_buckets
-                else DEFAULT_LATENCY_BUCKETS
-            ),
-            alerts=tuple(
-                alert_rule_from_model(rule) for rule in obs_model.alerts
-            ),
-        )
-    resilience = None
-    if model.resilience is not None:
-        compiled = resilience_from_model(model.resilience)
-        if compiled.active:
-            resilience = compiled
+    resilience = model.resilience
+    if resilience is not None and not resilience.active:
+        resilience = None
     return ScenarioSpec(
         name=model.name,
         tenants=tenants,
@@ -240,13 +213,13 @@ def scenario_from_model(model: ScenarioModel) -> ScenarioSpec:
         replicas=model.replicas,
         router=model.router,
         max_queue_depth=model.max_queue_depth,
-        autoscale=to_dict(model.autoscale) if model.autoscale is not None else None,
+        autoscale=model.autoscale,
         seed=model.seed,
         max_input_length=model.max_input_length,
-        kv_tiers=kv_tiers,
+        kv_tiers=model.kv_tiers,
         faults=faults,
         shards=model.shards,
-        observability=observability,
+        observability=model.observability,
         resilience=resilience,
     )
 
@@ -329,7 +302,7 @@ def _build_fleet(spec: ScenarioSpec, max_input_length: int) -> Fleet:
         admission = QueueDepthAdmission(spec.max_queue_depth)
     autoscaler = None
     if spec.autoscale is not None:
-        autoscaler = ReactiveAutoscaler(**spec.autoscale)
+        autoscaler = ReactiveAutoscaler(**to_dict(spec.autoscale))
     recorder = None
     if spec.observability is not None and spec.observability.enabled:
         recorder = TraceRecorder(

@@ -145,7 +145,7 @@ class _ShardTask:
     arrivals: tuple
     max_simulated_seconds: float
     max_events: int
-    #: :class:`~repro.obs.recorder.ObsConfig` when the run records
+    #: :class:`~repro.spec.models.ObservabilitySpec` when the run records
     #: observability, else ``None`` (the shard uses the null recorder).
     obs_config: object = None
     #: ``(tenant, slo_latency_s)`` pairs for the shard recorder's SLO counter.

@@ -27,10 +27,11 @@ build does not support raises :class:`~repro.errors.SpecVersionError` naming
 the supported versions, so a config written for a future format fails loudly
 instead of half-parsing.
 
-Models stay *pure data* mirroring the JSON shape (the firebolt SDK's
-model/service split): the service layers (``repro.simulation.scenario``,
-``repro.kvcache.tiers.config``, ``repro.faults.schedule``) convert models into
-the runtime objects they always produced, byte-identically.
+A model is the one typed description of its block (the firebolt SDK's
+model/service split): where the JSON shape is the runtime shape, services
+take the parsed model itself; a service layer compiles a model only where
+that does real work (``repro.faults.schedule`` builds the fault event
+queue, ``repro.simulation.scenario`` the tenants' arrival processes).
 """
 
 from __future__ import annotations

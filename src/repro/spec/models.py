@@ -1,18 +1,22 @@
 """The declarative spec models of every JSON config format.
 
-Pure-data mirrors of the JSON shapes the system parses — scenario documents,
-``"kv_tiers"`` blocks, ``"faults"`` blocks, tenants, autoscale policies, and
-fault events — declared once with :func:`repro.spec.core.spec_field` and
-consumed three ways: parsing (:func:`repro.spec.core.from_dict`),
-normalization / docs generation, and hypothesis fuzzing
-(:mod:`repro.spec.fuzz`).
+Typed models of the JSON shapes the system parses — scenario documents,
+``"kv_tiers"``, ``"faults"``, ``"observability"`` and ``"resilience"``
+blocks, tenants, autoscale policies, alert rules, and fault events —
+declared once with :func:`repro.spec.core.spec_field` and consumed three
+ways: parsing (:func:`repro.spec.core.from_dict`), normalization / docs
+generation, and hypothesis fuzzing (:mod:`repro.spec.fuzz`).
 
-The models deliberately know nothing about engines, fleets, or schedules:
-converting a model into its runtime object (``TierConfig``,
-``FaultSchedule``, ``ScenarioSpec``) is the service layer's job
-(``repro.kvcache.tiers.config``, ``repro.faults.schedule``,
-``repro.simulation.scenario``), which keeps the dependency direction
-one-way and the parse results byte-identical to the pre-spec parsers.
+Where a block's JSON shape is its runtime shape, the model *is* the runtime
+config: fleets, replicas, tier stores, recorders, alert evaluation and the
+resilience policies read :class:`KVTiersSpec`, :class:`ObservabilitySpec`,
+:class:`AlertRuleSpec`, :class:`ResilienceSpec` and its sub-specs directly,
+through a few read-only properties for the derived views (``host``,
+``buckets``, ``active``).  Only blocks whose runtime object does real work
+beyond the JSON are compiled by a service layer: the fault schedule
+(``repro.faults.schedule``) and the tenants and scenario
+(``repro.simulation.scenario``).  The models import nothing from engines,
+fleets, or schedules, which keeps the dependency direction one-way.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.spec.core import from_dict, normalize, spec_field, spec_model
 __all__ = [
     "TIER_NAMES",
     "FAULT_KINDS",
+    "DEFAULT_LATENCY_BUCKETS",
     "HostTierSpec",
     "ClusterTierSpec",
     "KVTiersSpec",
@@ -71,6 +76,11 @@ FAULT_KINDS = ("crash", "recover", "slow", "brownout", "outage", "spot_preempt")
 #: literal so the spec layer stays import-light — pinned against the registry
 #: by the spec tests).
 PROMOTION_POLICY_NAMES = ("always", "never", "on-nth-hit")
+
+#: Default request-latency histogram bucket upper edges (seconds), used when
+#: an ``"observability"`` block leaves ``latency_buckets`` empty.  A value
+#: equal to an edge falls in that edge's bucket (Prometheus ``le`` semantics).
+DEFAULT_LATENCY_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0)
 
 
 def _capacity_check(tier: str):
@@ -165,6 +175,16 @@ class KVTiersSpec:
         default=True, types=bool,
         doc="Router-hint prefetch into the routed replica before dispatch.",
     )
+
+    @property
+    def host(self) -> HostTierSpec:
+        """The host (L2) tier's sizing; its defaults when ``tiers`` omits it."""
+        return self.tiers.get("host") or HostTierSpec()
+
+    @property
+    def cluster(self) -> ClusterTierSpec:
+        """The cluster (L3) tier's sizing; its defaults when ``tiers`` omits it."""
+        return self.tiers.get("cluster") or ClusterTierSpec()
 
 
 # --------------------------------------------------------------- fault events
@@ -485,7 +505,12 @@ class AlertRuleSpec:
     """One multi-window burn-rate alert rule under ``observability.alerts``.
 
     Evaluated post-hoc by ``prefillonly obs alerts`` against the tenants'
-    latency SLOs (see "Analyzing traces" in ``docs/OBSERVABILITY.md``).
+    latency SLOs (see "Analyzing traces" in ``docs/OBSERVABILITY.md``).  The
+    error budget is ``1 - objective``; the windowed burn rate is the window's
+    SLO-miss ratio divided by the budget (burn 1.0 consumes exactly the
+    budget over the SLO period).  The rule fires while *both* windows burn at
+    ``burn_rate`` or faster — the long window keeps the alert from flapping,
+    the short window lets it resolve promptly.
     """
 
     name: str = spec_field(
@@ -587,6 +612,12 @@ class ObservabilitySpec:
         doc="Burn-rate alert rules for ``prefillonly obs alerts``.",
     )
 
+    @property
+    def buckets(self) -> tuple:
+        """The histogram bucket edges to record: ``latency_buckets``, or
+        :data:`DEFAULT_LATENCY_BUCKETS` when it is empty."""
+        return tuple(self.latency_buckets) or DEFAULT_LATENCY_BUCKETS
+
     def __spec_validate__(self, path: str) -> None:
         for previous, current in zip(self.latency_buckets,
                                      self.latency_buckets[1:]):
@@ -618,11 +649,18 @@ class DeadlineSpec:
             title="resilience.retry")
 @dataclass(frozen=True)
 class RetrySpec:
-    """Bounded retries with exponential backoff + seeded jitter."""
+    """Bounded retries with exponential backoff + seeded jitter.
+
+    The backoff before re-execution ``n + 1`` is
+    ``backoff_base_s * backoff_multiplier ** (n - 1) * (1 + jitter * u)``
+    with ``u`` drawn from ``default_rng([seed, request_id, n])``, one stream
+    per (request, attempt), so the schedule is a pure function of the config.
+    """
 
     max_attempts: int = spec_field(
         default=3, types=int, minimum=1, fuzz=(1, 4),
-        doc="Maximum re-executions of one request after crashes.",
+        doc="Maximum executions of one request; the first submission is "
+            "attempt 1.",
     )
     budget_per_tenant: int | None = spec_field(
         default=None, types=int, minimum=0, fuzz=(0, 64),
@@ -715,7 +753,13 @@ class BreakerSpec:
             title="resilience.degrade")
 @dataclass(frozen=True)
 class DegradationSpec:
-    """Brownout tiers: shed background traffic under sustained pressure."""
+    """Brownout tiers: shed background traffic under sustained pressure.
+
+    Pressure is the mean waiting-queue depth per routable replica, sampled
+    at every fleet submit; a tier engages only after ``sustain_s`` of
+    continuous pressure and releases only after ``recover_s`` below its
+    threshold (hysteresis).
+    """
 
     depth_per_replica: float = spec_field(
         types=(int, float), minimum=0, exclusive_minimum=True, convert=float,
@@ -800,6 +844,16 @@ class ResilienceSpec:
         default=None, model=DegradationSpec,
         doc="Optional degraded-mode (brownout-tier) controller.",
     )
+
+    @property
+    def active(self) -> bool:
+        """True when the block will actually change fleet behaviour; an
+        inactive block is treated exactly like an absent one."""
+        return self.enabled and any(
+            policy is not None
+            for policy in (self.deadline, self.retry, self.hedge,
+                           self.breaker, self.degrade)
+        )
 
 
 @spec_model(error=ScenarioSpecError, path="tenants[]", title="tenants[]")
@@ -921,6 +975,22 @@ class ScenarioModel:
         default=None, model=ResilienceSpec,
         doc="Optional resilience policies (see ``docs/RESILIENCE.md``).",
     )
+
+    def __spec_validate__(self, path: str) -> None:
+        # A misspelt low-priority tenant would otherwise never match a request
+        # and silently disable shedding.
+        degrade = self.resilience.degrade if self.resilience is not None else None
+        if degrade is None:
+            return
+        names = sorted(tenant.name for tenant in self.tenants)
+        prefix = f"{path}." if path else ""
+        for index, name in enumerate(degrade.low_priority_tenants):
+            if name not in names:
+                raise ScenarioSpecError(
+                    f"unknown low-priority tenant {name!r}; scenario tenants: "
+                    f"{', '.join(names)}",
+                    path=f"{prefix}resilience.degrade.low_priority_tenants[{index}]",
+                )
 
 
 #: The models whose field tables ``docs/SPEC.md`` is generated from,

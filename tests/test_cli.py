@@ -183,6 +183,21 @@ def test_scenario_run_unknown_key_exits_2_naming_the_key(tmp_path, capsys):
     assert "repliacs" in err
 
 
+def test_scenario_run_unknown_router_exits_2(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "name": "bad", "router": "bogus",
+        "tenants": [{
+            "name": "t", "workload": "post-recommendation",
+            "arrival": "poisson", "arrival_params": {"rate": 2.0},
+        }],
+    }))
+    code = main(["scenario", "run", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "prefillonly: error: unknown router 'bogus'" in err
+
+
 def test_spec_overview_lists_every_model(capsys):
     from repro.spec.models import DOCUMENTED_MODELS
 

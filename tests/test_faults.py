@@ -23,7 +23,7 @@ from repro.faults import (
     generate_crash_schedule,
 )
 from repro.kvcache.offload import CPUOffloadStore
-from repro.kvcache.tiers import ClusterPrefixStore, TierConfig
+from repro.kvcache.tiers import ClusterPrefixStore, tier_config_from_dict
 from repro.simulation.arrival import PoissonArrivalProcess
 from repro.simulation.simulator import simulate_fleet
 
@@ -31,7 +31,9 @@ from repro.simulation.simulator import simulate_fleet
 def build_fleet(setup, trace, *, num_replicas=2, tiers=False, **kwargs):
     tier_config = None
     if tiers:
-        tier_config = TierConfig(enabled=True, host_gib=1.0, cluster_gib=4.0)
+        tier_config = tier_config_from_dict({"enabled": True, "tiers": {
+            "host": {"capacity_gib": 1.0}, "cluster": {"capacity_gib": 4.0},
+        }})
     return Fleet.for_setup(
         prefillonly_engine_spec(), setup,
         max_input_length=trace.max_request_tokens,
@@ -423,8 +425,11 @@ def test_recovery_warm_restores_and_serves_warm_hits(h100_setup):
         spec, h100_setup,
         max_input_length=trace.max_request_tokens, num_replicas=2,
         router=make_router("least-loaded", 2),
-        tier_config=TierConfig(enabled=True, host_gib=0.5, cluster_gib=16.0,
-                               promotion="always"),
+        tier_config=tier_config_from_dict({
+            "enabled": True, "promotion": "always",
+            "tiers": {"host": {"capacity_gib": 0.5},
+                      "cluster": {"capacity_gib": 16.0}},
+        }),
     )
     schedule = fault_schedule_from_dict({
         "warm_restore_blocks": 4096,

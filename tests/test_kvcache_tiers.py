@@ -12,7 +12,6 @@ from repro.kvcache.manager import CommitPolicy, KVCacheManager
 from repro.kvcache.prefix_tree import RadixPrefixCache
 from repro.kvcache.tiers import (
     ClusterPrefixStore,
-    TierConfig,
     TieredPrefixStore,
     build_cluster_store,
     build_tiered_store,
@@ -20,6 +19,7 @@ from repro.kvcache.tiers import (
     tier_config_from_dict,
 )
 from repro.kvcache.tiers.policy import AlwaysPromote, NeverPromote, PromoteOnNthHit
+from repro.spec.models import KVTiersSpec
 
 BLOCK_SIZE = 4
 BLOCK_BYTES = 1024
@@ -35,14 +35,16 @@ def make_stack(*, gpu_blocks=8, host_blocks=8, cluster_blocks=32,
                promotion="always", threshold=2, demote_on_evict=True,
                replica="r0", cluster=None):
     """A manager + tiered store with capacities expressed in blocks."""
-    config = TierConfig(
-        enabled=True,
-        host_gib=host_blocks * BLOCK_BYTES / (1 << 30),
-        cluster_gib=cluster_blocks * BLOCK_BYTES / (1 << 30),
-        promotion=promotion,
-        promotion_threshold=threshold,
-        demote_on_evict=demote_on_evict,
-    )
+    config = tier_config_from_dict({
+        "enabled": True,
+        "tiers": {
+            "host": {"capacity_gib": host_blocks * BLOCK_BYTES / (1 << 30)},
+            "cluster": {"capacity_gib": cluster_blocks * BLOCK_BYTES / (1 << 30)},
+        },
+        "promotion": promotion,
+        "promotion_threshold": threshold,
+        "demote_on_evict": demote_on_evict,
+    })
     if cluster is None:
         cluster = build_cluster_store(config, block_bytes=BLOCK_BYTES)
     tiers = build_tiered_store(
@@ -67,7 +69,7 @@ def run_request(manager, hashes, *, now=0.0, policy=CommitPolicy.SUFFIX_DISCARD)
 
 
 def test_tier_config_defaults_disabled():
-    assert TierConfig().enabled is False
+    assert KVTiersSpec().enabled is False
     assert tier_config_from_dict({}).enabled is False
 
 
@@ -81,7 +83,8 @@ def test_tier_config_parses_full_block():
         "demote_on_evict": False,
         "prefetch": False,
     })
-    assert config.enabled and config.host_gib == 2.0 and config.cluster_gib == 8.0
+    assert config.enabled and config.host.capacity_gib == 2.0
+    assert config.cluster.capacity_gib == 8.0
     assert config.promotion_threshold == 3
     assert config.demote_on_evict is False and config.prefetch is False
 
@@ -142,7 +145,7 @@ def test_promotion_policy_registry():
 
 
 def test_build_tiered_store_disabled_returns_none():
-    config = TierConfig(enabled=False)
+    config = tier_config_from_dict({"enabled": False})
     assert build_tiered_store(config, replica="r", block_size=4, block_bytes=8) is None
     assert build_cluster_store(config, block_bytes=8) is None
 
@@ -313,8 +316,10 @@ def test_drain_refuses_with_active_lease():
 
 def test_peer_replica_fetches_published_prefix():
     """A prefix computed on replica A is matchable and fetchable on replica B."""
-    shared_config = TierConfig(enabled=True, host_gib=0.0,
-                               cluster_gib=32 * BLOCK_BYTES / (1 << 30))
+    shared_config = tier_config_from_dict({"enabled": True, "tiers": {
+        "host": {"capacity_gib": 0.0},
+        "cluster": {"capacity_gib": 32 * BLOCK_BYTES / (1 << 30)},
+    }})
     cluster = build_cluster_store(shared_config, block_bytes=BLOCK_BYTES)
     manager_a, tiers_a, _ = make_stack(gpu_blocks=4, host_blocks=0, cluster_blocks=0,
                                        replica="a", cluster=cluster)

@@ -310,7 +310,7 @@ def test_tiered_chaos_fleet_identical_with_memo_on_and_off(h100_setup, small_pos
     from repro.cluster import Fleet
     from repro.core.engine import prefillonly_engine_spec
     from repro.faults import fault_schedule_from_dict
-    from repro.kvcache.tiers import TierConfig
+    from repro.kvcache.tiers import tier_config_from_dict
     from repro.simulation.arrival import make_arrival
     from repro.simulation.simulator import simulate_fleet
 
@@ -330,7 +330,9 @@ def test_tiered_chaos_fleet_identical_with_memo_on_and_off(h100_setup, small_pos
         fleet = Fleet.for_setup(
             prefillonly_engine_spec().with_overrides(use_fitted_jct=True), h100_setup,
             max_input_length=small_post_trace.max_request_tokens, num_replicas=4,
-            tier_config=TierConfig(enabled=True, host_gib=2.0, cluster_gib=8.0),
+            tier_config=tier_config_from_dict({"enabled": True, "tiers": {
+                "host": {"capacity_gib": 2.0}, "cluster": {"capacity_gib": 8.0},
+            }}),
         )
         requests = make_arrival("mmpp", base_rate=4.0, burst_rate=40.0, seed=2).assign(
             list(small_post_trace.requests)

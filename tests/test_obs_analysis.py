@@ -28,14 +28,13 @@ from repro.errors import ObsError, ScenarioSpecError
 from repro.obs.analysis import (
     DEFAULT_ALERT_RULES,
     PHASES,
-    AlertRule,
     decompose_requests,
     diff_runs,
     evaluate_alerts,
     top_exemplars,
 )
 from repro.obs.exporters import export_alerts, export_spans
-from repro.obs.recorder import ObsConfig, ObsData
+from repro.obs.recorder import ObsData
 from repro.obs.schema import validate_json
 from repro.simulation.scenario import (
     build_mix,
@@ -45,7 +44,7 @@ from repro.simulation.scenario import (
 )
 from repro.spec.core import from_dict
 from repro.spec.fuzz import scenario_configs
-from repro.spec.models import AlertRuleSpec
+from repro.spec.models import AlertRuleSpec, ObservabilitySpec
 
 fuzz_settings = settings.get_profile("fuzz-run")
 
@@ -84,7 +83,7 @@ def _slow_variant() -> dict:
 
 def _recorded(spec):
     """Run a scenario with recording force-enabled and return its ObsData."""
-    spec = dataclasses.replace(spec, observability=ObsConfig(enabled=True))
+    spec = dataclasses.replace(spec, observability=ObservabilitySpec(enabled=True))
     return run_scenario(spec).result.obs
 
 
@@ -194,12 +193,12 @@ def test_burn_rate_alert_fires_and_resolves_on_synthetic_trace():
                  "tokens": 1, "tenant": "t"}, 0)
 
     data = ObsData(
-        config=ObsConfig(enabled=True, sample_interval_s=1.0),
+        config=ObservabilitySpec(enabled=True, sample_interval_s=1.0),
         events=(finish(0.25, 5.0), finish(0.5, 5.0), finish(6.5, 0.1)),
         end_time=10.0,
     )
-    rule = AlertRule(name="r", objective=0.5, long_window_s=4.0,
-                     short_window_s=1.0, burn_rate=1.5, severity="page")
+    rule = AlertRuleSpec(name="r", objective=0.5, long_window_s=4.0,
+                         short_window_s=1.0, burn_rate=1.5, severity="page")
     report = evaluate_alerts(data, (rule,), slos={"t": 1.0})
     transitions = [(e.time, e.state) for e in report.events]
     # Boundary 1: both misses are inside [long -4, short -1) windows; the
@@ -231,8 +230,8 @@ def test_alert_evaluation_is_deterministic_and_schema_valid():
 
 
 def test_alert_rule_naming_unknown_tenant_is_rejected():
-    data = ObsData(config=ObsConfig(enabled=True), end_time=1.0)
-    rule = AlertRule(name="r", tenant="nobody")
+    data = ObsData(config=ObservabilitySpec(enabled=True), end_time=1.0)
+    rule = AlertRuleSpec(name="r", tenant="nobody")
     with pytest.raises(ObsError, match="nobody"):
         evaluate_alerts(data, (rule,), slos={"t": 1.0})
 

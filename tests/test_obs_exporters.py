@@ -21,9 +21,10 @@ from repro.obs.exporters import (
     format_slo_report,
     parse_spans,
 )
-from repro.obs.recorder import GLOBAL_KEY, ObsConfig, TraceRecorder
+from repro.obs.recorder import GLOBAL_KEY, TraceRecorder
 from repro.obs.schema import validate_json
 from repro.simulation.scenario import load_scenario, run_scenario
+from repro.spec.models import ObservabilitySpec
 
 REPO = Path(__file__).parent.parent
 CHROME_SCHEMA = json.loads(
@@ -35,12 +36,12 @@ CHROME_SCHEMA = json.loads(
 def scenario_data():
     """One recorded cookbook run shared by the module's tests."""
     spec = load_scenario(REPO / "examples" / "scenarios" / "steady_poisson.json")
-    spec = dataclasses.replace(spec, observability=ObsConfig(enabled=True))
+    spec = dataclasses.replace(spec, observability=ObservabilitySpec(enabled=True))
     return run_scenario(spec).result.obs
 
 
 def small_data():
-    recorder = TraceRecorder(ObsConfig(enabled=True), tenant_slos={"gold": 1.0})
+    recorder = TraceRecorder(ObservabilitySpec(enabled=True), tenant_slos={"gold": 1.0})
     recorder.register_replica(0, "replica-0")
     recorder.emit(0.0, GLOBAL_KEY, "submit", request=1)
     recorder.emit(0.0, 0, "route", request=1)
@@ -154,7 +155,7 @@ def test_obs_summary_mentions_inventory(scenario_data):
 
 
 def test_slo_report_attainment():
-    recorder = TraceRecorder(ObsConfig(enabled=True), tenant_slos={"gold": 1.0})
+    recorder = TraceRecorder(ObservabilitySpec(enabled=True), tenant_slos={"gold": 1.0})
     recorder.register_replica(0, "r0")
     recorder.emit(1.0, 0, "finish", latency_s=0.5, tenant="gold")
     recorder.emit(2.0, 0, "finish", latency_s=1.5, tenant="gold")
@@ -166,6 +167,6 @@ def test_slo_report_attainment():
     missed = format_slo_report(small_data())
     assert "gold" in missed and "0.0" in missed
     empty = format_slo_report(
-        TraceRecorder(ObsConfig(enabled=True)).freeze(0.0)
+        TraceRecorder(ObservabilitySpec(enabled=True)).freeze(0.0)
     )
     assert empty == "no per-tenant completions recorded"

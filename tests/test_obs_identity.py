@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.obs.exporters import export_chrome_trace, export_prometheus, export_spans
-from repro.obs.recorder import ObsConfig
 from repro.simulation.invariants import scenario_fingerprint
 from repro.simulation.scenario import (
     _build_fleet,
@@ -31,6 +30,7 @@ from repro.simulation.scenario import (
     run_scenario,
 )
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.models import ObservabilitySpec
 
 REPO = Path(__file__).parent.parent
 SCENARIOS = REPO / "examples" / "scenarios"
@@ -48,7 +48,7 @@ def _spec(stem: str, *, shards: int = 1, enabled: bool = False):
     spec = load_scenario(SCENARIOS / f"{stem}.json")
     spec = dataclasses.replace(spec, shards=shards)
     if enabled:
-        spec = dataclasses.replace(spec, observability=ObsConfig(enabled=True))
+        spec = dataclasses.replace(spec, observability=ObservabilitySpec(enabled=True))
     return spec
 
 

@@ -14,14 +14,14 @@ from repro.obs.recorder import (
     GLOBAL_KEY,
     KIND_ORDER,
     NULL_RECORDER,
-    ObsConfig,
     TraceRecorder,
     merge_shard_payloads,
 )
+from repro.spec.models import ObservabilitySpec
 
 
 def make_recorder(**overrides) -> TraceRecorder:
-    return TraceRecorder(ObsConfig(enabled=True, **overrides))
+    return TraceRecorder(ObservabilitySpec(enabled=True, **overrides))
 
 
 def sample_times(data, name="queue_depth"):
@@ -193,7 +193,7 @@ def _shard_recorder(config, key, name, finishes):
 
 
 def test_merge_pads_short_shards_with_final_state():
-    config = ObsConfig(enabled=True, sample_interval_s=1.0)
+    config = ObservabilitySpec(enabled=True, sample_interval_s=1.0)
     coordinator = TraceRecorder(config)
     coordinator.register_replica(0, "r0")
     coordinator.register_replica(1, "r1")
@@ -221,7 +221,7 @@ def test_merge_pads_short_shards_with_final_state():
 
 
 def test_merge_excludes_snapshot_only_counters_from_padding():
-    config = ObsConfig(enabled=True, sample_interval_s=1.0)
+    config = ObservabilitySpec(enabled=True, sample_interval_s=1.0)
     coordinator = TraceRecorder(config)
     coordinator.register_replica(0, "r0")
     coordinator.emit(0.0, GLOBAL_KEY, "submit")
@@ -235,7 +235,7 @@ def test_merge_excludes_snapshot_only_counters_from_padding():
 
 
 def test_merge_idle_replicas_contribute_zero_series():
-    config = ObsConfig(enabled=True, sample_interval_s=1.0)
+    config = ObservabilitySpec(enabled=True, sample_interval_s=1.0)
     coordinator = TraceRecorder(config)
     coordinator.register_replica(0, "r0")
     coordinator.register_replica(1, "idle")
@@ -254,7 +254,7 @@ def test_merge_idle_replicas_contribute_zero_series():
 def test_merge_histogram_sum_matches_single_recorder():
     """fsum makes the merged sum independent of shard assignment."""
     latencies = [0.1 + 0.07 * i for i in range(20)]
-    config = ObsConfig(enabled=True)
+    config = ObservabilitySpec(enabled=True)
 
     single = TraceRecorder(config)
     single.register_replica(0, "r0")
@@ -285,7 +285,7 @@ def test_merge_histogram_sum_matches_single_recorder():
 
 def test_tenant_slo_attainment_counters():
     recorder = TraceRecorder(
-        ObsConfig(enabled=True), tenant_slos={"gold": 1.0}
+        ObservabilitySpec(enabled=True), tenant_slos={"gold": 1.0}
     )
     recorder.register_replica(0, "r0")
     recorder.emit(1.0, 0, "finish", latency_s=0.5, tenant="gold")
@@ -300,12 +300,12 @@ def test_tenant_slo_attainment_counters():
 
 
 def test_spans_and_metrics_toggles_are_independent():
-    spans_only = TraceRecorder(ObsConfig(enabled=True, metrics=False))
+    spans_only = TraceRecorder(ObservabilitySpec(enabled=True, metrics=False))
     spans_only.emit(1.0, 0, "finish", latency_s=0.5)
     data = spans_only.freeze(1.0)
     assert len(data.events) == 1 and data.counters == () and data.samples == ()
 
-    metrics_only = TraceRecorder(ObsConfig(enabled=True, spans=False))
+    metrics_only = TraceRecorder(ObservabilitySpec(enabled=True, spans=False))
     metrics_only.register_replica(0, "r0")
     metrics_only.emit(1.0, 0, "finish", latency_s=0.5)
     data = metrics_only.freeze(1.0)

@@ -35,8 +35,8 @@ from repro.obs.analysis import (
     diff_runs,
     evaluate_alerts,
 )
-from repro.obs.recorder import ObsConfig
 from repro.simulation.scenario import load_scenario, run_scenario
+from repro.spec.models import ObservabilitySpec
 
 SCENARIOS = Path(__file__).parent.parent / "examples" / "scenarios"
 GOLDEN_DIR = Path(__file__).parent / "golden" / "reports"
@@ -57,7 +57,7 @@ def _recorded(stem: str):
     if key not in _RESULTS:
         spec = dataclasses.replace(
             load_scenario(SCENARIOS / f"{stem}.json"),
-            observability=ObsConfig(enabled=True),
+            observability=ObservabilitySpec(enabled=True),
         )
         _RESULTS[key] = run_scenario(spec)
     return _RESULTS[key]

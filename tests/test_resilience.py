@@ -18,16 +18,14 @@ from repro.core.engine import prefillonly_engine_spec
 from repro.errors import FaultScheduleError, ResilienceSpecError
 from repro.faults import FaultEvent, fault_schedule_from_dict
 from repro.resilience import (
-    BreakerPolicy,
     CircuitBreaker,
-    DegradationPolicy,
     DegradeController,
     PolicyRuntime,
-    ResilienceConfig,
     resilience_from_dict,
 )
 from repro.simulation.arrival import PoissonArrivalProcess
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.models import BreakerSpec, DegradationSpec, ResilienceSpec
 
 # A generous hedge/crash window: short enough that a multi-hundred-token
 # prefill is still running, long enough to order the events explicitly.
@@ -56,7 +54,7 @@ def test_inert_blocks_compile_inactive():
         "enabled": False, "deadline": {"timeout_s": 1.0},
     })
     assert not disabled.active
-    assert ResilienceConfig().active is False
+    assert ResilienceSpec().active is False
 
 
 def test_active_block_compiles_every_policy():
@@ -122,7 +120,7 @@ def _breaker_policy(**overrides):
     params = dict(window=4, failure_ratio=0.5, min_samples=2, cooldown_s=10.0,
                   half_open_probes=2, slow_latency_s=None)
     params.update(overrides)
-    return BreakerPolicy(**params)
+    return BreakerSpec(**params)
 
 
 def test_breaker_trips_on_windowed_failure_ratio():
@@ -189,7 +187,7 @@ def test_breaker_bank_counts_slow_completions_as_failures():
 
 
 def test_degrade_hysteresis_and_degraded_seconds():
-    policy = DegradationPolicy(
+    policy = DegradationSpec(
         depth_per_replica=5.0, shed_depth_per_replica=10.0,
         sustain_s=2.0, recover_s=3.0, low_priority_tenants=("batch",),
     )
@@ -216,7 +214,7 @@ def test_degrade_hysteresis_and_degraded_seconds():
 
 
 def test_degrade_finalize_closes_trailing_interval():
-    policy = DegradationPolicy(
+    policy = DegradationSpec(
         depth_per_replica=1.0, shed_depth_per_replica=None,
         sustain_s=0.0, recover_s=10.0, low_priority_tenants=(),
     )
@@ -492,12 +490,14 @@ def test_retry_budget_exhaustion_rejects_with_reason(h100_setup, small_post_trac
 def test_overlapping_slow_and_brownout_windows_coexist(h100_setup, small_post_trace):
     """Different-kind windows on one replica overlap freely and unwind
     independently — only same-kind overlaps are rejected at parse time."""
-    from repro.kvcache.tiers import TierConfig
+    from repro.kvcache.tiers import tier_config_from_dict
 
     fleet = Fleet.for_setup(
         prefillonly_engine_spec(), h100_setup,
         max_input_length=small_post_trace.max_request_tokens, num_replicas=2,
-        tier_config=TierConfig(enabled=True, host_gib=1.0, cluster_gib=4.0),
+        tier_config=tier_config_from_dict({"enabled": True, "tiers": {
+            "host": {"capacity_gib": 1.0}, "cluster": {"capacity_gib": 4.0},
+        }}),
     )
     assert fleet.apply_fault(
         FaultEvent(time=1.0, kind="slow", replica=0, multiplier=3.0), 1.0)

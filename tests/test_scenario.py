@@ -28,7 +28,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
-from repro.errors import ScenarioError, UnknownNameError, UnknownWorkloadError, WorkloadError
+from repro.errors import (
+    ScenarioError,
+    ScenarioSpecError,
+    UnknownNameError,
+    UnknownWorkloadError,
+    WorkloadError,
+)
 from repro.hardware.cluster import get_hardware_setup
 from repro.simulation.arrival import (
     ARRIVAL_FACTORIES,
@@ -426,6 +432,17 @@ def test_scenario_rejects_unknown_keys():
     bad_tenant["tenants"][0]["slo"] = 1.0
     with pytest.raises(ScenarioError):
         scenario_from_dict(bad_tenant)
+
+
+def test_scenario_rejects_unknown_low_priority_tenant():
+    """A misspelt tenant would match no request, so nothing would be shed."""
+    config = _two_tenant_config(resilience={"degrade": {
+        "depth_per_replica": 2.0, "low_priority_tenants": ["social", "bnak"],
+    }})
+    with pytest.raises(ScenarioSpecError) as excinfo:
+        scenario_from_dict(config)
+    assert excinfo.value.path == "resilience.degrade.low_priority_tenants[1]"
+    assert "'bnak'" in str(excinfo.value)
 
 
 def test_load_scenario_from_file(tmp_path):

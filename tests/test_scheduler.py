@@ -5,7 +5,10 @@ import pytest
 from repro.core.request_state import EngineRequest
 from repro.core.scheduler import FCFSScheduler, SRJFScheduler, make_scheduler
 from repro.errors import SchedulingError
+from repro.hardware.interconnect import Interconnect
 from repro.kvcache.manager import CommitPolicy, KVCacheManager
+from repro.kvcache.offload import CPUOffloadStore
+from repro.kvcache.tiers import TieredPrefixStore
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
 
@@ -142,3 +145,21 @@ def test_make_scheduler_factory():
     assert calibrated.fairness_lambda == 42.0
     with pytest.raises(SchedulingError):
         make_scheduler("round-robin")
+
+
+def test_calibrated_srjf_reranks_tiered_requests_on_a_brownout():
+    """A transfer-cost multiplier change invalidates memoised tiered scores."""
+    # 0.1 s per host transfer at 1000 compute tokens/s: 100 penalty tokens.
+    link = Interconnect(name="slow-host-link", bandwidth=1e12, latency=0.1)
+    host = CPUOffloadStore(capacity_bytes=64 * 1024, block_bytes=1024, link=link)
+    tiers = TieredPrefixStore(replica="r", block_size=BLOCK, block_bytes=1024,
+                              host=host, compute_tokens_per_second=1000.0)
+    kv = KVCacheManager(100 * BLOCK, block_size=BLOCK, tiers=tiers)
+    host_resident = make_request(1, [(1, 128), (2, 16)])  # 16 miss + 100 penalty
+    uncached = make_request(2, [(3, 200)])                # 200 miss
+    host.store(host_resident.block_hashes[:128 // BLOCK])
+    queue = [host_resident, uncached]
+    scheduler = SRJFScheduler(fairness_lambda=0.0)
+    assert scheduler.select(queue, kv, now=0.0).request.request_id == 1
+    kv.set_transfer_cost_multiplier(4.0)                  # 16 miss + 400 penalty
+    assert scheduler.select(queue, kv, now=0.0).request.request_id == 2

@@ -23,7 +23,7 @@ from repro.baselines.registry import get_engine_spec
 from repro.cluster import Fleet, QueueDepthAdmission, ReactiveAutoscaler
 from repro.faults import FaultEvent, FaultSchedule
 from repro.hardware.cluster import get_hardware_setup
-from repro.kvcache.tiers import TierConfig
+from repro.kvcache.tiers import tier_config_from_dict
 from repro.simulation.arrival import make_arrival
 from repro.simulation.invariants import scenario_fingerprint
 from repro.simulation.routing import LeastLoadedRouter, Router, make_router
@@ -175,7 +175,8 @@ _MODE_CASES = {
         None,
     ),
     "kv-tiers": lambda trace: (
-        _build_fleet(2, trace, tier_config=TierConfig(enabled=True)), None,
+        _build_fleet(2, trace, tier_config=tier_config_from_dict({"enabled": True})),
+        None,
     ),
     "faults": lambda trace: (
         _build_fleet(2, trace),

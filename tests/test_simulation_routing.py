@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import UnknownNameError
 from repro.simulation.routing import (
     LeastLoadedRouter,
     PrefixAffinityRouter,
@@ -104,5 +105,5 @@ def test_make_router_registry():
     assert isinstance(make_router("user-id", 2), UserIdRouter)
     assert isinstance(make_router("least-loaded", 2), LeastLoadedRouter)
     assert isinstance(make_router("prefix-affinity", 2), PrefixAffinityRouter)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownNameError):
         make_router("round-trip", 2)

@@ -16,7 +16,7 @@ import pytest
 from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
 from repro.errors import UnknownTierError
-from repro.kvcache import CommitPolicy, TierConfig
+from repro.kvcache import CommitPolicy, tier_config_from_dict
 from repro.simulation.arrival import PoissonArrivalProcess, UniformArrivalProcess
 from repro.simulation.scenario import load_scenario, run_scenario, scenario_from_dict
 from repro.simulation.simulator import simulate_fleet
@@ -31,7 +31,11 @@ def tiny_trace():
 
 
 def tiered_fleet(setup, trace, *, num_replicas=2, spec=None, **tier_kwargs):
-    config = TierConfig(enabled=True, host_gib=2.0, cluster_gib=8.0, **tier_kwargs)
+    config = tier_config_from_dict({
+        "enabled": True,
+        "tiers": {"host": {"capacity_gib": 2.0}, "cluster": {"capacity_gib": 8.0}},
+        **tier_kwargs,
+    })
     return Fleet.for_setup(
         spec if spec is not None else prefillonly_engine_spec(), setup,
         max_input_length=trace.max_request_tokens,
@@ -43,7 +47,7 @@ def tiered_fleet(setup, trace, *, num_replicas=2, spec=None, **tier_kwargs):
 
 
 def test_disabled_tiers_fleet_is_byte_identical(h100_setup, tiny_trace):
-    """A default-off TierConfig must not change a single fleet metric."""
+    """A default-off tier config must not change a single fleet metric."""
     def run(tier_config):
         fleet = Fleet.for_setup(
             prefillonly_engine_spec(), h100_setup,
@@ -54,7 +58,7 @@ def test_disabled_tiers_fleet_is_byte_identical(h100_setup, tiny_trace):
         return simulate_fleet(fleet, requests)
 
     plain = run(None)
-    disabled = run(TierConfig(enabled=False))
+    disabled = run(tier_config_from_dict({"enabled": False}))
     key = lambda record: record.request_id  # noqa: E731
     assert sorted(disabled.finished, key=key) == sorted(plain.finished, key=key)
     assert disabled.summary == plain.summary
@@ -174,7 +178,9 @@ def test_autoscaled_replica_joins_shared_cluster_store(h100_setup, tiny_trace):
         scale_up_rps_per_replica=1.5,
         window_seconds=2.0, cooldown_seconds=3.0,
     )
-    config = TierConfig(enabled=True, host_gib=2.0, cluster_gib=8.0)
+    config = tier_config_from_dict({"enabled": True, "tiers": {
+        "host": {"capacity_gib": 2.0}, "cluster": {"capacity_gib": 8.0},
+    }})
     fleet = Fleet.for_setup(
         prefillonly_engine_spec(), h100_setup,
         max_input_length=tiny_trace.max_request_tokens,
@@ -199,8 +205,10 @@ def test_srjf_calibration_credits_tier_resident_prefixes(h100_setup, tiny_trace)
     from repro.core.request_state import EngineRequest
 
     spec = prefillonly_engine_spec().with_overrides(kv_capacity_tokens=2048)
-    config = TierConfig(enabled=True, host_gib=4.0, cluster_gib=0.0,
-                        promotion="never", prefetch=False)
+    config = tier_config_from_dict({
+        "enabled": True, "promotion": "never", "prefetch": False,
+        "tiers": {"host": {"capacity_gib": 4.0}, "cluster": {"capacity_gib": 0.0}},
+    })
     from repro.model.config import get_model
     instance = EngineInstance(
         spec, get_model(h100_setup.model_name), h100_setup.cluster.gpu,
