@@ -7,8 +7,10 @@
 #   make bench-sweep - serial vs parallel engine sweep (byte-identical results)
 #   make bench-selftest - repo benchmark self-test: tracer targets found, exact counters,
 #                    tracing changes no result (perfbench/selftest.py)
-#   make fuzz        - scenario + metamorphic fuzzers and the scheduler / prefix-cache
-#                    oracles, full derandomized profile
+#   make bench-pairs PARENT=DIR WORKLOAD=W - alternating parent/change benchmark pairs
+#                    with a gain / bound verdict per metric (scripts/bench_pairs.py)
+#   make fuzz        - scenario + metamorphic fuzzers and the scheduler / prefix-cache /
+#                    block-hash oracles, full derandomized profile
 #   make test-shard-identity - sharded-engine differential suite (byte-identity at shards=4)
 #   make obs-check   - validate observability exports + disabled-path seed fingerprints
 #   make test-resilience - resilience unit + identity suite (policies-off byte-identical)
@@ -23,7 +25,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 #: Worker processes for the parallel experiment runner targets.
 PERF_WORKERS ?= 4
 
-.PHONY: test test-shard-identity test-resilience bench bench-paper bench-tiers bench-sweep bench-selftest fuzz obs-check docs-check examples scenarios scenarios-resilience
+#: Workload seed of make bench-pairs.
+SEED ?= 0
+
+.PHONY: test test-shard-identity test-resilience bench bench-paper bench-tiers bench-sweep bench-selftest bench-pairs fuzz obs-check docs-check examples scenarios scenarios-resilience
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -46,9 +51,14 @@ bench-sweep:
 bench-selftest:
 	$(PYTHON) perfbench/selftest.py
 
+bench-pairs:
+	$(if $(PARENT),,$(error PARENT=DIR, a checkout of the parent commit, is required))
+	$(if $(WORKLOAD),,$(error WORKLOAD=NAME is required))
+	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --seed $(SEED)
+
 fuzz:
 	HYPOTHESIS_PROFILE=fuzz $(PYTHON) -m pytest tests/test_scenario_fuzz.py tests/test_metamorphic.py \
-		tests/test_scheduler_oracle.py tests/test_prefix_cache_oracle.py -q
+		tests/test_scheduler_oracle.py tests/test_prefix_cache_oracle.py tests/test_block_hashes.py -q
 
 obs-check:
 	$(PYTHON) scripts/obs_check.py

@@ -20,6 +20,7 @@ elapsed, because rate estimates over a nearly empty window are noise.
 from __future__ import annotations
 
 import abc
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -100,6 +101,14 @@ class ReactiveAutoscaler(Autoscaler):
                  p99_latency_slo: float | None = None,
                  window_seconds: float = 30.0,
                  cooldown_seconds: float = 60.0) -> None:
+        for name, value in (("scale_up_rps_per_replica", scale_up_rps_per_replica),
+                            ("scale_down_rps_per_replica", scale_down_rps_per_replica),
+                            ("p99_latency_slo", p99_latency_slo),
+                            ("window_seconds", window_seconds),
+                            ("cooldown_seconds", cooldown_seconds)):
+            # NaN passes every range comparison below.
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if min_replicas < 1:
             raise ConfigurationError("min_replicas must be at least 1")
         if max_replicas < min_replicas:

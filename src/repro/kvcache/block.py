@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.perf import memo
-
 BlockId = int
 
 #: Hash value used for the empty prefix (the root of every hash chain).
@@ -25,62 +23,6 @@ ROOT_HASH = 0
 def hash_chain(parent_hash: int, content: tuple) -> int:
     """Chain ``content`` onto ``parent_hash`` to produce a block content hash."""
     return hash((parent_hash, content))
-
-
-class HashChainCache:
-    """Interned hash chains: ``(parent_hash, content) -> chained hash``.
-
-    Two requests that share a prefix walk the identical ``(parent, content)``
-    pairs block by block; without interning, every request re-hashes the
-    shared blocks from scratch.  The cache stores exactly
-    ``hash((parent_hash, content))`` under the key ``(parent_hash, content)``,
-    so an interned chain is bit-identical to :func:`hash_chain` — a property
-    the test suite pins — and, because block content is tuples of ints (whose
-    hashes do not depend on ``PYTHONHASHSEED``), the values are stable across
-    worker processes of the parallel runner.
-
-    A filled cache is cleared wholesale rather than evicted entry-by-entry:
-    correctness never depends on residency, only speed does.
-    """
-
-    __slots__ = ("_entries", "maxsize", "hits", "misses")
-
-    def __init__(self, maxsize: int = 1 << 20) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self._entries: dict[tuple[int, tuple], int] = {}
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def chain(self, parent_hash: int, content: tuple) -> int:
-        """Interned equivalent of :func:`hash_chain`."""
-        key = (parent_hash, content)
-        value = self._entries.get(key)
-        if value is None:
-            value = hash(key)
-            if len(self._entries) >= self.maxsize:
-                self._entries.clear()
-            self._entries[key] = value
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-#: The process-wide interning cache used by
-#: :meth:`repro.workloads.trace.TokenSequence.block_hashes`, wired into the
-#: :mod:`repro.perf.memo` switchboard so disabling memoization clears it.
-GLOBAL_HASH_CHAIN_CACHE = HashChainCache()
-memo.register_cache(GLOBAL_HASH_CHAIN_CACHE.clear)
 
 
 def hash_token_blocks(tokens: Sequence[int], block_size: int) -> list[int]:

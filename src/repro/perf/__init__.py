@@ -9,9 +9,9 @@ PR 2 and PR 3 made the *inner* event loop fast; this package makes the
   derivation;
 * :mod:`repro.perf.memo` — the process-wide memoization switchboard behind the
   analytic-model caches (LRU-cached latency model, memoized profile runs and
-  JCT estimators, interned hash chains).  Memoization never changes results —
-  every cached value is bit-identical to a fresh computation — so the switch
-  exists purely for before/after measurement.
+  JCT estimators, whole-sequence block hashes).  Memoization never changes
+  results — every cached value is bit-identical to a fresh computation — so
+  the switch exists purely for before/after measurement.
 
 The repo benchmark that measures the simulator end to end and layer by layer
 lives outside the package, in ``perfbench/`` (see ``docs/PERFORMANCE.md``).

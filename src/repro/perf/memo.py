@@ -9,9 +9,9 @@ Several hot analytic paths memoize their results:
   pass once instead of 32 times;
 * :meth:`repro.core.jct.JCTEstimator.from_latency_model` interns fitted
   estimators per engine configuration;
-* :class:`repro.workloads.trace.TokenSequence` interns block hash chains
-  globally (see :class:`repro.kvcache.block.HashChainCache`), so shared
-  prefixes are hashed once per trace instead of once per request.
+* :meth:`repro.workloads.trace.TokenSequence.block_hashes` keeps each
+  distinct sequence's block hashes process-wide, so a regenerated trace does
+  not re-hash sequences it has already seen.
 
 Every memoized value is **bit-identical** to a fresh computation (the caches
 store exactly what the uncached code path would have returned, keyed on every

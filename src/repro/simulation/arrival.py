@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,6 +61,14 @@ class ArrivalProcess(abc.ABC):
     @abc.abstractmethod
     def assign(self, requests: list[Request]) -> list[Request]:
         """Return the requests with ``arrival_time`` set, sorted by arrival time."""
+
+
+def _require_finite(process: ArrivalProcess) -> None:
+    """Reject NaN and infinite parameters, which pass every ``<=`` range check."""
+    for field in fields(process):
+        value = getattr(process, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise WorkloadError(f"{field.name} must be a finite number, got {value!r}")
 
 
 def _sorted_copy(requests: list[Request], times: list[float],
@@ -92,6 +100,7 @@ class PoissonArrivalProcess(ArrivalProcess):
     shuffle: bool = True
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.rate <= 0:
             raise WorkloadError("arrival rate must be positive")
 
@@ -111,6 +120,11 @@ class BurstArrivalProcess(ArrivalProcess):
     seed: int = 0
     shuffle: bool = True
 
+    def __post_init__(self) -> None:
+        _require_finite(self)
+        if self.at_time < 0:
+            raise WorkloadError("at_time must be non-negative")
+
     def assign(self, requests: list[Request]) -> list[Request]:
         rng = np.random.default_rng(self.seed)
         order = rng.permutation(len(requests)) if self.shuffle else None
@@ -127,6 +141,7 @@ class UniformArrivalProcess(ArrivalProcess):
     shuffle: bool = False
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.rate <= 0:
             raise WorkloadError("arrival rate must be positive")
 
@@ -168,6 +183,7 @@ class MMPPArrivalProcess(ArrivalProcess):
     shuffle: bool = True
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.base_rate <= 0 or self.burst_rate <= 0:
             raise WorkloadError("arrival rate must be positive")
         if self.burst_rate <= self.base_rate:
@@ -227,6 +243,7 @@ class DiurnalArrivalProcess(ArrivalProcess):
     shuffle: bool = True
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.mean_rate <= 0:
             raise WorkloadError("arrival rate must be positive")
         if not 0 <= self.amplitude < 1:
@@ -267,8 +284,8 @@ class FlashCrowdArrivalProcess(ArrivalProcess):
         spike_rate: Arrival rate inside a spike (must exceed ``base_rate``).
         first_spike_at: Start time of the first spike (seconds).
         spike_seconds: Duration of each spike.
-        spike_interval_seconds: Start-to-start gap between spikes (``inf`` or
-            ``0`` for a single spike).
+        spike_interval_seconds: Start-to-start gap between spikes (``0`` for a
+            single spike).
         seed: RNG seed.
         shuffle: Randomise the request order before assigning times.
     """
@@ -282,6 +299,7 @@ class FlashCrowdArrivalProcess(ArrivalProcess):
     shuffle: bool = True
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.base_rate <= 0 or self.spike_rate <= 0:
             raise WorkloadError("arrival rate must be positive")
         if self.spike_rate <= self.base_rate:
@@ -365,6 +383,7 @@ class ClosedLoopArrivalProcess(ArrivalProcess):
     shuffle: bool = True
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.num_clients <= 0:
             raise WorkloadError("num_clients must be positive")
         if self.mean_think_seconds <= 0:

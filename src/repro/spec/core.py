@@ -37,6 +37,7 @@ queue, ``repro.simulation.scenario`` the tenants' arrival processes).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Callable
 
 from repro.errors import SpecError, SpecVersionError
@@ -243,6 +244,9 @@ def _check_value(name: str, value, info: FieldInfo, *, path: str, error: type):
             f"{name} must be {_article(info.type_name())}, got {value!r}",
             path=value_path,
         )
+    if isinstance(value, float) and not math.isfinite(value):
+        # NaN passes every range comparison below, and infinity every minimum.
+        raise error(f"{name} must be a finite number, got {value!r}", path=value_path)
     if info.choices is not None and value not in info.choices:
         known = ", ".join(str(choice) for choice in sorted(info.choices, key=str))
         raise error(

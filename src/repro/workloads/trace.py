@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
-from repro.kvcache.block import GLOBAL_HASH_CHAIN_CACHE, ROOT_HASH, hash_chain
+from repro.kvcache.block import ROOT_HASH, hash_chain
 from repro.perf import memo
 
 
@@ -75,7 +75,9 @@ class TokenSequence:
         Each block's content tuple is the list of (content_id, offset-in-segment,
         piece-length) spans that cover the block, so two sequences produce the
         same hash for block *i* exactly when they agree token-for-token on the
-        first ``(i + 1) * block_size`` tokens.
+        first ``(i + 1) * block_size`` tokens.  The walk goes segment by
+        segment: the whole blocks inside a segment chain in one loop, and only
+        a block that straddles a segment boundary collects several pieces.
         """
         if block_size <= 0:
             raise WorkloadError("block_size must be positive")
@@ -83,9 +85,9 @@ class TokenSequence:
         if cached is not None:
             return cached
 
-        interned = memo.memo_enabled()
+        memoized = memo.memo_enabled()
         memo_key = None
-        if interned:
+        if memoized:
             memo_key = (block_size, self._segments)
             shared = _SEQUENCE_HASH_MEMO.get(memo_key)
             if shared is not None:
@@ -94,33 +96,33 @@ class TokenSequence:
 
         hashes: list[int] = []
         parent = ROOT_HASH
-        segment_index = 0
-        offset_in_segment = 0
-        num_full_blocks = self._num_tokens // block_size
-        for _ in range(num_full_blocks):
-            remaining = block_size
-            pieces: list[tuple[int, int, int]] = []
-            while remaining > 0:
-                segment = self._segments[segment_index]
-                take = min(remaining, segment.length - offset_in_segment)
-                pieces.append((segment.content_id, offset_in_segment, take))
-                remaining -= take
-                offset_in_segment += take
-                if offset_in_segment == segment.length:
-                    segment_index += 1
-                    offset_in_segment = 0
-            # The interned chain is bit-identical to hash_chain (it stores
-            # exactly hash((parent, content))); interning lets sequences that
-            # share a prefix reuse each other's per-block hashes.
-            if interned:
-                parent = GLOBAL_HASH_CHAIN_CACHE.chain(parent, tuple(pieces))
-            else:
+        # The block that straddles segment boundaries, as its pieces so far.
+        pieces: list[tuple[int, int, int]] = []
+        filled = 0
+        for segment in self._segments:
+            content_id = segment.content_id
+            length = segment.length
+            offset = 0
+            if filled:
+                offset = min(block_size - filled, length)
+                pieces.append((content_id, 0, offset))
+                filled += offset
+                if filled < block_size:
+                    continue
                 parent = hash_chain(parent, tuple(pieces))
-            hashes.append(parent)
+                hashes.append(parent)
+                filled = 0
+            whole_end = length - (length - offset) % block_size
+            for start in range(offset, whole_end, block_size):
+                parent = hash_chain(parent, ((content_id, start, block_size),))
+                hashes.append(parent)
+            if whole_end < length:
+                pieces = [(content_id, whole_end, length - whole_end)]
+                filled = length - whole_end
 
         result = tuple(hashes)
         self._hash_cache[block_size] = result
-        if interned:
+        if memoized:
             if len(_SEQUENCE_HASH_MEMO) >= _SEQUENCE_HASH_MEMO_MAX:
                 _SEQUENCE_HASH_MEMO.clear()
             _SEQUENCE_HASH_MEMO[memo_key] = result

@@ -37,9 +37,10 @@ The format is line-oriented so traces stream, diff, and concatenate cleanly.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, WorkloadError
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
 __all__ = ["TRACE_SCHEMA", "save_trace", "load_trace"]
@@ -64,7 +65,7 @@ def _request_to_dict(request: Request) -> dict:
 
 def _request_from_dict(row: dict, *, line: int) -> Request:
     try:
-        return Request(
+        request = Request(
             request_id=int(row["request_id"]),
             user_id=str(row["user_id"]),
             sequence=TokenSequence([
@@ -75,8 +76,16 @@ def _request_from_dict(row: dict, *, line: int) -> Request:
             arrival_time=float(row["arrival_time"]),
             metadata=dict(row.get("metadata", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, WorkloadError) as exc:
         raise ScenarioError(f"trace line {line}: malformed request record ({exc})") from None
+    # A NaN or infinite arrival never fires, and a negative one stretches the
+    # run back before time zero.
+    if not (math.isfinite(request.arrival_time) and request.arrival_time >= 0):
+        raise ScenarioError(
+            f"trace line {line}: arrival_time must be a finite non-negative "
+            f"number, got {request.arrival_time!r}"
+        )
+    return request
 
 
 def save_trace(path: str | Path, requests: list[Request], *,
@@ -134,6 +143,11 @@ def load_trace(path: str | Path) -> tuple[dict, list[Request]]:
             except json.JSONDecodeError as exc:
                 raise ScenarioError(f"trace line {line_number}: invalid JSON ({exc})") from None
             if header is None:
+                if not isinstance(row, dict):
+                    raise ScenarioError(
+                        f"trace line {line_number}: header must be a JSON object, "
+                        f"got {type(row).__name__}"
+                    )
                 if row.get("schema") != TRACE_SCHEMA:
                     raise ScenarioError(
                         f"{path}: expected schema {TRACE_SCHEMA!r}, "

@@ -115,6 +115,18 @@ def test_fleet_negative_seed_exits_2(capsys):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("command", ["fleet", "sweep"])
+def test_nan_qps_exits_2_naming_the_rate(command, capsys):
+    """Rejected when the arrival process is built, before any simulation."""
+    code = main([
+        command, "--setup", "h100", "--workload", "post-recommendation",
+        "--num-users", "2", "--qps", "nan",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "prefillonly: error: rate must be a finite number, got nan" in err
+
+
 @pytest.mark.parametrize("replicas", ["0", "-2"])
 def test_fleet_replicas_below_one_exits_2(replicas, capsys):
     code = main([

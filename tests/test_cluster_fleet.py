@@ -226,6 +226,11 @@ def test_autoscaler_threshold_validation():
         ReactiveAutoscaler(scale_up_rps_per_replica=1.0, scale_down_rps_per_replica=2.0)
     with pytest.raises(ConfigurationError):
         ReactiveAutoscaler(min_replicas=0, scale_up_rps_per_replica=1.0)
+    # NaN passes every range comparison, so it needs its own check.
+    with pytest.raises(ConfigurationError):
+        ReactiveAutoscaler(scale_up_rps_per_replica=2.0, window_seconds=float("nan"))
+    with pytest.raises(ConfigurationError):
+        ReactiveAutoscaler(scale_up_rps_per_replica=2.0, cooldown_seconds=float("nan"))
 
 
 def test_manual_scale_down_drains_without_losing_requests(h100_setup, tiny_trace):

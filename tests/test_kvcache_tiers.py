@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -107,6 +109,16 @@ def test_negative_capacity_raises_tier_capacity_error_with_path():
         )
     assert "kv_tiers.tiers.host.capacity_gib" in str(excinfo.value)
     assert excinfo.value.tier == "host"
+
+
+@pytest.mark.parametrize("capacity", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_capacity_raises_tier_error_with_path(capacity):
+    with pytest.raises(TierError) as excinfo:
+        tier_config_from_dict(
+            {"enabled": True, "tiers": {"host": {"capacity_gib": capacity}}}
+        )
+    assert "kv_tiers.tiers.host.capacity_gib" in str(excinfo.value)
+    assert "finite" in str(excinfo.value)
 
 
 def test_non_numeric_capacity_rejected():

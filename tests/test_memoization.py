@@ -1,9 +1,9 @@
 """Memoized analytic models must be bit-identical to the unmemoized paths.
 
-The memo layers (latency-model LRU, precomputed FLOPs coefficients, interned
-hash chains, profile-run and JCT-estimator interning) exist purely for speed;
-these property tests pin that every cached value equals a fresh computation
-exactly — no rounding, no drift — and that the
+The memo layers (latency-model LRU, precomputed FLOPs coefficients,
+whole-sequence block hashes, profile-run and JCT-estimator interning) exist
+purely for speed; these property tests pin that every cached value equals a
+fresh computation exactly — no rounding, no drift — and that the
 :mod:`repro.perf.memo` switchboard cleanly toggles and clears the caches.
 """
 
@@ -15,12 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.jct import JCTEstimator
 from repro.core.profile_run import run_profile
 from repro.hardware.interconnect import PCIE_GEN4
-from repro.kvcache.block import (
-    GLOBAL_HASH_CHAIN_CACHE,
-    HashChainCache,
-    hash_chain,
-    hash_token_blocks,
-)
+from repro.kvcache.block import hash_token_blocks
 from repro.model.config import get_model
 from repro.model.flops import FlopsModel
 from repro.model.latency import LatencyModel
@@ -161,31 +156,7 @@ def test_precomputed_decode_flops_match_seed_formula(context):
     assert got.attention_flops == attention
 
 
-# ------------------------------------------------------- interned hash chains
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    parent=st.integers(min_value=-(2 ** 62), max_value=2 ** 62),
-    content=st.lists(st.tuples(st.integers(0, 2 ** 30), st.integers(0, 255),
-                               st.integers(1, 256)), min_size=1, max_size=4),
-)
-def test_interned_chain_equals_hash_chain(parent, content):
-    cache = HashChainCache(maxsize=128)
-    content = tuple(content)
-    assert cache.chain(parent, content) == hash_chain(parent, content)
-    # Second query hits and still agrees.
-    assert cache.chain(parent, content) == hash_chain(parent, content)
-    assert cache.hits == 1 and cache.misses == 1
-
-
-def test_hash_chain_cache_bounded():
-    cache = HashChainCache(maxsize=4)
-    for value in range(10):
-        cache.chain(value, (value,))
-    assert len(cache) <= 4
-    with pytest.raises(ValueError):
-        HashChainCache(maxsize=0)
+# ------------------------------------------------ whole-sequence block hashes
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,8 +167,8 @@ def test_hash_chain_cache_bounded():
     ),
     block_size=st.sampled_from([16, 256]),
 )
-def test_block_hashes_identical_with_and_without_interning(segments, block_size):
-    """The whole-sequence memo + interned chains reproduce the seed hashes."""
+def test_block_hashes_identical_with_and_without_the_sequence_memo(segments, block_size):
+    """The whole-sequence memo reproduces the unmemoized hashes."""
     was = memo.memo_enabled()
     try:
         memo.set_memo_enabled(False)
@@ -216,17 +187,6 @@ def test_block_hashes_identical_with_and_without_interning(segments, block_size)
         memo.set_memo_enabled(was)
     assert plain == interned_first
     assert interned_second is interned_first
-
-
-def test_shared_prefixes_hit_the_chain_cache():
-    memo.clear_all_caches()
-    base = [TokenSegment(1, 512)]
-    TokenSequence(base + [TokenSegment(2, 256)]).block_hashes(256)
-    hits_before = GLOBAL_HASH_CHAIN_CACHE.hits
-    # Shares the first two blocks (the 512-token segment) with the first
-    # sequence; the interned chain serves them from cache.
-    TokenSequence(base + [TokenSegment(3, 256)]).block_hashes(256)
-    assert GLOBAL_HASH_CHAIN_CACHE.hits >= hits_before + 2
 
 
 def test_hash_token_blocks_unchanged_by_memoization(memo_off):

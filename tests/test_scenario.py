@@ -86,6 +86,28 @@ def test_every_arrival_is_sorted_and_deterministic(name, small_trace):
     assert [r.request_id for r in first] == [r.request_id for r in second]
 
 
+@pytest.mark.parametrize("name, params, field", [
+    ("poisson", {"rate": math.nan}, "rate"),
+    ("uniform", {"rate": math.inf}, "rate"),
+    ("burst", {"at_time": math.nan}, "at_time"),
+    ("burst", {"at_time": -5.0}, "at_time"),
+    ("mmpp", {"base_rate": 2.0, "burst_rate": math.inf}, "burst_rate"),
+    ("diurnal", {"mean_rate": 5.0, "period_seconds": math.nan}, "period_seconds"),
+    ("flash-crowd", {"base_rate": 2.0, "spike_rate": 25.0,
+                     "spike_interval_seconds": math.inf}, "spike_interval_seconds"),
+    ("closed-loop", {"num_clients": 3, "service_estimate_seconds": math.nan},
+     "service_estimate_seconds"),
+], ids=["poisson-nan-rate", "uniform-inf-rate", "burst-nan-time", "burst-negative-time",
+        "mmpp-inf-rate", "diurnal-nan-period", "flash-crowd-inf-interval",
+        "closed-loop-nan-service"])
+def test_arrival_rejects_non_finite_or_negative_parameters(name, params, field):
+    """NaN passes every ``<=`` range check and infinity every minimum, so both
+    need their own check; a burst before time zero would stretch the run."""
+    with pytest.raises(WorkloadError) as excinfo:
+        make_arrival(name, **params)
+    assert field in str(excinfo.value)
+
+
 def test_mmpp_is_burstier_than_poisson(small_trace):
     """The squared coefficient of variation of MMPP gaps exceeds Poisson's ~1."""
     import numpy as np
@@ -266,6 +288,28 @@ def test_trace_rejects_count_mismatch(tmp_path):
         load_trace(path)
 
 
+_TRACE_HEADER = {"schema": "repro-trace/v1", "name": "x", "num_requests": 1}
+_TRACE_ROW = {"request_id": 0, "user_id": "u", "arrival_time": 0.0,
+              "allowed_outputs": ["Yes"], "segments": [[1, 4]], "metadata": {}}
+
+
+@pytest.mark.parametrize("header, row, message", [
+    ([], _TRACE_ROW, "trace line 1: header must be a JSON object"),
+    (_TRACE_HEADER, {**_TRACE_ROW, "arrival_time": math.inf}, "trace line 2: arrival_time"),
+    (_TRACE_HEADER, {**_TRACE_ROW, "arrival_time": math.nan}, "trace line 2: arrival_time"),
+    (_TRACE_HEADER, {**_TRACE_ROW, "arrival_time": -5.0}, "trace line 2: arrival_time"),
+    (_TRACE_HEADER, {**_TRACE_ROW, "segments": [[1, 0]]}, "trace line 2: malformed"),
+    (_TRACE_HEADER, {**_TRACE_ROW, "segments": []}, "trace line 2: malformed"),
+], ids=["list-header", "inf-arrival", "nan-arrival", "negative-arrival",
+        "empty-segment", "no-segments"])
+def test_trace_rejects_a_malformed_line_by_number(tmp_path, header, row, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(ScenarioError) as excinfo:
+        load_trace(path)
+    assert message in str(excinfo.value)
+
+
 # --------------------------------------------------------------- event queue
 
 
@@ -432,6 +476,15 @@ def test_scenario_rejects_unknown_keys():
     bad_tenant["tenants"][0]["slo"] = 1.0
     with pytest.raises(ScenarioError):
         scenario_from_dict(bad_tenant)
+
+
+def test_scenario_rejects_a_nan_slo_at_its_path():
+    config = _two_tenant_config()
+    config["tenants"][0]["slo_latency_s"] = math.nan
+    with pytest.raises(ScenarioSpecError) as excinfo:
+        scenario_from_dict(config)
+    assert excinfo.value.path == "tenants[0].slo_latency_s"
+    assert "finite" in str(excinfo.value)
 
 
 def test_scenario_rejects_unknown_low_priority_tenant():
