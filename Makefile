@@ -11,6 +11,8 @@
 #                    with a gain / bound verdict per metric (scripts/bench_pairs.py)
 #   make fuzz        - scenario + metamorphic fuzzers and the scheduler / prefix-cache /
 #                    block-hash oracles, full derandomized profile
+#   make mutants     - seeded KV-layer mutants, each of which the KV tests must kill
+#                    (scripts/mutants.py)
 #   make test-shard-identity - sharded-engine differential suite (byte-identity at shards=4)
 #   make obs-check   - validate observability exports + disabled-path seed fingerprints
 #   make test-resilience - resilience unit + identity suite (policies-off byte-identical)
@@ -28,7 +30,7 @@ PERF_WORKERS ?= 4
 #: Workload seed of make bench-pairs.
 SEED ?= 0
 
-.PHONY: test test-shard-identity test-resilience bench bench-paper bench-tiers bench-sweep bench-selftest bench-pairs fuzz obs-check docs-check examples scenarios scenarios-resilience
+.PHONY: test test-shard-identity test-resilience bench bench-paper bench-tiers bench-sweep bench-selftest bench-pairs fuzz mutants obs-check docs-check examples scenarios scenarios-resilience
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -59,6 +61,9 @@ bench-pairs:
 fuzz:
 	HYPOTHESIS_PROFILE=fuzz $(PYTHON) -m pytest tests/test_scenario_fuzz.py tests/test_metamorphic.py \
 		tests/test_scheduler_oracle.py tests/test_prefix_cache_oracle.py tests/test_block_hashes.py -q
+
+mutants:
+	$(PYTHON) scripts/mutants.py
 
 obs-check:
 	$(PYTHON) scripts/obs_check.py

@@ -302,6 +302,11 @@ class Fleet:
         return [state.instance for state in self._active]
 
     @property
+    def all_replicas(self) -> list[EngineInstance]:
+        """Every engine instance the fleet ever ran: serving, retired, crashed."""
+        return [state.instance for state in self._all_states()]
+
+    @property
     def num_shed(self) -> int:
         """Requests rejected by admission control so far."""
         return len(self._shed)

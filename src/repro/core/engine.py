@@ -647,8 +647,10 @@ class EngineInstance:
         subsystem's replica-crash semantics.  In-flight partial compute is
         discarded (those requests must restart from scratch elsewhere) and
         the waiting queue empties; the owning fleet re-routes the evacuated
-        requests.  Completion records of requests that finished *before* the
-        crash are preserved.
+        requests.  Their leases abort as on :meth:`cancel` (nothing commits,
+        pins and scratch blocks release), so the dead instance's KV
+        accounting still balances.  Completion records of requests that
+        finished *before* the crash are preserved.
 
         Returns ``(evacuated requests, in-flight count, lost work tokens)``
         where the evacuated list is ordered oldest-first (in-flight work in
@@ -666,6 +668,7 @@ class EngineInstance:
             evacuated.append(job.engine_request.request)
             lost_work += job.engine_request.num_tokens
             in_flight += 1
+            self.kv.finish_execution(job.lease, policy=CommitPolicy.NONE, now=now)
             stage.job = None
         for engine_request in self._waiting:
             evacuated.append(engine_request.request)

@@ -27,7 +27,7 @@ from repro.errors import AllocationError, CapacityError, TierError
 from repro.kvcache.allocator import BlockAllocator
 from repro.kvcache.block import Block, count_blocks
 from repro.kvcache.offload import CPUOffloadStore
-from repro.kvcache.prefix_tree import PrefixMatch, RadixPrefixCache
+from repro.kvcache.prefix_tree import PrefixMatch, RadixPrefixCache, TreeSnapshot
 from repro.kvcache.tiers.store import TieredPrefixStore, TierLookup
 
 
@@ -53,7 +53,8 @@ class ExecutionLease:
 
     block_hashes: tuple[int, ...]
     num_tokens: int
-    cached_blocks: list[Block] = field(default_factory=list)
+    #: The pinned frontier of the cached prefix (None without a hit).
+    frontier: Block | None = None
     scratch_blocks: list[Block] = field(default_factory=list)
     cached_tokens: int = 0
 
@@ -162,6 +163,11 @@ class KVCacheManager:
         ``owner_of``, it pins single residency per owner across the tiers.
         """
         return self._cache.resident_hashes()
+
+    def tree_snapshot(self) -> TreeSnapshot:
+        """The radix tree's structure, for the KV structural invariant check
+        (:func:`repro.simulation.invariants.check_kv_structure`)."""
+        return self._cache.snapshot()
 
     @property
     def cache_version(self) -> int:
@@ -399,13 +405,12 @@ class KVCacheManager:
         match = (
             self._cache.match(hashes, now=now)
             if self._enable_prefix_caching
-            else PrefixMatch(0, 0, ())
+            else PrefixMatch(0, 0, None)
         )
-        cached_blocks = self._cache.pin_prefix(hashes[: match.num_blocks])
         lease = ExecutionLease(
             block_hashes=hashes,
             num_tokens=num_tokens,
-            cached_blocks=cached_blocks,
+            frontier=self._cache.pin_prefix(hashes, match.num_blocks),
             cached_tokens=match.num_tokens,
         )
         if not reserve_full_kv:
@@ -421,7 +426,7 @@ class KVCacheManager:
                 scratch.append(self._allocate_scratch(now))
         except AllocationError as exc:
             self._allocator.free_many(scratch)
-            self._cache.unpin(cached_blocks)
+            self._cache.unpin(lease.frontier)
             raise CapacityError(
                 f"request of {num_tokens} tokens needs {needed} KV blocks but the "
                 f"cache budget of {self.capacity_tokens} tokens cannot supply them",
@@ -456,7 +461,7 @@ class KVCacheManager:
             The number of the request's tokens resident in the GPU prefix cache
             after the commit.
         """
-        self._cache.unpin(lease.cached_blocks)
+        self._cache.unpin(lease.frontier)
         if lease.scratch_blocks:
             self._allocator.free_many(lease.scratch_blocks)
             lease.scratch_blocks = []
@@ -473,7 +478,7 @@ class KVCacheManager:
             return resident_blocks * self._block_size
 
         resident_blocks = self._cache.insert(
-            lease.block_hashes, block_size=self._block_size, now=now, allow_eviction=True
+            lease.block_hashes, now=now, allow_eviction=True
         )
         if policy is CommitPolicy.SUFFIX_OFFLOAD and self._offload is not None:
             overflow = lease.block_hashes[resident_blocks:]

@@ -10,6 +10,16 @@ semantics of vLLM's automatic prefix caching.
 Eviction is LRU over *leaf* nodes that are not pinned by a running request
 (evicting an interior node would orphan its descendants' hash chains).
 
+A request pins and LRU-stamps only its *frontier*, the deepest cached block of
+its chain, as SGLang's RadixAttention keeps one reference count and one
+timestamp per matched run rather than per block.  A pinned frontier keeps every
+ancestor interior, so the whole cached prefix is safe from eviction.  An
+ancestor's own timestamp is stale until it matters: when a victim is evicted,
+its ``last_access`` folds into its parent, so a node that becomes a leaf again
+carries the latest access of any chain that ran through it.  A touched leaf is
+always a frontier, so every leaf's timestamp, and with it the victim order,
+is exactly what stamping every block of every chain would give.
+
 Victim selection uses a lazy min-heap of ``(last_access, creation_seq, node)``
 candidates rather than scanning every node per eviction: an entry is pushed
 when a node is created and when it becomes a leaf again after a child is
@@ -19,7 +29,8 @@ in place (lazy decrease-key, so cache touches stay O(1)), and pinned
 candidates are pushed back once the eviction pass ends.  The victim is always
 the unpinned leaf with the smallest ``(last_access, creation_seq)``: ties on
 the timestamp go to the older node.  ``tests/test_prefix_cache_oracle.py``
-checks that order against a full-scan reference cache.
+checks that order against a full-scan reference cache that stamps and pins
+every block.
 
 The tree also keeps a change record for one watcher (the SRJF scheduler's
 frontier index, see :mod:`repro.core.scheduler`): the watched content hashes
@@ -31,7 +42,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Container, Sequence
+from typing import Container, NamedTuple, Sequence
 
 from repro.errors import AllocationError
 from repro.kvcache.allocator import BlockAllocator
@@ -60,19 +71,47 @@ class PrefixMatch:
     Attributes:
         num_blocks: Number of leading blocks found in the cache.
         num_tokens: The same count expressed in tokens.
-        blocks: The matched blocks, in prefix order.
+        frontier: The deepest matched block, or None when nothing matched.
     """
 
     num_blocks: int
     num_tokens: int
-    blocks: tuple[Block, ...]
+    frontier: Block | None
+
+
+class NodeState(NamedTuple):
+    """One resident node, as :meth:`RadixPrefixCache.snapshot` reports it."""
+
+    parent: int | None
+    children: tuple[int, ...]
+    block: Block
+    seq: int
+
+
+@dataclass(frozen=True)
+class TreeSnapshot:
+    """The tree's structure, read by the KV structural invariant check.
+
+    Attributes:
+        nodes: Every resident node by content hash.
+        roots: Content hashes of the root nodes.
+        heap_keys: For each resident node with a live LRU-heap entry, the
+            smallest ``(last_access, seq)`` key among its entries.
+        allocator: The block pool the tree allocates from.
+    """
+
+    nodes: dict[int, NodeState]
+    roots: tuple[int, ...]
+    heap_keys: dict[int, tuple[float, int]]
+    allocator: BlockAllocator
 
 
 class RadixPrefixCache:
     """LRU radix-tree prefix cache backed by a :class:`BlockAllocator`.
 
-    The cache owns the blocks it stores: inserting allocates from the shared
-    allocator (possibly after evicting), and evicting frees back to it.
+    The cache owns the blocks it stores: inserting allocates full blocks of
+    the allocator's block size from the shared pool (possibly after
+    evicting), and evicting frees back to it.
 
     Args:
         allocator: Shared physical block pool.
@@ -80,6 +119,7 @@ class RadixPrefixCache:
 
     def __init__(self, allocator: BlockAllocator) -> None:
         self._allocator = allocator
+        self._block_size = allocator.block_size
         self._nodes: dict[int, _TreeNode] = {}
         self._roots: dict[int, _TreeNode] = {}
         self._lru_heap: list[tuple[float, int, _TreeNode]] = []
@@ -115,8 +155,8 @@ class RadixPrefixCache:
 
     @property
     def num_cached_tokens(self) -> int:
-        """Number of tokens currently held by the cache."""
-        return sum(node.block.num_tokens for node in self._nodes.values())
+        """Number of tokens currently held by the cache (every block is full)."""
+        return len(self._nodes) * self._block_size
 
     @property
     def stats(self) -> dict:
@@ -159,24 +199,26 @@ class RadixPrefixCache:
 
         Args:
             block_hashes: Chained content hashes of the request's full blocks.
-            now: Logical time used to refresh LRU timestamps.
+            now: Logical time stamped on the frontier, the deepest matched
+                block (its ancestors receive it when it is evicted).
             touch: If False, the lookup does not update LRU state (used by the
                 scheduler's JCT calibration, which must not perturb eviction
                 order merely by inspecting the queue).
         """
-        matched: list[Block] = []
-        tokens = 0
+        nodes = self._nodes
+        count = 0
         for content_hash in block_hashes:
-            node = self._nodes.get(content_hash)
-            if node is None:
+            if content_hash not in nodes:
                 self._misses += 1
                 break
-            if touch:
-                node.block.touch(now)
-            matched.append(node.block)
-            tokens += node.block.num_tokens
-            self._hits += 1
-        return PrefixMatch(num_blocks=len(matched), num_tokens=tokens, blocks=tuple(matched))
+            count += 1
+        if not count:
+            return PrefixMatch(0, 0, None)
+        self._hits += count
+        frontier = nodes[block_hashes[count - 1]].block
+        if touch:
+            frontier.touch(now)
+        return PrefixMatch(count, count * self._block_size, frontier)
 
     def match_length(self, block_hashes: Sequence[int], hint: int = 0) -> int:
         """Return only the number of cached leading blocks (no LRU update).
@@ -210,78 +252,80 @@ class RadixPrefixCache:
 
     # ------------------------------------------------------------- insertion
 
-    def insert(self, block_hashes: Sequence[int], *, block_size: int, now: float = 0.0,
+    def insert(self, block_hashes: Sequence[int], *, now: float = 0.0,
                max_new_blocks: int | None = None, allow_eviction: bool = True) -> int:
         """Insert the blocks of a finished request into the cache.
 
-        Blocks already present are refreshed; missing blocks are allocated from
-        the shared pool, evicting LRU leaves when ``allow_eviction`` is True.
-        Insertion stops early (suffix discarding) when the pool cannot supply a
-        block, or when ``max_new_blocks`` new blocks have been added.
+        The deepest block already present is stamped; missing blocks are
+        allocated from the shared pool, evicting LRU leaves when
+        ``allow_eviction`` is True.  Insertion stops early (suffix discarding)
+        when the pool cannot supply a block, or when ``max_new_blocks`` new
+        blocks have been added.
 
         Returns:
             The number of blocks of the request now resident in the cache
             (matched + newly inserted), i.e. the cached prefix length in blocks.
         """
-        parent: _TreeNode | None = None
+        nodes = self._nodes
         resident = 0
-        new_blocks = 0
-        # Pin the insert path so that evictions triggered by this very insert
-        # cannot remove the request's own ancestors (which would break the
-        # chained-hash prefix property).
-        path: list[Block] = []
-        try:
-            for content_hash in block_hashes:
-                node = self._nodes.get(content_hash)
-                if node is not None:
-                    node.block.touch(now)
-                    node.block.pin()
-                    path.append(node.block)
-                    parent = node
-                    resident += 1
-                    continue
-                if max_new_blocks is not None and new_blocks >= max_new_blocks:
-                    break
-                block = self._allocate_block(
-                    content_hash, block_size, now, allow_eviction=allow_eviction
-                )
-                if block is None:
-                    break
-                node = _TreeNode(
-                    content_hash=content_hash, block=block, parent=parent,
-                    seq=self._node_seq,
-                )
-                self._node_seq += 1
-                if parent is None:
-                    self._roots[content_hash] = node
-                else:
-                    parent.children[content_hash] = node
-                self._nodes[content_hash] = node
-                if content_hash in self._watched:
-                    self._changed.add(content_hash)
-                self._note_candidate(node)
-                node.block.pin()
-                path.append(node.block)
-                parent = node
-                resident += 1
-                new_blocks += 1
-                self._insertions += 1
-                self._version += 1
-        finally:
-            for block in path:
-                block.unpin()
+        for content_hash in block_hashes:
+            if content_hash not in nodes:
+                break
+            resident += 1
+        tail = nodes[block_hashes[resident - 1]] if resident else None
+        if tail is not None:
+            tail.block.touch(now)
+        stop = len(block_hashes)
+        if max_new_blocks is not None:
+            stop = min(stop, resident + max_new_blocks)
+        for content_hash in islice(block_hashes, resident, stop):
+            block = self._allocate_block(content_hash, now, tail,
+                                         allow_eviction=allow_eviction)
+            if block is None:
+                break
+            node = _TreeNode(
+                content_hash=content_hash, block=block, parent=tail,
+                seq=self._node_seq,
+            )
+            self._node_seq += 1
+            if tail is None:
+                self._roots[content_hash] = node
+            else:
+                tail.children[content_hash] = node
+            nodes[content_hash] = node
+            if content_hash in self._watched:
+                self._changed.add(content_hash)
+            self._note_candidate(node)
+            tail = node
+            resident += 1
+            self._insertions += 1
+            self._version += 1
         return resident
 
-    def _allocate_block(self, content_hash: int, block_size: int, now: float, *,
+    def _allocate_block(self, content_hash: int, now: float, tail: _TreeNode | None, *,
                         allow_eviction: bool) -> Block | None:
-        """Allocate one block, evicting LRU leaves if necessary and allowed."""
+        """Allocate one block, evicting LRU leaves if necessary and allowed.
+
+        ``tail``, the deepest block of the insert path, is pinned while this
+        insert evicts, so that it cannot evict the request's own ancestors
+        (which would break the chained-hash prefix property).
+        """
         while True:
             try:
                 return self._allocator.allocate(
-                    content_hash=content_hash, num_tokens=block_size, now=now
+                    content_hash=content_hash, num_tokens=self._block_size, now=now
                 )
             except AllocationError:
-                if not allow_eviction or not self.evict_blocks(1):
+                if not allow_eviction:
+                    return None
+                if tail is not None:
+                    tail.block.pin()
+                try:
+                    evicted = self.evict_blocks(1)
+                finally:
+                    if tail is not None:
+                        tail.block.unpin()
+                if not evicted:
                     return None
 
     # -------------------------------------------------------------- eviction
@@ -291,12 +335,24 @@ class RadixPrefixCache:
         """Number of blocks that could be reclaimed right now.
 
         This counts the whole unpinned subtree mass, not just current leaves,
-        because evicting a leaf exposes its parent as the next victim.
+        because evicting a leaf exposes its parent as the next victim: every
+        node on no pinned frontier's root path.
         """
-        return sum(1 for node in self._nodes.values() if not node.block.is_pinned)
+        protected: set[int] = set()
+        for node in self._nodes.values():
+            if node.block.is_pinned:
+                while node is not None and node.content_hash not in protected:
+                    protected.add(node.content_hash)
+                    node = node.parent
+        return len(self._nodes) - len(protected)
 
     def evict_blocks(self, count: int) -> int:
         """Evict up to ``count`` blocks in LRU order; return how many were evicted.
+
+        Only a leaf's timestamp decides its turn.  Requests stamp only their
+        frontier, and a victim's ``last_access`` folds into its parent as it
+        leaves, so a node that becomes a leaf again has the latest access of
+        every chain that ran through it, as if every block had been stamped.
 
         Every evictable node has at least one heap entry — pushed at its
         creation and whenever it becomes a leaf again — whose key never
@@ -330,13 +386,17 @@ class RadixPrefixCache:
         return evicted
 
     def _remove_node(self, node: _TreeNode) -> None:
-        if node.parent is None:
+        parent = node.parent
+        if parent is None:
             self._roots.pop(node.content_hash, None)
         else:
-            node.parent.children.pop(node.content_hash, None)
-            if node.parent.is_leaf:
+            parent.children.pop(node.content_hash, None)
+            # The parent inherits the victim's recency: every access that
+            # stamped the victim ran through the parent too.
+            parent.block.touch(node.block.last_access)
+            if parent.is_leaf:
                 # The parent just became evictable; give it a live heap entry.
-                self._note_candidate(node.parent)
+                self._note_candidate(parent)
         del self._nodes[node.content_hash]
         if node.content_hash in self._watched:
             self._changed.add(node.content_hash)
@@ -348,26 +408,53 @@ class RadixPrefixCache:
 
     # --------------------------------------------------------------- pinning
 
-    def pin_prefix(self, block_hashes: Sequence[int]) -> list[Block]:
-        """Pin the cached prefix of a request while it executes.
+    def pin_prefix(self, block_hashes: Sequence[int], num_blocks: int) -> Block | None:
+        """Pin the cached prefix ``block_hashes[:num_blocks]`` while a request executes.
 
-        Pinned blocks cannot be evicted, which is how the cache guarantees that
-        a scheduled request's advertised prefix hit is still there when the
-        request actually runs.
+        Only the frontier ``block_hashes[num_blocks - 1]`` is pinned: only
+        unpinned leaves are evicted, so its ancestors stay resident with it.
+        This is how the cache guarantees that a scheduled request's advertised
+        prefix hit is still there when the request actually runs.
+
+        Returns:
+            The pinned frontier block for :meth:`unpin`, or None when
+            ``num_blocks`` is 0.
         """
-        pinned: list[Block] = []
-        for content_hash in block_hashes:
-            node = self._nodes.get(content_hash)
-            if node is None:
-                break
-            node.block.pin()
-            pinned.append(node.block)
-        return pinned
+        if not num_blocks:
+            return None
+        frontier = self._nodes[block_hashes[num_blocks - 1]].block
+        frontier.pin()
+        return frontier
 
-    def unpin(self, blocks: Sequence[Block]) -> None:
-        """Release blocks pinned by :meth:`pin_prefix`."""
-        for block in blocks:
-            block.unpin()
+    def unpin(self, frontier: Block | None) -> None:
+        """Release a frontier pinned by :meth:`pin_prefix`."""
+        if frontier is not None:
+            frontier.unpin()
+
+    def snapshot(self) -> TreeSnapshot:
+        """The tree's structure, for the KV structural invariant check
+        (:func:`repro.simulation.invariants.check_kv_structure`)."""
+        nodes = self._nodes
+        heap_keys: dict[int, tuple[float, int]] = {}
+        for last_access, seq, node in self._lru_heap:
+            content_hash = node.content_hash
+            if nodes.get(content_hash) is node:
+                key = (last_access, seq)
+                heap_keys[content_hash] = min(heap_keys.get(content_hash, key), key)
+        return TreeSnapshot(
+            nodes={
+                content_hash: NodeState(
+                    parent=node.parent.content_hash if node.parent is not None else None,
+                    children=tuple(node.children),
+                    block=node.block,
+                    seq=node.seq,
+                )
+                for content_hash, node in nodes.items()
+            },
+            roots=tuple(self._roots),
+            heap_keys=heap_keys,
+            allocator=self._allocator,
+        )
 
     # ----------------------------------------------------------------- misc
 

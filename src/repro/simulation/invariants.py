@@ -21,13 +21,20 @@ two numbers differed:
 5. **reproducibility** — the same spec re-run with the same seed produces a
    bit-identical :func:`scenario_fingerprint` (asserted by the fuzz test via
    two independent runs).
+6. **kv-structure** — after drain, per replica (retired and crashed ones
+   included): the block allocator's free and allocated blocks add up to its
+   pool, the allocated blocks are exactly the radix tree's resident blocks,
+   no lease is outstanding and no block is pinned, every resident node's
+   parent is resident with the children maps agreeing, and every unpinned
+   leaf has an LRU-heap entry whose key does not exceed its
+   ``(last_access, seq)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import InvariantViolation
+from repro.errors import AllocationError, InvariantViolation
 from repro.simulation.scenario import ScenarioResult
 
 __all__ = [
@@ -35,6 +42,7 @@ __all__ = [
     "check_goodput_bound",
     "check_single_kv_residency",
     "check_tenant_consistency",
+    "check_kv_structure",
     "scenario_fingerprint",
     "check_scenario_invariants",
 ]
@@ -159,6 +167,55 @@ def check_tenant_consistency(result: ScenarioResult) -> None:
         )
 
 
+def check_kv_structure(fleet) -> None:
+    """Invariant 6: after drain, each replica's KV accounting and radix tree hold."""
+    for engine in fleet.all_replicas:
+        problem = _kv_structure_problem(engine.kv)
+        if problem is not None:
+            raise InvariantViolation("kv-structure", f"replica {engine.name!r}: {problem}")
+
+
+def _kv_structure_problem(manager) -> str | None:
+    """The first way a drained manager's blocks or radix tree are broken, or None."""
+    if manager.num_active_leases:
+        return f"{manager.num_active_leases} execution lease(s) outstanding after drain"
+    tree = manager.tree_snapshot()
+    allocator = tree.allocator
+    nodes = tree.nodes
+    free, allocated = allocator.num_free_blocks, allocator.num_allocated_blocks
+    if free + allocated != allocator.num_blocks:
+        return (f"{free} free + {allocated} allocated blocks != a pool of "
+                f"{allocator.num_blocks}")
+    if allocated != len(nodes):
+        return f"{allocated} allocated blocks but {len(nodes)} resident cached blocks"
+    if set(tree.roots) != {h for h, node in nodes.items() if node.parent is None}:
+        return "the roots map does not list exactly the parentless nodes"
+    for content_hash, node in nodes.items():
+        block = node.block
+        try:
+            owned = allocator.get(block.block_id) is block
+        except AllocationError:
+            owned = False
+        if not owned:
+            return f"cached block {content_hash} is not allocated"
+        if block.is_pinned:
+            return f"block {content_hash} is still pinned after drain"
+        parent = node.parent
+        if parent is not None and (
+                parent not in nodes or content_hash not in nodes[parent].children):
+            return (f"node {content_hash}'s parent {parent} is not resident or "
+                    "does not list it as a child")
+        for child in node.children:
+            if child not in nodes or nodes[child].parent != content_hash:
+                return (f"node {content_hash} lists child {child}, which is not "
+                        "resident under it")
+        key = tree.heap_keys.get(content_hash)
+        if not node.children and (key is None or key > (block.last_access, node.seq)):
+            return (f"leaf {content_hash} at {(block.last_access, node.seq)} has no "
+                    f"LRU-heap entry at or below it (smallest: {key})")
+    return None
+
+
 def scenario_fingerprint(result: ScenarioResult) -> dict:
     """Everything observable from one scenario run, JSON-serialisable.
 
@@ -177,15 +234,17 @@ def scenario_fingerprint(result: ScenarioResult) -> dict:
 
 
 def check_scenario_invariants(result: ScenarioResult, requests) -> None:
-    """Run every per-run invariant (1-4) over one finished scenario.
+    """Run every per-run invariant (1-4 and 6) over one finished scenario.
 
     Invariant 5 (reproducibility) needs a second run of the same spec, so it
     is asserted by the caller comparing :func:`scenario_fingerprint` values.
-    Residency (3) needs the live fleet — run the scenario with
-    ``keep_fleet=True``; it is skipped when the result carries no fleet.
+    Residency (3) and KV structure (6) need the live fleet — run the scenario
+    with ``keep_fleet=True``; they are skipped when the result carries no
+    fleet.
     """
     check_request_conservation(result.result, requests)
     check_goodput_bound(result.result, requests)
     check_tenant_consistency(result)
     if result.fleet is not None:
         check_single_kv_residency(result.fleet)
+        check_kv_structure(result.fleet)

@@ -59,19 +59,19 @@ exact same metrics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 from repro.baselines.registry import get_engine_spec
 from repro.cluster import Fleet, QueueDepthAdmission, ReactiveAutoscaler
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, ScenarioSpecError
 from repro.faults import FaultSchedule, fault_schedule_from_model
 from repro.hardware.cluster import get_hardware_setup
 from repro.obs.logging import get_logger, set_context
 from repro.obs.recorder import TraceRecorder
 from repro.perf.runner import ParallelRunner, resolve_runner
 from repro.simulation.arrival import make_arrival
-from repro.spec.core import from_dict, to_dict
+from repro.spec.core import check_overrides, from_dict, spec_fields, to_dict
 from repro.spec.models import (
     AutoscaleSpec,
     KVTiersSpec,
@@ -84,6 +84,7 @@ from repro.simulation.metrics import LatencySummary, summarize_finished
 from repro.simulation.routing import make_router
 from repro.simulation.simulator import FleetSimulationResult, simulate_fleet
 from repro.workloads.mixer import MixedTrace, TenantSpec, mix_tenants
+from repro.workloads.registry import WORKLOAD_FACTORIES
 from repro.workloads.trace import Request
 from repro.workloads.tracefile import load_trace, save_trace
 
@@ -151,6 +152,11 @@ class ScenarioSpec:
 
 def _tenant_from_model(model: TenantModel, *, index: int,
                        scenario_seed: int) -> TenantSpec:
+    factory = WORKLOAD_FACTORIES.get(model.workload)
+    if is_dataclass(factory) and spec_fields(factory):
+        check_overrides(factory, model.workload_params,
+                        path=f"tenants[{index}].workload_params",
+                        error=ScenarioSpecError)
     workload_params = dict(model.workload_params)
     workload_params.setdefault("seed", scenario_seed)
     arrival_params = dict(model.arrival_params)

@@ -50,6 +50,7 @@ __all__ = [
     "is_spec_model",
     "spec_fields",
     "from_dict",
+    "check_overrides",
     "to_dict",
     "normalize",
     "field_rows",
@@ -358,6 +359,25 @@ def from_dict(cls, data, *, path: str | None = None):
     if validate is not None:
         validate(path)
     return instance
+
+
+def check_overrides(cls, data: dict, *, path: str, error: type) -> None:
+    """Check ``data`` as keyword overrides of the dataclass ``cls``.
+
+    Every key is optional.  Each key must be one of ``cls``'s
+    :func:`spec_field` fields (an unknown key's error names the accepted
+    ones), and each value is checked like a parsed field: type, finiteness
+    and range.  Every failure carries the path ``<path>.<key>``.
+    """
+    infos = spec_fields(cls)
+    for name, value in data.items():
+        info = infos.get(name)
+        if info is None:
+            raise error(
+                f"unknown key {name!r}; accepted: {', '.join(infos)}",
+                path=f"{path}.{name}",
+            )
+        _check_value(name, value, info, path=path, error=error)
 
 
 def _default_value(info: FieldInfo):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.spec.core import spec_field
 from repro.workloads.trace import Request, TokenSegment, TokenSequence, WorkloadTrace
 
 _SYSTEM_PROMPT_ID = 2
@@ -26,16 +27,17 @@ class CreditVerificationWorkload:
     """Generator for the credit verification trace.
 
     Attributes mirror the paper's dataset parameters: 60 users, one request per
-    user, ten months of history at 4,000-6,000 tokens per month.
+    user, ten months of history at 4,000-6,000 tokens per month.  Their
+    declared types and minimums check a scenario's ``workload_params``.
     """
 
-    num_users: int = 60
-    months_of_history: int = 10
-    month_min_tokens: int = 4_000
-    month_max_tokens: int = 6_000
-    system_prompt_tokens: int = 256
-    question_tokens: int = 32
-    seed: int = 0
+    num_users: int = spec_field(default=60, types=int, minimum=1)
+    months_of_history: int = spec_field(default=10, types=int, minimum=1)
+    month_min_tokens: int = spec_field(default=4_000, types=int, minimum=1)
+    month_max_tokens: int = spec_field(default=6_000, types=int, minimum=1)
+    system_prompt_tokens: int = spec_field(default=256, types=int, minimum=1)
+    question_tokens: int = spec_field(default=32, types=int, minimum=1)
+    seed: int = spec_field(default=0, types=int, minimum=0)
 
     name = "credit-verification"
 

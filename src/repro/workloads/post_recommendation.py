@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.spec.core import spec_field
 from repro.workloads.trace import Request, TokenSegment, TokenSequence, WorkloadTrace
 
 #: Content-id namespaces keep segment ids from different roles disjoint.
@@ -37,19 +38,20 @@ class PostRecommendationWorkload:
     """Generator for the post recommendation trace.
 
     Attributes mirror the paper's dataset parameters; shrink ``num_users`` or
-    ``posts_per_user`` for fast tests.
+    ``posts_per_user`` for fast tests.  Their declared types and minimums
+    check a scenario's ``workload_params``.
     """
 
-    num_users: int = 20
-    posts_per_user: int = 50
-    post_tokens: int = 150
-    profile_mean_tokens: int = 14_000
-    profile_std_tokens: int = 3_000
-    profile_min_tokens: int = 11_000
-    profile_max_tokens: int = 17_000
-    system_prompt_tokens: int = 128
-    question_tokens: int = 16
-    seed: int = 0
+    num_users: int = spec_field(default=20, types=int, minimum=1)
+    posts_per_user: int = spec_field(default=50, types=int, minimum=1)
+    post_tokens: int = spec_field(default=150, types=int, minimum=1)
+    profile_mean_tokens: int = spec_field(default=14_000, types=int, minimum=1)
+    profile_std_tokens: int = spec_field(default=3_000, types=int, minimum=0)
+    profile_min_tokens: int = spec_field(default=11_000, types=int, minimum=1)
+    profile_max_tokens: int = spec_field(default=17_000, types=int, minimum=1)
+    system_prompt_tokens: int = spec_field(default=128, types=int, minimum=1)
+    question_tokens: int = spec_field(default=16, types=int, minimum=1)
+    seed: int = spec_field(default=0, types=int, minimum=0)
 
     name = "post-recommendation"
 

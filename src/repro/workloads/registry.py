@@ -14,7 +14,10 @@ from repro.workloads.credit_verification import CreditVerificationWorkload
 from repro.workloads.post_recommendation import PostRecommendationWorkload
 from repro.workloads.trace import WorkloadTrace
 
-_WORKLOAD_FACTORIES: dict[str, Callable] = {
+#: Workload name -> generator factory.  When a dataclass factory declares its
+#: fields with :func:`~repro.spec.core.spec_field`, a scenario's
+#: ``workload_params`` are checked against them at parse time.
+WORKLOAD_FACTORIES: dict[str, Callable] = {
     "post-recommendation": PostRecommendationWorkload,
     "credit-verification": CreditVerificationWorkload,
 }
@@ -22,7 +25,7 @@ _WORKLOAD_FACTORIES: dict[str, Callable] = {
 
 def list_workloads() -> list[str]:
     """Names of the registered workloads (the paper's two datasets by default)."""
-    return sorted(_WORKLOAD_FACTORIES)
+    return sorted(WORKLOAD_FACTORIES)
 
 
 def register_workload(name: str, factory: Callable) -> None:
@@ -33,7 +36,7 @@ def register_workload(name: str, factory: Callable) -> None:
         factory: Callable accepting the generator's keyword parameters and
             returning an object with a ``generate() -> WorkloadTrace`` method.
     """
-    _WORKLOAD_FACTORIES[name] = factory
+    WORKLOAD_FACTORIES[name] = factory
 
 
 def get_workload(name: str, **overrides) -> WorkloadTrace:
@@ -48,7 +51,7 @@ def get_workload(name: str, **overrides) -> WorkloadTrace:
             carries the valid names in its ``available`` attribute.
     """
     try:
-        factory = _WORKLOAD_FACTORIES[name]
+        factory = WORKLOAD_FACTORIES[name]
     except KeyError:
         raise UnknownWorkloadError(name, list_workloads()) from None
     return factory(**overrides).generate()

@@ -195,6 +195,26 @@ def test_scenario_run_unknown_key_exits_2_naming_the_key(tmp_path, capsys):
     assert "repliacs" in err
 
 
+@pytest.mark.parametrize("params, path", [
+    ('{"num_users": NaN}', "tenants[0].workload_params.num_users"),
+    ('{"num_users": 0}', "tenants[0].workload_params.num_users"),
+    ('{"num_user": 4}', "tenants[0].workload_params.num_user"),
+])
+def test_scenario_run_bad_workload_params_exit_2_at_their_path(tmp_path, capsys,
+                                                                params, path):
+    config = tmp_path / "scenario.json"
+    # Written by hand: Python's JSON reader accepts the NaN literal.
+    config.write_text(
+        '{"name": "bad", "tenants": [{"name": "t", "workload": '
+        f'"post-recommendation", "workload_params": {params}, '
+        '"arrival": "poisson", "arrival_params": {"rate": 2.0}}]}'
+    )
+    code = main(["scenario", "run", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"prefillonly: error: {path}:" in err
+
+
 def test_scenario_run_unknown_router_exits_2(tmp_path, capsys):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({

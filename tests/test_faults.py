@@ -25,6 +25,7 @@ from repro.faults import (
 from repro.kvcache.offload import CPUOffloadStore
 from repro.kvcache.tiers import ClusterPrefixStore, tier_config_from_dict
 from repro.simulation.arrival import PoissonArrivalProcess
+from repro.simulation.invariants import check_kv_structure
 from repro.simulation.simulator import simulate_fleet
 
 
@@ -223,6 +224,17 @@ def test_crash_reroutes_and_conserves_requests(h100_setup, small_post_trace):
     # The crashed replica serves nothing after the crash.
     crashed = [row for row in fleet.replica_reports(1e9) if row["retired"]]
     assert len(crashed) == 1
+
+
+def test_crash_aborts_in_flight_leases(h100_setup, small_post_trace):
+    """The dead replica's in-flight leases release their pins and scratch."""
+    schedule = fault_schedule_from_dict({"events": [
+        {"kind": "crash", "replica": 0, "at": 2.0},
+    ]})
+    fleet = build_fleet(h100_setup, small_post_trace)
+    result = simulate_fleet(fleet, arrivals(small_post_trace), faults=schedule)
+    assert result.fleet.resilience.num_lost_in_flight > 0
+    check_kv_structure(fleet)
 
 
 def test_retried_requests_keep_their_original_arrival_time(h100_setup, small_post_trace):

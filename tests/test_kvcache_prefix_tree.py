@@ -22,7 +22,7 @@ def hashes(tokens: list[int]) -> list[int]:
 def test_insert_then_match():
     cache, _ = make_cache()
     request = hashes(list(range(64)))
-    inserted = cache.insert(request, block_size=BLOCK)
+    inserted = cache.insert(request)
     assert inserted == 4
     match = cache.match(request)
     assert match.num_blocks == 4
@@ -32,7 +32,7 @@ def test_insert_then_match():
 def test_partial_prefix_match():
     cache, _ = make_cache()
     shared = list(range(48))
-    cache.insert(hashes(shared + [1] * 16), block_size=BLOCK)
+    cache.insert(hashes(shared + [1] * 16))
     other = hashes(shared + [2] * 16)
     match = cache.match(other)
     assert match.num_blocks == 3  # the shared 48 tokens only
@@ -41,11 +41,11 @@ def test_partial_prefix_match():
 def test_match_length_does_not_touch_lru():
     cache, _ = make_cache(num_blocks=4)
     old = hashes(list(range(64)))
-    cache.insert(old, block_size=BLOCK, now=1.0)
+    cache.insert(old, now=1.0)
     # A read-only probe at a later time must not refresh the LRU timestamps.
     cache.match_length(old)
     new = hashes(list(range(1000, 1064)))
-    cache.insert(new, block_size=BLOCK, now=2.0)
+    cache.insert(new, now=2.0)
     assert cache.match_length(new) == 4
     assert cache.match_length(old) == 0
 
@@ -54,11 +54,11 @@ def test_lru_eviction_prefers_oldest_leaf():
     cache, allocator = make_cache(num_blocks=8)
     first = hashes(list(range(64)))          # 4 blocks
     second = hashes(list(range(100, 164)))   # 4 blocks
-    cache.insert(first, block_size=BLOCK, now=1.0)
-    cache.insert(second, block_size=BLOCK, now=2.0)
+    cache.insert(first, now=1.0)
+    cache.insert(second, now=2.0)
     assert allocator.num_free_blocks == 0
     third = hashes(list(range(200, 232)))    # 2 blocks, forces eviction
-    cache.insert(third, block_size=BLOCK, now=3.0)
+    cache.insert(third, now=3.0)
     # The oldest entry (first) lost blocks; the newest are intact.
     assert cache.match_length(third) == 2
     assert cache.match_length(second) == 4
@@ -68,7 +68,7 @@ def test_lru_eviction_prefers_oldest_leaf():
 def test_eviction_removes_leaves_first():
     cache, _ = make_cache(num_blocks=8)
     request = hashes(list(range(64)))
-    cache.insert(request, block_size=BLOCK)
+    cache.insert(request)
     evicted = cache.evict_blocks(1)
     assert evicted == 1
     # The prefix shrinks from the tail, never from the head.
@@ -78,8 +78,8 @@ def test_eviction_removes_leaves_first():
 def test_pinned_blocks_are_not_evicted():
     cache, _ = make_cache(num_blocks=4)
     request = hashes(list(range(64)))
-    cache.insert(request, block_size=BLOCK)
-    pinned = cache.pin_prefix(request)
+    cache.insert(request)
+    pinned = cache.pin_prefix(request, cache.match_length(request))
     assert cache.evict_blocks(4) == 0
     cache.unpin(pinned)
     assert cache.evict_blocks(4) == 4
@@ -88,7 +88,7 @@ def test_pinned_blocks_are_not_evicted():
 def test_insert_without_eviction_stops_when_full():
     cache, _ = make_cache(num_blocks=2)
     request = hashes(list(range(64)))  # needs 4 blocks
-    resident = cache.insert(request, block_size=BLOCK, allow_eviction=False)
+    resident = cache.insert(request, allow_eviction=False)
     assert resident == 2
     assert cache.num_cached_blocks == 2
 
@@ -96,14 +96,14 @@ def test_insert_without_eviction_stops_when_full():
 def test_insert_max_new_blocks_limits_growth():
     cache, _ = make_cache()
     request = hashes(list(range(128)))  # 8 blocks
-    resident = cache.insert(request, block_size=BLOCK, max_new_blocks=3)
+    resident = cache.insert(request, max_new_blocks=3)
     assert resident == 3
 
 
 def test_version_changes_on_insert_and_evict():
     cache, _ = make_cache()
     version0 = cache.version
-    cache.insert(hashes(list(range(32))), block_size=BLOCK)
+    cache.insert(hashes(list(range(32))))
     version1 = cache.version
     assert version1 > version0
     cache.evict_blocks(1)
@@ -113,7 +113,7 @@ def test_version_changes_on_insert_and_evict():
 def test_version_unchanged_by_lookup():
     cache, _ = make_cache()
     request = hashes(list(range(32)))
-    cache.insert(request, block_size=BLOCK)
+    cache.insert(request)
     version = cache.version
     cache.match(request)
     cache.match_length(request)
@@ -123,15 +123,15 @@ def test_version_unchanged_by_lookup():
 def test_reinserting_existing_prefix_allocates_nothing():
     cache, allocator = make_cache()
     request = hashes(list(range(64)))
-    cache.insert(request, block_size=BLOCK)
+    cache.insert(request)
     free_before = allocator.num_free_blocks
-    cache.insert(request, block_size=BLOCK)
+    cache.insert(request)
     assert allocator.num_free_blocks == free_before
 
 
 def test_clear_frees_all_blocks():
     cache, allocator = make_cache()
-    cache.insert(hashes(list(range(64))), block_size=BLOCK)
+    cache.insert(hashes(list(range(64))))
     cache.clear()
     assert cache.num_cached_blocks == 0
     assert allocator.num_free_blocks == allocator.num_blocks
@@ -141,7 +141,7 @@ def test_stats_counters():
     cache, _ = make_cache()
     request = hashes(list(range(32)))
     cache.match(request)          # miss
-    cache.insert(request, block_size=BLOCK)
+    cache.insert(request)
     cache.match(request)          # hits
     stats = cache.stats
     assert stats["insertions"] == 2

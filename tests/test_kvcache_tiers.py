@@ -491,7 +491,7 @@ def test_l1_eviction_order_matches_seed_with_tiering_enabled(data, capacity_bloc
         now += 1.0
         for cache in (bare, tiered_cache):
             if op == "insert":
-                cache.insert(chains[which], block_size=BLOCK_SIZE, now=now)
+                cache.insert(chains[which], now=now)
             else:
                 cache.evict_blocks(1)
     assert tiered_victims == bare_victims

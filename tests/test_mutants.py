@@ -1,0 +1,41 @@
+"""``scripts/mutants.py`` still finds the source text of every mutant.
+
+The mutants themselves run under ``make mutants``.  Here each mutant is only
+applied to a copy of its target file, so a refactor that moves a mutated
+line fails tier-1 at once, not only the mutants job.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location(
+    "mutants", REPO_ROOT / "scripts" / "mutants.py"
+)
+mutants = importlib.util.module_from_spec(_spec)
+# Registered first: the dataclass decorator looks its module up by name.
+sys.modules[_spec.name] = mutants
+_spec.loader.exec_module(mutants)
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda mutant: mutant.name)
+def test_each_mutant_applies_to_the_tree(mutant, tmp_path):
+    target = tmp_path / mutant.path
+    target.parent.mkdir(parents=True)
+    shutil.copy(REPO_ROOT / mutant.path, target)
+    assert mutants.apply(mutant, tmp_path) is None
+    assert target.read_text() != (REPO_ROOT / mutant.path).read_text()
+
+
+def test_a_missing_source_text_is_reported(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "module.py").write_text("pass\n")
+    mutant = mutants.Mutant("absent", "src/module.py", (("return 1", ""),))
+    assert "found 0 times" in mutants.apply(mutant, tmp_path)

@@ -13,13 +13,18 @@ clears, over overlapping hash chains and a 3-10 block pool.  After
 every op the return values, the stats counters, the resident hashes and the
 victims reported through ``on_evict`` must agree.
 
+The reference stamps and pins every block of a chain; the production cache
+stamps and pins only the chain's frontier and folds each victim's timestamp
+into its parent.  Where the two APIs differ, a match or pin returns the
+frontier block, which must be the last block of the reference's prefix.
+
 Runs under the shared ``oracle-run`` hypothesis profile (``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import AllocationError
 from repro.kvcache.allocator import BlockAllocator
@@ -168,8 +173,22 @@ ops = st.lists(
 )
 
 
+def last(hashes) -> int | None:
+    return hashes[-1] if hashes else None
+
+
 @settings.get_profile("oracle-run")
 @given(paths=paths, ops=ops, capacity=st.integers(3, 10))
+# The eviction stamp fold: a touching match of (1, 5) stamps only 5, and
+# once 5 is evicted, 1 must inherit its t=1 stamp and outlive the older 2.
+# Without the fold, 1 keeps its t=0 stamp and is evicted before 2.
+@example(
+    paths=[[0, 0], [1], [2]],
+    ops=[(0.0, ("insert", 0, None, True)), (0.0, ("insert", 1, None, True)),
+         (0.0, ("pin", 1)), (1.0, ("match", 0, True)), (0.0, ("evict", 1)),
+         (0.0, ("unpin", 0)), (0.0, ("evict", 1))],
+    capacity=3,
+)
 def test_radix_cache_matches_reference(paths, ops, capacity):
     chains = [chain(path) for path in paths]
     cache = RadixPrefixCache(BlockAllocator(capacity, BLOCK))
@@ -185,24 +204,24 @@ def test_radix_cache_matches_reference(paths, ops, capacity):
         if kind in ("insert", "match", "match_length", "pin"):
             hashes = chains[op[1] % len(chains)]
         if kind == "insert":
-            resident = cache.insert(hashes, block_size=BLOCK, now=now,
+            resident = cache.insert(hashes, now=now,
                                     max_new_blocks=op[2], allow_eviction=op[3])
             assert resident == reference.insert(hashes, now, op[2], op[3])
         elif kind == "match":
             match = cache.match(hashes, now=now, touch=op[2])
             expected = reference.match(hashes, now, op[2])
             assert (match.num_blocks, match.num_tokens) == (expected, expected * BLOCK)
-            assert [block.content_hash for block in match.blocks] == list(hashes[:expected])
+            assert (match.frontier and match.frontier.content_hash) == last(hashes[:expected])
         elif kind == "match_length":
             assert cache.match_length(hashes, op[2]) == len(reference.cached_prefix(hashes))
         elif kind == "pin":
-            blocks = cache.pin_prefix(hashes)
             expected = reference.pin_prefix(hashes)
-            assert [block.content_hash for block in blocks] == expected
-            pins.append((blocks, expected))
+            frontier = cache.pin_prefix(hashes, len(expected))
+            assert (frontier and frontier.content_hash) == last(expected)
+            pins.append((frontier, expected))
         elif kind == "unpin" and pins:
-            blocks, expected = pins.pop(op[1] % len(pins))
-            cache.unpin(blocks)
+            frontier, expected = pins.pop(op[1] % len(pins))
+            cache.unpin(frontier)
             reference.unpin(expected)
         elif kind == "evict":
             assert cache.evict_blocks(op[1]) == reference.evict_blocks(op[1])

@@ -113,7 +113,7 @@ def test_radix_tree_never_exceeds_capacity_and_match_is_consistent(requests):
     cache = RadixPrefixCache(allocator)
     for index, tokens in enumerate(requests):
         hashes = hash_token_blocks(tokens, BLOCK)
-        cache.insert(hashes, block_size=BLOCK, now=float(index))
+        cache.insert(hashes, now=float(index))
         assert cache.num_cached_blocks <= 8
         # Whatever is reported as matched must be a prefix (no holes).
         match = cache.match_length(hashes)

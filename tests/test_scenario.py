@@ -53,7 +53,7 @@ from repro.simulation.scenario import (
 from repro.simulation.server import ServingSystem
 from repro.simulation.simulator import simulate, simulate_fleet
 from repro.workloads.mixer import TenantSpec, mix_tenants
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import WORKLOAD_FACTORIES, get_workload
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 from repro.workloads.tracefile import load_trace, save_trace
 
@@ -339,7 +339,7 @@ def test_lookup_from_matches_lookup_for_any_hint():
 
     kv = KVCacheManager(16 * 256, block_size=256)
     hashes = tuple(range(1, 13))
-    kv._cache.insert(hashes[:7], block_size=256, now=1.0)
+    kv._cache.insert(hashes[:7], now=1.0)
     for hint in range(0, len(hashes) + 2):
         assert kv.lookup_from(hashes, hint) == kv.lookup(hashes)
     # After evicting, every hint must still agree with the fresh walk.
@@ -485,6 +485,41 @@ def test_scenario_rejects_a_nan_slo_at_its_path():
         scenario_from_dict(config)
     assert excinfo.value.path == "tenants[0].slo_latency_s"
     assert "finite" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("num_users", math.nan, "num_users must be an integer, got nan"),
+    ("num_users", "4", "num_users must be an integer, got '4'"),
+    ("posts_per_user", True, "posts_per_user must be an integer, got True"),
+    ("num_users", 0, "num_users must be at least 1, got 0"),
+    ("posts_per_user", -2, "posts_per_user must be at least 1, got -2"),
+    ("seed", -1, "seed must be non-negative, got -1"),
+])
+def test_scenario_rejects_bad_workload_params_at_their_path(key, value, message):
+    config = _two_tenant_config()
+    config["tenants"][0]["workload_params"][key] = value
+    with pytest.raises(ScenarioSpecError) as excinfo:
+        scenario_from_dict(config)
+    assert excinfo.value.path == f"tenants[0].workload_params.{key}"
+    assert message in str(excinfo.value)
+
+
+def test_scenario_rejects_unknown_workload_param_naming_the_accepted_keys():
+    config = _two_tenant_config()
+    config["tenants"][1]["workload_params"]["months"] = 3
+    with pytest.raises(ScenarioSpecError) as excinfo:
+        scenario_from_dict(config)
+    assert excinfo.value.path == "tenants[1].workload_params.months"
+    assert "unknown key 'months'" in str(excinfo.value)
+    assert "months_of_history" in str(excinfo.value)
+
+
+def test_workload_params_of_a_factory_without_spec_fields_are_not_checked(monkeypatch):
+    monkeypatch.setitem(WORKLOAD_FACTORIES, "tiny",
+                        dataclasses.make_dataclass("Tiny", [("users", int, 1)]))
+    config = _two_tenant_config()
+    config["tenants"][1].update(workload="tiny", workload_params={"users": 2})
+    assert scenario_from_dict(config).tenants[1].workload_params["users"] == 2
 
 
 def test_scenario_rejects_unknown_low_priority_tenant():
