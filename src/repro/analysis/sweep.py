@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro.core.engine import EngineSpec
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.cluster import HardwareSetup
-from repro.model.config import get_model
 from repro.perf.runner import ParallelRunner, resolve_runner
 from repro.simulation.arrival import BurstArrivalProcess, PoissonArrivalProcess
 from repro.simulation.server import ServingSystem
@@ -196,15 +195,3 @@ def throughput_comparison(specs: list[EngineSpec], setup: HardwareSetup, trace: 
     tasks = [(spec, setup, trace, seed) for spec in specs]
     values = active.map(_base_throughput_task, tasks)
     return {spec.name: value for spec, value in zip(specs, values)}
-
-
-def setup_for_name(name: str) -> HardwareSetup:
-    """Convenience re-export so benches only need the sweep module."""
-    from repro.hardware.cluster import get_hardware_setup
-
-    return get_hardware_setup(name)
-
-
-def model_for_setup(setup: HardwareSetup):
-    """Resolve the model a hardware setup serves (convenience for benches)."""
-    return get_model(setup.model_name)

@@ -49,6 +49,7 @@ from repro.errors import (
     ObsError,
     ReproError,
     ResilienceError,
+    ScenarioSpecError,
 )
 from repro.faults import fault_schedule_from_dict
 from repro.resilience import resilience_from_dict
@@ -88,6 +89,7 @@ from repro.simulation.scenario import (
     run_scenario_suite,
 )
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.core import check_overrides
 from repro.spec.models import ObservabilitySpec
 from repro.workloads.registry import get_workload, list_workloads
 
@@ -330,6 +332,22 @@ _OBS_EXPORTERS = {
 }
 
 
+def _sample_interval(args: argparse.Namespace) -> float | None:
+    """``--sample-interval``, checked like the config block's own
+    ``observability.sample_interval_s`` (a zero, negative or non-finite
+    interval would never advance the sampler)."""
+    interval = args.sample_interval
+    if interval is not None:
+        check_overrides(ObservabilitySpec, {"sample_interval_s": interval},
+                        path="observability", error=ScenarioSpecError)
+    return interval
+
+
+def _check_top(args: argparse.Namespace) -> None:
+    if args.top < 0:
+        raise ConfigurationError(f"--top must be non-negative, got {args.top}")
+
+
 def _obs_data(args: argparse.Namespace):
     """Run the scenario with recording force-enabled and return its ObsData.
 
@@ -339,11 +357,12 @@ def _obs_data(args: argparse.Namespace):
     block's interval.  Forcing the recorder on never changes the simulation —
     the identity tests pin that.
     """
+    interval = _sample_interval(args)
     spec = load_scenario(args.config)
     obs_config = spec.observability or ObservabilitySpec()
     updates: dict = {"enabled": True}
-    if args.sample_interval is not None:
-        updates["sample_interval_s"] = args.sample_interval
+    if interval is not None:
+        updates["sample_interval_s"] = interval
     spec = dataclasses.replace(
         spec, observability=dataclasses.replace(obs_config, **updates)
     )
@@ -397,12 +416,14 @@ def _obs_input(args: argparse.Namespace):
 
 
 def _cmd_obs_critical_path(args: argparse.Namespace) -> int:
+    _check_top(args)
     report = decompose_requests(_obs_input(args))
     print(format_critical_path_report(report, top=args.top))
     return 0
 
 
 def _cmd_obs_exemplars(args: argparse.Namespace) -> int:
+    _check_top(args)
     report = decompose_requests(_obs_input(args))
     rows = [
         {
@@ -443,7 +464,7 @@ def _cmd_obs_alerts(args: argparse.Namespace) -> int:
     rules = DEFAULT_ALERT_RULES
     if spec.observability is not None and spec.observability.alerts:
         rules = spec.observability.alerts
-    interval = args.sample_interval
+    interval = _sample_interval(args)
     if interval is None and spec.observability is not None:
         interval = spec.observability.sample_interval_s
     report = evaluate_alerts(_obs_input(args), rules, slos=slos,

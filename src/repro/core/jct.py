@@ -19,14 +19,6 @@ import numpy as np
 
 from repro.model.latency import LatencyModel
 from repro.model.memory import PrefillMode
-from repro.perf import memo
-
-#: Interned fitted estimators keyed on everything that determines the fit.
-#: Every replica of a fitted-JCT fleet profiles the identical grid; interning
-#: turns replica N's profiling pass into a dict hit.  Estimators are never
-#: mutated after fitting, so sharing one instance is safe.
-_ESTIMATOR_MEMO: dict[tuple, "JCTEstimator"] = {}
-memo.register_cache(_ESTIMATOR_MEMO.clear)
 
 
 @dataclass(frozen=True)
@@ -138,36 +130,7 @@ class JCTEstimator:
                            tensor_parallel: int = 1,
                            pipeline_parallel: int = 1,
                            chunk_tokens: int = 2048) -> "JCTEstimator":
-        """Profile the latency model and fit in one step (the engine startup path).
-
-        Memoized per engine configuration (model, GPU, interconnect, MIL,
-        execution knobs): the profiling grid is deterministic, so every
-        replica of a fleet would fit the identical estimator.
-        """
-        if memo.memo_enabled():
-            key = (latency_model.model, latency_model.gpu, latency_model.interconnect,
-                   max_input_tokens, mode, granularity,
-                   tensor_parallel, pipeline_parallel, chunk_tokens)
-            cached = _ESTIMATOR_MEMO.get(key)
-            if cached is None:
-                cached = cls._fit_uncached(
-                    latency_model, max_input_tokens, mode=mode, granularity=granularity,
-                    tensor_parallel=tensor_parallel, pipeline_parallel=pipeline_parallel,
-                    chunk_tokens=chunk_tokens,
-                )
-                _ESTIMATOR_MEMO[key] = cached
-            return cached
-        return cls._fit_uncached(
-            latency_model, max_input_tokens, mode=mode, granularity=granularity,
-            tensor_parallel=tensor_parallel, pipeline_parallel=pipeline_parallel,
-            chunk_tokens=chunk_tokens,
-        )
-
-    @classmethod
-    def _fit_uncached(cls, latency_model: LatencyModel, max_input_tokens: int, *,
-                      mode: PrefillMode, granularity: int,
-                      tensor_parallel: int, pipeline_parallel: int,
-                      chunk_tokens: int) -> "JCTEstimator":
+        """Profile the latency model and fit in one step (the engine startup path)."""
         profiler = JCTProfiler(
             latency_model,
             mode=mode,

@@ -106,10 +106,6 @@ class VirtualLayer:
     output_width: int
     peak_intermediate_width: int
 
-    @property
-    def num_ops(self) -> int:
-        return len(self.nodes)
-
 
 def build_transformer_graph(model: ModelConfig, *, include_lm_head: bool = False) -> ComputationGraph:
     """Build the forward graph of a decoder-only transformer from its config.

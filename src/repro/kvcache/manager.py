@@ -58,10 +58,6 @@ class ExecutionLease:
     scratch_blocks: list[Block] = field(default_factory=list)
     cached_tokens: int = 0
 
-    @property
-    def num_scratch_blocks(self) -> int:
-        return len(self.scratch_blocks)
-
 
 @dataclass(frozen=True)
 class CacheStats:
@@ -145,11 +141,6 @@ class KVCacheManager:
         return self._allocator.capacity_tokens
 
     @property
-    def num_free_tokens(self) -> int:
-        """Tokens worth of blocks currently unallocated."""
-        return self._allocator.num_free_blocks * self._block_size
-
-    @property
     def num_cached_tokens(self) -> int:
         """Tokens currently resident in the prefix cache."""
         return self._cache.num_cached_tokens
@@ -184,10 +175,6 @@ class KVCacheManager:
         (None means ``watched`` was not being watched until now).
         """
         return self._cache.take_changes(watched)
-
-    @property
-    def prefix_caching_enabled(self) -> bool:
-        return self._enable_prefix_caching
 
     @property
     def tiers(self) -> TieredPrefixStore | None:

@@ -142,11 +142,6 @@ class ClusterPrefixStore:
             self._available = bool(available)
             self._version += 1
 
-    @property
-    def publish_paused(self) -> bool:
-        """Whether writes are being refused by a resilience brownout tier."""
-        return self._publish_paused
-
     def set_publish_paused(self, paused: bool) -> None:
         """Pause / resume publish traffic (degraded-mode serving).
 

@@ -114,11 +114,6 @@ class ModelConfig:
         return self.num_layers * self.kv_bytes_per_token_per_layer
 
     @cached_property
-    def hidden_bytes_per_token(self) -> int:
-        """Bytes of one residual-stream vector for one token."""
-        return int(self.hidden_size * self.activation_bytes_per_element)
-
-    @cached_property
     def mlp_intermediate_elements_per_token(self) -> int:
         """Elements of the fused gate+up MLP intermediate tensor per token.
 

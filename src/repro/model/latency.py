@@ -40,9 +40,9 @@ CHUNKED_REFERENCE_CHUNK = 512
 #: prefilling only re-launches the position-wise layers, so this is small.
 HYBRID_PER_CHUNK_OVERHEAD = 40e-6
 
-#: Entries kept per latency-model memo before it is cleared and restarted.
-#: Generous: a whole JCT profiling grid at 1,000-token granularity over a
-#: 131k MIL is ~8,700 distinct keys.
+#: Entries kept in a latency model's prefill memo before it is cleared and
+#: restarted.  Generous: a whole JCT profiling grid at 1,000-token
+#: granularity over a 131k MIL is ~8,700 distinct keys.
 LATENCY_MEMO_MAX_ENTRIES = 65_536
 
 
@@ -79,14 +79,14 @@ def chunked_prefill_penalty(num_tokens: int, chunk_tokens: int) -> float:
 class LatencyModel:
     """Latency of prefill / decode passes of ``model`` on ``gpu``.
 
-    Timings are memoized per instance, keyed on the *full* argument tuple of
-    each query (token counts, execution mode, chunk size, parallel degrees),
-    so a cached timing is bit-identical to a fresh computation — the cache
-    stores exactly what the computation returned.  Schedulers, JCT profilers,
-    and engines query the same few (new, cached, mode) buckets over and over
-    during a simulation; the memo turns those repeats into dictionary hits.
-    The :mod:`repro.perf.memo` switchboard disables the memo globally for
-    before/after measurement.
+    Prefill timings are memoized per instance, keyed on the *full* argument
+    tuple of each query (token counts, execution mode, chunk size, parallel
+    degrees), so a cached timing is bit-identical to a fresh computation — the
+    cache stores exactly what the computation returned.  Schedulers, JCT
+    profilers, and engines query the same few (new, cached, mode) buckets over
+    and over during a simulation; the memo turns those repeats into dictionary
+    hits.  The :mod:`repro.perf.memo` switchboard disables the memo globally
+    for before/after measurement.
 
     Args:
         model: Transformer architecture.
@@ -101,23 +101,21 @@ class LatencyModel:
         self._interconnect = interconnect
         self._flops = FlopsModel(model)
         self._prefill_memo: dict[tuple, PrefillTiming] = {}
-        self._decode_memo: dict[tuple, float] = {}
         self._memo_epoch = memo.memo_epoch()
 
     def _memo_ready(self) -> bool:
-        """True when the memos may be consulted (dropping them on epoch change)."""
+        """True when the memo may be consulted (dropping it on epoch change)."""
         if not memo.memo_enabled():
             return False
         epoch = memo.memo_epoch()
         if epoch != self._memo_epoch:
             self._prefill_memo.clear()
-            self._decode_memo.clear()
             self._memo_epoch = epoch
         return True
 
-    def memo_sizes(self) -> tuple[int, int]:
-        """Current (prefill, decode) memo entry counts (for tests / reports)."""
-        return len(self._prefill_memo), len(self._decode_memo)
+    def memo_size(self) -> int:
+        """Current prefill memo entry count (for tests)."""
+        return len(self._prefill_memo)
 
     @property
     def model(self) -> ModelConfig:
@@ -223,25 +221,7 @@ class LatencyModel:
         weights once per batch, amortised over ``batch_size`` requests) and the
         compute term for this request's share.  This is only used by the
         motivation benchmark (prefill-only latency vs. generative latency).
-
-        Memoized on ``(prompt_length, num_output_tokens, batch_size)`` — the
-        per-token loop makes this the most expensive analytic query.
         """
-        if self._memo_ready():
-            key = (prompt_length, num_output_tokens, batch_size)
-            cached = self._decode_memo.get(key)
-            if cached is None:
-                cached = self._decode_time_uncached(
-                    prompt_length, num_output_tokens, batch_size
-                )
-                if len(self._decode_memo) >= LATENCY_MEMO_MAX_ENTRIES:
-                    self._decode_memo.clear()
-                self._decode_memo[key] = cached
-            return cached
-        return self._decode_time_uncached(prompt_length, num_output_tokens, batch_size)
-
-    def _decode_time_uncached(self, prompt_length: int, num_output_tokens: int,
-                              batch_size: int) -> float:
         if num_output_tokens <= 0:
             return 0.0
         weight_stream = self._model.weight_bytes / self._gpu.memory_bandwidth / max(batch_size, 1)

@@ -20,7 +20,6 @@ from repro.obs.recorder import (
     NULL_RECORDER,
     NullRecorder,
     TraceRecorder,
-    merge_shard_payloads,
 )
 from repro.obs.exporters import (
     SPANS_FORMAT,
@@ -41,7 +40,6 @@ from repro.obs.analysis import (
     CriticalPathReport,
     RequestBreakdown,
     RunDiff,
-    critical_path_report,
     decompose_requests,
     diff_runs,
     evaluate_alerts,
@@ -55,7 +53,6 @@ __all__ = [
     "NULL_RECORDER",
     "NullRecorder",
     "TraceRecorder",
-    "merge_shard_payloads",
     "SPANS_FORMAT",
     "ALERTS_FORMAT",
     "export_spans",
@@ -72,7 +69,6 @@ __all__ = [
     "CriticalPathReport",
     "RequestBreakdown",
     "RunDiff",
-    "critical_path_report",
     "decompose_requests",
     "diff_runs",
     "evaluate_alerts",

@@ -5,14 +5,14 @@ Everything in this module is a pure function of an already-recorded
 never touches a live simulation, so every PR-8 byte-identity and cross-shard
 reproducibility contract is preserved by construction.  Three capabilities:
 
-* **Critical-path decomposition** (:func:`decompose_requests`,
-  :func:`critical_path_report`) — each finished request's lifecycle is
-  rebuilt from its ``repro-spans/v1`` span chain and partitioned into
-  disjoint phases (queue wait, retry backoff, tier fetch, prefill service,
-  and work lost to crashed or hedged copies) whose durations provably sum to
-  the request's end-to-end latency: the phases are labelled gaps between
-  consecutive span timestamps, so the sum telescopes to ``finish - submit``
-  up to float rounding (pinned by a hypothesis property).
+* **Critical-path decomposition** (:func:`decompose_requests`) — each
+  finished request's lifecycle is rebuilt from its ``repro-spans/v1`` span
+  chain and partitioned into disjoint phases (queue wait, retry backoff,
+  tier fetch, prefill service, and work lost to crashed or hedged copies)
+  whose durations provably sum to the request's end-to-end latency: the
+  phases are labelled gaps between consecutive span timestamps, so the sum
+  telescopes to ``finish - submit`` up to float rounding (pinned by a
+  hypothesis property).
 * **Run-diff forensics** (:func:`diff_runs`) — two recordings are decomposed
   and their latency/throughput difference is attributed to phases, replicas,
   and span kinds, ranked by contribution; identical recordings produce an
@@ -47,7 +47,6 @@ __all__ = [
     "AlertEvent",
     "AlertReport",
     "decompose_requests",
-    "critical_path_report",
     "top_exemplars",
     "diff_runs",
     "evaluate_alerts",
@@ -305,11 +304,6 @@ def _decompose_one(request_id, events, tier_loads, data: ObsData):
         num_retries=num_retries,
         num_hedges=num_hedges,
     )
-
-
-def critical_path_report(data: ObsData) -> CriticalPathReport:
-    """Alias of :func:`decompose_requests` (the CLI's entry point)."""
-    return decompose_requests(data)
 
 
 def top_exemplars(report: CriticalPathReport, k: int = 5) -> tuple:

@@ -3,10 +3,11 @@
 One root logger (``repro``), one line format, and two context fields every
 record carries: the scenario seed and the shard id, injected by a logging
 filter from a module-level context the scenario runner and the shard engines
-update as they run.  ``prefillonly --log-level`` and the scripts'
-``--log-level`` flags call :func:`configure`; library code only ever calls
-:func:`get_logger` and logs — no handler is installed unless configured, so
-embedding applications keep full control.
+update as they run (a shard restores the previous context when it returns).
+``prefillonly --log-level`` and the scripts' ``--log-level`` flags call
+:func:`configure`; library code only ever calls :func:`get_logger` and logs —
+no handler is installed unless configured, so embedding applications keep
+full control.
 """
 
 from __future__ import annotations
@@ -34,12 +35,17 @@ class _ContextFilter(logging.Filter):
         return True
 
 
-def set_context(*, seed=None, shard=None) -> None:
-    """Update the logging context; None leaves a field unchanged."""
+def set_context(*, seed=None, shard=None) -> dict:
+    """Update the logging context; None leaves a field unchanged.
+
+    Returns the previous context: ``set_context(**previous)`` restores it.
+    """
+    previous = dict(_context)
     if seed is not None:
         _context["seed"] = seed
     if shard is not None:
         _context["shard"] = shard
+    return previous
 
 
 def get_logger(name: str) -> logging.Logger:

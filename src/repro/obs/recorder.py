@@ -10,25 +10,22 @@ behaviour-identical to a build without the subsystem.
 Determinism model
 -----------------
 
+Only the fleet loop (:func:`repro.simulation.simulator.simulate_fleet`)
+records.  A recorded fleet runs that loop at every shard count (see
+:func:`repro.simulation.sharded.fleet_is_decoupled`), so one recorder sees
+the whole run and a sharded recording is the unsharded one by construction.
+
 Span events are stored as ``(time, key, kind, attrs, seq)`` where ``key`` is
-the replica's logical shard key (:data:`GLOBAL_KEY` for fleet-scoped events)
-and ``seq`` is a per-``(key, kind)`` sequence number local to the recording
-buffer.  The canonical export order is ``(time, key, kind_rank, seq)`` — the
-``(time, key)`` order the fleet's event queue drains due replicas in, refined
-by kind and sequence.  Because every event kind has a single origin (submit
-and route always come from the coordinator, start and finish always from the
-owning replica's engine), events tied on ``(time, key, kind)`` never split
-across shard buffers, so sorting merged per-shard buffers reproduces the
-unsharded recording byte for byte.
+the replica's key (:data:`GLOBAL_KEY` for fleet-scoped events) and ``seq`` is
+a per-``(key, kind)`` sequence number.  The canonical export order is
+``(time, key, kind_rank, seq)`` — the ``(time, key)`` order the fleet's event
+queue drains due replicas in, refined by kind and sequence.
 
 Metric samples are taken at simulated-time boundaries ``k * interval``
 (``k >= 0``).  :meth:`TraceRecorder.maybe_sample` is called at the top of
 every simulator loop iteration, *before* the event batch at ``now`` is
 processed, and records every boundary ``b <= now`` not yet recorded — so the
 sample at ``b`` reflects the state after all events strictly before ``b``.
-Per-replica gauges and the engine-emitted counters depend only on the owning
-shard's events, which makes per-shard self-sampling merge exactly to the
-unsharded series (see :func:`merge_shard_payloads`).
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "TraceRecorder",
-    "merge_shard_payloads",
 ]
 
 #: The ``key`` of fleet-scoped annotation events (faults, autoscale actions,
@@ -79,12 +75,8 @@ KIND_ORDER = {
 }
 
 #: Counters kept out of the time series and reported only in the end-of-run
-#: snapshot: they are bumped by the routing coordinator, which in decoupled
-#: parallel shard mode pre-routes the whole stream before simulated time
-#: starts — a trajectory for them would be mode-dependent, so none is kept.
-#: (Every other fleet-scoped counter — sheds, retries, faults, scale events —
-#: can only occur in configurations the decoupled mode refuses, so their
-#: trajectories are mode-independent.)
+#: snapshot: the two routing counters.  The export goldens pin series without
+#: them, so every recorded run keeps them out.
 SNAPSHOT_ONLY_COUNTERS = frozenset({"submitted_total", "routed_total"})
 
 
@@ -197,9 +189,8 @@ class TraceRecorder:
         self._sample_k = 0
         self._hist_counts = [0] * (len(self._buckets) + 1)
         #: Raw latency observations — the histogram sum is computed with
-        #: ``math.fsum`` at freeze/merge time, which is exactly rounded and
-        #: therefore independent of observation order, so sharded merges
-        #: reproduce the unsharded sum bit for bit.
+        #: ``math.fsum`` at freeze time, which is exactly rounded and
+        #: therefore independent of observation order.
         self._latencies: list = []
         self._end_time = 0.0
 
@@ -360,108 +351,3 @@ class TraceRecorder:
             end_time=self._end_time,
             num_boundaries=self._sample_k,
         )
-
-    def payload(self) -> dict:
-        """Picklable per-shard recording, merged by :func:`merge_shard_payloads`."""
-        return {
-            "events": list(self._events),
-            "samples": list(self._samples),
-            "counters": list(self._counters.items()),
-            "hist_counts": list(self._hist_counts),
-            "latencies": list(self._latencies),
-            "replicas": sorted(self.replica_names.items()),
-            "boundaries": self._sample_k,
-            "end_time": self._end_time,
-        }
-
-
-def merge_shard_payloads(coordinator: TraceRecorder, payloads: list,
-                         idle_replicas: list | None = None) -> ObsData:
-    """Merge decoupled per-shard recordings into one canonical :class:`ObsData`.
-
-    ``coordinator`` recorded the routing pre-pass (submit/route events plus
-    their snapshot counters) and knows every replica's name; ``payloads`` are
-    the shard recorders' :meth:`TraceRecorder.payload` dicts; ``idle_replicas``
-    names the replicas of shards that received no arrivals and were never run.
-
-    The merge reconstructs exactly what one global recorder would have
-    produced:
-
-    * events: concatenated and sorted into canonical order (single-origin
-      kinds make the sort total — see the module docstring);
-    * samples: each shard self-sampled up to its own last event, so shorter
-      shards are *padded* up to the global last boundary with the shard's
-      *final* state — end-of-run counter values and zero queue depth (a
-      drained shard's state is frozen, and the pad must cover events landing
-      between the shard's last boundary and its end time, which no shard
-      sample reflects).  Idle replicas contribute all-zero queue-depth
-      series, and same-``(time, name, labels)`` rows from different shards
-      (per-tenant counters) are summed;
-    * counters and the latency histogram: summed across the coordinator and
-      every shard (the sum via ``math.fsum``, whose exact rounding makes the
-      result independent of which shard observed which latency).
-    """
-    config = coordinator.config
-    interval = config.sample_interval_s
-    events = list(coordinator._events)
-    counters: dict = dict(coordinator._counters)
-    hist_counts = list(coordinator._hist_counts)
-    latencies = list(coordinator._latencies)
-    end_time = coordinator._end_time
-    num_boundaries = coordinator._sample_k
-    for payload in payloads:
-        events.extend(tuple(event) for event in payload["events"])
-        num_boundaries = max(num_boundaries, payload["boundaries"])
-        end_time = max(end_time, payload["end_time"])
-        for (name, labels), value in payload["counters"]:
-            slot = (name, tuple(labels))
-            counters[slot] = counters.get(slot, 0) + value
-        for index, count in enumerate(payload["hist_counts"]):
-            hist_counts[index] += count
-        latencies.extend(payload["latencies"])
-
-    merged_samples: dict = {}
-
-    def add_sample(time, name, labels, value):
-        slot = (time, name, labels)
-        merged_samples[slot] = merged_samples.get(slot, 0) + value
-
-    if config.metrics:
-        for payload in payloads:
-            for time, name, labels, value in payload["samples"]:
-                add_sample(time, name, tuple(labels), value)
-            # Pad the shard's series to the global boundary count with its
-            # final state: counters at their end-of-run values, queue depths
-            # at zero (the shard only stops once every queue has drained).
-            pad: dict = {
-                ("queue_depth", (("replica", name),)): 0
-                for _key, name in payload["replicas"]
-            }
-            for (name, labels), value in payload["counters"]:
-                if name not in SNAPSHOT_ONLY_COUNTERS:
-                    pad[(name, tuple(labels))] = value
-            for k in range(payload["boundaries"], num_boundaries):
-                boundary = k * interval
-                for (name, labels), value in pad.items():
-                    add_sample(boundary, name, labels, value)
-        for key, name in (idle_replicas or []):
-            for k in range(num_boundaries):
-                add_sample(k * interval, "queue_depth", (("replica", name),), 0)
-
-    samples = [
-        (time, name, labels, value)
-        for (time, name, labels), value in merged_samples.items()
-    ]
-    return ObsData(
-        config=config,
-        events=tuple(sorted(events, key=_event_sort_key)),
-        samples=tuple(sorted(samples, key=_sample_sort_key)),
-        counters=tuple(sorted(counters.items())),
-        hist_buckets=config.buckets,
-        hist_counts=tuple(hist_counts),
-        hist_sum=fsum(latencies),
-        hist_count=len(latencies),
-        replicas=tuple(sorted(coordinator.replica_names.items())),
-        end_time=end_time,
-        num_boundaries=num_boundaries,
-    )

@@ -8,8 +8,8 @@ PR 2 and PR 3 made the *inner* event loop fast; this package makes the
   CPU cores with a serial fallback, plus deterministic per-task seed
   derivation;
 * :mod:`repro.perf.memo` — the process-wide memoization switchboard behind the
-  analytic-model caches (LRU-cached latency model, memoized profile runs and
-  JCT estimators, whole-sequence block hashes).  Memoization never changes
+  analytic-model caches (LRU-cached prefill latencies, memoized profile runs,
+  whole-sequence block hashes).  Memoization never changes
   results — every cached value is bit-identical to a fresh computation — so
   the switch exists purely for before/after measurement.
 

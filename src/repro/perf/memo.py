@@ -2,13 +2,11 @@
 
 Several hot analytic paths memoize their results:
 
-* :class:`repro.model.latency.LatencyModel` keeps an LRU of prefill / decode
-  timings keyed on the full argument tuple;
+* :class:`repro.model.latency.LatencyModel` keeps an LRU of prefill timings
+  keyed on the full argument tuple;
 * :func:`repro.core.profile_run.run_profile` interns profile-run results per
   (model, GPU, MIL, execution knobs) — a 32-replica fleet runs the profile
   pass once instead of 32 times;
-* :meth:`repro.core.jct.JCTEstimator.from_latency_model` interns fitted
-  estimators per engine configuration;
 * :meth:`repro.workloads.trace.TokenSequence.block_hashes` keeps each
   distinct sequence's block hashes process-wide, so a regenerated trace does
   not re-hash sequences it has already seen.
@@ -42,7 +40,7 @@ __all__ = [
 _enabled: bool = os.environ.get("REPRO_NO_MEMO", "").lower() not in ("1", "true", "yes")
 
 #: Clear-callbacks of every registered *module-level* cache.  Per-instance
-#: caches (e.g. :class:`~repro.model.latency.LatencyModel`'s memos) must NOT
+#: caches (e.g. :class:`~repro.model.latency.LatencyModel`'s memo) must NOT
 #: register here — a global registration would pin the instance forever;
 #: they watch :func:`memo_epoch` instead and clear themselves lazily.
 _cache_clearers: list[Callable[[], None]] = []

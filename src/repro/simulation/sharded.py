@@ -7,29 +7,31 @@ schedule, no resilience policies, and a router that neither reads queue
 depths nor replica state
 (:attr:`~repro.simulation.routing.Router.consults_instances`) — routing is a
 pure function of the arrival sequence, and this module shards the run for
-real.  The coordinator pre-routes every arrival through the fleet's own
-router (same calls, same order, same decisions as the unsharded loop),
-partitions replicas across shards by :meth:`ShardPlan.owner`, and each shard
-replays its substream in its own :class:`ShardEngine` — optionally in a
-worker process pool (:class:`~repro.perf.runner.ParallelRunner`, with its
-serial in-process fallback).  Per-replica event trajectories are identical to
-the unsharded loop because replicas in a decoupled fleet never interact;
-results are merged back in replica-key order, which is exactly the fleet's
-``_all_states()`` results order, so even float summaries (order-sensitive
-``np.mean`` reductions) match bit-for-bit (pinned by
-``tests/test_sharded_identity.py``).
+real, provided the run records no observability.  The coordinator pre-routes
+every arrival through the fleet's own router (same calls, same order, same
+decisions as the unsharded loop), partitions replicas across shards by
+:meth:`ShardPlan.owner`, and each shard replays its substream in its own
+:class:`ShardEngine` — optionally in a worker process pool
+(:class:`~repro.perf.runner.ParallelRunner`, with its serial in-process
+fallback).  Per-replica event trajectories are identical to the unsharded
+loop because replicas in a decoupled fleet never interact; results are merged
+back in replica-key order, which is exactly the fleet's ``_all_states()``
+results order, so even float summaries (order-sensitive ``np.mean``
+reductions) match bit-for-bit (pinned by ``tests/test_sharded_identity.py``).
 
 A fleet that fails :func:`fleet_is_decoupled` runs the ordinary fleet loop
 unchanged — the ``"lockstep"`` mode of :func:`resolve_shard_mode` — and the
-shard count only labels ``result.sharding``.
+shard count only labels ``result.sharding``.  A recorded fleet is one of
+them: the fleet loop is the only producer of observability data
+(:class:`~repro.obs.recorder.ObsData`), so shard engines never record.
 
 Determinism contract (see ``docs/SHARDING.md``):
 
 * per-shard seed streams come from
   :func:`~repro.perf.runner.derive_task_seeds` — a pure function of
   ``(base_seed, shard)``, independent of worker count and scheduling;
-* per-shard results and observability buffers merge back by replica key, so
-  the merged record is the unsharded one;
+* per-shard results merge back by replica key, so the merged record is the
+  unsharded one;
 * replica ``key % num_shards`` ownership is a pure function of the key.
 """
 
@@ -40,12 +42,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.logging import set_context
-from repro.obs.recorder import (
-    GLOBAL_KEY,
-    NULL_RECORDER,
-    TraceRecorder,
-    merge_shard_payloads,
-)
 from repro.perf.runner import ParallelRunner, derive_task_seeds
 from repro.simulation.events import EventQueue
 
@@ -91,11 +87,12 @@ class ShardPlan:
 
 
 def fleet_is_decoupled(fleet, faults) -> bool:
-    """True when no feature couples replicas mid-run.
+    """True when no feature couples replicas mid-run and nothing is recorded.
 
     Decoupled fleets are exactly the ones whose routing is a pure function of
     the arrival sequence, which is what lets the parallel path pre-route
-    arrivals and run each shard to completion independently.
+    arrivals and run each shard to completion independently.  A fleet that
+    records observability is never decoupled: only the fleet loop records.
     """
     router = fleet.router
     return (
@@ -104,6 +101,7 @@ def fleet_is_decoupled(fleet, faults) -> bool:
         and fleet.tier_config is None
         and (faults is None or not faults.active)
         and fleet.policies is None
+        and not fleet.obs.enabled
         and not router.needs_queue_depths
         and not router.consults_instances
         and fleet.stats.num_submitted == 0
@@ -145,11 +143,6 @@ class _ShardTask:
     arrivals: tuple
     max_simulated_seconds: float
     max_events: int
-    #: :class:`~repro.spec.models.ObservabilitySpec` when the run records
-    #: observability, else ``None`` (the shard uses the null recorder).
-    obs_config: object = None
-    #: ``(tenant, slo_latency_s)`` pairs for the shard recorder's SLO counter.
-    tenant_slos: tuple = ()
 
 
 class ShardEngine:
@@ -171,12 +164,6 @@ class ShardEngine:
         self.task = task
         self.instances = {}
         self.queue = EventQueue()
-        if task.obs_config is not None and task.obs_config.enabled:
-            self.obs = TraceRecorder(
-                task.obs_config, tenant_slos=dict(task.tenant_slos),
-            )
-        else:
-            self.obs = NULL_RECORDER
         for key, name, spec in task.replicas:
             instance = EngineInstance(
                 spec.engine, task.model, spec.gpu,
@@ -184,29 +171,16 @@ class ShardEngine:
                 max_input_length=task.max_input_length,
                 name=name,
             )
-            instance.obs = self.obs
-            instance.obs_key = key
-            self.obs.register_replica(key, name)
             self.instances[key] = instance
             self.queue.update(key, instance.next_event_time())
-
-    def _gauge_rows(self) -> list:
-        """This shard's slice of ``Fleet.obs_gauge_rows`` (replica-key order)."""
-        return [
-            ("queue_depth", (("replica", name),), self.instances[key].num_waiting)
-            for key, name, _spec in self.task.replicas
-        ]
 
     def run(self) -> dict:
         """Drain the shard; return the picklable per-replica payload."""
         task = self.task
-        set_context(shard=task.shard_id)
         arrivals = task.arrivals
         arrival_index = 0
         now = 0.0
         events = 0
-        obs = self.obs
-        obs_sampling = obs.enabled and obs.metrics
 
         while True:
             next_arrival = (
@@ -225,11 +199,6 @@ class ShardEngine:
                     f"fleet simulation exceeded {task.max_simulated_seconds} "
                     "simulated seconds"
                 )
-
-            if obs_sampling:
-                # Same discipline as the fleet loop: sample before the event
-                # batch at `now`, over this shard's replicas only.
-                obs.maybe_sample(now, self._gauge_rows)
 
             if next_arrival <= next_internal:
                 key, request = arrivals[arrival_index]
@@ -252,7 +221,6 @@ class ShardEngine:
                     f"fleet simulation exceeded {task.max_events} events"
                 )
 
-        obs.finalize(now)
         replicas = []
         for key, name, _spec in task.replicas:
             instance = self.instances[key]
@@ -274,13 +242,20 @@ class ShardEngine:
             "events": events,
             "end_time": now,
             "replicas": replicas,
-            "obs": obs.payload() if obs.enabled else None,
         }
 
 
 def _run_shard(task: _ShardTask) -> dict:
-    """Process-pool entry point: build and drain one shard."""
-    return ShardEngine(task).run()
+    """Process-pool entry point: build and drain one shard.
+
+    Log records carry the shard's id while it runs; the caller's logging
+    context is restored when it returns, so an in-process run leaks no id.
+    """
+    previous = set_context(shard=task.shard_id)
+    try:
+        return ShardEngine(task).run()
+    finally:
+        set_context(**previous)
 
 
 def simulate_fleet_decoupled(fleet, requests, plan: ShardPlan, *,
@@ -309,28 +284,12 @@ def simulate_fleet_decoupled(fleet, requests, plan: ShardPlan, *,
 
     # Pre-route.  The router sees the same (request, depths=[]) calls in the
     # same order as the unsharded loop, so stateful routers (user-id
-    # round-robin) make the same decisions.  The coordinator's recorder gets
-    # the same submit/route events the unsharded loop emits, at the same
-    # simulated times (the arrival times), in the same order — only the
-    # wall-clock moment of recording differs, which the span format never
-    # sees.
-    obs = fleet.obs
+    # round-robin) make the same decisions.
     shard_arrivals: list[list] = [[] for _ in range(plan.num_shards)]
     keys = [entry[0] for entry in manifest]
-    names = [entry[1] for entry in manifest]
     for request in pending:
-        index = fleet.router.route(request, [])
-        key = keys[index]
+        key = keys[fleet.router.route(request, [])]
         shard_arrivals[plan.owner(key)].append((key, request))
-        if obs.enabled:
-            obs.emit(
-                request.arrival_time, GLOBAL_KEY, "submit",
-                request=request.request_id,
-            )
-            obs.emit(
-                request.arrival_time, key, "route",
-                request=request.request_id, replica=names[index],
-            )
     fleet.stats.num_submitted += len(pending)
     fleet.stats.num_routed += len(pending)
 
@@ -350,8 +309,6 @@ def simulate_fleet_decoupled(fleet, requests, plan: ShardPlan, *,
             arrivals=tuple(shard_arrivals[shard_id]),
             max_simulated_seconds=max_simulated_seconds,
             max_events=max_events,
-            obs_config=obs.config if obs.enabled else None,
-            tenant_slos=tuple(sorted(obs.tenant_slos.items())) if obs.enabled else (),
         ))
 
     if shard_workers is None:
@@ -428,10 +385,4 @@ def simulate_fleet_decoupled(fleet, requests, plan: ShardPlan, *,
             "executed": runner.last_mode,
             "shard_seeds": list(plan.shard_seeds),
         },
-        obs=(
-            merge_shard_payloads(
-                obs, [p["obs"] for p in payloads if p.get("obs") is not None],
-            )
-            if obs.enabled else None
-        ),
     )

@@ -28,16 +28,6 @@ def gib(value: float) -> int:
     return int(value * GIB)
 
 
-def mib(value: float) -> int:
-    """Convert a value in MiB to bytes."""
-    return int(value * MIB)
-
-
-def kib(value: float) -> int:
-    """Convert a value in KiB to bytes."""
-    return int(value * KIB)
-
-
 def tflops(value: float) -> float:
     """Convert a value in TFLOP/s to FLOP/s."""
     return value * TERA

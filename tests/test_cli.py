@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parent.parent
+STEADY = str(REPO / "examples" / "scenarios" / "steady_poisson.json")
 
 
 def test_parser_requires_a_command():
@@ -244,3 +251,51 @@ def test_spec_single_model_prints_field_table(capsys):
     output = capsys.readouterr().out
     assert "promotion_threshold" in output
     assert "demote_on_evict" in output
+
+
+# ------------------------------------------------------------ obs arguments
+
+_OBS_COMMANDS = {
+    "export": ["export", "--format", "spans"],
+    "summary": ["summary"],
+    "slo": ["slo"],
+    "critical-path": ["critical-path"],
+    "exemplars": ["exemplars"],
+    "alerts": ["alerts"],
+}
+
+
+@pytest.mark.parametrize("interval", ["nan", "inf"])
+@pytest.mark.parametrize("command", list(_OBS_COMMANDS))
+def test_obs_non_finite_sample_interval_exits_2(command, interval, capsys):
+    code = main(["obs", *_OBS_COMMANDS[command], "--config", STEADY,
+                 "--sample-interval", interval])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "prefillonly: error: observability.sample_interval_s:" in err
+
+
+@pytest.mark.parametrize("interval", ["0", "-1"])
+def test_obs_non_positive_sample_interval_exits_2_instead_of_hanging(interval):
+    """The sampler never advances at such an interval, so a missing check
+    hangs: run the command in a subprocess with a timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "obs", "summary", "--config",
+         STEADY, "--sample-interval", interval],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert completed.returncode == 2
+    assert ("prefillonly: error: observability.sample_interval_s: "
+            "sample_interval_s must be greater than 0") in completed.stderr
+
+
+@pytest.mark.parametrize("command", ["critical-path", "exemplars"])
+def test_obs_negative_top_exits_2(command, capsys):
+    code = main(["obs", command, "--config", STEADY, "--top", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "prefillonly: error: --top must be non-negative, got -1" in err

@@ -1,7 +1,7 @@
 """Memoized analytic models must be bit-identical to the unmemoized paths.
 
-The memo layers (latency-model LRU, precomputed FLOPs coefficients,
-whole-sequence block hashes, profile-run and JCT-estimator interning) exist
+The memo layers (the latency model's prefill LRU, precomputed FLOPs
+coefficients, whole-sequence block hashes, profile-run interning) exist
 purely for speed; these property tests pin that every cached value equals a
 fresh computation exactly — no rounding, no drift — and that the
 :mod:`repro.perf.memo` switchboard cleanly toggles and clears the caches.
@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.jct import JCTEstimator
 from repro.core.profile_run import run_profile
 from repro.hardware.interconnect import PCIE_GEN4
 from repro.kvcache.block import hash_token_blocks
@@ -80,46 +79,21 @@ def test_prefill_time_memo_is_bit_identical(new_tokens, cached_tokens, mode,
     )
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    prompt=st.integers(min_value=0, max_value=20_000),
-    outputs=st.integers(min_value=0, max_value=200),
-    batch=st.sampled_from([1, 8, 32]),
-)
-def test_decode_time_memo_is_bit_identical(prompt, outputs, batch):
-    model = get_model("qwen-32b-fp8")
-    from repro.hardware.gpu import get_gpu
-
-    gpu = get_gpu("a100-40gb")
-    was = memo.memo_enabled()
-    try:
-        memo.set_memo_enabled(True)
-        warm = LatencyModel(model, gpu)
-        first = warm.decode_time(prompt, outputs, batch_size=batch)
-        second = warm.decode_time(prompt, outputs, batch_size=batch)
-        memo.set_memo_enabled(False)
-        cold = LatencyModel(model, gpu).decode_time(prompt, outputs, batch_size=batch)
-    finally:
-        memo.set_memo_enabled(was)
-    assert first == second == cold
-
-
 def test_latency_memo_toggle_clears(memo_off):
     from repro.hardware.gpu import get_gpu
 
     latency = LatencyModel(get_model("llama-3.1-8b"), get_gpu("l4"))
     latency.prefill_time(1000)
-    assert latency.memo_sizes() == (0, 0)  # disabled: nothing cached
+    assert latency.memo_size() == 0  # disabled: nothing cached
     memo.set_memo_enabled(True)
     latency.prefill_time(1000)
-    latency.decode_time(1000, 4)
-    assert latency.memo_sizes() == (1, 1)
+    assert latency.memo_size() == 1
     memo.set_memo_enabled(False)
-    latency.prefill_time(1000)  # uncached path; stale entries linger unused
-    assert latency.memo_sizes() == (1, 1)
+    latency.prefill_time(2000)  # uncached path; the stale entry lingers unused
+    assert latency.memo_size() == 1
     memo.set_memo_enabled(True)
-    latency.decode_time(2000, 4)  # epoch change drops the stale entries first
-    assert latency.memo_sizes() == (0, 1)
+    latency.prefill_time(2000)  # epoch change drops the stale entry first
+    assert latency.memo_size() == 1
 
 
 # ----------------------------------------------- FLOPs coefficient precompute
@@ -196,7 +170,7 @@ def test_hash_token_blocks_unchanged_by_memoization(memo_off):
     assert hash_token_blocks(tokens, 256) == plain
 
 
-# ------------------------------------------- profile-run / estimator interning
+# ------------------------------------------------------- profile-run interning
 
 
 def test_run_profile_interned_result_is_identical(h100_gpu, llama_70b):
@@ -214,23 +188,6 @@ def test_run_profile_interned_result_is_identical(h100_gpu, llama_70b):
         memo.set_memo_enabled(was)
     assert second is first
     assert first == cold
-
-
-def test_jct_estimator_interned_fit_is_identical(h100_gpu, llama_70b):
-    latency = LatencyModel(llama_70b, h100_gpu)
-    was = memo.memo_enabled()
-    try:
-        memo.set_memo_enabled(True)
-        first = JCTEstimator.from_latency_model(latency, 12_000)
-        second = JCTEstimator.from_latency_model(latency, 12_000)
-        memo.set_memo_enabled(False)
-        cold = JCTEstimator.from_latency_model(latency, 12_000)
-    finally:
-        memo.set_memo_enabled(was)
-    assert second is first
-    assert (first.coef_uncached, first.coef_cached, first.intercept) == (
-        cold.coef_uncached, cold.coef_cached, cold.intercept
-    )
 
 
 # ------------------------------------------------------- end-to-end identity

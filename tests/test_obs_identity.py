@@ -6,8 +6,10 @@
    shard and at four.  The null-recorder hooks must be invisible.
 2. **Enabled is read-only and deterministic** — turning recording on changes
    no simulation result, and the exports themselves are byte-reproducible:
-   same seed twice, sharded vs unsharded, lockstep vs decoupled-parallel,
-   and any shard worker count all serialise to identical bytes.
+   same seed twice, sharded vs unsharded, and any shard mode or worker count
+   all serialise to identical bytes.  A recorded fleet runs the fleet loop at
+   every shard count (``result.sharding["mode"] == "lockstep"``), so the
+   loop is the only producer of a recording.
 
 To regenerate the golden file after an *intentional* simulation change::
 
@@ -124,22 +126,23 @@ def _simulate(stem: str, *, shards: int, shard_workers: int, shard_mode: str):
 
 
 @pytest.mark.parametrize("shards,workers,mode", [
-    (4, 1, "lockstep"),   # the fleet loop itself
-    (4, 1, "auto"),       # decoupled in-process parallel path
-    (4, 2, "auto"),       # decoupled across a worker pool
-    (4, 3, "auto"),       # worker count must not matter
+    (4, 1, "lockstep"),   # lockstep forced
+    (4, 1, "auto"),       # a recorded decoupled fleet resolves to lockstep
+    (4, 2, "auto"),       # ... whatever the worker count
+    (4, 3, "auto"),
 ])
 def test_sharded_exports_match_unsharded(shards, workers, mode):
-    """Every shard execution shape serialises to the unsharded bytes."""
+    """Every shard setting runs the fleet loop and exports the unsharded bytes."""
     baseline = _simulate("steady_poisson", shards=1, shard_workers=1,
                          shard_mode="lockstep")
     sharded = _simulate("steady_poisson", shards=shards, shard_workers=workers,
                         shard_mode=mode)
+    assert sharded.sharding["mode"] == "lockstep"
     assert _exports(sharded.obs) == _exports(baseline.obs)
 
 
 def test_chaos_sharded_exports_match_unsharded():
-    """Fault schedules force lockstep; the merge must still be identical."""
+    """Fault schedules force lockstep; the exports must still be identical."""
     baseline = _simulate("chaos_tiered_recovery", shards=1, shard_workers=1,
                          shard_mode="lockstep")
     sharded = _simulate("chaos_tiered_recovery", shards=4, shard_workers=1,

@@ -1,10 +1,10 @@
-"""Unit tests of the span/metrics recorder's time and merge semantics.
+"""Unit tests of the span/metrics recorder's time semantics.
 
 The identity contracts (disabled path == seed, sharded exports == unsharded)
 are pinned end-to-end in ``tests/test_obs_identity.py``; this module covers
 the recorder's own edges — sample boundaries, zero-duration runs, intervals
-longer than the run, histogram ``le`` bucket boundaries, and the per-shard
-payload merge.
+longer than the run, histogram ``le`` bucket boundaries, and the counters
+kept out of the sampled series.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.obs.recorder import (
     KIND_ORDER,
     NULL_RECORDER,
     TraceRecorder,
-    merge_shard_payloads,
 )
 from repro.spec.models import ObservabilitySpec
 
@@ -176,111 +175,24 @@ def test_histogram_zero_latency_lands_in_first_bucket():
     assert data.hist_buckets == DEFAULT_LATENCY_BUCKETS
 
 
-# -------------------------------------------------------------- shard merge
-
-
-def _shard_recorder(config, key, name, finishes):
-    shard = TraceRecorder(config)
-    shard.register_replica(key, name)
-    shard.maybe_sample(0.0, lambda: [("queue_depth", (("replica", name),), 0)])
-    for time, latency in finishes:
-        shard.emit(time, key, "finish", latency_s=latency)
-        shard.maybe_sample(
-            time, lambda: [("queue_depth", (("replica", name),), 0)]
-        )
-    shard.finalize(finishes[-1][0] if finishes else 0.0)
-    return shard
-
-
-def test_merge_pads_short_shards_with_final_state():
-    config = ObservabilitySpec(enabled=True, sample_interval_s=1.0)
-    coordinator = TraceRecorder(config)
-    coordinator.register_replica(0, "r0")
-    coordinator.register_replica(1, "r1")
-    long_shard = _shard_recorder(config, 0, "r0", [(1.0, 0.5), (4.0, 0.5)])
-    short_shard = _shard_recorder(config, 1, "r1", [(1.0, 0.25)])
-
-    data = merge_shard_payloads(
-        coordinator, [long_shard.payload(), short_shard.payload()]
-    )
-    assert data.num_boundaries == 5  # 0..4 from the long shard
-    assert data.end_time == 4.0
-    # The short shard sampled boundary 1.0 itself; boundaries 2, 3, 4 are
-    # padded with its final counter value (1).
-    r1_finished = {
-        time: value for time, name, labels, value in data.samples
-        if name == "finished_total" and labels == (("replica", "r1"),)
-    }
-    assert r1_finished == {1.0: 1, 2.0: 1, 3.0: 1, 4.0: 1}
-    # Queue depth pads to zero, so both replicas have the full series.
-    r1_queue = [
-        time for time, name, labels, _v in data.samples
-        if name == "queue_depth" and labels == (("replica", "r1"),)
-    ]
-    assert r1_queue == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-
-def test_merge_excludes_snapshot_only_counters_from_padding():
-    config = ObservabilitySpec(enabled=True, sample_interval_s=1.0)
-    coordinator = TraceRecorder(config)
-    coordinator.register_replica(0, "r0")
-    coordinator.emit(0.0, GLOBAL_KEY, "submit")
-    coordinator.emit(0.0, 0, "route")
-    shard = _shard_recorder(config, 0, "r0", [(2.0, 0.5)])
-
-    data = merge_shard_payloads(coordinator, [shard.payload()])
-    assert ("submitted_total", ()) in dict(data.counters)
-    assert all(name != "submitted_total" for _t, name, _l, _v in data.samples)
-    assert all(name != "routed_total" for _t, name, _l, _v in data.samples)
-
-
-def test_merge_idle_replicas_contribute_zero_series():
-    config = ObservabilitySpec(enabled=True, sample_interval_s=1.0)
-    coordinator = TraceRecorder(config)
-    coordinator.register_replica(0, "r0")
-    coordinator.register_replica(1, "idle")
-    shard = _shard_recorder(config, 0, "r0", [(2.0, 0.5)])
-
-    data = merge_shard_payloads(
-        coordinator, [shard.payload()], idle_replicas=[(1, "idle")]
-    )
-    idle_series = [
-        (time, value) for time, name, labels, value in data.samples
-        if name == "queue_depth" and labels == (("replica", "idle"),)
-    ]
-    assert idle_series == [(0.0, 0), (1.0, 0), (2.0, 0)]
-
-
-def test_merge_histogram_sum_matches_single_recorder():
-    """fsum makes the merged sum independent of shard assignment."""
-    latencies = [0.1 + 0.07 * i for i in range(20)]
-    config = ObservabilitySpec(enabled=True)
-
-    single = TraceRecorder(config)
-    single.register_replica(0, "r0")
-    for latency in latencies:
-        single.emit(1.0, 0, "finish", latency_s=latency)
-    expected = single.freeze(1.0)
-
-    coordinator = TraceRecorder(config)
-    coordinator.register_replica(0, "r0")
-    shard_a, shard_b = TraceRecorder(config), TraceRecorder(config)
-    shard_a.register_replica(0, "r0")
-    shard_b.register_replica(0, "r0")
-    # Interleave observations across shards in a different order.
-    for index, latency in enumerate(reversed(latencies)):
-        (shard_a if index % 2 else shard_b).emit(1.0, 0, "finish", latency_s=latency)
-    shard_a.finalize(1.0)
-    shard_b.finalize(1.0)
-    merged = merge_shard_payloads(
-        coordinator, [shard_a.payload(), shard_b.payload()]
-    )
-    assert merged.hist_sum == expected.hist_sum  # bit-equal, not approx
-    assert merged.hist_count == expected.hist_count
-    assert merged.hist_counts == expected.hist_counts
-
-
 # ---------------------------------------------------------------- counters
+
+
+def test_snapshot_only_counters_stay_out_of_the_series():
+    """The routing counters reach the end-of-run snapshot, never a sample."""
+    recorder = TraceRecorder(ObservabilitySpec(enabled=True, sample_interval_s=1.0))
+    recorder.register_replica(0, "r0")
+    recorder.emit(0.0, GLOBAL_KEY, "submit")
+    recorder.emit(0.0, 0, "route")
+    recorder.emit(2.0, 0, "finish", latency_s=0.5)
+    data = recorder.freeze(2.0)
+    counters = dict(data.counters)
+    assert counters[("submitted_total", ())] == 1
+    assert counters[("routed_total", (("replica", "r0"),))] == 1
+    sampled = {name for _t, name, _l, _v in data.samples}
+    assert "finished_total" in sampled
+    assert "submitted_total" not in sampled
+    assert "routed_total" not in sampled
 
 
 def test_tenant_slo_attainment_counters():

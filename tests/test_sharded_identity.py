@@ -8,13 +8,16 @@ floats, per-request records, fleet summaries) is bit-equal at every shard
 count, and two same-seed sharded runs are bit-equal to each other.  These
 tests pin that contract over the whole cookbook, plus the decoupled parallel
 path (with a real worker pool) and the mode decision that picks it: any
-feature coupling replicas mid-run sends the fleet to the ordinary fleet loop.
+feature coupling replicas mid-run, and any recording, sends the fleet to the
+ordinary fleet loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -24,12 +27,15 @@ from repro.cluster import Fleet, QueueDepthAdmission, ReactiveAutoscaler
 from repro.faults import FaultEvent, FaultSchedule
 from repro.hardware.cluster import get_hardware_setup
 from repro.kvcache.tiers import tier_config_from_dict
+from repro.obs.logging import configure as configure_logging, get_logger
+from repro.obs.recorder import TraceRecorder
 from repro.simulation.arrival import make_arrival
 from repro.simulation.invariants import scenario_fingerprint
 from repro.simulation.routing import LeastLoadedRouter, Router, make_router
 from repro.simulation.scenario import load_scenario, run_scenario
 from repro.simulation.sharded import resolve_shard_mode
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.models import ObservabilitySpec
 from repro.workloads.registry import get_workload
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
@@ -138,6 +144,34 @@ def test_lockstep_mode_matches_parallel_mode():
     assert _fleet_fingerprint(lockstep) == _fleet_fingerprint(parallel)
 
 
+@pytest.fixture()
+def repro_log():
+    """The CLI log handler, writing to a buffer for one test."""
+    root = logging.getLogger("repro")
+    saved = (list(root.handlers), root.level, root.propagate)
+    configure_logging("info")
+    buffer = io.StringIO()
+    root.handlers[0].setStream(buffer)
+    yield buffer
+    root.handlers[:] = saved[0]
+    root.setLevel(saved[1])
+    root.propagate = saved[2]
+
+
+def test_a_sharded_run_leaves_no_shard_id_in_later_log_records(repro_log):
+    """Each shard tags its records with its id and restores the context after."""
+    spec = load_scenario(SCENARIO_DIR / "steady_poisson.json")
+    result = run_scenario(dataclasses.replace(spec, shards=4))
+    assert result.result.sharding["mode"] == "parallel"
+    get_logger("test").warning("after the sharded run")
+    lines = repro_log.getvalue().splitlines()
+    finished = [line for line in lines if "finished:" in line]
+    assert len(finished) == 1 and "shard=-]" in finished[0]
+    assert any(
+        line.endswith("shard=-] after the sharded run") for line in lines
+    )
+
+
 # ------------------------------------------------------ shard-mode decision
 
 
@@ -190,12 +224,19 @@ _MODE_CASES = {
     ),
     "already-submitted": lambda trace: (_submitted_fleet(trace), None),
     "already-scaled": lambda trace: (_scaled_up_fleet(trace), None),
+    # Not a coupling: only the fleet loop records observability.
+    "recorded": lambda trace: (
+        _build_fleet(2, trace,
+                     recorder=TraceRecorder(ObservabilitySpec(enabled=True))),
+        None,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(_MODE_CASES))
 def test_every_coupling_sends_the_fleet_to_lockstep(case):
-    """Only the bare user-id fleet is decoupled; each coupling alone is not."""
+    """Only the bare user-id fleet is decoupled; each coupling alone, or a
+    recorder, is not."""
     trace = get_workload("post-recommendation", num_users=2, posts_per_user=1,
                          seed=3)
     fleet, faults = _MODE_CASES[case](trace)
