@@ -7,8 +7,9 @@
 #   make bench-sweep - serial vs parallel engine sweep (byte-identical results)
 #   make bench-selftest - repo benchmark self-test: tracer targets found, exact counters,
 #                    tracing changes no result (perfbench/selftest.py)
-#   make bench-pairs PARENT=DIR WORKLOAD=W - alternating parent/change benchmark pairs
-#                    with a gain / bound verdict per metric (scripts/bench_pairs.py)
+#   make bench-pairs PARENT=DIR WORKLOAD="W ..." - alternating parent/change benchmark
+#                    pairs per workload with a gain / bound verdict per metric; exits 3
+#                    when a metric is worse than its bound (scripts/bench_pairs.py)
 #   make fuzz        - scenario + metamorphic fuzzers and the scheduler / prefix-cache /
 #                    block-hash oracles, full derandomized profile
 #   make mutants     - seeded KV-layer mutants, each of which the KV tests must kill
@@ -56,7 +57,7 @@ bench-selftest:
 bench-pairs:
 	$(if $(PARENT),,$(error PARENT=DIR, a checkout of the parent commit, is required))
 	$(if $(WORKLOAD),,$(error WORKLOAD=NAME is required))
-	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --seed $(SEED)
+	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) $(foreach w,$(WORKLOAD),--workload $(w)) --seed $(SEED)
 
 fuzz:
 	HYPOTHESIS_PROFILE=fuzz $(PYTHON) -m pytest tests/test_scenario_fuzz.py tests/test_metamorphic.py \

@@ -3,13 +3,14 @@
 
 Runs the repo benchmark (``python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0``, the command ``BENCHMARK.json`` declares) ``--pairs``
-times in a checkout of the parent commit and in this tree.  The parent runs
-first on even pairs and the change first on odd ones, so a slow phase of a
-shared host does not always land on the same side.
+times in a checkout of the parent commit and in this tree, for each
+``--workload`` in turn.  The parent runs first on even pairs and the change
+first on odd ones, so a slow phase of a shared host does not always land on
+the same side.
 
-Per end-to-end metric of ``BENCHMARK.json`` (name, unit, direction, bound) it
-then prints each side's median and quartiles, the change's wins (ties count
-for neither side) and one verdict:
+Per workload and end-to-end metric of ``BENCHMARK.json`` (name, unit,
+direction, bound) it then prints each side's median and quartiles, the
+change's wins (ties count for neither side) and one verdict:
 
 * ``gain`` — the change wins at least nine tenths of the pairs and its median
   beats the parent's by more than the parent's interquartile range;
@@ -17,14 +18,15 @@ for neither side) and one verdict:
   more than the metric's bound (a fraction of the parent's median);
 * ``no resolved change`` — neither.
 
-Exits 1 if any run reports ``correct: false`` or a failed operation, and 2 if
-a run prints no result.
+Exits 2 if a run prints no result, 1 if any run reports ``correct: false``
+or a failed operation, 3 if any verdict is ``worse than bound``, and 0
+otherwise.
 
 Usage (from the repository root; ``DIR`` is a checkout of the parent commit,
 e.g. from ``git worktree add DIR HEAD~1``)::
 
     python3 scripts/bench_pairs.py --parent DIR --workload fleet-1024-shard \\
-        [--pairs 10] [--seconds 20] [--seed 0]
+        [--workload paper-qps ...] [--pairs 10] [--seconds 20] [--seed 0]
 """
 
 from __future__ import annotations
@@ -124,6 +126,13 @@ def run_failures(runs: list[dict]) -> int:
     return sum(1 for result in runs if not result["correct"] or result["failed"])
 
 
+def exit_status(rows: list[dict], failures: int) -> int:
+    """1 if any run failed, else 3 if any row is ``worse than bound``, else 0."""
+    if failures:
+        return 1
+    return 3 if any(row["verdict"] == "worse than bound" for row in rows) else 0
+
+
 def format_rows(rows: list[dict]) -> list[str]:
     def cell(q: tuple[float, float, float]) -> str:
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
@@ -141,11 +150,40 @@ def format_rows(rows: list[dict]) -> list[str]:
     return lines
 
 
+def run_pairs(args: argparse.Namespace, benchmark: dict,
+              workload: str) -> tuple[list[dict], int]:
+    """Run and print one workload's pairs; returns its rows and failed-run count."""
+    metrics = benchmark["end_to_end"]
+    sides = {"parent": args.parent.resolve(), "change": REPO}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    print(f"== {workload}: {args.pairs} pairs x {args.seconds:g}s, seed {args.seed}",
+          flush=True)
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_benchmark(sides[side], benchmark["command"],
+                                            workload, args.seed, args.seconds))
+        values = ", ".join(
+            f"{metric['name']} {_value(runs['parent'][-1], metric['name'])}"
+            f" -> {_value(runs['change'][-1], metric['name'])}"
+            for metric in metrics
+        )
+        print(f"pair {pair + 1} ({order[0]} first): {values}", flush=True)
+    rows = summarize(runs["parent"], runs["change"], metrics)
+    print("\n".join(format_rows(rows)), flush=True)
+    failures = {side: run_failures(side_runs) for side, side_runs in runs.items()}
+    if any(failures.values()):
+        print(f"bench_pairs: {workload}: runs with failed operations: {failures}",
+              file=sys.stderr)
+    return rows, sum(failures.values())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the parent commit")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="workload to compare; repeat for several")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=0)
@@ -155,32 +193,20 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.parent / "perfbench" / "run.py").is_file():
         parser.error(f"--parent {args.parent} has no perfbench/run.py")
     benchmark = json.loads(BENCHMARK.read_text())
-    metrics = benchmark["end_to_end"]
-    sides = {"parent": args.parent.resolve(), "change": REPO}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    print(f"== {args.workload}: {args.pairs} pairs x {args.seconds:g}s, seed {args.seed}",
-          flush=True)
+    rows: list[dict] = []
+    failures = 0
     try:
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_benchmark(sides[side], benchmark["command"],
-                                                args.workload, args.seed, args.seconds))
-            values = ", ".join(
-                f"{metric['name']} {_value(runs['parent'][-1], metric['name'])}"
-                f" -> {_value(runs['change'][-1], metric['name'])}"
-                for metric in metrics
-            )
-            print(f"pair {pair + 1} ({order[0]} first): {values}", flush=True)
+        for workload in args.workload:
+            workload_rows, workload_failures = run_pairs(args, benchmark, workload)
+            rows += workload_rows
+            failures += workload_failures
     except PairsError as exc:
         print(f"bench_pairs: error: {exc}", file=sys.stderr)
         return 2
-    print("\n".join(format_rows(summarize(runs["parent"], runs["change"], metrics))))
-    failures = {side: run_failures(side_runs) for side, side_runs in runs.items()}
-    if any(failures.values()):
-        print(f"bench_pairs: runs with failed operations: {failures}", file=sys.stderr)
-        return 1
-    return 0
+    status = exit_status(rows, failures)
+    if status == 3:
+        print("bench_pairs: a metric is worse than its bound", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

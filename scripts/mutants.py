@@ -73,14 +73,31 @@ MUTANTS = (
     )),
     # An insert's own evictions may take the tail of its path.
     Mutant("insert-pins-no-tail", TREE, (
-        ("                if tail is not None:\n"
-         "                    tail.block.pin()\n"
-         "                try:\n"
-         "                    evicted = self.evict_blocks(1)\n"
-         "                finally:\n"
-         "                    if tail is not None:\n"
-         "                        tail.block.unpin()\n",
-         "                evicted = self.evict_blocks(1)\n"),
+        ("        if protect is not None:\n"
+         "            protect.pin()\n"
+         "        try:\n"
+         "            self.evict_blocks(shortfall)\n"
+         "        finally:\n"
+         "            if protect is not None:\n"
+         "                protect.unpin()\n",
+         "        self.evict_blocks(shortfall)\n"),
+    )),
+    # An eviction pass frees one block fewer than the pool is short of.
+    Mutant("shortfall-off-by-one", TREE, (
+        ("self.evict_blocks(shortfall)", "self.evict_blocks(shortfall - 1)"),
+    )),
+    # The leaf an insert leaves gets no LRU-heap entry.
+    Mutant("insert-pushes-no-leaf-entry", TREE, (
+        ("        self._note_candidate(tail)\n", ""),
+    )),
+    # An evicted node's parent keeps counting it as a child.
+    Mutant("child-count-not-decremented", TREE, (
+        ("            parent.num_children -= 1\n", ""),
+    )),
+    # An insert does not record the watched hashes it adds.
+    Mutant("insert-records-no-change", TREE, (
+        ("            if content_hash in watched:\n"
+         "                changed.add(content_hash)\n", ""),
     )),
     # A touching match stamps no block.
     Mutant("match-stamps-nothing", TREE, (
@@ -94,6 +111,10 @@ MUTANTS = (
     Mutant("lease-pins-first-block", MANAGER, (
         ("pin_prefix(hashes, match.num_blocks)",
          "pin_prefix(hashes, min(match.num_blocks, 1))"),
+    )),
+    # A scratch reservation frees one block fewer than it needs.
+    Mutant("scratch-room-short", MANAGER, (
+        ("self._cache.make_room(needed)", "self._cache.make_room(needed - 1)"),
     )),
     # The evictable count ignores a pinned frontier's ancestors.
     Mutant("evictable-count-ignores-ancestors", TREE, (

@@ -407,12 +407,10 @@ class KVCacheManager:
 
         uncached_tokens = max(num_tokens - match.num_tokens, 0)
         needed = count_blocks(uncached_tokens, self._block_size)
-        scratch: list[Block] = []
+        self._cache.make_room(needed)
         try:
-            for _ in range(needed):
-                scratch.append(self._allocate_scratch(now))
+            lease.scratch_blocks = self._allocator.allocate_many(needed, now=now)
         except AllocationError as exc:
-            self._allocator.free_many(scratch)
             self._cache.unpin(lease.frontier)
             raise CapacityError(
                 f"request of {num_tokens} tokens needs {needed} KV blocks but the "
@@ -420,18 +418,9 @@ class KVCacheManager:
                 required=needed,
                 available=self._allocator.num_free_blocks,
             ) from exc
-        lease.scratch_blocks = scratch
         self._record_request(num_tokens, match.num_tokens)
         self._active_leases += 1
         return lease
-
-    def _allocate_scratch(self, now: float) -> Block:
-        while True:
-            try:
-                return self._allocator.allocate(now=now)
-            except AllocationError:
-                if not self._cache.evict_blocks(1):
-                    raise
 
     def _record_request(self, num_tokens: int, cached_tokens: int) -> None:
         self._requests += 1

@@ -1,11 +1,13 @@
 """Radix-tree prefix cache over chained block hashes.
 
 Cached KV blocks are organised as a tree: a node's children are the blocks that
-can follow it, keyed by their chained content hash.  Because the content hash
-of block *i* already incorporates the hashes of blocks 0..i-1 (see
-``repro.kvcache.block.hash_chain``), looking up a request's block-hash list is
-a walk from the root that stops at the first miss — exactly the prefix-match
-semantics of vLLM's automatic prefix caching.
+can follow it.  Because the content hash of block *i* already incorporates the
+hashes of blocks 0..i-1 (see ``repro.kvcache.block.hash_chain``), one flat
+dict from content hash to node finds any block, and looking up a request's
+block-hash list is a walk that stops at the first miss — exactly the
+prefix-match semantics of vLLM's automatic prefix caching.  No lookup goes
+through a parent, so a node keeps only its parent and a count of its
+children.
 
 Eviction is LRU over *leaf* nodes that are not pinned by a running request
 (evicting an interior node would orphan its descendants' hash chains).
@@ -21,16 +23,20 @@ always a frontier, so every leaf's timestamp, and with it the victim order,
 is exactly what stamping every block of every chain would give.
 
 Victim selection uses a lazy min-heap of ``(last_access, creation_seq, node)``
-candidates rather than scanning every node per eviction: an entry is pushed
-when a node is created and when it becomes a leaf again after a child is
-evicted, and entries are validated when popped — dead and interior nodes are
-dropped, a node whose timestamp moved since its entry was pushed is re-keyed
-in place (lazy decrease-key, so cache touches stay O(1)), and pinned
-candidates are pushed back once the eviction pass ends.  The victim is always
-the unpinned leaf with the smallest ``(last_access, creation_seq)``: ties on
-the timestamp go to the older node.  ``tests/test_prefix_cache_oracle.py``
-checks that order against a full-scan reference cache that stamps and pins
-every block.
+candidates rather than scanning every node per eviction.  Only leaves are
+candidates, so an entry is pushed for the leaf an insert leaves and for a
+node that becomes a leaf again after its last child is evicted; the interior
+blocks an insert creates get none.  Entries are validated when popped — dead
+and interior nodes are dropped, a node whose timestamp moved since its entry
+was pushed is re-keyed in place (lazy decrease-key, so cache touches stay
+O(1)), and pinned candidates are pushed back once the eviction pass ends.  The
+victim is always the unpinned leaf with the smallest ``(last_access,
+creation_seq)``: ties on the timestamp go to the older node.  An insert frees
+the room it is short of in one eviction pass before it allocates, which picks
+the same victims as evicting one block per failed allocation would: the new
+blocks are never candidates.  ``tests/test_prefix_cache_oracle.py`` checks
+that order against a full-scan reference cache that stamps and pins every
+block and evicts one block at a time.
 
 The tree also keeps a change record for one watcher (the SRJF scheduler's
 frontier index, see :mod:`repro.core.scheduler`): the watched content hashes
@@ -40,7 +46,7 @@ inserted or evicted since the watcher last called :meth:`take_changes`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Container, NamedTuple, Sequence
 
@@ -49,19 +55,18 @@ from repro.kvcache.allocator import BlockAllocator
 from repro.kvcache.block import Block
 
 
-@dataclass(slots=True)
 class _TreeNode:
-    """One cached block inside the radix tree."""
+    """One cached block inside the radix tree (a leaf has ``num_children == 0``)."""
 
-    content_hash: int
-    block: Block
-    parent: "_TreeNode | None"
-    children: dict[int, "_TreeNode"] = field(default_factory=dict)
-    seq: int = 0
+    __slots__ = ("content_hash", "block", "parent", "num_children", "seq")
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+    def __init__(self, content_hash: int, block: Block, parent: "_TreeNode | None",
+                 seq: int) -> None:
+        self.content_hash = content_hash
+        self.block = block
+        self.parent = parent
+        self.num_children = 0
+        self.seq = seq
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ class NodeState(NamedTuple):
     """One resident node, as :meth:`RadixPrefixCache.snapshot` reports it."""
 
     parent: int | None
-    children: tuple[int, ...]
+    num_children: int
     block: Block
     seq: int
 
@@ -94,14 +99,12 @@ class TreeSnapshot:
 
     Attributes:
         nodes: Every resident node by content hash.
-        roots: Content hashes of the root nodes.
         heap_keys: For each resident node with a live LRU-heap entry, the
             smallest ``(last_access, seq)`` key among its entries.
         allocator: The block pool the tree allocates from.
     """
 
     nodes: dict[int, NodeState]
-    roots: tuple[int, ...]
     heap_keys: dict[int, tuple[float, int]]
     allocator: BlockAllocator
 
@@ -121,7 +124,6 @@ class RadixPrefixCache:
         self._allocator = allocator
         self._block_size = allocator.block_size
         self._nodes: dict[int, _TreeNode] = {}
-        self._roots: dict[int, _TreeNode] = {}
         self._lru_heap: list[tuple[float, int, _TreeNode]] = []
         self._node_seq = 0
         self._version = 0
@@ -257,10 +259,10 @@ class RadixPrefixCache:
         """Insert the blocks of a finished request into the cache.
 
         The deepest block already present is stamped; missing blocks are
-        allocated from the shared pool, evicting LRU leaves when
-        ``allow_eviction`` is True.  Insertion stops early (suffix discarding)
-        when the pool cannot supply a block, or when ``max_new_blocks`` new
-        blocks have been added.
+        allocated from the shared pool, after one eviction pass frees what the
+        pool is short of when ``allow_eviction`` is True.  Insertion stops
+        early (suffix discarding) when the pool cannot supply a block, or when
+        ``max_new_blocks`` new blocks have been added.
 
         Returns:
             The number of blocks of the request now resident in the cache
@@ -275,58 +277,55 @@ class RadixPrefixCache:
         tail = nodes[block_hashes[resident - 1]] if resident else None
         if tail is not None:
             tail.block.touch(now)
-        stop = len(block_hashes)
+        count = len(block_hashes) - resident
         if max_new_blocks is not None:
-            stop = min(stop, resident + max_new_blocks)
-        for content_hash in islice(block_hashes, resident, stop):
-            block = self._allocate_block(content_hash, now, tail,
-                                         allow_eviction=allow_eviction)
-            if block is None:
-                break
-            node = _TreeNode(
-                content_hash=content_hash, block=block, parent=tail,
-                seq=self._node_seq,
-            )
-            self._node_seq += 1
-            if tail is None:
-                self._roots[content_hash] = node
-            else:
-                tail.children[content_hash] = node
-            nodes[content_hash] = node
-            if content_hash in self._watched:
-                self._changed.add(content_hash)
-            self._note_candidate(node)
-            tail = node
-            resident += 1
-            self._insertions += 1
-            self._version += 1
-        return resident
+            count = min(count, max_new_blocks)
+        if count <= 0:
+            return resident
+        if allow_eviction:
+            # The tail is pinned so that this insert cannot evict the
+            # request's own ancestors (which would break the chained-hash
+            # prefix property); the new blocks are not in the tree yet.
+            self.make_room(count, tail.block if tail is not None else None)
+        count = min(count, self._allocator.num_free_blocks)
+        if not count:
+            return resident
+        allocate = self._allocator.allocate
+        block_size = self._block_size
+        watched, changed = self._watched, self._changed
+        seq = self._node_seq
+        for content_hash in islice(block_hashes, resident, resident + count):
+            block = allocate(content_hash=content_hash, num_tokens=block_size, now=now)
+            if tail is not None:
+                tail.num_children += 1
+            tail = nodes[content_hash] = _TreeNode(content_hash, block, tail, seq)
+            if content_hash in watched:
+                changed.add(content_hash)
+            seq += 1
+        # Only the chain's last block is a leaf, and so a candidate.
+        self._note_candidate(tail)
+        self._node_seq = seq
+        self._insertions += count
+        self._version += count
+        return resident + count
 
-    def _allocate_block(self, content_hash: int, now: float, tail: _TreeNode | None, *,
-                        allow_eviction: bool) -> Block | None:
-        """Allocate one block, evicting LRU leaves if necessary and allowed.
+    def make_room(self, count: int, protect: Block | None = None) -> None:
+        """Evict LRU leaves in one pass until ``count`` blocks are free.
 
-        ``tail``, the deepest block of the insert path, is pinned while this
-        insert evicts, so that it cannot evict the request's own ancestors
-        (which would break the chained-hash prefix property).
+        ``protect``, if given, is pinned during the pass, so it and its
+        ancestors stay resident.  Fewer blocks are freed when too few are
+        evictable.
         """
-        while True:
-            try:
-                return self._allocator.allocate(
-                    content_hash=content_hash, num_tokens=self._block_size, now=now
-                )
-            except AllocationError:
-                if not allow_eviction:
-                    return None
-                if tail is not None:
-                    tail.block.pin()
-                try:
-                    evicted = self.evict_blocks(1)
-                finally:
-                    if tail is not None:
-                        tail.block.unpin()
-                if not evicted:
-                    return None
+        shortfall = count - self._allocator.num_free_blocks
+        if shortfall <= 0:
+            return
+        if protect is not None:
+            protect.pin()
+        try:
+            self.evict_blocks(shortfall)
+        finally:
+            if protect is not None:
+                protect.unpin()
 
     # -------------------------------------------------------------- eviction
 
@@ -354,16 +353,17 @@ class RadixPrefixCache:
         leaves, so a node that becomes a leaf again has the latest access of
         every chain that ran through it, as if every block had been stamped.
 
-        Every evictable node has at least one heap entry — pushed at its
-        creation and whenever it becomes a leaf again — whose key never
-        *overestimates* the node's recency (``touch`` only moves timestamps
-        forward).  Popping therefore surfaces candidates in optimistic order:
-        a dead or interior node is dropped, a node whose timestamp moved since
-        the entry was pushed is re-keyed at its current ``last_access`` (lazy
-        decrease-key, paid only when evictions actually happen rather than on
-        every cache touch), and a pinned candidate is parked and re-pushed
-        after the pass.  The first entry that survives validation is the true
-        ``(last_access, seq)`` minimum over the unpinned leaves.
+        Every evictable node has at least one heap entry — pushed when an
+        insert leaves it a leaf and whenever it becomes a leaf again — whose
+        key never *overestimates* the node's recency (``touch`` only moves
+        timestamps forward).  Popping therefore surfaces candidates in
+        optimistic order: a dead or interior node is dropped, a node whose
+        timestamp moved since the entry was pushed is re-keyed at its current
+        ``last_access`` (lazy decrease-key, paid only when evictions actually
+        happen rather than on every cache touch), and a pinned candidate is
+        parked and re-pushed after the pass.  The first entry that survives
+        validation is the true ``(last_access, seq)`` minimum over the
+        unpinned leaves.
         """
         heap = self._lru_heap
         pinned: list[tuple[float, int, _TreeNode]] = []
@@ -371,7 +371,7 @@ class RadixPrefixCache:
         while evicted < count and heap:
             entry = heapq.heappop(heap)
             last_access, _, node = entry
-            if self._nodes.get(node.content_hash) is not node or not node.is_leaf:
+            if self._nodes.get(node.content_hash) is not node or node.num_children:
                 continue
             if node.block.last_access != last_access:
                 heapq.heappush(heap, (node.block.last_access, node.seq, node))
@@ -387,14 +387,12 @@ class RadixPrefixCache:
 
     def _remove_node(self, node: _TreeNode) -> None:
         parent = node.parent
-        if parent is None:
-            self._roots.pop(node.content_hash, None)
-        else:
-            parent.children.pop(node.content_hash, None)
+        if parent is not None:
+            parent.num_children -= 1
             # The parent inherits the victim's recency: every access that
             # stamped the victim ran through the parent too.
             parent.block.touch(node.block.last_access)
-            if parent.is_leaf:
+            if not parent.num_children:
                 # The parent just became evictable; give it a live heap entry.
                 self._note_candidate(parent)
         del self._nodes[node.content_hash]
@@ -445,13 +443,12 @@ class RadixPrefixCache:
             nodes={
                 content_hash: NodeState(
                     parent=node.parent.content_hash if node.parent is not None else None,
-                    children=tuple(node.children),
+                    num_children=node.num_children,
                     block=node.block,
                     seq=node.seq,
                 )
                 for content_hash, node in nodes.items()
             },
-            roots=tuple(self._roots),
             heap_keys=heap_keys,
             allocator=self._allocator,
         )
@@ -467,6 +464,5 @@ class RadixPrefixCache:
             self._allocator.free(node.block)
         self._changed.update(self._watched)
         self._nodes.clear()
-        self._roots.clear()
         self._lru_heap.clear()
         self._version += 1

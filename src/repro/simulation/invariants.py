@@ -25,14 +25,16 @@ two numbers differed:
    included): the block allocator's free and allocated blocks add up to its
    pool, the allocated blocks are exactly the radix tree's resident blocks,
    no lease is outstanding and no block is pinned, every resident node's
-   parent is resident with the children maps agreeing, and every unpinned
-   leaf has an LRU-heap entry whose key does not exceed its
+   parent is resident, every node's child count is the number of resident
+   nodes naming it as their parent, and every leaf (a node whose count is
+   0) has an LRU-heap entry whose key does not exceed its
    ``(last_access, seq)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 from repro.errors import AllocationError, InvariantViolation
 from repro.simulation.scenario import ScenarioResult
@@ -188,8 +190,7 @@ def _kv_structure_problem(manager) -> str | None:
                 f"{allocator.num_blocks}")
     if allocated != len(nodes):
         return f"{allocated} allocated blocks but {len(nodes)} resident cached blocks"
-    if set(tree.roots) != {h for h, node in nodes.items() if node.parent is None}:
-        return "the roots map does not list exactly the parentless nodes"
+    named = Counter(node.parent for node in nodes.values())
     for content_hash, node in nodes.items():
         block = node.block
         try:
@@ -201,16 +202,13 @@ def _kv_structure_problem(manager) -> str | None:
         if block.is_pinned:
             return f"block {content_hash} is still pinned after drain"
         parent = node.parent
-        if parent is not None and (
-                parent not in nodes or content_hash not in nodes[parent].children):
-            return (f"node {content_hash}'s parent {parent} is not resident or "
-                    "does not list it as a child")
-        for child in node.children:
-            if child not in nodes or nodes[child].parent != content_hash:
-                return (f"node {content_hash} lists child {child}, which is not "
-                        "resident under it")
+        if parent is not None and parent not in nodes:
+            return f"node {content_hash}'s parent {parent} is not resident"
+        if node.num_children != named[content_hash]:
+            return (f"node {content_hash}'s child count is {node.num_children}, but "
+                    f"{named[content_hash]} resident nodes name it as their parent")
         key = tree.heap_keys.get(content_hash)
-        if not node.children and (key is None or key > (block.last_access, node.seq)):
+        if not node.num_children and (key is None or key > (block.last_access, node.seq)):
             return (f"leaf {content_hash} at {(block.last_access, node.seq)} has no "
                     f"LRU-heap entry at or below it (smallest: {key})")
     return None

@@ -1,8 +1,8 @@
 """The verdicts of ``scripts/bench_pairs.py`` on canned benchmark results.
 
 No benchmark runs here: each run is a hand-written ``perfbench/run.py``
-result object, so the gain rule, the bound rule and the failure count are
-pinned without spawning a process.
+result object, so the gain rule, the bound rule, the failure count and the
+exit status are pinned without spawning a process.
 """
 
 from __future__ import annotations
@@ -106,3 +106,41 @@ def test_every_benchmark_metric_gets_a_row():
     assert [row["name"] for row in rows] == [metric["name"] for metric in metrics]
     assert all(row["verdict"] == "no resolved change" for row in rows)
     assert len(bench_pairs.format_rows(rows)) == len(metrics) + 1
+
+
+def _verdict_rows(*verdicts: str) -> list[dict]:
+    return [{"name": "wall_s", "verdict": verdict} for verdict in verdicts]
+
+
+@pytest.mark.parametrize("verdicts, failures, status", [
+    (("gain", "no resolved change"), 0, 0),
+    (("gain", "worse than bound"), 0, 3),
+    (("gain", "no resolved change"), 1, 1),
+    (("worse than bound",), 2, 1),
+])
+def test_exit_status(verdicts, failures, status):
+    assert bench_pairs.exit_status(_verdict_rows(*verdicts), failures) == status
+
+
+def test_every_workload_gets_a_table_and_a_regression_exits_3(tmp_path, monkeypatch, capsys):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    metrics = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def run_benchmark(tree, command, workload, seed, seconds):
+        # The change is 40% slower on fleet-chaos and unchanged elsewhere.
+        slow = workload == "fleet-chaos" and tree == bench_pairs.REPO
+        wall = 1.4 if slow else 1.0
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {metric["name"]: {"value": wall if metric["name"] == "wall_s"
+                                             else 1.0, "unit": metric["unit"]}
+                            for metric in metrics}}
+
+    monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+    status = bench_pairs.main(["--parent", str(tmp_path), "--pairs", "2",
+                               "--workload", "paper-qps", "--workload", "fleet-chaos"])
+    out = capsys.readouterr().out
+    assert status == 3
+    assert out.count("verdict") == 2
+    assert "== paper-qps" in out and "== fleet-chaos" in out
+    assert out.count("worse than bound") == 1

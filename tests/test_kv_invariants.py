@@ -2,8 +2,10 @@
 
 After drain, each replica's block accounting and radix tree must hold: the
 allocator's pool adds up, its allocated blocks are the tree's resident
-blocks, no lease or pin is left, the parent and children maps agree, and
-every leaf has an LRU-heap entry that does not overestimate its recency.
+blocks, no lease or pin is left, every parent is resident, every node's
+child count is the number of resident nodes naming it as their parent, and
+every leaf (child count 0) has an LRU-heap entry that does not overestimate
+its recency.
 It holds at the end of every cookbook scenario, and each kind of breakage,
 made by editing one snapshot of a drained manager, is reported.
 """
@@ -84,10 +86,12 @@ EDITS = {
     "block-not-allocated": (lambda s: with_node(s, 3, block=dataclasses.replace(
         s.nodes[3].block, block_id=99)), "not allocated"),
     "block-pinned": (pinned, "still pinned"),
-    "root-missing": (lambda s: dataclasses.replace(s, roots=(1,)), "roots map"),
-    "parent-not-resident": (lambda s: with_node(with_node(s, 2, children=(4,)), 3, parent=99),
+    "parent-not-resident": (lambda s: with_node(with_node(s, 2, num_children=1), 3, parent=99),
                             "parent 99"),
-    "child-not-resident": (lambda s: with_node(s, 2, children=(3, 4, 99)), "child 99"),
+    "child-count-too-high": (lambda s: with_node(s, 2, num_children=3),
+                             "node 2's child count is 3, but 2"),
+    "child-count-too-low": (lambda s: with_node(s, 2, num_children=1),
+                            "node 2's child count is 1, but 2"),
     "leaf-without-heap-entry": (lambda s: dataclasses.replace(s, heap_keys={}),
                                 "no LRU-heap entry"),
     "heap-key-overestimates": (lambda s: dataclasses.replace(

@@ -147,3 +147,41 @@ def test_stats_counters():
     assert stats["insertions"] == 2
     assert stats["block_hits"] == 2
     assert stats["block_misses"] >= 1
+
+
+def test_an_insert_gives_only_its_leaf_a_heap_entry():
+    cache, _ = make_cache(num_blocks=64)
+    chain = hashes(list(range(40 * BLOCK)))
+    assert cache.insert(chain) == 40
+    # Only leaves are eviction candidates, so the 39 interior blocks need none.
+    assert list(cache.snapshot().heap_keys) == [chain[-1]]
+
+
+def test_evicting_a_leaf_gives_its_parent_a_heap_entry():
+    cache, _ = make_cache(num_blocks=64)
+    chain = hashes(list(range(40 * BLOCK)))
+    newer = hashes(list(range(1000, 1000 + 2 * BLOCK)))
+    cache.insert(chain, now=1.0)
+    cache.insert(newer, now=2.0)
+    assert cache.evict_blocks(1) == 1
+    # The victim's parent is a leaf now; the heap holds exactly the leaves.
+    assert set(cache.snapshot().heap_keys) == {chain[-2], newer[-1]}
+
+
+def test_an_insert_short_of_k_blocks_evicts_them_in_one_pass():
+    cache, allocator = make_cache(num_blocks=8)
+    chains = [hashes(list(range(start, start + 2 * BLOCK))) for start in (0, 100, 200, 300)]
+    for now, chain in enumerate(chains, start=1):
+        cache.insert(chain, now=float(now))
+    assert allocator.num_free_blocks == 0
+    victims = []
+    cache.on_evict = lambda content_hash, num_tokens: victims.append(content_hash)
+    passes = []
+    evict_blocks = cache.evict_blocks
+    cache.evict_blocks = lambda count: passes.append(count) or evict_blocks(count)
+
+    assert cache.insert(hashes(list(range(400, 400 + 3 * BLOCK))), now=5.0) == 3
+    assert passes == [3]
+    # LRU order: the oldest chain's leaf (t=1), then its parent, a leaf now
+    # and still stamped t=1, then the next-oldest chain's leaf (t=2).
+    assert victims == [chains[0][1], chains[0][0], chains[1][1]]
