@@ -12,7 +12,8 @@
 #                    when a metric is worse than its bound (scripts/bench_pairs.py)
 #   make fuzz        - scenario + metamorphic fuzzers and the scheduler / prefix-cache /
 #                    block-hash oracles, full derandomized profile
-#   make mutants     - seeded KV-layer mutants, each of which the KV tests must kill
+#   make mutants     - seeded KV, tier-feed and hedge mutants, each of which the mutant
+#                    tests must kill
 #                    (scripts/mutants.py)
 #   make test-shard-identity - sharded-engine differential suite (byte-identity at shards=4)
 #   make obs-check   - validate observability exports + disabled-path seed fingerprints

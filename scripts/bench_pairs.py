@@ -18,6 +18,14 @@ change's wins (ties count for neither side) and one verdict:
   more than the metric's bound (a fraction of the parent's median);
 * ``no resolved change`` — neither.
 
+After a workload's pairs it runs :data:`TRACED_RUNS` alternating traced
+operations per tree (``perfbench/run.py --trace 1 --seconds 1``, one traced
+child each) and prints a layer table: each ``*.self_s`` layer metric's median
+per tree and in how many of the traced pairs the change was lower, then every
+count or ratio metric (``trace.*`` aside) whose median differs between the
+trees.  The table names the layer a gain or loss came from; it changes no
+verdict and no exit status.
+
 Exits 2 if a run prints no result, 1 if any run reports ``correct: false``
 or a failed operation, 3 if any verdict is ``worse than bound``, and 0
 otherwise.
@@ -44,6 +52,9 @@ BENCHMARK = REPO / "BENCHMARK.json"
 #: A gain needs the change to win at least this share of the pairs.
 WIN_SHARE = 0.9
 
+#: Traced operations per tree behind the layer table.
+TRACED_RUNS = 6
+
 
 class PairsError(Exception):
     """A benchmark run printed no result object."""
@@ -58,11 +69,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def run_benchmark(tree: Path, command: list[str], workload: str, seed: int,
-                  seconds: float) -> dict:
+                  seconds: float, trace: bool = False) -> dict:
     """One benchmark run in ``tree``; returns its final JSON result object."""
     completed = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{seconds:g}", "--trace", "0"],
+         "--seconds", f"{seconds:g}", "--trace", "1" if trace else "0"],
         cwd=tree, capture_output=True, text=True,
     )
     lines = completed.stdout.strip().splitlines()
@@ -150,6 +161,42 @@ def format_rows(rows: list[dict]) -> list[str]:
     return lines
 
 
+def layer_table(parent_runs: list[dict], change_runs: list[dict],
+                per_layer: list[dict]) -> list[str]:
+    """Lines comparing traced runs (``parent_runs[i]`` with ``change_runs[i]``).
+
+    ``per_layer`` is the ``per_layer`` list of ``BENCHMARK.json``.  Each
+    ``*.self_s`` metric gets its median per tree and the pairs in which the
+    change was lower; each count or ratio metric outside ``trace.*`` whose
+    median differs between the trees gets both medians.
+    """
+    def medians(name: str) -> tuple[list[tuple[float, float]], float, float] | None:
+        pairs = [(parent["metrics"][name]["value"], change["metrics"][name]["value"])
+                 for parent, change in zip(parent_runs, change_runs)
+                 if name in parent["metrics"] and name in change["metrics"]]
+        if not pairs:
+            return None
+        return (pairs, statistics.median(parent for parent, _ in pairs),
+                statistics.median(change for _, change in pairs))
+
+    lines = [f"{'layer':<24}{'parent median':<16}{'change median':<16}lower in"]
+    moved = []
+    for metric in per_layer:
+        name = metric["name"]
+        found = medians(name)
+        if found is None:
+            continue
+        pairs, parent, change = found
+        if name.endswith(".self_s"):
+            lower = sum(change_value < parent_value for parent_value, change_value in pairs)
+            lines.append(f"{name:<24}{parent:<16.4g}{change:<16.4g}{lower}/{len(pairs)}")
+        elif (metric["unit"] in ("count", "ratio") and not name.startswith("trace.")
+              and parent != change):
+            moved.append(f"  {name:<30}{parent:.6g} -> {change:.6g}")
+    lines.append("counts and ratios that differ:" + ("" if moved else " none"))
+    return lines + moved
+
+
 def run_pairs(args: argparse.Namespace, benchmark: dict,
               workload: str) -> tuple[list[dict], int]:
     """Run and print one workload's pairs; returns its rows and failed-run count."""
@@ -171,6 +218,16 @@ def run_pairs(args: argparse.Namespace, benchmark: dict,
         print(f"pair {pair + 1} ({order[0]} first): {values}", flush=True)
     rows = summarize(runs["parent"], runs["change"], metrics)
     print("\n".join(format_rows(rows)), flush=True)
+    print(f"-- {workload}: layers, {TRACED_RUNS} alternating traced runs per tree",
+          flush=True)
+    traced: dict[str, list[dict]] = {"parent": [], "change": []}
+    for pair in range(TRACED_RUNS):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            traced[side].append(run_benchmark(sides[side], benchmark["command"],
+                                              workload, args.seed, 1, trace=True))
+    print("\n".join(layer_table(traced["parent"], traced["change"],
+                                benchmark["per_layer"])), flush=True)
     failures = {side: run_failures(side_runs) for side, side_runs in runs.items()}
     if any(failures.values()):
         print(f"bench_pairs: {workload}: runs with failed operations: {failures}",

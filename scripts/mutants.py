@@ -1,12 +1,14 @@
 #!/usr/bin/env python
-"""Seeded mutants of the KV layer, each of which the KV tests must kill.
+"""Seeded mutants, each of which the mutant test set must kill.
 
-``make mutants`` entry point.  A mutant is one or more exact source-text
+``make mutants`` entry point.  The mutants break the KV layer, the tier
+change feeds the SRJF scheduler's frontier index reads, and the hedge
+policy's sorted latency window.  A mutant is one or more exact source-text
 replacements in a module under ``src/``.  For the unmutated tree and then for
 each mutant, the script copies ``src/`` and ``tests/`` into a temporary
-directory, applies the mutant there and runs the KV test set
-(:data:`KV_TESTS`, tier-1 hypothesis profile without shrinking).  The
-unmutated copy must pass; a mutant is killed when a test fails.
+directory, applies the mutant there and runs the mutant test set
+(:data:`TESTS`, tier-1 hypothesis profile without shrinking).  The unmutated
+copy must pass; a mutant is killed when a test fails.
 
 Prints one line per mutant and the mutation score.  Exits 1 when a mutant
 survives, when a mutant's source text is not found exactly once (a refactor
@@ -31,9 +33,13 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 TREE = "src/repro/kvcache/prefix_tree.py"
 MANAGER = "src/repro/kvcache/manager.py"
+HOST = "src/repro/kvcache/offload.py"
+CLUSTER = "src/repro/kvcache/tiers/cluster_store.py"
+SCHEDULER = "src/repro/core/scheduler.py"
+HEDGE = "src/repro/resilience/policy.py"
 
 #: The tests every mutant must fail.
-KV_TESTS = (
+TESTS = (
     "tests/test_prefix_cache_oracle.py",
     "tests/test_kvcache_prefix_tree.py",
     "tests/test_kvcache_tiers.py",
@@ -41,6 +47,7 @@ KV_TESTS = (
     "tests/test_kv_invariants.py",
     "tests/test_properties.py",
     "tests/test_scheduler_oracle.py",
+    "tests/test_resilience.py",
 )
 
 
@@ -132,6 +139,50 @@ MUTANTS = (
         ("heapq.heappush(heap, (node.block.last_access, node.seq, node))",
          "heapq.heappush(heap, (node.seq, node.block.last_access, node))"),
     )),
+    # A host-tier LRU eviction is not recorded.
+    Mutant("host-evict-records-no-change", HOST, (
+        ("                if victim in watched:\n"
+         "                    changed.add(victim)\n", ""),
+    )),
+    # A cluster publish is not recorded: a peer's publish goes unseen.
+    Mutant("cluster-publish-records-no-change", CLUSTER, (
+        ("            blocks[content_hash] = replica\n"
+         "            for watched, changed in subscribers:\n"
+         "                if content_hash in watched:\n"
+         "                    changed.add(content_hash)\n",
+         "            blocks[content_hash] = replica\n"),
+    )),
+    # A cluster entry its owner reclaims is not recorded.
+    Mutant("discard-owned-records-no-change", CLUSTER, (
+        ("            del self._blocks[content_hash]\n"
+         "            for watched, changed in self._subscribers.values():\n"
+         "                if content_hash in watched:\n"
+         "                    changed.add(content_hash)\n",
+         "            del self._blocks[content_hash]\n"),
+    )),
+    # The manager's feed misses a brownout's transfer-cost multiplier change.
+    Mutant("feed-ignores-multiplier", MANAGER, (
+        ("state = (host_cost, cluster_cost, available)",
+         "state = (1.0, 1.0, available)"),
+    )),
+    # A tiered request watches only H[m-1] and H[m], not its continuation.
+    Mutant("tiered-watch-frontier-only", SCHEDULER, (
+        ("frontier = hashes[max(matched - 1, 0):cached // block_size + 1]",
+         "frontier = hashes[max(matched - 1, 0):matched + 1]"),
+    )),
+    # On a wrap the sorted hedge window drops the newest sample, not the oldest.
+    Mutant("hedge-window-drops-newest", HEDGE, (
+        ("del ordered[bisect.bisect_left(ordered, samples[0])]",
+         "del ordered[bisect.bisect_left(ordered, samples[-1])]"),
+    )),
+    # The hedge quantile always interpolates up from the lower neighbour.
+    Mutant("hedge-lerp-one-sided", HEDGE, (
+        ("        if gamma >= 0.5:\n"
+         "            delay = high - step * (1 - gamma)\n"
+         "        else:\n"
+         "            delay = ordered[index] + step * gamma\n",
+         "        delay = ordered[index] + step * gamma\n"),
+    )),
     # A heap entry older than its node's last access is evicted as is.
     Mutant("stale-entry-not-rekeyed", TREE, (
         ("            if node.block.last_access != last_access:\n"
@@ -156,14 +207,14 @@ def apply(mutant: Mutant, root: Path) -> str | None:
 
 
 def run_tests(mutant: Mutant | None) -> tuple[str, str]:
-    """Run the KV tests on a copy of the tree with ``mutant`` applied.
+    """Run the mutant test set on a copy of the tree with ``mutant`` applied.
 
     Returns ``(outcome, detail)``: ``passed`` or ``failed`` with the test
     summary, or ``error`` when the mutant could not be applied or pytest did
     not get to run the tests.
     """
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
-    with tempfile.TemporaryDirectory(prefix="kv-mutant-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         root = Path(tmp)
         shutil.copytree(REPO / "src", root / "src", ignore=ignore)
         shutil.copytree(REPO / "tests", root / "tests", ignore=ignore)
@@ -177,7 +228,7 @@ def run_tests(mutant: Mutant | None) -> tuple[str, str]:
         env.pop("HYPOTHESIS_PROFILE", None)
         completed = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *KV_TESTS],
+             *TESTS],
             cwd=root, env=env, capture_output=True, text=True,
         )
     lines = completed.stdout.strip().splitlines()
@@ -190,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     outcome, detail = run_tests(None)
     if outcome != "passed":
-        print(f"mutants: the unmutated tree does not pass the KV tests ({detail})")
+        print(f"mutants: the unmutated tree does not pass the mutant tests ({detail})")
         return 1
     killed = 0
     for mutant in MUTANTS:

@@ -41,7 +41,7 @@ class EngineRequest:
     finish_time: float | None = None
     cached_tokens_at_start: int = 0
     rejection_reason: str | None = None
-    #: Memoised calibration: (prefix-cache version, cached tokens, base score).
+    #: Latest calibration: (prefix-cache version, cached tokens, base score).
     _calibration: tuple[int, int, float] | None = field(default=None, repr=False)
 
     @property
@@ -63,7 +63,13 @@ class EngineRequest:
     # ------------------------------------------------- calibration memoisation
 
     def calibration(self, cache_version: int) -> tuple[int, float] | None:
-        """Return (cached tokens, base score) if computed for ``cache_version``."""
+        """Return (cached tokens, base score) if computed for ``cache_version``.
+
+        Nothing in the simulator calls this any more: the scheduler's frontier
+        index decides when a calibration is stale.  It stays because the
+        benchmark tracer (``perfbench/tracer.py``) wraps it as the
+        ``sched.probes`` counter's probe.
+        """
         if self._calibration is not None and self._calibration[0] == cache_version:
             return self._calibration[1], self._calibration[2]
         return None

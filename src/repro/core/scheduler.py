@@ -20,14 +20,21 @@ matches ``m`` cached blocks has two frontier hashes: its last matched block
 ``H[m-1]`` and its first missing block ``H[m]``.  The radix tree evicts only
 leaves and block hashes are chained, so the cached part of any chain is a
 prefix of it; the match can therefore shorten only if ``H[m-1]`` is evicted
-and lengthen only if ``H[m]`` is inserted.  The scheduler indexes every
-waiting request under its frontier hashes, the tree records which of those
-hashes it inserted or evicted since the scheduler last asked
-(:meth:`~repro.kvcache.manager.KVCacheManager.take_changes`), and a
-scheduling step re-looks-up only the requests under a changed hash.  Every
-other request keeps its cached base score, so a step costs one linear argmin
-pass plus the few exact re-lookups, and its decision is bit-identical to
-re-deriving every request's match from scratch.
+and lengthen only if ``H[m]`` is inserted.  On a tiered manager the match is
+the L1 match of ``m`` blocks plus a continuation of ``c`` blocks resident in
+the host or cluster tier, and the request watches ``H[m-1]``, every
+continuation block ``H[m:m+c]`` (its tier can change, or it can leave) and
+the first block held in no tier, ``H[m+c]`` (it can arrive).  The scheduler
+indexes every waiting request under its watched hashes, the manager reports
+which of those hashes changed residency in any tier since the scheduler last
+asked (:meth:`~repro.kvcache.manager.KVCacheManager.take_changes`, the union
+of the radix tree's, the host store's and the shared cluster store's
+records), and a scheduling step re-looks-up only the requests under a
+changed hash.  A brownout or an outage changes every tier lookup at once;
+the manager then reports None and every waiting request is re-derived.
+Every other request keeps its cached base score, so a step costs one linear
+argmin pass plus the few exact re-lookups, and its decision is bit-identical
+to re-deriving every request's match from scratch.
 """
 
 from __future__ import annotations
@@ -90,16 +97,16 @@ class FCFSScheduler(Scheduler):
 class SRJFScheduler(Scheduler):
     """Shortest-remaining-job-first, optionally with continuous JCT calibration.
 
-    With continuous calibration on a GPU-only manager, :meth:`select` works
-    off the frontier index described in the module docstring: it re-looks-up
-    (with the exact :meth:`~repro.kvcache.manager.KVCacheManager.lookup_from`)
-    the requests under a changed frontier hash and those not indexed yet,
-    then takes the argmin of ``base - λ · queueing_time(now)`` over the
-    cached base scores, ties broken by request id.  The index describes one
-    manager at a time, and :meth:`on_remove` drops a request from it, so it
-    holds only waiting requests.  On a tiered manager a peer's publish to
-    the shared cluster store leaves no record in the local tree, so
-    calibrations there are memoised per calibration version instead.
+    With continuous calibration, :meth:`select` works off the frontier index
+    described in the module docstring: it re-looks-up the requests under a
+    changed watched hash and those not indexed yet — with the exact
+    :meth:`~repro.kvcache.manager.KVCacheManager.lookup_from` on a GPU-only
+    manager, and with
+    :meth:`~repro.kvcache.manager.KVCacheManager.lookup_with_tiers` on a
+    tiered one — then takes the argmin of ``base - λ · queueing_time(now)``
+    over the cached base scores, ties broken by request id.  The index
+    describes one manager at a time, and :meth:`on_remove` drops a request
+    from it, so it holds only waiting requests.
 
     Args:
         estimator: Fitted JCT model.  ``None`` selects the paper's default
@@ -151,44 +158,23 @@ class SRJFScheduler(Scheduler):
             # Nothing is indexed, so no recorded change can matter any more.
             self._kv.take_changes(self._frontier)
 
-    # -------------------------------------------------- memoised calibration
-
     def _calibrate(self, request: EngineRequest, kv: KVCacheManager) -> tuple[int, float]:
-        """Return (cached tokens, base score) for arrival-time SRJF or a tiered manager.
+        """Return (cached tokens, base score) for arrival-time SRJF.
 
-        A tiered calibration resolves the whole hierarchy
-        (:meth:`~repro.kvcache.manager.KVCacheManager.lookup_with_tiers`):
-        tokens resident in the host or cluster tiers count as cached — they
-        will be streamed, not recomputed — and the modelled transfer time is
-        added back to the score (in seconds for the fitted JCT model, in
-        compute-token equivalents for the paper's cache-miss-token proxy), so
-        a host-resident prefix ranks between a GPU hit and a full miss.  The
-        result is memoised per calibration version.
+        The cached-token count is the one :meth:`on_submit` captured; it is
+        never re-derived, which is what makes this the traditional JCT-based
+        scheduler.
         """
-        if not self._continuous:
-            cached = request.initial_cached_tokens
-            return cached, self._base_score(request.num_tokens, cached)
-        version = kv.calibration_version
-        memoised = request.calibration(version)
-        if memoised is not None:
-            return memoised
-        lookup = kv.lookup_with_tiers(request.block_hashes)
-        cached = lookup.total_tokens
-        score = self._base_score(request.num_tokens, cached)
-        if self._estimator is None:
-            score += lookup.penalty_tokens
-        else:
-            score += lookup.load_seconds
-        request.store_calibration(version, cached, score)
-        return cached, score
+        cached = request.initial_cached_tokens
+        return cached, self._base_score(request.num_tokens, cached)
 
     # ------------------------------------------------------- frontier index
 
     def _refresh(self, kv: KVCacheManager) -> dict:
         """Bring the frontier index up to date with ``kv``; return its entries.
 
-        Drops every indexed request whose frontier hash the tree inserted or
-        evicted since the previous step, so the next pass re-looks it up.
+        Drops every indexed request whose watched hash changed residency in
+        any tier since the previous step, so the next pass re-looks it up.
         """
         changed = kv.take_changes(self._frontier)
         if changed is None or kv is not self._kv:
@@ -204,17 +190,37 @@ class SRJFScheduler(Scheduler):
 
     def _index(self, request: EngineRequest,
                kv: KVCacheManager) -> tuple[int, float, tuple[int, ...]]:
-        """Re-derive ``request``'s match, index it under its frontier hashes
-        and return its entry."""
+        """Re-derive ``request``'s match, index it under its watched hashes
+        and return its entry.
+
+        A tiered match resolves the whole hierarchy: tokens resident in the
+        host or cluster tiers count as cached — they will be streamed, not
+        recomputed — and the modelled transfer time is added back to the
+        score (in seconds for the fitted JCT model, in compute-token
+        equivalents for the paper's cache-miss-token proxy), so a
+        host-resident prefix ranks between a GPU hit and a full miss.
+        """
         hashes = request.block_hashes
         block_size = kv.block_size
-        previous = request.last_calibration()
-        hint = previous[1] if previous is not None else request.initial_cached_tokens
-        cached = kv.lookup_from(hashes, hint // block_size)
-        score = self._base_score(request.num_tokens, cached)
-        request.store_calibration(kv.calibration_version, cached, score)
-        matched = cached // block_size
-        frontier = hashes[max(matched - 1, 0):matched + 1]
+        if kv.has_tiers:
+            lookup = kv.lookup_with_tiers(hashes)
+            cached = lookup.total_tokens
+            matched = lookup.gpu_tokens // block_size
+            score = self._base_score(request.num_tokens, cached)
+            if self._estimator is None:
+                score += lookup.penalty_tokens
+            else:
+                score += lookup.load_seconds
+        else:
+            previous = request.last_calibration()
+            hint = previous[1] if previous is not None else request.initial_cached_tokens
+            cached = kv.lookup_from(hashes, hint // block_size)
+            matched = cached // block_size
+            score = self._base_score(request.num_tokens, cached)
+        request.store_calibration(kv.cache_version, cached, score)
+        # The L1 frontier H[m-1], the tier continuation, and the first block
+        # held in no tier.
+        frontier = hashes[max(matched - 1, 0):cached // block_size + 1]
         entry = self._entries[request] = (cached, score, frontier)
         for content_hash in frontier:
             bucket = self._frontier.get(content_hash)
@@ -240,7 +246,7 @@ class SRJFScheduler(Scheduler):
                now: float) -> SchedulerDecision | None:
         if not queue:
             return None
-        if self._continuous and not kv.has_tiers:
+        if self._continuous:
             entries, calibrate = self._refresh(kv), self._index
         else:
             entries, calibrate = {}, self._calibrate

@@ -128,6 +128,9 @@ class KVCacheManager:
         self._tokens_hit_host = 0
         self._tokens_hit_cluster = 0
         self._active_leases = 0
+        #: (host multiplier, cluster multiplier, cluster reachable) at the
+        #: previous :meth:`take_changes` call.
+        self._tier_state: tuple[float, float, bool] | None = None
 
     # ---------------------------------------------------------------- state
 
@@ -167,14 +170,41 @@ class KVCacheManager:
         return self._cache.version
 
     def take_changes(self, watched: Container[int]) -> set[int] | None:
-        """Watched content hashes inserted into or evicted from the GPU prefix
-        cache since the previous call.
+        """Watched content hashes whose residency changed in any tier since
+        the previous call.
 
-        The delta feed of the scheduler's frontier-indexed recalibration; see
-        :meth:`~repro.kvcache.prefix_tree.RadixPrefixCache.take_changes`
-        (None means ``watched`` was not being watched until now).
+        The delta feed of the scheduler's frontier-indexed recalibration: the
+        union of the GPU radix tree's record
+        (:meth:`~repro.kvcache.prefix_tree.RadixPrefixCache.take_changes`)
+        and, on a tiered manager, the host store's and the shared cluster
+        store's records of the same ``watched`` container.  None means
+        "re-derive everything": a feed had no record for ``watched`` yet, or
+        the host or cluster transfer-cost multiplier or the cluster's
+        reachability differs from the previous call (a brownout or an
+        outage changes every tier lookup without changing any tier's
+        contents).
         """
-        return self._cache.take_changes(watched)
+        changed = self._cache.take_changes(watched)
+        tiers = self._tiers
+        if tiers is None:
+            return changed
+        host, cluster = tiers.host, tiers.cluster
+        host_changed = cluster_changed = ()
+        host_cost = cluster_cost = 1.0
+        available = True
+        if host is not None:
+            host_changed = host.take_changes(watched)
+            host_cost = host.cost_multiplier
+        if cluster is not None:
+            cluster_changed = cluster.take_changes(watched)
+            cluster_cost, available = cluster.cost_multiplier, cluster.available
+        state = (host_cost, cluster_cost, available)
+        if state != self._tier_state:
+            self._tier_state = state
+            return None
+        if changed is None or host_changed is None or cluster_changed is None:
+            return None
+        return changed.union(host_changed, cluster_changed)
 
     @property
     def tiers(self) -> TieredPrefixStore | None:
@@ -184,26 +214,6 @@ class KVCacheManager:
     @property
     def has_tiers(self) -> bool:
         return self._tiers is not None
-
-    @property
-    def calibration_version(self):
-        """Version key the scheduler memoises JCT calibrations against.
-
-        Equals :attr:`cache_version` for a plain manager; a tiered manager
-        folds in the tier version (including the shared cluster store's), so
-        a peer replica's publish invalidates stale calibrations here too, and
-        the host and cluster transfer-cost multipliers, which a brownout
-        changes without touching any tier's contents.
-        """
-        tiers = self._tiers
-        if tiers is None:
-            return self._cache.version
-        host, cluster = tiers.host, tiers.cluster
-        return (
-            self._cache.version, tiers.version,
-            host.cost_multiplier if host is not None else 1.0,
-            cluster.cost_multiplier if cluster is not None else 1.0,
-        )
 
     @property
     def num_active_leases(self) -> int:

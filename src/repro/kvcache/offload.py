@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 from repro.hardware.interconnect import Interconnect, PCIE_GEN4
 
@@ -31,6 +31,13 @@ class OffloadStats:
 
 class CPUOffloadStore:
     """LRU store of KV blocks in host memory.
+
+    Like the GPU radix tree, the store keeps a change record for one watcher
+    (the SRJF scheduler's frontier index on a tiered manager): every change
+    of membership — a new block stored, an LRU eviction, a :meth:`discard`
+    or a :meth:`clear` — of a watched hash is recorded until the watcher
+    calls :meth:`take_changes`.  An LRU refresh changes no lookup and is not
+    recorded.
 
     Args:
         capacity_bytes: Host-memory budget for offloaded KV blocks.
@@ -59,6 +66,8 @@ class CPUOffloadStore:
         #: 1.0 (the default) is a bit-exact no-op; the fault subsystem raises
         #: it during interconnect brownouts.
         self.cost_multiplier: float = 1.0
+        self._watched: Container[int] = ()
+        self._changed: set[int] = set()
 
     @property
     def capacity_blocks(self) -> int:
@@ -83,6 +92,25 @@ class CPUOffloadStore:
     def __contains__(self, content_hash: int) -> bool:
         return content_hash in self._blocks
 
+    def take_changes(self, watched: Container[int]) -> set[int] | None:
+        """Watched content hashes stored, evicted, discarded or cleared since
+        the previous call.
+
+        The same one-watcher contract as
+        :meth:`~repro.kvcache.prefix_tree.RadixPrefixCache.take_changes`: a
+        change is recorded only if its hash is watched when it happens, and
+        a ``watched`` container that is not the one already watched starts
+        an empty record and gets None.
+        """
+        if watched is not self._watched:
+            self._watched = watched
+            self._changed = set()
+            return None
+        changed = self._changed
+        if changed:
+            self._changed = set()
+        return changed
+
     # ------------------------------------------------------------------ I/O
 
     def store(self, block_hashes: Sequence[int]) -> float:
@@ -91,6 +119,7 @@ class CPUOffloadStore:
         Already-present blocks are refreshed (moved to MRU) at no cost.
         """
         transferred = 0
+        watched, changed = self._watched, self._changed
         for content_hash in block_hashes:
             if content_hash in self._blocks:
                 self._blocks.move_to_end(content_hash)
@@ -98,11 +127,15 @@ class CPUOffloadStore:
             while len(self._blocks) >= max(self.capacity_blocks, 0) and self._blocks:
                 victim, _ = self._blocks.popitem(last=False)
                 self._evicted += 1
+                if victim in watched:
+                    changed.add(victim)
                 if self.on_evict is not None:
                     self.on_evict(victim)
             if self.capacity_blocks == 0:
                 break
             self._blocks[content_hash] = self._block_bytes
+            if content_hash in watched:
+                changed.add(content_hash)
             self._stored += 1
             transferred += 1
         return self._transfer_time(transferred)
@@ -133,7 +166,11 @@ class CPUOffloadStore:
         Used by the tiered store when a block is promoted into the GPU tier,
         so it is never resident in two tiers at once.
         """
-        return self._blocks.pop(content_hash, None) is not None
+        if self._blocks.pop(content_hash, None) is None:
+            return False
+        if content_hash in self._watched:
+            self._changed.add(content_hash)
+        return True
 
     def resident_hashes(self) -> list[int]:
         """Stored content hashes in LRU order (oldest first)."""
@@ -151,4 +188,5 @@ class CPUOffloadStore:
 
     def clear(self) -> None:
         """Drop everything stored."""
+        self._changed.update(h for h in self._blocks if h in self._watched)
         self._blocks.clear()

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Container, Sequence
 
 from repro.hardware.interconnect import Interconnect, NVLINK
 
@@ -53,6 +53,16 @@ class ClusterStoreStats:
 
 class ClusterPrefixStore:
     """LRU store of KV blocks shared across a fleet's replicas.
+
+    The store keeps one change record per subscribed watched container (each
+    replica's SRJF frontier index, see :mod:`repro.core.scheduler`).  A
+    membership change — a publish of a new hash, an LRU eviction,
+    :meth:`discard_owned`, :meth:`clear` — is recorded into every subscriber
+    that watches the hash, so a peer replica's publish reaches each
+    replica's index (:meth:`take_changes`).  Reachability and the
+    transfer-cost multiplier are not recorded: the managers compare them
+    between calls themselves
+    (:meth:`~repro.kvcache.manager.KVCacheManager.take_changes`).
 
     Args:
         capacity_bytes: Byte budget of the shared pool.
@@ -80,7 +90,8 @@ class ClusterPrefixStore:
         self._bytes_out = 0
         self._hits_by_replica: dict[str, int] = {}
         self._publishes_by_replica: dict[str, int] = {}
-        self._version = 0
+        #: id(watched container) -> (the container, its change record).
+        self._subscribers: dict[int, tuple[Container[int], set[int]]] = {}
         self._available = True
         self._publish_paused = False
         #: Transfer-cost multiplier applied to every modelled transfer time.
@@ -109,11 +120,6 @@ class ClusterPrefixStore:
         return self._link
 
     @property
-    def version(self) -> int:
-        """Monotonic counter bumped on every publish, fetch-move, or eviction."""
-        return self._version
-
-    @property
     def stats(self) -> ClusterStoreStats:
         return ClusterStoreStats(
             published_blocks=self._published,
@@ -136,18 +142,18 @@ class ClusterPrefixStore:
     def set_available(self, available: bool) -> None:
         """Toggle reachability.  During an outage reads miss and writes are
         refused (and lost); stored blocks survive and become visible again
-        when the outage ends.  Toggling bumps :attr:`version`, so memoised
-        JCT calibrations that credited L3 residency are invalidated."""
-        if self._available != bool(available):
-            self._available = bool(available)
-            self._version += 1
+        when the outage ends.  A toggle is not recorded in any change record:
+        each manager sees :attr:`available` differ from its previous
+        :meth:`~repro.kvcache.manager.KVCacheManager.take_changes` call and
+        has its scheduler re-derive every waiting request."""
+        self._available = bool(available)
 
     def set_publish_paused(self, paused: bool) -> None:
         """Pause / resume publish traffic (degraded-mode serving).
 
         Unlike an outage, reads stay up — resident blocks remain fetchable —
-        and the store's contents and :attr:`version` are untouched; only new
-        writes are refused (and lost, like writes during an outage).
+        and the store's contents are untouched; only new writes are refused
+        (and lost, like writes during an outage).
         """
         self._publish_paused = bool(paused)
 
@@ -170,6 +176,31 @@ class ClusterPrefixStore:
             return []
         return list(self._blocks)
 
+    def take_changes(self, watched: Container[int]) -> set[int] | None:
+        """Hashes in ``watched`` published, evicted, discarded or cleared since
+        this subscriber's previous call.
+
+        ``watched`` is a live container its owner keeps updating, and it is
+        the subscriber's key (by identity).  A change is recorded only if its
+        hash is watched when it happens.  A container that is not subscribed
+        yet is subscribed with an empty record and gets None.  A subscriber
+        whose container is empty when it calls is dropped after this call
+        (its next call gets None), so a crashed or retired replica's index
+        stops costing every publish a membership test.
+        """
+        subscribers = self._subscribers
+        key = id(watched)
+        entry = subscribers.get(key)
+        if entry is None:
+            subscribers[key] = (watched, set())
+            return None
+        changed = entry[1]
+        if not watched:
+            del subscribers[key]
+        elif changed:
+            subscribers[key] = (watched, set())
+        return changed
+
     # ------------------------------------------------------------------ I/O
 
     def publish(self, replica: str, block_hashes: Sequence[int]) -> tuple[int, float]:
@@ -184,19 +215,25 @@ class ClusterPrefixStore:
         if not self._available or self._publish_paused:
             return 0, 0.0
         stored = 0
+        blocks = self._blocks
+        subscribers = self._subscribers.values()
         for content_hash in block_hashes:
-            if content_hash in self._blocks:
-                self._blocks.move_to_end(content_hash)
+            if content_hash in blocks:
+                blocks.move_to_end(content_hash)
                 continue
             if self.capacity_blocks == 0:
                 continue
-            while len(self._blocks) >= self.capacity_blocks:
-                self._blocks.popitem(last=False)
+            while len(blocks) >= self.capacity_blocks:
+                victim, _ = blocks.popitem(last=False)
                 self._evicted += 1
-                self._version += 1
-            self._blocks[content_hash] = replica
+                for watched, changed in subscribers:
+                    if victim in watched:
+                        changed.add(victim)
+            blocks[content_hash] = replica
+            for watched, changed in subscribers:
+                if content_hash in watched:
+                    changed.add(content_hash)
             stored += 1
-            self._version += 1
         self._published += stored
         self._bytes_in += stored * self._block_bytes
         if stored:
@@ -240,7 +277,9 @@ class ClusterPrefixStore:
         """
         if self._blocks.get(content_hash) == replica:
             del self._blocks[content_hash]
-            self._version += 1
+            for watched, changed in self._subscribers.values():
+                if content_hash in watched:
+                    changed.add(content_hash)
             return True
         return False
 
@@ -265,5 +304,6 @@ class ClusterPrefixStore:
 
     def clear(self) -> None:
         """Drop everything stored (between experiments)."""
+        for watched, changed in self._subscribers.values():
+            changed.update(h for h in self._blocks if h in watched)
         self._blocks.clear()
-        self._version += 1

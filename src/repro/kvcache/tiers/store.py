@@ -99,6 +99,12 @@ class TierStats:
 class TieredPrefixStore:
     """Per-replica view of the GPU -> host -> cluster prefix-cache hierarchy.
 
+    The hierarchy keeps no version of its own.  Each tier records the
+    membership changes of the hashes its watcher asks about — the radix
+    tree's, the host store's and the cluster store's ``take_changes`` — and
+    the owning manager unions the three for the SRJF scheduler's frontier
+    index (:meth:`~repro.kvcache.manager.KVCacheManager.take_changes`).
+
     Args:
         replica: Name of the owning replica (L3 ownership accounting).
         block_size: Tokens per KV block (must match the L1 cache).
@@ -140,7 +146,6 @@ class TieredPrefixStore:
         self._tokens_per_second = compute_tokens_per_second
         self._gpu_cache = None  # bound by the KVCacheManager
         self._hit_counts: dict[int, int] = {}
-        self._version = 0
         self._obs_now = 0.0
         # counters
         self._host_hits = 0
@@ -170,16 +175,6 @@ class TieredPrefixStore:
     @property
     def cluster(self) -> ClusterPrefixStore | None:
         return self._cluster
-
-    @property
-    def version(self) -> int:
-        """Monotonic counter over everything that can change a tier lookup.
-
-        Includes the shared cluster store's version, so one replica's publish
-        invalidates every other replica's memoised JCT calibrations.
-        """
-        cluster_version = self._cluster.version if self._cluster is not None else 0
-        return self._version + cluster_version
 
     @property
     def stats(self) -> TierStats:
@@ -276,7 +271,6 @@ class TieredPrefixStore:
         self._bytes_up += total * self._block_bytes
         load_seconds = self._batch_seconds(host_blocks, cluster_blocks)
         self._load_seconds += load_seconds
-        self._version += 1
         self.obs.emit(
             now, self.obs_key, "tier_hit",
             host_tokens=host_blocks * self._block_size,
@@ -361,8 +355,6 @@ class TieredPrefixStore:
             if host_had or cluster_had:
                 reclaimed += 1
                 self._hit_counts.pop(content_hash, None)
-        if reclaimed:
-            self._version += 1
         return reclaimed
 
     # --------------------------------------------------------------- commit
@@ -432,7 +424,6 @@ class TieredPrefixStore:
         total = host_blocks + cluster_blocks
         if total == 0:
             return 0
-        self._version += 1
         # Snapshot which tier each continuation block sits in before the
         # insert moves anything, so the transfer accounting can be limited to
         # the blocks that actually land in L1.
@@ -472,7 +463,6 @@ class TieredPrefixStore:
         ]
         if not fresh:
             return 0
-        self._version += 1
         seconds = self._host.store(fresh)
         restored = sum(1 for content_hash in fresh if content_hash in self._host)
         self._prefetched += restored
@@ -493,7 +483,6 @@ class TieredPrefixStore:
         if not hashes:
             return 0
         self._obs_now = now
-        self._version += 1
         if self._host is not None:
             # Only blocks that were not already host-resident are transfers;
             # re-offering a parked block refreshes its LRU slot for free.
@@ -525,7 +514,6 @@ class TieredPrefixStore:
         if not self._demote_on_evict:
             self._dropped += 1
             return
-        self._version += 1
         if self._host is not None:
             self._demote_seconds += self._host.store([content_hash])
             if content_hash in self._host:
@@ -551,7 +539,6 @@ class TieredPrefixStore:
         if not self._demote_on_evict or self._cluster is None:
             self._dropped += 1
             return
-        self._version += 1
         stored, seconds = self._cluster.publish(self.replica, [content_hash])
         self._demote_seconds += seconds
         if stored:
@@ -574,7 +561,6 @@ class TieredPrefixStore:
         """
         if self._cluster is None:
             return 0
-        self._version += 1
         published = 0
         stored, seconds = self._cluster.publish(self.replica, list(l1_hashes))
         published += stored
@@ -596,7 +582,6 @@ class TieredPrefixStore:
         if self._host is not None:
             self._host.clear()
         self._hit_counts.clear()
-        self._version += 1
 
 
 def build_tiered_store(config: KVTiersSpec, *, replica: str, block_size: int,

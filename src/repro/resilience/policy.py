@@ -9,6 +9,8 @@ No wall clock, no global RNG.
 
 from __future__ import annotations
 
+import bisect
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,7 +31,8 @@ __all__ = [
 ]
 
 #: Trailing completed-latency samples the hedge-delay percentile is taken
-#: over; bounded so per-request delay derivation stays O(window).
+#: over.  The window is also kept sorted, so a new sample costs one
+#: O(window) list insert and a hedge delay is a constant-time read.
 HEDGE_SAMPLE_WINDOW = 512
 
 CLOSED = "closed"
@@ -344,27 +347,48 @@ class PolicyRuntime:
                 config.degrade, on_transition=on_degrade_transition
             )
         self._latency_samples: deque[float] = deque(maxlen=HEDGE_SAMPLE_WINDOW)
+        #: The same samples, sorted.
+        self._sorted_samples: list[float] = []
         self._tenant_retries: dict[str, int] = {}
 
     # ---------------------------------------------------------------- hedge
 
     def record_latency(self, latency: float) -> None:
-        if self.hedge is not None:
-            self._latency_samples.append(latency)
+        if self.hedge is None:
+            return
+        samples, ordered = self._latency_samples, self._sorted_samples
+        if len(samples) == HEDGE_SAMPLE_WINDOW:
+            # The deque is about to drop its oldest sample; drop it here too.
+            del ordered[bisect.bisect_left(ordered, samples[0])]
+        samples.append(latency)
+        bisect.insort(ordered, latency)
 
     def hedge_delay(self) -> float | None:
-        """Current hedge delay in seconds, or ``None`` while unavailable."""
+        """Current hedge delay in seconds, or ``None`` while unavailable.
+
+        The configured percentile of the trailing latency window, computed
+        exactly as numpy's default (``linear``) :func:`numpy.quantile` does,
+        bit for bit, from the sorted copy of the window.
+        """
         policy = self.hedge
         if policy is None:
             return None
         if policy.delay_s is not None:
             return policy.delay_s
-        if len(self._latency_samples) < policy.min_samples:
+        ordered = self._sorted_samples
+        count = len(ordered)
+        if count < policy.min_samples:
             return None
-        delay = float(np.quantile(
-            np.fromiter(self._latency_samples, dtype=float),
-            policy.percentile / 100.0,
-        ))
+        position = (count - 1) * (policy.percentile / 100.0)
+        index = math.floor(position)
+        gamma = position - index
+        high = ordered[min(index + 1, count - 1)]
+        step = high - ordered[index]
+        # numpy's lerp: from the nearer end, so the weight applied is <= 0.5.
+        if gamma >= 0.5:
+            delay = high - step * (1 - gamma)
+        else:
+            delay = ordered[index] + step * gamma
         return max(delay, policy.min_delay_s)
 
     # ---------------------------------------------------------------- retry

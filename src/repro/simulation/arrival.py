@@ -60,7 +60,8 @@ class ArrivalProcess(abc.ABC):
 
     @abc.abstractmethod
     def assign(self, requests: list[Request]) -> list[Request]:
-        """Return the requests with ``arrival_time`` set, sorted by arrival time."""
+        """Return copies of the requests with ``arrival_time`` set, sorted by
+        arrival time (``requests`` itself is not modified)."""
 
 
 def _require_finite(process: ArrivalProcess) -> None:
@@ -73,14 +74,16 @@ def _require_finite(process: ArrivalProcess) -> None:
 
 def _sorted_copy(requests: list[Request], times: list[float],
                  order: np.ndarray | None = None) -> list[Request]:
-    """Attach ``times`` to ``requests`` (optionally reordered) and sort by time."""
-    if order is None:
-        ordered = list(requests)
-    else:
-        ordered = [requests[i] for i in order]
-    for request, time in zip(ordered, times):
-        request.arrival_time = float(time)
-    return sorted(ordered, key=lambda r: (r.arrival_time, r.request_id))
+    """Copies of ``requests`` (optionally reordered) carrying ``times``, sorted
+    by time; the caller's requests are left as they are."""
+    if order is not None:
+        requests = [requests[i] for i in order]
+    timed = [
+        Request(request.request_id, request.user_id, request.sequence,
+                request.allowed_outputs, float(time), request.metadata)
+        for request, time in zip(requests, times)
+    ]
+    return sorted(timed, key=lambda r: (r.arrival_time, r.request_id))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """The verdicts of ``scripts/bench_pairs.py`` on canned benchmark results.
 
 No benchmark runs here: each run is a hand-written ``perfbench/run.py``
-result object, so the gain rule, the bound rule, the failure count and the
-exit status are pinned without spawning a process.
+result object, so the gain rule, the bound rule, the failure count, the
+exit status and the traced layer table are pinned without spawning a
+process.
 """
 
 from __future__ import annotations
@@ -125,16 +126,22 @@ def test_exit_status(verdicts, failures, status):
 def test_every_workload_gets_a_table_and_a_regression_exits_3(tmp_path, monkeypatch, capsys):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text("")
-    metrics = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    traced_calls = []
 
-    def run_benchmark(tree, command, workload, seed, seconds):
+    def run_benchmark(tree, command, workload, seed, seconds, trace=False):
+        if trace:
+            traced_calls.append((workload, seconds))
+            return {"correct": True, "attempted": 2, "failed": 0,
+                    "metrics": {metric["name"]: {"value": 1.0, "unit": metric["unit"]}
+                                for metric in benchmark["per_layer"]}}
         # The change is 40% slower on fleet-chaos and unchanged elsewhere.
         slow = workload == "fleet-chaos" and tree == bench_pairs.REPO
         wall = 1.4 if slow else 1.0
         return {"correct": True, "attempted": 1, "failed": 0,
                 "metrics": {metric["name"]: {"value": wall if metric["name"] == "wall_s"
                                              else 1.0, "unit": metric["unit"]}
-                            for metric in metrics}}
+                            for metric in benchmark["end_to_end"]}}
 
     monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
     status = bench_pairs.main(["--parent", str(tmp_path), "--pairs", "2",
@@ -144,3 +151,49 @@ def test_every_workload_gets_a_table_and_a_regression_exits_3(tmp_path, monkeypa
     assert out.count("verdict") == 2
     assert "== paper-qps" in out and "== fleet-chaos" in out
     assert out.count("worse than bound") == 1
+    # Each workload also gets a layer table from six traced runs per tree.
+    assert out.count("counts and ratios that differ: none") == 2
+    assert traced_calls == [("paper-qps", 1)] * 12 + [("fleet-chaos", 1)] * 12
+
+
+PER_LAYER = [
+    {"name": "sched.self_s", "unit": "s", "better": "lower"},
+    {"name": "sched.calibrations", "unit": "count", "better": "lower"},
+    {"name": "sched.decisions", "unit": "count", "better": "lower"},
+    {"name": "sched.calib_useful_ratio", "unit": "ratio", "better": "higher"},
+    {"name": "sched.select.p99_us", "unit": "us", "better": "lower"},
+    {"name": "tiers.self_s", "unit": "s", "better": "lower"},
+    {"name": "obs.self_s", "unit": "s", "better": "lower"},
+    {"name": "trace.overhead_ratio", "unit": "ratio", "better": "lower"},
+]
+
+
+def _traced(sched: float, tiers: float, calibrations: int, ratio: float,
+            overhead: float) -> dict:
+    values = {"sched.self_s": sched, "sched.calibrations": calibrations,
+              "sched.decisions": 807, "sched.calib_useful_ratio": ratio,
+              "sched.select.p99_us": 100.0 * sched, "tiers.self_s": tiers,
+              "trace.overhead_ratio": overhead}
+    return {"correct": True, "attempted": 2, "failed": 0,
+            "metrics": {name: {"value": value, "unit": "-"} for name, value in values.items()}}
+
+
+def test_layer_table_on_canned_traced_runs():
+    parent = [_traced(0.13, 0.39, 27398, 0.033, 1.5), _traced(0.14, 0.40, 27398, 0.033, 1.4),
+              _traced(0.12, 0.38, 27398, 0.033, 1.6)]
+    change = [_traced(0.06, 0.33, 3325, 0.409, 1.3), _traced(0.07, 0.41, 3325, 0.409, 1.4),
+              _traced(0.15, 0.30, 3325, 0.409, 1.2)]
+    assert bench_pairs.layer_table(parent, change, PER_LAYER) == [
+        "layer                   parent median   change median   lower in",
+        "sched.self_s            0.13            0.07            2/3",
+        "tiers.self_s            0.39            0.33            2/3",
+        "counts and ratios that differ:",
+        "  sched.calibrations            27398 -> 3325",
+        "  sched.calib_useful_ratio      0.033 -> 0.409",
+    ]
+
+
+def test_layer_table_with_nothing_moved():
+    runs = [_traced(0.1, 0.2, 10, 0.5, 1.0)]
+    assert bench_pairs.layer_table(runs, runs, PER_LAYER)[-1] == (
+        "counts and ratios that differ: none")

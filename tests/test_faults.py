@@ -22,8 +22,9 @@ from repro.faults import (
     fault_schedule_from_dict,
     generate_crash_schedule,
 )
+from repro.kvcache.manager import KVCacheManager
 from repro.kvcache.offload import CPUOffloadStore
-from repro.kvcache.tiers import ClusterPrefixStore, tier_config_from_dict
+from repro.kvcache.tiers import ClusterPrefixStore, TieredPrefixStore, tier_config_from_dict
 from repro.simulation.arrival import PoissonArrivalProcess
 from repro.simulation.invariants import check_kv_structure
 from repro.simulation.simulator import simulate_fleet
@@ -387,10 +388,16 @@ def test_brownout_applies_fleet_wide_and_to_new_replicas(h100_setup, small_post_
 
 def test_cluster_store_outage_hides_contents_and_refuses_writes():
     store = ClusterPrefixStore(capacity_bytes=1 << 20, block_bytes=1 << 10)
+    manager = KVCacheManager(4 * 16, block_size=16, tiers=TieredPrefixStore(
+        replica="r0", block_size=16, block_bytes=1 << 10, cluster=store))
+    watched = {1, 2, 3}
+    assert manager.take_changes(watched) is None  # starts watching
     store.publish("r0", [1, 2, 3])
-    version = store.version
+    assert manager.take_changes(watched) == {1, 2, 3}
     store.set_available(False)
-    assert store.version > version
+    # The toggle changes every tier lookup: the manager asks for a re-derive.
+    assert manager.take_changes(watched) is None
+    assert manager.take_changes(watched) == set()
     assert 1 not in store
     assert store.match_length([1, 2, 3]) == 0
     assert store.owner_of(1) is None

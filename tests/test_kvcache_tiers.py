@@ -353,12 +353,13 @@ def test_tier_lookup_read_only():
     manager, tiers, cluster = make_stack(gpu_blocks=4, host_blocks=4, cluster_blocks=32)
     hashes = chain(8, seed=7)
     run_request(manager, hashes)
-    version = manager.calibration_version
+    watched = set(hashes)
+    assert manager.take_changes(watched) is None  # starts watching every block
     stats_before = tiers.stats
     lookup = manager.lookup_with_tiers(hashes)
     assert lookup.total_tokens == 8 * BLOCK_SIZE
     assert lookup.penalty_tokens == pytest.approx(lookup.load_seconds * 1000.0)
-    assert manager.calibration_version == version
+    assert manager.take_changes(watched) == set()  # a lookup records no change
     assert tiers.stats == stats_before
 
 

@@ -11,7 +11,11 @@ recover without a prior crash, MTTR with no completed repair).
 
 from __future__ import annotations
 
+from collections import deque
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
@@ -23,6 +27,7 @@ from repro.resilience import (
     PolicyRuntime,
     resilience_from_dict,
 )
+from repro.resilience.policy import HEDGE_SAMPLE_WINDOW
 from repro.simulation.arrival import PoissonArrivalProcess
 from repro.simulation.simulator import simulate_fleet
 from repro.spec.models import BreakerSpec, DegradationSpec, ResilienceSpec
@@ -289,6 +294,33 @@ def test_hedge_delay_needs_samples_and_respects_floor():
     for _ in range(10):
         runtime.record_latency(4.0)
     assert runtime.hedge_delay() == pytest.approx(4.0)
+
+
+@settings.get_profile("fuzz-run")
+@given(count=st.integers(1, 3 * HEDGE_SAMPLE_WINDOW // 2 + 200),
+       seed=st.integers(0, 2**32 - 1),
+       distinct=st.sampled_from([0, 2, 7, 60]),
+       percentile=st.one_of(st.sampled_from([50.0, 90.0, 95.0, 99.0, 100.0]),
+                            st.floats(50.0, 100.0)))
+def test_hedge_delay_is_numpys_linear_quantile_bit_for_bit(count, seed, distinct,
+                                                           percentile):
+    """After every completion the delay equals ``np.quantile`` of the trailing
+    window, to the last bit, as the window wraps and with tied samples."""
+    runtime = PolicyRuntime(resilience_from_dict({"hedge": {
+        "percentile": percentile, "min_samples": 1, "min_delay_s": 1e-9,
+    }}))
+    rng = np.random.default_rng(seed)
+    if distinct:  # draw from a few values, so the window holds ties
+        latencies = rng.choice(rng.lognormal(-1.0, 1.0, size=distinct), size=count)
+    else:
+        latencies = rng.lognormal(-1.0, 1.0, size=count)
+    window: deque[float] = deque(maxlen=HEDGE_SAMPLE_WINDOW)
+    for latency in latencies.tolist():
+        runtime.record_latency(latency)
+        window.append(latency)
+        expected = max(float(np.quantile(np.fromiter(window, dtype=float),
+                                         percentile / 100.0)), 1e-9)
+        assert runtime.hedge_delay().hex() == expected.hex()
 
 
 def test_fixed_hedge_delay_ignores_samples():

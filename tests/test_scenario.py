@@ -66,24 +66,44 @@ def small_trace():
 # ------------------------------------------------------------------ arrivals
 
 
+#: Parameters that make each registered arrival process valid.
+ARRIVAL_PARAMS = {
+    "poisson": {"rate": 5.0},
+    "burst": {},
+    "uniform": {"rate": 5.0},
+    "mmpp": {"base_rate": 2.0, "burst_rate": 20.0},
+    "diurnal": {"mean_rate": 5.0, "period_seconds": 60.0},
+    "flash-crowd": {"base_rate": 2.0, "spike_rate": 25.0},
+    "closed-loop": {"num_clients": 3},
+}
+
+
 @pytest.mark.parametrize("name", sorted(ARRIVAL_FACTORIES))
 def test_every_arrival_is_sorted_and_deterministic(name, small_trace):
-    params = {
-        "poisson": {"rate": 5.0},
-        "burst": {},
-        "uniform": {"rate": 5.0},
-        "mmpp": {"base_rate": 2.0, "burst_rate": 20.0},
-        "diurnal": {"mean_rate": 5.0, "period_seconds": 60.0},
-        "flash-crowd": {"base_rate": 2.0, "spike_rate": 25.0},
-        "closed-loop": {"num_clients": 3},
-    }[name]
-    process = make_arrival(name, seed=9, **params)
+    process = make_arrival(name, seed=9, **ARRIVAL_PARAMS[name])
     first = process.assign(list(small_trace.requests))
     second = process.assign(list(small_trace.requests))
     times = [r.arrival_time for r in first]
     assert times == sorted(times)
     assert times == [r.arrival_time for r in second]
     assert [r.request_id for r in first] == [r.request_id for r in second]
+
+
+@pytest.mark.parametrize("name", sorted(ARRIVAL_FACTORIES))
+def test_assign_leaves_its_input_untouched(name):
+    """``assign`` returns timed copies: a caller's requests keep their times,
+    so one trace can feed several arrival processes."""
+    requests = list(get_workload("post-recommendation", num_users=4,
+                                 posts_per_user=8, seed=0))
+    for request in requests:
+        request.arrival_time = 7.5
+    order = [request.request_id for request in requests]
+    assigned = make_arrival(name, seed=9, **ARRIVAL_PARAMS[name]).assign(requests)
+    assert [request.request_id for request in requests] == order
+    assert all(request.arrival_time == 7.5 for request in requests)
+    inputs = {id(request) for request in requests}
+    assert not any(id(request) in inputs for request in assigned)
+    assert sorted(r.request_id for r in assigned) == sorted(order)
 
 
 @pytest.mark.parametrize("name, params, field", [
@@ -145,12 +165,11 @@ def test_closed_loop_respects_client_concurrency(small_trace):
                                        service_estimate_seconds=1.0, seed=4,
                                        shuffle=False)
     requests = list(small_trace.requests)
-    assigned = process.assign(requests)
+    arrival_of = {r.request_id: r.arrival_time for r in process.assign(requests)}
     # Reconstruct the per-client streams from the round-robin deal order.
     clients: dict[int, list[float]] = {0: [], 1: []}
     for index, request in enumerate(requests):
-        clients[index % 2].append(request.arrival_time)
-    del assigned
+        clients[index % 2].append(arrival_of[request.request_id])
     for times in clients.values():
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(gap >= 1.0 for gap in gaps)

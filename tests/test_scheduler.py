@@ -148,7 +148,8 @@ def test_make_scheduler_factory():
 
 
 def test_calibrated_srjf_reranks_tiered_requests_on_a_brownout():
-    """A transfer-cost multiplier change invalidates memoised tiered scores."""
+    """A transfer-cost multiplier change re-derives every tiered score: the
+    manager's change feed returns None on the next select."""
     # 0.1 s per host transfer at 1000 compute tokens/s: 100 penalty tokens.
     link = Interconnect(name="slow-host-link", bandwidth=1e12, latency=0.1)
     host = CPUOffloadStore(capacity_bytes=64 * 1024, block_bytes=1024, link=link)

@@ -227,7 +227,7 @@ def test_srjf_calibration_credits_tier_resident_prefixes(h100_setup, tiny_trace)
 
     scheduler = instance.scheduler
     seen = EngineRequest(request=first, block_hashes=hashes, enqueue_time=10.0)
-    cached, seen_score = scheduler._calibrate(seen, kv)
+    cached, seen_score, _ = scheduler._index(seen, kv)
     assert cached == lookup.total_tokens
 
     fresh = next(
@@ -238,7 +238,7 @@ def test_srjf_calibration_credits_tier_resident_prefixes(h100_setup, tiny_trace)
         request=fresh, block_hashes=fresh.block_hashes(spec.kv_block_size),
         enqueue_time=10.0,
     )
-    _, miss_score = scheduler._calibrate(miss, kv)
+    _, miss_score, _ = scheduler._index(miss, kv)
     # Tier-resident prefix -> strictly better (lower) score than a full miss,
     # but worse than if the same tokens sat on the GPU (the transfer penalty).
     assert seen_score < miss_score
