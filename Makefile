@@ -11,8 +11,8 @@
 #                    pairs per workload with a gain / bound verdict per metric; exits 3
 #                    when a metric is worse than its bound (scripts/bench_pairs.py)
 #   make fuzz        - scenario + metamorphic fuzzers and the scheduler / prefix-cache /
-#                    block-hash oracles, full derandomized profile
-#   make mutants     - seeded KV, tier-feed and hedge mutants, each of which the mutant
+#                    block-hash / tier-cascade oracles, full derandomized profile
+#   make mutants     - seeded KV, tier-feed, demotion-cascade and hedge mutants, each of which the mutant
 #                    tests must kill
 #                    (scripts/mutants.py)
 #   make test-shard-identity - sharded-engine differential suite (byte-identity at shards=4)
@@ -62,7 +62,8 @@ bench-pairs:
 
 fuzz:
 	HYPOTHESIS_PROFILE=fuzz $(PYTHON) -m pytest tests/test_scenario_fuzz.py tests/test_metamorphic.py \
-		tests/test_scheduler_oracle.py tests/test_prefix_cache_oracle.py tests/test_block_hashes.py -q
+		tests/test_scheduler_oracle.py tests/test_prefix_cache_oracle.py tests/test_block_hashes.py \
+		tests/test_tier_cascade_oracle.py -q
 
 mutants:
 	$(PYTHON) scripts/mutants.py

@@ -2,13 +2,15 @@
 """Seeded mutants, each of which the mutant test set must kill.
 
 ``make mutants`` entry point.  The mutants break the KV layer, the tier
-change feeds the SRJF scheduler's frontier index reads, and the hedge
-policy's sorted latency window.  A mutant is one or more exact source-text
-replacements in a module under ``src/``.  For the unmutated tree and then for
-each mutant, the script copies ``src/`` and ``tests/`` into a temporary
-directory, applies the mutant there and runs the mutant test set
-(:data:`TESTS`, tier-1 hypothesis profile without shrinking).  The unmutated
-copy must pass; a mutant is killed when a test fails.
+change feeds the SRJF scheduler's frontier index reads, the batched demotion
+cascade and its batch span recording, and the hedge policy's sorted latency
+window.  A mutant is one or more exact source-text replacements in a module
+under ``src/``.  For the unmutated tree and then for each mutant, the script
+copies ``src/``, ``tests/`` and the cookbook scenarios
+(``examples/scenarios/``, which the KV-invariant and export-digest tests run)
+into a temporary directory, applies the mutant there and runs the mutant
+test set (:data:`TESTS`, tier-1 hypothesis profile without shrinking).  The
+unmutated copy must pass; a mutant is killed when a test fails.
 
 Prints one line per mutant and the mutation score.  Exits 1 when a mutant
 survives, when a mutant's source text is not found exactly once (a refactor
@@ -35,8 +37,11 @@ TREE = "src/repro/kvcache/prefix_tree.py"
 MANAGER = "src/repro/kvcache/manager.py"
 HOST = "src/repro/kvcache/offload.py"
 CLUSTER = "src/repro/kvcache/tiers/cluster_store.py"
+TIERS = "src/repro/kvcache/tiers/store.py"
+RECORDER = "src/repro/obs/recorder.py"
 SCHEDULER = "src/repro/core/scheduler.py"
 HEDGE = "src/repro/resilience/policy.py"
+SCENARIOS = "examples/scenarios"
 
 #: The tests every mutant must fail.
 TESTS = (
@@ -48,6 +53,8 @@ TESTS = (
     "tests/test_properties.py",
     "tests/test_scheduler_oracle.py",
     "tests/test_resilience.py",
+    "tests/test_tier_cascade_oracle.py",
+    "tests/test_obs_export_digests.py",
 )
 
 
@@ -154,11 +161,11 @@ MUTANTS = (
     )),
     # A cluster entry its owner reclaims is not recorded.
     Mutant("discard-owned-records-no-change", CLUSTER, (
-        ("            del self._blocks[content_hash]\n"
-         "            for watched, changed in self._subscribers.values():\n"
-         "                if content_hash in watched:\n"
-         "                    changed.add(content_hash)\n",
-         "            del self._blocks[content_hash]\n"),
+        ("                del blocks[content_hash]\n"
+         "                for watched, changed in subscribers:\n"
+         "                    if content_hash in watched:\n"
+         "                        changed.add(content_hash)\n",
+         "                del blocks[content_hash]\n"),
     )),
     # The manager's feed misses a brownout's transfer-cost multiplier change.
     Mutant("feed-ignores-multiplier", MANAGER, (
@@ -182,6 +189,43 @@ MUTANTS = (
          "        else:\n"
          "            delay = ordered[index] + step * gamma\n",
          "        delay = ordered[index] + step * gamma\n"),
+    )),
+    # An L1 eviction pass is charged one batch transfer, one link latency in
+    # all, instead of one one-block transfer per demoted block.
+    Mutant("l1-demotion-charged-per-batch", TIERS, (
+        ("            self._demote(len(hashes), stored, host.transfer_time(1))\n",
+         "            self._demote(len(hashes), 0, 0.0)\n"
+         "            self._demote_seconds += host.transfer_time(stored)\n"),
+    )),
+    # The host store's hook loses the last victim of each call.
+    Mutant("host-hook-drops-last-victim", HOST, (
+        ("                self.on_evict(victims)\n",
+         "                self.on_evict(victims[:-1])\n"),
+    )),
+    # A batch of span events does not advance its (key, kind) sequence.
+    Mutant("emit-many-keeps-sequence", RECORDER, (
+        ("            self._seq[slot] = seq + count\n", ""),
+    )),
+    # A fetch stages its tail's cluster hits with one store call after the
+    # loop, so a staged block's host victim is never re-checked.
+    Mutant("fetch-stages-tail-in-one-store", TIERS, (
+        ("        if host is not None:\n"
+         "            for content_hash in continuation[landed:]:\n"
+         "                if content_hash in host:\n"
+         "                    host.refresh(content_hash)\n"
+         "                elif cluster is not None and content_hash in cluster:\n"
+         "                    host.offload((content_hash,))\n"
+         "                    cluster.discard_owned(self.replica, content_hash)\n",
+         "        if host is not None:\n"
+         "            staged = []\n"
+         "            for content_hash in continuation[landed:]:\n"
+         "                if content_hash in host:\n"
+         "                    host.refresh(content_hash)\n"
+         "                elif cluster is not None and content_hash in cluster:\n"
+         "                    staged.append(content_hash)\n"
+         "            host.store(staged)\n"
+         "            if cluster is not None:\n"
+         "                cluster.discard_owned(self.replica, *staged)\n"),
     )),
     # A heap entry older than its node's last access is evicted as is.
     Mutant("stale-entry-not-rekeyed", TREE, (
@@ -218,6 +262,7 @@ def run_tests(mutant: Mutant | None) -> tuple[str, str]:
         root = Path(tmp)
         shutil.copytree(REPO / "src", root / "src", ignore=ignore)
         shutil.copytree(REPO / "tests", root / "tests", ignore=ignore)
+        shutil.copytree(REPO / SCENARIOS, root / SCENARIOS)
         with open(root / "tests" / "conftest.py", "a", encoding="utf-8") as conftest:
             conftest.write(NO_SHRINK)
         if mutant is not None:

@@ -58,10 +58,12 @@ class CPUOffloadStore:
         self._stored = 0
         self._loaded = 0
         self._evicted = 0
-        #: Optional hook fired with each evicted content hash.  The tiered
-        #: prefix store uses it to demote host evictions into the
+        #: Optional hook fired once per :meth:`offload` (or :meth:`store`)
+        #: call that evicts, as ``on_evict(victims)`` with the call's LRU
+        #: victims in eviction order, just before the call returns.  The
+        #: tiered prefix store uses it to demote host evictions into the
         #: cluster-shared tier instead of dropping them.
-        self.on_evict: Callable[[int], None] | None = None
+        self.on_evict: Callable[[list[int]], None] | None = None
         #: Transfer-cost multiplier applied to every modelled transfer time.
         #: 1.0 (the default) is a bit-exact no-op; the fault subsystem raises
         #: it during interconnect brownouts.
@@ -116,29 +118,49 @@ class CPUOffloadStore:
     def store(self, block_hashes: Sequence[int]) -> float:
         """Offload blocks to host memory; return the modelled transfer time.
 
-        Already-present blocks are refreshed (moved to MRU) at no cost.
+        The batch pays one link latency (see :meth:`transfer_time`);
+        already-present blocks are refreshed (moved to MRU) at no cost.
         """
-        transferred = 0
+        return self._transfer_time(self.offload(block_hashes))
+
+    def offload(self, block_hashes: Sequence[int]) -> int:
+        """Offload blocks to host memory; return how many were newly stored.
+
+        Already-present blocks are refreshed (moved to MRU).  A new block
+        evicts LRU blocks while the store is full; the call's victims go to
+        :attr:`on_evict` in one call before it returns.
+        """
+        blocks = self._blocks
+        capacity = self.capacity_blocks
+        if not capacity:
+            return 0
         watched, changed = self._watched, self._changed
+        victims: list[int] = []
+        stored = 0
         for content_hash in block_hashes:
-            if content_hash in self._blocks:
-                self._blocks.move_to_end(content_hash)
+            if content_hash in blocks:
+                blocks.move_to_end(content_hash)
                 continue
-            while len(self._blocks) >= max(self.capacity_blocks, 0) and self._blocks:
-                victim, _ = self._blocks.popitem(last=False)
-                self._evicted += 1
+            while len(blocks) >= capacity:
+                victim, _ = blocks.popitem(last=False)
                 if victim in watched:
                     changed.add(victim)
-                if self.on_evict is not None:
-                    self.on_evict(victim)
-            if self.capacity_blocks == 0:
-                break
-            self._blocks[content_hash] = self._block_bytes
+                victims.append(victim)
+            blocks[content_hash] = self._block_bytes
             if content_hash in watched:
                 changed.add(content_hash)
-            self._stored += 1
-            transferred += 1
-        return self._transfer_time(transferred)
+            stored += 1
+        self._stored += stored
+        if victims:
+            self._evicted += len(victims)
+            if self.on_evict is not None:
+                self.on_evict(victims)
+        return stored
+
+    def refresh(self, content_hash: int) -> None:
+        """Move a stored block to the MRU end: an LRU refresh, with no
+        transfer and no change record."""
+        self._blocks.move_to_end(content_hash)
 
     def load(self, block_hashes: Sequence[int]) -> tuple[int, float]:
         """Bring the longest stored prefix back; return (blocks loaded, time)."""

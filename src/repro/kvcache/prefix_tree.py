@@ -133,10 +133,11 @@ class RadixPrefixCache:
         self._evictions = 0
         self._watched: Container[int] = ()
         self._changed: set[int] = set()
-        #: Optional hook fired as ``on_evict(content_hash, num_tokens)`` for
-        #: every evicted block.  Purely observational — victim selection and
-        #: eviction order are identical with or without it; the tiered prefix
-        #: store uses it to demote GPU evictions into the host tier.
+        #: Optional hook fired once per eviction pass, after it ends, as
+        #: ``on_evict(victims)`` with the pass's evicted content hashes in
+        #: eviction order.  Purely observational: victim selection and
+        #: eviction order are identical with or without it.  The tiered
+        #: prefix store uses it to demote GPU evictions into the host tier.
         self.on_evict = None
 
     def _note_candidate(self, node: _TreeNode) -> None:
@@ -364,11 +365,13 @@ class RadixPrefixCache:
         parked and re-pushed after the pass.  The first entry that survives
         validation is the true ``(last_access, seq)`` minimum over the
         unpinned leaves.
+
+        The pass's victims go to :attr:`on_evict` in one call once it ends.
         """
         heap = self._lru_heap
         pinned: list[tuple[float, int, _TreeNode]] = []
-        evicted = 0
-        while evicted < count and heap:
+        victims: list[int] = []
+        while len(victims) < count and heap:
             entry = heapq.heappop(heap)
             last_access, _, node = entry
             if self._nodes.get(node.content_hash) is not node or node.num_children:
@@ -380,10 +383,12 @@ class RadixPrefixCache:
                 pinned.append(entry)
                 continue
             self._remove_node(node)
-            evicted += 1
+            victims.append(node.content_hash)
         for entry in pinned:
             heapq.heappush(heap, entry)
-        return evicted
+        if victims and self.on_evict is not None:
+            self.on_evict(victims)
+        return len(victims)
 
     def _remove_node(self, node: _TreeNode) -> None:
         parent = node.parent
@@ -401,8 +406,6 @@ class RadixPrefixCache:
         self._allocator.free(node.block)
         self._evictions += 1
         self._version += 1
-        if self.on_evict is not None:
-            self.on_evict(node.content_hash, node.block.num_tokens)
 
     # --------------------------------------------------------------- pinning
 

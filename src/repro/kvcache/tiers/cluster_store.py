@@ -157,6 +157,14 @@ class ClusterPrefixStore:
         """
         self._publish_paused = bool(paused)
 
+    @property
+    def writable(self) -> bool:
+        """Whether :meth:`publish` stores or refreshes every block it is
+        offered: the store is reachable, publishing is not paused, and the
+        budget holds at least one block.  Otherwise a publish changes
+        nothing."""
+        return self._available and not self._publish_paused and self.capacity_blocks > 0
+
     def __contains__(self, content_hash: int) -> bool:
         return self._available and content_hash in self._blocks
 
@@ -216,14 +224,15 @@ class ClusterPrefixStore:
             return 0, 0.0
         stored = 0
         blocks = self._blocks
+        capacity = self.capacity_blocks
         subscribers = self._subscribers.values()
         for content_hash in block_hashes:
             if content_hash in blocks:
                 blocks.move_to_end(content_hash)
                 continue
-            if self.capacity_blocks == 0:
+            if capacity == 0:
                 continue
-            while len(blocks) >= self.capacity_blocks:
+            while len(blocks) >= capacity:
                 victim, _ = blocks.popitem(last=False)
                 self._evicted += 1
                 for watched, changed in subscribers:
@@ -268,20 +277,25 @@ class ClusterPrefixStore:
         self._blocks.move_to_end(content_hash)
         return True
 
-    def discard_owned(self, replica: str, content_hash: int) -> bool:
-        """Drop ``replica``'s own entry for ``content_hash``, if any.
+    def discard_owned(self, replica: str, *content_hashes: int) -> list[int]:
+        """Drop ``replica``'s own entries among ``content_hashes``; return the
+        dropped hashes in order (empty, so false, when none was owned).
 
-        Used when the owner re-acquires the block through another path (e.g.
-        a commit overflow landing in its host tier) so the block is never
-        resident in two tiers under the same owner.
+        Used when the owner re-acquires blocks through another path (e.g.
+        a commit overflow landing in its host tier) so a block is never
+        resident in two tiers under the same owner.  A batch is one call.
         """
-        if self._blocks.get(content_hash) == replica:
-            del self._blocks[content_hash]
-            for watched, changed in self._subscribers.values():
-                if content_hash in watched:
-                    changed.add(content_hash)
-            return True
-        return False
+        blocks = self._blocks
+        subscribers = self._subscribers.values()
+        dropped = []
+        for content_hash in content_hashes:
+            if blocks.get(content_hash) == replica:
+                del blocks[content_hash]
+                for watched, changed in subscribers:
+                    if content_hash in watched:
+                        changed.add(content_hash)
+                dropped.append(content_hash)
+        return dropped
 
     def match_length(self, block_hashes: Sequence[int]) -> int:
         """Length (in blocks) of the stored prefix of ``block_hashes``."""

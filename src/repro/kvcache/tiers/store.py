@@ -20,7 +20,11 @@ Block movement follows two pluggable policies:
   prefix-closure invariant.
 * **demote-instead-of-evict** — L1 evictions cascade into L2 and L2
   evictions into L3 (instead of dropping the bytes), so capacity pressure
-  pushes cold prefixes *down* the hierarchy rather than out of it.
+  pushes cold prefixes *down* the hierarchy rather than out of it.  Each
+  eviction pass moves in one call per tier: the radix tree hands over a
+  pass's victims at once, they go to the host in one store, and the host's
+  own victims of that store go to the cluster in one publish.  The
+  accounting stays per block (see the transfer-cost model below).
 
 The exclusivity invariant the property tests pin: a content hash is resident
 in at most one tier per owner — promotion removes the block from its source
@@ -33,7 +37,12 @@ Transfer-cost model: a batch of ``n`` blocks fetched from one tier costs
 like the offload store).  Fetch costs are charged to the request's first
 pipeline stage; demotion and prefetch costs are accounted in
 :class:`TierStats` but not charged to any request — they model asynchronous
-background transfers that overlap with compute / queueing.
+background transfers that overlap with compute / queueing.  Eviction-driven
+demotion is charged per block: every block that moves adds its own one-block
+transfer time, latency included, in eviction order, while commit overflow
+and drains pay one latency per batch.  ``demote_seconds`` leaves out the
+cluster seconds of the host evictions an L1 demotion causes, a lost update
+of the block-at-a-time cascade that the run goldens still pin.
 """
 
 from __future__ import annotations
@@ -98,6 +107,12 @@ class TierStats:
 
 class TieredPrefixStore:
     """Per-replica view of the GPU -> host -> cluster prefix-cache hierarchy.
+
+    Demotion runs through two eviction hooks, each called once per batch of
+    victims: the radix tree's (one call per eviction pass) and the host
+    store's (one call per store that evicts).  Each demoted block is one
+    ``demote`` span event of one block, and a hook records its batch with one
+    :meth:`~repro.obs.recorder.TraceRecorder.emit_many` call.
 
     The hierarchy keeps no version of its own.  Each tier records the
     membership changes of the hashes its watcher asks about — the radix
@@ -303,15 +318,17 @@ class TieredPrefixStore:
 
         # The unpromoted tail stays put, with two touch-ups: host hits get an
         # LRU refresh, and cluster hits are staged into the host tier so the
-        # next hit pays the host link instead of the cluster link.
-        for content_hash in continuation[landed:]:
-            if self._host is None:
-                break
-            if content_hash in self._host:
-                self._host.store([content_hash])
-            elif self._cluster is not None and content_hash in self._cluster:
-                self._host.store([content_hash])
-                self._cluster.discard_owned(self.replica, content_hash)
+        # next hit pays the host link instead of the cluster link.  Staging
+        # goes one block at a time: a staged block's host victim may be a
+        # later tail block, which must reach the cluster before its turn.
+        host, cluster = self._host, self._cluster
+        if host is not None:
+            for content_hash in continuation[landed:]:
+                if content_hash in host:
+                    host.refresh(content_hash)
+                elif cluster is not None and content_hash in cluster:
+                    host.offload((content_hash,))
+                    cluster.discard_owned(self.replica, content_hash)
         return TierLookup(
             gpu_tokens=gpu_blocks * self._block_size,
             host_tokens=host_blocks * self._block_size,
@@ -345,17 +362,14 @@ class TieredPrefixStore:
         counts as a promotion or a prefetch.  Returns how many copies were
         reclaimed.
         """
-        reclaimed = 0
-        for content_hash in block_hashes:
-            host_had = self._host.discard(content_hash) if self._host is not None else False
-            cluster_had = (
-                self._cluster.discard_owned(self.replica, content_hash)
-                if self._cluster is not None else False
-            )
-            if host_had or cluster_had:
-                reclaimed += 1
-                self._hit_counts.pop(content_hash, None)
-        return reclaimed
+        reclaimed = set()
+        if self._host is not None:
+            reclaimed.update(h for h in block_hashes if self._host.discard(h))
+        if self._cluster is not None:
+            reclaimed.update(self._cluster.discard_owned(self.replica, *block_hashes))
+        for content_hash in reclaimed:
+            self._hit_counts.pop(content_hash, None)
+        return len(reclaimed)
 
     # --------------------------------------------------------------- commit
 
@@ -490,9 +504,10 @@ class TieredPrefixStore:
             seconds = self._host.store(hashes)
             self._demote_seconds += seconds
             absorbed = sum(1 for h in new_hashes if h in self._host)
-            for content_hash in hashes:
-                if self._cluster is not None and content_hash in self._host:
-                    self._cluster.discard_owned(self.replica, content_hash)
+            if self._cluster is not None:
+                self._cluster.discard_owned(
+                    self.replica, *(h for h in hashes if h in self._host)
+                )
             self._demoted += absorbed
             self._bytes_down += absorbed * self._block_bytes
             if absorbed:
@@ -509,45 +524,69 @@ class TieredPrefixStore:
         self._dropped += len(hashes)
         return 0
 
-    def _on_l1_evict(self, content_hash: int, num_tokens: int) -> None:
-        """L1 eviction hook: demote the block instead of dropping it."""
+    def _on_l1_evict(self, hashes: list[int]) -> None:
+        """L1 eviction hook: demote one eviction pass's victims instead of
+        dropping them, with one host store (or, without a host, one cluster
+        publish) for the whole pass."""
         if not self._demote_on_evict:
-            self._dropped += 1
+            self._dropped += len(hashes)
             return
-        if self._host is not None:
-            self._demote_seconds += self._host.store([content_hash])
-            if content_hash in self._host:
-                self._demoted += 1
-                self._bytes_down += self._block_bytes
-                self.obs.emit(self._obs_now, self.obs_key, "demote", blocks=1)
-            else:
-                self._dropped += 1
+        host = self._host
+        if host is not None:
+            if not host.capacity_blocks:
+                self._dropped += len(hashes)
+                return
+            # Known lost update, kept bit for bit because the run goldens pin
+            # it (see the FOUND line on demote_seconds in CHANGES.md): the
+            # cluster seconds of the host evictions this store causes are
+            # dropped, as the block-at-a-time cascade dropped them by reading
+            # the sum before the store and writing it back after.
+            seconds = self._demote_seconds
+            stored = host.offload(hashes)
+            self._demote_seconds = seconds
+            # Every victim is now stored or refreshed: all count as demoted.
+            self._demote(len(hashes), stored, host.transfer_time(1))
         elif self._cluster is not None:
-            stored, seconds = self._cluster.publish(self.replica, [content_hash])
-            self._demote_seconds += seconds
-            if stored:
-                self._demoted += 1
-                self._bytes_down += self._block_bytes
-                self.obs.emit(self._obs_now, self.obs_key, "demote", blocks=1)
-            elif content_hash not in self._cluster:
-                self._dropped += 1
+            self._publish_victims(hashes)
         else:
-            self._dropped += 1
+            self._dropped += len(hashes)
 
-    def _on_host_evict(self, content_hash: int) -> None:
-        """L2 eviction hook: publish the block to the cluster store."""
+    def _on_host_evict(self, hashes: list[int]) -> None:
+        """L2 eviction hook: publish one host store call's victims to the
+        cluster store in one publish."""
         if not self._demote_on_evict or self._cluster is None:
-            self._dropped += 1
+            self._dropped += len(hashes)
             return
-        stored, seconds = self._cluster.publish(self.replica, [content_hash])
-        self._demote_seconds += seconds
-        if stored:
-            self._demoted += 1
-            self._bytes_down += self._block_bytes
-            self.obs.emit(self._obs_now, self.obs_key, "demote", blocks=1)
-        elif content_hash not in self._cluster:
-            self._dropped += 1
-        # else: already resident below (publish refreshed it) — not a drop.
+        self._publish_victims(hashes)
+
+    def _publish_victims(self, hashes: list[int]) -> None:
+        """Publish evicted blocks to the cluster; a victim is demoted when it
+        is stored and dropped when it ends up neither stored nor resident."""
+        cluster = self._cluster
+        stored, _ = cluster.publish(self.replica, hashes)
+        self._demote(stored, stored, cluster.transfer_time(1))
+        if not cluster.writable:
+            # A refused publish changes nothing, so residency after the call
+            # is residency at each victim's turn.  A writable store stores or
+            # refreshes every victim: none is dropped.
+            self._dropped += sum(1 for h in hashes if h not in cluster)
+
+    def _demote(self, blocks: int, transfers: int, block_seconds: float) -> None:
+        """Account ``blocks`` demoted blocks, ``transfers`` of which moved.
+
+        Demotion costs one block's transfer time per moved block, link
+        latency included, added block by block in eviction order: the same
+        sum a block-at-a-time cascade charges.  Each block is one ``demote``
+        event of one block.
+        """
+        self._demoted += blocks
+        self._bytes_down += blocks * self._block_bytes
+        seconds = self._demote_seconds
+        for _ in range(transfers):
+            seconds += block_seconds
+        self._demote_seconds = seconds
+        if blocks:
+            self.obs.emit_many(self._obs_now, self.obs_key, "demote", blocks, blocks=1)
 
     # ---------------------------------------------------------------- drain
 

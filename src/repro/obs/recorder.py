@@ -144,6 +144,9 @@ class NullRecorder:
     def emit(self, time, key, kind, **attrs):
         pass
 
+    def emit_many(self, time, key, kind, count, **attrs):
+        pass
+
     def maybe_sample(self, now, gauges=None):
         pass
 
@@ -211,6 +214,31 @@ class TraceRecorder:
             self._events.append((time, key, kind, attrs, seq))
         if self.metrics:
             self._count(key, kind, attrs)
+
+    def emit_many(self, time: float, key: int, kind: str, count: int, **attrs) -> None:
+        """Record ``count`` identical span events in one call.
+
+        Records exactly what ``count`` calls of :meth:`emit` with these
+        arguments would: the same tuples with consecutive ``(key, kind)``
+        sequence numbers, the same counter increments and the same end time.
+        The events share one ``attrs`` dict; span attrs are never mutated
+        after recording.  A batch is still ``count`` events, not one event
+        with a summed attribute, so per-kind event counts stay exact.
+        """
+        if count <= 0:
+            return
+        if time > self._end_time:
+            self._end_time = time
+        if self.spans:
+            slot = (key, kind)
+            seq = self._seq.get(slot, 0)
+            self._seq[slot] = seq + count
+            self._events.extend(
+                [(time, key, kind, attrs, number) for number in range(seq, seq + count)]
+            )
+        if self.metrics:
+            for _ in range(count):
+                self._count(key, kind, attrs)
 
     def _inc(self, name: str, labels: tuple, amount) -> None:
         slot = (name, labels)

@@ -175,7 +175,7 @@ def test_an_insert_short_of_k_blocks_evicts_them_in_one_pass():
         cache.insert(chain, now=float(now))
     assert allocator.num_free_blocks == 0
     victims = []
-    cache.on_evict = lambda content_hash, num_tokens: victims.append(content_hash)
+    cache.on_evict = lambda hashes: victims.append(tuple(hashes))
     passes = []
     evict_blocks = cache.evict_blocks
     cache.evict_blocks = lambda count: passes.append(count) or evict_blocks(count)
@@ -183,5 +183,6 @@ def test_an_insert_short_of_k_blocks_evicts_them_in_one_pass():
     assert cache.insert(hashes(list(range(400, 400 + 3 * BLOCK))), now=5.0) == 3
     assert passes == [3]
     # LRU order: the oldest chain's leaf (t=1), then its parent, a leaf now
-    # and still stamped t=1, then the next-oldest chain's leaf (t=2).
-    assert victims == [chains[0][1], chains[0][0], chains[1][1]]
+    # and still stamped t=1, then the next-oldest chain's leaf (t=2), handed
+    # to the hook in one call for the one pass.
+    assert victims == [(chains[0][1], chains[0][0], chains[1][1])]

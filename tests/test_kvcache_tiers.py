@@ -11,6 +11,7 @@ from repro.errors import TierCapacityError, TierError, UnknownNameError, Unknown
 from repro.kvcache.allocator import BlockAllocator
 from repro.kvcache.block import hash_token_blocks
 from repro.kvcache.manager import CommitPolicy, KVCacheManager
+from repro.kvcache.offload import CPUOffloadStore
 from repro.kvcache.prefix_tree import RadixPrefixCache
 from repro.kvcache.tiers import (
     ClusterPrefixStore,
@@ -472,14 +473,15 @@ def test_l1_eviction_order_matches_seed_with_tiering_enabled(data, capacity_bloc
     bare_victims: list[int] = []
     tiered_victims: list[int] = []
     _, bare, _ = build(bare_victims)
-    bare.on_evict = lambda h, t: bare_victims.append(h)
+    bare.on_evict = lambda hashes: bare_victims.extend(hashes)
 
     _, tiered_cache, _ = build(tiered_victims)
     tiers = TieredPrefixStore(replica="r", block_size=BLOCK_SIZE,
                               block_bytes=BLOCK_BYTES, host=None, cluster=None)
     tiers.bind_gpu_cache(tiered_cache)
     demote_hook = tiered_cache.on_evict
-    tiered_cache.on_evict = lambda h, t: (tiered_victims.append(h), demote_hook(h, t))
+    tiered_cache.on_evict = lambda hashes: (tiered_victims.extend(hashes),
+                                            demote_hook(hashes))
 
     chains = [chain(data.draw(st.integers(1, 4), label=f"len{i}"), seed=i)
               for i in range(3)]
@@ -498,3 +500,56 @@ def test_l1_eviction_order_matches_seed_with_tiering_enabled(data, capacity_bloc
     assert tiered_victims == bare_victims
     assert (set(bare.resident_hashes())
             == set(tiered_cache.resident_hashes()))
+
+
+def test_one_eviction_pass_demotes_its_victims_in_one_host_store():
+    cache = RadixPrefixCache(BlockAllocator(2, BLOCK_SIZE))
+    host = CPUOffloadStore(capacity_bytes=2 * BLOCK_BYTES, block_bytes=BLOCK_BYTES)
+    cluster = ClusterPrefixStore(capacity_bytes=8 * BLOCK_BYTES, block_bytes=BLOCK_BYTES)
+    tiers = TieredPrefixStore(replica="r", block_size=BLOCK_SIZE,
+                              block_bytes=BLOCK_BYTES, host=host, cluster=cluster)
+    tiers.bind_gpu_cache(cache)
+    stores, publishes = [], []
+    offload, publish = host.offload, cluster.publish
+    host.offload = lambda hashes: stores.append(list(hashes)) or offload(hashes)
+    cluster.publish = lambda replica, hashes: publishes.append(list(hashes)) or publish(
+        replica, hashes)
+    first, second = chain(2), chain(2, seed=1)
+
+    cache.insert(first, now=1.0)
+    assert cache.evict_blocks(2) == 2
+    # The pass's victims, leaf first, go down in one host call, and each
+    # moved block is charged its own one-block transfer.
+    assert stores == [[first[1], first[0]]] and publishes == []
+    assert tiers.stats.demote_seconds == host.transfer_time(1) + host.transfer_time(1)
+
+    cache.insert(second, now=2.0)
+    assert cache.evict_blocks(2) == 2
+    # The full host hands its two victims to the cluster in one publish.
+    assert stores[1:] == [[second[1], second[0]]]
+    assert publishes == [[first[1], first[0]]]
+    assert host.resident_hashes() == [second[1], second[0]]
+    assert cluster.resident_hashes() == [first[1], first[0]]
+    assert tiers.stats.demoted_blocks == 6
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "demote_seconds loses the cluster seconds of host evictions that an L1 "
+    "demotion causes (FOUND line in CHANGES.md); the fix moves run goldens"))
+def test_demote_seconds_counts_the_cluster_seconds_of_an_l1_demotion():
+    """A 2-block L1 eviction into a full 1-block host pushes 2 blocks into the
+    cluster: 4 demoted blocks, so 2 host and 2 cluster transfers."""
+    cache = RadixPrefixCache(BlockAllocator(2, BLOCK_SIZE))
+    host = CPUOffloadStore(capacity_bytes=BLOCK_BYTES, block_bytes=BLOCK_BYTES)
+    cluster = ClusterPrefixStore(capacity_bytes=8 * BLOCK_BYTES, block_bytes=BLOCK_BYTES)
+    tiers = TieredPrefixStore(replica="r", block_size=BLOCK_SIZE,
+                              block_bytes=BLOCK_BYTES, host=host, cluster=cluster)
+    tiers.bind_gpu_cache(cache)
+    host.store([chain(1, seed=9)[0]])
+    cache.insert(chain(2), now=1.0)
+
+    assert cache.evict_blocks(2) == 2
+    stats = tiers.stats
+    assert stats.demoted_blocks == 4
+    expected = 2 * host.transfer_time(1) + 2 * cluster.transfer_time(1)
+    assert stats.demote_seconds == pytest.approx(expected, rel=1e-12)

@@ -46,6 +46,9 @@ class ReferenceRadixCache:
         self.next_seq = 0
         self.stats = {"block_hits": 0, "block_misses": 0, "insertions": 0, "evictions": 0}
         self.victims: list[int] = []
+        #: Optional hook fired with each victim as it leaves, one block at a
+        #: time (``tests/test_tier_cascade_oracle.py`` demotes through it).
+        self.on_evict = None
 
     def cached_prefix(self, chain) -> list[int]:
         prefix = []
@@ -114,6 +117,8 @@ class ReferenceRadixCache:
                 del table[victim]
             self.stats["evictions"] += 1
             self.victims.append(victim)
+            if self.on_evict is not None:
+                self.on_evict(victim)
             evicted += 1
         return evicted
 
@@ -192,8 +197,8 @@ def last(hashes) -> int | None:
 def test_radix_cache_matches_reference(paths, ops, capacity):
     chains = [chain(path) for path in paths]
     cache = RadixPrefixCache(BlockAllocator(capacity, BLOCK))
-    victims: list[tuple[int, int]] = []
-    cache.on_evict = lambda content_hash, num_tokens: victims.append((content_hash, num_tokens))
+    victims: list[int] = []
+    cache.on_evict = victims.extend
     reference = ReferenceRadixCache(capacity)
     pins: list[tuple[list, list[int]]] = []
     now = 0.0
@@ -235,7 +240,7 @@ def test_radix_cache_matches_reference(paths, ops, capacity):
 
         assert cache.stats == reference.stats
         assert set(cache.resident_hashes()) == set(reference.parent)
-        assert victims == [(victim, BLOCK) for victim in reference.victims]
+        assert victims == reference.victims
         assert cache.num_evictable_blocks == sum(
             1 for count in reference.pins.values() if not count
         )
