@@ -1,13 +1,15 @@
 """Ablation — what happens to the KV cache after a prefill-only request.
 
-Compares three commit policies on the PrefillOnly engine:
+Compares three KV configurations on the PrefillOnly engine:
 
-* ``NONE``            — prefix caching disabled (every request recomputes);
-* ``SUFFIX_DISCARD``  — the paper's default (keep what fits on the GPU, drop the rest);
-* ``SUFFIX_OFFLOAD``  — the §9 extension (spill the overflow to host memory and
-  stream it back over PCIe on a hit).
+* ``enable_prefix_caching=False`` — prefix caching disabled (every request
+  recomputes);
+* the default — the paper's suffix discarding (keep what fits on the GPU, drop
+  the rest);
+* ``cpu_offload_gib=64`` — the §9 extension (spill the overflow to host memory
+  and stream it back over PCIe on a hit).
 
-The post-recommendation workload is prefix-heavy, so caching policies should
+The post-recommendation workload is prefix-heavy, so caching configurations should
 clearly beat no caching; offloading can only help further (it trades PCIe
 transfer time for recomputation of whatever did not fit on the GPU).
 """
@@ -19,7 +21,6 @@ from conftest import post_recommendation_trace, show
 from repro.analysis.sweep import base_throughput, qps_sweep
 from repro.core.engine import prefillonly_engine_spec
 from repro.hardware.cluster import get_hardware_setup
-from repro.kvcache.manager import CommitPolicy
 
 OVERLOAD_FACTOR = 1.5
 
@@ -32,12 +33,10 @@ def _run():
 
     variants = {
         "no prefix caching": prefillonly_engine_spec().with_overrides(
-            enable_prefix_caching=False, commit_policy=CommitPolicy.NONE
+            enable_prefix_caching=False
         ),
         "suffix discarding (paper default)": prefillonly_engine_spec(),
-        "suffix offloading to CPU (§9)": prefillonly_engine_spec(
-            commit_policy=CommitPolicy.SUFFIX_OFFLOAD, cpu_offload_gib=64.0
-        ),
+        "suffix offloading to CPU (§9)": prefillonly_engine_spec(cpu_offload_gib=64.0),
     }
     results = {}
     for label, spec in variants.items():
@@ -45,7 +44,7 @@ def _run():
     return results
 
 
-def test_ablation_kv_commit_policy(benchmark):
+def test_ablation_kv_configurations(benchmark):
     results = benchmark.pedantic(_run, rounds=1, iterations=1)
     rows = [
         {"policy": label,
@@ -55,7 +54,7 @@ def test_ablation_kv_commit_policy(benchmark):
          "cache_hit_rate": round(point.cache_hit_rate, 3)}
         for label, point in results.items()
     ]
-    show("Ablation — KV cache commit policy (post recommendation, 2x L4)", rows)
+    show("Ablation — KV cache configurations (post recommendation, 2x L4)", rows)
     benchmark.extra_info["kv_policy_ablation"] = rows
 
     none = results["no prefix caching"]

@@ -113,9 +113,9 @@ MUTANTS = (
         ("            if content_hash in watched:\n"
          "                changed.add(content_hash)\n", ""),
     )),
-    # A touching match stamps no block.
+    # A match stamps no block.
     Mutant("match-stamps-nothing", TREE, (
-        ("        if touch:\n            frontier.touch(now)\n", ""),
+        ("        frontier.touch(now)\n", ""),
     )),
     # An insert does not stamp the deepest block already cached.
     Mutant("insert-leaves-frontier-unstamped", TREE, (
@@ -125,6 +125,18 @@ MUTANTS = (
     Mutant("lease-pins-first-block", MANAGER, (
         ("pin_prefix(hashes, match.num_blocks)",
          "pin_prefix(hashes, min(match.num_blocks, 1))"),
+    )),
+    # An aborted lease (a cancel or a crash) commits its KV like a finish.
+    Mutant("abort-commits", MANAGER, (
+        ("        if not self._enable_prefix_caching or not commit:\n",
+         "        if not self._enable_prefix_caching:\n"),
+    )),
+    # A commit's overflow never spills into the flat offload store.
+    Mutant("offload-overflow-dropped", MANAGER, (
+        ("        if self._offload is not None:\n"
+         "            overflow = lease.block_hashes[resident_blocks:]\n",
+         "        if False:\n"
+         "            overflow = lease.block_hashes[resident_blocks:]\n"),
     )),
     # A scratch reservation frees one block fewer than it needs.
     Mutant("scratch-room-short", MANAGER, (

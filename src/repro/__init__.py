@@ -67,7 +67,6 @@ from repro.hardware import get_gpu, get_hardware_setup, list_hardware_setups
 from repro.model import get_model, list_models
 from repro.kvcache import (
     ClusterPrefixStore,
-    CommitPolicy,
     KVCacheManager,
     TieredPrefixStore,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "list_hardware_setups",
     "get_model",
     "list_models",
-    "CommitPolicy",
     "KVCacheManager",
     "TieredPrefixStore",
     "ClusterPrefixStore",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.core.request_state import EngineRequest
 from repro.core.scheduler import Scheduler, make_scheduler
-from repro.kvcache.manager import CommitPolicy, KVCacheManager
+from repro.kvcache.manager import KVCacheManager
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
 #: Block size used by the example (small so the scenario stays readable).
@@ -105,7 +105,7 @@ def run_scheduling_example(policy: str, *, cache_blocks: int = 8,
         schedule.append(name)
         if lease.cached_tokens > 0:
             hits.append(name)
-        kv.finish_execution(lease, policy=CommitPolicy.FULL, now=now)
+        kv.finish_execution(lease, now=now)
         now += 1.0
 
     return SchedulingExampleResult(

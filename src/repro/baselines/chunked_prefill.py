@@ -11,7 +11,6 @@ input with 512-token chunks).
 from __future__ import annotations
 
 from repro.core.engine import EngineSpec
-from repro.kvcache.manager import CommitPolicy
 from repro.model.memory import PrefillMode
 
 
@@ -26,7 +25,6 @@ def chunked_prefill_spec(*, chunk_tokens: int = 512, enable_prefix_caching: bool
         name="chunked-prefill",
         prefill_mode=PrefillMode.CHUNKED,
         scheduling_policy="fcfs",
-        commit_policy=CommitPolicy.FULL if enable_prefix_caching else CommitPolicy.NONE,
         reserve_full_kv=True,
         chunk_tokens=chunk_tokens,
         enable_prefix_caching=enable_prefix_caching,

@@ -10,7 +10,6 @@ the un-chunked activation spikes of one request in GPU memory.
 from __future__ import annotations
 
 from repro.core.engine import EngineSpec
-from repro.kvcache.manager import CommitPolicy
 from repro.model.memory import PrefillMode
 
 
@@ -21,7 +20,6 @@ def paged_attention_spec(*, enable_prefix_caching: bool = True,
         name="paged-attention",
         prefill_mode=PrefillMode.FULL,
         scheduling_policy="fcfs",
-        commit_policy=CommitPolicy.FULL if enable_prefix_caching else CommitPolicy.NONE,
         reserve_full_kv=True,
         enable_prefix_caching=enable_prefix_caching,
         kv_block_size=kv_block_size,

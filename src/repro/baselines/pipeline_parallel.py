@@ -11,7 +11,6 @@ grows, but the activations of a full sequence still have to fit in one stage.
 from __future__ import annotations
 
 from repro.core.engine import EngineSpec
-from repro.kvcache.manager import CommitPolicy
 from repro.model.memory import PrefillMode
 
 
@@ -26,7 +25,6 @@ def pipeline_parallel_spec(*, degree: int = 2, enable_prefix_caching: bool = Tru
         name="pipeline-parallel",
         prefill_mode=PrefillMode.FULL,
         scheduling_policy="fcfs",
-        commit_policy=CommitPolicy.FULL if enable_prefix_caching else CommitPolicy.NONE,
         reserve_full_kv=True,
         pipeline_parallel=degree,
         enable_prefix_caching=enable_prefix_caching,

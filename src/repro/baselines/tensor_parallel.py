@@ -10,7 +10,6 @@ and caps throughput, especially without NVLink (Figure 8 of the paper).
 from __future__ import annotations
 
 from repro.core.engine import EngineSpec
-from repro.kvcache.manager import CommitPolicy
 from repro.model.memory import PrefillMode
 
 
@@ -25,7 +24,6 @@ def tensor_parallel_spec(*, degree: int = 2, enable_prefix_caching: bool = True,
         name="tensor-parallel",
         prefill_mode=PrefillMode.FULL,
         scheduling_policy="fcfs",
-        commit_policy=CommitPolicy.FULL if enable_prefix_caching else CommitPolicy.NONE,
         reserve_full_kv=True,
         tensor_parallel=degree,
         enable_prefix_caching=enable_prefix_caching,

@@ -28,7 +28,6 @@ from repro.cluster.admission import (
     ADMIT,
     AdmissionDecision,
     AdmissionPolicy,
-    AlwaysAdmit,
     QueueDepthAdmission,
 )
 from repro.cluster.autoscaler import Autoscaler, ReactiveAutoscaler, ScaleEvent
@@ -38,7 +37,6 @@ __all__ = [
     "ADMIT",
     "AdmissionDecision",
     "AdmissionPolicy",
-    "AlwaysAdmit",
     "QueueDepthAdmission",
     "Autoscaler",
     "ReactiveAutoscaler",

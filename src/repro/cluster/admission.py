@@ -58,14 +58,6 @@ class AdmissionPolicy(abc.ABC):
         return decision
 
 
-class AlwaysAdmit(AdmissionPolicy):
-    """Admit everything (the default when no policy is configured)."""
-
-    def check(self, request: Request, queue_depths: list[int], now: float) -> AdmissionDecision:
-        """Always return an admit decision."""
-        return ADMIT
-
-
 class QueueDepthAdmission(AdmissionPolicy):
     """Shed load when every replica's queue is full (and optionally fleet-wide).
 

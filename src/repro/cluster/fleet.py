@@ -39,7 +39,6 @@ from repro.faults import DEFAULT_WARM_RESTORE_BLOCKS, FaultEvent, ResilienceCoun
 from repro.hardware.cluster import HardwareSetup
 from repro.hardware.gpu import GPUSpec
 from repro.hardware.interconnect import Interconnect
-from repro.kvcache.manager import CommitPolicy
 from repro.kvcache.tiers import ClusterPrefixStore, build_cluster_store
 from repro.model.config import ModelConfig, get_model
 from repro.obs.recorder import GLOBAL_KEY, NULL_RECORDER
@@ -569,16 +568,15 @@ class Fleet:
         self._draining = still_draining
 
     def _flush_retiring(self, state: _ReplicaState) -> None:
-        """Flush a retiring replica's cached prefixes through its commit policy.
+        """Flush a retiring replica's cached prefixes down its KV hierarchy.
 
         A replica only retires once idle, so no execution lease can be
         outstanding (``KVCacheManager.drain`` enforces it).  With tiering the
         radix tree and host tier publish into the fleet-shared cluster store,
         where surviving replicas can fetch the prefixes instead of recomputing
-        them; engines whose commit policy does not cache (``NONE``) flush
-        nothing.
+        them; engines without prefix caching flush nothing.
         """
-        if state.instance.spec.commit_policy is CommitPolicy.NONE:
+        if not state.instance.spec.enable_prefix_caching:
             return
         state.instance.kv.drain()
 

@@ -1,11 +1,11 @@
 """Engine specification and the simulated engine instance.
 
 An :class:`EngineSpec` captures everything that distinguishes the paper's five
-engines from each other — execution mode, scheduling policy, KV commit policy,
-whether the full KV cache must be reserved during a forward pass, and the
-parallelism degrees.  :class:`EngineInstance` then executes any spec on the
-shared substrates (latency model, memory model, KV-cache manager) inside the
-discrete-event simulation.
+engines from each other — execution mode, scheduling policy, whether the prefix
+cache is used, whether the full KV cache must be reserved during a forward
+pass, and the parallelism degrees.  :class:`EngineInstance` then executes any
+spec on the shared substrates (latency model, memory model, KV-cache manager)
+inside the discrete-event simulation.
 
 Per §6.1 of the paper, prefill-only inference is compute-bound, so batching
 requests does not raise throughput; every engine therefore serves one request
@@ -28,7 +28,7 @@ from repro.core.scheduler import DEFAULT_FAIRNESS_LAMBDA, Scheduler, make_schedu
 from repro.errors import CapacityError, ConfigurationError, SchedulingError
 from repro.hardware.gpu import GPUSpec
 from repro.hardware.interconnect import Interconnect, PCIE_GEN4
-from repro.kvcache.manager import CommitPolicy, ExecutionLease, KVCacheManager
+from repro.kvcache.manager import ExecutionLease, KVCacheManager
 from repro.model.config import ModelConfig
 from repro.model.latency import LatencyModel
 from repro.model.memory import PrefillMode
@@ -46,20 +46,21 @@ class EngineSpec:
         name: Engine name used in reports (``"prefillonly"``, ``"paged-attention"``, ...).
         prefill_mode: How the forward pass is executed.
         scheduling_policy: ``"fcfs"``, ``"srjf"``, or ``"srjf-calibrated"``.
-        commit_policy: What happens to a finished request's KV cache.
         reserve_full_kv: Whether the uncached tokens' KV must be drawn from the
             block pool for the whole forward pass (True for vLLM-style baselines).
         retain_kv_layers: Layers of KV kept live during a hybrid pass.
         tensor_parallel / pipeline_parallel: Parallel degrees per instance.
         chunk_tokens: Chunk size for chunked / hybrid prefilling.
-        enable_prefix_caching: Whether the prefix cache is consulted at all.
+        enable_prefix_caching: Whether the prefix cache is consulted at all;
+            when False, a finished request's KV is never committed.
         fairness_lambda: λ of Algorithm 1 for the SRJF schedulers.
         use_fitted_jct: Use the fitted linear JCT model instead of the
             cache-miss-token proxy for SRJF scoring.
         kv_block_size: Tokens per KV block.
-        cpu_offload_gib: Host-memory budget (GiB) for offloaded KV blocks.  Used
-            by the ``SUFFIX_OFFLOAD`` commit policy (the §9 extension of the
-            paper: offload instead of discard, LMCache-style).
+        cpu_offload_gib: Host-memory budget (GiB) for offloaded KV blocks.
+            A positive budget without KV tiers spills each commit's overflow
+            into a flat CPU offload store instead of discarding it (the §9
+            extension of the paper: offload instead of discard, LMCache-style).
         kv_capacity_tokens: Optional cap on the GPU KV-cache budget (tokens).
             The profile run still decides the real budget; the cap only lowers
             it, which is how equal-GPU-capacity experiments (e.g. tiering vs
@@ -70,7 +71,6 @@ class EngineSpec:
     name: str
     prefill_mode: PrefillMode
     scheduling_policy: str
-    commit_policy: CommitPolicy
     reserve_full_kv: bool
     retain_kv_layers: int | None = None
     tensor_parallel: int = 1
@@ -106,22 +106,19 @@ class EngineSpec:
 
 def prefillonly_engine_spec(*, fairness_lambda: float = DEFAULT_FAIRNESS_LAMBDA,
                             chunk_tokens: int = 2048,
-                            commit_policy: CommitPolicy = CommitPolicy.SUFFIX_DISCARD,
                             scheduling_policy: str = "srjf-calibrated",
                             use_fitted_jct: bool = False,
                             kv_block_size: int = 256,
                             cpu_offload_gib: float = 0.0) -> EngineSpec:
     """The paper's engine: hybrid prefilling + suffix discarding + calibrated SRJF.
 
-    Pass ``commit_policy=CommitPolicy.SUFFIX_OFFLOAD`` together with a non-zero
-    ``cpu_offload_gib`` to enable the §9 extension (offload the suffix KV cache
-    to host memory instead of discarding it).
+    Pass a non-zero ``cpu_offload_gib`` to enable the §9 extension (offload
+    the suffix KV cache to host memory instead of discarding it).
     """
     return EngineSpec(
         name="prefillonly",
         prefill_mode=PrefillMode.HYBRID,
         scheduling_policy=scheduling_policy,
-        commit_policy=commit_policy,
         reserve_full_kv=False,
         retain_kv_layers=1,
         chunk_tokens=chunk_tokens,
@@ -224,8 +221,8 @@ class EngineInstance:
         tier_config: Optional tiered prefix-cache configuration
             (:class:`~repro.spec.models.KVTiersSpec`).  When enabled, the
             instance runs a GPU -> host -> cluster hierarchy instead of the
-            flat offload store, and the commit policy's suffix overflow
-            demotes down the tiers instead of being discarded.
+            flat offload store, and a commit's suffix overflow demotes down
+            the tiers instead of being discarded.
         cluster_store: The fleet-shared L3 store (injected by the owning
             :class:`~repro.cluster.Fleet`); None runs a two-tier hierarchy.
 
@@ -287,7 +284,7 @@ class EngineInstance:
                     max_input_length / full_pass if full_pass > 0 else 0.0
                 ),
             )
-        elif spec.commit_policy is CommitPolicy.SUFFIX_OFFLOAD and spec.cpu_offload_gib > 0:
+        elif spec.cpu_offload_gib > 0:
             from repro.kvcache.offload import CPUOffloadStore
 
             offload_store = CPUOffloadStore(
@@ -471,7 +468,7 @@ class EngineInstance:
             offloaded_tokens, offload_load_time = self.kv.fetch_tiers(
                 engine_request.block_hashes, now=now
             )
-        elif self.spec.commit_policy is CommitPolicy.SUFFIX_OFFLOAD:
+        elif self.spec.cpu_offload_gib > 0:
             _, offloaded_tokens, offload_load_time = self.kv.lookup_with_offload(
                 engine_request.block_hashes
             )
@@ -499,7 +496,7 @@ class EngineInstance:
 
     def _complete_job(self, job: _RunningJob, now: float) -> FinishedRequest:
         engine_request = job.engine_request
-        self.kv.finish_execution(job.lease, policy=self.spec.commit_policy, now=now)
+        self.kv.finish_execution(job.lease, now=now)
         engine_request.state = RequestState.FINISHED
         engine_request.finish_time = now
         record = FinishedRequest(
@@ -620,7 +617,7 @@ class EngineInstance:
                 continue
             if not job.stage_done:
                 stage.busy_time -= max(job.stage_finish_time - now, 0.0)
-            self.kv.finish_execution(job.lease, policy=CommitPolicy.NONE, now=now)
+            self.kv.finish_execution(job.lease, commit=False, now=now)
             job.engine_request.state = RequestState.REJECTED
             stage.job = None
             # The caller advances the instance: the freed stage can admit
@@ -668,7 +665,7 @@ class EngineInstance:
             evacuated.append(job.engine_request.request)
             lost_work += job.engine_request.num_tokens
             in_flight += 1
-            self.kv.finish_execution(job.lease, policy=CommitPolicy.NONE, now=now)
+            self.kv.finish_execution(job.lease, commit=False, now=now)
             stage.job = None
         for engine_request in self._waiting:
             evacuated.append(engine_request.request)

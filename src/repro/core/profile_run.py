@@ -26,7 +26,6 @@ from repro.errors import CapacityError
 from repro.hardware.gpu import GPUSpec
 from repro.model.config import ModelConfig
 from repro.model.memory import MemoryModel, PrefillMode
-from repro.perf import memo
 
 #: Fraction of GPU memory the engine is allowed to use, mirroring vLLM's
 #: ``gpu_memory_utilization`` flag (the remainder covers the CUDA context,
@@ -64,7 +63,6 @@ class ProfileRunResult:
 #: identical profile pass; interning makes replica N's startup a dict hit.
 #: The result is frozen, so sharing one instance is safe.
 _PROFILE_MEMO: dict[tuple, ProfileRunResult] = {}
-memo.register_cache(_PROFILE_MEMO.clear)
 
 
 def run_profile(model: ModelConfig, gpu: GPUSpec, *, max_input_length: int,
@@ -84,28 +82,20 @@ def run_profile(model: ModelConfig, gpu: GPUSpec, *, max_input_length: int,
             forward pass itself does not fit, or (for baseline modes) the KV
             pool left over is smaller than the request's own KV cache.
     """
-    if memo.memo_enabled():
-        key = (model, gpu, max_input_length, mode, chunk_tokens, retain_kv_layers,
-               tensor_parallel, pipeline_parallel, workspace_fraction,
-               gpu_memory_utilization)
-        cached = _PROFILE_MEMO.get(key)
-        if cached is None:
-            cached = _run_profile_uncached(
-                model, gpu, max_input_length=max_input_length, mode=mode,
-                chunk_tokens=chunk_tokens, retain_kv_layers=retain_kv_layers,
-                tensor_parallel=tensor_parallel, pipeline_parallel=pipeline_parallel,
-                workspace_fraction=workspace_fraction,
-                gpu_memory_utilization=gpu_memory_utilization,
-            )
-            _PROFILE_MEMO[key] = cached
-        return cached
-    return _run_profile_uncached(
-        model, gpu, max_input_length=max_input_length, mode=mode,
-        chunk_tokens=chunk_tokens, retain_kv_layers=retain_kv_layers,
-        tensor_parallel=tensor_parallel, pipeline_parallel=pipeline_parallel,
-        workspace_fraction=workspace_fraction,
-        gpu_memory_utilization=gpu_memory_utilization,
-    )
+    key = (model, gpu, max_input_length, mode, chunk_tokens, retain_kv_layers,
+           tensor_parallel, pipeline_parallel, workspace_fraction,
+           gpu_memory_utilization)
+    cached = _PROFILE_MEMO.get(key)
+    if cached is None:
+        cached = _run_profile_uncached(
+            model, gpu, max_input_length=max_input_length, mode=mode,
+            chunk_tokens=chunk_tokens, retain_kv_layers=retain_kv_layers,
+            tensor_parallel=tensor_parallel, pipeline_parallel=pipeline_parallel,
+            workspace_fraction=workspace_fraction,
+            gpu_memory_utilization=gpu_memory_utilization,
+        )
+        _PROFILE_MEMO[key] = cached
+    return cached
 
 
 def _run_profile_uncached(model: ModelConfig, gpu: GPUSpec, *, max_input_length: int,

@@ -17,7 +17,7 @@ from repro.kvcache.block import Block, BlockId, hash_token_blocks, hash_chain
 from repro.kvcache.allocator import BlockAllocator
 from repro.kvcache.prefix_tree import RadixPrefixCache, PrefixMatch
 from repro.kvcache.offload import CPUOffloadStore
-from repro.kvcache.manager import KVCacheManager, CommitPolicy, CacheStats
+from repro.kvcache.manager import KVCacheManager, CacheStats
 from repro.kvcache.tiers import (
     ClusterPrefixStore,
     TieredPrefixStore,
@@ -36,7 +36,6 @@ __all__ = [
     "PrefixMatch",
     "CPUOffloadStore",
     "KVCacheManager",
-    "CommitPolicy",
     "CacheStats",
     "tier_config_from_dict",
     "TieredPrefixStore",

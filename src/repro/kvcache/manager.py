@@ -12,14 +12,13 @@ optional CPU offload store.  Engines interact with it through three calls:
   long request evict other requests' cached prefixes — the "prefix cache
   throttling" visible in Figure 9);
 * :meth:`finish_execution` — release the pins, return scratch blocks, and
-  commit the request's KV into the prefix cache according to the engine's
-  commit policy (full insert for baselines, suffix discarding or offloading for
-  PrefillOnly).
+  commit the request's KV: the prefix that fits stays in the GPU prefix cache
+  and the suffix that does not is discarded, or offloaded when the manager has
+  a host tier or a CPU offload store.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Container, Sequence
 
@@ -29,22 +28,6 @@ from repro.kvcache.block import Block, count_blocks
 from repro.kvcache.offload import CPUOffloadStore
 from repro.kvcache.prefix_tree import PrefixMatch, RadixPrefixCache, TreeSnapshot
 from repro.kvcache.tiers.store import TieredPrefixStore, TierLookup
-
-
-class CommitPolicy(enum.Enum):
-    """What happens to a request's KV cache when it finishes executing."""
-
-    #: Insert every block into the prefix cache, evicting LRU entries as needed
-    #: (the behaviour of vLLM-style baselines with automatic prefix caching).
-    FULL = "full"
-    #: Insert prefix blocks while space can be found, silently dropping the
-    #: suffix that does not fit (PrefillOnly's suffix KV cache discarding).
-    SUFFIX_DISCARD = "suffix-discard"
-    #: Like SUFFIX_DISCARD, but blocks that do not fit on the GPU are offloaded
-    #: to the CPU store instead of being dropped.
-    SUFFIX_OFFLOAD = "suffix-offload"
-    #: Do not cache anything (prefix caching disabled).
-    NONE = "none"
 
 
 @dataclass
@@ -90,7 +73,8 @@ class KVCacheManager:
     Args:
         capacity_tokens: KV-cache budget in tokens (from the engine's profile run).
         block_size: Tokens per block.
-        offload_store: Optional CPU offload store for the SUFFIX_OFFLOAD policy.
+        offload_store: Optional CPU offload store that a commit's overflow
+            spills into.
         enable_prefix_caching: When False, lookups always miss and commits are
             no-ops (used to model engines with prefix caching disabled).
     """
@@ -356,10 +340,10 @@ class KVCacheManager:
         With tiering, the radix tree's resident prefixes and the host tier's
         contents publish into the fleet-shared cluster store, so a scale-down
         hands this replica's hot prefixes to the surviving fleet instead of
-        discarding them.  Without tiering but with a flat offload store (the
-        ``SUFFIX_OFFLOAD`` commit policy), the radix tree flushes into that
-        store — same commit semantics the policy applies per request, applied
-        once more at retirement.  Returns the number of blocks flushed.
+        discarding them.  Without tiering but with a flat offload store, the
+        radix tree flushes into that store: the spill every commit applies to
+        its overflow, applied once more at retirement.  Returns the number of
+        blocks flushed.
 
         Raises:
             TierError: if any execution lease is still outstanding — draining
@@ -439,9 +423,14 @@ class KVCacheManager:
         if cached_tokens > 0:
             self._requests_with_hit += 1
 
-    def finish_execution(self, lease: ExecutionLease, *, policy: CommitPolicy,
+    def finish_execution(self, lease: ExecutionLease, *, commit: bool = True,
                          now: float = 0.0) -> int:
-        """Release a lease and commit its KV cache per ``policy``.
+        """Release a lease and, unless ``commit`` is False, commit its KV cache.
+
+        A commit inserts the prefix that fits into the GPU prefix cache.  The
+        overflow demotes down the tiers, spills into the flat offload store
+        when the manager has one, and is discarded otherwise.  ``commit=False``
+        aborts: the request's KV is dropped (cancellation and crashes).
 
         Returns:
             The number of the request's tokens resident in the GPU prefix cache
@@ -453,7 +442,7 @@ class KVCacheManager:
             lease.scratch_blocks = []
         self._active_leases = max(self._active_leases - 1, 0)
 
-        if not self._enable_prefix_caching or policy is CommitPolicy.NONE:
+        if not self._enable_prefix_caching or not commit:
             return 0
 
         if self._tiers is not None:
@@ -463,10 +452,8 @@ class KVCacheManager:
             resident_blocks = self._tiers.commit(lease.block_hashes, now=now)
             return resident_blocks * self._block_size
 
-        resident_blocks = self._cache.insert(
-            lease.block_hashes, now=now, allow_eviction=True
-        )
-        if policy is CommitPolicy.SUFFIX_OFFLOAD and self._offload is not None:
+        resident_blocks = self._cache.insert(lease.block_hashes, now=now)
+        if self._offload is not None:
             overflow = lease.block_hashes[resident_blocks:]
             if overflow:
                 self._offload.store(overflow)

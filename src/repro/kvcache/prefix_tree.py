@@ -196,17 +196,16 @@ class RadixPrefixCache:
 
     # ---------------------------------------------------------------- lookup
 
-    def match(self, block_hashes: Sequence[int], *, now: float = 0.0,
-              touch: bool = True) -> PrefixMatch:
-        """Find the longest cached prefix of ``block_hashes``.
+    def match(self, block_hashes: Sequence[int], *, now: float = 0.0) -> PrefixMatch:
+        """Find the longest cached prefix of ``block_hashes`` and stamp it.
+
+        A lookup that must not perturb eviction order (the scheduler's JCT
+        calibration) uses :meth:`match_length` instead.
 
         Args:
             block_hashes: Chained content hashes of the request's full blocks.
             now: Logical time stamped on the frontier, the deepest matched
                 block (its ancestors receive it when it is evicted).
-            touch: If False, the lookup does not update LRU state (used by the
-                scheduler's JCT calibration, which must not perturb eviction
-                order merely by inspecting the queue).
         """
         nodes = self._nodes
         count = 0
@@ -219,8 +218,7 @@ class RadixPrefixCache:
             return PrefixMatch(0, 0, None)
         self._hits += count
         frontier = nodes[block_hashes[count - 1]].block
-        if touch:
-            frontier.touch(now)
+        frontier.touch(now)
         return PrefixMatch(count, count * self._block_size, frontier)
 
     def match_length(self, block_hashes: Sequence[int], hint: int = 0) -> int:
@@ -255,15 +253,13 @@ class RadixPrefixCache:
 
     # ------------------------------------------------------------- insertion
 
-    def insert(self, block_hashes: Sequence[int], *, now: float = 0.0,
-               max_new_blocks: int | None = None, allow_eviction: bool = True) -> int:
+    def insert(self, block_hashes: Sequence[int], *, now: float = 0.0) -> int:
         """Insert the blocks of a finished request into the cache.
 
         The deepest block already present is stamped; missing blocks are
         allocated from the shared pool, after one eviction pass frees what the
-        pool is short of when ``allow_eviction`` is True.  Insertion stops
-        early (suffix discarding) when the pool cannot supply a block, or when
-        ``max_new_blocks`` new blocks have been added.
+        pool is short of.  Insertion stops early (suffix discarding) when the
+        pool cannot supply a block.
 
         Returns:
             The number of blocks of the request now resident in the cache
@@ -279,15 +275,12 @@ class RadixPrefixCache:
         if tail is not None:
             tail.block.touch(now)
         count = len(block_hashes) - resident
-        if max_new_blocks is not None:
-            count = min(count, max_new_blocks)
         if count <= 0:
             return resident
-        if allow_eviction:
-            # The tail is pinned so that this insert cannot evict the
-            # request's own ancestors (which would break the chained-hash
-            # prefix property); the new blocks are not in the tree yet.
-            self.make_room(count, tail.block if tail is not None else None)
+        # The tail is pinned so that this insert cannot evict the request's
+        # own ancestors (which would break the chained-hash prefix property);
+        # the new blocks are not in the tree yet.
+        self.make_room(count, tail.block if tail is not None else None)
         count = min(count, self._allocator.num_free_blocks)
         if not count:
             return resident

@@ -348,7 +348,7 @@ class TieredPrefixStore:
         if promote_run == 0 or self._gpu_cache is None:
             return 0
         prefix = block_hashes[:gpu_blocks + promote_run]
-        resident = self._gpu_cache.insert(prefix, now=now, allow_eviction=True)
+        resident = self._gpu_cache.insert(prefix, now=now)
         landed = max(resident - gpu_blocks, 0)
         self.reclaim(prefix[gpu_blocks:gpu_blocks + landed])
         return landed
@@ -411,7 +411,7 @@ class TieredPrefixStore:
             ):
                 break
             stop += 1
-        resident = self._gpu_cache.insert(hashes[:stop], now=now, allow_eviction=True)
+        resident = self._gpu_cache.insert(hashes[:stop], now=now)
         reclaimed = self.reclaim(hashes[gpu_match:resident])
         self._promoted += reclaimed
         if reclaimed:

@@ -26,7 +26,6 @@ from repro.hardware.interconnect import Interconnect, allreduce_time
 from repro.model.config import ModelConfig
 from repro.model.flops import FlopsModel
 from repro.model.memory import PrefillMode
-from repro.perf import memo
 
 
 #: Fraction of throughput lost by the attention kernel when the prefill is cut
@@ -85,8 +84,7 @@ class LatencyModel:
     cache stores exactly what the computation returned.  Schedulers, JCT
     profilers, and engines query the same few (new, cached, mode) buckets over
     and over during a simulation; the memo turns those repeats into dictionary
-    hits.  The :mod:`repro.perf.memo` switchboard disables the memo globally
-    for before/after measurement.
+    hits.
 
     Args:
         model: Transformer architecture.
@@ -101,21 +99,6 @@ class LatencyModel:
         self._interconnect = interconnect
         self._flops = FlopsModel(model)
         self._prefill_memo: dict[tuple, PrefillTiming] = {}
-        self._memo_epoch = memo.memo_epoch()
-
-    def _memo_ready(self) -> bool:
-        """True when the memo may be consulted (dropping it on epoch change)."""
-        if not memo.memo_enabled():
-            return False
-        epoch = memo.memo_epoch()
-        if epoch != self._memo_epoch:
-            self._prefill_memo.clear()
-            self._memo_epoch = epoch
-        return True
-
-    def memo_size(self) -> int:
-        """Current prefill memo entry count (for tests)."""
-        return len(self._prefill_memo)
 
     @property
     def model(self) -> ModelConfig:
@@ -146,23 +129,18 @@ class LatencyModel:
         Memoized on the full argument tuple; a hit returns the exact
         :class:`PrefillTiming` (frozen) a fresh computation would produce.
         """
-        if self._memo_ready():
-            key = (num_new_tokens, num_cached_tokens, mode, chunk_tokens,
-                   tensor_parallel, pipeline_parallel)
-            cached = self._prefill_memo.get(key)
-            if cached is None:
-                cached = self._prefill_time_uncached(
-                    num_new_tokens, num_cached_tokens, mode, chunk_tokens,
-                    tensor_parallel, pipeline_parallel,
-                )
-                if len(self._prefill_memo) >= LATENCY_MEMO_MAX_ENTRIES:
-                    self._prefill_memo.clear()
-                self._prefill_memo[key] = cached
-            return cached
-        return self._prefill_time_uncached(
-            num_new_tokens, num_cached_tokens, mode, chunk_tokens,
-            tensor_parallel, pipeline_parallel,
-        )
+        key = (num_new_tokens, num_cached_tokens, mode, chunk_tokens,
+               tensor_parallel, pipeline_parallel)
+        cached = self._prefill_memo.get(key)
+        if cached is None:
+            cached = self._prefill_time_uncached(
+                num_new_tokens, num_cached_tokens, mode, chunk_tokens,
+                tensor_parallel, pipeline_parallel,
+            )
+            if len(self._prefill_memo) >= LATENCY_MEMO_MAX_ENTRIES:
+                self._prefill_memo.clear()
+            self._prefill_memo[key] = cached
+        return cached
 
     def _prefill_time_uncached(self, num_new_tokens: int, num_cached_tokens: int,
                                mode: PrefillMode, chunk_tokens: int,

@@ -12,9 +12,9 @@ and guarantees the results are **byte-identical** to a serial run:
   guard test pins this);
 * results come back in task-submission order regardless of completion order
   (``Executor.map`` preserves ordering);
-* a serial fallback (``max_workers <= 1``, ``serial=True``, the
-  ``REPRO_SERIAL=1`` environment variable, or a pool that fails to start)
-  executes the very same task functions in a plain loop.
+* a serial fallback (``max_workers <= 1``, a single task, or a pool that
+  fails to start or loses a worker) executes the very same task functions in
+  a plain loop.
 
 Task functions must be picklable (defined at module top level); the wired-in
 entry points (:func:`repro.analysis.sweep.qps_sweep`,
@@ -42,10 +42,6 @@ from repro.errors import ConfigurationError
 __all__ = ["ParallelRunner", "SERIAL_RUNNER", "resolve_runner", "derive_task_seeds"]
 
 
-def _env_forces_serial() -> bool:
-    return os.environ.get("REPRO_SERIAL", "").lower() in ("1", "true", "yes")
-
-
 def _pool_probe() -> bool:
     """Trivial warm-up task: forces worker spawn before any real task runs."""
     return True
@@ -58,25 +54,18 @@ class ParallelRunner:
         max_workers: Worker process count.  ``None`` uses ``os.cpu_count()``
             (capped at 8 — experiment fan-outs rarely profit beyond that);
             ``0`` or ``1`` runs serially in-process.
-        serial: Force serial execution regardless of ``max_workers``.
-        chunksize: Tasks handed to a worker per round trip (larger values
-            amortise pickling for many small tasks).
 
     The runner is stateless between :meth:`map` calls and safe to reuse; each
     call stands up and tears down its own process pool.
     """
 
-    def __init__(self, max_workers: int | None = None, *,
-                 serial: bool = False, chunksize: int = 1) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 0:
             raise ConfigurationError("max_workers must be non-negative")
-        if chunksize < 1:
-            raise ConfigurationError("chunksize must be >= 1")
         if max_workers is None:
             max_workers = min(os.cpu_count() or 1, 8)
         self.max_workers = max_workers
-        self.chunksize = chunksize
-        self._serial = serial or max_workers <= 1 or _env_forces_serial()
+        self._serial = max_workers <= 1
         #: How the last :meth:`map` actually executed (``"serial"`` /
         #: ``"parallel"`` / ``"fallback"``), for reports and tests.
         self.last_mode: str = "serial" if self._serial else "parallel"
@@ -120,7 +109,7 @@ class ParallelRunner:
 
         with executor:
             try:
-                results = list(executor.map(fn, tasks, chunksize=self.chunksize))
+                results = list(executor.map(fn, tasks))
             except concurrent.futures.process.BrokenProcessPool:
                 # A worker died mid-run (e.g. OOM kill): degrade to the serial
                 # loop, which produces the same results.  Any other exception

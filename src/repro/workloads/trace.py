@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
 from repro.kvcache.block import ROOT_HASH, hash_chain
-from repro.perf import memo
 
 
 #: Memoized whole-sequence hash chains keyed on ``(block_size, segments)``.
@@ -26,7 +25,6 @@ from repro.perf import memo
 #: process.  Cleared wholesale when full — residency is a speed concern only.
 _SEQUENCE_HASH_MEMO: dict[tuple, tuple[int, ...]] = {}
 _SEQUENCE_HASH_MEMO_MAX = 65_536
-memo.register_cache(_SEQUENCE_HASH_MEMO.clear)
 
 
 @dataclass(frozen=True)
@@ -85,14 +83,11 @@ class TokenSequence:
         if cached is not None:
             return cached
 
-        memoized = memo.memo_enabled()
-        memo_key = None
-        if memoized:
-            memo_key = (block_size, self._segments)
-            shared = _SEQUENCE_HASH_MEMO.get(memo_key)
-            if shared is not None:
-                self._hash_cache[block_size] = shared
-                return shared
+        memo_key = (block_size, self._segments)
+        shared = _SEQUENCE_HASH_MEMO.get(memo_key)
+        if shared is not None:
+            self._hash_cache[block_size] = shared
+            return shared
 
         hashes: list[int] = []
         parent = ROOT_HASH
@@ -122,10 +117,9 @@ class TokenSequence:
 
         result = tuple(hashes)
         self._hash_cache[block_size] = result
-        if memoized:
-            if len(_SEQUENCE_HASH_MEMO) >= _SEQUENCE_HASH_MEMO_MAX:
-                _SEQUENCE_HASH_MEMO.clear()
-            _SEQUENCE_HASH_MEMO[memo_key] = result
+        if len(_SEQUENCE_HASH_MEMO) >= _SEQUENCE_HASH_MEMO_MAX:
+            _SEQUENCE_HASH_MEMO.clear()
+        _SEQUENCE_HASH_MEMO[memo_key] = result
         return result
 
     def shared_prefix_tokens(self, other: "TokenSequence") -> int:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines.registry import ENGINE_ORDER, all_engine_specs, baseline_specs, get_engine_spec
 from repro.errors import ConfigurationError
-from repro.kvcache.manager import CommitPolicy
 
 
 def test_all_engine_specs_count_and_order():
@@ -31,10 +30,12 @@ def test_get_engine_spec_unknown():
         get_engine_spec("sglang")
 
 
-def test_disabling_prefix_caching_switches_commit_policy():
-    spec = get_engine_spec("paged-attention", enable_prefix_caching=False)
-    assert spec.commit_policy is CommitPolicy.NONE
-    assert not spec.enable_prefix_caching
+def test_disabling_prefix_caching_reaches_every_baseline_spec():
+    for name in ENGINE_ORDER:
+        if name == "prefillonly":
+            continue
+        assert get_engine_spec(name).enable_prefix_caching
+        assert not get_engine_spec(name, enable_prefix_caching=False).enable_prefix_caching
 
 
 def test_engine_names_are_unique():

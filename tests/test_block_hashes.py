@@ -5,7 +5,7 @@ loop and builds a multi-piece content tuple only for a block that straddles a
 segment boundary.  The reference below is the per-block walk it replaced: for
 every full block, collect the ``(content_id, offset-in-segment, piece-length)``
 pieces that cover it and chain their tuple onto the previous block's hash.
-The two must agree hash for hash, with the whole-sequence memo on and off.
+The two must agree hash for hash, with the whole-sequence memo cold and warm.
 
 Runs under the shared ``oracle-run`` hypothesis profile (``tests/conftest.py``).
 """
@@ -15,8 +15,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.kvcache.block import ROOT_HASH, hash_chain
-from repro.perf import memo
-from repro.workloads.trace import TokenSegment, TokenSequence
+from repro.workloads.trace import _SEQUENCE_HASH_MEMO, TokenSegment, TokenSequence
 
 
 def reference_block_hashes(segments: tuple[TokenSegment, ...],
@@ -56,13 +55,11 @@ def reference_block_hashes(segments: tuple[TokenSegment, ...],
 def test_block_hashes_match_the_per_block_walk(segments, block_size):
     segments = tuple(TokenSegment(content_id, length) for content_id, length in segments)
     expected = reference_block_hashes(segments, block_size)
-    was = memo.memo_enabled()
-    try:
-        for enabled in (False, True):
-            memo.set_memo_enabled(enabled)
-            assert TokenSequence(segments).block_hashes(block_size) == expected
-    finally:
-        memo.set_memo_enabled(was)
+    _SEQUENCE_HASH_MEMO.clear()
+    cold = TokenSequence(segments).block_hashes(block_size)
+    warm = TokenSequence(segments).block_hashes(block_size)
+    assert cold == expected
+    assert warm is cold
 
 
 def test_block_hashes_pin_the_content_tuple_format():

@@ -252,18 +252,15 @@ def test_manual_scale_down_drains_without_losing_requests(h100_setup, tiny_trace
         fleet.scale_down(now=2.0)
 
 
-def test_scale_down_flushes_radix_tree_through_commit_policy(h100_setup, tiny_trace):
-    """A retiring replica's cached prefixes flush via its commit policy.
+def test_scale_down_flushes_radix_tree_into_the_offload_store(h100_setup, tiny_trace):
+    """A retiring replica's cached prefixes flush into its offload store.
 
-    With the SUFFIX_OFFLOAD policy the drain stores the radix tree into the
+    With a CPU offload budget the drain stores the radix tree into the
     replica's offload store (visible in its stats) instead of dropping it.
     """
     from repro.core.engine import prefillonly_engine_spec
-    from repro.kvcache.manager import CommitPolicy
 
-    spec = prefillonly_engine_spec(
-        commit_policy=CommitPolicy.SUFFIX_OFFLOAD, cpu_offload_gib=4.0,
-    )
+    spec = prefillonly_engine_spec(cpu_offload_gib=4.0)
     fleet = Fleet.for_setup(
         spec, h100_setup,
         max_input_length=tiny_trace.max_request_tokens, num_replicas=2,

@@ -11,7 +11,6 @@ from repro.baselines import (
 from repro.core.engine import EngineInstance, prefillonly_engine_spec
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.interconnect import PCIE_GEN4
-from repro.kvcache.manager import CommitPolicy
 from repro.model.memory import PrefillMode
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
@@ -37,7 +36,7 @@ def test_prefillonly_spec_defaults():
     spec = prefillonly_engine_spec()
     assert spec.prefill_mode is PrefillMode.HYBRID
     assert spec.scheduling_policy == "srjf-calibrated"
-    assert spec.commit_policy is CommitPolicy.SUFFIX_DISCARD
+    assert spec.cpu_offload_gib == 0.0
     assert not spec.reserve_full_kv
     assert spec.gpus_per_instance == 1
 

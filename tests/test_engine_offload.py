@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.engine import EngineInstance, prefillonly_engine_spec
-from repro.kvcache.manager import CommitPolicy
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
 
@@ -14,9 +13,7 @@ def make_request(request_id: int, *, shared_tokens: int, unique_tokens: int,
 
 
 def offload_spec(cpu_offload_gib: float = 64.0):
-    return prefillonly_engine_spec(
-        commit_policy=CommitPolicy.SUFFIX_OFFLOAD, cpu_offload_gib=cpu_offload_gib
-    )
+    return prefillonly_engine_spec(cpu_offload_gib=cpu_offload_gib)
 
 
 @pytest.fixture()

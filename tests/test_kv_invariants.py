@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import InvariantViolation
-from repro.kvcache.manager import CommitPolicy, KVCacheManager
+from repro.kvcache.manager import KVCacheManager
 from repro.simulation.invariants import check_kv_structure, check_scenario_invariants
 from repro.simulation.scenario import build_mix, load_scenario, run_scenario
 
@@ -42,7 +42,7 @@ def drained_manager() -> KVCacheManager:
     for now, chain in enumerate(((1, 2, 3), (1, 2, 4), (5,))):
         lease = kv.begin_execution(chain, len(chain) * BLOCK,
                                    reserve_full_kv=True, now=float(now))
-        kv.finish_execution(lease, policy=CommitPolicy.FULL, now=float(now))
+        kv.finish_execution(lease, now=float(now))
     return kv
 
 

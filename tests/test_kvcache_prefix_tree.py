@@ -86,18 +86,12 @@ def test_pinned_blocks_are_not_evicted():
 
 
 def test_insert_without_eviction_stops_when_full():
+    # An empty tree has nothing to evict, so the insert keeps what fits.
     cache, _ = make_cache(num_blocks=2)
     request = hashes(list(range(64)))  # needs 4 blocks
-    resident = cache.insert(request, allow_eviction=False)
+    resident = cache.insert(request)
     assert resident == 2
     assert cache.num_cached_blocks == 2
-
-
-def test_insert_max_new_blocks_limits_growth():
-    cache, _ = make_cache()
-    request = hashes(list(range(128)))  # 8 blocks
-    resident = cache.insert(request, max_new_blocks=3)
-    assert resident == 3
 
 
 def test_version_changes_on_insert_and_evict():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import TierCapacityError, TierError, UnknownNameError, UnknownTierError
 from repro.kvcache.allocator import BlockAllocator
 from repro.kvcache.block import hash_token_blocks
-from repro.kvcache.manager import CommitPolicy, KVCacheManager
+from repro.kvcache.manager import KVCacheManager
 from repro.kvcache.offload import CPUOffloadStore
 from repro.kvcache.prefix_tree import RadixPrefixCache
 from repro.kvcache.tiers import (
@@ -58,13 +58,13 @@ def make_stack(*, gpu_blocks=8, host_blocks=8, cluster_blocks=32,
     return manager, tiers, cluster
 
 
-def run_request(manager, hashes, *, now=0.0, policy=CommitPolicy.SUFFIX_DISCARD):
+def run_request(manager, hashes, *, now=0.0):
     """One begin -> fetch -> finish cycle, like the engine's execution path."""
     lease = manager.begin_execution(
         hashes, len(hashes) * BLOCK_SIZE, reserve_full_kv=False, now=now
     )
     tier_tokens, load_seconds = manager.fetch_tiers(hashes, now=now)
-    manager.finish_execution(lease, policy=policy, now=now + 0.5)
+    manager.finish_execution(lease, now=now + 0.5)
     return tier_tokens, load_seconds
 
 
@@ -196,6 +196,19 @@ def test_cluster_store_peer_fetch_accounting():
     assert hashes[0] not in store
 
 
+def test_cluster_store_discard_owned_records_watched_hashes():
+    """An owner's reclaim reaches every subscriber that watches the block."""
+    store = ClusterPrefixStore(capacity_bytes=8 * BLOCK_BYTES, block_bytes=BLOCK_BYTES)
+    first, second = chain(2)
+    store.publish("a", [first, second])
+    watched_one, watched_both = {first}, {first, second}
+    assert store.take_changes(watched_one) is None  # subscribes
+    assert store.take_changes(watched_both) is None
+    assert store.discard_owned("a", first, second) == [first, second]
+    assert store.take_changes(watched_one) == {first}
+    assert store.take_changes(watched_both) == {first, second}
+
+
 def test_cluster_store_republish_keeps_owner():
     store = ClusterPrefixStore(capacity_bytes=8 * BLOCK_BYTES, block_bytes=BLOCK_BYTES)
     hashes = list(chain(1))
@@ -203,6 +216,21 @@ def test_cluster_store_republish_keeps_owner():
     stored, _ = store.publish("b", hashes)
     assert stored == 0
     assert store.owner_of(hashes[0]) == "a"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "discard_owned deletes entries during an outage (FOUND line in CHANGES.md); "
+    "the fix moves run goldens"))
+def test_discard_owned_keeps_a_block_through_an_outage():
+    """An outage refuses writes and keeps the stored blocks until it ends, so
+    an owner's reclaim during the outage must leave its entry in place."""
+    store = ClusterPrefixStore(capacity_bytes=8 * BLOCK_BYTES, block_bytes=BLOCK_BYTES)
+    (content_hash,) = chain(1)
+    store.publish("r0", [content_hash])
+    store.set_available(False)
+    store.discard_owned("r0", content_hash)
+    store.set_available(True)
+    assert content_hash in store
 
 
 # ------------------------------------------------------------- tiered store
@@ -322,7 +350,7 @@ def test_drain_refuses_with_active_lease():
     assert manager.num_active_leases == 1
     with pytest.raises(TierError):
         manager.drain()
-    manager.finish_execution(lease, policy=CommitPolicy.SUFFIX_DISCARD)
+    manager.finish_execution(lease)
     assert manager.num_active_leases == 0
     manager.drain()
 

@@ -3,8 +3,10 @@
 The memo layers (the latency model's prefill LRU, precomputed FLOPs
 coefficients, whole-sequence block hashes, profile-run interning) exist
 purely for speed; these property tests pin that every cached value equals a
-fresh computation exactly — no rounding, no drift — and that the
-:mod:`repro.perf.memo` switchboard cleanly toggles and clears the caches.
+fresh computation exactly — no rounding, no drift.  Each layer is compared
+with the uncached function that fills it, and two whole runs are compared
+with the same runs under :func:`uncached`, which routes every layer to that
+function.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.profile_run
+import repro.workloads.trace
 from repro.core.profile_run import run_profile
 from repro.hardware.interconnect import PCIE_GEN4
 from repro.kvcache.block import hash_token_blocks
@@ -19,17 +23,38 @@ from repro.model.config import get_model
 from repro.model.flops import FlopsModel
 from repro.model.latency import LatencyModel
 from repro.model.memory import PrefillMode
-from repro.perf import memo
-from repro.workloads.trace import TokenSegment, TokenSequence
+from repro.workloads.trace import _SEQUENCE_HASH_MEMO, TokenSegment, TokenSequence
+from test_block_hashes import reference_block_hashes
+
+
+class _StoresNothing(dict):
+    """A memo table that never keeps an entry, so every lookup misses."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def _uncached_prefill_time(self, num_new_tokens, *, num_cached_tokens=0,
+                           mode=PrefillMode.FULL, chunk_tokens=2048,
+                           tensor_parallel=1, pipeline_parallel=1):
+    return self._prefill_time_uncached(num_new_tokens, num_cached_tokens, mode,
+                                       chunk_tokens, tensor_parallel, pipeline_parallel)
 
 
 @pytest.fixture()
-def memo_off():
-    """Run a test with every memo layer disabled; restore afterwards."""
-    was = memo.memo_enabled()
-    memo.set_memo_enabled(False)
-    yield
-    memo.set_memo_enabled(was)
+def uncached(monkeypatch):
+    """A call that routes every memo layer to the uncached function filling it.
+
+    The latency model's memo is per instance, so ``prefill_time`` itself is
+    replaced; the module-level tables become tables that store nothing.  The
+    routing lasts until the test ends.
+    """
+    def route() -> None:
+        monkeypatch.setattr(LatencyModel, "prefill_time", _uncached_prefill_time)
+        monkeypatch.setattr(repro.core.profile_run, "_PROFILE_MEMO", _StoresNothing())
+        monkeypatch.setattr(repro.workloads.trace, "_SEQUENCE_HASH_MEMO",
+                            _StoresNothing())
+    return route
 
 
 # --------------------------------------------------------------- latency LRU
@@ -50,50 +75,25 @@ def test_prefill_time_memo_is_bit_identical(new_tokens, cached_tokens, mode,
 
     gpu = get_gpu("h100-80gb")
     tensor_parallel, pipeline_parallel = parallel
-    memoized = LatencyModel(model, gpu, PCIE_GEN4)
-    was = memo.memo_enabled()
-    try:
-        memo.set_memo_enabled(True)
-        warm_model = memoized
-        first = warm_model.prefill_time(
-            new_tokens, num_cached_tokens=cached_tokens, mode=mode,
-            chunk_tokens=chunk_tokens, tensor_parallel=tensor_parallel,
-            pipeline_parallel=pipeline_parallel,
-        )
-        second = warm_model.prefill_time(
-            new_tokens, num_cached_tokens=cached_tokens, mode=mode,
-            chunk_tokens=chunk_tokens, tensor_parallel=tensor_parallel,
-            pipeline_parallel=pipeline_parallel,
-        )
-        memo.set_memo_enabled(False)
-        cold = LatencyModel(model, gpu, PCIE_GEN4).prefill_time(
-            new_tokens, num_cached_tokens=cached_tokens, mode=mode,
-            chunk_tokens=chunk_tokens, tensor_parallel=tensor_parallel,
-            pipeline_parallel=pipeline_parallel,
-        )
-    finally:
-        memo.set_memo_enabled(was)
+    warm_model = LatencyModel(model, gpu, PCIE_GEN4)
+    first = warm_model.prefill_time(
+        new_tokens, num_cached_tokens=cached_tokens, mode=mode,
+        chunk_tokens=chunk_tokens, tensor_parallel=tensor_parallel,
+        pipeline_parallel=pipeline_parallel,
+    )
+    second = warm_model.prefill_time(
+        new_tokens, num_cached_tokens=cached_tokens, mode=mode,
+        chunk_tokens=chunk_tokens, tensor_parallel=tensor_parallel,
+        pipeline_parallel=pipeline_parallel,
+    )
+    cold = LatencyModel(model, gpu, PCIE_GEN4)._prefill_time_uncached(
+        new_tokens, cached_tokens, mode, chunk_tokens, tensor_parallel,
+        pipeline_parallel,
+    )
     assert second is first  # the memo returned the cached object
     assert (first.compute_time, first.communication_time, first.overhead_time) == (
         cold.compute_time, cold.communication_time, cold.overhead_time
     )
-
-
-def test_latency_memo_toggle_clears(memo_off):
-    from repro.hardware.gpu import get_gpu
-
-    latency = LatencyModel(get_model("llama-3.1-8b"), get_gpu("l4"))
-    latency.prefill_time(1000)
-    assert latency.memo_size() == 0  # disabled: nothing cached
-    memo.set_memo_enabled(True)
-    latency.prefill_time(1000)
-    assert latency.memo_size() == 1
-    memo.set_memo_enabled(False)
-    latency.prefill_time(2000)  # uncached path; the stale entry lingers unused
-    assert latency.memo_size() == 1
-    memo.set_memo_enabled(True)
-    latency.prefill_time(2000)  # epoch change drops the stale entry first
-    assert latency.memo_size() == 1
 
 
 # ----------------------------------------------- FLOPs coefficient precompute
@@ -142,66 +142,47 @@ def test_precomputed_decode_flops_match_seed_formula(context):
     block_size=st.sampled_from([16, 256]),
 )
 def test_block_hashes_identical_with_and_without_the_sequence_memo(segments, block_size):
-    """The whole-sequence memo reproduces the unmemoized hashes."""
-    was = memo.memo_enabled()
-    try:
-        memo.set_memo_enabled(False)
-        plain = TokenSequence(
-            [TokenSegment(cid, length) for cid, length in segments]
-        ).block_hashes(block_size)
-        memo.set_memo_enabled(True)
-        interned_first = TokenSequence(
-            [TokenSegment(cid, length) for cid, length in segments]
-        ).block_hashes(block_size)
-        # A *distinct but equal* sequence must hit the whole-sequence memo.
-        interned_second = TokenSequence(
-            [TokenSegment(cid, length) for cid, length in segments]
-        ).block_hashes(block_size)
-    finally:
-        memo.set_memo_enabled(was)
-    assert plain == interned_first
-    assert interned_second is interned_first
+    """The whole-sequence memo reproduces the per-block walk, cold and warm."""
+    segments = tuple(TokenSegment(cid, length) for cid, length in segments)
+    expected = reference_block_hashes(segments, block_size)
+    _SEQUENCE_HASH_MEMO.clear()
+    cold = TokenSequence(segments).block_hashes(block_size)
+    warm = TokenSequence(segments).block_hashes(block_size)
+    # A *distinct but equal* sequence must hit the whole-sequence memo.
+    assert warm is cold
+    assert cold == expected
 
 
-def test_hash_token_blocks_unchanged_by_memoization(memo_off):
+def test_hash_token_blocks_unchanged_by_memoization(uncached):
     tokens = list(range(1000))
-    plain = hash_token_blocks(tokens, 256)
-    memo.set_memo_enabled(True)
-    assert hash_token_blocks(tokens, 256) == plain
+    hashes = hash_token_blocks(tokens, 256)
+    uncached()
+    assert hash_token_blocks(tokens, 256) == hashes
 
 
 # ------------------------------------------------------- profile-run interning
 
 
-def test_run_profile_interned_result_is_identical(h100_gpu, llama_70b):
-    was = memo.memo_enabled()
-    try:
-        memo.set_memo_enabled(True)
-        first = run_profile(llama_70b, h100_gpu, max_input_length=20_000,
-                            mode=PrefillMode.HYBRID)
-        second = run_profile(llama_70b, h100_gpu, max_input_length=20_000,
-                             mode=PrefillMode.HYBRID)
-        memo.set_memo_enabled(False)
-        cold = run_profile(llama_70b, h100_gpu, max_input_length=20_000,
-                           mode=PrefillMode.HYBRID)
-    finally:
-        memo.set_memo_enabled(was)
+def test_run_profile_interned_result_is_identical(h100_gpu, llama_70b, uncached):
+    first = run_profile(llama_70b, h100_gpu, max_input_length=20_000,
+                        mode=PrefillMode.HYBRID)
+    second = run_profile(llama_70b, h100_gpu, max_input_length=20_000,
+                         mode=PrefillMode.HYBRID)
+    uncached()
+    cold = run_profile(llama_70b, h100_gpu, max_input_length=20_000,
+                       mode=PrefillMode.HYBRID)
     assert second is first
+    assert cold is not first  # recomputed, not served from the table
     assert first == cold
 
 
 # ------------------------------------------------------- end-to-end identity
 
 
-def _assert_identical_with_memo_on_and_off(run) -> None:
-    was = memo.memo_enabled()
-    try:
-        memo.set_memo_enabled(True)
-        warm = run()
-        memo.set_memo_enabled(False)
-        cold = run()
-    finally:
-        memo.set_memo_enabled(was)
+def _assert_identical_with_memo_on_and_off(run, uncached) -> None:
+    warm = run()
+    uncached()
+    cold = run()
     assert warm.summary == cold.summary
     warm_records = [(r.request_id, r.start_time, r.finish_time, r.cached_tokens)
                     for r in warm.finished]
@@ -211,18 +192,20 @@ def _assert_identical_with_memo_on_and_off(run) -> None:
     assert warm.num_events == cold.num_events
 
 
-def test_simulation_results_identical_with_memo_on_and_off(h100_setup, small_post_trace):
+def test_simulation_results_identical_with_memo_on_and_off(h100_setup, small_post_trace,
+                                                           uncached):
     """A full simulation must not change by a bit when memoization is off."""
     from repro.analysis.sweep import run_once
     from repro.core.engine import prefillonly_engine_spec
 
     spec = prefillonly_engine_spec()
     _assert_identical_with_memo_on_and_off(
-        lambda: run_once(spec, h100_setup, small_post_trace, qps=6.0)
+        lambda: run_once(spec, h100_setup, small_post_trace, qps=6.0), uncached
     )
 
 
-def test_tiered_chaos_fleet_identical_with_memo_on_and_off(h100_setup, small_post_trace):
+def test_tiered_chaos_fleet_identical_with_memo_on_and_off(h100_setup, small_post_trace,
+                                                          uncached):
     """Fitted-JCT replicas over the tiered prefix cache, under every fault kind."""
     from repro.cluster import Fleet
     from repro.core.engine import prefillonly_engine_spec
@@ -256,4 +239,4 @@ def test_tiered_chaos_fleet_identical_with_memo_on_and_off(h100_setup, small_pos
         )
         return simulate_fleet(fleet, requests, faults=faults)
 
-    _assert_identical_with_memo_on_and_off(run)
+    _assert_identical_with_memo_on_and_off(run, uncached)

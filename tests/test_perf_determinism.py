@@ -144,3 +144,20 @@ def test_no_module_level_global_rng_reads():
             if forbidden_stdlib.search(line):
                 offenders.append(f"{path.relative_to(REPO_ROOT)}:{lineno}: {line.strip()}")
     assert not offenders, "global RNG reads found:\n" + "\n".join(offenders)
+
+
+def test_no_environment_variable_selects_a_code_path():
+    """The library reads no environment variable.
+
+    A run is a pure function of its arguments: an environment switch would
+    select a code path that no configuration names, and that no worker of a
+    parallel run is guaranteed to share.  This scans the library source, with
+    the walk of the RNG guard above, for ``os.environ`` and ``os.getenv``.
+    """
+    forbidden = re.compile(r"\bos\.(environ|getenv)\b")
+    offenders: list[str] = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if forbidden.search(line):
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{lineno}: {line.strip()}")
+    assert not offenders, "environment reads found:\n" + "\n".join(offenders)

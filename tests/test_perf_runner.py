@@ -48,19 +48,11 @@ def test_single_task_runs_in_process():
 
 def test_zero_workers_means_serial():
     assert ParallelRunner(max_workers=0).is_serial
-    assert ParallelRunner(max_workers=4, serial=True).is_serial
 
 
 def test_negative_workers_rejected():
     with pytest.raises(ConfigurationError):
         ParallelRunner(max_workers=-1)
-    with pytest.raises(ConfigurationError):
-        ParallelRunner(chunksize=0)
-
-
-def test_env_var_forces_serial(monkeypatch):
-    monkeypatch.setenv("REPRO_SERIAL", "1")
-    assert ParallelRunner(max_workers=4).is_serial
 
 
 def _raise_oserror(value: int) -> int:

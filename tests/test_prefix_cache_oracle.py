@@ -6,11 +6,10 @@ creation sequence, and each victim picked by a full scan for the unpinned
 leaf with the smallest ``(last_access, seq)``.  Hypothesis drives the same op
 sequences through it and the production
 :class:`~repro.kvcache.prefix_tree.RadixPrefixCache`, whose lazy heap must
-pick the very same victims in the very same order.  The ops are inserts (with
-a new-block cap and with eviction on or off), touching and read-only matches,
-hinted ``match_length`` probes, pins and unpins, explicit evictions and
-clears, over overlapping hash chains and a 3-10 block pool.  After
-every op the return values, the stats counters, the resident hashes and the
+pick the very same victims in the very same order.  The ops are inserts
+(which evict to make room), matches (which stamp), read-only hinted
+``match_length`` probes, pins and unpins, explicit evictions and clears, over
+overlapping hash chains and a 3-10 block pool.  After every op the return values, the stats counters, the resident hashes and the
 victims reported through ``on_evict`` must agree.
 
 The reference stamps and pins every block of a chain; the production cache
@@ -61,27 +60,21 @@ class ReferenceRadixCache:
     def touch(self, block: int, now: float) -> None:
         self.last_access[block] = max(self.last_access[block], now)
 
-    def match(self, chain, now: float, touch: bool) -> int:
+    def match(self, chain, now: float) -> int:
         prefix = self.cached_prefix(chain)
         self.stats["block_hits"] += len(prefix)
         self.stats["block_misses"] += len(prefix) < len(chain)
-        if touch:
-            for block in prefix:
-                self.touch(block, now)
+        for block in prefix:
+            self.touch(block, now)
         return len(prefix)
 
-    def insert(self, chain, now: float, max_new_blocks: int | None,
-               allow_eviction: bool) -> int:
+    def insert(self, chain, now: float) -> int:
         path: list[int] = []
-        new_blocks = 0
         for block in chain:
             if block in self.parent:
                 self.touch(block, now)
             else:
-                if max_new_blocks is not None and new_blocks >= max_new_blocks:
-                    break
-                if len(self.parent) == self.capacity and not (
-                        allow_eviction and self.evict_blocks(1)):
+                if len(self.parent) == self.capacity and not self.evict_blocks(1):
                     break
                 parent = path[-1] if path else None
                 self.parent[block] = parent
@@ -93,7 +86,6 @@ class ReferenceRadixCache:
                 self.seq[block] = self.next_seq
                 self.next_seq += 1
                 self.stats["insertions"] += 1
-                new_blocks += 1
             # The insert path stays pinned until the insert ends, so its own
             # evictions cannot take the request's ancestors.
             self.pins[block] += 1
@@ -154,18 +146,15 @@ paths = st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=4),
 chain_index = st.integers(0, 7)
 # The clock advances before each op by 0 or 1, so timestamps both tie (the
 # creation sequence breaks those) and separate (recency decides those).
-# Plain inserts and touching matches are drawn several times as often as the
-# other ops, so most examples build a long LRU history between clears.
-insert = st.tuples(st.just("insert"), chain_index, st.just(None), st.just(True))
-touch = st.tuples(st.just("match"), chain_index, st.just(True))
+# Inserts and matches are drawn several times as often as the other ops, so
+# most examples build a long LRU history between clears.
+insert = st.tuples(st.just("insert"), chain_index)
+match = st.tuples(st.just("match"), chain_index)
 ops = st.lists(
     st.tuples(
         st.sampled_from([0.0, 1.0]),
         st.one_of(
-            insert, insert, insert, touch, touch,
-            st.tuples(st.just("insert"), chain_index,
-                      st.one_of(st.none(), st.integers(0, 3)), st.booleans()),
-            st.tuples(st.just("match"), chain_index, st.booleans()),
+            insert, insert, insert, insert, match, match, match,
             st.tuples(st.just("match_length"), chain_index, st.integers(0, 7)),
             st.tuples(st.just("pin"), chain_index),
             st.tuples(st.just("unpin"), st.integers(0, 7)),
@@ -184,13 +173,13 @@ def last(hashes) -> int | None:
 
 @settings.get_profile("oracle-run")
 @given(paths=paths, ops=ops, capacity=st.integers(3, 10))
-# The eviction stamp fold: a touching match of (1, 5) stamps only 5, and
+# The eviction stamp fold: a match of (1, 5) stamps only 5, and
 # once 5 is evicted, 1 must inherit its t=1 stamp and outlive the older 2.
 # Without the fold, 1 keeps its t=0 stamp and is evicted before 2.
 @example(
     paths=[[0, 0], [1], [2]],
-    ops=[(0.0, ("insert", 0, None, True)), (0.0, ("insert", 1, None, True)),
-         (0.0, ("pin", 1)), (1.0, ("match", 0, True)), (0.0, ("evict", 1)),
+    ops=[(0.0, ("insert", 0)), (0.0, ("insert", 1)),
+         (0.0, ("pin", 1)), (1.0, ("match", 0)), (0.0, ("evict", 1)),
          (0.0, ("unpin", 0)), (0.0, ("evict", 1))],
     capacity=3,
 )
@@ -209,14 +198,12 @@ def test_radix_cache_matches_reference(paths, ops, capacity):
         if kind in ("insert", "match", "match_length", "pin"):
             hashes = chains[op[1] % len(chains)]
         if kind == "insert":
-            resident = cache.insert(hashes, now=now,
-                                    max_new_blocks=op[2], allow_eviction=op[3])
-            assert resident == reference.insert(hashes, now, op[2], op[3])
+            assert cache.insert(hashes, now=now) == reference.insert(hashes, now)
         elif kind == "match":
-            match = cache.match(hashes, now=now, touch=op[2])
-            expected = reference.match(hashes, now, op[2])
-            assert (match.num_blocks, match.num_tokens) == (expected, expected * BLOCK)
-            assert (match.frontier and match.frontier.content_hash) == last(hashes[:expected])
+            found = cache.match(hashes, now=now)
+            expected = reference.match(hashes, now)
+            assert (found.num_blocks, found.num_tokens) == (expected, expected * BLOCK)
+            assert (found.frontier and found.frontier.content_hash) == last(hashes[:expected])
         elif kind == "match_length":
             assert cache.match_length(hashes, op[2]) == len(reference.cached_prefix(hashes))
         elif kind == "pin":

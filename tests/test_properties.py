@@ -10,7 +10,7 @@ from repro.core.scheduler import SRJFScheduler
 from repro.execution.chunked_linear import ChunkedExecutionOptions, chunked_positionwise
 from repro.kvcache.allocator import BlockAllocator
 from repro.kvcache.block import count_blocks, count_full_blocks, hash_token_blocks
-from repro.kvcache.manager import CommitPolicy, KVCacheManager
+from repro.kvcache.manager import KVCacheManager
 from repro.kvcache.prefix_tree import RadixPrefixCache
 from repro.simulation.arrival import PoissonArrivalProcess
 from repro.simulation.metrics import summarize_finished
@@ -137,7 +137,7 @@ def test_manager_hit_tokens_never_exceed_request(lengths, reserve):
         assert 0 <= cached <= num_tokens
         lease = manager.begin_execution(hashes, num_tokens, reserve_full_kv=reserve)
         assert lease.cached_tokens <= num_tokens
-        manager.finish_execution(lease, policy=CommitPolicy.SUFFIX_DISCARD)
+        manager.finish_execution(lease)
 
 
 # ---------------------------------------------------------------- scheduler

@@ -6,7 +6,7 @@ from repro.core.request_state import EngineRequest
 from repro.core.scheduler import FCFSScheduler, SRJFScheduler, make_scheduler
 from repro.errors import SchedulingError
 from repro.hardware.interconnect import Interconnect
-from repro.kvcache.manager import CommitPolicy, KVCacheManager
+from repro.kvcache.manager import KVCacheManager
 from repro.kvcache.offload import CPUOffloadStore
 from repro.kvcache.tiers import TieredPrefixStore
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
@@ -33,7 +33,7 @@ def make_kv(capacity_tokens: int = 100 * BLOCK) -> KVCacheManager:
 def commit(kv: KVCacheManager, engine_request: EngineRequest) -> None:
     lease = kv.begin_execution(engine_request.block_hashes, engine_request.num_tokens,
                                reserve_full_kv=False)
-    kv.finish_execution(lease, policy=CommitPolicy.FULL)
+    kv.finish_execution(lease)
 
 
 def test_fcfs_picks_earliest_arrival():

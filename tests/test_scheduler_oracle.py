@@ -30,7 +30,7 @@ from repro.core.request_state import EngineRequest
 from repro.core.scheduler import SRJFScheduler
 from repro.errors import CapacityError
 from repro.hardware.interconnect import Interconnect
-from repro.kvcache.manager import CommitPolicy, KVCacheManager
+from repro.kvcache.manager import KVCacheManager
 from repro.kvcache.offload import CPUOffloadStore
 from repro.kvcache.tiers import ClusterPrefixStore, TieredPrefixStore, make_promotion_policy
 from repro.model.config import get_model
@@ -81,7 +81,7 @@ def sequence(prefix: int, depth: int, branch: int, tail: int, unique: int) -> To
 def commit(kv: KVCacheManager, seq: TokenSequence, now: float) -> None:
     lease = kv.begin_execution(seq.block_hashes(BLOCK), seq.num_tokens,
                                reserve_full_kv=False, now=now)
-    kv.finish_execution(lease, policy=CommitPolicy.FULL, now=now)
+    kv.finish_execution(lease, now=now)
 
 
 shape = st.tuples(st.integers(0, 1), st.integers(1, 4), st.integers(0, 2),
@@ -97,7 +97,7 @@ ops = st.lists(
         st.tuples(st.just("submit"), shape, st.booleans(), ahead),
         st.tuples(st.just("select"), st.just(False)),
         st.tuples(st.just("select"), st.booleans()),
-        st.tuples(st.just("finish"), st.integers(0, 7), st.booleans()),
+        st.tuples(st.just("finish"), st.integers(0, 7)),
         st.tuples(st.just("commit"), shape),
         st.tuples(st.just("commit"), shape),
         st.tuples(st.just("cancel"), st.integers(0, 15)),
@@ -163,8 +163,7 @@ def test_select_matches_brute_force_reference(ops, capacity_blocks, fairness, es
                     running.append(lease)
         elif kind == "finish" and running:
             lease = running.pop(op[1] % len(running))
-            policy = CommitPolicy.FULL if op[2] else CommitPolicy.SUFFIX_DISCARD
-            kv.finish_execution(lease, policy=policy, now=now)
+            kv.finish_execution(lease, now=now)
         elif kind == "commit":
             commit(kv, sequence(*op[1], unique=-1), now)
         elif kind == "cancel" and queue:
@@ -178,7 +177,7 @@ def test_select_matches_brute_force_reference(ops, capacity_blocks, fairness, es
         leave(request)
     assert_index_empty(scheduler, kv)
     for lease in running:
-        kv.finish_execution(lease, policy=CommitPolicy.FULL, now=now)
+        kv.finish_execution(lease, now=now)
     commit(kv, sequence(0, 5, 1, 40, unique=-2), now)
     assert_index_empty(scheduler, kv)
 
@@ -406,7 +405,7 @@ def test_tiered_select_matches_brute_force_reference(ops, capacity_blocks, host_
                 leave(r, request)
         elif kind == "finish" and running[r]:
             lease = running[r].pop(op[2] % len(running[r]))
-            kv.finish_execution(lease, policy=CommitPolicy.SUFFIX_OFFLOAD, now=now)
+            kv.finish_execution(lease, now=now)
         elif kind == "commit":
             commit(kv, sequence(*op[2], unique=-1), now)
         elif kind == "prefetch":
@@ -424,7 +423,7 @@ def test_tiered_select_matches_brute_force_reference(ops, capacity_blocks, host_
         assert_tier_records_empty(schedulers[r], kv)
     for r, kv in enumerate(kvs):
         for lease in running[r]:
-            kv.finish_execution(lease, policy=CommitPolicy.FULL, now=now)
+            kv.finish_execution(lease, now=now)
         commit(kv, sequence(0, 5, 1, 40, unique=-2), now)
         kv.drain()
     for r, kv in enumerate(kvs):

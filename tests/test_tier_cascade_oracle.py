@@ -281,7 +281,7 @@ class ReferenceTiers:
         if run == 0:
             return 0
         prefix = hashes[:gpu_blocks + run]
-        resident = self.l1.insert(prefix, now, None, True)
+        resident = self.l1.insert(prefix, now)
         landed = max(resident - gpu_blocks, 0)
         self.reclaim(prefix[gpu_blocks:gpu_blocks + landed])
         return landed
@@ -307,7 +307,7 @@ class ReferenceTiers:
                         content_hash, self.hit_counts.get(content_hash, 0))):
                 break
             stop += 1
-        resident = self.l1.insert(hashes[:stop], now, None, True)
+        resident = self.l1.insert(hashes[:stop], now)
         reclaimed = self.reclaim(hashes[gpu_match:resident])
         self.promoted += reclaimed
         if reclaimed:

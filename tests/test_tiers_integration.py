@@ -16,7 +16,7 @@ import pytest
 from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
 from repro.errors import UnknownTierError
-from repro.kvcache import CommitPolicy, tier_config_from_dict
+from repro.kvcache import tier_config_from_dict
 from repro.simulation.arrival import PoissonArrivalProcess, UniformArrivalProcess
 from repro.simulation.scenario import load_scenario, run_scenario, scenario_from_dict
 from repro.simulation.simulator import simulate_fleet
@@ -128,9 +128,9 @@ def test_offload_engine_activity_visible_in_fleet_report(h100_setup, tiny_trace)
     """Satellite: the flat offload store's counters reach the fleet summary."""
     from repro.analysis.reporting import format_fleet_report
 
-    spec = prefillonly_engine_spec(
-        commit_policy=CommitPolicy.SUFFIX_OFFLOAD, cpu_offload_gib=2.0,
-    ).with_overrides(kv_capacity_tokens=2048)
+    spec = prefillonly_engine_spec(cpu_offload_gib=2.0).with_overrides(
+        kv_capacity_tokens=2048
+    )
     fleet = Fleet.for_setup(
         spec, h100_setup,
         max_input_length=tiny_trace.max_request_tokens, num_replicas=2,
