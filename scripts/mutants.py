@@ -3,14 +3,15 @@
 
 ``make mutants`` entry point.  The mutants break the KV layer, the tier
 change feeds the SRJF scheduler's frontier index reads, the batched demotion
-cascade and its batch span recording, and the hedge policy's sorted latency
-window.  A mutant is one or more exact source-text replacements in a module
-under ``src/``.  For the unmutated tree and then for each mutant, the script
-copies ``src/``, ``tests/`` and the cookbook scenarios
-(``examples/scenarios/``, which the KV-invariant and export-digest tests run)
-into a temporary directory, applies the mutant there and runs the mutant
-test set (:data:`TESTS`, tier-1 hypothesis profile without shrinking).  The
-unmutated copy must pass; a mutant is killed when a test fails.
+cascade and its batch span recording, the hedge policy's sorted latency
+window, and the router's replica-set hook.  A mutant is one or more exact
+source-text replacements in a module under ``src/``.  For the unmutated tree
+and then for each mutant, the script copies ``src/``, ``tests/`` and the
+cookbook scenarios (``examples/scenarios/``, which the KV-invariant and
+export-digest tests run) into a temporary directory, applies the mutant there
+and runs the mutant test set (:data:`TESTS`, tier-1 hypothesis profile
+without shrinking).  The unmutated copy must pass; a mutant is killed when a
+test fails.
 
 Prints one line per mutant and the mutation score.  Exits 1 when a mutant
 survives, when a mutant's source text is not found exactly once (a refactor
@@ -41,6 +42,7 @@ TIERS = "src/repro/kvcache/tiers/store.py"
 RECORDER = "src/repro/obs/recorder.py"
 SCHEDULER = "src/repro/core/scheduler.py"
 HEDGE = "src/repro/resilience/policy.py"
+ROUTING = "src/repro/simulation/routing.py"
 SCENARIOS = "examples/scenarios"
 
 #: The tests every mutant must fail.
@@ -52,6 +54,8 @@ TESTS = (
     "tests/test_kv_invariants.py",
     "tests/test_properties.py",
     "tests/test_scheduler_oracle.py",
+    "tests/test_scheduler.py",
+    "tests/test_simulation_routing.py",
     "tests/test_resilience.py",
     "tests/test_tier_cascade_oracle.py",
     "tests/test_obs_export_digests.py",
@@ -238,6 +242,13 @@ MUTANTS = (
          "            host.store(staged)\n"
          "            if cluster is not None:\n"
          "                cluster.discard_owned(self.replica, *staged)\n"),
+    )),
+    # A user-id router keeps the assignments of replicas that have left.
+    Mutant("router-keeps-stale-assignments", ROUTING, (
+        ("        self._assignments = {\n"
+         "            user: index for user, index in self._assignments.items()\n"
+         "            if index < self.num_instances\n"
+         "        }\n", ""),
     )),
     # A heap entry older than its node's last access is evicted as is.
     Mutant("stale-entry-not-rekeyed", TREE, (

@@ -334,9 +334,10 @@ _OBS_EXPORTERS = {
 
 def _sample_interval(args: argparse.Namespace) -> float | None:
     """``--sample-interval``, checked like the config block's own
-    ``observability.sample_interval_s`` (a zero, negative or non-finite
-    interval would never advance the sampler)."""
-    interval = args.sample_interval
+    ``observability.sample_interval_s`` (a zero, negative, non-finite or tiny
+    interval would never let the sampler finish).  None on the subcommands
+    that print no samples and so have no such flag."""
+    interval = getattr(args, "sample_interval", None)
     if interval is not None:
         check_overrides(ObservabilitySpec, {"sample_interval_s": interval},
                         path="observability", error=ScenarioSpecError)
@@ -637,6 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=config_required,
                          help="path to the scenario JSON config (recording is "
                               "force-enabled; the run itself is unchanged)")
+
+    def _add_sample_interval(sub: argparse.ArgumentParser) -> None:
+        # Only on the subcommands whose output reads the samples.
         sub.add_argument("--sample-interval", type=float, default=None,
                          help="override the metric sample interval "
                               "(simulated seconds)")
@@ -651,6 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="run the scenario and export its recording"
     )
     _add_obs_common(obs_export)
+    _add_sample_interval(obs_export)
     obs_export.add_argument("--format", required=True,
                             choices=sorted(_OBS_EXPORTERS),
                             help="spans: repro-spans/v1 JSONL; chrome: "
@@ -664,6 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
         "summary", help="print a human-readable overview of the recording"
     )
     _add_obs_common(obs_summary)
+    _add_sample_interval(obs_summary)
     obs_summary.set_defaults(func=_cmd_obs_summary)
 
     obs_slo = obs_sub.add_parser(
@@ -715,6 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
              "tenants' latency SLOs, in simulated time",
     )
     _add_obs_common(obs_alerts)
+    _add_sample_interval(obs_alerts)
     _add_spans_input(obs_alerts)
     obs_alerts.add_argument("--out", default=None, metavar="FILE",
                             help="also write the repro-alerts/v1 JSONL export")

@@ -8,8 +8,8 @@ abstraction suitable for production-scale simulation:
   engine replicas with lazily advanced per-replica clocks;
 * :mod:`repro.cluster.admission` — queue-depth admission control with load
   shedding;
-* :mod:`repro.cluster.autoscaler` — reactive autoscaling from observed
-  arrival rate and P99 latency, with hysteresis and cooldown.
+* :mod:`repro.cluster.autoscaler` — reactive autoscaling from the observed
+  arrival rate, with hysteresis and cooldown.
 
 The fleet also executes the failure lifecycle of the fault-injection
 subsystem (:mod:`repro.faults`): :meth:`Fleet.apply_fault` handles replica
@@ -30,7 +30,7 @@ from repro.cluster.admission import (
     AdmissionPolicy,
     QueueDepthAdmission,
 )
-from repro.cluster.autoscaler import Autoscaler, ReactiveAutoscaler, ScaleEvent
+from repro.cluster.autoscaler import ReactiveAutoscaler, ScaleEvent
 from repro.cluster.fleet import Fleet, FleetStats, ReplicaSpec
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionPolicy",
     "QueueDepthAdmission",
-    "Autoscaler",
     "ReactiveAutoscaler",
     "ScaleEvent",
     "Fleet",

@@ -37,58 +37,36 @@ class AdmissionPolicy(abc.ABC):
 
     Policies see the fleet's current queue depths, not individual replicas'
     internals; they run before routing, so shedding is independent of the
-    routing policy in use.
+    routing policy in use.  The fleet counts what it sheds itself.
     """
-
-    def __init__(self) -> None:
-        self.num_admitted = 0
-        self.num_shed = 0
 
     @abc.abstractmethod
     def check(self, request: Request, queue_depths: list[int], now: float) -> AdmissionDecision:
         """Return the admission decision for one request (no side effects)."""
 
     def admit(self, request: Request, queue_depths: list[int], now: float) -> AdmissionDecision:
-        """Check one request and update the admitted/shed counters."""
-        decision = self.check(request, queue_depths, now)
-        if decision.admitted:
-            self.num_admitted += 1
-        else:
-            self.num_shed += 1
-        return decision
+        """Return the admission decision for one request (what the fleet calls)."""
+        # A plain forward to check(); it stays because the benchmark tracer
+        # counts admission calls through this name (``cluster.admit.calls``).
+        return self.check(request, queue_depths, now)
 
 
 class QueueDepthAdmission(AdmissionPolicy):
-    """Shed load when every replica's queue is full (and optionally fleet-wide).
+    """Shed load when every replica's queue is full.
 
     Args:
         max_queue_depth: A request is shed when the *least-loaded* replica
             already has this many requests waiting — i.e. there is nowhere the
             router could place it without exceeding the per-replica bound.
-        max_total_depth: Optional fleet-wide bound on the summed queue depth;
-            checked first when set.
     """
 
-    def __init__(self, max_queue_depth: int, *, max_total_depth: int | None = None) -> None:
-        super().__init__()
+    def __init__(self, max_queue_depth: int) -> None:
         if max_queue_depth < 1:
             raise ConfigurationError("max_queue_depth must be at least 1")
-        if max_total_depth is not None and max_total_depth < 1:
-            raise ConfigurationError("max_total_depth must be at least 1 when set")
         self.max_queue_depth = max_queue_depth
-        self.max_total_depth = max_total_depth
 
     def check(self, request: Request, queue_depths: list[int], now: float) -> AdmissionDecision:
-        """Shed when the fleet-wide or per-replica queue bound is exhausted."""
-        total = sum(queue_depths)
-        if self.max_total_depth is not None and total >= self.max_total_depth:
-            return AdmissionDecision(
-                admitted=False,
-                reason=(
-                    f"admission control: fleet queue depth {total} has reached the "
-                    f"limit of {self.max_total_depth}"
-                ),
-            )
+        """Shed when the per-replica queue bound is exhausted everywhere."""
         if queue_depths and min(queue_depths) >= self.max_queue_depth:
             return AdmissionDecision(
                 admitted=False,

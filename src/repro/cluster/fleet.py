@@ -13,8 +13,8 @@ a production-shaped serving tier:
   set as it changes;
 * optional queue-depth :class:`~repro.cluster.admission.AdmissionPolicy` load
   shedding in front of the router;
-* an optional :class:`~repro.cluster.autoscaler.Autoscaler` that adds replicas
-  cloned from a template spec and drains the highest-indexed replica on
+* an optional :class:`~repro.cluster.autoscaler.ReactiveAutoscaler` that adds
+  replicas cloned from a template spec and drains the highest-indexed replica on
   scale-down (drained replicas stop receiving traffic, finish their queue,
   and retire with their completion records preserved).
 
@@ -47,7 +47,7 @@ from repro.simulation.events import EventQueue
 from repro.simulation.routing import Router, UserIdRouter
 from repro.spec.models import KVTiersSpec, ResilienceSpec
 from repro.cluster.admission import AdmissionPolicy
-from repro.cluster.autoscaler import Autoscaler, ScaleEvent
+from repro.cluster.autoscaler import ReactiveAutoscaler, ScaleEvent
 from repro.workloads.trace import Request
 
 #: Policy-timer slots multiplexed into one EventQueue: the timer key of a
@@ -80,7 +80,6 @@ class _ReplicaState:
     spec: ReplicaSpec | None = None
     key: int = 0
     retired_at: float | None = None
-    draining: bool = False
     #: Killed by a fault (crash ≠ drain: nothing finished, nothing flushed).
     crashed: bool = False
     #: Built by fault recovery — the replicas whose tier hits measure the
@@ -135,7 +134,7 @@ class Fleet:
                  max_input_length: int,
                  router: Router | None = None,
                  admission: AdmissionPolicy | None = None,
-                 autoscaler: Autoscaler | None = None,
+                 autoscaler: ReactiveAutoscaler | None = None,
                  name: str = "fleet",
                  tier_config: KVTiersSpec | None = None,
                  recorder=None,
@@ -221,8 +220,7 @@ class Fleet:
         )
         if self.policies is not None and self.policies.breakers is not None:
             self.router = HealthAwareRouter(self.router, self.policies.breakers)
-        self.router.resize(len(self._active))
-        self._sync_router()
+        self.router.observe_instances(self.replicas)
         self.stats.peak_replicas = len(self._active)
 
     # ----------------------------------------------------------- construction
@@ -354,9 +352,6 @@ class Fleet:
         """
         return self._all_serving() + self._retired + self._crashed
 
-    def _sync_router(self) -> None:
-        self.router.observe_instances(self.replicas)
-
     # --------------------------------------------------------------- serving
 
     def submit(self, request: Request, now: float) -> EngineInstance | None:
@@ -479,7 +474,9 @@ class Fleet:
             self._refresh_event(state)
         elif due:
             # Advance in serving order (actives, then draining), not due
-            # order, so the autoscaler observes completions in serving order.
+            # order: replicas sharing a cluster store commit into it in that
+            # order, and the policy hooks see the batch's completions in that
+            # order (of two hedge copies finishing together, the first wins).
             due_keys = set(due)
             for state in self._all_serving():
                 if state.key in due_keys:
@@ -502,9 +499,6 @@ class Fleet:
             finished = [
                 record for record in finished if self._policy_finish(record)
             ]
-        if self.autoscaler is not None:
-            for record in finished:
-                self.autoscaler.observe_completion(record)
         return finished
 
     # ------------------------------------------------------------ autoscaling
@@ -524,8 +518,7 @@ class Fleet:
         """Add one replica cloned from the template spec."""
         state = self._build_replica(self.template, now=now)
         self._active.append(state)
-        self.router.resize(len(self._active))
-        self._sync_router()
+        self.router.observe_instances(self.replicas)
         self.stats.num_scale_ups += 1
         self.stats.peak_replicas = max(self.stats.peak_replicas, len(self._active))
         event = ScaleEvent(time=now, direction="up",
@@ -540,10 +533,8 @@ class Fleet:
         if len(self._active) <= 1:
             raise ConfigurationError("cannot scale below one replica")
         state = self._active.pop()
-        state.draining = True
         self._draining.append(state)
-        self.router.resize(len(self._active))
-        self._sync_router()
+        self.router.observe_instances(self.replicas)
         self.stats.num_scale_downs += 1
         event = ScaleEvent(time=now, direction="down",
                            num_replicas=len(self._active), reason=reason)
@@ -675,11 +666,9 @@ class Fleet:
         if state is None or state not in self._active:
             return False, "replica not active"
         self._active.remove(state)
-        state.draining = True
         self._draining.append(state)
         if self._active:
-            self.router.resize(len(self._active))
-            self._sync_router()
+            self.router.observe_instances(self.replicas)
         self.resilience.num_preemptions += 1
         self._retire_drained(now)
         return True, "preemption notice: draining"
@@ -717,8 +706,7 @@ class Fleet:
         self.resilience.lost_work_tokens += lost_work
         self._crash_times[logical] = now
         if was_active and self._active:
-            self.router.resize(len(self._active))
-            self._sync_router()
+            self.router.observe_instances(self.replicas)
         if self.policies is not None:
             if self.policies.breakers is not None:
                 self.policies.breakers.discard(state.key)
@@ -744,8 +732,7 @@ class Fleet:
         state.crashed = False  # repaired; a later crash targets the new instance
         self._active.append(new_state)
         self._fault_targets[logical] = new_state.key
-        self.router.resize(len(self._active))
-        self._sync_router()
+        self.router.observe_instances(self.replicas)
         self.stats.peak_replicas = max(self.stats.peak_replicas, len(self._active))
         self.resilience.num_recoveries += 1
         crash_time = self._crash_times.pop(logical, None)
@@ -874,11 +861,7 @@ class Fleet:
         rid = request.request_id
         tracked = self._tracked.get(rid)
         if tracked is None:
-            tracked = TrackedRequest(
-                request=request,
-                primary_key=state.key,
-                primary_name=state.instance.name,
-            )
+            tracked = TrackedRequest(request=request, primary_key=state.key)
             self._tracked[rid] = tracked
             if policies.deadline is not None:
                 self._policy_events.update(
@@ -887,7 +870,6 @@ class Fleet:
                 )
         else:
             tracked.primary_key = state.key
-            tracked.primary_name = state.instance.name
             tracked.retry_pending = False
         if policies.hedge is not None and tracked.hedge_key is None:
             delay = policies.hedge_delay()
@@ -1088,7 +1070,6 @@ class Fleet:
                 return
             if tracked.primary_key == crashed_key and tracked.hedge_key is not None:
                 tracked.primary_key = tracked.hedge_key
-                tracked.primary_name = tracked.hedge_name
                 tracked.hedge_key = None
                 tracked.hedge_name = None
                 if was_running:
@@ -1117,9 +1098,7 @@ class Fleet:
             )
             return
         if tracked is None:
-            tracked = TrackedRequest(
-                request=request, primary_key=crashed_key, primary_name="",
-            )
+            tracked = TrackedRequest(request=request, primary_key=crashed_key)
             self._tracked[rid] = tracked
         tracked.retry_pending = True
         self._policy_events.discard(rid * 4 + _TIMER_HEDGE)

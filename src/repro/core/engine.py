@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.core.jct import JCTEstimator
 from repro.core.profile_run import ProfileRunResult, run_profile
-from repro.core.request_state import EngineRequest, RequestState
+from repro.core.request_state import EngineRequest
 from repro.core.scheduler import DEFAULT_FAIRNESS_LAMBDA, Scheduler, make_scheduler
 from repro.errors import CapacityError, ConfigurationError, SchedulingError
 from repro.hardware.gpu import GPUSpec
@@ -54,8 +53,6 @@ class EngineSpec:
         enable_prefix_caching: Whether the prefix cache is consulted at all;
             when False, a finished request's KV is never committed.
         fairness_lambda: λ of Algorithm 1 for the SRJF schedulers.
-        use_fitted_jct: Use the fitted linear JCT model instead of the
-            cache-miss-token proxy for SRJF scoring.
         kv_block_size: Tokens per KV block.
         cpu_offload_gib: Host-memory budget (GiB) for offloaded KV blocks.
             A positive budget without KV tiers spills each commit's overflow
@@ -78,7 +75,6 @@ class EngineSpec:
     chunk_tokens: int = 2048
     enable_prefix_caching: bool = True
     fairness_lambda: float = DEFAULT_FAIRNESS_LAMBDA
-    use_fitted_jct: bool = False
     kv_block_size: int = 256
     cpu_offload_gib: float = 0.0
     kv_capacity_tokens: int | None = None
@@ -107,7 +103,6 @@ class EngineSpec:
 def prefillonly_engine_spec(*, fairness_lambda: float = DEFAULT_FAIRNESS_LAMBDA,
                             chunk_tokens: int = 2048,
                             scheduling_policy: str = "srjf-calibrated",
-                            use_fitted_jct: bool = False,
                             kv_block_size: int = 256,
                             cpu_offload_gib: float = 0.0) -> EngineSpec:
     """The paper's engine: hybrid prefilling + suffix discarding + calibrated SRJF.
@@ -123,7 +118,6 @@ def prefillonly_engine_spec(*, fairness_lambda: float = DEFAULT_FAIRNESS_LAMBDA,
         retain_kv_layers=1,
         chunk_tokens=chunk_tokens,
         fairness_lambda=fairness_lambda,
-        use_fitted_jct=use_fitted_jct,
         kv_block_size=kv_block_size,
         cpu_offload_gib=cpu_offload_gib,
         description="PrefillOnly: hybrid prefilling, suffix KV discarding, SRJF with "
@@ -187,7 +181,6 @@ class _RunningJob:
     engine_request: EngineRequest
     lease: ExecutionLease
     stage_times: list[float]
-    stage_index: int
     stage_finish_time: float
     cached_tokens: int
     #: True once the current stage's work is done; the job may still sit in the
@@ -299,17 +292,8 @@ class EngineInstance:
             tiers=tiers,
             enable_prefix_caching=spec.enable_prefix_caching,
         )
-        estimator: JCTEstimator | None = None
-        if spec.use_fitted_jct:
-            estimator = JCTEstimator.from_latency_model(
-                self._latency, max_input_length,
-                mode=spec.prefill_mode,
-                tensor_parallel=spec.tensor_parallel,
-                pipeline_parallel=spec.pipeline_parallel,
-                chunk_tokens=spec.chunk_tokens,
-            )
         self.scheduler: Scheduler = make_scheduler(
-            spec.scheduling_policy, estimator=estimator, fairness_lambda=spec.fairness_lambda,
+            spec.scheduling_policy, fairness_lambda=spec.fairness_lambda,
         )
         self._waiting: list[EngineRequest] = []
         self._stages = [_Stage(index=i) for i in range(spec.pipeline_parallel)]
@@ -437,8 +421,6 @@ class EngineInstance:
                 # Another in-flight request holds the pool; retry after it finishes.
                 return False
             self._dequeue(engine_request)
-            engine_request.state = RequestState.REJECTED
-            engine_request.rejection_reason = str(exc)
             self._rejected.append(FinishedRequest(
                 request_id=engine_request.request_id,
                 user_id=engine_request.user_id,
@@ -455,7 +437,6 @@ class EngineInstance:
             return True
 
         self._dequeue(engine_request)
-        engine_request.state = RequestState.RUNNING
         engine_request.start_time = now
 
         # §9 extension: a prefix continuation resident below the GPU — in the
@@ -473,7 +454,6 @@ class EngineInstance:
                 engine_request.block_hashes
             )
         total_cached = lease.cached_tokens + offloaded_tokens
-        engine_request.cached_tokens_at_start = total_cached
         uncached = engine_request.num_tokens - total_cached
         stage_times = self._stage_times(uncached, total_cached)
         stage_times[0] += offload_load_time
@@ -481,7 +461,6 @@ class EngineInstance:
             engine_request=engine_request,
             lease=lease,
             stage_times=stage_times,
-            stage_index=0,
             stage_finish_time=now + stage_times[0],
             cached_tokens=total_cached,
         )
@@ -497,8 +476,6 @@ class EngineInstance:
     def _complete_job(self, job: _RunningJob, now: float) -> FinishedRequest:
         engine_request = job.engine_request
         self.kv.finish_execution(job.lease, now=now)
-        engine_request.state = RequestState.FINISHED
-        engine_request.finish_time = now
         record = FinishedRequest(
             request_id=engine_request.request_id,
             user_id=engine_request.user_id,
@@ -565,7 +542,6 @@ class EngineInstance:
                 else:
                     next_stage = self._stages[index + 1]
                     if next_stage.is_free:
-                        job.stage_index = index + 1
                         job.stage_done = False
                         job.stage_finish_time = now + job.stage_times[index + 1]
                         next_stage.job = job
@@ -609,7 +585,6 @@ class EngineInstance:
         for engine_request in self._waiting:
             if engine_request.request_id == request_id:
                 self._dequeue(engine_request)
-                engine_request.state = RequestState.REJECTED
                 return "waiting"
         for stage in self._stages:
             job = stage.job
@@ -618,7 +593,6 @@ class EngineInstance:
             if not job.stage_done:
                 stage.busy_time -= max(job.stage_finish_time - now, 0.0)
             self.kv.finish_execution(job.lease, commit=False, now=now)
-            job.engine_request.state = RequestState.REJECTED
             stage.job = None
             # The caller advances the instance: the freed stage can admit
             # queued work immediately, and completions must flow through the

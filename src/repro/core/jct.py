@@ -9,6 +9,10 @@ tokens* alone is already an excellent proxy (Pearson correlation 0.987 on an
 A100 with Qwen-32B).  This module reproduces both: the profiler sweeps the
 latency model over the grid, the estimator fits the regression, and
 :func:`jct_pearson_correlation` reproduces the correlation measurement.
+
+The SRJF scheduler (:mod:`repro.core.scheduler`) scores requests with the proxy
+alone, :meth:`JCTEstimator.proxy`; the fitted model serves the §6.3
+measurement, not the engine.
 """
 
 from __future__ import annotations
@@ -122,24 +126,6 @@ class JCTEstimator:
         design = np.stack([uncached, cached, np.ones_like(uncached)], axis=1)
         coeffs, *_ = np.linalg.lstsq(design, jcts, rcond=None)
         return cls(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]))
-
-    @classmethod
-    def from_latency_model(cls, latency_model: LatencyModel, max_input_tokens: int, *,
-                           mode: PrefillMode = PrefillMode.HYBRID,
-                           granularity: int = 1000,
-                           tensor_parallel: int = 1,
-                           pipeline_parallel: int = 1,
-                           chunk_tokens: int = 2048) -> "JCTEstimator":
-        """Profile the latency model and fit in one step (the engine startup path)."""
-        profiler = JCTProfiler(
-            latency_model,
-            mode=mode,
-            chunk_tokens=chunk_tokens,
-            tensor_parallel=tensor_parallel,
-            pipeline_parallel=pipeline_parallel,
-        )
-        profile = profiler.profile(max_input_tokens, granularity=granularity)
-        return cls.fit(profile)
 
     def estimate(self, num_input_tokens: int, num_cached_tokens: int) -> float:
         """Estimated JCT in seconds."""

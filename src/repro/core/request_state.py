@@ -2,26 +2,19 @@
 
 An :class:`EngineRequest` wraps a workload :class:`~repro.workloads.trace.Request`
 with everything the engine tracks about it: its block hashes for the prefix
-cache, when it entered the queue, its lifecycle state, and its latest JCT
+cache, when it entered the queue and when it started, and its latest JCT
 calibration (the cached-token count and base score the scheduler last derived
-for it, tagged with the prefix-cache version it was derived against).
+for it, tagged with the prefix-cache version it was derived against).  Where a
+request ended up is not tracked here: the engine's
+:class:`~repro.core.engine.FinishedRequest` records carry the finish time, the
+cached tokens and any rejection reason.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.workloads.trace import Request
-
-
-class RequestState(enum.Enum):
-    """Lifecycle of a request inside an engine instance."""
-
-    WAITING = "waiting"
-    RUNNING = "running"
-    FINISHED = "finished"
-    REJECTED = "rejected"
 
 
 @dataclass(eq=False)
@@ -35,12 +28,8 @@ class EngineRequest:
     request: Request
     block_hashes: tuple[int, ...]
     enqueue_time: float
-    state: RequestState = RequestState.WAITING
     initial_cached_tokens: int = 0
     start_time: float | None = None
-    finish_time: float | None = None
-    cached_tokens_at_start: int = 0
-    rejection_reason: str | None = None
     #: Latest calibration: (prefix-cache version, cached tokens, base score).
     _calibration: tuple[int, int, float] | None = field(default=None, repr=False)
 

@@ -15,6 +15,10 @@ know:
   re-derived against the *current* prefix cache contents, and the score is
   offset by ``-λ · queueing_time`` to prevent starvation.
 
+Both SRJF variants score a request's JCT with the paper's proxy, its number of
+cache-miss tokens (:meth:`~repro.core.jct.JCTEstimator.proxy`), which §6.3
+measures at a 0.987 Pearson correlation with the real JCT.
+
 Continuous calibration is frontier-indexed.  A request whose hash chain
 matches ``m`` cached blocks has two frontier hashes: its last matched block
 ``H[m-1]`` and its first missing block ``H[m]``.  The radix tree evicts only
@@ -109,8 +113,6 @@ class SRJFScheduler(Scheduler):
     from it, so it holds only waiting requests.
 
     Args:
-        estimator: Fitted JCT model.  ``None`` selects the paper's default
-            cache-miss-token proxy (score in tokens).
         fairness_lambda: The λ of Algorithm 1 — score units credited per second
             of queueing time.  Larger values improve worst-case latency at the
             cost of average latency (Figure 11).
@@ -120,12 +122,10 @@ class SRJFScheduler(Scheduler):
             captured at submit time is used forever (traditional SRJF).
     """
 
-    def __init__(self, *, estimator: JCTEstimator | None = None,
-                 fairness_lambda: float = DEFAULT_FAIRNESS_LAMBDA,
+    def __init__(self, *, fairness_lambda: float = DEFAULT_FAIRNESS_LAMBDA,
                  continuous_calibration: bool = True) -> None:
         if fairness_lambda < 0:
             raise SchedulingError("fairness_lambda must be non-negative")
-        self._estimator = estimator
         self._lambda = fairness_lambda
         self._continuous = continuous_calibration
         self.name = "srjf-calibrated" if continuous_calibration else "srjf"
@@ -144,11 +144,6 @@ class SRJFScheduler(Scheduler):
     def continuous_calibration(self) -> bool:
         return self._continuous
 
-    def _base_score(self, num_tokens: int, cached_tokens: int) -> float:
-        if self._estimator is None:
-            return JCTEstimator.proxy(num_tokens, cached_tokens)
-        return self._estimator.estimate(num_tokens, cached_tokens)
-
     def on_submit(self, request: EngineRequest, kv: KVCacheManager, now: float) -> None:
         request.initial_cached_tokens = kv.lookup(request.block_hashes)
 
@@ -166,7 +161,7 @@ class SRJFScheduler(Scheduler):
         scheduler.
         """
         cached = request.initial_cached_tokens
-        return cached, self._base_score(request.num_tokens, cached)
+        return cached, JCTEstimator.proxy(request.num_tokens, cached)
 
     # ------------------------------------------------------- frontier index
 
@@ -196,9 +191,8 @@ class SRJFScheduler(Scheduler):
         A tiered match resolves the whole hierarchy: tokens resident in the
         host or cluster tiers count as cached — they will be streamed, not
         recomputed — and the modelled transfer time is added back to the
-        score (in seconds for the fitted JCT model, in compute-token
-        equivalents for the paper's cache-miss-token proxy), so a
-        host-resident prefix ranks between a GPU hit and a full miss.
+        score in compute-token equivalents, so a host-resident prefix ranks
+        between a GPU hit and a full miss.
         """
         hashes = request.block_hashes
         block_size = kv.block_size
@@ -206,17 +200,13 @@ class SRJFScheduler(Scheduler):
             lookup = kv.lookup_with_tiers(hashes)
             cached = lookup.total_tokens
             matched = lookup.gpu_tokens // block_size
-            score = self._base_score(request.num_tokens, cached)
-            if self._estimator is None:
-                score += lookup.penalty_tokens
-            else:
-                score += lookup.load_seconds
+            score = JCTEstimator.proxy(request.num_tokens, cached) + lookup.penalty_tokens
         else:
             previous = request.last_calibration()
             hint = previous[1] if previous is not None else request.initial_cached_tokens
             cached = kv.lookup_from(hashes, hint // block_size)
             matched = cached // block_size
-            score = self._base_score(request.num_tokens, cached)
+            score = JCTEstimator.proxy(request.num_tokens, cached)
         request.store_calibration(kv.cache_version, cached, score)
         # The L1 frontier H[m-1], the tier continuation, and the first block
         # held in no tier.
@@ -270,26 +260,20 @@ class SRJFScheduler(Scheduler):
         return SchedulerDecision(request=best, score=best_score, cached_tokens=best_cached)
 
 
-def make_scheduler(policy: str, *, estimator: JCTEstimator | None = None,
-                   fairness_lambda: float = DEFAULT_FAIRNESS_LAMBDA) -> Scheduler:
+def make_scheduler(policy: str, *, fairness_lambda: float = DEFAULT_FAIRNESS_LAMBDA) -> Scheduler:
     """Build a scheduler by policy name.
 
     Args:
         policy: ``"fcfs"``, ``"srjf"`` (JCT at arrival time), or
             ``"srjf-calibrated"`` (PrefillOnly's continuous calibration).
-        estimator: Optional fitted JCT model for the SRJF variants.
         fairness_lambda: λ for the SRJF variants.
     """
     if policy == "fcfs":
         return FCFSScheduler()
     if policy == "srjf":
-        return SRJFScheduler(
-            estimator=estimator, fairness_lambda=fairness_lambda, continuous_calibration=False
-        )
+        return SRJFScheduler(fairness_lambda=fairness_lambda, continuous_calibration=False)
     if policy == "srjf-calibrated":
-        return SRJFScheduler(
-            estimator=estimator, fairness_lambda=fairness_lambda, continuous_calibration=True
-        )
+        return SRJFScheduler(fairness_lambda=fairness_lambda, continuous_calibration=True)
     raise SchedulingError(
         f"unknown scheduling policy {policy!r}; expected 'fcfs', 'srjf', or 'srjf-calibrated'"
     )

@@ -96,7 +96,6 @@ class KVCacheManager:
                 f"manager uses {block_size}-token blocks"
             )
         self._block_size = block_size
-        self._capacity_tokens = capacity_tokens
         num_blocks = capacity_tokens // block_size
         self._allocator = BlockAllocator(num_blocks, block_size)
         self._cache = RadixPrefixCache(self._allocator)

@@ -590,7 +590,7 @@ class TieredPrefixStore:
 
     # ---------------------------------------------------------------- drain
 
-    def drain(self, l1_hashes, *, reason: str = "scale-down") -> int:
+    def drain(self, l1_hashes) -> int:
         """Flush a retiring replica's cached prefixes into the cluster store.
 
         Publishes the L1 radix tree's resident hashes (already in

@@ -136,7 +136,6 @@ class NullRecorder:
     enabled = False
     spans = False
     metrics = False
-    now = 0.0
 
     def register_replica(self, key, name):
         pass
@@ -180,10 +179,6 @@ class TraceRecorder:
         self.metrics = self.config.metrics
         self._buckets = self.config.buckets
         self.tenant_slos = dict(tenant_slos or {})
-        #: Last simulated time a hook site reported; demotion events from
-        #: un-timestamped eviction cascades borrow it (see
-        #: ``repro.kvcache.tiers.store``).
-        self.now = 0.0
         self.replica_names: dict[int, str] = {}
         self._events: list = []
         self._seq: dict = {}

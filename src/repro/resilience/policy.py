@@ -190,9 +190,9 @@ class HealthAwareRouter(Router):
     request deflects deterministically to ``allowed[request_id % len(allowed)]``
     among the healthy replicas.  With every breaker open the inner choice
     stands — shedding the whole fleet is the admission layer's call, not the
-    router's.  Replica *keys* (stable across resizes) come from the engine
-    instances the fleet hands :meth:`observe_instances`, so breakers survive
-    index reshuffles when replicas crash or retire.
+    router's.  Replica *keys* (stable when replicas join or leave) come from
+    the engine instances the fleet hands :meth:`observe_instances`, so
+    breakers survive index reshuffles when replicas crash or retire.
     """
 
     def __init__(self, inner: Router, bank: BreakerBank) -> None:
@@ -211,17 +211,14 @@ class HealthAwareRouter(Router):
     def consults_instances(self) -> bool:  # type: ignore[override]
         return True
 
-    def resize(self, num_instances: int) -> None:
-        super().resize(num_instances)
-        self.inner.resize(num_instances)
-
     def observe_instances(self, instances: Sequence) -> None:
+        super().observe_instances(instances)
         self._keys = tuple(instance.obs_key for instance in instances)
         self.inner.observe_instances(instances)
 
     def route(self, request: Request, queue_depths: list[int]) -> int:
         choice = self.inner.route(request, queue_depths)
-        keys = self._keys[: self.num_instances]
+        keys = self._keys
         if keys:
             allowed = [
                 index for index, key in enumerate(keys) if self.bank.allows(key)
@@ -305,14 +302,14 @@ class DegradeController:
 class TrackedRequest:
     """The fleet's per-request policy bookkeeping (one per live request).
 
-    ``primary`` is the (replica key, instance name) currently executing the
-    request; ``hedge`` the duplicate copy, when one is in flight.  Attempts
-    count executions (first submission = 1).
+    ``primary_key`` is the replica currently executing the request;
+    ``hedge_key`` and ``hedge_name`` the replica of the duplicate copy, when
+    one is in flight (the name identifies which copy a completion record
+    came from).  Attempts count executions (first submission = 1).
     """
 
     request: Request
     primary_key: int
-    primary_name: str
     hedge_key: int | None = None
     hedge_name: str | None = None
     attempts: int = 1

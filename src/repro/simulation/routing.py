@@ -8,10 +8,11 @@ least-loaded router is also provided for comparison / ablation, and a
 prefix-affinity router that consults the per-replica prefix trees directly is
 provided for the fleet layer (:mod:`repro.cluster`).
 
-Routers are sized for a fixed number of instances but can be resized by an
-autoscaling fleet through :meth:`Router.resize`; routers that inspect instance
-state additionally receive the live instance list through
-:meth:`Router.observe_instances` whenever the replica set changes.
+A router is built for a number of instances.  A fleet hands it the live
+instance list through :meth:`Router.observe_instances` when the fleet is built
+and whenever its replica set changes; that one hook resizes the router, drops
+per-instance state that points past the new count, and binds the instances
+for routers that inspect their state.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ class Router(abc.ABC):
 
     Args:
         num_instances: Number of routable instances.  Kept current by the
-            owning :class:`~repro.cluster.Fleet`, which calls :meth:`resize`
-            when it is built and on every change of its replica set.
+            owning :class:`~repro.cluster.Fleet`, which calls
+            :meth:`observe_instances` when it is built and on every change of
+            its replica set.
     """
 
     #: Whether :meth:`route` reads ``queue_depths``.  Routers that ignore them
@@ -62,23 +64,18 @@ class Router(abc.ABC):
                 (``len(queue_depths) == num_instances``).
         """
 
-    def resize(self, num_instances: int) -> None:
-        """Adjust the router to a new instance count (fleet scale event).
-
-        Subclasses that keep per-instance state (sticky assignments, bound
-        instances) override this to drop state that points past the new count.
-        """
-        if num_instances <= 0:
-            raise ValueError("num_instances must be positive")
-        self.num_instances = num_instances
-
     def observe_instances(self, instances: Sequence) -> None:
-        """Hook called by a fleet when the replica set changes.
+        """Hook called by a fleet when it is built and when its replica set changes.
 
-        ``instances`` are the live, routable engine instances in index order.
-        The default implementation ignores them; routers that consult instance
-        state (e.g. :class:`PrefixAffinityRouter`) keep a reference.
+        ``instances`` are the live, routable engine instances in index order;
+        the router now has ``len(instances)`` of them.  Subclasses that keep
+        per-instance state (sticky assignments, bound instances) extend this
+        to drop state that points past the new count, and routers that consult
+        instance state (e.g. :class:`PrefixAffinityRouter`) keep a reference.
         """
+        if not instances:
+            raise ValueError("num_instances must be positive")
+        self.num_instances = len(instances)
 
 
 class UserIdRouter(Router):
@@ -100,14 +97,14 @@ class UserIdRouter(Router):
             self._next_instance = (self._next_instance + 1) % self.num_instances
         return self._assignments[user]
 
-    def resize(self, num_instances: int) -> None:
+    def observe_instances(self, instances: Sequence) -> None:
         """Keep in-range user assignments; users on removed instances reassign lazily."""
-        super().resize(num_instances)
+        super().observe_instances(instances)
         self._assignments = {
             user: index for user, index in self._assignments.items()
-            if index < num_instances
+            if index < self.num_instances
         }
-        self._next_instance %= num_instances
+        self._next_instance %= self.num_instances
 
     @property
     def assignments(self) -> dict[str, int]:
@@ -154,16 +151,14 @@ class PrefixAffinityRouter(Router):
         self._next_instance = 0
 
     def observe_instances(self, instances: Sequence) -> None:
-        """Bind the live instance list (called by the fleet on scale events)."""
+        """Bind the live instance list; drop sticky assignments past its end."""
+        super().observe_instances(instances)
         self._instances = tuple(instances)
-
-    def resize(self, num_instances: int) -> None:
-        """Drop sticky assignments that point past the new instance count."""
-        super().resize(num_instances)
         self._sticky = {
-            user: index for user, index in self._sticky.items() if index < num_instances
+            user: index for user, index in self._sticky.items()
+            if index < self.num_instances
         }
-        self._next_instance %= num_instances
+        self._next_instance %= self.num_instances
 
     def _sticky_route(self, user_id: str) -> int:
         index = self._sticky.get(user_id)
@@ -176,7 +171,7 @@ class PrefixAffinityRouter(Router):
     def estimated_hits(self, request: Request) -> list[int]:
         """Per-instance estimate of the request's cached leading tokens."""
         hits: list[int] = []
-        for instance in self._instances[: self.num_instances]:
+        for instance in self._instances:
             block_hashes = request.block_hashes(instance.spec.kv_block_size)
             hits.append(instance.kv.lookup(block_hashes))
         return hits

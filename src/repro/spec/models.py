@@ -593,8 +593,10 @@ class ObservabilitySpec:
         doc="Record the sampled time-series metrics.",
     )
     sample_interval_s: float = spec_field(
-        default=1.0, types=(int, float), minimum=0, exclusive_minimum=True,
-        convert=float, fuzz=(0.25, 5.0),
+        # Bounded below, not just positive: every boundary snapshots every
+        # counter, and an interval like 1e-300 would take forever.
+        default=1.0, types=(int, float), minimum=0.01, convert=float,
+        fuzz=(0.25, 5.0),
         doc="Simulated seconds between metric sample boundaries.",
     )
     latency_buckets: tuple = spec_field(

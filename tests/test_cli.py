@@ -255,12 +255,11 @@ def test_spec_single_model_prints_field_table(capsys):
 
 # ------------------------------------------------------------ obs arguments
 
+#: The obs subcommands that take ``--sample-interval``: their output reads
+#: the samples.
 _OBS_COMMANDS = {
     "export": ["export", "--format", "spans"],
     "summary": ["summary"],
-    "slo": ["slo"],
-    "critical-path": ["critical-path"],
-    "exemplars": ["exemplars"],
     "alerts": ["alerts"],
 }
 
@@ -275,22 +274,50 @@ def test_obs_non_finite_sample_interval_exits_2(command, interval, capsys):
     assert "prefillonly: error: observability.sample_interval_s:" in err
 
 
-@pytest.mark.parametrize("interval", ["0", "-1"])
-def test_obs_non_positive_sample_interval_exits_2_instead_of_hanging(interval):
-    """The sampler never advances at such an interval, so a missing check
-    hangs: run the command in a subprocess with a timeout."""
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a subprocess, so a hang fails on the timeout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
     )
-    completed = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "obs", "summary", "--config",
-         STEADY, "--sample-interval", interval],
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+_INTERVAL_ERROR = ("prefillonly: error: observability.sample_interval_s: "
+                   "sample_interval_s must be at least 0.01")
+
+
+@pytest.mark.parametrize("interval", ["0", "-1", "1e-300"])
+def test_obs_non_positive_sample_interval_exits_2_instead_of_hanging(interval):
+    """The sampler never advances at a zero or negative interval, and at a
+    tiny one it takes forever, so a missing check hangs."""
+    completed = _run_cli("obs", "summary", "--config", STEADY,
+                         "--sample-interval", interval)
     assert completed.returncode == 2
-    assert ("prefillonly: error: observability.sample_interval_s: "
-            "sample_interval_s must be greater than 0") in completed.stderr
+    assert _INTERVAL_ERROR in completed.stderr
+
+
+def test_scenario_config_with_a_tiny_sample_interval_exits_2(tmp_path):
+    config = json.loads(Path(STEADY).read_text())
+    config["observability"] = {"enabled": True, "sample_interval_s": 1e-300}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    completed = _run_cli("scenario", "run", "--config", str(path))
+    assert completed.returncode == 2
+    assert _INTERVAL_ERROR in completed.stderr
+
+
+@pytest.mark.parametrize("interval", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["slo", "critical-path", "exemplars"])
+def test_obs_commands_without_samples_reject_sample_interval(command, interval, capsys):
+    """These print no samples, so they take no ``--sample-interval`` at all."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["obs", command, "--config", STEADY, "--sample-interval", interval])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --sample-interval" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["critical-path", "exemplars"])

@@ -162,7 +162,8 @@ def test_slow_window_ends_on_a_draining_replica(h100_setup, small_post_trace):
     for request in list(by_user.values())[:2]:
         fleet.submit(request, 1.0)
     fleet.scale_down(2.0)
-    assert draining.draining and draining.instance.slowdown == 3.0
+    assert draining.instance not in fleet.replicas
+    assert draining.instance.slowdown == 3.0
     assert fleet.apply_fault(FaultEvent(time=3.0, kind="slow-end", replica=1), 3.0)
     assert draining.instance.slowdown == 1.0
 

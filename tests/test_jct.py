@@ -44,7 +44,9 @@ def test_estimator_estimates_are_monotone_in_uncached_tokens(profile):
 
 
 def test_estimator_from_latency_model(latency_model):
-    estimator = JCTEstimator.from_latency_model(latency_model, 20_000, granularity=2_000)
+    estimator = JCTEstimator.fit(
+        JCTProfiler(latency_model).profile(20_000, granularity=2_000)
+    )
     direct = latency_model.prefill_time(10_000, mode=PrefillMode.HYBRID).total
     assert estimator.estimate(10_000, 0) == pytest.approx(direct, rel=0.15)
 

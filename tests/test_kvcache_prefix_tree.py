@@ -180,3 +180,47 @@ def test_an_insert_short_of_k_blocks_evicts_them_in_one_pass():
     # and still stamped t=1, then the next-oldest chain's leaf (t=2), handed
     # to the hook in one call for the one pass.
     assert victims == [(chains[0][1], chains[0][0], chains[1][1])]
+
+
+def test_reinserting_a_cached_chain_stamps_its_deepest_block():
+    cache, allocator = make_cache(num_blocks=3)
+    old = hashes(list(range(2 * BLOCK)))
+    other = hashes(list(range(100, 100 + BLOCK)))
+    cache.insert(old, now=0.0)
+    cache.insert(other, now=1.0)
+    # Nothing to allocate, but the chain's deepest block is used again.
+    assert cache.insert(old, now=2.0) == 2
+    assert allocator.num_free_blocks == 0
+    cache.insert(hashes(list(range(200, 200 + BLOCK))), now=3.0)
+    # The re-stamped chain outlives the block last used at t=1.
+    assert cache.match_length(old) == 2
+    assert cache.match_length(other) == 0
+
+
+def test_a_pinned_frontier_keeps_its_ancestors_unevictable():
+    cache, _ = make_cache()
+    chain = hashes(list(range(3 * BLOCK)))
+    other = hashes(list(range(100, 100 + BLOCK)))
+    cache.insert(chain)
+    cache.insert(other)
+    frontier = cache.pin_prefix(chain, 3)
+    # Only the other chain's block can go: evicting the pinned frontier's
+    # ancestors would orphan it.
+    assert cache.num_evictable_blocks == 1
+    cache.unpin(frontier)
+    assert cache.num_evictable_blocks == 4
+
+
+def test_a_leaf_touched_after_its_heap_entry_is_evicted_by_its_new_stamp():
+    cache, _ = make_cache(num_blocks=3)
+    first, second, third = (
+        hashes(list(range(start, start + BLOCK))) for start in (0, 100, 200)
+    )
+    cache.insert(first, now=0.0)
+    cache.insert(second, now=1.0)
+    cache.insert(third, now=2.0)
+    # The match moves `first` past `second`, leaving its heap entry keyed t=0.
+    cache.match(first, now=3.0)
+    cache.insert(hashes(list(range(300, 300 + BLOCK))), now=4.0)
+    assert cache.match_length(first) == 1
+    assert cache.match_length(second) == 0

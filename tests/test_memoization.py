@@ -206,7 +206,7 @@ def test_simulation_results_identical_with_memo_on_and_off(h100_setup, small_pos
 
 def test_tiered_chaos_fleet_identical_with_memo_on_and_off(h100_setup, small_post_trace,
                                                           uncached):
-    """Fitted-JCT replicas over the tiered prefix cache, under every fault kind."""
+    """Replicas over the tiered prefix cache, under every fault kind."""
     from repro.cluster import Fleet
     from repro.core.engine import prefillonly_engine_spec
     from repro.faults import fault_schedule_from_dict
@@ -228,7 +228,7 @@ def test_tiered_chaos_fleet_identical_with_memo_on_and_off(h100_setup, small_pos
 
     def run():
         fleet = Fleet.for_setup(
-            prefillonly_engine_spec().with_overrides(use_fitted_jct=True), h100_setup,
+            prefillonly_engine_spec(), h100_setup,
             max_input_length=small_post_trace.max_request_tokens, num_replicas=4,
             tier_config=tier_config_from_dict({"enabled": True, "tiers": {
                 "host": {"capacity_gib": 2.0}, "cluster": {"capacity_gib": 8.0},

@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
@@ -297,6 +297,10 @@ def test_hedge_delay_needs_samples_and_respects_floor():
 
 
 @settings.get_profile("fuzz-run")
+# Wraps the window with ties and fractional positions on both sides of 0.5,
+# in every run, not only in the runs that draw such a case.
+@example(count=HEDGE_SAMPLE_WINDOW + 100, seed=0, distinct=7, percentile=95.0)
+@example(count=HEDGE_SAMPLE_WINDOW + 100, seed=1, distinct=0, percentile=90.0)
 @given(count=st.integers(1, 3 * HEDGE_SAMPLE_WINDOW // 2 + 200),
        seed=st.integers(0, 2**32 - 1),
        distinct=st.sampled_from([0, 2, 7, 60]),

@@ -38,19 +38,13 @@ from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
 BLOCK = 16
 
-#: A fitted-model stand-in: seconds per uncached and per cached token, plus a floor.
-ESTIMATOR = JCTEstimator(1e-4, 2e-6, 0.01)
 
-
-def reference_select(queue, kv, now, fairness, estimator):
+def reference_select(queue, kv, now, fairness):
     """Brute force: a fresh root lookup for every waiting request."""
     best = None
     for request in queue:
         cached = kv.lookup(request.block_hashes)
-        if estimator is None:
-            base = JCTEstimator.proxy(request.num_tokens, cached)
-        else:
-            base = estimator.estimate(request.num_tokens, cached)
+        base = JCTEstimator.proxy(request.num_tokens, cached)
         score = base - fairness * request.queueing_time(now)
         if best is None or (score, request.request_id) < (best[1], best[0].request_id):
             best = (request, score, cached)
@@ -112,12 +106,11 @@ ops = st.lists(
 @settings.get_profile("oracle-run")
 @given(ops=ops, capacity_blocks=st.integers(3, 10),
        fairness=st.sampled_from([0.0, 500.0, 2.5]),
-       estimator=st.sampled_from([None, ESTIMATOR]),
        reserve_full_kv=st.booleans())
-def test_select_matches_brute_force_reference(ops, capacity_blocks, fairness, estimator,
+def test_select_matches_brute_force_reference(ops, capacity_blocks, fairness,
                                               reserve_full_kv):
     kv = KVCacheManager(capacity_blocks * BLOCK, block_size=BLOCK)
-    scheduler = SRJFScheduler(estimator=estimator, fairness_lambda=fairness)
+    scheduler = SRJFScheduler(fairness_lambda=fairness)
     queue: list[EngineRequest] = []
     running = []
     now = 0.0
@@ -141,7 +134,7 @@ def test_select_matches_brute_force_reference(ops, capacity_blocks, fairness, es
             queue.append(request)
         elif kind == "select":
             decision = scheduler.select(queue, kv, now)
-            expected = reference_select(queue, kv, now, fairness, estimator)
+            expected = reference_select(queue, kv, now, fairness)
             if expected is None:
                 assert decision is None
                 continue
@@ -253,16 +246,12 @@ CLUSTER_LINK = Interconnect(name="oracle-cluster", bandwidth=5e7, latency=5e-3)
 REPLICAS = ("a", "b")
 
 
-def tier_reference(request, kv, now, fairness, estimator):
+def tier_reference(request, kv, now, fairness):
     """(score, cached tokens, base score) from a fresh tiered lookup."""
     lookup = kv.lookup_with_tiers(request.block_hashes)
     cached = lookup.total_tokens
-    if estimator is None:
-        base = JCTEstimator.proxy(request.num_tokens, cached)
-        base += lookup.penalty_tokens
-    else:
-        base = estimator.estimate(request.num_tokens, cached)
-        base += lookup.load_seconds
+    base = JCTEstimator.proxy(request.num_tokens, cached)
+    base += lookup.penalty_tokens
     return base - fairness * request.queueing_time(now), cached, base
 
 
@@ -324,19 +313,16 @@ tier_ops = st.lists(
        host_blocks=st.sampled_from([0, 3, 6, 12]),
        cluster_blocks=st.sampled_from([0, 0, 7, 14, 32]),
        promotion=st.sampled_from(["never", "never", "on-nth-hit", "always"]),
-       fairness=st.sampled_from([0.0, 500.0, 2.5]),
-       estimator=st.sampled_from([None, ESTIMATOR]))
+       fairness=st.sampled_from([0.0, 500.0, 2.5]))
 def test_tiered_select_matches_brute_force_reference(ops, capacity_blocks, host_blocks,
-                                                     cluster_blocks, promotion, fairness,
-                                                     estimator):
+                                                     cluster_blocks, promotion, fairness):
     cluster = None
     if cluster_blocks:
         cluster = ClusterPrefixStore(capacity_bytes=cluster_blocks * BLOCK_BYTES,
                                      block_bytes=BLOCK_BYTES, link=CLUSTER_LINK)
     kvs = [tiered_replica(name, capacity_blocks, host_blocks, cluster, promotion)
            for name in REPLICAS]
-    schedulers = [SRJFScheduler(estimator=estimator, fairness_lambda=fairness)
-                  for _ in REPLICAS]
+    schedulers = [SRJFScheduler(fairness_lambda=fairness) for _ in REPLICAS]
     queues: list[list[EngineRequest]] = [[] for _ in REPLICAS]
     running: list[list] = [[] for _ in REPLICAS]
     now = 0.0
@@ -386,7 +372,7 @@ def test_tiered_select_matches_brute_force_reference(ops, capacity_blocks, host_
                 assert decision is None
                 continue
             # Brute force: a fresh lookup_with_tiers for every waiting request.
-            expected = [tier_reference(request, kv, now, fairness, estimator)
+            expected = [tier_reference(request, kv, now, fairness)
                         for request in queue]
             best = min(range(len(queue)),
                        key=lambda i: (expected[i][0], queue[i].request_id))

@@ -51,7 +51,7 @@ def test_user_id_router_resize_drops_out_of_range_assignments():
     router = UserIdRouter(num_instances=3)
     for index in range(3):
         router.route(make_request(index, f"user-{index}"), [0, 0, 0])
-    router.resize(2)
+    router.observe_instances([object(), object()])
     assert router.assignments == {"user-0": 0, "user-1": 1}
     # The dropped user reassigns round-robin within the new range.
     assert router.route(make_request(9, "user-2"), [0, 0]) < 2

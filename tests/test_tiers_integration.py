@@ -202,6 +202,7 @@ def test_autoscaled_replica_joins_shared_cluster_store(h100_setup, tiny_trace):
 def test_srjf_calibration_credits_tier_resident_prefixes(h100_setup, tiny_trace):
     """A host-resident prefix must rank between a GPU hit and a full miss."""
     from repro.core.engine import EngineInstance
+    from repro.core.jct import JCTEstimator
     from repro.core.request_state import EngineRequest
 
     spec = prefillonly_engine_spec().with_overrides(kv_capacity_tokens=2048)
@@ -242,7 +243,7 @@ def test_srjf_calibration_credits_tier_resident_prefixes(h100_setup, tiny_trace)
     # Tier-resident prefix -> strictly better (lower) score than a full miss,
     # but worse than if the same tokens sat on the GPU (the transfer penalty).
     assert seen_score < miss_score
-    pure_gpu_score = scheduler._base_score(first.num_tokens, cached)
+    pure_gpu_score = JCTEstimator.proxy(first.num_tokens, cached)
     assert seen_score > pure_gpu_score
 
 
