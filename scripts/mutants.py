@@ -4,7 +4,8 @@
 ``make mutants`` entry point.  The mutants break the KV layer, the tier
 change feeds the SRJF scheduler's frontier index reads, the batched demotion
 cascade and its batch span recording, the hedge policy's sorted latency
-window, and the router's replica-set hook.  A mutant is one or more exact
+window, the router's replica-set hook, and the decoupled shard engine's
+pre-routing and replica names.  A mutant is one or more exact
 source-text replacements in a module under ``src/``.  For the unmutated tree
 and then for each mutant, the script copies ``src/``, ``tests/`` and the
 cookbook scenarios (``examples/scenarios/``, which the KV-invariant and
@@ -43,6 +44,7 @@ RECORDER = "src/repro/obs/recorder.py"
 SCHEDULER = "src/repro/core/scheduler.py"
 HEDGE = "src/repro/resilience/policy.py"
 ROUTING = "src/repro/simulation/routing.py"
+SHARDED = "src/repro/simulation/sharded.py"
 SCENARIOS = "examples/scenarios"
 
 #: The tests every mutant must fail.
@@ -59,6 +61,8 @@ TESTS = (
     "tests/test_resilience.py",
     "tests/test_tier_cascade_oracle.py",
     "tests/test_obs_export_digests.py",
+    "tests/test_sharded_identity.py::test_decoupled_parallel_matches_unsharded",
+    "tests/test_sharded_identity.py::test_lockstep_mode_matches_parallel_mode",
 )
 
 
@@ -255,6 +259,15 @@ MUTANTS = (
         ("            if node.block.last_access != last_access:\n"
          "                heapq.heappush(heap, (node.block.last_access, node.seq, node))\n"
          "                continue\n", ""),
+    )),
+    # A shard's sub-fleet routes every arrival to its first replica.
+    Mutant("shard-ignores-pre-route", SHARDED, (
+        ("        return self._routes[request.request_id]\n",
+         "        return 0\n"),
+    )),
+    # A shard's replicas keep the sub-fleet's local names.
+    Mutant("shard-keeps-local-names", SHARDED, (
+        ("            instance.name = name\n", "            pass\n"),
     )),
 )
 

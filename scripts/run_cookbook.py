@@ -4,8 +4,10 @@
 Extracts each ``python -m repro.cli ...`` line from the fenced code blocks of
 ``docs/SCENARIOS.md`` and executes it from the repository root with
 ``PYTHONPATH=src``, in file order (so a ``scenario run --record`` precedes the
-``scenario replay`` that consumes its trace).  Any non-zero exit fails the
-whole run — a cookbook example that stops working fails CI, not a reader.
+``scenario replay`` that consumes its trace).  The cookbook's ``/tmp/`` paths
+are rewritten into one temporary directory per run, so two concurrent runs
+share no file.  Any non-zero exit fails the whole run — a cookbook example
+that stops working fails CI, not a reader.
 
 Run with::
 
@@ -19,6 +21,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -64,17 +67,19 @@ def main() -> int:
     env["PYTHONPATH"] = "src" + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    for index, command in enumerate(commands, start=1):
-        logger.info("[%d/%d] %s", index, len(commands), command)
-        completed = subprocess.run(
-            command, shell=True, cwd=REPO_ROOT, env=env,
-            capture_output=not args.verbose, text=True,
-        )
-        if completed.returncode != 0:
-            logger.error("FAILED (exit %d): %s", completed.returncode, command)
-            if not args.verbose and completed.stderr:
-                print(completed.stderr, file=sys.stderr)
-            return 1
+    with tempfile.TemporaryDirectory(prefix="cookbook-") as scratch:
+        for index, command in enumerate(commands, start=1):
+            command = command.replace("/tmp/", f"{scratch}/")
+            logger.info("[%d/%d] %s", index, len(commands), command)
+            completed = subprocess.run(
+                command, shell=True, cwd=REPO_ROOT, env=env,
+                capture_output=not args.verbose, text=True,
+            )
+            if completed.returncode != 0:
+                logger.error("FAILED (exit %d): %s", completed.returncode, command)
+                if not args.verbose and completed.stderr:
+                    print(completed.stderr, file=sys.stderr)
+                return 1
     print(f"run-cookbook: OK ({len(commands)} command(s) ran)")
     return 0
 

@@ -39,6 +39,7 @@ from repro.faults import DEFAULT_WARM_RESTORE_BLOCKS, FaultEvent, ResilienceCoun
 from repro.hardware.cluster import HardwareSetup
 from repro.hardware.gpu import GPUSpec
 from repro.hardware.interconnect import Interconnect
+from repro.kvcache.manager import CacheStats
 from repro.kvcache.tiers import ClusterPrefixStore, build_cluster_store
 from repro.model.config import ModelConfig, get_model
 from repro.obs.recorder import GLOBAL_KEY, NULL_RECORDER
@@ -92,8 +93,6 @@ class FleetStats:
     """Counters the fleet accumulates while serving."""
 
     num_submitted: int = 0
-    num_routed: int = 0
-    num_shed: int = 0
     num_scale_ups: int = 0
     num_scale_downs: int = 0
     peak_replicas: int = 0
@@ -397,7 +396,6 @@ class Fleet:
         if self.admission is not None:
             decision = self.admission.admit(request, depths, now)
             if not decision.admitted:
-                self.stats.num_shed += 1
                 self._shed.append(self._rejection_record(
                     request, arrival_time=arrival_time, now=now,
                     reason=f"{shed_reason_prefix}{decision.reason}",
@@ -426,7 +424,6 @@ class Fleet:
                 request.block_hashes(state.instance.spec.kv_block_size), now=now
             )
         accepted = state.instance.submit(request, enqueue_time)
-        self.stats.num_routed += 1
         if self.policies is not None:
             if accepted:
                 self._policy_track(request, state, now)
@@ -778,7 +775,6 @@ class Fleet:
     def _record_unserved(self, request: Request, now: float, *,
                          arrival_time: float) -> None:
         self.resilience.num_unserved += 1
-        self.stats.num_shed += 1
         self._shed.append(self._rejection_record(
             request, arrival_time=arrival_time, now=now,
             reason="no active replicas (fleet-wide crash)",
@@ -845,7 +841,6 @@ class Fleet:
             f"{shed_reason_prefix}degraded: low-priority tenant {tenant!r} shed"
         )
         self.resilience.num_degrade_sheds += 1
-        self.stats.num_shed += 1
         self._shed.append(self._rejection_record(
             request, arrival_time=arrival_time, now=now, reason=reason,
         ))
@@ -1202,25 +1197,10 @@ class Fleet:
 
     def cache_stats(self) -> list[dict]:
         """Per-replica prefix-cache statistics (including retired replicas)."""
-        stats = []
-        for state in self._all_states():
-            cache = state.instance.kv.stats()
-            entry = {
-                "instance": state.instance.name,
-                "requests": cache.requests,
-                "request_hit_rate": round(cache.request_hit_rate, 3),
-                "token_hit_rate": round(cache.token_hit_rate, 3),
-            }
-            if cache.tier_stats is not None:
-                total = max(cache.tokens_total, 1)
-                entry["host_hit_rate"] = round(
-                    cache.tier_stats["tokens_hit_host"] / total, 3
-                )
-                entry["cluster_hit_rate"] = round(
-                    cache.tier_stats["tokens_hit_cluster"] / total, 3
-                )
-            stats.append(entry)
-        return stats
+        return [
+            cache_row(state.instance.name, state.instance.kv.stats())
+            for state in self._all_states()
+        ]
 
     def tier_summary(self):
         """Aggregate per-tier hit / transfer accounting for the whole run.
@@ -1251,24 +1231,53 @@ class Fleet:
         reports: list[dict] = []
         for state in self._all_states():
             until = state.retired_at if state.retired_at is not None else end_time
-            active_seconds = max(until - state.created_at, 0.0)
-            cache = state.instance.kv.stats()
-            report = {
-                "replica": state.instance.name,
-                "finished": len(state.instance.finished_requests),
-                "busy_s": round(state.instance.busy_time, 3),
-                "active_s": round(active_seconds, 3),
-                "utilization": (
-                    min(state.instance.busy_time / active_seconds, 1.0)
-                    if active_seconds > 0 else 0.0
-                ),
-                "request_hit_rate": cache.request_hit_rate,
-                "token_hit_rate": cache.token_hit_rate,
-                "retired": state.retired_at is not None,
-            }
-            if cache.offload_stats is not None:
-                report["offload_stored"] = cache.offload_stats["stored_blocks"]
-                report["offload_loaded"] = cache.offload_stats["loaded_blocks"]
-                report["offload_evicted"] = cache.offload_stats["evicted_blocks"]
-            reports.append(report)
+            instance = state.instance
+            reports.append(replica_report(
+                instance.name, len(instance.finished_requests),
+                instance.busy_time, max(until - state.created_at, 0.0),
+                instance.kv.stats(),
+            ))
         return reports
+
+
+# ------------------------------------------------------------ report rows
+
+
+def cache_row(name: str, cache: CacheStats) -> dict:
+    """One replica's row of :meth:`Fleet.cache_stats`."""
+    row = {
+        "instance": name,
+        "requests": cache.requests,
+        "request_hit_rate": round(cache.request_hit_rate, 3),
+        "token_hit_rate": round(cache.token_hit_rate, 3),
+    }
+    if cache.tier_stats is not None:
+        total = max(cache.tokens_total, 1)
+        row["host_hit_rate"] = round(cache.tier_stats["tokens_hit_host"] / total, 3)
+        row["cluster_hit_rate"] = round(
+            cache.tier_stats["tokens_hit_cluster"] / total, 3
+        )
+    return row
+
+
+def replica_report(name: str, finished: int, busy_seconds: float,
+                   active_seconds: float, cache: CacheStats) -> dict:
+    """One replica's row of :meth:`Fleet.replica_reports`.
+
+    Carries what :func:`~repro.simulation.metrics.summarize_fleet` reads:
+    the name, finished count, busy-time utilisation over the replica's
+    active window, token hit rate and, with an offload store, its counters.
+    """
+    report = {
+        "replica": name,
+        "finished": finished,
+        "utilization": (
+            min(busy_seconds / active_seconds, 1.0) if active_seconds > 0 else 0.0
+        ),
+        "token_hit_rate": cache.token_hit_rate,
+    }
+    if cache.offload_stats is not None:
+        report["offload_stored"] = cache.offload_stats["stored_blocks"]
+        report["offload_loaded"] = cache.offload_stats["loaded_blocks"]
+        report["offload_evicted"] = cache.offload_stats["evicted_blocks"]
+    return report

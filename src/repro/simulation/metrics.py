@@ -451,9 +451,9 @@ def summarize_fleet(replica_reports: list[dict], *,
     """Summarise per-replica report rows into a :class:`FleetSummary`.
 
     Args:
-        replica_reports: Rows as produced by
-            :meth:`repro.cluster.fleet.Fleet.replica_reports` (one per replica
-            the fleet ever ran, including retired ones).  Rows carrying
+        replica_reports: Rows built by
+            :func:`repro.cluster.fleet.replica_report` (one per replica the
+            fleet ever ran, including retired ones).  Rows carrying
             ``offload_stored`` / ``offload_loaded`` / ``offload_evicted``
             counters aggregate into the summary's ``offload`` view.
         scale_events: Scale-event dict rows in time order.

@@ -13,11 +13,15 @@ decisions as the unsharded loop), partitions replicas across shards by
 :meth:`ShardPlan.owner`, and each shard replays its substream in its own
 :class:`ShardEngine` — optionally in a worker process pool
 (:class:`~repro.perf.runner.ParallelRunner`, with its serial in-process
-fallback).  Per-replica event trajectories are identical to the unsharded
-loop because replicas in a decoupled fleet never interact; results are merged
-back in replica-key order, which is exactly the fleet's ``_all_states()``
-results order, so even float summaries (order-sensitive ``np.mean``
-reductions) match bit-for-bit (pinned by ``tests/test_sharded_identity.py``).
+fallback).  A shard engine has no loop of its own: it runs
+:func:`~repro.simulation.simulator.run_event_loop`, the simulator's one event
+merge, on a sub-fleet of the shard's replicas whose router replays the
+coordinator's decisions.  Per-replica event trajectories are identical to the
+unsharded loop because replicas in a decoupled fleet never interact; results
+are merged back in replica-key order, which is exactly the fleet's
+``_all_states()`` results order, so even float summaries (order-sensitive
+``np.mean`` reductions) match bit-for-bit (pinned by
+``tests/test_sharded_identity.py``).
 
 A fleet that fails :func:`fleet_is_decoupled` runs the ordinary fleet loop
 unchanged — the ``"lockstep"`` mode of :func:`resolve_shard_mode` — and the
@@ -37,13 +41,16 @@ Determinism contract (see ``docs/SHARDING.md``):
 
 from __future__ import annotations
 
-import math
+import os
 from dataclasses import dataclass, field
 
+from repro.cluster.fleet import Fleet, cache_row, replica_report
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.logging import set_context
 from repro.perf.runner import ParallelRunner, derive_task_seeds
-from repro.simulation.events import EventQueue
+from repro.simulation.metrics import summarize_finished, summarize_fleet
+from repro.simulation.routing import Router
+from repro.simulation.simulator import FleetSimulationResult, run_event_loop
 
 __all__ = [
     "ShardPlan",
@@ -134,7 +141,6 @@ class _ShardTask:
     """Everything one shard needs to replay its substream in a worker process."""
 
     shard_id: int
-    seed: int
     #: ``(key, instance name, ReplicaSpec)`` of the shard's replicas.
     replicas: tuple
     model: object
@@ -145,103 +151,74 @@ class _ShardTask:
     max_events: int
 
 
-class ShardEngine:
-    """One shard's event loop: the per-replica slice of the fleet loop.
+class _PreRoutedRouter(Router):
+    """Replays the coordinator's routing decisions inside one shard.
 
-    Rebuilds the shard's replicas (byte-identical construction to
-    ``Fleet._build_replica`` on a decoupled fleet — same specs, same names,
-    no tiers) and replays the pre-routed arrival substream with the same
-    two-source merge as the unsharded loop: arrival versus earliest internal
-    event, arrival winning ties, due replicas drained in ``(time, key)``
-    order.  Each replica's call sequence — ``submit`` at its arrival times,
-    ``advance_to`` at its own due times — is exactly what the unsharded loop
-    produces, because decoupled replicas never react to each other's events.
+    Maps each request id (unique within a run) to the local index of the
+    replica the coordinator routed it to, so the shard's sub-fleet routes
+    without reading queue depths or replica state.
+    """
+
+    needs_queue_depths = False
+    consults_instances = False
+
+    def __init__(self, num_instances: int, routes: dict[int, int]) -> None:
+        super().__init__(num_instances)
+        self._routes = routes
+
+    def route(self, request, queue_depths: list[int]) -> int:
+        return self._routes[request.request_id]
+
+
+# `__init__` and `run` keep their names: the benchmark's tracer wraps them.
+class ShardEngine:
+    """One shard: the fleet event loop on a sub-fleet of the shard's replicas.
+
+    Rebuilds the shard's replicas as a :class:`~repro.cluster.fleet.Fleet`
+    of their specs (byte-identical construction to the coordinator's
+    decoupled fleet — same specs, no tiers, no recorder), renames each to
+    its coordinator name, and replays the pre-routed arrival substream with
+    :func:`~repro.simulation.simulator.run_event_loop`.  Each replica's call
+    sequence — ``submit`` at its arrival times, ``advance_to`` at its own
+    due times — is exactly what the unsharded loop produces, because
+    decoupled replicas never react to each other's events.
     """
 
     def __init__(self, task: _ShardTask) -> None:
-        from repro.core.engine import EngineInstance
-
         self.task = task
-        self.instances = {}
-        self.queue = EventQueue()
-        for key, name, spec in task.replicas:
-            instance = EngineInstance(
-                spec.engine, task.model, spec.gpu,
-                interconnect=spec.interconnect,
-                max_input_length=task.max_input_length,
-                name=name,
-            )
-            self.instances[key] = instance
-            self.queue.update(key, instance.next_event_time())
+        local = {key: index for index, (key, _, _) in enumerate(task.replicas)}
+        self.fleet = Fleet(
+            [spec for _, _, spec in task.replicas], task.model,
+            max_input_length=task.max_input_length,
+            router=_PreRoutedRouter(len(task.replicas), {
+                request.request_id: local[key] for key, request in task.arrivals
+            }),
+        )
+        # A decoupled fleet has no tier store, recorder or policy, so nothing
+        # has read a replica's name before its first record.
+        for (_, name, _), instance in zip(task.replicas, self.fleet.replicas):
+            instance.name = name
 
     def run(self) -> dict:
-        """Drain the shard; return the picklable per-replica payload."""
+        """Drain the shard; return the picklable per-replica payload.
+
+        ``replicas`` holds ``(key, finished, rejected, busy_time, kv stats)``
+        per replica, in the shard's key order.
+        """
         task = self.task
-        arrivals = task.arrivals
-        arrival_index = 0
-        now = 0.0
-        events = 0
-
-        while True:
-            next_arrival = (
-                arrivals[arrival_index][1].arrival_time
-                if arrival_index < len(arrivals) else math.inf
-            )
-            next_internal = self.queue.next_time()
-            next_internal = math.inf if next_internal is None else next_internal
-
-            if math.isinf(next_arrival) and math.isinf(next_internal):
-                break
-
-            now = min(next_arrival, next_internal)
-            if now > task.max_simulated_seconds:
-                raise SimulationError(
-                    f"fleet simulation exceeded {task.max_simulated_seconds} "
-                    "simulated seconds"
-                )
-
-            if next_arrival <= next_internal:
-                key, request = arrivals[arrival_index]
-                arrival_index += 1
-                instance = self.instances[key]
-                instance.submit(request, now)
-                instance.advance_to(now)
-                self.queue.update(key, instance.next_event_time())
-                events += 1
-            else:
-                due = self.queue.pop_due(now)
-                for key in due:
-                    instance = self.instances[key]
-                    instance.advance_to(now)
-                    self.queue.update(key, instance.next_event_time())
-                events += max(len(due), 1)
-
-            if events > task.max_events:
-                raise SimulationError(
-                    f"fleet simulation exceeded {task.max_events} events"
-                )
-
-        replicas = []
-        for key, name, _spec in task.replicas:
-            instance = self.instances[key]
-            cache = instance.kv.stats()
-            replicas.append({
-                "key": key,
-                "name": name,
-                "finished": instance.finished_requests,
-                "rejected": instance.rejected_requests,
-                "busy_time": instance.busy_time,
-                "cache_requests": cache.requests,
-                "request_hit_rate": cache.request_hit_rate,
-                "token_hit_rate": cache.token_hit_rate,
-                "offload_stats": cache.offload_stats,
-            })
+        events, end_time = run_event_loop(
+            self.fleet, [request for _, request in task.arrivals],
+            max_simulated_seconds=task.max_simulated_seconds,
+            max_events=task.max_events,
+        )
         return {
-            "shard_id": task.shard_id,
-            "seed": task.seed,
             "events": events,
-            "end_time": now,
-            "replicas": replicas,
+            "end_time": end_time,
+            "replicas": [
+                (key, instance.finished_requests, instance.rejected_requests,
+                 instance.busy_time, instance.kv.stats())
+                for (key, _, _), instance in zip(task.replicas, self.fleet.replicas)
+            ],
         }
 
 
@@ -274,11 +251,6 @@ def simulate_fleet_decoupled(fleet, requests, plan: ShardPlan, *,
     ``<= 1`` runs the shard engines serially in-process (identical results —
     the property ``tests/test_sharded_identity.py`` pins).
     """
-    import os
-
-    from repro.simulation.metrics import summarize_finished, summarize_fleet
-    from repro.simulation.simulator import FleetSimulationResult
-
     pending = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
     manifest = fleet.shard_manifest()
 
@@ -291,7 +263,6 @@ def simulate_fleet_decoupled(fleet, requests, plan: ShardPlan, *,
         key = keys[fleet.router.route(request, [])]
         shard_arrivals[plan.owner(key)].append((key, request))
     fleet.stats.num_submitted += len(pending)
-    fleet.stats.num_routed += len(pending)
 
     tasks = []
     for shard_id in range(plan.num_shards):
@@ -302,7 +273,6 @@ def simulate_fleet_decoupled(fleet, requests, plan: ShardPlan, *,
             continue
         tasks.append(_ShardTask(
             shard_id=shard_id,
-            seed=plan.shard_seeds[shard_id],
             replicas=replicas,
             model=fleet.model,
             max_input_length=fleet.max_input_length,
@@ -316,47 +286,26 @@ def simulate_fleet_decoupled(fleet, requests, plan: ShardPlan, *,
     runner = ParallelRunner(max_workers=shard_workers)
     payloads = runner.map(_run_shard, tasks)
 
-    # Merge in replica-key order — the fleet's `_all_states()` results order,
-    # so concatenated lists (and the order-sensitive float reductions over
-    # them) are bit-identical to the unsharded run.
-    rows = sorted(
-        (row for payload in payloads for row in payload["replicas"]),
-        key=lambda row: row["key"],
-    )
-    finished = [record for row in rows for record in row["finished"]]
-    rejected = [record for row in rows for record in row["rejected"]]
     events = sum(payload["events"] for payload in payloads)
     end_time = max((payload["end_time"] for payload in payloads), default=0.0)
     if events > max_events:
         raise SimulationError(f"fleet simulation exceeded {max_events} events")
 
-    cache_stats = [
-        {
-            "instance": row["name"],
-            "requests": row["cache_requests"],
-            "request_hit_rate": round(row["request_hit_rate"], 3),
-            "token_hit_rate": round(row["token_hit_rate"], 3),
-        }
-        for row in rows
-    ]
+    # Merge in manifest order — replica-key order, the fleet's
+    # `_all_states()` results order, so concatenated lists (and the
+    # order-sensitive float reductions over them) are bit-identical to the
+    # unsharded run.
+    rows = {row[0]: row for payload in payloads for row in payload["replicas"]}
+    finished = []
+    rejected = []
+    cache_stats = []
     reports = []
-    for row in rows:
-        busy = row["busy_time"]
-        report = {
-            "replica": row["name"],
-            "finished": len(row["finished"]),
-            "busy_s": round(busy, 3),
-            "active_s": round(end_time, 3),
-            "utilization": min(busy / end_time, 1.0) if end_time > 0 else 0.0,
-            "request_hit_rate": row["request_hit_rate"],
-            "token_hit_rate": row["token_hit_rate"],
-            "retired": False,
-        }
-        if row["offload_stats"] is not None:
-            report["offload_stored"] = row["offload_stats"]["stored_blocks"]
-            report["offload_loaded"] = row["offload_stats"]["loaded_blocks"]
-            report["offload_evicted"] = row["offload_stats"]["evicted_blocks"]
-        reports.append(report)
+    for key, name, _ in manifest:
+        _, done, refused, busy_time, cache = rows[key]
+        finished.extend(done)
+        rejected.extend(refused)
+        cache_stats.append(cache_row(name, cache))
+        reports.append(replica_report(name, len(done), busy_time, end_time, cache))
 
     summary = summarize_finished(finished, rejected)
     return FleetSimulationResult(
@@ -367,14 +316,8 @@ def simulate_fleet_decoupled(fleet, requests, plan: ShardPlan, *,
         summary=summary,
         fleet=summarize_fleet(
             reports,
-            scale_events=(),
-            num_scale_ups=0,
-            num_scale_downs=0,
-            num_shed=0,
             num_replicas=fleet.num_replicas,
             peak_replicas=fleet.stats.peak_replicas,
-            tiers=None,
-            resilience=None,
         ),
         cache_stats=cache_stats,
         num_events=events,

@@ -10,7 +10,10 @@ resilience-policy timer — whichever comes first.  Each replica advances on its
 own clock (only replicas whose next event is due move at all), found through
 the fleet's :class:`~repro.simulation.events.EventQueue`, so an event costs
 O(log replicas) rather than a scan over every replica; after every event the
-fleet's autoscaler gets a chance to add or drain a replica.
+fleet's autoscaler gets a chance to add or drain a replica.  That loop,
+:func:`run_event_loop`, is the only one: each shard of the decoupled sharded
+engine (:mod:`repro.simulation.sharded`) runs it on a sub-fleet of its
+replicas.
 
 :func:`simulate` is the paper-figure entry point: a
 :class:`~repro.simulation.server.ServingSystem` is the fleet the paper's
@@ -148,21 +151,14 @@ def simulate_fleet(fleet, requests: list[Request], *,
                    shard_seed: int = 0) -> FleetSimulationResult:
     """Replay ``requests`` against a :class:`~repro.cluster.fleet.Fleet`.
 
-    The earliest of the next arrival and the fleet's earliest internal event
-    wins.  On an arrival the fleet admits, routes, and advances only the
-    replica that received the request; on an internal event only replicas
-    with due events advance (per-replica clocks).  After every event the
-    fleet's autoscaler may scale.
-
-    With a fault schedule the merge gains a third source: the schedule's
-    events are loaded into their own :class:`~repro.simulation.events.EventQueue`
-    (keyed by schedule position, so equal-time faults fire in schedule order)
-    and a due fault wins ties against arrivals and internal events — a crash
-    at *t* removes the replica before the arrival at *t* routes.  Each
-    delivered fault counts as one processed event, and the run's
+    Runs :func:`run_event_loop` on the fleet, then assembles the result from
+    the fleet's records, report rows and summaries.  With an active fault
+    schedule, or resilience policies, the run's
     :class:`~repro.simulation.metrics.ResilienceSummary` lands in
-    ``result.fleet.resilience``.  With ``faults`` absent or disabled the loop
-    is untouched and results are byte-identical to a schedule-free run.
+    ``result.fleet.resilience``; with ``faults`` absent or disabled the
+    results are byte-identical to a schedule-free run.  A decoupled fleet
+    asked for ``shards > 1`` runs on the sharded engine, whose shards run
+    the same event loop on sub-fleets of their replicas.
 
     Args:
         fleet: The fleet under test.
@@ -219,6 +215,68 @@ def simulate_fleet(fleet, requests: list[Request], *,
             "shard_seeds": list(plan.shard_seeds),
         }
 
+    events, now = run_event_loop(
+        fleet, requests, faults=faults,
+        max_simulated_seconds=max_simulated_seconds, max_events=max_events,
+    )
+    finished = fleet.finished_requests()
+    rejected = fleet.rejected_requests()
+    summary = summarize_finished(finished, rejected)
+    tier_summary = getattr(fleet, "tier_summary", lambda: None)()
+    resilience = (
+        fleet.resilience_summary(summary)
+        if (faults is not None and faults.active) or fleet.policies is not None
+        else None
+    )
+    return FleetSimulationResult(
+        fleet_name=fleet.name,
+        finished=finished,
+        rejected=rejected,
+        shed=fleet.shed_requests(),
+        summary=summary,
+        fleet=summarize_fleet(
+            fleet.replica_reports(now),
+            scale_events=tuple(event.as_dict() for event in fleet.scale_events),
+            num_scale_ups=fleet.stats.num_scale_ups,
+            num_scale_downs=fleet.stats.num_scale_downs,
+            num_shed=fleet.num_shed,
+            num_replicas=fleet.num_replicas,
+            peak_replicas=fleet.stats.peak_replicas,
+            tiers=tier_summary,
+            resilience=resilience,
+        ),
+        cache_stats=fleet.cache_stats(),
+        num_events=events,
+        sharding=sharding_info,
+        obs=fleet.obs.freeze(now) if fleet.obs.enabled else None,
+    )
+
+
+def run_event_loop(fleet, requests: list[Request], *, faults=None,
+                   max_simulated_seconds: float,
+                   max_events: int) -> tuple[int, float]:
+    """Replay ``requests`` against ``fleet`` until every event source drains.
+
+    The earliest of the next arrival and the fleet's earliest internal event
+    wins, arrivals winning ties.  On an arrival the fleet admits, routes, and
+    advances only the replica that received the request; on an internal
+    event only replicas with due events advance (per-replica clocks).  After
+    every event the fleet's autoscaler may scale.
+
+    An active fault schedule adds a third source: its events are loaded into
+    their own :class:`~repro.simulation.events.EventQueue` (keyed by
+    schedule position, so equal-time faults fire in schedule order), and a
+    due fault wins ties against every other source — a crash at *t* removes
+    the replica before the arrival at *t* routes.  Resilience-policy timers
+    are the fourth source; they beat arrivals and internal events on ties.
+
+    Returns ``(events, end_time)``: the processed-event count
+    (:class:`FleetSimulationResult`'s ``num_events``) and the simulated time
+    of the last event (0.0 when nothing happened).
+
+    Raises:
+        SimulationError: if either safety limit is hit.
+    """
     pending = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
     arrival_index = 0
     now = 0.0
@@ -289,34 +347,4 @@ def simulate_fleet(fleet, requests: list[Request], *,
         if events > max_events:
             raise SimulationError(f"fleet simulation exceeded {max_events} events")
 
-    finished = fleet.finished_requests()
-    rejected = fleet.rejected_requests()
-    summary = summarize_finished(finished, rejected)
-    tier_summary = getattr(fleet, "tier_summary", lambda: None)()
-    resilience = (
-        fleet.resilience_summary(summary)
-        if fault_queue is not None or fleet.policies is not None
-        else None
-    )
-    return FleetSimulationResult(
-        fleet_name=fleet.name,
-        finished=finished,
-        rejected=rejected,
-        shed=fleet.shed_requests(),
-        summary=summary,
-        fleet=summarize_fleet(
-            fleet.replica_reports(now),
-            scale_events=tuple(event.as_dict() for event in fleet.scale_events),
-            num_scale_ups=fleet.stats.num_scale_ups,
-            num_scale_downs=fleet.stats.num_scale_downs,
-            num_shed=fleet.num_shed,
-            num_replicas=fleet.num_replicas,
-            peak_replicas=fleet.stats.peak_replicas,
-            tiers=tier_summary,
-            resilience=resilience,
-        ),
-        cache_stats=fleet.cache_stats(),
-        num_events=events,
-        sharding=sharding_info,
-        obs=obs.freeze(now) if obs.enabled else None,
-    )
+    return events, now

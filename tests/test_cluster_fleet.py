@@ -138,7 +138,11 @@ def test_admission_control_sheds_and_accounts(h100_setup, tiny_trace):
     # (sheds are a subset of rejections).
     assert result.num_finished + result.num_rejected == len(tiny_trace)
     assert len(result.shed) == fleet.num_shed
-    assert fleet.stats.num_routed + fleet.num_shed == fleet.stats.num_submitted
+    reached = sum(
+        len(replica.finished_requests) + len(replica.rejected_requests)
+        for replica in fleet.all_replicas
+    )
+    assert reached + fleet.num_shed == fleet.stats.num_submitted
     for record in result.shed:
         assert record.rejected
         assert record.rejection_reason.startswith("admission control:")

@@ -224,7 +224,10 @@ def test_crash_reroutes_and_conserves_requests(h100_setup, small_post_trace):
         request.request_id for request in requests
     )
     # The crashed replica serves nothing after the crash.
-    crashed = [row for row in fleet.replica_reports(1e9) if row["retired"]]
+    crashed = [
+        replica for replica in fleet.all_replicas
+        if replica not in fleet.replicas
+    ]
     assert len(crashed) == 1
 
 

@@ -77,7 +77,7 @@ def test_scenario_byte_identical_across_shard_counts(name):
 def _fleet_fingerprint(result) -> str:
     payload = {
         "summary": dataclasses.asdict(result.summary),
-        "fleet": result.fleet.as_dict(),
+        "fleet": dataclasses.asdict(result.fleet),
         "cache_stats": result.cache_stats,
         "num_events": result.num_events,
         # Unsorted: record *order* must match too.
@@ -87,13 +87,16 @@ def _fleet_fingerprint(result) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _build_fleet(num_replicas: int, trace, **couplings) -> Fleet:
+def _build_fleet(num_replicas: int, trace, *, engine: str = "prefillonly",
+                 max_input_length: int | None = None, **couplings) -> Fleet:
     """A user-id-routed fleet, plus any ``Fleet`` options in ``couplings``."""
     couplings.setdefault("router", make_router("user-id", num_replicas))
     return Fleet.for_setup(
-        get_engine_spec("prefillonly"),
+        get_engine_spec(engine),
         get_hardware_setup("h100"),
-        max_input_length=trace.max_request_tokens,
+        max_input_length=(
+            trace.max_request_tokens if max_input_length is None else max_input_length
+        ),
         num_replicas=num_replicas,
         name="identity-fleet",
         **couplings,
@@ -106,25 +109,61 @@ def _make_requests(trace):
     return arrival.assign(list(trace.requests))
 
 
-@pytest.mark.parametrize("shard_workers", [1, 2])
-def test_decoupled_parallel_matches_unsharded(shard_workers):
-    """A user-id-routed fleet takes the parallel path; bytes still match.
+@dataclasses.dataclass(frozen=True)
+class _DecoupledCase:
+    """One fleet of the decoupled-path identity test."""
 
-    ``shard_workers=2`` spawns a real process pool, pinning the pool
-    round-trip (pickling, merge order) — not just the in-process engines.
-    """
-    trace = get_workload("post-recommendation", num_users=16, posts_per_user=2,
-                         seed=5)
-    baseline = simulate_fleet(_build_fleet(16, trace), _make_requests(trace))
+    shard_workers: int = 1
+    engine: str = "prefillonly"
+    num_users: int = 16
+    num_replicas: int = 16
+    shard_counts: tuple[int, ...] = (4,)
+    #: Provision the MIL below this many of the longest requests.
+    rejected_longest: int = 0
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_DecoupledCase(shard_workers=1), id="1"),
+    # A real process pool: pins the pool round-trip (pickling, merge order),
+    # not just the in-process engines.
+    pytest.param(_DecoupledCase(shard_workers=2), id="2"),
+    # Each pipeline stage finishing is an internal event of its own.
+    pytest.param(_DecoupledCase(engine="pipeline-parallel"), id="pipeline-parallel"),
+    # The longest requests exceed the MIL, so an engine rejection can be a
+    # replica's last event.
+    pytest.param(_DecoupledCase(rejected_longest=4), id="mil-below-longest"),
+    # Replicas 5 and 6 get no user, so at 7 shards two shards have replicas
+    # but no arrivals.
+    pytest.param(_DecoupledCase(num_users=5, num_replicas=7, shard_counts=(2, 4, 7)),
+                 id="idle-shards"),
+])
+def test_decoupled_parallel_matches_unsharded(case):
+    """A user-id-routed fleet takes the parallel path; bytes still match."""
+    trace = get_workload("post-recommendation", num_users=case.num_users,
+                         posts_per_user=2, seed=5)
+    mil = None
+    if case.rejected_longest:
+        lengths = sorted(request.num_tokens for request in trace.requests)
+        mil = lengths[-case.rejected_longest] - 1
+
+    def build():
+        return _build_fleet(case.num_replicas, trace, engine=case.engine,
+                            max_input_length=mil)
+
+    baseline = simulate_fleet(build(), _make_requests(trace))
     assert baseline.sharding is None
-    sharded = simulate_fleet(
-        _build_fleet(16, trace), _make_requests(trace),
-        shards=4, shard_workers=shard_workers, shard_seed=5,
-    )
-    assert sharded.sharding is not None
-    assert sharded.sharding["mode"] == "parallel"
-    assert sharded.sharding["shards"] == 4
-    assert _fleet_fingerprint(sharded) == _fleet_fingerprint(baseline)
+    assert baseline.num_rejected >= case.rejected_longest
+    for shards in case.shard_counts:
+        sharded = simulate_fleet(
+            build(), _make_requests(trace),
+            shards=shards, shard_workers=case.shard_workers, shard_seed=5,
+        )
+        assert sharded.sharding is not None
+        assert sharded.sharding["mode"] == "parallel"
+        assert sharded.sharding["shards"] == shards
+        assert _fleet_fingerprint(sharded) == _fleet_fingerprint(baseline), (
+            f"shards={shards} diverged from the unsharded run"
+        )
 
 
 def test_lockstep_mode_matches_parallel_mode():
