@@ -4,15 +4,17 @@
 ``make mutants`` entry point.  The mutants break the KV layer, the tier
 change feeds the SRJF scheduler's frontier index reads, the batched demotion
 cascade and its batch span recording, the hedge policy's sorted latency
-window, the router's replica-set hook, and the decoupled shard engine's
+window, the percentile lerp the hedge delay shares with the latency
+summaries, the router's replica-set hook, and the decoupled shard engine's
 pre-routing and replica names.  A mutant is one or more exact
 source-text replacements in a module under ``src/``.  For the unmutated tree
 and then for each mutant, the script copies ``src/``, ``tests/`` and the
 cookbook scenarios (``examples/scenarios/``, which the KV-invariant and
 export-digest tests run) into a temporary directory, applies the mutant there
 and runs the mutant test set (:data:`TESTS`, tier-1 hypothesis profile
-without shrinking).  The unmutated copy must pass; a mutant is killed when a
-test fails.
+without shrinking, stopping at the first failure), the tests each mutant
+names as its killers first.  The unmutated copy must pass; a mutant is
+killed when a test fails.
 
 Prints one line per mutant and the mutation score.  Exits 1 when a mutant
 survives, when a mutant's source text is not found exactly once (a refactor
@@ -43,25 +45,40 @@ TIERS = "src/repro/kvcache/tiers/store.py"
 RECORDER = "src/repro/obs/recorder.py"
 SCHEDULER = "src/repro/core/scheduler.py"
 HEDGE = "src/repro/resilience/policy.py"
+METRICS = "src/repro/simulation/metrics.py"
 ROUTING = "src/repro/simulation/routing.py"
 SHARDED = "src/repro/simulation/sharded.py"
 SCENARIOS = "examples/scenarios"
 
+CACHE_ORACLE = "tests/test_prefix_cache_oracle.py"
+TIER_TESTS = "tests/test_kvcache_tiers.py"
+MANAGER_TESTS = "tests/test_kvcache_manager.py"
+KV_INVARIANTS = "tests/test_kv_invariants.py"
+SCHEDULER_ORACLE = "tests/test_scheduler_oracle.py"
+ROUTING_TESTS = "tests/test_simulation_routing.py"
+RESILIENCE_TESTS = "tests/test_resilience.py"
+PERCENTILE_TEST = (
+    "tests/test_simulation_metrics.py::test_percentile_is_numpys_linear_percentile_bit_for_bit"
+)
+CASCADE_ORACLE = "tests/test_tier_cascade_oracle.py"
+SHARD_IDENTITY = "tests/test_sharded_identity.py::test_decoupled_parallel_matches_unsharded"
+
 #: The tests every mutant must fail.
 TESTS = (
-    "tests/test_prefix_cache_oracle.py",
+    CACHE_ORACLE,
     "tests/test_kvcache_prefix_tree.py",
-    "tests/test_kvcache_tiers.py",
-    "tests/test_kvcache_manager.py",
-    "tests/test_kv_invariants.py",
+    TIER_TESTS,
+    MANAGER_TESTS,
+    KV_INVARIANTS,
     "tests/test_properties.py",
-    "tests/test_scheduler_oracle.py",
+    SCHEDULER_ORACLE,
     "tests/test_scheduler.py",
-    "tests/test_simulation_routing.py",
-    "tests/test_resilience.py",
-    "tests/test_tier_cascade_oracle.py",
+    ROUTING_TESTS,
+    RESILIENCE_TESTS,
+    PERCENTILE_TEST,
+    CASCADE_ORACLE,
     "tests/test_obs_export_digests.py",
-    "tests/test_sharded_identity.py::test_decoupled_parallel_matches_unsharded",
+    SHARD_IDENTITY,
     "tests/test_sharded_identity.py::test_lockstep_mode_matches_parallel_mode",
 )
 
@@ -81,18 +98,23 @@ settings.load_profile("no-shrink")
 
 @dataclass(frozen=True)
 class Mutant:
-    """Exact ``(source text, replacement)`` edits to one file."""
+    """Exact ``(source text, replacement)`` edits to one file.
+
+    ``kills`` names the :data:`TESTS` entries expected to kill the mutant;
+    they run first, so a killed mutant stops at them.
+    """
 
     name: str
     path: str
     edits: tuple[tuple[str, str], ...]
+    kills: tuple[str, ...] = ()
 
 
 MUTANTS = (
     # An evicted leaf's last_access does not fold into its parent.
     Mutant("no-stamp-fold", TREE, (
         ("            parent.block.touch(node.block.last_access)\n", ""),
-    )),
+    ), kills=(CACHE_ORACLE,)),
     # An insert's own evictions may take the tail of its path.
     Mutant("insert-pins-no-tail", TREE, (
         ("        if protect is not None:\n"
@@ -103,60 +125,60 @@ MUTANTS = (
          "            if protect is not None:\n"
          "                protect.unpin()\n",
          "        self.evict_blocks(shortfall)\n"),
-    )),
+    ), kills=(CACHE_ORACLE,)),
     # An eviction pass frees one block fewer than the pool is short of.
     Mutant("shortfall-off-by-one", TREE, (
         ("self.evict_blocks(shortfall)", "self.evict_blocks(shortfall - 1)"),
-    )),
+    ), kills=(CACHE_ORACLE,)),
     # The leaf an insert leaves gets no LRU-heap entry.
     Mutant("insert-pushes-no-leaf-entry", TREE, (
         ("        self._note_candidate(tail)\n", ""),
-    )),
+    ), kills=(CACHE_ORACLE,)),
     # An evicted node's parent keeps counting it as a child.
     Mutant("child-count-not-decremented", TREE, (
         ("            parent.num_children -= 1\n", ""),
-    )),
+    ), kills=(CACHE_ORACLE,)),
     # An insert does not record the watched hashes it adds.
     Mutant("insert-records-no-change", TREE, (
         ("            if content_hash in watched:\n"
          "                changed.add(content_hash)\n", ""),
-    )),
+    ), kills=(SCHEDULER_ORACLE,)),
     # A match stamps no block.
     Mutant("match-stamps-nothing", TREE, (
         ("        frontier.touch(now)\n", ""),
-    )),
+    ), kills=(CACHE_ORACLE,)),
     # An insert does not stamp the deepest block already cached.
     Mutant("insert-leaves-frontier-unstamped", TREE, (
         ("        if tail is not None:\n            tail.block.touch(now)\n", ""),
-    )),
+    ), kills=(CACHE_ORACLE,)),
     # A lease pins its first cached block instead of the frontier.
     Mutant("lease-pins-first-block", MANAGER, (
         ("pin_prefix(hashes, match.num_blocks)",
          "pin_prefix(hashes, min(match.num_blocks, 1))"),
-    )),
+    ), kills=(MANAGER_TESTS,)),
     # An aborted lease (a cancel or a crash) commits its KV like a finish.
     Mutant("abort-commits", MANAGER, (
         ("        if not self._enable_prefix_caching or not commit:\n",
          "        if not self._enable_prefix_caching:\n"),
-    )),
+    ), kills=(MANAGER_TESTS,)),
     # A commit's overflow never spills into the flat offload store.
     Mutant("offload-overflow-dropped", MANAGER, (
         ("        if self._offload is not None:\n"
          "            overflow = lease.block_hashes[resident_blocks:]\n",
          "        if False:\n"
          "            overflow = lease.block_hashes[resident_blocks:]\n"),
-    )),
+    ), kills=(MANAGER_TESTS,)),
     # A scratch reservation frees one block fewer than it needs.
     Mutant("scratch-room-short", MANAGER, (
         ("self._cache.make_room(needed)", "self._cache.make_room(needed - 1)"),
-    )),
+    ), kills=(MANAGER_TESTS,)),
     # The evictable count ignores a pinned frontier's ancestors.
     Mutant("evictable-count-ignores-ancestors", TREE, (
         ("                while node is not None and node.content_hash not in protected:\n"
          "                    protected.add(node.content_hash)\n"
          "                    node = node.parent\n",
          "                protected.add(node.content_hash)\n"),
-    )),
+    ), kills=(CACHE_ORACLE,)),
     # LRU-heap keys order by creation sequence before last access.
     Mutant("heap-key-swapped", TREE, (
         ("heapq.heappush(self._lru_heap, (node.block.last_access, node.seq, node))",
@@ -165,12 +187,12 @@ MUTANTS = (
          "            _, last_access, node = entry\n"),
         ("heapq.heappush(heap, (node.block.last_access, node.seq, node))",
          "heapq.heappush(heap, (node.seq, node.block.last_access, node))"),
-    )),
+    ), kills=(CACHE_ORACLE,)),
     # A host-tier LRU eviction is not recorded.
     Mutant("host-evict-records-no-change", HOST, (
         ("                if victim in watched:\n"
          "                    changed.add(victim)\n", ""),
-    )),
+    ), kills=(SCHEDULER_ORACLE,)),
     # A cluster publish is not recorded: a peer's publish goes unseen.
     Mutant("cluster-publish-records-no-change", CLUSTER, (
         ("            blocks[content_hash] = replica\n"
@@ -178,7 +200,7 @@ MUTANTS = (
          "                if content_hash in watched:\n"
          "                    changed.add(content_hash)\n",
          "            blocks[content_hash] = replica\n"),
-    )),
+    ), kills=(SCHEDULER_ORACLE,)),
     # A cluster entry its owner reclaims is not recorded.
     Mutant("discard-owned-records-no-change", CLUSTER, (
         ("                del blocks[content_hash]\n"
@@ -186,46 +208,46 @@ MUTANTS = (
          "                    if content_hash in watched:\n"
          "                        changed.add(content_hash)\n",
          "                del blocks[content_hash]\n"),
-    )),
+    ), kills=(TIER_TESTS,)),
     # The manager's feed misses a brownout's transfer-cost multiplier change.
     Mutant("feed-ignores-multiplier", MANAGER, (
         ("state = (host_cost, cluster_cost, available)",
          "state = (1.0, 1.0, available)"),
-    )),
+    ), kills=(SCHEDULER_ORACLE,)),
     # A tiered request watches only H[m-1] and H[m], not its continuation.
     Mutant("tiered-watch-frontier-only", SCHEDULER, (
         ("frontier = hashes[max(matched - 1, 0):cached // block_size + 1]",
          "frontier = hashes[max(matched - 1, 0):matched + 1]"),
-    )),
+    ), kills=(SCHEDULER_ORACLE,)),
     # On a wrap the sorted hedge window drops the newest sample, not the oldest.
     Mutant("hedge-window-drops-newest", HEDGE, (
         ("del ordered[bisect.bisect_left(ordered, samples[0])]",
          "del ordered[bisect.bisect_left(ordered, samples[-1])]"),
-    )),
-    # The hedge quantile always interpolates up from the lower neighbour.
-    Mutant("hedge-lerp-one-sided", HEDGE, (
-        ("        if gamma >= 0.5:\n"
-         "            delay = high - step * (1 - gamma)\n"
-         "        else:\n"
-         "            delay = ordered[index] + step * gamma\n",
-         "        delay = ordered[index] + step * gamma\n"),
-    )),
+    ), kills=(RESILIENCE_TESTS,)),
+    # The percentile lerp the hedge delay and the latency summaries share
+    # always interpolates up from the lower neighbour.
+    Mutant("hedge-lerp-one-sided", METRICS, (
+        ("    if gamma >= 0.5:\n"
+         "        return high - step * (1 - gamma)\n"
+         "    return low + step * gamma\n",
+         "    return low + step * gamma\n"),
+    ), kills=(PERCENTILE_TEST, RESILIENCE_TESTS)),
     # An L1 eviction pass is charged one batch transfer, one link latency in
     # all, instead of one one-block transfer per demoted block.
     Mutant("l1-demotion-charged-per-batch", TIERS, (
         ("            self._demote(len(hashes), stored, host.transfer_time(1))\n",
          "            self._demote(len(hashes), 0, 0.0)\n"
          "            self._demote_seconds += host.transfer_time(stored)\n"),
-    )),
+    ), kills=(TIER_TESTS,)),
     # The host store's hook loses the last victim of each call.
     Mutant("host-hook-drops-last-victim", HOST, (
         ("                self.on_evict(victims)\n",
          "                self.on_evict(victims[:-1])\n"),
-    )),
+    ), kills=(TIER_TESTS,)),
     # A batch of span events does not advance its (key, kind) sequence.
     Mutant("emit-many-keeps-sequence", RECORDER, (
         ("            self._seq[slot] = seq + count\n", ""),
-    )),
+    ), kills=(CASCADE_ORACLE,)),
     # A fetch stages its tail's cluster hits with one store call after the
     # loop, so a staged block's host victim is never re-checked.
     Mutant("fetch-stages-tail-in-one-store", TIERS, (
@@ -246,29 +268,29 @@ MUTANTS = (
          "            host.store(staged)\n"
          "            if cluster is not None:\n"
          "                cluster.discard_owned(self.replica, *staged)\n"),
-    )),
+    ), kills=(CASCADE_ORACLE,)),
     # A user-id router keeps the assignments of replicas that have left.
     Mutant("router-keeps-stale-assignments", ROUTING, (
         ("        self._assignments = {\n"
          "            user: index for user, index in self._assignments.items()\n"
          "            if index < self.num_instances\n"
          "        }\n", ""),
-    )),
+    ), kills=(ROUTING_TESTS, KV_INVARIANTS)),
     # A heap entry older than its node's last access is evicted as is.
     Mutant("stale-entry-not-rekeyed", TREE, (
         ("            if node.block.last_access != last_access:\n"
          "                heapq.heappush(heap, (node.block.last_access, node.seq, node))\n"
          "                continue\n", ""),
-    )),
+    ), kills=(CACHE_ORACLE,)),
     # A shard's sub-fleet routes every arrival to its first replica.
     Mutant("shard-ignores-pre-route", SHARDED, (
         ("        return self._routes[request.request_id]\n",
          "        return 0\n"),
-    )),
+    ), kills=(SHARD_IDENTITY,)),
     # A shard's replicas keep the sub-fleet's local names.
     Mutant("shard-keeps-local-names", SHARDED, (
         ("            instance.name = name\n", "            pass\n"),
-    )),
+    ), kills=(SHARD_IDENTITY,)),
 )
 
 
@@ -284,6 +306,16 @@ def apply(mutant: Mutant, root: Path) -> str | None:
         text = text.replace(old, new)
     target.write_text(text, encoding="utf-8")
     return None
+
+
+def ordered_tests(mutant: Mutant | None) -> tuple[str, ...]:
+    """:data:`TESTS` with the mutant's killing tests moved to the front.
+
+    Every mutant faces the whole set, so a survivor still runs all of it; the
+    unmutated tree runs it in its own order.
+    """
+    first = () if mutant is None else mutant.kills
+    return (*first, *(test for test in TESTS if test not in first))
 
 
 def run_tests(mutant: Mutant | None) -> tuple[str, str]:
@@ -309,7 +341,7 @@ def run_tests(mutant: Mutant | None) -> tuple[str, str]:
         env.pop("HYPOTHESIS_PROFILE", None)
         completed = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *TESTS],
+             *ordered_tests(mutant)],
             cwd=root, env=env, capture_output=True, text=True,
         )
     lines = completed.stdout.strip().splitlines()

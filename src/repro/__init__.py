@@ -26,6 +26,10 @@ organises the system:
 * ``repro.frontend`` — the in-process OpenAI-compatible request path;
 * ``repro.analysis`` — MIL analysis, QPS sweeps, and report formatting.
 
+``repro`` and each package re-export their public names lazily (PEP 562, see
+:func:`lazy_exports`): a name's defining module is imported on its first
+use, so ``from repro import simulate`` loads only what the simulator needs.
+
 Quick start::
 
     from repro import (
@@ -43,157 +47,79 @@ Quick start::
     print(result.summary.as_dict())
 """
 
-from repro.core.engine import (
-    EngineInstance,
-    EngineSpec,
-    FinishedRequest,
-    build_engine,
-    prefillonly_engine_spec,
-)
-from repro.core.jct import JCTEstimator, JCTProfiler, jct_pearson_correlation
-from repro.core.scheduler import FCFSScheduler, SRJFScheduler, make_scheduler
-from repro.core.hybrid_prefill import HybridPrefillPlanner
-from repro.core.profile_run import run_profile
-from repro.baselines import (
-    all_engine_specs,
-    baseline_specs,
-    chunked_prefill_spec,
-    get_engine_spec,
-    paged_attention_spec,
-    pipeline_parallel_spec,
-    tensor_parallel_spec,
-)
-from repro.hardware import get_gpu, get_hardware_setup, list_hardware_setups
-from repro.model import get_model, list_models
-from repro.kvcache import (
-    ClusterPrefixStore,
-    KVCacheManager,
-    TieredPrefixStore,
-)
-from repro.execution import MicroTransformer, MicroTransformerConfig
-from repro.simulation import (
-    BurstArrivalProcess,
-    LeastLoadedRouter,
-    MMPPArrivalProcess,
-    PoissonArrivalProcess,
-    PrefixAffinityRouter,
-    ServingSystem,
-    UserIdRouter,
-    load_scenario,
-    make_arrival,
-    run_scenario,
-    simulate,
-    simulate_fleet,
-)
-from repro.cluster import (
-    Fleet,
-    QueueDepthAdmission,
-    ReactiveAutoscaler,
-    ReplicaSpec,
-)
-from repro.faults import (
-    FaultEvent,
-    FaultSchedule,
-    fault_schedule_from_dict,
-    generate_crash_schedule,
-)
-from repro.workloads import (
-    CreditVerificationWorkload,
-    PostRecommendationWorkload,
-    TenantSpec,
-    get_workload,
-    list_workloads,
-    load_trace,
-    mix_tenants,
-    save_trace,
-)
-from repro.frontend import CompletionRequest, PrefillOnlyFrontend
-from repro.analysis import (
-    base_throughput,
-    compare_engines,
-    max_input_length,
-    mil_ablation,
-    mil_table,
-    qps_sweep,
-)
+import importlib
+import sys
+
+
+def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """PEP 562 ``(__getattr__, __dir__, __all__)`` of a package's re-exports.
+
+    ``exports`` maps each defining module to the names ``package`` re-exports
+    from it.  The first read of a name imports its module and caches the name
+    in the package namespace, so ``import package`` imports nothing and later
+    reads are plain lookups.  Any other name raises :class:`AttributeError`,
+    which ``from package import submodule`` needs to fall back to importing
+    the submodule; so no exported name may equal a submodule name.
+    """
+    origins = {name: module for module, names in exports.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        if name not in origins:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(origins[name]), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *origins})
+
+    return __getattr__, __dir__, list(origins)
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "EngineInstance",
-    "EngineSpec",
-    "FinishedRequest",
-    "build_engine",
-    "prefillonly_engine_spec",
-    "JCTEstimator",
-    "JCTProfiler",
-    "jct_pearson_correlation",
-    "FCFSScheduler",
-    "SRJFScheduler",
-    "make_scheduler",
-    "HybridPrefillPlanner",
-    "run_profile",
-    # baselines
-    "all_engine_specs",
-    "baseline_specs",
-    "chunked_prefill_spec",
-    "get_engine_spec",
-    "paged_attention_spec",
-    "pipeline_parallel_spec",
-    "tensor_parallel_spec",
-    # substrates
-    "get_gpu",
-    "get_hardware_setup",
-    "list_hardware_setups",
-    "get_model",
-    "list_models",
-    "KVCacheManager",
-    "TieredPrefixStore",
-    "ClusterPrefixStore",
-    "MicroTransformer",
-    "MicroTransformerConfig",
-    # serving
-    "BurstArrivalProcess",
-    "PoissonArrivalProcess",
-    "MMPPArrivalProcess",
-    "make_arrival",
-    "UserIdRouter",
-    "LeastLoadedRouter",
-    "PrefixAffinityRouter",
-    "ServingSystem",
-    "simulate",
-    "simulate_fleet",
-    "load_scenario",
-    "run_scenario",
-    # cluster fleet
-    "Fleet",
-    "ReplicaSpec",
-    "QueueDepthAdmission",
-    "ReactiveAutoscaler",
-    # fault injection
-    "FaultEvent",
-    "FaultSchedule",
-    "fault_schedule_from_dict",
-    "generate_crash_schedule",
-    # workloads
-    "CreditVerificationWorkload",
-    "PostRecommendationWorkload",
-    "TenantSpec",
-    "mix_tenants",
-    "get_workload",
-    "list_workloads",
-    "save_trace",
-    "load_trace",
-    # frontend
-    "CompletionRequest",
-    "PrefillOnlyFrontend",
-    # analysis
-    "base_throughput",
-    "compare_engines",
-    "max_input_length",
-    "mil_ablation",
-    "mil_table",
-    "qps_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.engine": (
+        "EngineInstance", "EngineSpec", "FinishedRequest", "build_engine",
+        "prefillonly_engine_spec",
+    ),
+    "repro.core.jct": ("JCTEstimator", "JCTProfiler", "jct_pearson_correlation"),
+    "repro.core.scheduler": ("FCFSScheduler", "SRJFScheduler", "make_scheduler"),
+    "repro.core.hybrid_prefill": ("HybridPrefillPlanner",),
+    "repro.core.profile_run": ("run_profile",),
+    "repro.baselines.registry": ("all_engine_specs", "baseline_specs", "get_engine_spec"),
+    "repro.baselines.chunked_prefill": ("chunked_prefill_spec",),
+    "repro.baselines.paged_attention": ("paged_attention_spec",),
+    "repro.baselines.pipeline_parallel": ("pipeline_parallel_spec",),
+    "repro.baselines.tensor_parallel": ("tensor_parallel_spec",),
+    "repro.hardware.gpu": ("get_gpu",),
+    "repro.hardware.cluster": ("get_hardware_setup", "list_hardware_setups"),
+    "repro.model.config": ("get_model", "list_models"),
+    "repro.kvcache.tiers.cluster_store": ("ClusterPrefixStore",),
+    "repro.kvcache.manager": ("KVCacheManager",),
+    "repro.kvcache.tiers.store": ("TieredPrefixStore",),
+    "repro.execution.numeric": ("MicroTransformer", "MicroTransformerConfig"),
+    "repro.simulation.arrival": (
+        "BurstArrivalProcess", "MMPPArrivalProcess", "PoissonArrivalProcess", "make_arrival",
+    ),
+    "repro.simulation.routing": ("LeastLoadedRouter", "PrefixAffinityRouter", "UserIdRouter"),
+    "repro.simulation.server": ("ServingSystem",),
+    "repro.simulation.scenario": ("load_scenario", "run_scenario"),
+    "repro.simulation.simulator": ("simulate", "simulate_fleet"),
+    "repro.cluster.fleet": ("Fleet", "ReplicaSpec"),
+    "repro.cluster.admission": ("QueueDepthAdmission",),
+    "repro.cluster.autoscaler": ("ReactiveAutoscaler",),
+    "repro.faults.schedule": (
+        "FaultEvent", "FaultSchedule", "fault_schedule_from_dict", "generate_crash_schedule",
+    ),
+    "repro.workloads.credit_verification": ("CreditVerificationWorkload",),
+    "repro.workloads.post_recommendation": ("PostRecommendationWorkload",),
+    "repro.workloads.mixer": ("TenantSpec", "mix_tenants"),
+    "repro.workloads.registry": ("get_workload", "list_workloads"),
+    "repro.workloads.tracefile": ("load_trace", "save_trace"),
+    "repro.frontend.api": ("CompletionRequest",),
+    "repro.frontend.server": ("PrefillOnlyFrontend",),
+    "repro.analysis.sweep": ("base_throughput", "compare_engines", "qps_sweep"),
+    "repro.analysis.mil": ("max_input_length", "mil_table"),
+    "repro.analysis.ablation": ("mil_ablation",),
+})

@@ -14,18 +14,12 @@ substrates as PrefillOnly:
   single-request latency, and suffers pipeline bubbles under varying lengths.
 """
 
-from repro.baselines.paged_attention import paged_attention_spec
-from repro.baselines.chunked_prefill import chunked_prefill_spec
-from repro.baselines.tensor_parallel import tensor_parallel_spec
-from repro.baselines.pipeline_parallel import pipeline_parallel_spec
-from repro.baselines.registry import baseline_specs, all_engine_specs, get_engine_spec
+from repro import lazy_exports
 
-__all__ = [
-    "paged_attention_spec",
-    "chunked_prefill_spec",
-    "tensor_parallel_spec",
-    "pipeline_parallel_spec",
-    "baseline_specs",
-    "all_engine_specs",
-    "get_engine_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.baselines.paged_attention": ("paged_attention_spec",),
+    "repro.baselines.chunked_prefill": ("chunked_prefill_spec",),
+    "repro.baselines.tensor_parallel": ("tensor_parallel_spec",),
+    "repro.baselines.pipeline_parallel": ("pipeline_parallel_spec",),
+    "repro.baselines.registry": ("baseline_specs", "all_engine_specs", "get_engine_spec"),
+})

@@ -31,7 +31,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.mil import mil_table
 from repro.analysis.reporting import (
     format_alerts_report,
     format_critical_path_report,
@@ -40,7 +39,6 @@ from repro.analysis.reporting import (
     format_scenario_report,
     format_table,
 )
-from repro.analysis.sweep import compare_engines, paper_qps_points, base_throughput, qps_sweep
 from repro.baselines.registry import ENGINE_ORDER, all_engine_specs, get_engine_spec
 from repro.cluster import Fleet, QueueDepthAdmission, ReactiveAutoscaler
 from repro.errors import (
@@ -56,22 +54,6 @@ from repro.resilience import resilience_from_dict
 from repro.hardware.cluster import get_hardware_setup, list_hardware_setups, HARDWARE_SETUPS
 from repro.kvcache.tiers import PROMOTION_POLICIES, tier_config_from_dict
 from repro.model.config import MODEL_REGISTRY, get_model
-from repro.obs.analysis import (
-    DEFAULT_ALERT_RULES,
-    decompose_requests,
-    diff_runs,
-    evaluate_alerts,
-    top_exemplars,
-)
-from repro.obs.exporters import (
-    export_alerts,
-    export_chrome_trace,
-    export_prometheus,
-    export_spans,
-    format_obs_summary,
-    format_slo_report,
-    parse_spans,
-)
 from repro.obs.logging import LOG_LEVELS, configure as configure_logging
 from repro.obs.logging import set_context as set_log_context
 from repro.hardware.gpu import GPU_REGISTRY
@@ -115,6 +97,8 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_mil(args: argparse.Namespace) -> int:
+    from repro.analysis.mil import mil_table
+
     specs = [get_engine_spec(name) for name in (args.engines or ENGINE_ORDER)]
     setups = [get_hardware_setup(name) for name in (args.setups or list_hardware_setups())]
     workload_max = {
@@ -127,6 +111,8 @@ def _cmd_mil(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.sweep import base_throughput, paper_qps_points, qps_sweep
+
     spec = get_engine_spec(args.engine)
     setup = get_hardware_setup(args.setup)
     trace = get_workload(args.workload, num_users=args.num_users)
@@ -144,6 +130,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.sweep import base_throughput, compare_engines
+
     setup = get_hardware_setup(args.setup)
     trace = get_workload(args.workload, num_users=args.num_users)
     specs = [get_engine_spec(name) for name in ENGINE_ORDER]
@@ -324,11 +312,12 @@ def _cmd_spec(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``prefillonly obs export --format`` choices -> exporter functions.
+#: ``prefillonly obs export --format`` choices -> exporter function names in
+#: :mod:`repro.obs.exporters`, which only the ``obs`` handlers import.
 _OBS_EXPORTERS = {
-    "spans": export_spans,
-    "chrome": export_chrome_trace,
-    "prometheus": export_prometheus,
+    "spans": "export_spans",
+    "chrome": "export_chrome_trace",
+    "prometheus": "export_prometheus",
 }
 
 
@@ -372,7 +361,9 @@ def _obs_data(args: argparse.Namespace):
 
 
 def _cmd_obs_export(args: argparse.Namespace) -> int:
-    text = _OBS_EXPORTERS[args.format](_obs_data(args))
+    from repro.obs import exporters
+
+    text = getattr(exporters, _OBS_EXPORTERS[args.format])(_obs_data(args))
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:
@@ -382,11 +373,15 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_summary(args: argparse.Namespace) -> int:
+    from repro.obs.exporters import format_obs_summary
+
     print(format_obs_summary(_obs_data(args)))
     return 0
 
 
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
+    from repro.obs.exporters import format_slo_report
+
     print(format_slo_report(_obs_data(args)))
     return 0
 
@@ -408,6 +403,8 @@ def _read_spans_text(path: str) -> str:
 
 def _obs_input(args: argparse.Namespace):
     """The recording to analyse: a ``--spans`` file, or a fresh run."""
+    from repro.obs.exporters import parse_spans
+
     if getattr(args, "spans", None):
         return parse_spans(_read_spans_text(args.spans))
     if args.config is None:
@@ -417,6 +414,8 @@ def _obs_input(args: argparse.Namespace):
 
 
 def _cmd_obs_critical_path(args: argparse.Namespace) -> int:
+    from repro.obs.analysis import decompose_requests
+
     _check_top(args)
     report = decompose_requests(_obs_input(args))
     print(format_critical_path_report(report, top=args.top))
@@ -424,6 +423,8 @@ def _cmd_obs_critical_path(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_exemplars(args: argparse.Namespace) -> int:
+    from repro.obs.analysis import decompose_requests, top_exemplars
+
     _check_top(args)
     report = decompose_requests(_obs_input(args))
     rows = [
@@ -447,6 +448,9 @@ def _cmd_obs_exemplars(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
+    from repro.obs.analysis import diff_runs
+    from repro.obs.exporters import parse_spans
+
     baseline = parse_spans(_read_spans_text(args.baseline))
     candidate = parse_spans(_read_spans_text(args.candidate))
     diff = diff_runs(baseline, candidate)
@@ -457,6 +461,9 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_alerts(args: argparse.Namespace) -> int:
+    from repro.obs.analysis import DEFAULT_ALERT_RULES, evaluate_alerts
+    from repro.obs.exporters import export_alerts
+
     spec = load_scenario(args.config)
     slos = {
         tenant.name: tenant.slo_latency_s for tenant in spec.tenants

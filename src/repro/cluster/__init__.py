@@ -24,23 +24,12 @@ router added for this layer), and the driving event loop is
 :func:`repro.simulation.simulator.simulate_fleet`.
 """
 
-from repro.cluster.admission import (
-    ADMIT,
-    AdmissionDecision,
-    AdmissionPolicy,
-    QueueDepthAdmission,
-)
-from repro.cluster.autoscaler import ReactiveAutoscaler, ScaleEvent
-from repro.cluster.fleet import Fleet, FleetStats, ReplicaSpec
+from repro import lazy_exports
 
-__all__ = [
-    "ADMIT",
-    "AdmissionDecision",
-    "AdmissionPolicy",
-    "QueueDepthAdmission",
-    "ReactiveAutoscaler",
-    "ScaleEvent",
-    "Fleet",
-    "FleetStats",
-    "ReplicaSpec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.cluster.admission": (
+        "ADMIT", "AdmissionDecision", "AdmissionPolicy", "QueueDepthAdmission",
+    ),
+    "repro.cluster.autoscaler": ("ReactiveAutoscaler", "ScaleEvent"),
+    "repro.cluster.fleet": ("Fleet", "FleetStats", "ReplicaSpec"),
+})

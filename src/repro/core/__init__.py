@@ -17,43 +17,17 @@ This package contains the pieces that make PrefillOnly PrefillOnly:
   SRJF).
 """
 
-from repro.core.jct import JCTEstimator, JCTProfiler, JCTProfile, jct_pearson_correlation
-from repro.core.scheduler import (
-    Scheduler,
-    FCFSScheduler,
-    SRJFScheduler,
-    SchedulerDecision,
-    make_scheduler,
-)
-from repro.core.hybrid_prefill import HybridPrefillPlanner, HybridPrefillPlan
-from repro.core.profile_run import ProfileRunResult, run_profile
-from repro.core.engine import (
-    EngineSpec,
-    EngineInstance,
-    FinishedRequest,
-    EngineRequest,
-    prefillonly_engine_spec,
-    build_engine,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "JCTEstimator",
-    "JCTProfiler",
-    "JCTProfile",
-    "jct_pearson_correlation",
-    "Scheduler",
-    "FCFSScheduler",
-    "SRJFScheduler",
-    "SchedulerDecision",
-    "make_scheduler",
-    "HybridPrefillPlanner",
-    "HybridPrefillPlan",
-    "ProfileRunResult",
-    "run_profile",
-    "EngineSpec",
-    "EngineInstance",
-    "FinishedRequest",
-    "EngineRequest",
-    "prefillonly_engine_spec",
-    "build_engine",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.jct": ("JCTEstimator", "JCTProfiler", "JCTProfile", "jct_pearson_correlation"),
+    "repro.core.scheduler": (
+        "Scheduler", "FCFSScheduler", "SRJFScheduler", "SchedulerDecision", "make_scheduler",
+    ),
+    "repro.core.hybrid_prefill": ("HybridPrefillPlanner", "HybridPrefillPlan"),
+    "repro.core.profile_run": ("ProfileRunResult", "run_profile"),
+    "repro.core.engine": (
+        "EngineSpec", "EngineInstance", "FinishedRequest", "EngineRequest",
+        "prefillonly_engine_spec", "build_engine",
+    ),
+})

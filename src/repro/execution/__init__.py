@@ -17,30 +17,14 @@ a CPU:
   correctness argument behind hybrid prefilling.
 """
 
-from repro.execution.memory_tracker import MemoryTracker, MemorySample
-from repro.execution.tensor_graph import (
-    GraphNode,
-    OpKind,
-    ComputationGraph,
-    VirtualLayer,
-    build_transformer_graph,
-    group_chunkable_operations,
-)
-from repro.execution.chunked_linear import chunked_positionwise, ChunkedExecutionOptions
-from repro.execution.numeric import MicroTransformer, MicroTransformerConfig, PrefillResult
+from repro import lazy_exports
 
-__all__ = [
-    "MemoryTracker",
-    "MemorySample",
-    "GraphNode",
-    "OpKind",
-    "ComputationGraph",
-    "VirtualLayer",
-    "build_transformer_graph",
-    "group_chunkable_operations",
-    "chunked_positionwise",
-    "ChunkedExecutionOptions",
-    "MicroTransformer",
-    "MicroTransformerConfig",
-    "PrefillResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.execution.memory_tracker": ("MemoryTracker", "MemorySample"),
+    "repro.execution.tensor_graph": (
+        "GraphNode", "OpKind", "ComputationGraph", "VirtualLayer", "build_transformer_graph",
+        "group_chunkable_operations",
+    ),
+    "repro.execution.chunked_linear": ("chunked_positionwise", "ChunkedExecutionOptions"),
+    "repro.execution.numeric": ("MicroTransformer", "MicroTransformerConfig", "PrefillResult"),
+})

@@ -21,24 +21,12 @@ See ``docs/FAULTS.md`` for the fault model, the JSON schema, and the
 determinism contract.
 """
 
-from repro.faults.schedule import (
-    DEFAULT_WARM_RESTORE_BLOCKS,
-    FAULT_KINDS,
-    FaultEvent,
-    FaultSchedule,
-    ResilienceCounters,
-    fault_schedule_from_dict,
-    fault_schedule_from_model,
-    generate_crash_schedule,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_WARM_RESTORE_BLOCKS",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultSchedule",
-    "ResilienceCounters",
-    "fault_schedule_from_dict",
-    "fault_schedule_from_model",
-    "generate_crash_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.faults.schedule": (
+        "DEFAULT_WARM_RESTORE_BLOCKS", "FAULT_KINDS", "FaultEvent", "FaultSchedule",
+        "ResilienceCounters", "fault_schedule_from_dict", "fault_schedule_from_model",
+        "generate_crash_schedule",
+    ),
+})

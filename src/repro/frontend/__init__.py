@@ -16,34 +16,15 @@ back the same way.  This package reproduces that request path in-process:
   performance path is the discrete-event simulator in :mod:`repro.simulation`.
 """
 
-from repro.frontend.api import (
-    CompletionChoice,
-    CompletionRequest,
-    CompletionResponse,
-    TokenProbability,
-    UsageInfo,
-    parse_completion_request,
-)
-from repro.frontend.rpc import InProcessChannel, ScoreReply, SubmitRequest
-from repro.frontend.server import (
-    FleetBackend,
-    MicroModelBackend,
-    PrefillOnlyFrontend,
-    ScoringBackend,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CompletionChoice",
-    "CompletionRequest",
-    "CompletionResponse",
-    "TokenProbability",
-    "UsageInfo",
-    "parse_completion_request",
-    "InProcessChannel",
-    "ScoreReply",
-    "SubmitRequest",
-    "FleetBackend",
-    "MicroModelBackend",
-    "PrefillOnlyFrontend",
-    "ScoringBackend",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.frontend.api": (
+        "CompletionChoice", "CompletionRequest", "CompletionResponse", "TokenProbability",
+        "UsageInfo", "parse_completion_request",
+    ),
+    "repro.frontend.rpc": ("InProcessChannel", "ScoreReply", "SubmitRequest"),
+    "repro.frontend.server": (
+        "FleetBackend", "MicroModelBackend", "PrefillOnlyFrontend", "ScoringBackend",
+    ),
+})

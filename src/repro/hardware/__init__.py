@@ -7,26 +7,17 @@ bandwidth, which is all the serving simulator needs to reproduce the paper's
 latency / throughput / capacity trade-offs.
 """
 
-from repro.hardware.gpu import GPUSpec, GPU_REGISTRY, get_gpu, list_gpus, L4, A100_40GB, H100_80GB
-from repro.hardware.interconnect import Interconnect, PCIE_GEN4, NVLINK, allreduce_time, point_to_point_time
-from repro.hardware.cluster import ClusterSpec, HardwareSetup, HARDWARE_SETUPS, get_hardware_setup, list_hardware_setups
+from repro import lazy_exports
 
-__all__ = [
-    "GPUSpec",
-    "GPU_REGISTRY",
-    "get_gpu",
-    "list_gpus",
-    "L4",
-    "A100_40GB",
-    "H100_80GB",
-    "Interconnect",
-    "PCIE_GEN4",
-    "NVLINK",
-    "allreduce_time",
-    "point_to_point_time",
-    "ClusterSpec",
-    "HardwareSetup",
-    "HARDWARE_SETUPS",
-    "get_hardware_setup",
-    "list_hardware_setups",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.hardware.gpu": (
+        "GPUSpec", "GPU_REGISTRY", "get_gpu", "list_gpus", "L4", "A100_40GB", "H100_80GB",
+    ),
+    "repro.hardware.interconnect": (
+        "Interconnect", "PCIE_GEN4", "NVLINK", "allreduce_time", "point_to_point_time",
+    ),
+    "repro.hardware.cluster": (
+        "ClusterSpec", "HardwareSetup", "HARDWARE_SETUPS", "get_hardware_setup",
+        "list_hardware_setups",
+    ),
+})

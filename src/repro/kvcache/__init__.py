@@ -13,33 +13,15 @@ GPU radix tree (L1) over host memory (L2) over a fleet-shared cluster store
 and router-hint prefetch; see ``docs/KV_TIERS.md``.
 """
 
-from repro.kvcache.block import Block, BlockId, hash_token_blocks, hash_chain
-from repro.kvcache.allocator import BlockAllocator
-from repro.kvcache.prefix_tree import RadixPrefixCache, PrefixMatch
-from repro.kvcache.offload import CPUOffloadStore
-from repro.kvcache.manager import KVCacheManager, CacheStats
-from repro.kvcache.tiers import (
-    ClusterPrefixStore,
-    TieredPrefixStore,
-    TierLookup,
-    TierStats,
-    tier_config_from_dict,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Block",
-    "BlockId",
-    "hash_token_blocks",
-    "hash_chain",
-    "BlockAllocator",
-    "RadixPrefixCache",
-    "PrefixMatch",
-    "CPUOffloadStore",
-    "KVCacheManager",
-    "CacheStats",
-    "tier_config_from_dict",
-    "TieredPrefixStore",
-    "TierLookup",
-    "TierStats",
-    "ClusterPrefixStore",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.kvcache.block": ("Block", "BlockId", "hash_token_blocks", "hash_chain"),
+    "repro.kvcache.allocator": ("BlockAllocator",),
+    "repro.kvcache.prefix_tree": ("RadixPrefixCache", "PrefixMatch"),
+    "repro.kvcache.offload": ("CPUOffloadStore",),
+    "repro.kvcache.manager": ("KVCacheManager", "CacheStats"),
+    "repro.kvcache.tiers.cluster_store": ("ClusterPrefixStore",),
+    "repro.kvcache.tiers.store": ("TieredPrefixStore", "TierLookup", "TierStats"),
+    "repro.kvcache.tiers.config": ("tier_config_from_dict",),
+})

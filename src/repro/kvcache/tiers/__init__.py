@@ -18,38 +18,16 @@ into a full hierarchy that the fleet layer can share:
 ``docs/KV_TIERS.md`` is the configuration reference and cookbook.
 """
 
-from repro.kvcache.tiers.cluster_store import ClusterPrefixStore, ClusterStoreStats
-from repro.kvcache.tiers.config import TIER_NAMES, tier_config_from_dict
-from repro.kvcache.tiers.policy import (
-    PROMOTION_POLICIES,
-    AlwaysPromote,
-    NeverPromote,
-    PromoteOnNthHit,
-    PromotionPolicy,
-    make_promotion_policy,
-)
-from repro.kvcache.tiers.store import (
-    TieredPrefixStore,
-    TierLookup,
-    TierStats,
-    build_cluster_store,
-    build_tiered_store,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "TIER_NAMES",
-    "tier_config_from_dict",
-    "PromotionPolicy",
-    "AlwaysPromote",
-    "NeverPromote",
-    "PromoteOnNthHit",
-    "PROMOTION_POLICIES",
-    "make_promotion_policy",
-    "ClusterPrefixStore",
-    "ClusterStoreStats",
-    "TieredPrefixStore",
-    "TierLookup",
-    "TierStats",
-    "build_tiered_store",
-    "build_cluster_store",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.kvcache.tiers.cluster_store": ("ClusterPrefixStore", "ClusterStoreStats"),
+    "repro.kvcache.tiers.config": ("TIER_NAMES", "tier_config_from_dict"),
+    "repro.kvcache.tiers.policy": (
+        "PROMOTION_POLICIES", "AlwaysPromote", "NeverPromote", "PromoteOnNthHit",
+        "PromotionPolicy", "make_promotion_policy",
+    ),
+    "repro.kvcache.tiers.store": (
+        "TieredPrefixStore", "TierLookup", "TierStats", "build_cluster_store", "build_tiered_store",
+    ),
+})

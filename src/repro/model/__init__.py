@@ -8,35 +8,17 @@ prefill/decode FLOPs, and latency on a given GPU — is derived analytically fro
 those hyper-parameters.
 """
 
-from repro.model.config import (
-    ModelConfig,
-    MODEL_REGISTRY,
-    get_model,
-    list_models,
-    LLAMA_3_1_8B,
-    QWEN_32B_FP8,
-    LLAMA_3_3_70B_FP8,
-)
-from repro.model.layers import LayerKind, LayerSpec, MLPTensorReport, build_layer_stack, mlp_tensor_report
-from repro.model.flops import FlopsModel
-from repro.model.memory import MemoryModel, ActivationProfile
-from repro.model.latency import LatencyModel
+from repro import lazy_exports
 
-__all__ = [
-    "ModelConfig",
-    "MODEL_REGISTRY",
-    "get_model",
-    "list_models",
-    "LLAMA_3_1_8B",
-    "QWEN_32B_FP8",
-    "LLAMA_3_3_70B_FP8",
-    "LayerKind",
-    "LayerSpec",
-    "MLPTensorReport",
-    "build_layer_stack",
-    "mlp_tensor_report",
-    "FlopsModel",
-    "MemoryModel",
-    "ActivationProfile",
-    "LatencyModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.model.config": (
+        "ModelConfig", "MODEL_REGISTRY", "get_model", "list_models", "LLAMA_3_1_8B",
+        "QWEN_32B_FP8", "LLAMA_3_3_70B_FP8",
+    ),
+    "repro.model.layers": (
+        "LayerKind", "LayerSpec", "MLPTensorReport", "build_layer_stack", "mlp_tensor_report",
+    ),
+    "repro.model.flops": ("FlopsModel",),
+    "repro.model.memory": ("MemoryModel", "ActivationProfile"),
+    "repro.model.latency": ("LatencyModel",),
+})

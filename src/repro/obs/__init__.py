@@ -13,64 +13,20 @@ and the exports themselves are bit-reproducible across repeat runs, shard
 counts, and worker pools.
 """
 
-from repro.obs.recorder import (
-    GLOBAL_KEY,
-    DEFAULT_LATENCY_BUCKETS,
-    ObsData,
-    NULL_RECORDER,
-    NullRecorder,
-    TraceRecorder,
-)
-from repro.obs.exporters import (
-    SPANS_FORMAT,
-    ALERTS_FORMAT,
-    export_spans,
-    parse_spans,
-    export_alerts,
-    export_chrome_trace,
-    export_prometheus,
-    format_obs_summary,
-    format_slo_report,
-)
-from repro.obs.analysis import (
-    PHASES,
-    DEFAULT_ALERT_RULES,
-    AlertEvent,
-    AlertReport,
-    CriticalPathReport,
-    RequestBreakdown,
-    RunDiff,
-    decompose_requests,
-    diff_runs,
-    evaluate_alerts,
-    top_exemplars,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "GLOBAL_KEY",
-    "DEFAULT_LATENCY_BUCKETS",
-    "ObsData",
-    "NULL_RECORDER",
-    "NullRecorder",
-    "TraceRecorder",
-    "SPANS_FORMAT",
-    "ALERTS_FORMAT",
-    "export_spans",
-    "parse_spans",
-    "export_alerts",
-    "export_chrome_trace",
-    "export_prometheus",
-    "format_obs_summary",
-    "format_slo_report",
-    "PHASES",
-    "DEFAULT_ALERT_RULES",
-    "AlertEvent",
-    "AlertReport",
-    "CriticalPathReport",
-    "RequestBreakdown",
-    "RunDiff",
-    "decompose_requests",
-    "diff_runs",
-    "evaluate_alerts",
-    "top_exemplars",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.obs.recorder": (
+        "GLOBAL_KEY", "DEFAULT_LATENCY_BUCKETS", "ObsData", "NULL_RECORDER", "NullRecorder",
+        "TraceRecorder",
+    ),
+    "repro.obs.exporters": (
+        "SPANS_FORMAT", "ALERTS_FORMAT", "export_spans", "parse_spans", "export_alerts",
+        "export_chrome_trace", "export_prometheus", "format_obs_summary", "format_slo_report",
+    ),
+    "repro.obs.analysis": (
+        "PHASES", "DEFAULT_ALERT_RULES", "AlertEvent", "AlertReport", "CriticalPathReport",
+        "RequestBreakdown", "RunDiff", "decompose_requests", "diff_runs", "evaluate_alerts",
+        "top_exemplars",
+    ),
+})

@@ -12,14 +12,8 @@ The repo benchmark that measures the simulator end to end and layer by layer
 lives outside the package, in ``perfbench/`` (see ``docs/PERFORMANCE.md``).
 """
 
-from repro.perf.runner import (
-    ParallelRunner,
-    derive_task_seeds,
-    resolve_runner,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ParallelRunner",
-    "derive_task_seeds",
-    "resolve_runner",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.perf.runner": ("ParallelRunner", "derive_task_seeds", "resolve_runner"),
+})

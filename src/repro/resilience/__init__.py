@@ -27,20 +27,11 @@ across shard counts, shard modes, and worker pools (policies force lockstep
 mode, the ordinary fleet loop).  See ``docs/RESILIENCE.md``.
 """
 
-from repro.resilience.config import resilience_from_dict
-from repro.resilience.policy import (
-    BreakerBank,
-    CircuitBreaker,
-    DegradeController,
-    HealthAwareRouter,
-    PolicyRuntime,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BreakerBank",
-    "CircuitBreaker",
-    "DegradeController",
-    "HealthAwareRouter",
-    "PolicyRuntime",
-    "resilience_from_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.resilience.config": ("resilience_from_dict",),
+    "repro.resilience.policy": (
+        "BreakerBank", "CircuitBreaker", "DegradeController", "HealthAwareRouter", "PolicyRuntime",
+    ),
+})

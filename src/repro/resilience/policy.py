@@ -10,13 +10,13 @@ No wall clock, no global RNG.
 from __future__ import annotations
 
 import bisect
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.simulation.metrics import sorted_percentile
 from repro.simulation.routing import Router
 from repro.spec.models import ResilienceSpec
 from repro.workloads.trace import Request
@@ -363,29 +363,19 @@ class PolicyRuntime:
     def hedge_delay(self) -> float | None:
         """Current hedge delay in seconds, or ``None`` while unavailable.
 
-        The configured percentile of the trailing latency window, computed
-        exactly as numpy's default (``linear``) :func:`numpy.quantile` does,
-        bit for bit, from the sorted copy of the window.
+        The configured percentile of the trailing latency window, taken from
+        its sorted copy by
+        :func:`~repro.simulation.metrics.sorted_percentile` (numpy's
+        ``linear`` quantile, bit for bit).
         """
         policy = self.hedge
         if policy is None:
             return None
         if policy.delay_s is not None:
             return policy.delay_s
-        ordered = self._sorted_samples
-        count = len(ordered)
-        if count < policy.min_samples:
+        if len(self._sorted_samples) < policy.min_samples:
             return None
-        position = (count - 1) * (policy.percentile / 100.0)
-        index = math.floor(position)
-        gamma = position - index
-        high = ordered[min(index + 1, count - 1)]
-        step = high - ordered[index]
-        # numpy's lerp: from the nearer end, so the weight applied is <= 0.5.
-        if gamma >= 0.5:
-            delay = high - step * (1 - gamma)
-        else:
-            delay = ordered[index] + step * gamma
+        delay = sorted_percentile(self._sorted_samples, policy.percentile)
         return max(delay, policy.min_delay_s)
 
     # ---------------------------------------------------------------- retry

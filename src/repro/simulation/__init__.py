@@ -30,86 +30,28 @@ paper's evaluation grid:
   plus the fleet-level :class:`FleetSummary`.
 """
 
-from repro.simulation.arrival import (
-    ARRIVAL_FACTORIES,
-    ArrivalProcess,
-    BurstArrivalProcess,
-    ClosedLoopArrivalProcess,
-    DiurnalArrivalProcess,
-    FlashCrowdArrivalProcess,
-    MMPPArrivalProcess,
-    PoissonArrivalProcess,
-    UniformArrivalProcess,
-    list_arrivals,
-    make_arrival,
-)
-from repro.simulation.events import EventQueue
-from repro.simulation.routing import (
-    LeastLoadedRouter,
-    PrefixAffinityRouter,
-    Router,
-    UserIdRouter,
-    make_router,
-)
-from repro.simulation.metrics import (
-    FleetSummary,
-    LatencySummary,
-    TierSummary,
-    summarize_finished,
-    summarize_fleet,
-    summarize_tiers,
-)
-from repro.simulation.scenario import (
-    ScenarioResult,
-    ScenarioSpec,
-    TenantReport,
-    load_scenario,
-    replay_scenario,
-    run_scenario,
-    scenario_from_dict,
-)
-from repro.simulation.server import ServingSystem
-from repro.simulation.simulator import (
-    FleetSimulationResult,
-    SimulationResult,
-    simulate,
-    simulate_fleet,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ArrivalProcess",
-    "PoissonArrivalProcess",
-    "BurstArrivalProcess",
-    "UniformArrivalProcess",
-    "MMPPArrivalProcess",
-    "DiurnalArrivalProcess",
-    "FlashCrowdArrivalProcess",
-    "ClosedLoopArrivalProcess",
-    "ARRIVAL_FACTORIES",
-    "list_arrivals",
-    "make_arrival",
-    "EventQueue",
-    "Router",
-    "UserIdRouter",
-    "LeastLoadedRouter",
-    "PrefixAffinityRouter",
-    "make_router",
-    "LatencySummary",
-    "FleetSummary",
-    "TierSummary",
-    "summarize_finished",
-    "summarize_fleet",
-    "summarize_tiers",
-    "ServingSystem",
-    "SimulationResult",
-    "FleetSimulationResult",
-    "simulate",
-    "simulate_fleet",
-    "ScenarioSpec",
-    "ScenarioResult",
-    "TenantReport",
-    "scenario_from_dict",
-    "load_scenario",
-    "run_scenario",
-    "replay_scenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.simulation.arrival": (
+        "ARRIVAL_FACTORIES", "ArrivalProcess", "BurstArrivalProcess", "ClosedLoopArrivalProcess",
+        "DiurnalArrivalProcess", "FlashCrowdArrivalProcess", "MMPPArrivalProcess",
+        "PoissonArrivalProcess", "UniformArrivalProcess", "list_arrivals", "make_arrival",
+    ),
+    "repro.simulation.events": ("EventQueue",),
+    "repro.simulation.routing": (
+        "LeastLoadedRouter", "PrefixAffinityRouter", "Router", "UserIdRouter", "make_router",
+    ),
+    "repro.simulation.metrics": (
+        "FleetSummary", "LatencySummary", "TierSummary", "summarize_finished", "summarize_fleet",
+        "summarize_tiers",
+    ),
+    "repro.simulation.scenario": (
+        "ScenarioResult", "ScenarioSpec", "TenantReport", "load_scenario", "replay_scenario",
+        "run_scenario", "scenario_from_dict",
+    ),
+    "repro.simulation.server": ("ServingSystem",),
+    "repro.simulation.simulator": (
+        "FleetSimulationResult", "SimulationResult", "simulate", "simulate_fleet",
+    ),
+})

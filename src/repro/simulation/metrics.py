@@ -10,18 +10,40 @@ scale events.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.engine import FinishedRequest
 
 
+def sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """Percentile (``q`` in [0, 100]) of the non-empty ascending ``ordered``.
+
+    Computed exactly as numpy's default (``linear``) :func:`numpy.percentile`
+    does, bit for bit, without calling numpy: ``np.percentile`` reaches
+    ``np.unique``, whose first call imports ``numpy.ma``.
+    """
+    count = len(ordered)
+    position = (count - 1) * (q / 100.0)
+    index = math.floor(position)
+    gamma = position - index
+    low = ordered[index]
+    high = ordered[min(index + 1, count - 1)]
+    step = high - low
+    # numpy's lerp: from the nearer end, so the weight applied is <= 0.5.
+    if gamma >= 0.5:
+        return high - step * (1 - gamma)
+    return low + step * gamma
+
+
 def percentile(values: list[float], q: float) -> float:
     """Linear-interpolated percentile (``q`` in [0, 100]) of ``values``."""
     if not values:
         return 0.0
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
+    return sorted_percentile(sorted(values), q)
 
 
 @dataclass(frozen=True)

@@ -7,65 +7,18 @@ declaration.  See :mod:`repro.spec.core` for the engine,
 for the derived strategies.
 """
 
-from repro.errors import SpecError, SpecVersionError
-from repro.spec.core import (
-    MISSING,
-    FieldInfo,
-    field_rows,
-    from_dict,
-    is_spec_model,
-    normalize,
-    spec_field,
-    spec_fields,
-    spec_model,
-    to_dict,
-)
-from repro.spec.models import (
-    FAULT_KINDS,
-    TIER_NAMES,
-    AutoscaleSpec,
-    BrownoutEventSpec,
-    ClusterTierSpec,
-    CrashEventSpec,
-    FaultsSpec,
-    GenerateSpec,
-    HostTierSpec,
-    KVTiersSpec,
-    OutageEventSpec,
-    RecoverEventSpec,
-    ScenarioModel,
-    SlowEventSpec,
-    TenantModel,
-    parse_fault_event,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "MISSING",
-    "FieldInfo",
-    "SpecError",
-    "SpecVersionError",
-    "spec_field",
-    "spec_model",
-    "spec_fields",
-    "is_spec_model",
-    "from_dict",
-    "to_dict",
-    "normalize",
-    "field_rows",
-    "TIER_NAMES",
-    "FAULT_KINDS",
-    "HostTierSpec",
-    "ClusterTierSpec",
-    "KVTiersSpec",
-    "CrashEventSpec",
-    "RecoverEventSpec",
-    "SlowEventSpec",
-    "BrownoutEventSpec",
-    "OutageEventSpec",
-    "GenerateSpec",
-    "FaultsSpec",
-    "AutoscaleSpec",
-    "TenantModel",
-    "ScenarioModel",
-    "parse_fault_event",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.errors": ("SpecError", "SpecVersionError"),
+    "repro.spec.core": (
+        "MISSING", "FieldInfo", "field_rows", "from_dict", "is_spec_model", "normalize",
+        "spec_field", "spec_fields", "spec_model", "to_dict",
+    ),
+    "repro.spec.models": (
+        "FAULT_KINDS", "TIER_NAMES", "AutoscaleSpec", "BrownoutEventSpec", "ClusterTierSpec",
+        "CrashEventSpec", "FaultsSpec", "GenerateSpec", "HostTierSpec", "KVTiersSpec",
+        "OutageEventSpec", "RecoverEventSpec", "ScenarioModel", "SlowEventSpec", "TenantModel",
+        "parse_fault_event",
+    ),
+})

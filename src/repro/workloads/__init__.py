@@ -28,29 +28,14 @@ The scenario cookbook (``docs/SCENARIOS.md``) shows how these compose with the
 arrival processes in :mod:`repro.simulation.arrival` into runnable scenarios.
 """
 
-from repro.workloads.trace import TokenSegment, TokenSequence, Request, WorkloadTrace
-from repro.workloads.tokenizer import SyntheticTokenizer
-from repro.workloads.post_recommendation import PostRecommendationWorkload
-from repro.workloads.credit_verification import CreditVerificationWorkload
-from repro.workloads.registry import get_workload, list_workloads, register_workload
-from repro.workloads.mixer import MixedTrace, TenantSpec, mix_tenants
-from repro.workloads.tracefile import TRACE_SCHEMA, load_trace, save_trace
+from repro import lazy_exports
 
-__all__ = [
-    "TokenSegment",
-    "TokenSequence",
-    "Request",
-    "WorkloadTrace",
-    "SyntheticTokenizer",
-    "PostRecommendationWorkload",
-    "CreditVerificationWorkload",
-    "get_workload",
-    "list_workloads",
-    "register_workload",
-    "TenantSpec",
-    "MixedTrace",
-    "mix_tenants",
-    "TRACE_SCHEMA",
-    "save_trace",
-    "load_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workloads.trace": ("TokenSegment", "TokenSequence", "Request", "WorkloadTrace"),
+    "repro.workloads.tokenizer": ("SyntheticTokenizer",),
+    "repro.workloads.post_recommendation": ("PostRecommendationWorkload",),
+    "repro.workloads.credit_verification": ("CreditVerificationWorkload",),
+    "repro.workloads.registry": ("get_workload", "list_workloads", "register_workload"),
+    "repro.workloads.mixer": ("MixedTrace", "TenantSpec", "mix_tenants"),
+    "repro.workloads.tracefile": ("TRACE_SCHEMA", "load_trace", "save_trace"),
+})

@@ -2,7 +2,8 @@
 
 The mutants themselves run under ``make mutants``.  Here each mutant is only
 applied to a copy of its target file, so a refactor that moves a mutated
-line fails tier-1 at once, not only the mutants job.
+line fails tier-1 at once, not only the mutants job; and each mutant's
+killing tests must be entries of the mutant test set.
 """
 
 from __future__ import annotations
@@ -39,3 +40,14 @@ def test_a_missing_source_text_is_reported(tmp_path):
     (tmp_path / "src" / "module.py").write_text("pass\n")
     mutant = mutants.Mutant("absent", "src/module.py", (("return 1", ""),))
     assert "found 0 times" in mutants.apply(mutant, tmp_path)
+
+
+def test_each_mutant_runs_its_killing_tests_first():
+    """Every mutant names its killers from the test set; they run first and
+    the rest of the set follows, each test once."""
+    assert mutants.ordered_tests(None) == mutants.TESTS
+    for mutant in mutants.MUTANTS:
+        assert mutant.kills and set(mutant.kills) <= set(mutants.TESTS), mutant.name
+        order = mutants.ordered_tests(mutant)
+        assert order[:len(mutant.kills)] == mutant.kills
+        assert sorted(order) == sorted(mutants.TESTS)

@@ -1,6 +1,8 @@
 """Tests for latency / throughput summaries."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.engine import FinishedRequest
 from repro.simulation.metrics import latency_cdf, percentile, summarize_finished
@@ -26,6 +28,27 @@ def test_percentile_basic():
     assert percentile(values, 50) == pytest.approx(2.5)
     assert percentile(values, 100) == 4.0
     assert percentile([], 99) == 0.0
+
+
+LATENCIES = st.floats(min_value=0.0, max_value=1e9)
+
+
+@settings.get_profile("fuzz-run")
+# Unsorted, tied and single-sample inputs at the reported percentiles, in
+# every run, not only in the runs that draw such a case.
+@example(values=[3.0, 0.25, 2.0, 1.5], q=50.0)
+@example(values=[5.0, 0.1, 5.0, 5.0, 0.3, 0.1], q=90.0)
+@example(values=[0.7], q=99.0)
+@example(values=[2.5, 1.0, 2.5], q=100.0)
+@given(values=st.one_of(
+           st.lists(LATENCIES, min_size=1, max_size=400),
+           # Draws from a few values, so the input holds ties.
+           st.lists(LATENCIES, min_size=1, max_size=5).flatmap(
+               lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=400))),
+       q=st.one_of(st.sampled_from([50.0, 90.0, 99.0, 100.0]), st.floats(0.0, 100.0)))
+def test_percentile_is_numpys_linear_percentile_bit_for_bit(values, q):
+    expected = float(np.percentile(np.asarray(values, dtype=np.float64), q))
+    assert percentile(values, q).hex() == expected.hex()
 
 
 def test_summary_of_empty_run():
