@@ -5,8 +5,9 @@
 change feeds the SRJF scheduler's frontier index reads, the batched demotion
 cascade and its batch span recording, the hedge policy's sorted latency
 window, the percentile lerp the hedge delay shares with the latency
-summaries, the router's replica-set hook, and the decoupled shard engine's
-pre-routing and replica names.  A mutant is one or more exact
+summaries, the router's replica-set hook, the decoupled shard engine's
+pre-routing and replica names, and the scenario runner's unsharded run of a
+kept fleet.  A mutant is one or more exact
 source-text replacements in a module under ``src/``.  For the unmutated tree
 and then for each mutant, the script copies ``src/``, ``tests/`` and the
 cookbook scenarios (``examples/scenarios/``, which the KV-invariant and
@@ -48,6 +49,7 @@ HEDGE = "src/repro/resilience/policy.py"
 METRICS = "src/repro/simulation/metrics.py"
 ROUTING = "src/repro/simulation/routing.py"
 SHARDED = "src/repro/simulation/sharded.py"
+SCENARIO = "src/repro/simulation/scenario.py"
 SCENARIOS = "examples/scenarios"
 
 CACHE_ORACLE = "tests/test_prefix_cache_oracle.py"
@@ -62,6 +64,7 @@ PERCENTILE_TEST = (
 )
 CASCADE_ORACLE = "tests/test_tier_cascade_oracle.py"
 SHARD_IDENTITY = "tests/test_sharded_identity.py::test_decoupled_parallel_matches_unsharded"
+KEPT_FLEET = "tests/test_sharded_identity.py::test_a_kept_fleet_is_the_simulated_one"
 
 #: The tests every mutant must fail.
 TESTS = (
@@ -79,7 +82,7 @@ TESTS = (
     CASCADE_ORACLE,
     "tests/test_obs_export_digests.py",
     SHARD_IDENTITY,
-    "tests/test_sharded_identity.py::test_lockstep_mode_matches_parallel_mode",
+    KEPT_FLEET,
 )
 
 
@@ -291,6 +294,11 @@ MUTANTS = (
     Mutant("shard-keeps-local-names", SHARDED, (
         ("            instance.name = name\n", "            pass\n"),
     ), kills=(SHARD_IDENTITY,)),
+    # A kept fleet is sharded too, so the fleet it returns never ran.
+    Mutant("keep-fleet-runs-sharded", SCENARIO, (
+        ("        shards=1 if keep_fleet else spec.shards,\n",
+         "        shards=spec.shards,\n"),
+    ), kills=(KEPT_FLEET,)),
 )
 
 

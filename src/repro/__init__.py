@@ -9,9 +9,9 @@ organises the system:
   the paper evaluates (architecture, memory, FLOPs, latency, interconnects);
 * ``repro.kvcache`` — paged KV-cache allocation, radix-tree prefix caching,
   suffix discarding/offloading;
-* ``repro.execution`` — a NumPy micro-transformer and computation-graph
-  machinery that validate hybrid prefilling numerically;
-* ``repro.core`` — PrefillOnly itself: hybrid prefilling, the profile run, JCT
+* ``repro.execution`` — a NumPy micro-transformer and chunk-by-chunk
+  execution that validate hybrid prefilling numerically;
+* ``repro.core`` — PrefillOnly itself: the engine, the profile run, JCT
   estimation, and SRJF scheduling with continuous JCT calibration;
 * ``repro.baselines`` — the PagedAttention, chunked prefill, tensor parallel,
   and pipeline parallel baselines;
@@ -80,12 +80,10 @@ __version__ = "0.1.0"
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.engine": (
-        "EngineInstance", "EngineSpec", "FinishedRequest", "build_engine",
-        "prefillonly_engine_spec",
+        "EngineInstance", "EngineSpec", "FinishedRequest", "prefillonly_engine_spec",
     ),
     "repro.core.jct": ("JCTEstimator", "JCTProfiler", "jct_pearson_correlation"),
     "repro.core.scheduler": ("FCFSScheduler", "SRJFScheduler", "make_scheduler"),
-    "repro.core.hybrid_prefill": ("HybridPrefillPlanner",),
     "repro.core.profile_run": ("run_profile",),
     "repro.baselines.registry": ("all_engine_specs", "baseline_specs", "get_engine_spec"),
     "repro.baselines.chunked_prefill": ("chunked_prefill_spec",),

@@ -668,14 +668,3 @@ class EngineInstance:
                 raise SchedulingError("drain_until exceeded the iteration guard")
         return finished
 
-
-def build_engine(spec: EngineSpec, model: ModelConfig, gpu: GPUSpec, *,
-                 interconnect: Interconnect | None = None,
-                 max_input_length: int, name: str | None = None) -> EngineInstance:
-    """Construct one engine instance from a spec (thin convenience wrapper)."""
-    return EngineInstance(
-        spec, model, gpu,
-        interconnect=interconnect,
-        max_input_length=max_input_length,
-        name=name if name is not None else f"{spec.name}-0",
-    )

@@ -24,7 +24,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "UsageInfo", "parse_completion_request",
     ),
     "repro.frontend.rpc": ("InProcessChannel", "ScoreReply", "SubmitRequest"),
-    "repro.frontend.server": (
-        "FleetBackend", "MicroModelBackend", "PrefillOnlyFrontend", "ScoringBackend",
-    ),
+    "repro.frontend.server": ("MicroModelBackend", "PrefillOnlyFrontend", "ScoringBackend"),
 })

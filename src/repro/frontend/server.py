@@ -6,16 +6,12 @@ server: it parses an OpenAI-style payload, tokenizes the prompt, pushes a
 scoring backend produce the constrained-output probabilities, and wraps the
 result into an OpenAI-shaped :class:`~repro.frontend.api.CompletionResponse`.
 
-Three backends are provided:
+Two kinds of backend serve it:
 
 * :class:`MicroModelBackend` — scores with the NumPy micro-transformer using
   hybrid prefilling and a per-user prefix cache of hidden-state prefixes at
   block granularity, so repeated prompts from the same user report cache hits
   exactly as the full engine would (functional path);
-* :class:`FleetBackend` — a fleet adapter that routes each request across N
-  replica backends with a :class:`~repro.simulation.routing.Router` (user-id
-  by default), mirroring how :class:`~repro.cluster.fleet.Fleet` spreads
-  users across engine replicas;
 * any object implementing :class:`ScoringBackend` — e.g. a test double, or an
   adapter that forwards to a real engine.
 """
@@ -37,9 +33,7 @@ from repro.frontend.api import (
 from repro.frontend.rpc import InProcessChannel, ScoreReply, SubmitRequest
 from repro.execution.chunked_linear import ChunkedExecutionOptions
 from repro.execution.numeric import MicroTransformer, MicroTransformerConfig
-from repro.simulation.routing import Router, UserIdRouter
 from repro.workloads.tokenizer import SyntheticTokenizer
-from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
 
 class ScoringBackend(abc.ABC):
@@ -115,75 +109,6 @@ class MicroModelBackend(ScoringBackend):
         )
 
 
-class FleetBackend(ScoringBackend):
-    """Routes scoring requests across N replica backends, fleet-style.
-
-    The adapter gives :class:`PrefillOnlyFrontend` the same deployment shape
-    the simulation fleet has: N independent scoring replicas, each with its
-    own per-user prefix cache, behind a routing policy.  Because the default
-    router is the paper's :class:`~repro.simulation.routing.UserIdRouter`, a
-    user's repeated prompts land on the same replica and keep reporting cache
-    hits, exactly as with a single backend — while different users spread
-    across replicas.
-
-    Args:
-        num_replicas: Number of scoring replicas.
-        router: Routing policy over replica indices; queue depths are modelled
-            as each replica's in-flight-free served count so load-based
-            routers balance total work.  Defaults to user-id routing.
-        backend_factory: Called with the replica index to build each replica;
-            defaults to :class:`MicroModelBackend` seeded with the index so
-            replicas are distinguishable but deterministic.
-    """
-
-    def __init__(self, num_replicas: int = 2, *, router: Router | None = None,
-                 backend_factory=None) -> None:
-        if num_replicas < 1:
-            raise ValueError("num_replicas must be at least 1")
-        if backend_factory is None:
-            backend_factory = lambda index: MicroModelBackend(seed=index)  # noqa: E731
-        self._replicas: list[ScoringBackend] = [
-            backend_factory(index) for index in range(num_replicas)
-        ]
-        self._router = router if router is not None else UserIdRouter(num_replicas)
-        self._served_per_replica = [0] * num_replicas
-        self._route_seq = itertools.count()
-
-    @property
-    def num_replicas(self) -> int:
-        return len(self._replicas)
-
-    @property
-    def served_per_replica(self) -> list[int]:
-        """Requests served by each replica so far (router load signal)."""
-        return list(self._served_per_replica)
-
-    def _as_trace_request(self, request: SubmitRequest) -> Request:
-        # Routers operate on trace-level Request objects; a frontend prompt
-        # becomes a single segment whose content id is the token content, so
-        # identical prompts share block hashes.
-        return Request(
-            request_id=next(self._route_seq),
-            user_id=request.user_id,
-            sequence=TokenSequence([
-                TokenSegment(
-                    content_id=hash(request.token_ids),
-                    length=max(len(request.token_ids), 1),
-                )
-            ]),
-            allowed_outputs=request.allowed_outputs,
-        )
-
-    def score(self, request: SubmitRequest) -> ScoreReply:
-        """Route one request to its replica and return that replica's reply."""
-        index = self._router.route(
-            self._as_trace_request(request), list(self._served_per_replica)
-        )
-        reply = self._replicas[index].score(request)
-        self._served_per_replica[index] += 1
-        return reply
-
-
 class PrefillOnlyFrontend:
     """In-process OpenAI-compatible frontend for prefill-only requests.
 
@@ -200,16 +125,13 @@ class PrefillOnlyFrontend:
         self._backend = backend if backend is not None else MicroModelBackend()
         if tokenizer is not None:
             self._tokenizer = tokenizer
+        elif isinstance(self._backend, MicroModelBackend):
+            # Match the tokenizer's id space to the scoring model's vocabulary.
+            self._tokenizer = SyntheticTokenizer(
+                vocab_size=self._backend._model.config.vocab_size
+            )
         else:
-            # Match the tokenizer's id space to the scoring model's vocabulary
-            # (looking through a FleetBackend at its first replica).
-            probe = self._backend
-            if isinstance(probe, FleetBackend):
-                probe = probe._replicas[0]
-            if isinstance(probe, MicroModelBackend):
-                self._tokenizer = SyntheticTokenizer(vocab_size=probe._model.config.vocab_size)
-            else:
-                self._tokenizer = SyntheticTokenizer()
+            self._tokenizer = SyntheticTokenizer()
         self._model_name = model_name
         self._channel = InProcessChannel()
         self._id_counter = itertools.count()

@@ -50,7 +50,6 @@ class CacheStats:
     requests_with_hit: int
     tokens_total: int
     tokens_hit: int
-    block_stats: dict
     offload_stats: dict | None
     #: Per-tier counters when the manager runs a tiered hierarchy, else None.
     #: Carries the :class:`~repro.kvcache.tiers.store.TierStats` fields plus
@@ -218,7 +217,6 @@ class KVCacheManager:
             requests_with_hit=self._requests_with_hit,
             tokens_total=self._tokens_total,
             tokens_hit=self._tokens_hit,
-            block_stats=dict(self._cache.stats),
             offload_stats=(
                 offload.stats.__dict__ if offload is not None else None
             ),

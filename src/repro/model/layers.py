@@ -1,12 +1,12 @@
 """Per-layer structural description of a transformer forward pass.
 
-The hybrid-prefilling planner (``repro.core.hybrid_prefill``) and the
-computation-graph executor (``repro.execution``) both need to know, for every
-layer in the model, whether the layer is an attention layer (must see the whole
-sequence at once, produces KV cache) or a position-wise layer (linear / norm /
-activation; can be evaluated chunk-by-chunk).  This module builds that layer
-stack from a :class:`~repro.model.config.ModelConfig` and also produces the
-MLP tensor-size report behind Figure 4 of the paper.
+The Figure 3 memory trace
+(:meth:`repro.model.memory.MemoryModel.prefill_memory_trace`) needs to know,
+for every layer in the model, whether the layer is an attention layer (must see
+the whole sequence at once, produces KV cache) or a position-wise layer
+(linear / norm / activation; can be evaluated chunk-by-chunk).  This module
+builds that layer stack from a :class:`~repro.model.config.ModelConfig` and
+also produces the MLP tensor-size report behind Figure 4 of the paper.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.model.config import ModelConfig
 
 
 class LayerKind(enum.Enum):
-    """Classification of layers used by the hybrid-prefilling planner."""
+    """Whether a layer sees the whole sequence (attention) or one position at a time."""
 
     EMBEDDING = "embedding"
     NORM = "norm"

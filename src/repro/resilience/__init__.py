@@ -23,8 +23,8 @@ hands to the :class:`PolicyRuntime` it drives:
 The standing invariant, pinned by tests: with the block absent or
 ``enabled: false``, every simulation result is byte-identical to a build
 without this package; with a fixed seed, enabled runs are bit-reproducible
-across shard counts, shard modes, and worker pools (policies force lockstep
-mode, the ordinary fleet loop).  See ``docs/RESILIENCE.md``.
+across shard counts and worker pools (policies force lockstep mode, the
+ordinary fleet loop).  See ``docs/RESILIENCE.md``.
 """
 
 from repro import lazy_exports

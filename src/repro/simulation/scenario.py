@@ -401,6 +401,8 @@ def run_scenario(spec: ScenarioSpec, *, record: str | Path | None = None,
         keep_fleet: Attach the simulated fleet to the result so callers (the
             invariant checks) can inspect end-of-run KV residency; off by
             default because a fleet does not pickle across suite workers.
+            A kept fleet runs unsharded (the fleet loop on the fleet object
+            itself), with byte-identical results and no ``result.sharding``.
     """
     set_context(seed=spec.seed)
     logger = get_logger("scenario")
@@ -425,13 +427,12 @@ def run_scenario(spec: ScenarioSpec, *, record: str | Path | None = None,
     )
     result = simulate_fleet(
         fleet, requests, faults=spec.faults,
-        shards=spec.shards,
+        # `keep_fleet` callers (the invariant checks) need the simulated
+        # fleet object, which the decoupled shard engines never touch.
+        shards=1 if keep_fleet else spec.shards,
         # Scenario runs keep the shard engines in-process: the suite runner
-        # already parallelizes across scenarios, and `keep_fleet` callers
-        # (the invariant checks) need the fully simulated fleet object,
-        # which only the lockstep mode (the fleet loop itself) produces.
+        # already parallelizes across scenarios.
         shard_workers=1,
-        shard_mode="lockstep" if keep_fleet else "auto",
         shard_seed=spec.seed,
     )
     logger.info("scenario %r finished: %d completed, %d rejected, %d events",

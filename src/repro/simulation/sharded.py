@@ -24,8 +24,8 @@ are merged back in replica-key order, which is exactly the fleet's
 ``tests/test_sharded_identity.py``).
 
 A fleet that fails :func:`fleet_is_decoupled` runs the ordinary fleet loop
-unchanged — the ``"lockstep"`` mode of :func:`resolve_shard_mode` — and the
-shard count only labels ``result.sharding``.  A recorded fleet is one of
+unchanged (``result.sharding["mode"] == "lockstep"``) and the shard count
+only labels ``result.sharding``.  A recorded fleet is one of
 them: the fleet loop is the only producer of observability data
 (:class:`~repro.obs.recorder.ObsData`), so shard engines never record.
 
@@ -56,7 +56,6 @@ __all__ = [
     "ShardPlan",
     "ShardEngine",
     "fleet_is_decoupled",
-    "resolve_shard_mode",
     "simulate_fleet_decoupled",
 ]
 
@@ -114,22 +113,6 @@ def fleet_is_decoupled(fleet, faults) -> bool:
         and fleet.stats.num_submitted == 0
         and not fleet.scale_events
     )
-
-
-def resolve_shard_mode(shard_mode: str, fleet, faults) -> str:
-    """Pick ``"parallel"`` or ``"lockstep"`` for this run.
-
-    ``"auto"`` runs decoupled fleets in parallel and everything else in
-    lockstep, the ordinary fleet loop; ``"lockstep"`` forces the fleet loop
-    (e.g. when the caller needs the fully-simulated fleet object afterwards).
-    """
-    if shard_mode not in ("auto", "lockstep"):
-        raise ConfigurationError(
-            f"unknown shard mode {shard_mode!r}; expected 'auto' or 'lockstep'"
-        )
-    if shard_mode == "lockstep":
-        return "lockstep"
-    return "parallel" if fleet_is_decoupled(fleet, faults) else "lockstep"
 
 
 # --------------------------------------------------------------------------

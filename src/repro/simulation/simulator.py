@@ -147,7 +147,6 @@ def simulate_fleet(fleet, requests: list[Request], *,
                    faults=None,
                    shards: int = 1,
                    shard_workers: int | None = None,
-                   shard_mode: str = "auto",
                    shard_seed: int = 0) -> FleetSimulationResult:
     """Replay ``requests`` against a :class:`~repro.cluster.fleet.Fleet`.
 
@@ -157,8 +156,11 @@ def simulate_fleet(fleet, requests: list[Request], *,
     :class:`~repro.simulation.metrics.ResilienceSummary` lands in
     ``result.fleet.resilience``; with ``faults`` absent or disabled the
     results are byte-identical to a schedule-free run.  A decoupled fleet
-    asked for ``shards > 1`` runs on the sharded engine, whose shards run
-    the same event loop on sub-fleets of their replicas.
+    (:func:`~repro.simulation.sharded.fleet_is_decoupled`) asked for
+    ``shards > 1`` runs on the sharded engine, whose shards run the same
+    event loop on sub-fleets of their replicas; the fleet object itself then
+    stays unsimulated, so a caller that inspects it afterwards passes
+    ``shards=1``.
 
     Args:
         fleet: The fleet under test.
@@ -176,9 +178,6 @@ def simulate_fleet(fleet, requests: list[Request], *,
         shard_workers: Worker processes for the decoupled parallel path.
             ``None`` uses one per shard up to the CPU count; ``<= 1`` runs the
             shard engines serially in-process (identical results).
-        shard_mode: ``"auto"`` (parallel when the fleet is decoupled, else
-            lockstep) or ``"lockstep"`` (always this loop — required when the
-            caller inspects the fleet object after the run).
         shard_seed: Base seed the per-shard seed streams are derived from
             (:func:`~repro.perf.runner.derive_task_seeds`); the streams are
             only recorded in ``result.sharding``.
@@ -200,7 +199,7 @@ def simulate_fleet(fleet, requests: list[Request], *,
         from repro.simulation import sharded as _sharded
 
         plan = _sharded.ShardPlan(shards, base_seed=shard_seed)
-        if _sharded.resolve_shard_mode(shard_mode, fleet, faults) == "parallel":
+        if _sharded.fleet_is_decoupled(fleet, faults):
             return _sharded.simulate_fleet_decoupled(
                 fleet, requests, plan,
                 shard_workers=shard_workers,

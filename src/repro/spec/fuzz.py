@@ -403,8 +403,9 @@ def scenario_configs(draw):
     if draw(st.booleans()):
         config["faults"] = draw(fault_configs(replicas=replicas))
     if draw(st.booleans()):
-        # Exercise the sharded engine: the invariant test's second run takes
-        # the "auto" mode, so decoupled draws pin lockstep == parallel too.
+        # Exercise the sharded engine: the invariant test's first run keeps
+        # its fleet and so runs unsharded, the second takes the shards, so
+        # decoupled draws pin the parallel path against the fleet loop too.
         config["shards"] = draw(st.integers(2, 4))
     if draw(st.booleans()):
         # Recording observes the run without changing it, so the fuzzer's

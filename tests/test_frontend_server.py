@@ -4,12 +4,7 @@ import pytest
 
 from repro.frontend.api import CompletionRequest
 from repro.frontend.rpc import InProcessChannel, RPCError, ScoreReply, SubmitRequest
-from repro.frontend.server import (
-    FleetBackend,
-    MicroModelBackend,
-    PrefillOnlyFrontend,
-    ScoringBackend,
-)
+from repro.frontend.server import MicroModelBackend, PrefillOnlyFrontend, ScoringBackend
 
 
 PROMPT = (
@@ -157,32 +152,3 @@ def test_micro_backend_output_token_mapping_is_stable():
     assert backend._output_token_id("Yes") == backend._output_token_id("Yes")
     assert backend._output_token_id("Yes") != backend._output_token_id("No")
 
-
-# -------------------------------------------------------------- fleet backend
-
-def test_fleet_backend_same_user_stays_on_one_replica():
-    backend = FleetBackend(num_replicas=2)
-    frontend = PrefillOnlyFrontend(backend=backend)
-    for _ in range(3):
-        frontend.score(PROMPT, user="alice")
-    assert sorted(backend.served_per_replica) == [0, 3]
-
-
-def test_fleet_backend_spreads_users_and_keeps_cache_hits():
-    backend = FleetBackend(num_replicas=2)
-    frontend = PrefillOnlyFrontend(backend=backend)
-    long_prompt = "shared profile prefix " * 200 + " recommend this post? answer:"
-    first = frontend.complete(CompletionRequest(prompt=long_prompt, user="alice"))
-    repeat = frontend.complete(CompletionRequest(prompt=long_prompt, user="alice"))
-    other = frontend.complete(CompletionRequest(prompt=long_prompt, user="bob"))
-    assert first.cached_prompt_tokens == 0
-    # Same user, same replica: the repeat reports a block-aligned cache hit.
-    assert repeat.cached_prompt_tokens > 0
-    # A different user lands on the other replica with a cold cache.
-    assert other.cached_prompt_tokens == 0
-    assert backend.served_per_replica == [2, 1]
-
-
-def test_fleet_backend_requires_a_replica():
-    with pytest.raises(ValueError):
-        FleetBackend(num_replicas=0)

@@ -6,8 +6,8 @@
    shard and at four.  The null-recorder hooks must be invisible.
 2. **Enabled is read-only and deterministic** — turning recording on changes
    no simulation result, and the exports themselves are byte-reproducible:
-   same seed twice, sharded vs unsharded, and any shard mode or worker count
-   all serialise to identical bytes.  A recorded fleet runs the fleet loop at
+   same seed twice, and sharded vs unsharded at any worker count, all
+   serialise to identical bytes.  A recorded fleet runs the fleet loop at
    every shard count (``result.sharding["mode"] == "lockstep"``), so the
    loop is the only producer of a recording.
 
@@ -111,7 +111,7 @@ def test_same_seed_runs_export_identical_bytes():
 # ----------------------------------- contract 2: shard-shape reproducibility
 
 
-def _simulate(stem: str, *, shards: int, shard_workers: int, shard_mode: str):
+def _simulate(stem: str, *, shards: int, shard_workers: int):
     """One enabled run through the explicit simulate_fleet shard knobs."""
     spec = _spec(stem, shards=shards, enabled=True)
     requests = build_mix(spec).requests
@@ -121,32 +121,27 @@ def _simulate(stem: str, *, shards: int, shard_workers: int, shard_mode: str):
     fleet = _build_fleet(spec, max_input_length)
     return simulate_fleet(
         fleet, requests, faults=spec.faults, shards=spec.shards,
-        shard_workers=shard_workers, shard_mode=shard_mode, shard_seed=spec.seed,
+        shard_workers=shard_workers, shard_seed=spec.seed,
     )
 
 
-@pytest.mark.parametrize("shards,workers,mode", [
-    (4, 1, "lockstep"),   # lockstep forced
-    (4, 1, "auto"),       # a recorded decoupled fleet resolves to lockstep
-    (4, 2, "auto"),       # ... whatever the worker count
-    (4, 3, "auto"),
+@pytest.mark.parametrize("shards,workers", [
+    (4, 1),   # a recorded decoupled fleet runs the fleet loop
+    (4, 2),   # ... whatever the worker count
+    (4, 3),
 ])
-def test_sharded_exports_match_unsharded(shards, workers, mode):
+def test_sharded_exports_match_unsharded(shards, workers):
     """Every shard setting runs the fleet loop and exports the unsharded bytes."""
-    baseline = _simulate("steady_poisson", shards=1, shard_workers=1,
-                         shard_mode="lockstep")
-    sharded = _simulate("steady_poisson", shards=shards, shard_workers=workers,
-                        shard_mode=mode)
+    baseline = _simulate("steady_poisson", shards=1, shard_workers=1)
+    sharded = _simulate("steady_poisson", shards=shards, shard_workers=workers)
     assert sharded.sharding["mode"] == "lockstep"
     assert _exports(sharded.obs) == _exports(baseline.obs)
 
 
 def test_chaos_sharded_exports_match_unsharded():
     """Fault schedules force lockstep; the exports must still be identical."""
-    baseline = _simulate("chaos_tiered_recovery", shards=1, shard_workers=1,
-                         shard_mode="lockstep")
-    sharded = _simulate("chaos_tiered_recovery", shards=4, shard_workers=1,
-                        shard_mode="auto")
+    baseline = _simulate("chaos_tiered_recovery", shards=1, shard_workers=1)
+    sharded = _simulate("chaos_tiered_recovery", shards=4, shard_workers=1)
     assert _exports(sharded.obs) == _exports(baseline.obs)
 
 

@@ -6,10 +6,10 @@
    The policy hooks on the fleet's submit/finish/fault paths must be
    invisible when no policy is configured.
 2. **On is deterministic** — an enabled policy stack is bit-reproducible:
-   same seed twice, any shard count, lockstep or auto mode, any worker
-   count.  Policies couple replicas (hedges, breakers, degrade pressure), so
-   the sharded engine must force the globally-sequenced lockstep path rather
-   than silently diverge on the pre-routed parallel one.
+   same seed twice, any shard count, any worker count.  Policies couple
+   replicas (hedges, breakers, degrade pressure), so the sharded engine must
+   run such a fleet on the globally-sequenced fleet loop rather than silently
+   diverge on the pre-routed parallel path.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.simulation.arrival import PoissonArrivalProcess
 from repro.simulation.invariants import scenario_fingerprint
 from repro.simulation.routing import make_router
 from repro.simulation.scenario import load_scenario, run_scenario, scenario_from_dict
-from repro.simulation.sharded import fleet_is_decoupled, resolve_shard_mode
+from repro.simulation.sharded import fleet_is_decoupled
 from repro.simulation.simulator import simulate_fleet
 from repro.workloads.registry import get_workload
 
@@ -150,33 +150,27 @@ def _result_bytes(result) -> str:
 
 
 def test_policies_force_lockstep_and_match_across_modes_and_workers():
-    """User-id routing without policies takes the parallel path; adding any
-    policy must force lockstep — and auto mode with a worker pool must then
-    produce the same bytes as explicit lockstep."""
+    """User-id routing without policies is decoupled; adding any policy
+    couples the fleet, which then runs the fleet loop at every shard count —
+    four shards, with or without a worker pool, give the unsharded bytes."""
     trace = get_workload("post-recommendation", num_users=4, posts_per_user=8,
                          seed=7)
     policies = resilience_from_dict({
         "deadline": {"timeout_s": 30.0},
         "hedge": {"delay_s": 2.0},
     })
-    bare = _policy_fleet(trace, policies=None)
-    assert fleet_is_decoupled(bare, None)
-    assert resolve_shard_mode("auto", bare, None) == "parallel"
-    guarded = _policy_fleet(trace, policies=policies)
-    assert not fleet_is_decoupled(guarded, None)
-    assert resolve_shard_mode("auto", guarded, None) == "lockstep"
+    assert fleet_is_decoupled(_policy_fleet(trace, policies=None), None)
+    assert not fleet_is_decoupled(_policy_fleet(trace, policies=policies), None)
 
-    def run(shard_mode, shard_workers):
+    def run(shards, shard_workers):
         fleet = _policy_fleet(trace, policies=policies)
         requests = PoissonArrivalProcess(rate=8.0, seed=0).assign(
             list(trace.requests)
         )
         return _result_bytes(simulate_fleet(
-            fleet, requests, shards=4, shard_mode=shard_mode,
-            shard_workers=shard_workers,
+            fleet, requests, shards=shards, shard_workers=shard_workers,
         ))
 
-    baseline = run("lockstep", 1)
-    assert run("auto", 1) == baseline
-    assert run("auto", 2) == baseline
-    assert run("lockstep", 2) == baseline
+    baseline = run(1, 1)
+    assert run(4, 1) == baseline
+    assert run(4, 2) == baseline

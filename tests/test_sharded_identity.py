@@ -7,9 +7,10 @@ full :func:`~repro.simulation.invariants.scenario_fingerprint` (unrounded
 floats, per-request records, fleet summaries) is bit-equal at every shard
 count, and two same-seed sharded runs are bit-equal to each other.  These
 tests pin that contract over the whole cookbook, plus the decoupled parallel
-path (with a real worker pool) and the mode decision that picks it: any
-feature coupling replicas mid-run, and any recording, sends the fleet to the
-ordinary fleet loop.
+path (with a real worker pool) and the decision that picks it: any feature
+coupling replicas mid-run, and any recording, sends the fleet to the ordinary
+fleet loop.  A scenario run that keeps its fleet simulates that fleet object
+itself, never the shard engines' copies.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from repro.kvcache.tiers import tier_config_from_dict
 from repro.obs.logging import configure as configure_logging, get_logger
 from repro.obs.recorder import TraceRecorder
 from repro.simulation.arrival import make_arrival
-from repro.simulation.invariants import scenario_fingerprint
+from repro.simulation.invariants import check_scenario_invariants, scenario_fingerprint
 from repro.simulation.routing import LeastLoadedRouter, Router, make_router
-from repro.simulation.scenario import load_scenario, run_scenario
-from repro.simulation.sharded import resolve_shard_mode
+from repro.simulation.scenario import build_mix, load_scenario, run_scenario
+from repro.simulation.sharded import fleet_is_decoupled
 from repro.simulation.simulator import simulate_fleet
 from repro.spec.models import ObservabilitySpec
 from repro.workloads.registry import get_workload
@@ -166,21 +167,21 @@ def test_decoupled_parallel_matches_unsharded(case):
         )
 
 
-def test_lockstep_mode_matches_parallel_mode():
-    """Forcing lockstep on a decoupled fleet changes nothing but metadata."""
-    trace = get_workload("post-recommendation", num_users=8, posts_per_user=2,
-                         seed=7)
-    parallel = simulate_fleet(
-        _build_fleet(8, trace), _make_requests(trace),
-        shards=2, shard_workers=1, shard_seed=7,
-    )
-    lockstep = simulate_fleet(
-        _build_fleet(8, trace), _make_requests(trace),
-        shards=2, shard_workers=1, shard_seed=7, shard_mode="lockstep",
-    )
-    assert parallel.sharding["mode"] == "parallel"
-    assert lockstep.sharding["mode"] == "lockstep"
-    assert _fleet_fingerprint(lockstep) == _fleet_fingerprint(parallel)
+def test_a_kept_fleet_is_the_simulated_one():
+    """A decoupled scenario asked for shards still simulates the fleet it keeps.
+
+    The KV invariants alone would pass on a fleet that never ran (its trees
+    are empty), so the kept replicas must hold every finished record.
+    """
+    spec = dataclasses.replace(load_scenario(SCENARIO_DIR / "steady_poisson.json"),
+                               shards=4)
+    assert run_scenario(spec).result.sharding["mode"] == "parallel"
+    result = run_scenario(spec, keep_fleet=True)
+    assert result.result.num_finished > 0
+    assert sum(
+        len(replica.finished_requests) for replica in result.fleet.all_replicas
+    ) == result.result.num_finished
+    check_scenario_invariants(result, build_mix(spec).requests)
 
 
 @pytest.fixture()
@@ -211,7 +212,7 @@ def test_a_sharded_run_leaves_no_shard_id_in_later_log_records(repro_log):
     )
 
 
-# ------------------------------------------------------ shard-mode decision
+# ----------------------------------------------------- decoupling decision
 
 
 class _StateReadingRouter(Router):
@@ -279,5 +280,4 @@ def test_every_coupling_sends_the_fleet_to_lockstep(case):
     trace = get_workload("post-recommendation", num_users=2, posts_per_user=1,
                          seed=3)
     fleet, faults = _MODE_CASES[case](trace)
-    expected = "parallel" if case == "bare" else "lockstep"
-    assert resolve_shard_mode("auto", fleet, faults) == expected
+    assert fleet_is_decoupled(fleet, faults) == (case == "bare")
