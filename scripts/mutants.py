@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """Seeded mutants, each of which the mutant test set must kill.
 
-``make mutants`` entry point.  The mutants break the KV layer, the tier
-change feeds the SRJF scheduler's frontier index reads, the batched demotion
-cascade and its batch span recording, the hedge policy's sorted latency
-window, the percentile lerp the hedge delay shares with the latency
-summaries, the router's replica-set hook, the decoupled shard engine's
-pre-routing and replica names, and the scenario runner's unsharded run of a
-kept fleet.  A mutant is one or more exact
+``make mutants`` entry point.  The mutants break the KV layer (the radix
+tree, the manager and the block allocator's id pool), the tier change feeds
+the SRJF scheduler's frontier index reads, the batched demotion cascade and
+its batch span recording, the hedge policy's sorted latency window, the
+percentile lerp the hedge delay shares with the latency summaries, the
+router's replica-set hook, the decoupled shard engine's pre-routing and
+replica names, the scenario runner's unsharded run of a kept fleet, and the
+event loop's pause of the cyclic garbage collector.  A mutant is one or more exact
 source-text replacements in a module under ``src/``.  For the unmutated tree
 and then for each mutant, the script copies ``src/``, ``tests/`` and the
 cookbook scenarios (``examples/scenarios/``, which the KV-invariant and
@@ -39,6 +40,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 TREE = "src/repro/kvcache/prefix_tree.py"
+ALLOCATOR = "src/repro/kvcache/allocator.py"
 MANAGER = "src/repro/kvcache/manager.py"
 HOST = "src/repro/kvcache/offload.py"
 CLUSTER = "src/repro/kvcache/tiers/cluster_store.py"
@@ -50,9 +52,12 @@ METRICS = "src/repro/simulation/metrics.py"
 ROUTING = "src/repro/simulation/routing.py"
 SHARDED = "src/repro/simulation/sharded.py"
 SCENARIO = "src/repro/simulation/scenario.py"
+SIMULATOR = "src/repro/simulation/simulator.py"
 SCENARIOS = "examples/scenarios"
 
 CACHE_ORACLE = "tests/test_prefix_cache_oracle.py"
+ALLOCATOR_TESTS = "tests/test_kvcache_allocator.py"
+COLLECTOR_TESTS = "tests/test_event_loop_gc.py"
 TIER_TESTS = "tests/test_kvcache_tiers.py"
 MANAGER_TESTS = "tests/test_kvcache_manager.py"
 KV_INVARIANTS = "tests/test_kv_invariants.py"
@@ -83,6 +88,8 @@ TESTS = (
     "tests/test_obs_export_digests.py",
     SHARD_IDENTITY,
     KEPT_FLEET,
+    ALLOCATOR_TESTS,
+    COLLECTOR_TESTS,
 )
 
 
@@ -116,7 +123,7 @@ class Mutant:
 MUTANTS = (
     # An evicted leaf's last_access does not fold into its parent.
     Mutant("no-stamp-fold", TREE, (
-        ("            parent.block.touch(node.block.last_access)\n", ""),
+        ("            parent.touch(node.last_access)\n", ""),
     ), kills=(CACHE_ORACLE,)),
     # An insert's own evictions may take the tail of its path.
     Mutant("insert-pins-no-tail", TREE, (
@@ -152,7 +159,7 @@ MUTANTS = (
     ), kills=(CACHE_ORACLE,)),
     # An insert does not stamp the deepest block already cached.
     Mutant("insert-leaves-frontier-unstamped", TREE, (
-        ("        if tail is not None:\n            tail.block.touch(now)\n", ""),
+        ("        if tail is not None:\n            tail.touch(now)\n", ""),
     ), kills=(CACHE_ORACLE,)),
     # A lease pins its first cached block instead of the frontier.
     Mutant("lease-pins-first-block", MANAGER, (
@@ -184,12 +191,12 @@ MUTANTS = (
     ), kills=(CACHE_ORACLE,)),
     # LRU-heap keys order by creation sequence before last access.
     Mutant("heap-key-swapped", TREE, (
-        ("heapq.heappush(self._lru_heap, (node.block.last_access, node.seq, node))",
-         "heapq.heappush(self._lru_heap, (node.seq, node.block.last_access, node))"),
+        ("heapq.heappush(self._lru_heap, (node.last_access, node.seq, node))",
+         "heapq.heappush(self._lru_heap, (node.seq, node.last_access, node))"),
         ("            last_access, _, node = entry\n",
          "            _, last_access, node = entry\n"),
-        ("heapq.heappush(heap, (node.block.last_access, node.seq, node))",
-         "heapq.heappush(heap, (node.seq, node.block.last_access, node))"),
+        ("heapq.heappush(heap, (node.last_access, node.seq, node))",
+         "heapq.heappush(heap, (node.seq, node.last_access, node))"),
     ), kills=(CACHE_ORACLE,)),
     # A host-tier LRU eviction is not recorded.
     Mutant("host-evict-records-no-change", HOST, (
@@ -281,8 +288,8 @@ MUTANTS = (
     ), kills=(ROUTING_TESTS, KV_INVARIANTS)),
     # A heap entry older than its node's last access is evicted as is.
     Mutant("stale-entry-not-rekeyed", TREE, (
-        ("            if node.block.last_access != last_access:\n"
-         "                heapq.heappush(heap, (node.block.last_access, node.seq, node))\n"
+        ("            if node.last_access != last_access:\n"
+         "                heapq.heappush(heap, (node.last_access, node.seq, node))\n"
          "                continue\n", ""),
     ), kills=(CACHE_ORACLE,)),
     # A shard's sub-fleet routes every arrival to its first replica.
@@ -299,6 +306,19 @@ MUTANTS = (
         ("        shards=1 if keep_fleet else spec.shards,\n",
          "        shards=spec.shards,\n"),
     ), kills=(KEPT_FLEET,)),
+    # A freed block id never returns to the pool.
+    Mutant("free-keeps-id-out-of-pool", ALLOCATOR, (
+        ("        self._free_ids.append(block_id)\n", ""),
+    ), kills=(ALLOCATOR_TESTS,)),
+    # An allocated block id is handed out without being recorded.
+    Mutant("allocate-records-no-id", ALLOCATOR, (
+        ("        self._allocated.add(block_id)\n", ""),
+    ), kills=(ALLOCATOR_TESTS,)),
+    # The event loop leaves the collector paused when it ends.
+    Mutant("loop-leaves-collector-paused", SIMULATOR, (
+        ("        if enabled:\n"
+         "            gc.enable()\n", "        pass\n"),
+    ), kills=(COLLECTOR_TESTS,)),
 )
 
 

@@ -1,19 +1,19 @@
 """Paged KV-cache block allocator.
 
-A fixed pool of physical blocks is handed out to requests (scratch allocations
-during execution) and to the prefix cache (cached blocks that survive between
-requests).  The allocator itself is policy-free: eviction decisions are made by
-the prefix cache / manager, which then return blocks here.
+A fixed pool of physical block ids is handed out to requests (scratch
+allocations during execution) and to the prefix cache (cached blocks that
+survive between requests).  The allocator itself is policy-free: eviction
+decisions are made by the prefix cache / manager, which then return ids here.
 """
 
 from __future__ import annotations
 
 from repro.errors import AllocationError
-from repro.kvcache.block import Block, BlockId
+from repro.kvcache.block import BlockId
 
 
 class BlockAllocator:
-    """Fixed-capacity allocator of KV-cache blocks.
+    """Fixed-capacity allocator of KV-cache block ids.
 
     Args:
         num_blocks: Total number of physical blocks in the pool.
@@ -28,7 +28,7 @@ class BlockAllocator:
         self._num_blocks = num_blocks
         self._block_size = block_size
         self._free_ids: list[BlockId] = list(range(num_blocks - 1, -1, -1))
-        self._allocated: dict[BlockId, Block] = {}
+        self._allocated: set[BlockId] = set()
 
     # ---------------------------------------------------------------- state
 
@@ -57,17 +57,13 @@ class BlockAllocator:
         """Total pool size in tokens."""
         return self._num_blocks * self._block_size
 
-    def get(self, block_id: BlockId) -> Block:
-        """Return an allocated block by id."""
-        try:
-            return self._allocated[block_id]
-        except KeyError:
-            raise AllocationError(f"block {block_id} is not allocated") from None
+    def __contains__(self, block_id: BlockId) -> bool:
+        """True while ``block_id`` is handed out."""
+        return block_id in self._allocated
 
     # ------------------------------------------------------------ allocation
 
-    def allocate(self, *, content_hash: int | None = None, num_tokens: int = 0,
-                 now: float = 0.0) -> Block:
+    def allocate(self) -> BlockId:
         """Allocate one block, failing if the pool is exhausted.
 
         Raises:
@@ -78,16 +74,10 @@ class BlockAllocator:
                 f"KV cache exhausted: all {self._num_blocks} blocks are allocated"
             )
         block_id = self._free_ids.pop()
-        block = Block(
-            block_id=block_id,
-            content_hash=content_hash,
-            num_tokens=num_tokens,
-            last_access=now,
-        )
-        self._allocated[block_id] = block
-        return block
+        self._allocated.add(block_id)
+        return block_id
 
-    def allocate_many(self, count: int, *, now: float = 0.0) -> list[Block]:
+    def allocate_many(self, count: int) -> list[BlockId]:
         """Allocate ``count`` scratch blocks, failing atomically.
 
         Either all blocks are allocated or none are.
@@ -98,28 +88,24 @@ class BlockAllocator:
             raise AllocationError(
                 f"requested {count} blocks but only {self.num_free_blocks} are free"
             )
-        return [self.allocate(now=now) for _ in range(count)]
+        return [self.allocate() for _ in range(count)]
 
-    def free(self, block: Block | BlockId) -> None:
+    def free(self, block_id: BlockId) -> None:
         """Return a block to the pool.
 
         Raises:
-            AllocationError: if the block is not currently allocated or is
-                still pinned by a running request.
+            AllocationError: if the block is not currently allocated.
         """
-        block_id = block.block_id if isinstance(block, Block) else block
-        stored = self._allocated.get(block_id)
-        if stored is None:
-            raise AllocationError(f"block {block_id} is not allocated")
-        if stored.is_pinned:
-            raise AllocationError(f"block {block_id} is still pinned (ref={stored.ref_count})")
-        del self._allocated[block_id]
+        try:
+            self._allocated.remove(block_id)
+        except KeyError:
+            raise AllocationError(f"block {block_id} is not allocated") from None
         self._free_ids.append(block_id)
 
-    def free_many(self, blocks: list[Block]) -> None:
+    def free_many(self, block_ids: list[BlockId]) -> None:
         """Return several blocks to the pool."""
-        for block in blocks:
-            self.free(block)
+        for block_id in block_ids:
+            self.free(block_id)
 
     def reset(self) -> None:
         """Drop every allocation and return the pool to its initial state."""

@@ -1,17 +1,17 @@
 """KV-cache blocks and content hashing.
 
 The KV cache is managed at the granularity of fixed-size blocks of tokens
-(pages).  A block is identified for *allocation* purposes by a :class:`BlockId`
-and for *prefix matching* purposes by a content hash that chains the hash of
-the previous block with the tokens stored in this block — the same scheme
-vLLM's automatic prefix caching uses, which guarantees that two requests map to
-the same cached block only if they agree on the entire prefix up to and
-including that block.
+(pages).  A block is identified for *allocation* purposes by an integer
+:data:`BlockId` and for *prefix matching* purposes by a content hash that
+chains the hash of the previous block with the tokens stored in this block —
+the same scheme vLLM's automatic prefix caching uses, which guarantees that
+two requests map to the same cached block only if they agree on the entire
+prefix up to and including that block.  A cached block is one :class:`Block`,
+which is also its node in the radix prefix tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 BlockId = int
@@ -42,24 +42,36 @@ def hash_token_blocks(tokens: Sequence[int], block_size: int) -> list[int]:
     return hashes
 
 
-@dataclass(slots=True)
 class Block:
-    """One physical KV-cache block (page).
+    """One cached KV-cache block: a node of the radix prefix tree.
+
+    The tree's only per-block object, as RadixAttention keeps the reference
+    count and recency on the tree node itself.  Two blocks are equal only if
+    they are the same object.
 
     Attributes:
-        block_id: Physical block identifier assigned by the allocator.
-        content_hash: Chained content hash if the block holds cached prefix
-            data, ``None`` for scratch blocks reserved during execution.
-        num_tokens: Number of tokens stored in the block.
+        block_id: Physical block id handed out by the allocator.
+        content_hash: Chained content hash of the block's tokens.
+        parent: The block before this one in its chain, None at the root.
+        num_children: Number of cached blocks whose parent this is (a leaf
+            has none).
+        seq: Creation sequence number, the LRU tie-break (older first).
         ref_count: Number of in-flight requests currently pinning the block.
         last_access: Logical timestamp of the most recent use (for LRU).
     """
 
-    block_id: BlockId
-    content_hash: int | None = None
-    num_tokens: int = 0
-    ref_count: int = 0
-    last_access: float = 0.0
+    __slots__ = ("block_id", "content_hash", "parent", "num_children", "seq",
+                 "ref_count", "last_access")
+
+    def __init__(self, block_id: BlockId, content_hash: int, parent: Block | None,
+                 seq: int, last_access: float) -> None:
+        self.block_id = block_id
+        self.content_hash = content_hash
+        self.parent = parent
+        self.num_children = 0
+        self.seq = seq
+        self.ref_count = 0
+        self.last_access = last_access
 
     @property
     def is_pinned(self) -> bool:

@@ -24,7 +24,7 @@ from typing import Container, Sequence
 
 from repro.errors import AllocationError, CapacityError, TierError
 from repro.kvcache.allocator import BlockAllocator
-from repro.kvcache.block import Block, count_blocks
+from repro.kvcache.block import Block, BlockId, count_blocks
 from repro.kvcache.offload import CPUOffloadStore
 from repro.kvcache.prefix_tree import PrefixMatch, RadixPrefixCache, TreeSnapshot
 from repro.kvcache.tiers.store import TieredPrefixStore, TierLookup
@@ -38,7 +38,7 @@ class ExecutionLease:
     num_tokens: int
     #: The pinned frontier of the cached prefix (None without a hit).
     frontier: Block | None = None
-    scratch_blocks: list[Block] = field(default_factory=list)
+    scratch_blocks: list[BlockId] = field(default_factory=list)
     cached_tokens: int = 0
 
 
@@ -400,7 +400,7 @@ class KVCacheManager:
         needed = count_blocks(uncached_tokens, self._block_size)
         self._cache.make_room(needed)
         try:
-            lease.scratch_blocks = self._allocator.allocate_many(needed, now=now)
+            lease.scratch_blocks = self._allocator.allocate_many(needed)
         except AllocationError as exc:
             self._cache.unpin(lease.frontier)
             raise CapacityError(

@@ -1,16 +1,19 @@
 """Radix-tree prefix cache over chained block hashes.
 
 Cached KV blocks are organised as a tree: a node's children are the blocks that
-can follow it.  Because the content hash of block *i* already incorporates the
-hashes of blocks 0..i-1 (see ``repro.kvcache.block.hash_chain``), one flat
-dict from content hash to node finds any block, and looking up a request's
-block-hash list is a walk that stops at the first miss — exactly the
-prefix-match semantics of vLLM's automatic prefix caching.  No lookup goes
-through a parent, so a node keeps only its parent and a count of its
-children.
+can follow it.  Each node is the cached :class:`~repro.kvcache.block.Block`
+itself, holding the integer block id the allocator handed out, so a cached
+block costs one object.  Because the content hash of block *i* already
+incorporates the hashes of blocks 0..i-1 (see
+``repro.kvcache.block.hash_chain``), one flat dict from content hash to node
+finds any block, and looking up a request's block-hash list is a walk that
+stops at the first miss — exactly the prefix-match semantics of vLLM's
+automatic prefix caching.  No lookup goes through a parent, so a node keeps
+only its parent and a count of its children.
 
 Eviction is LRU over *leaf* nodes that are not pinned by a running request
-(evicting an interior node would orphan its descendants' hash chains).
+(evicting an interior node would orphan its descendants' hash chains).  The
+tree alone guards pins: it never evicts or clears a pinned block.
 
 A request pins and LRU-stamps only its *frontier*, the deepest cached block of
 its chain, as SGLang's RadixAttention keeps one reference count and one
@@ -52,21 +55,7 @@ from typing import Container, NamedTuple, Sequence
 
 from repro.errors import AllocationError
 from repro.kvcache.allocator import BlockAllocator
-from repro.kvcache.block import Block
-
-
-class _TreeNode:
-    """One cached block inside the radix tree (a leaf has ``num_children == 0``)."""
-
-    __slots__ = ("content_hash", "block", "parent", "num_children", "seq")
-
-    def __init__(self, content_hash: int, block: Block, parent: "_TreeNode | None",
-                 seq: int) -> None:
-        self.content_hash = content_hash
-        self.block = block
-        self.parent = parent
-        self.num_children = 0
-        self.seq = seq
+from repro.kvcache.block import Block, BlockId
 
 
 @dataclass(frozen=True)
@@ -89,7 +78,9 @@ class NodeState(NamedTuple):
 
     parent: int | None
     num_children: int
-    block: Block
+    block_id: BlockId
+    ref_count: int
+    last_access: float
     seq: int
 
 
@@ -123,8 +114,8 @@ class RadixPrefixCache:
     def __init__(self, allocator: BlockAllocator) -> None:
         self._allocator = allocator
         self._block_size = allocator.block_size
-        self._nodes: dict[int, _TreeNode] = {}
-        self._lru_heap: list[tuple[float, int, _TreeNode]] = []
+        self._nodes: dict[int, Block] = {}
+        self._lru_heap: list[tuple[float, int, Block]] = []
         self._node_seq = 0
         self._version = 0
         self._hits = 0
@@ -140,9 +131,9 @@ class RadixPrefixCache:
         #: prefix store uses it to demote GPU evictions into the host tier.
         self.on_evict = None
 
-    def _note_candidate(self, node: _TreeNode) -> None:
+    def _note_candidate(self, node: Block) -> None:
         """Push a fresh LRU-heap entry for ``node`` at its current timestamp."""
-        heapq.heappush(self._lru_heap, (node.block.last_access, node.seq, node))
+        heapq.heappush(self._lru_heap, (node.last_access, node.seq, node))
 
     # ---------------------------------------------------------------- state
 
@@ -217,7 +208,7 @@ class RadixPrefixCache:
         if not count:
             return PrefixMatch(0, 0, None)
         self._hits += count
-        frontier = nodes[block_hashes[count - 1]].block
+        frontier = nodes[block_hashes[count - 1]]
         frontier.touch(now)
         return PrefixMatch(count, count * self._block_size, frontier)
 
@@ -273,26 +264,24 @@ class RadixPrefixCache:
             resident += 1
         tail = nodes[block_hashes[resident - 1]] if resident else None
         if tail is not None:
-            tail.block.touch(now)
+            tail.touch(now)
         count = len(block_hashes) - resident
         if count <= 0:
             return resident
         # The tail is pinned so that this insert cannot evict the request's
         # own ancestors (which would break the chained-hash prefix property);
         # the new blocks are not in the tree yet.
-        self.make_room(count, tail.block if tail is not None else None)
+        self.make_room(count, tail)
         count = min(count, self._allocator.num_free_blocks)
         if not count:
             return resident
         allocate = self._allocator.allocate
-        block_size = self._block_size
         watched, changed = self._watched, self._changed
         seq = self._node_seq
         for content_hash in islice(block_hashes, resident, resident + count):
-            block = allocate(content_hash=content_hash, num_tokens=block_size, now=now)
             if tail is not None:
                 tail.num_children += 1
-            tail = nodes[content_hash] = _TreeNode(content_hash, block, tail, seq)
+            tail = nodes[content_hash] = Block(allocate(), content_hash, tail, seq, now)
             if content_hash in watched:
                 changed.add(content_hash)
             seq += 1
@@ -333,7 +322,7 @@ class RadixPrefixCache:
         """
         protected: set[int] = set()
         for node in self._nodes.values():
-            if node.block.is_pinned:
+            if node.is_pinned:
                 while node is not None and node.content_hash not in protected:
                     protected.add(node.content_hash)
                     node = node.parent
@@ -362,17 +351,17 @@ class RadixPrefixCache:
         The pass's victims go to :attr:`on_evict` in one call once it ends.
         """
         heap = self._lru_heap
-        pinned: list[tuple[float, int, _TreeNode]] = []
+        pinned: list[tuple[float, int, Block]] = []
         victims: list[int] = []
         while len(victims) < count and heap:
             entry = heapq.heappop(heap)
             last_access, _, node = entry
             if self._nodes.get(node.content_hash) is not node or node.num_children:
                 continue
-            if node.block.last_access != last_access:
-                heapq.heappush(heap, (node.block.last_access, node.seq, node))
+            if node.last_access != last_access:
+                heapq.heappush(heap, (node.last_access, node.seq, node))
                 continue
-            if node.block.is_pinned:
+            if node.is_pinned:
                 pinned.append(entry)
                 continue
             self._remove_node(node)
@@ -383,20 +372,20 @@ class RadixPrefixCache:
             self.on_evict(victims)
         return len(victims)
 
-    def _remove_node(self, node: _TreeNode) -> None:
+    def _remove_node(self, node: Block) -> None:
         parent = node.parent
         if parent is not None:
             parent.num_children -= 1
             # The parent inherits the victim's recency: every access that
             # stamped the victim ran through the parent too.
-            parent.block.touch(node.block.last_access)
+            parent.touch(node.last_access)
             if not parent.num_children:
                 # The parent just became evictable; give it a live heap entry.
                 self._note_candidate(parent)
         del self._nodes[node.content_hash]
         if node.content_hash in self._watched:
             self._changed.add(node.content_hash)
-        self._allocator.free(node.block)
+        self._allocator.free(node.block_id)
         self._evictions += 1
         self._version += 1
 
@@ -416,7 +405,7 @@ class RadixPrefixCache:
         """
         if not num_blocks:
             return None
-        frontier = self._nodes[block_hashes[num_blocks - 1]].block
+        frontier = self._nodes[block_hashes[num_blocks - 1]]
         frontier.pin()
         return frontier
 
@@ -440,7 +429,9 @@ class RadixPrefixCache:
                 content_hash: NodeState(
                     parent=node.parent.content_hash if node.parent is not None else None,
                     num_children=node.num_children,
-                    block=node.block,
+                    block_id=node.block_id,
+                    ref_count=node.ref_count,
+                    last_access=node.last_access,
                     seq=node.seq,
                 )
                 for content_hash, node in nodes.items()
@@ -454,10 +445,10 @@ class RadixPrefixCache:
     def clear(self) -> None:
         """Drop every cached block (used between experiments)."""
         for node in list(self._nodes.values()):
-            if node.block.is_pinned:
+            if node.is_pinned:
                 raise AllocationError("cannot clear the prefix cache while blocks are pinned")
         for node in list(self._nodes.values()):
-            self._allocator.free(node.block)
+            self._allocator.free(node.block_id)
         self._changed.update(self._watched)
         self._nodes.clear()
         self._lru_heap.clear()

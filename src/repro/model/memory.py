@@ -69,20 +69,6 @@ class ActivationProfile:
         return 2 * self.residual_bytes + max(attn_working, self.mlp_peak_bytes)
 
 
-@dataclass(frozen=True)
-class MemoryBreakdown:
-    """Peak-memory breakdown of prefilling one request on one GPU shard."""
-
-    weight_bytes: float
-    kv_cache_bytes: float
-    activation_bytes: float
-    workspace_bytes: float
-
-    @property
-    def total(self) -> float:
-        return self.weight_bytes + self.kv_cache_bytes + self.activation_bytes + self.workspace_bytes
-
-
 class MemoryModel:
     """Analytical memory model for one :class:`ModelConfig`.
 
@@ -175,42 +161,6 @@ class MemoryModel:
             )
             return num_tokens * resident_per_token + chunked_part
         raise ValueError(f"unknown prefill mode: {mode!r}")
-
-    # ------------------------------------------------------------- breakdown
-
-    def prefill_breakdown(self, num_tokens: int, *, mode: PrefillMode,
-                          chunk_tokens: int = 2048,
-                          retain_kv_layers: int | None = None,
-                          tensor_parallel: int = 1,
-                          pipeline_parallel: int = 1) -> MemoryBreakdown:
-        """Peak per-GPU memory breakdown of prefilling one request.
-
-        Args:
-            num_tokens: Request length in tokens.
-            mode: Prefill execution mode.
-            chunk_tokens: Chunk size for ``CHUNKED`` / ``HYBRID`` modes.
-            retain_kv_layers: How many layers of KV cache are retained during
-                the pass.  ``None`` means all layers assigned to this GPU (the
-                baseline behaviour); hybrid prefilling passes ``1``.
-            tensor_parallel / pipeline_parallel: Parallel degrees.
-        """
-        stage_layers = self._model.num_layers // pipeline_parallel
-        if retain_kv_layers is None:
-            kv_layers = stage_layers
-        else:
-            kv_layers = min(retain_kv_layers, stage_layers)
-        kv = self.kv_cache_bytes(num_tokens, num_layers=kv_layers, tensor_parallel=tensor_parallel)
-        activation = self.activation_peak_bytes(
-            num_tokens, mode=mode, chunk_tokens=chunk_tokens, tensor_parallel=tensor_parallel
-        )
-        return MemoryBreakdown(
-            weight_bytes=self.weight_bytes(
-                tensor_parallel=tensor_parallel, pipeline_parallel=pipeline_parallel
-            ),
-            kv_cache_bytes=kv,
-            activation_bytes=activation,
-            workspace_bytes=self.workspace_bytes(),
-        )
 
     # ------------------------------------------------------ memory timelines
 

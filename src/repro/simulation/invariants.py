@@ -23,12 +23,12 @@ two numbers differed:
    two independent runs).
 6. **kv-structure** — after drain, per replica (retired and crashed ones
    included): the block allocator's free and allocated blocks add up to its
-   pool, the allocated blocks are exactly the radix tree's resident blocks,
-   no lease is outstanding and no block is pinned, every resident node's
-   parent is resident, every node's child count is the number of resident
-   nodes naming it as their parent, and every leaf (a node whose count is
-   0) has an LRU-heap entry whose key does not exceed its
-   ``(last_access, seq)``.
+   pool, the allocated block ids are exactly the radix tree's resident
+   blocks' ids (each allocated, none shared), no lease is outstanding and
+   no block is pinned, every resident node's parent is resident, every
+   node's child count is the number of resident nodes naming it as their
+   parent, and every leaf (a node whose count is 0) has an LRU-heap entry
+   whose key does not exceed its ``(last_access, seq)``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 
-from repro.errors import AllocationError, InvariantViolation
+from repro.errors import InvariantViolation
 from repro.simulation.scenario import ScenarioResult
 
 __all__ = [
@@ -191,15 +191,15 @@ def _kv_structure_problem(manager) -> str | None:
     if allocated != len(nodes):
         return f"{allocated} allocated blocks but {len(nodes)} resident cached blocks"
     named = Counter(node.parent for node in nodes.values())
+    owners: dict[int, int] = {}
     for content_hash, node in nodes.items():
-        block = node.block
-        try:
-            owned = allocator.get(block.block_id) is block
-        except AllocationError:
-            owned = False
-        if not owned:
+        if node.block_id not in allocator:
             return f"cached block {content_hash} is not allocated"
-        if block.is_pinned:
+        owner = owners.setdefault(node.block_id, content_hash)
+        if owner != content_hash:
+            return (f"cached blocks {owner} and {content_hash} share block id "
+                    f"{node.block_id}")
+        if node.ref_count:
             return f"block {content_hash} is still pinned after drain"
         parent = node.parent
         if parent is not None and parent not in nodes:
@@ -208,8 +208,8 @@ def _kv_structure_problem(manager) -> str | None:
             return (f"node {content_hash}'s child count is {node.num_children}, but "
                     f"{named[content_hash]} resident nodes name it as their parent")
         key = tree.heap_keys.get(content_hash)
-        if not node.num_children and (key is None or key > (block.last_access, node.seq)):
-            return (f"leaf {content_hash} at {(block.last_access, node.seq)} has no "
+        if not node.num_children and (key is None or key > (node.last_access, node.seq)):
+            return (f"leaf {content_hash} at {(node.last_access, node.seq)} has no "
                     f"LRU-heap entry at or below it (smallest: {key})")
     return None
 

@@ -23,6 +23,7 @@ result to the single-system :class:`SimulationResult`.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
 
@@ -269,6 +270,12 @@ def run_event_loop(fleet, requests: list[Request], *, faults=None,
     the replica before the arrival at *t* routes.  Resilience-policy timers
     are the fourth source; they beat arrivals and internal events on ties.
 
+    The cyclic garbage collector is paused for the loop and left as the
+    caller had it when the loop returns or raises.  The loop allocates a
+    stream of objects (blocks, heap entries, records) that hold no reference
+    cycles and are freed by reference counting, so the collections that
+    allocation would trigger scan live objects and find no garbage.
+
     Returns ``(events, end_time)``: the processed-event count
     (:class:`FleetSimulationResult`'s ``num_events``) and the simulated time
     of the last event (0.0 when nothing happened).
@@ -276,74 +283,80 @@ def run_event_loop(fleet, requests: list[Request], *, faults=None,
     Raises:
         SimulationError: if either safety limit is hit.
     """
-    pending = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-    arrival_index = 0
-    now = 0.0
-    events = 0
-    obs = fleet.obs
-    obs_sampling = obs.enabled and obs.metrics
-    gauge_rows = fleet.obs_gauge_rows
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pending = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
+        arrival_index = 0
+        now = 0.0
+        events = 0
+        obs = fleet.obs
+        obs_sampling = obs.enabled and obs.metrics
+        gauge_rows = fleet.obs_gauge_rows
 
-    fault_events = ()
-    fault_queue: EventQueue | None = None
-    if faults is not None and faults.active:
-        fault_events = faults.events
-        fault_queue = EventQueue()
-        for index, event in enumerate(fault_events):
-            fault_queue.update(index, event.time)
-        fleet.warm_restore_blocks = faults.warm_restore_blocks
+        fault_events = ()
+        fault_queue: EventQueue | None = None
+        if faults is not None and faults.active:
+            fault_events = faults.events
+            fault_queue = EventQueue()
+            for index, event in enumerate(fault_events):
+                fault_queue.update(index, event.time)
+            fleet.warm_restore_blocks = faults.warm_restore_blocks
 
-    while True:
-        next_arrival = (
-            pending[arrival_index].arrival_time if arrival_index < len(pending) else math.inf
-        )
-        next_internal = fleet.next_event_time()
-        next_internal = math.inf if next_internal is None else next_internal
-        next_fault = fault_queue.next_time() if fault_queue is not None else None
-        next_fault = math.inf if next_fault is None else next_fault
-        next_policy = fleet.next_policy_time()
-        next_policy = math.inf if next_policy is None else next_policy
-
-        if (math.isinf(next_arrival) and math.isinf(next_internal)
-                and math.isinf(next_fault) and math.isinf(next_policy)):
-            break
-
-        now = min(next_arrival, next_internal, next_fault, next_policy)
-        if now > max_simulated_seconds:
-            raise SimulationError(
-                f"fleet simulation exceeded {max_simulated_seconds} simulated seconds"
+        while True:
+            next_arrival = (
+                pending[arrival_index].arrival_time if arrival_index < len(pending) else math.inf
             )
+            next_internal = fleet.next_event_time()
+            next_internal = math.inf if next_internal is None else next_internal
+            next_fault = fault_queue.next_time() if fault_queue is not None else None
+            next_fault = math.inf if next_fault is None else next_fault
+            next_policy = fleet.next_policy_time()
+            next_policy = math.inf if next_policy is None else next_policy
 
-        if obs_sampling:
-            # Before the event batch at `now`: a sample at boundary b <= now
-            # reflects the state after all events strictly before b.
-            obs.maybe_sample(now, gauge_rows)
+            if (math.isinf(next_arrival) and math.isinf(next_internal)
+                    and math.isinf(next_fault) and math.isinf(next_policy)):
+                break
 
-        if (next_fault <= next_arrival and next_fault <= next_internal
-                and next_fault <= next_policy):
-            due = fault_queue.pop_due(now)
-            for index in due:
-                fleet.apply_fault(fault_events[index], now)
-            events += max(len(due), 1)
-        elif next_policy <= next_arrival and next_policy <= next_internal:
-            # Policy timers beat arrivals and internal completions on ties:
-            # a request whose deadline coincides with its own finish counts
-            # as a deadline miss, deterministically.
-            fleet.apply_policy_timers(now)
-            events += 1
-        elif next_arrival <= next_internal:
-            request = pending[arrival_index]
-            arrival_index += 1
-            fleet.submit(request, now)
-            events += 1
-        else:
-            fleet.advance_to(now)
-            # max() keeps the max_events runaway guard armed even if a buggy
-            # fleet reports a due event but advances no replica.
-            events += max(fleet.last_advance_count, 1)
-        fleet.maybe_autoscale(now)
+            now = min(next_arrival, next_internal, next_fault, next_policy)
+            if now > max_simulated_seconds:
+                raise SimulationError(
+                    f"fleet simulation exceeded {max_simulated_seconds} simulated seconds"
+                )
 
-        if events > max_events:
-            raise SimulationError(f"fleet simulation exceeded {max_events} events")
+            if obs_sampling:
+                # Before the event batch at `now`: a sample at boundary b <= now
+                # reflects the state after all events strictly before b.
+                obs.maybe_sample(now, gauge_rows)
 
-    return events, now
+            if (next_fault <= next_arrival and next_fault <= next_internal
+                    and next_fault <= next_policy):
+                due = fault_queue.pop_due(now)
+                for index in due:
+                    fleet.apply_fault(fault_events[index], now)
+                events += max(len(due), 1)
+            elif next_policy <= next_arrival and next_policy <= next_internal:
+                # Policy timers beat arrivals and internal completions on ties:
+                # a request whose deadline coincides with its own finish counts
+                # as a deadline miss, deterministically.
+                fleet.apply_policy_timers(now)
+                events += 1
+            elif next_arrival <= next_internal:
+                request = pending[arrival_index]
+                arrival_index += 1
+                fleet.submit(request, now)
+                events += 1
+            else:
+                fleet.advance_to(now)
+                # max() keeps the max_events runaway guard armed even if a buggy
+                # fleet reports a due event but advances no replica.
+                events += max(fleet.last_advance_count, 1)
+            fleet.maybe_autoscale(now)
+
+            if events > max_events:
+                raise SimulationError(f"fleet simulation exceeded {max_events} events")
+
+        return events, now
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,11 +1,11 @@
 """The KV structural invariant (invariant 6 of :mod:`repro.simulation.invariants`).
 
 After drain, each replica's block accounting and radix tree must hold: the
-allocator's pool adds up, its allocated blocks are the tree's resident
-blocks, no lease or pin is left, every parent is resident, every node's
-child count is the number of resident nodes naming it as their parent, and
-every leaf (child count 0) has an LRU-heap entry that does not overestimate
-its recency.
+allocator's pool adds up, its allocated block ids are the tree's resident
+blocks' ids (each allocated, none shared), no lease or pin is left, every
+parent is resident, every node's child count is the number of resident nodes
+naming it as their parent, and every leaf (child count 0) has an LRU-heap
+entry that does not overestimate its recency.
 It holds at the end of every cookbook scenario, and each kind of breakage,
 made by editing one snapshot of a drained manager, is reported.
 """
@@ -74,18 +74,14 @@ def scratch_allocated(snapshot):
     return snapshot
 
 
-def pinned(snapshot):
-    snapshot.nodes[2].block.pin()
-    return snapshot
-
-
 EDITS = {
     "pool-does-not-add-up": (lambda s: dataclasses.replace(s, allocator=SimpleNamespace(
         num_free_blocks=1, num_allocated_blocks=6, num_blocks=8)), "allocated blocks"),
     "scratch-block-left": (scratch_allocated, "resident cached blocks"),
-    "block-not-allocated": (lambda s: with_node(s, 3, block=dataclasses.replace(
-        s.nodes[3].block, block_id=99)), "not allocated"),
-    "block-pinned": (pinned, "still pinned"),
+    "block-not-allocated": (lambda s: with_node(s, 3, block_id=99), "not allocated"),
+    "block-id-shared": (lambda s: with_node(s, 4, block_id=s.nodes[3].block_id),
+                        "share block id"),
+    "block-pinned": (lambda s: with_node(s, 2, ref_count=1), "still pinned"),
     "parent-not-resident": (lambda s: with_node(with_node(s, 2, num_children=1), 3, parent=99),
                             "parent 99"),
     "child-count-too-high": (lambda s: with_node(s, 2, num_children=3),

@@ -8,11 +8,12 @@ from repro.kvcache.allocator import BlockAllocator
 
 def test_allocate_and_free_round_trip():
     allocator = BlockAllocator(num_blocks=4, block_size=16)
-    block = allocator.allocate()
+    block_id = allocator.allocate()
     assert allocator.num_free_blocks == 3
     assert allocator.num_allocated_blocks == 1
-    allocator.free(block)
+    allocator.free(block_id)
     assert allocator.num_free_blocks == 4
+    assert allocator.num_allocated_blocks == 0
 
 
 def test_capacity_tokens():
@@ -33,41 +34,37 @@ def test_allocate_many_is_atomic():
     with pytest.raises(AllocationError):
         allocator.allocate_many(4)
     assert allocator.num_free_blocks == 3
-    blocks = allocator.allocate_many(3)
-    assert len(blocks) == 3
+    block_ids = allocator.allocate_many(3)
+    assert len(block_ids) == 3
     assert allocator.num_free_blocks == 0
 
 
 def test_double_free_rejected():
     allocator = BlockAllocator(num_blocks=2, block_size=16)
-    block = allocator.allocate()
-    allocator.free(block)
+    block_id = allocator.allocate()
+    allocator.free(block_id)
     with pytest.raises(AllocationError):
-        allocator.free(block)
+        allocator.free(block_id)
+    assert allocator.num_free_blocks == 2
 
 
-def test_freeing_pinned_block_rejected():
+def test_membership_tracks_allocated_ids():
     allocator = BlockAllocator(num_blocks=2, block_size=16)
-    block = allocator.allocate()
-    block.pin()
+    block_id = allocator.allocate()
+    assert block_id in allocator
+    assert 999 not in allocator
     with pytest.raises(AllocationError):
-        allocator.free(block)
-    block.unpin()
-    allocator.free(block)
-
-
-def test_get_returns_allocated_block():
-    allocator = BlockAllocator(num_blocks=2, block_size=16)
-    block = allocator.allocate(content_hash=42, num_tokens=16)
-    assert allocator.get(block.block_id) is block
-    with pytest.raises(AllocationError):
-        allocator.get(999)
+        allocator.free(999)
+    allocator.free(block_id)
+    assert block_id not in allocator
 
 
 def test_block_ids_are_unique_while_allocated():
     allocator = BlockAllocator(num_blocks=8, block_size=16)
-    blocks = allocator.allocate_many(8)
-    assert len({b.block_id for b in blocks}) == 8
+    block_ids = allocator.allocate_many(8)
+    assert sorted(block_ids) == list(range(8))
+    allocator.free_many(block_ids[:3])
+    assert sorted(allocator.allocate_many(3)) == sorted(block_ids[:3])
 
 
 def test_reset_returns_everything():

@@ -58,7 +58,7 @@ def test_iter_block_slices_covers_everything():
 
 
 def test_block_pinning():
-    block = Block(block_id=1)
+    block = Block(1, content_hash=42, parent=None, seq=0, last_access=0.0)
     assert not block.is_pinned
     block.pin()
     block.pin()
@@ -71,7 +71,7 @@ def test_block_pinning():
 
 
 def test_block_touch_is_monotonic():
-    block = Block(block_id=1, last_access=5.0)
+    block = Block(1, content_hash=42, parent=None, seq=0, last_access=5.0)
     block.touch(3.0)
     assert block.last_access == 5.0
     block.touch(7.0)

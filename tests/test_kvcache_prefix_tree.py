@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import AllocationError
 from repro.kvcache.allocator import BlockAllocator
 from repro.kvcache.block import hash_token_blocks
 from repro.kvcache.prefix_tree import RadixPrefixCache
@@ -83,6 +84,21 @@ def test_pinned_blocks_are_not_evicted():
     assert cache.evict_blocks(4) == 0
     cache.unpin(pinned)
     assert cache.evict_blocks(4) == 4
+
+
+def test_clear_refuses_a_pinned_frontier():
+    cache, allocator = make_cache(num_blocks=4)
+    request = hashes(list(range(64)))
+    cache.insert(request)
+    pinned = cache.pin_prefix(request, 4)
+    with pytest.raises(AllocationError):
+        cache.clear()
+    # The refused clear freed nothing.
+    assert cache.match_length(request) == 4
+    assert allocator.num_free_blocks == 0
+    cache.unpin(pinned)
+    cache.clear()
+    assert allocator.num_free_blocks == 4
 
 
 def test_insert_without_eviction_stops_when_full():

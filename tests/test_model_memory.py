@@ -55,16 +55,18 @@ def test_hybrid_mode_between_full_and_chunked(memory):
 
 
 def test_hybrid_breakdown_keeps_only_one_layer_of_kv(memory):
-    breakdown = memory.prefill_breakdown(
-        32_768, mode=PrefillMode.HYBRID, retain_kv_layers=1
-    )
+    """Hybrid prefilling keeps one layer of a 32k-token request's KV live."""
     full_kv = memory.kv_cache_bytes(32_768)
-    assert breakdown.kv_cache_bytes == pytest.approx(full_kv / LLAMA_3_1_8B.num_layers)
+    assert memory.kv_cache_bytes_one_layer(32_768) == pytest.approx(
+        full_kv / LLAMA_3_1_8B.num_layers)
 
 
 def test_full_breakdown_keeps_all_kv(memory):
-    breakdown = memory.prefill_breakdown(32_768, mode=PrefillMode.FULL)
-    assert breakdown.kv_cache_bytes == pytest.approx(memory.kv_cache_bytes(32_768))
+    """A full prefill keeps every layer of its pipeline stage's KV live."""
+    full_kv = memory.kv_cache_bytes(32_768)
+    layers = LLAMA_3_1_8B.num_layers
+    assert memory.kv_cache_bytes(32_768, num_layers=layers) == pytest.approx(full_kv)
+    assert memory.kv_cache_bytes(32_768, num_layers=layers // 2) == pytest.approx(full_kv / 2)
 
 
 def test_hybrid_reduces_peak_memory_for_long_prefill(memory):

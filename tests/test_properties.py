@@ -83,7 +83,7 @@ def test_token_sequence_shared_prefix_is_symmetric_and_bounded(segments):
 
 @given(operations=st.lists(st.booleans(), max_size=80))
 def test_allocator_conservation(operations):
-    """allocate/free in any order never loses or duplicates blocks."""
+    """allocate/free in any order never loses or duplicates block ids."""
     allocator = BlockAllocator(num_blocks=16, block_size=BLOCK)
     held = []
     for allocate in operations:
@@ -93,8 +93,8 @@ def test_allocator_conservation(operations):
             allocator.free(held.pop())
         assert allocator.num_free_blocks + allocator.num_allocated_blocks == 16
         assert len(held) == allocator.num_allocated_blocks
-    ids = [block.block_id for block in held]
-    assert len(ids) == len(set(ids))
+    assert len(held) == len(set(held))
+    assert all(block_id in allocator for block_id in held)
 
 
 # --------------------------------------------------------------- radix tree
