@@ -2,8 +2,9 @@
 """Seeded mutants, each of which the mutant test set must kill.
 
 ``make mutants`` entry point.  The mutants break the KV layer (the radix
-tree, the manager and the block allocator's id pool), the tier change feeds
-the SRJF scheduler's frontier index reads, the batched demotion cascade and
+tree and its prefix bisection, the manager and the block allocator's id
+pool), the SRJF scheduler's key-heap pick, the tier change feeds the SRJF
+scheduler's frontier index reads, the batched demotion cascade and
 its batch span recording, the hedge policy's sorted latency window, the
 percentile lerp the hedge delay shares with the latency summaries, the
 router's replica-set hook, the decoupled shard engine's pre-routing and
@@ -56,6 +57,8 @@ SIMULATOR = "src/repro/simulation/simulator.py"
 SCENARIOS = "examples/scenarios"
 
 CACHE_ORACLE = "tests/test_prefix_cache_oracle.py"
+TREE_TESTS = "tests/test_kvcache_prefix_tree.py"
+SCHEDULER_TESTS = "tests/test_scheduler.py"
 ALLOCATOR_TESTS = "tests/test_kvcache_allocator.py"
 COLLECTOR_TESTS = "tests/test_event_loop_gc.py"
 TIER_TESTS = "tests/test_kvcache_tiers.py"
@@ -74,13 +77,13 @@ KEPT_FLEET = "tests/test_sharded_identity.py::test_a_kept_fleet_is_the_simulated
 #: The tests every mutant must fail.
 TESTS = (
     CACHE_ORACLE,
-    "tests/test_kvcache_prefix_tree.py",
+    TREE_TESTS,
     TIER_TESTS,
     MANAGER_TESTS,
     KV_INVARIANTS,
     "tests/test_properties.py",
     SCHEDULER_ORACLE,
-    "tests/test_scheduler.py",
+    SCHEDULER_TESTS,
     ROUTING_TESTS,
     RESILIENCE_TESTS,
     PERCENTILE_TEST,
@@ -319,6 +322,24 @@ MUTANTS = (
         ("        if enabled:\n"
          "            gc.enable()\n", "        pass\n"),
     ), kills=(COLLECTOR_TESTS,)),
+    # The SRJF pick trusts the heap key: the first live entry wins, with no
+    # exact scoring of the entries within the rounding window.
+    Mutant("select-trusts-heap-key", SCHEDULER, (
+        ("            if best is not None and key - credit - best_score"
+         " > (key + credit) * _WINDOW:\n",
+         "            if best is not None:\n"),
+    ), kills=(SCHEDULER_TESTS, SCHEDULER_ORACLE)),
+    # A popped heap entry is scored without checking that it is still live.
+    Mutant("select-keeps-stale-entry", SCHEDULER, (
+        ("            if entries.get(request) is not entry:\n"
+         "                continue\n", ""),
+    ), kills=(SCHEDULER_TESTS, SCHEDULER_ORACLE)),
+    # A hinted prefix lookup returns the hint once H[hint-1] is cached,
+    # without probing H[hint].
+    Mutant("prefix-bisect-trusts-hint", TREE, (
+        ("        elif hint < size and block_hashes[hint] in nodes:\n",
+         "        elif not hint and hint < size and block_hashes[hint] in nodes:\n"),
+    ), kills=(TREE_TESTS, CACHE_ORACLE)),
 )
 
 

@@ -106,8 +106,3 @@ class BlockAllocator:
         """Return several blocks to the pool."""
         for block_id in block_ids:
             self.free(block_id)
-
-    def reset(self) -> None:
-        """Drop every allocation and return the pool to its initial state."""
-        self._allocated.clear()
-        self._free_ids = list(range(self._num_blocks - 1, -1, -1))

@@ -12,7 +12,7 @@ which is also its node in the radix prefix tree.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 BlockId = int
 
@@ -92,21 +92,8 @@ class Block:
         self.ref_count -= 1
 
 
-def count_full_blocks(num_tokens: int, block_size: int) -> int:
-    """Number of completely filled blocks needed to store ``num_tokens``."""
-    if block_size <= 0:
-        raise ValueError("block_size must be positive")
-    return num_tokens // block_size
-
-
 def count_blocks(num_tokens: int, block_size: int) -> int:
     """Number of blocks (including a trailing partial one) for ``num_tokens``."""
     if block_size <= 0:
         raise ValueError("block_size must be positive")
     return -(-num_tokens // block_size)
-
-
-def iter_block_slices(num_tokens: int, block_size: int) -> Iterable[tuple[int, int]]:
-    """Yield ``(start, end)`` token ranges for each block of a request."""
-    for start in range(0, num_tokens, block_size):
-        yield start, min(start + block_size, num_tokens)

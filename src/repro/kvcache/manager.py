@@ -238,10 +238,10 @@ class KVCacheManager:
     def lookup_from(self, block_hashes: Sequence[int], hint_blocks: int) -> int:
         """:meth:`lookup`, resumed from a previous match of ``hint_blocks`` blocks.
 
-        The result is exactly ``lookup(block_hashes)``; the walk backtracks
-        and extends from the hint instead of starting at the root (see
+        The result is exactly ``lookup(block_hashes)``; the tree probes the
+        hint first and bisects from there (see
         :meth:`~repro.kvcache.prefix_tree.RadixPrefixCache.match_length`), so
-        it costs O(blocks changed on this chain) instead of O(match length).
+        an unchanged match costs two probes and any other O(log n).
         """
         if not self._enable_prefix_caching:
             return 0

@@ -6,10 +6,23 @@ itself, holding the integer block id the allocator handed out, so a cached
 block costs one object.  Because the content hash of block *i* already
 incorporates the hashes of blocks 0..i-1 (see
 ``repro.kvcache.block.hash_chain``), one flat dict from content hash to node
-finds any block, and looking up a request's block-hash list is a walk that
-stops at the first miss — exactly the prefix-match semantics of vLLM's
-automatic prefix caching.  No lookup goes through a parent, so a node keeps
-only its parent and a count of its children.
+finds any block, and the match of a request's block-hash list is its longest
+cached prefix — exactly the prefix-match semantics of vLLM's automatic prefix
+caching.  No lookup goes through a parent, so a node keeps only its parent
+and a count of its children.
+
+The cached part of a chain is a prefix of it: an insert adds a chain's
+missing blocks below its deepest cached one, and only leaves are evicted, so
+a cached block's parent is cached too.  That holds under the assumption the
+single hash dict already makes, that two different chains never share a
+content hash.  Whether ``H[i]`` is cached is therefore true below the match
+length and false from it on, and :meth:`RadixPrefixCache.match`,
+:meth:`~RadixPrefixCache.match_length` and :meth:`~RadixPrefixCache.insert`
+find that length by bisection, in O(log n) dict probes for an n-block chain.
+A hinted lookup probes the hint first: when ``H[hint-1]`` is cached and
+``H[hint]`` is not, the hint is the answer after two probes, so a scheduler
+recalibration whose match did not move costs two probes; otherwise the
+failed probe says which side of the hint to bisect.
 
 Eviction is LRU over *leaf* nodes that are not pinned by a running request
 (evicting an interior node would orphan its descendants' hash chains).  The
@@ -198,38 +211,45 @@ class RadixPrefixCache:
             now: Logical time stamped on the frontier, the deepest matched
                 block (its ancestors receive it when it is evicted).
         """
-        nodes = self._nodes
-        count = 0
-        for content_hash in block_hashes:
-            if content_hash not in nodes:
-                self._misses += 1
-                break
-            count += 1
+        count = self._cached_prefix(block_hashes, 0)
+        if count < len(block_hashes):
+            self._misses += 1
         if not count:
             return PrefixMatch(0, 0, None)
         self._hits += count
-        frontier = nodes[block_hashes[count - 1]]
+        frontier = self._nodes[block_hashes[count - 1]]
         frontier.touch(now)
         return PrefixMatch(count, count * self._block_size, frontier)
 
     def match_length(self, block_hashes: Sequence[int], hint: int = 0) -> int:
         """Return only the number of cached leading blocks (no LRU update).
 
-        ``hint`` is an earlier match length of the same chain.  Only leaves
-        are evicted and hashes are chained, so the cached part of a chain is
-        a prefix of it: the walk backtracks from the hint to the deepest
-        cached block and extends forward from there.  The result does not
-        depend on the hint; the cost is the number of blocks that changed.
+        ``hint`` is an earlier match length of the same chain; the result
+        does not depend on it, but an unchanged match costs two probes.
         """
+        return self._cached_prefix(block_hashes, hint)
+
+    def _cached_prefix(self, block_hashes: Sequence[int], hint: int) -> int:
+        """The number of cached leading blocks of ``block_hashes``, by
+        bisection after probing ``hint`` (see the module docstring)."""
         nodes = self._nodes
-        count = min(hint, len(block_hashes))
-        while count > 0 and block_hashes[count - 1] not in nodes:
-            count -= 1
-        for content_hash in islice(block_hashes, count, None):
-            if content_hash not in nodes:
-                break
-            count += 1
-        return count
+        size = len(block_hashes)
+        if hint > size:
+            hint = size
+        if hint and block_hashes[hint - 1] not in nodes:
+            low, high = 0, hint - 1
+        elif hint < size and block_hashes[hint] in nodes:
+            low, high = hint + 1, size
+        else:
+            return hint
+        # The answer lies in [low, high].
+        while low < high:
+            middle = (low + high) // 2
+            if block_hashes[middle] in nodes:
+                low = middle + 1
+            else:
+                high = middle
+        return low
 
     def resident_hashes(self) -> list[int]:
         """Every cached content hash, parents before children.
@@ -257,11 +277,7 @@ class RadixPrefixCache:
             (matched + newly inserted), i.e. the cached prefix length in blocks.
         """
         nodes = self._nodes
-        resident = 0
-        for content_hash in block_hashes:
-            if content_hash not in nodes:
-                break
-            resident += 1
+        resident = self._cached_prefix(block_hashes, 0)
         tail = nodes[block_hashes[resident - 1]] if resident else None
         if tail is not None:
             tail.touch(now)

@@ -67,14 +67,6 @@ def test_block_ids_are_unique_while_allocated():
     assert sorted(allocator.allocate_many(3)) == sorted(block_ids[:3])
 
 
-def test_reset_returns_everything():
-    allocator = BlockAllocator(num_blocks=4, block_size=16)
-    allocator.allocate_many(4)
-    allocator.reset()
-    assert allocator.num_free_blocks == 4
-    assert allocator.num_allocated_blocks == 0
-
-
 def test_invalid_construction():
     with pytest.raises(AllocationError):
         BlockAllocator(num_blocks=-1, block_size=16)

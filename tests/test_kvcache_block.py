@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.kvcache.block import (
-    Block,
-    count_blocks,
-    count_full_blocks,
-    hash_token_blocks,
-    iter_block_slices,
-)
+from repro.kvcache.block import Block, count_blocks, hash_token_blocks
 
 
 def test_hash_token_blocks_only_full_blocks():
@@ -42,19 +36,11 @@ def test_hash_token_blocks_invalid_block_size():
 
 
 def test_count_blocks_helpers():
-    assert count_full_blocks(100, 16) == 6
     assert count_blocks(100, 16) == 7
     assert count_blocks(96, 16) == 6
     assert count_blocks(0, 16) == 0
     with pytest.raises(ValueError):
         count_blocks(10, 0)
-
-
-def test_iter_block_slices_covers_everything():
-    slices = list(iter_block_slices(100, 16))
-    assert slices[0] == (0, 16)
-    assert slices[-1] == (96, 100)
-    assert sum(end - start for start, end in slices) == 100
 
 
 def test_block_pinning():

@@ -51,6 +51,22 @@ def test_match_length_does_not_touch_lru():
     assert cache.match_length(old) == 0
 
 
+def test_match_length_is_exact_from_any_hint():
+    """The cached prefix is found by bisection after probing the hint, so
+    every hint, short, exact, long or past the chain, gives the same length,
+    and so do match and insert."""
+    cache, _ = make_cache()
+    chain = hashes(list(range(9 * BLOCK)))
+    for cached in range(len(chain) + 1):
+        cache.clear()
+        if cached:
+            cache.insert(chain[:cached])
+        for hint in range(len(chain) + 3):
+            assert cache.match_length(chain, hint) == cached
+        assert cache.match(chain).num_blocks == cached
+        assert cache.insert(chain) == len(chain)
+
+
 def test_lru_eviction_prefers_oldest_leaf():
     cache, allocator = make_cache(num_blocks=8)
     first = hashes(list(range(64)))          # 4 blocks

@@ -164,3 +164,146 @@ def test_calibrated_srjf_reranks_tiered_requests_on_a_brownout():
     assert scheduler.select(queue, kv, now=0.0).request.request_id == 1
     kv.set_transfer_cost_multiplier(4.0)                  # 16 miss + 400 penalty
     assert scheduler.select(queue, kv, now=0.0).request.request_id == 2
+
+
+# ------------------------------------------------- exactness of the key heap
+
+def reference_pick(queue, kv, now, fairness, *, calibrated=True):
+    """Brute force: score every waiting request with the scheduler's exact
+    expression and take the minimum, ties to the lower request id."""
+    best = None
+    for request in queue:
+        cached = kv.lookup(request.block_hashes) if calibrated else request.initial_cached_tokens
+        base = float(max(request.num_tokens - cached, 0))
+        score = base - fairness * request.queueing_time(now)
+        if best is None or (score, request.request_id) < (best[1], best[0].request_id):
+            best = (request, score, cached)
+    return best
+
+
+def assert_picks_reference(scheduler, queue, kv, now):
+    decision = scheduler.select(queue, kv, now)
+    request, score, cached = reference_pick(queue, kv, now, scheduler.fairness_lambda,
+                                            calibrated=scheduler.continuous_calibration)
+    assert decision.request is request
+    assert decision.score.hex() == score.hex()
+    assert decision.cached_tokens == cached
+    return decision
+
+
+def uncached(request_id, tokens, enqueue_time):
+    """A request of ``tokens`` unique tokens, so its base score is ``tokens``."""
+    return make_request(request_id, [(1000 + request_id, tokens)], enqueue_time=enqueue_time)
+
+
+def test_equal_heap_keys_with_different_exact_scores_pick_the_lower_score():
+    """(a) Both keys round to 13197.5, but B's exact score is one ulp higher;
+    B has the lower id and is popped first, and A must still win."""
+    a = uncached(2, 5189, enqueue_time=16.017)
+    b = uncached(1, 11849, enqueue_time=2.697)
+    assert 5189.0 + 500.0 * 16.017 == 11849.0 + 500.0 * 2.697 == 13197.5
+    decision = assert_picks_reference(SRJFScheduler(fairness_lambda=500.0), [b, a],
+                                      make_kv(), now=75.475)
+    assert decision.request is a
+    assert decision.score == -24540.0
+
+
+def test_equal_exact_scores_with_different_heap_keys_pick_the_lower_id():
+    """(b) The keys differ in the last place and the lower-id request has the
+    higher key, so it is popped second; the scores tie exactly."""
+    low_id = uncached(1, 5950, enqueue_time=20.318)
+    high_id = uncached(2, 61, enqueue_time=32.096)
+    assert 5950.0 + 500.0 * 20.318 > 61.0 + 500.0 * 32.096
+    kv, now = make_kv(), 67.743
+    decision = assert_picks_reference(SRJFScheduler(fairness_lambda=500.0),
+                                      [high_id, low_id], kv, now)
+    assert decision.request is low_id
+    assert decision.score == 61.0 - 500.0 * (now - 32.096)
+
+
+def test_requests_stamped_ahead_of_the_clock_are_scored_exactly():
+    """(c) A request enqueued after ``now`` scores its plain base, below what
+    its heap key says, among requests that have waited; the picks follow the
+    brute force as the clock passes the stamps and winners leave."""
+    scheduler = SRJFScheduler(fairness_lambda=500.0)
+    kv = make_kv()
+    queue = [
+        uncached(1, 4100, enqueue_time=2.0),    # score 100 at now=10, key 5100
+        uncached(2, 600, enqueue_time=9.0),     # score 100, key 5100
+        uncached(3, 50, enqueue_time=10.5),     # ahead: score 50, key 5300
+        uncached(4, 2000, enqueue_time=12.0),   # ahead: score 2000, key 8000
+        uncached(5, 350, enqueue_time=9.5),     # score 100, key 5100
+    ]
+    for request in queue:
+        scheduler.on_submit(request, kv, 0.0)
+    assert assert_picks_reference(scheduler, queue, kv, now=10.0).request is queue[2]
+    # Equal scores of requests 1, 2 and 5 tie to the lower id.
+    for now, expected in ((10.0, 3), (10.25, 1), (11.0, 2), (11.5, 5), (11.75, 4)):
+        decision = assert_picks_reference(scheduler, queue, kv, now)
+        assert decision.request.request_id == expected
+        queue.remove(decision.request)
+        scheduler.on_remove(decision.request)
+    assert scheduler.select(queue, kv, 12.0) is None
+
+
+def test_zero_lambda_and_arrival_time_srjf_match_the_brute_force():
+    """(d) λ = 0 scores the base alone, equal bases tie to the lower id; and
+    arrival-time SRJF keeps the cached count captured at submit time."""
+    kv = make_kv()
+    shared = (10, 512)
+    queue = [make_request(7, [shared, (11, 64)], enqueue_time=0.0),
+             make_request(3, [(20, 128)], enqueue_time=1.0),
+             make_request(5, [(21, 128)], enqueue_time=2.0),
+             make_request(9, [(22, 96)], enqueue_time=3.0)]
+    zero = SRJFScheduler(fairness_lambda=0.0)
+    arrival = SRJFScheduler(fairness_lambda=2.5, continuous_calibration=False)
+    for request in queue:
+        zero.on_submit(request, kv, 0.0)
+        arrival.on_submit(request, kv, 0.0)
+    commit(kv, make_request(0, [shared]))
+    # Calibrated: the 64 uncached tokens of request 7 now win; arrival-time
+    # SRJF still scores it at 576 tokens.
+    assert assert_picks_reference(zero, queue, kv, now=4.0).request.request_id == 7
+    assert assert_picks_reference(arrival, queue, kv, now=4.0).request.request_id == 9
+    for scheduler in (zero, arrival):
+        waiting = list(queue)
+        for now in (4.0, 4.5, 5.0, 6.0):
+            decision = assert_picks_reference(scheduler, waiting, kv, now)
+            waiting.remove(decision.request)
+            scheduler.on_remove(decision.request)
+
+
+def test_a_request_that_left_the_queue_is_never_picked():
+    """A removed request's heap entry is stale, and so is the old entry of a
+    request re-derived after a cache change."""
+    scheduler = SRJFScheduler(fairness_lambda=0.0)
+    kv = make_kv()
+    shared = (10, 512)
+    short, hit, cold = (uncached(1, 32, 0.0), make_request(2, [shared, (11, 64)]),
+                        uncached(3, 300, 0.0))
+    queue = [short, hit, cold]
+    for request in queue:
+        scheduler.on_submit(request, kv, 0.0)
+    assert assert_picks_reference(scheduler, queue, kv, now=0.0).request is short
+    queue.remove(short)
+    scheduler.on_remove(short)
+    assert assert_picks_reference(scheduler, queue, kv, now=0.0).request is cold
+    commit(kv, make_request(0, [shared]))   # re-derives hit: 576 -> 64 tokens
+    assert assert_picks_reference(scheduler, queue, kv, now=0.0).request is hit
+    kv.clear()                              # and back to 576 tokens
+    assert assert_picks_reference(scheduler, queue, kv, now=0.0).request is cold
+
+
+def test_the_heap_is_rebuilt_once_stale_entries_outnumber_live_ones():
+    scheduler = SRJFScheduler(fairness_lambda=500.0)
+    kv = make_kv()
+    queue = [uncached(i, 100 + i, enqueue_time=0.0) for i in range(12)]
+    for request in queue:
+        scheduler.on_submit(request, kv, 0.0)
+    scheduler.select(queue, kv, 1.0)
+    for request in queue[1:10]:
+        queue.remove(request)
+        scheduler.on_remove(request)
+    assert len(scheduler._heap) == 12
+    assert_picks_reference(scheduler, queue, kv, now=2.0)
+    assert len(scheduler._heap) <= 2 * len(queue)

@@ -6,9 +6,11 @@ outside commits, cancel, clear, clock ticks) through the production
 insertions and evictions move the waiting requests' prefix frontiers all the
 time.  After every select the decision is checked against a brute-force
 reference that re-looks-up every waiting request from the root, and every
-waiting request's stored cached-token count against a fresh lookup.  Once
-the queue drains, the scheduler's frontier index and the radix tree's change
-record must be empty, and must stay empty while nothing waits.
+waiting request's stored cached-token count against a fresh lookup, and the
+key heap must hold at most twice as many entries as there are waiting
+requests.  Once the queue drains, the scheduler's frontier index, key heap
+and to-index set and the radix tree's change record must be empty, and must
+stay empty while nothing waits.
 
 The tiered oracle does the same for two replicas whose tiered managers share
 one cluster store: L1 evictions demote into the host tier, host evictions
@@ -59,7 +61,14 @@ def assert_stored_counts_current(queue, kv):
 def assert_index_empty(scheduler, kv):
     assert scheduler._entries == {}
     assert scheduler._frontier == {}
+    assert scheduler._pending == {}
+    assert scheduler._heap == []
     assert kv._cache._changed == set()
+
+
+def assert_heap_bounded(scheduler, queue):
+    """Stale entries never outnumber live ones after a select."""
+    assert len(scheduler._heap) <= 2 * len(queue)
 
 
 def sequence(prefix: int, depth: int, branch: int, tail: int, unique: int) -> TokenSequence:
@@ -142,6 +151,7 @@ def test_select_matches_brute_force_reference(ops, capacity_blocks, fairness,
             assert decision.score.hex() == expected[1].hex()
             assert decision.cached_tokens == expected[2]
             assert_stored_counts_current(queue, kv)
+            assert_heap_bounded(scheduler, queue)
             if op[1]:
                 request = decision.request
                 try:
