@@ -13,9 +13,10 @@
 #   make fuzz        - scenario + metamorphic fuzzers and the scheduler / prefix-cache /
 #                    block-hash / tier-cascade oracles, full derandomized profile
 #   make mutants     - seeded KV (radix tree, prefix bisection, manager, block allocator),
-#                    SRJF scheduler-heap, tier-feed, demotion-cascade, hedge and event-loop
-#                    collector-pause mutants, each of which the mutant tests must kill
-#                    (scripts/mutants.py)
+#                    SRJF scheduler-heap, tier-feed, demotion-cascade, fetch staging-pass,
+#                    recorder-batch, hedge and event-loop collector-pause mutants, each of
+#                    which the mutant tests must kill (scripts/mutants.py; one mutant:
+#                    python scripts/mutants.py --mutant NAME)
 #   make test-shard-identity - sharded-engine differential suite (byte-identity at shards=4)
 #   make obs-check   - validate observability exports + disabled-path seed fingerprints
 #   make test-resilience - resilience unit + identity suite (policies-off byte-identical)

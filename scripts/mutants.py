@@ -4,8 +4,9 @@
 ``make mutants`` entry point.  The mutants break the KV layer (the radix
 tree and its prefix bisection, the manager and the block allocator's id
 pool), the SRJF scheduler's key-heap pick, the tier change feeds the SRJF
-scheduler's frontier index reads, the batched demotion cascade and
-its batch span recording, the hedge policy's sorted latency window, the
+scheduler's frontier index reads, the batched demotion cascade, a fetch's
+one-pass tail staging and the recorder's batch span recording (sequence
+numbers and block counters), the hedge policy's sorted latency window, the
 percentile lerp the hedge delay shares with the latency summaries, the
 router's replica-set hook, the decoupled shard engine's pre-routing and
 replica names, the scenario runner's unsharded run of a kept fleet, and the
@@ -21,11 +22,13 @@ killed when a test fails.
 
 Prints one line per mutant and the mutation score.  Exits 1 when a mutant
 survives, when a mutant's source text is not found exactly once (a refactor
-moved it: update the mutant), or when the unmutated copy fails.
+moved it: update the mutant), or when the unmutated copy fails.  ``--mutant
+NAME`` (repeatable) runs the unmutated copy and only the named mutants; an
+unknown name exits 2 and lists the valid ones.
 
 Usage (from the repository root)::
 
-    python scripts/mutants.py
+    python scripts/mutants.py [--mutant NAME ...]
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ PERCENTILE_TEST = (
     "tests/test_simulation_metrics.py::test_percentile_is_numpys_linear_percentile_bit_for_bit"
 )
 CASCADE_ORACLE = "tests/test_tier_cascade_oracle.py"
+RECORDER_TESTS = "tests/test_obs_recorder.py"
 SHARD_IDENTITY = "tests/test_sharded_identity.py::test_decoupled_parallel_matches_unsharded"
 KEPT_FLEET = "tests/test_sharded_identity.py::test_a_kept_fleet_is_the_simulated_one"
 
@@ -93,6 +97,7 @@ TESTS = (
     KEPT_FLEET,
     ALLOCATOR_TESTS,
     COLLECTOR_TESTS,
+    RECORDER_TESTS,
 )
 
 
@@ -248,39 +253,61 @@ MUTANTS = (
     # An L1 eviction pass is charged one batch transfer, one link latency in
     # all, instead of one one-block transfer per demoted block.
     Mutant("l1-demotion-charged-per-batch", TIERS, (
-        ("            self._demote(len(hashes), stored, host.transfer_time(1))\n",
-         "            self._demote(len(hashes), 0, 0.0)\n"
+        ("            self._demote(len(hashes) + published, stored, host.transfer_time(1))\n",
+         "            self._demote(len(hashes) + published, 0, 0.0)\n"
          "            self._demote_seconds += host.transfer_time(stored)\n"),
     ), kills=(TIER_TESTS,)),
-    # The host store's hook loses the last victim of each call.
+    # The host store loses the last LRU victim of each call: it is neither
+    # published nor counted as dropped.
     Mutant("host-hook-drops-last-victim", HOST, (
-        ("                self.on_evict(victims)\n",
-         "                self.on_evict(victims[:-1])\n"),
+        ("        return stored, victims\n",
+         "        return stored, victims[:-1]\n"),
     ), kills=(TIER_TESTS,)),
     # A batch of span events does not advance its (key, kind) sequence.
     Mutant("emit-many-keeps-sequence", RECORDER, (
         ("            self._seq[slot] = seq + count\n", ""),
     ), kills=(CASCADE_ORACLE,)),
+    # A batch of block-counted span events adds its block counter once, not
+    # once per event.
+    Mutant("emit-many-counts-once", RECORDER, (
+        ('self._inc(block_counter, (), attrs.get("blocks", 1) * count)',
+         'self._inc(block_counter, (), attrs.get("blocks", 1))'),
+    ), kills=(RECORDER_TESTS,)),
     # A fetch stages its tail's cluster hits with one store call after the
-    # loop, so a staged block's host victim is never re-checked.
+    # pass, so a staged block's host victim is never re-checked.
     Mutant("fetch-stages-tail-in-one-store", TIERS, (
-        ("        if host is not None:\n"
-         "            for content_hash in continuation[landed:]:\n"
-         "                if content_hash in host:\n"
-         "                    host.refresh(content_hash)\n"
-         "                elif cluster is not None and content_hash in cluster:\n"
-         "                    host.offload((content_hash,))\n"
-         "                    cluster.discard_owned(self.replica, content_hash)\n",
-         "        if host is not None:\n"
-         "            staged = []\n"
-         "            for content_hash in continuation[landed:]:\n"
-         "                if content_hash in host:\n"
-         "                    host.refresh(content_hash)\n"
-         "                elif cluster is not None and content_hash in cluster:\n"
-         "                    staged.append(content_hash)\n"
-         "            host.store(staged)\n"
-         "            if cluster is not None:\n"
-         "                cluster.discard_owned(self.replica, *staged)\n"),
+        ("        for content_hash in tail:\n"
+         "            if content_hash in in_host:\n"
+         "                host.refresh(content_hash)\n"
+         "            elif content_hash in in_cluster:\n"
+         "                victims = host.offload((content_hash,))[1]\n"
+         "                if victims:\n"
+         "                    published += self._on_host_evict(victims)\n"
+         "                cluster.discard_owned(replica, content_hash)\n",
+         "        staged = []\n"
+         "        for content_hash in tail:\n"
+         "            if content_hash in in_host:\n"
+         "                host.refresh(content_hash)\n"
+         "            elif content_hash in in_cluster:\n"
+         "                staged.append(content_hash)\n"
+         "        victims = host.offload(staged)[1]\n"
+         "        if victims:\n"
+         "            published += self._on_host_evict(victims)\n"
+         "        if staged:\n"
+         "            cluster.discard_owned(replica, *staged)\n"),
+    ), kills=(CASCADE_ORACLE,)),
+    # The staging pass drops a staged block's own cluster copy before it
+    # publishes the block's host victim, so a full cluster keeps an entry
+    # the publish would have evicted.
+    Mutant("staging-discards-before-publish", TIERS, (
+        ("                victims = host.offload((content_hash,))[1]\n"
+         "                if victims:\n"
+         "                    published += self._on_host_evict(victims)\n"
+         "                cluster.discard_owned(replica, content_hash)\n",
+         "                cluster.discard_owned(replica, content_hash)\n"
+         "                victims = host.offload((content_hash,))[1]\n"
+         "                if victims:\n"
+         "                    published += self._on_host_evict(victims)\n"),
     ), kills=(CASCADE_ORACLE,)),
     # A user-id router keeps the assignments of replicas that have left.
     Mutant("router-keeps-stale-assignments", ROUTING, (
@@ -400,19 +427,28 @@ def run_tests(mutant: Mutant | None) -> tuple[str, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--mutant", action="append", default=[], metavar="NAME",
+                        help="run only this mutant (repeatable; default: every mutant)")
+    args = parser.parse_args(argv)
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in args.mutant if name not in by_name]
+    if unknown:
+        parser.error(f"unknown mutant {', '.join(map(repr, unknown))}; "
+                     f"valid names: {', '.join(by_name)}")
+    selected = [by_name[name] for name in dict.fromkeys(args.mutant)] or MUTANTS
     outcome, detail = run_tests(None)
     if outcome != "passed":
         print(f"mutants: the unmutated tree does not pass the mutant tests ({detail})")
         return 1
     killed = 0
-    for mutant in MUTANTS:
+    for mutant in selected:
         outcome, detail = run_tests(mutant)
         verdict = {"failed": "killed", "passed": "SURVIVED"}.get(outcome, "ERROR")
         killed += verdict == "killed"
         print(f"{verdict:<9}{mutant.name:<36}{detail}", flush=True)
-    print(f"mutants: {killed} of {len(MUTANTS)} killed")
-    return 0 if killed == len(MUTANTS) else 1
+    print(f"mutants: {killed} of {len(selected)} killed")
+    return 0 if killed == len(selected) else 1
 
 
 if __name__ == "__main__":

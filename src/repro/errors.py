@@ -242,6 +242,17 @@ class ObsError(ReproError):
     """An observability recording, export, or parse operation is invalid."""
 
 
+class UnknownSpanKindError(UnknownNameError, ObsError):
+    """A span event was recorded under a kind the recorder does not know.
+
+    Subclasses :class:`ObsError` as well; ``available`` lists the known kinds
+    (the keys of :data:`repro.obs.recorder.KIND_ORDER`).
+    """
+
+    def __init__(self, name: str, available: list[str] | tuple[str, ...]) -> None:
+        super().__init__("span kind", name, available)
+
+
 class TraceSchemaError(ObsError):
     """A JSON document failed validation against a checked-in trace schema.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Container, Sequence
+from typing import Container, Sequence
 
 from repro.hardware.interconnect import Interconnect, PCIE_GEN4
 
@@ -58,12 +58,6 @@ class CPUOffloadStore:
         self._stored = 0
         self._loaded = 0
         self._evicted = 0
-        #: Optional hook fired once per :meth:`offload` (or :meth:`store`)
-        #: call that evicts, as ``on_evict(victims)`` with the call's LRU
-        #: victims in eviction order, just before the call returns.  The
-        #: tiered prefix store uses it to demote host evictions into the
-        #: cluster-shared tier instead of dropping them.
-        self.on_evict: Callable[[list[int]], None] | None = None
         #: Transfer-cost multiplier applied to every modelled transfer time.
         #: 1.0 (the default) is a bit-exact no-op; the fault subsystem raises
         #: it during interconnect brownouts.
@@ -94,6 +88,12 @@ class CPUOffloadStore:
     def __contains__(self, content_hash: int) -> bool:
         return content_hash in self._blocks
 
+    @property
+    def resident(self) -> Container[int]:
+        """The stored content hashes as a live container (the store's own
+        dict, read only): membership tests without a call per block."""
+        return self._blocks
+
     def take_changes(self, watched: Container[int]) -> set[int] | None:
         """Watched content hashes stored, evicted, discarded or cleared since
         the previous call.
@@ -119,21 +119,22 @@ class CPUOffloadStore:
         """Offload blocks to host memory; return the modelled transfer time.
 
         The batch pays one link latency (see :meth:`transfer_time`);
-        already-present blocks are refreshed (moved to MRU) at no cost.
+        already-present blocks are refreshed (moved to MRU) at no cost, and
+        LRU victims are dropped.
         """
-        return self._transfer_time(self.offload(block_hashes))
+        return self._transfer_time(self.offload(block_hashes)[0])
 
-    def offload(self, block_hashes: Sequence[int]) -> int:
-        """Offload blocks to host memory; return how many were newly stored.
+    def offload(self, block_hashes: Sequence[int]) -> tuple[int, list[int]]:
+        """Offload blocks to host memory; return (newly stored, LRU victims).
 
         Already-present blocks are refreshed (moved to MRU).  A new block
-        evicts LRU blocks while the store is full; the call's victims go to
-        :attr:`on_evict` in one call before it returns.
+        evicts LRU blocks while the store is full; the victims come back in
+        eviction order, for the caller to demote or drop.
         """
         blocks = self._blocks
         capacity = self.capacity_blocks
         if not capacity:
-            return 0
+            return 0, []
         watched, changed = self._watched, self._changed
         victims: list[int] = []
         stored = 0
@@ -151,11 +152,8 @@ class CPUOffloadStore:
                 changed.add(content_hash)
             stored += 1
         self._stored += stored
-        if victims:
-            self._evicted += len(victims)
-            if self.on_evict is not None:
-                self.on_evict(victims)
-        return stored
+        self._evicted += len(victims)
+        return stored, victims
 
     def refresh(self, content_hash: int) -> None:
         """Move a stored block to the MRU end: an LRU refresh, with no
@@ -182,17 +180,22 @@ class CPUOffloadStore:
             count += 1
         return count
 
-    def discard(self, content_hash: int) -> bool:
-        """Drop one stored block (no eviction hook); return whether it existed.
+    def discard(self, *content_hashes: int) -> list[int]:
+        """Drop stored blocks (no victims); return the dropped hashes in
+        order (empty, so false, when none was stored).
 
-        Used by the tiered store when a block is promoted into the GPU tier,
-        so it is never resident in two tiers at once.
+        Used by the tiered store when blocks are promoted into the GPU tier,
+        so a block is never resident in two tiers at once.  A batch is one
+        call.
         """
-        if self._blocks.pop(content_hash, None) is None:
-            return False
-        if content_hash in self._watched:
-            self._changed.add(content_hash)
-        return True
+        blocks, watched, changed = self._blocks, self._watched, self._changed
+        dropped = []
+        for content_hash in content_hashes:
+            if blocks.pop(content_hash, None) is not None:
+                if content_hash in watched:
+                    changed.add(content_hash)
+                dropped.append(content_hash)
+        return dropped
 
     def resident_hashes(self) -> list[int]:
         """Stored content hashes in LRU order (oldest first)."""

@@ -168,6 +168,14 @@ class ClusterPrefixStore:
     def __contains__(self, content_hash: int) -> bool:
         return self._available and content_hash in self._blocks
 
+    @property
+    def resident(self) -> Container[int]:
+        """The visible content hashes as a live container, for membership
+        tests without a call per block: the store's own dict (read only), or
+        an empty one while the store is unavailable.  Read it again after an
+        availability change."""
+        return self._blocks if self._available else {}
+
     def owner_of(self, content_hash: int) -> str | None:
         """The replica that published ``content_hash``, or None when absent."""
         if not self._available:
@@ -251,31 +259,38 @@ class ClusterPrefixStore:
             )
         return stored, self._transfer_time(stored)
 
-    def fetch_block(self, replica: str, content_hash: int) -> bool:
-        """Record one block read by ``replica``; return whether it was present.
+    def fetch_block(self, replica: str, *content_hashes: int) -> int:
+        """Record block reads by ``replica``, in order; return how many of
+        the blocks were present (0, so false, when none was).
 
-        A fetch is a *read*: the entry stays (refreshed in LRU order) so other
-        replicas keep matching it.  When the block subsequently lands in a
-        higher tier of the owner's own hierarchy, the tiered store reclaims
+        A fetch is a *read*: each entry stays (refreshed in LRU order) so
+        other replicas keep matching it.  When a block subsequently lands in
+        a higher tier of the owner's own hierarchy, the tiered store reclaims
         the entry explicitly through :meth:`discard_owned` — that is what
         keeps a block single-resident per owner.  Fetches by non-owners are
-        counted separately as ``peer_fetches`` (the cross-replica sharing this
-        store exists for).  Transfer time is *not* charged here — callers
-        batch blocks and charge one :meth:`transfer_time` per tier visit, so a
-        ten-block continuation pays the link latency once, not ten times.
+        counted separately as ``peer_fetches`` (the cross-replica sharing
+        this store exists for).  A batch is one call.  Transfer time is *not*
+        charged here — callers batch blocks and charge one
+        :meth:`transfer_time` per tier visit, so a ten-block continuation
+        pays the link latency once, not ten times.
         """
         if not self._available:
-            return False
-        owner = self._blocks.get(content_hash)
-        if owner is None:
-            return False
-        self._fetched += 1
-        self._bytes_out += self._block_bytes
-        self._hits_by_replica[replica] = self._hits_by_replica.get(replica, 0) + 1
-        if owner != replica:
-            self._peer_fetched += 1
-        self._blocks.move_to_end(content_hash)
-        return True
+            return 0
+        blocks = self._blocks
+        fetched = peers = 0
+        for content_hash in content_hashes:
+            owner = blocks.get(content_hash)
+            if owner is None:
+                continue
+            fetched += 1
+            peers += owner != replica
+            blocks.move_to_end(content_hash)
+        if fetched:
+            self._fetched += fetched
+            self._peer_fetched += peers
+            self._bytes_out += fetched * self._block_bytes
+            self._hits_by_replica[replica] = self._hits_by_replica.get(replica, 0) + fetched
+        return fetched
 
     def discard_owned(self, replica: str, *content_hashes: int) -> list[int]:
         """Drop ``replica``'s own entries among ``content_hashes``; return the

@@ -23,8 +23,10 @@ Block movement follows two pluggable policies:
   pushes cold prefixes *down* the hierarchy rather than out of it.  Each
   eviction pass moves in one call per tier: the radix tree hands over a
   pass's victims at once, they go to the host in one store, and the host's
-  own victims of that store go to the cluster in one publish.  The
-  accounting stays per block (see the transfer-cost model below).
+  own victims of that store go to the cluster in one publish.  A fetch
+  stages its tail's cluster hits into the host in one pass that keeps the
+  block-at-a-time order.  The accounting stays per block (see the
+  transfer-cost model below).
 
 The exclusivity invariant the property tests pin: a content hash is resident
 in at most one tier per owner — promotion removes the block from its source
@@ -48,6 +50,7 @@ of the block-at-a-time cascade that the run goldens still pin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.hardware.interconnect import get_interconnect
 from repro.kvcache.offload import CPUOffloadStore
@@ -57,9 +60,9 @@ from repro.obs.recorder import NULL_RECORDER
 from repro.spec.models import KVTiersSpec
 
 
-@dataclass(frozen=True)
-class TierLookup:
-    """Result of resolving a request's block hashes against every tier.
+class TierLookup(NamedTuple):
+    """Result of resolving a request's block hashes against every tier (a
+    named tuple: built on every lookup, fetch and scheduler calibration).
 
     Attributes:
         gpu_tokens: Leading tokens resident in the L1 radix tree.
@@ -108,10 +111,12 @@ class TierStats:
 class TieredPrefixStore:
     """Per-replica view of the GPU -> host -> cluster prefix-cache hierarchy.
 
-    Demotion runs through two eviction hooks, each called once per batch of
-    victims: the radix tree's (one call per eviction pass) and the host
-    store's (one call per store that evicts).  Each demoted block is one
-    ``demote`` span event of one block, and a hook records its batch with one
+    Demotion starts at the radix tree's eviction hook, called once per
+    eviction pass.  The host store has no hook: each store call returns its
+    LRU victims, which :meth:`_on_host_evict` publishes to the cluster in one
+    publish.  Each demoted block is one ``demote`` span event of one block,
+    and an eviction pass, a batch store or a fetch's staging pass records
+    its demotions with one
     :meth:`~repro.obs.recorder.TraceRecorder.emit_many` call.
 
     The hierarchy keeps no version of its own.  Each tier records the
@@ -174,8 +179,6 @@ class TieredPrefixStore:
         self._load_seconds = 0.0
         self._prefetch_seconds = 0.0
         self._demote_seconds = 0.0
-        if self._host is not None:
-            self._host.on_evict = self._on_host_evict
 
     # ---------------------------------------------------------------- state
 
@@ -220,16 +223,26 @@ class TieredPrefixStore:
         Walks hash by hash so interleaved residency (some blocks in L2, the
         next in L3) still resolves; stops at the first block in neither tier.
         """
+        in_host, in_cluster = self._residency()
         host_blocks = 0
         cluster_blocks = 0
         for content_hash in block_hashes[start_blocks:]:
-            if self._host is not None and content_hash in self._host:
+            if content_hash in in_host:
                 host_blocks += 1
-            elif self._cluster is not None and content_hash in self._cluster:
+            elif content_hash in in_cluster:
                 cluster_blocks += 1
             else:
                 break
         return host_blocks, cluster_blocks
+
+    def _residency(self) -> tuple:
+        """The host's and the cluster's resident hashes as live containers
+        (empty for a missing or unavailable tier), for membership tests on
+        the stores' dicts instead of a call per block."""
+        return (
+            self._host.resident if self._host is not None else (),
+            self._cluster.resident if self._cluster is not None else (),
+        )
 
     def _batch_seconds(self, host_blocks: int, cluster_blocks: int) -> float:
         seconds = 0.0
@@ -254,11 +267,11 @@ class TieredPrefixStore:
         host_blocks, cluster_blocks = self._walk_continuation(block_hashes, gpu_blocks)
         load_seconds = self._batch_seconds(host_blocks, cluster_blocks)
         return TierLookup(
-            gpu_tokens=gpu_blocks * self._block_size,
-            host_tokens=host_blocks * self._block_size,
-            cluster_tokens=cluster_blocks * self._block_size,
-            load_seconds=load_seconds,
-            penalty_tokens=self.penalty_tokens(load_seconds),
+            gpu_blocks * self._block_size,
+            host_blocks * self._block_size,
+            cluster_blocks * self._block_size,
+            load_seconds,
+            self.penalty_tokens(load_seconds),
         )
 
     # ---------------------------------------------------------------- fetch
@@ -269,16 +282,16 @@ class TieredPrefixStore:
         Counts per-block hits, applies the promotion policy to the leading
         contiguous run of the continuation (promoted blocks are inserted into
         L1 and removed from their source tier), stages unpromoted L3 hits
-        into L2 when one exists, and returns the resolved :class:`TierLookup`
-        — whose ``tier_tokens`` need no recompute and whose ``load_seconds``
-        is the transfer time to charge the request.
+        into L2 when one exists (:meth:`_stage_tail`), and returns the
+        resolved :class:`TierLookup` — whose ``tier_tokens`` need no
+        recompute and whose ``load_seconds`` is the transfer time to charge
+        the request.
         """
         self._obs_now = now
         host_blocks, cluster_blocks = self._walk_continuation(block_hashes, gpu_blocks)
         total = host_blocks + cluster_blocks
         if total == 0:
-            return TierLookup(gpu_tokens=gpu_blocks * self._block_size, host_tokens=0,
-                              cluster_tokens=0, load_seconds=0.0, penalty_tokens=0.0)
+            return TierLookup(gpu_blocks * self._block_size, 0, 0, 0.0, 0.0)
         continuation = list(block_hashes[gpu_blocks:gpu_blocks + total])
 
         self._host_hits += host_blocks
@@ -293,49 +306,66 @@ class TieredPrefixStore:
             load_s=load_seconds,
         )
 
-        # Count every streamed block's hit, record cluster reads (fleet-wide
-        # hit accounting), and find the leading contiguous promotable run.
+        # Count every streamed block's hit and find the leading contiguous
+        # promotable run.
+        hit_counts = self._hit_counts
+        should_promote = self._policy.should_promote
         promote_run = 0
         run_unbroken = True
-        peer_reads = 0
         for content_hash in continuation:
-            hits = self._hit_counts.get(content_hash, 0) + 1
-            self._hit_counts[content_hash] = hits
-            in_host = self._host is not None and content_hash in self._host
-            if not in_host and self._cluster is not None and content_hash in self._cluster:
-                self._cluster.fetch_block(self.replica, content_hash)
-                peer_reads += 1
-            if run_unbroken and self._policy.should_promote(content_hash, hits):
+            hits = hit_counts.get(content_hash, 0) + 1
+            hit_counts[content_hash] = hits
+            if run_unbroken and should_promote(content_hash, hits):
                 promote_run += 1
             else:
                 run_unbroken = False
-        if peer_reads:
-            self.obs.emit(now, self.obs_key, "peer_fetch", blocks=peer_reads)
+        if cluster_blocks:
+            # Record the cluster reads (fleet-wide hit accounting) in one
+            # call: the continuation's blocks outside the host.
+            in_host = self._residency()[0]
+            self._cluster.fetch_block(
+                self.replica, *(h for h in continuation if h not in in_host)
+            )
+            self.obs.emit(now, self.obs_key, "peer_fetch", blocks=cluster_blocks)
         landed = self._promote_into_l1(block_hashes, gpu_blocks, promote_run, now)
         self._promoted += landed
         if landed:
             self.obs.emit(now, self.obs_key, "promote", blocks=landed)
-
-        # The unpromoted tail stays put, with two touch-ups: host hits get an
-        # LRU refresh, and cluster hits are staged into the host tier so the
-        # next hit pays the host link instead of the cluster link.  Staging
-        # goes one block at a time: a staged block's host victim may be a
-        # later tail block, which must reach the cluster before its turn.
-        host, cluster = self._host, self._cluster
-        if host is not None:
-            for content_hash in continuation[landed:]:
-                if content_hash in host:
-                    host.refresh(content_hash)
-                elif cluster is not None and content_hash in cluster:
-                    host.offload((content_hash,))
-                    cluster.discard_owned(self.replica, content_hash)
+        if self._host is not None and landed < total:
+            self._stage_tail(continuation[landed:])
         return TierLookup(
-            gpu_tokens=gpu_blocks * self._block_size,
-            host_tokens=host_blocks * self._block_size,
-            cluster_tokens=cluster_blocks * self._block_size,
-            load_seconds=load_seconds,
-            penalty_tokens=self.penalty_tokens(load_seconds),
+            gpu_blocks * self._block_size,
+            host_blocks * self._block_size,
+            cluster_blocks * self._block_size,
+            load_seconds,
+            self.penalty_tokens(load_seconds),
         )
+
+    def _stage_tail(self, tail: list[int]) -> None:
+        """Touch up a fetch's unpromoted tail in one pass, block by block.
+
+        Host hits get an LRU refresh, and cluster hits are staged into the
+        host tier so the next hit pays the host link instead of the cluster
+        link.  Each step is the block-at-a-time cascade's: a staged block is
+        stored in the host, the host's LRU victim is published to the
+        cluster, and only then is the staged block's own cluster copy
+        discarded.  A victim may be a later tail block, which reaches the
+        cluster before its turn, and discarding first would spare a cluster
+        entry the publish evicts.  The pass settles its demotions once.
+        """
+        host, cluster = self._host, self._cluster
+        in_host, in_cluster = self._residency()
+        replica = self.replica
+        published = 0
+        for content_hash in tail:
+            if content_hash in in_host:
+                host.refresh(content_hash)
+            elif content_hash in in_cluster:
+                victims = host.offload((content_hash,))[1]
+                if victims:
+                    published += self._on_host_evict(victims)
+                cluster.discard_owned(replica, content_hash)
+        self._demote_in_cluster(published)
 
     def _promote_into_l1(self, block_hashes, gpu_blocks: int, promote_run: int,
                          now: float) -> int:
@@ -364,7 +394,7 @@ class TieredPrefixStore:
         """
         reclaimed = set()
         if self._host is not None:
-            reclaimed.update(h for h in block_hashes if self._host.discard(h))
+            reclaimed.update(self._host.discard(*block_hashes))
         if self._cluster is not None:
             reclaimed.update(self._cluster.discard_owned(self.replica, *block_hashes))
         for content_hash in reclaimed:
@@ -400,12 +430,10 @@ class TieredPrefixStore:
         self._obs_now = now
         hashes = tuple(block_hashes)
         gpu_match = self._gpu_cache.match_length(hashes)
+        in_host, in_cluster = self._residency()
         stop = gpu_match
         for content_hash in hashes[gpu_match:]:
-            in_lower = (
-                (self._host is not None and content_hash in self._host)
-                or (self._cluster is not None and content_hash in self._cluster)
-            )
+            in_lower = content_hash in in_host or content_hash in in_cluster
             if in_lower and not self._policy.should_promote(
                 content_hash, self._hit_counts.get(content_hash, 0)
             ):
@@ -442,7 +470,8 @@ class TieredPrefixStore:
         # insert moves anything, so the transfer accounting can be limited to
         # the blocks that actually land in L1.
         continuation = list(block_hashes[gpu_blocks:gpu_blocks + total])
-        in_host = [self._host is not None and h in self._host for h in continuation]
+        resident = self._residency()[0]
+        in_host = [h in resident for h in continuation]
         landed = self._promote_into_l1(block_hashes, gpu_blocks, total, now)
         if landed == 0:
             return 0
@@ -471,14 +500,15 @@ class TieredPrefixStore:
         if self._host is None or self._cluster is None:
             return 0
         self._obs_now = now
+        in_host, in_cluster = self._residency()
         fresh = [
             content_hash for content_hash in block_hashes
-            if content_hash in self._cluster and content_hash not in self._host
+            if content_hash in in_cluster and content_hash not in in_host
         ]
         if not fresh:
             return 0
-        seconds = self._host.store(fresh)
-        restored = sum(1 for content_hash in fresh if content_hash in self._host)
+        seconds = self._store_in_host(fresh)
+        restored = sum(1 for content_hash in fresh if content_hash in in_host)
         self._prefetched += restored
         self._prefetch_seconds += seconds
         self._bytes_up += restored * self._block_bytes
@@ -500,13 +530,16 @@ class TieredPrefixStore:
         if self._host is not None:
             # Only blocks that were not already host-resident are transfers;
             # re-offering a parked block refreshes its LRU slot for free.
-            new_hashes = [h for h in hashes if h not in self._host]
-            seconds = self._host.store(hashes)
+            in_host = self._host.resident
+            new_hashes = [h for h in hashes if h not in in_host]
+            # Two statements: ``+=`` would read the sum before the store adds
+            # the cluster seconds of its victims, and overwrite them.
+            seconds = self._store_in_host(hashes)
             self._demote_seconds += seconds
-            absorbed = sum(1 for h in new_hashes if h in self._host)
+            absorbed = sum(1 for h in new_hashes if h in in_host)
             if self._cluster is not None:
                 self._cluster.discard_owned(
-                    self.replica, *(h for h in hashes if h in self._host)
+                    self.replica, *(h for h in hashes if h in in_host)
                 )
             self._demoted += absorbed
             self._bytes_down += absorbed * self._block_bytes
@@ -536,40 +569,55 @@ class TieredPrefixStore:
             if not host.capacity_blocks:
                 self._dropped += len(hashes)
                 return
-            # Known lost update, kept bit for bit because the run goldens pin
-            # it (see the FOUND line on demote_seconds in CHANGES.md): the
-            # cluster seconds of the host evictions this store causes are
-            # dropped, as the block-at-a-time cascade dropped them by reading
-            # the sum before the store and writing it back after.
-            seconds = self._demote_seconds
-            stored = host.offload(hashes)
-            self._demote_seconds = seconds
-            # Every victim is now stored or refreshed: all count as demoted.
-            self._demote(len(hashes), stored, host.transfer_time(1))
+            stored, victims = host.offload(hashes)
+            published = self._on_host_evict(victims) if victims else 0
+            # Every L1 victim is now stored or refreshed: all count as
+            # demoted, and so do the host victims the cluster stored.  Only
+            # the host transfers are charged: a known lost update, kept bit
+            # for bit because the run goldens pin it (see the FOUND line on
+            # demote_seconds in CHANGES.md), drops the cluster seconds of the
+            # host evictions this store causes, as the block-at-a-time
+            # cascade dropped them by reading the sum before the store and
+            # writing it back after.
+            self._demote(len(hashes) + published, stored, host.transfer_time(1))
         elif self._cluster is not None:
-            self._publish_victims(hashes)
+            self._demote_in_cluster(self._on_host_evict(hashes))
         else:
             self._dropped += len(hashes)
 
-    def _on_host_evict(self, hashes: list[int]) -> None:
-        """L2 eviction hook: publish one host store call's victims to the
-        cluster store in one publish."""
-        if not self._demote_on_evict or self._cluster is None:
-            self._dropped += len(hashes)
-            return
-        self._publish_victims(hashes)
+    def _store_in_host(self, hashes) -> float:
+        """Store blocks in the host tier in one call, demote its LRU victims
+        into the cluster, and return the host transfer seconds."""
+        stored, victims = self._host.offload(hashes)
+        if victims:
+            self._demote_in_cluster(self._on_host_evict(victims))
+        return self._host.transfer_time(stored)
 
-    def _publish_victims(self, hashes: list[int]) -> None:
-        """Publish evicted blocks to the cluster; a victim is demoted when it
-        is stored and dropped when it ends up neither stored nor resident."""
+    def _on_host_evict(self, hashes: list[int]) -> int:
+        """Publish evicted blocks to the cluster in one publish; return how
+        many it stored, which the caller accounts as demoted.
+
+        A victim is dropped when it ends up neither stored nor resident: every
+        victim without a cluster or with ``demote_on_evict`` off, and a victim
+        a refused publish leaves outside the store.
+        """
         cluster = self._cluster
+        if not self._demote_on_evict or cluster is None:
+            self._dropped += len(hashes)
+            return 0
         stored, _ = cluster.publish(self.replica, hashes)
-        self._demote(stored, stored, cluster.transfer_time(1))
-        if not cluster.writable:
+        if stored < len(hashes) and not cluster.writable:
             # A refused publish changes nothing, so residency after the call
             # is residency at each victim's turn.  A writable store stores or
             # refreshes every victim: none is dropped.
             self._dropped += sum(1 for h in hashes if h not in cluster)
+        return stored
+
+    def _demote_in_cluster(self, blocks: int) -> None:
+        """Account ``blocks`` blocks the cluster stored as demoted, each
+        charged its one-block cluster transfer."""
+        if blocks:
+            self._demote(blocks, blocks, self._cluster.transfer_time(1))
 
     def _demote(self, blocks: int, transfers: int, block_seconds: float) -> None:
         """Account ``blocks`` demoted blocks, ``transfers`` of which moved.

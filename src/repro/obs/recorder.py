@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import fsum
 
+from repro.errors import UnknownSpanKindError
 from repro.spec.models import DEFAULT_LATENCY_BUCKETS, ObservabilitySpec
 
 __all__ = [
@@ -73,6 +74,21 @@ KIND_ORDER = {
     "breaker": 16,
     "degrade": 17,
 }
+
+#: The counter each block-counted span kind adds its ``blocks`` attribute
+#: (1 when absent) to.
+_BLOCK_COUNTERS = {
+    "promote": "tier_promoted_blocks_total",
+    "demote": "tier_demoted_blocks_total",
+    "prefetch": "tier_prefetched_blocks_total",
+    "peer_fetch": "tier_peer_fetches_total",
+    "warm_restore": "tier_warm_restored_blocks_total",
+}
+
+#: Every span kind -> its block counter, or None for a kind
+#: :meth:`TraceRecorder._count` counts.  The one lookup per recorder call:
+#: a kind missing here is unknown.
+_KIND_COUNTERS = {kind: _BLOCK_COUNTERS.get(kind) for kind in KIND_ORDER}
 
 #: Counters kept out of the time series and reported only in the end-of-run
 #: snapshot: the two routing counters.  The export goldens pin series without
@@ -117,7 +133,7 @@ class ObsData:
 
 def _event_sort_key(event):
     time, key, kind, _, seq = event
-    return (time, key, KIND_ORDER.get(kind, len(KIND_ORDER)), seq)
+    return (time, key, KIND_ORDER[kind], seq)
 
 
 def _sample_sort_key(sample):
@@ -199,7 +215,16 @@ class TraceRecorder:
         self.replica_names[key] = name
 
     def emit(self, time: float, key: int, kind: str, **attrs) -> None:
-        """Record one span event and update its derived counters."""
+        """Record one span event and update its derived counters.
+
+        Raises:
+            UnknownSpanKindError: if ``kind`` is not a key of
+                :data:`KIND_ORDER` (nothing is recorded).
+        """
+        try:
+            block_counter = _KIND_COUNTERS[kind]
+        except KeyError:
+            raise UnknownSpanKindError(kind, tuple(KIND_ORDER)) from None
         if time > self._end_time:
             self._end_time = time
         if self.spans:
@@ -208,18 +233,31 @@ class TraceRecorder:
             self._seq[slot] = seq + 1
             self._events.append((time, key, kind, attrs, seq))
         if self.metrics:
-            self._count(key, kind, attrs)
+            if block_counter is None:
+                self._count(key, kind, attrs)
+            else:
+                self._inc(block_counter, (), attrs.get("blocks", 1))
 
     def emit_many(self, time: float, key: int, kind: str, count: int, **attrs) -> None:
         """Record ``count`` identical span events in one call.
 
         Records exactly what ``count`` calls of :meth:`emit` with these
         arguments would: the same tuples with consecutive ``(key, kind)``
-        sequence numbers, the same counter increments and the same end time.
+        sequence numbers, the same counter values and the same end time.
         The events share one ``attrs`` dict; span attrs are never mutated
         after recording.  A batch is still ``count`` events, not one event
-        with a summed attribute, so per-kind event counts stay exact.
+        with a summed attribute, so per-kind event counts stay exact; a
+        block-counted kind adds the batch's blocks to its counter in one
+        integer increment.
+
+        Raises:
+            UnknownSpanKindError: if ``kind`` is not a key of
+                :data:`KIND_ORDER` (nothing is recorded).
         """
+        try:
+            block_counter = _KIND_COUNTERS[kind]
+        except KeyError:
+            raise UnknownSpanKindError(kind, tuple(KIND_ORDER)) from None
         if count <= 0:
             return
         if time > self._end_time:
@@ -232,8 +270,11 @@ class TraceRecorder:
                 [(time, key, kind, attrs, number) for number in range(seq, seq + count)]
             )
         if self.metrics:
-            for _ in range(count):
-                self._count(key, kind, attrs)
+            if block_counter is None:
+                for _ in range(count):
+                    self._count(key, kind, attrs)
+            else:
+                self._inc(block_counter, (), attrs.get("blocks", 1) * count)
 
     def _inc(self, name: str, labels: tuple, amount) -> None:
         slot = (name, labels)
@@ -243,6 +284,7 @@ class TraceRecorder:
         return (("replica", self.replica_names.get(key, str(key))),)
 
     def _count(self, key: int, kind: str, attrs: dict) -> None:
+        """Update the counters of one event of a kind with no block counter."""
         if kind == "finish":
             self._inc("finished_total", self._replica_label(key), 1)
             latency = attrs.get("latency_s", 0.0)
@@ -281,16 +323,6 @@ class TraceRecorder:
                 self._inc("tier_host_tokens_total", (), host)
             if cluster:
                 self._inc("tier_cluster_tokens_total", (), cluster)
-        elif kind == "promote":
-            self._inc("tier_promoted_blocks_total", (), attrs.get("blocks", 1))
-        elif kind == "demote":
-            self._inc("tier_demoted_blocks_total", (), attrs.get("blocks", 1))
-        elif kind == "prefetch":
-            self._inc("tier_prefetched_blocks_total", (), attrs.get("blocks", 1))
-        elif kind == "peer_fetch":
-            self._inc("tier_peer_fetches_total", (), attrs.get("blocks", 1))
-        elif kind == "warm_restore":
-            self._inc("tier_warm_restored_blocks_total", (), attrs.get("blocks", 1))
         elif kind == "deadline_miss":
             self._inc("deadline_missed_total", (), 1)
         elif kind == "hedge":

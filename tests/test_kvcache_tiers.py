@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -559,6 +561,27 @@ def test_one_eviction_pass_demotes_its_victims_in_one_host_store():
     assert host.resident_hashes() == [second[1], second[0]]
     assert cluster.resident_hashes() == [first[1], first[0]]
     assert tiers.stats.demoted_blocks == 6
+
+
+def test_a_tiered_store_without_a_tree_is_freed_by_reference_counting():
+    """The host store hands its LRU victims back instead of holding a hook
+    bound to the tiered store, so the two form no reference cycle."""
+    host = CPUOffloadStore(capacity_bytes=2 * BLOCK_BYTES, block_bytes=BLOCK_BYTES)
+    cluster = ClusterPrefixStore(capacity_bytes=8 * BLOCK_BYTES, block_bytes=BLOCK_BYTES)
+    tiers = TieredPrefixStore(replica="r", block_size=BLOCK_SIZE,
+                              block_bytes=BLOCK_BYTES, host=host, cluster=cluster)
+    # Four blocks into a two-block host: two host victims reach the cluster.
+    assert tiers.accept_overflow(chain(4)) == 2
+    assert cluster.num_blocks == 2
+    host_ref, tiers_ref = weakref.ref(host), weakref.ref(tiers)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del host, tiers
+        assert host_ref() is None and tiers_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.xfail(strict=True, reason=(

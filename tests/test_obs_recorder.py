@@ -9,6 +9,7 @@ kept out of the sampled series.
 
 import pytest
 
+from repro.errors import ObsError, UnknownSpanKindError
 from repro.obs.recorder import (
     DEFAULT_LATENCY_BUCKETS,
     GLOBAL_KEY,
@@ -72,6 +73,38 @@ def test_kind_order_covers_every_counted_kind():
     for kind in KIND_ORDER:
         recorder.emit(0.0, 0, kind)
     assert len(recorder.freeze(0.0).events) == len(KIND_ORDER)
+
+
+def test_unknown_span_kind_raises_and_records_nothing():
+    """A kind outside KIND_ORDER fails loudly instead of sorting last and
+    counting nothing."""
+    recorder = make_recorder()
+    with pytest.raises(ObsError, match="unknown span kind 'demotion'; available: ") as excinfo:
+        recorder.emit(1.0, 0, "demotion", blocks=1)
+    assert excinfo.value.available == sorted(KIND_ORDER)
+    with pytest.raises(UnknownSpanKindError):
+        recorder.emit_many(2.0, 0, "demotion", 3, blocks=1)
+    data = recorder.freeze()
+    assert data.events == () and data.counters == () and data.end_time == 0.0
+
+
+def test_emit_many_equals_repeated_emit():
+    """For each block-counted kind, a batch of n events leaves the events,
+    counters and end time of n ``emit`` calls, with or without a ``blocks``
+    attribute."""
+    for kind in ("promote", "demote", "prefetch", "peer_fetch", "warm_restore"):
+        for attrs in ({}, {"blocks": 3}):
+            batched, repeated = make_recorder(), make_recorder()
+            for recorder in (batched, repeated):
+                recorder.emit(1.0, 0, kind, blocks=2)  # the batch continues a sequence
+            batched.emit_many(2.5, 0, kind, 4, **attrs)
+            for _ in range(4):
+                repeated.emit(2.5, 0, kind, **attrs)
+            once, many = batched.freeze(), repeated.freeze()
+            assert once.events == many.events, kind
+            assert once.counters == many.counters, kind
+            assert once.end_time == many.end_time == 2.5
+            assert once == many
 
 
 # ----------------------------------------------------------- sampling edges

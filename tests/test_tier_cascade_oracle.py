@@ -1,16 +1,22 @@
 """Differential oracle for the tier demotion cascade.
 
-The production hierarchy fires its eviction hooks once per pass: the radix
-tree hands the tiered store a pass's victims in one call, the host store
-hands the cluster store a call's victims in one publish, and the ``demote``
-events of one hook call are recorded by one recorder call.  The reference
-below is the block-at-a-time hierarchy the batched one replaced: each
-victim runs its own hook the moment it leaves its tier (the L1 reference is
-the full-scan :class:`ReferenceRadixCache` of
-``tests/test_prefix_cache_oracle.py``), and each demote event is its own
-``emit``.  It keeps the per-block ``demote_seconds`` lost update:
-``demote_seconds += host.store([h])`` reads the sum before the store, so the
-cluster seconds of the host evictions that store causes are overwritten.
+The production hierarchy moves its demotions in batches: the radix tree
+hands the tiered store a pass's victims in one call, the host store returns
+a call's LRU victims and the tiered store publishes them to the cluster in
+one publish, a fetch stages its unpromoted tail in one pass that settles its
+demotions once, and the ``demote`` events of one pass are recorded by one
+recorder call.  The reference below is the block-at-a-time hierarchy the
+batched one replaced: each victim runs its own hook the moment it leaves its
+tier (the L1 reference is the full-scan :class:`ReferenceRadixCache` of
+``tests/test_prefix_cache_oracle.py``), a fetch stages each cluster hit with
+its own host store, victim publish and cluster discard, in that order, and
+each demote event is its own ``emit``.  It keeps the per-block
+``demote_seconds`` lost update: ``demote_seconds += host.store([h])`` reads
+the sum before the store, so the cluster seconds of the host evictions that
+store causes are overwritten.  The ``@example``s pin the staging order
+without a random draw: a staged block's host victim reaches the cluster
+before the victim's own turn in the tail, and a full cluster evicts an entry
+to take the victim before the staged block's own copy is discarded.
 
 Hypothesis drives the same ops through both, on two replicas that share one
 cluster store: commits with overflow, fetches with staging, prefetches, warm
@@ -457,6 +463,15 @@ ops = st.binary(min_size=16, max_size=80)
 # block's turn comes.
 @example(paths=[[0] * 6, [1]], ops=bytes([0, 0, 4, 0]), l1_blocks=2,
          host_blocks=2, cluster_blocks=6, demote_on_evict=True,
+         promotion="never", watch=255)
+# Fetch staging against a full cluster: the same commit leaves a full 2-block
+# host and a full 2-block cluster.  Staging the first cluster hit evicts a
+# host block, whose publish evicts the cluster's LRU entry, the staged
+# block's own copy; discarding that copy before the publish would have made
+# room and spared the entry, so the cluster's eviction count tells the two
+# orders apart.
+@example(paths=[[0] * 6, [1]], ops=bytes([0, 0, 4, 0]), l1_blocks=2,
+         host_blocks=2, cluster_blocks=2, demote_on_evict=True,
          promotion="never", watch=255)
 # A refreshed L1 victim still counts as demoted: a commit fills L1, a drain
 # publishes L1 to the cluster (L1 stays), a warm restore stages the same
