@@ -12,8 +12,9 @@
 #                    when a metric is worse than its bound (scripts/bench_pairs.py)
 #   make fuzz        - scenario + metamorphic fuzzers and the scheduler / prefix-cache /
 #                    block-hash / tier-cascade oracles, full derandomized profile
-#   make mutants     - seeded KV (radix tree, prefix bisection, manager, block allocator),
-#                    SRJF scheduler-heap, tier-feed, demotion-cascade, fetch staging-pass,
+#   make mutants     - seeded KV (radix-tree runs, run splits and tail-first eviction,
+#                    prefix bisection, manager, block allocator), hash-run memo, SRJF
+#                    scheduler-heap, tier-feed, demotion-cascade, fetch staging-pass,
 #                    recorder-batch, hedge and event-loop collector-pause mutants, each of
 #                    which the mutant tests must kill (scripts/mutants.py; one mutant:
 #                    python scripts/mutants.py --mutant NAME)

@@ -2,8 +2,9 @@
 """Seeded mutants, each of which the mutant test set must kill.
 
 ``make mutants`` entry point.  The mutants break the KV layer (the radix
-tree and its prefix bisection, the manager and the block allocator's id
-pool), the SRJF scheduler's key-heap pick, the tier change feeds the SRJF
+tree's runs, their splits and tail-first eviction, its prefix bisection, the
+manager and the block allocator's id pool), the block-hash run memo, the
+SRJF scheduler's key-heap pick, the tier change feeds the SRJF
 scheduler's frontier index reads, the batched demotion cascade, a fetch's
 one-pass tail staging and the recorder's batch span recording (sequence
 numbers and block counters), the hedge policy's sorted latency window, the
@@ -47,6 +48,7 @@ TREE = "src/repro/kvcache/prefix_tree.py"
 ALLOCATOR = "src/repro/kvcache/allocator.py"
 MANAGER = "src/repro/kvcache/manager.py"
 HOST = "src/repro/kvcache/offload.py"
+HASHES = "src/repro/workloads/trace.py"
 CLUSTER = "src/repro/kvcache/tiers/cluster_store.py"
 TIERS = "src/repro/kvcache/tiers/store.py"
 RECORDER = "src/repro/obs/recorder.py"
@@ -77,6 +79,7 @@ CASCADE_ORACLE = "tests/test_tier_cascade_oracle.py"
 RECORDER_TESTS = "tests/test_obs_recorder.py"
 SHARD_IDENTITY = "tests/test_sharded_identity.py::test_decoupled_parallel_matches_unsharded"
 KEPT_FLEET = "tests/test_sharded_identity.py::test_a_kept_fleet_is_the_simulated_one"
+RUN_MEMO_TEST = "tests/test_block_hashes.py::test_a_run_is_keyed_by_its_parent_hash"
 
 #: The tests every mutant must fail.
 TESTS = (
@@ -98,6 +101,7 @@ TESTS = (
     ALLOCATOR_TESTS,
     COLLECTOR_TESTS,
     RECORDER_TESTS,
+    RUN_MEMO_TEST,
 )
 
 
@@ -129,9 +133,9 @@ class Mutant:
 
 
 MUTANTS = (
-    # An evicted leaf's last_access does not fold into its parent.
+    # An evicted run's last_access does not fold into its parent.
     Mutant("no-stamp-fold", TREE, (
-        ("            parent.touch(node.last_access)\n", ""),
+        ("                parent.touch(run.last_access)\n", ""),
     ), kills=(CACHE_ORACLE,)),
     # An insert's own evictions may take the tail of its path.
     Mutant("insert-pins-no-tail", TREE, (
@@ -148,18 +152,21 @@ MUTANTS = (
     Mutant("shortfall-off-by-one", TREE, (
         ("self.evict_blocks(shortfall)", "self.evict_blocks(shortfall - 1)"),
     ), kills=(CACHE_ORACLE,)),
-    # The leaf an insert leaves gets no LRU-heap entry.
+    # The run an insert creates gets no LRU-heap entry.
     Mutant("insert-pushes-no-leaf-entry", TREE, (
-        ("        self._note_candidate(tail)\n", ""),
+        ("        # The new run is a leaf, and so a candidate.\n"
+         "        self._note_candidate(run)\n", ""),
     ), kills=(CACHE_ORACLE,)),
-    # An evicted node's parent keeps counting it as a child.
+    # An evicted run's parent keeps counting it as a child.
     Mutant("child-count-not-decremented", TREE, (
-        ("            parent.num_children -= 1\n", ""),
+        ("                parent.num_children -= 1\n", ""),
     ), kills=(CACHE_ORACLE,)),
     # An insert does not record the watched hashes it adds.
     Mutant("insert-records-no-change", TREE, (
-        ("            if content_hash in watched:\n"
-         "                changed.add(content_hash)\n", ""),
+        ("            nodes[content_hash] = run\n"
+         "            if content_hash in watched:\n"
+         "                changed.add(content_hash)\n",
+         "            nodes[content_hash] = run\n"),
     ), kills=(SCHEDULER_ORACLE,)),
     # A match stamps no block.
     Mutant("match-stamps-nothing", TREE, (
@@ -190,21 +197,21 @@ MUTANTS = (
     Mutant("scratch-room-short", MANAGER, (
         ("self._cache.make_room(needed)", "self._cache.make_room(needed - 1)"),
     ), kills=(MANAGER_TESTS,)),
-    # The evictable count ignores a pinned frontier's ancestors.
+    # The evictable count ignores a pinned frontier's ancestor runs.
     Mutant("evictable-count-ignores-ancestors", TREE, (
-        ("                while node is not None and node.content_hash not in protected:\n"
-         "                    protected.add(node.content_hash)\n"
-         "                    node = node.parent\n",
-         "                protected.add(node.content_hash)\n"),
+        ("                while run is not None and run not in protected:\n"
+         "                    protected.add(run)\n"
+         "                    run = run.parent\n",
+         "                protected.add(run)\n"),
     ), kills=(CACHE_ORACLE,)),
     # LRU-heap keys order by creation sequence before last access.
     Mutant("heap-key-swapped", TREE, (
-        ("heapq.heappush(self._lru_heap, (node.last_access, node.seq, node))",
-         "heapq.heappush(self._lru_heap, (node.seq, node.last_access, node))"),
-        ("            last_access, _, node = entry\n",
-         "            _, last_access, node = entry\n"),
-        ("heapq.heappush(heap, (node.last_access, node.seq, node))",
-         "heapq.heappush(heap, (node.seq, node.last_access, node))"),
+        ("heapq.heappush(self._lru_heap, (run.last_access, run.seq, run))",
+         "heapq.heappush(self._lru_heap, (run.seq, run.last_access, run))"),
+        ("            last_access, seq, run = entry\n",
+         "            seq, last_access, run = entry\n"),
+        ("heapq.heappush(heap, (run.last_access, seq, run))",
+         "heapq.heappush(heap, (seq, run.last_access, run))"),
     ), kills=(CACHE_ORACLE,)),
     # A host-tier LRU eviction is not recorded.
     Mutant("host-evict-records-no-change", HOST, (
@@ -316,10 +323,10 @@ MUTANTS = (
          "            if index < self.num_instances\n"
          "        }\n", ""),
     ), kills=(ROUTING_TESTS, KV_INVARIANTS)),
-    # A heap entry older than its node's last access is evicted as is.
+    # A heap entry older than its run's last access is evicted as is.
     Mutant("stale-entry-not-rekeyed", TREE, (
-        ("            if node.last_access != last_access:\n"
-         "                heapq.heappush(heap, (node.last_access, node.seq, node))\n"
+        ("            if run.last_access != last_access:\n"
+         "                heapq.heappush(heap, (run.last_access, seq, run))\n"
          "                continue\n", ""),
     ), kills=(CACHE_ORACLE,)),
     # A shard's sub-fleet routes every arrival to its first replica.
@@ -367,6 +374,35 @@ MUTANTS = (
         ("        elif hint < size and block_hashes[hint] in nodes:\n",
          "        elif not hint and hint < size and block_hashes[hint] in nodes:\n"),
     ), kills=(TREE_TESTS, CACHE_ORACLE)),
+    # A run left partly evicted by a pass gets no fresh heap entry, so its
+    # remaining blocks are never evicted again.
+    Mutant("partial-evict-pushes-no-entry", TREE, (
+        ("            if hashes:\n"
+         "                # Partly evicted: its new tail is a leaf keyed one seq lower.\n"
+         "                self._note_candidate(run)\n"
+         "                continue\n",
+         "            if hashes:\n"
+         "                continue\n"),
+    ), kills=(TREE_TESTS, CACHE_ORACLE)),
+    # A frontier that ends mid-run stamps or pins the run's tail instead of
+    # splitting the run there.
+    Mutant("mid-run-stamp-splits-nothing", TREE, (
+        ("        if keep < len(run.hashes):\n"
+         "            return self._split(run, keep)\n"
+         "        return run\n",
+         "        return run\n"),
+    ), kills=(TREE_TESTS, CACHE_ORACLE)),
+    # An eviction pass takes a victim run whole, past its count.
+    Mutant("evict-takes-whole-run", TREE, (
+        ("            taken = min(count - len(victims), len(hashes))\n",
+         "            taken = len(hashes)\n"),
+    ), kills=(TREE_TESTS, CACHE_ORACLE)),
+    # The run memo's key omits the parent hash, so a segment reached at the
+    # same offsets after different content reuses another chain's run.
+    Mutant("run-memo-key-drops-parent", HASHES, (
+        ("                key = (parent, content_id, offset, whole_end, block_size)\n",
+         "                key = (content_id, offset, whole_end, block_size)\n"),
+    ), kills=(RUN_MEMO_TEST,)),
 )
 
 

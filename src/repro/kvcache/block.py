@@ -6,8 +6,9 @@ The KV cache is managed at the granularity of fixed-size blocks of tokens
 chains the hash of the previous block with the tokens stored in this block —
 the same scheme vLLM's automatic prefix caching uses, which guarantees that
 two requests map to the same cached block only if they agree on the entire
-prefix up to and including that block.  A cached block is one :class:`Block`,
-which is also its node in the radix prefix tree.
+prefix up to and including that block.  The radix prefix tree keeps cached
+blocks in runs: one :class:`Block` holds the consecutive blocks one insert
+created, and is their node in the tree.
 """
 
 from __future__ import annotations
@@ -43,43 +44,54 @@ def hash_token_blocks(tokens: Sequence[int], block_size: int) -> list[int]:
 
 
 class Block:
-    """One cached KV-cache block: a node of the radix prefix tree.
+    """A run of cached KV-cache blocks: one node of the radix prefix tree.
 
-    The tree's only per-block object, as RadixAttention keeps the reference
-    count and recency on the tree node itself.  Two blocks are equal only if
-    they are the same object.
+    A run holds the consecutive blocks of one chain that one insert created,
+    as SGLang's RadixAttention keeps one node per run of tokens rather than
+    per block.  Only the run's last block, its *tail*, is ever stamped or
+    pinned, so the run keeps one reference count and one ``last_access``, for
+    the tail; the blocks above the tail keep the run's creation stamp.  Block
+    ``i`` of the run is block ``depth + i`` of every chain through it, and its
+    creation sequence number is ``seq - (len(hashes) - 1 - i)``.  Two runs are
+    equal only if they are the same object.
 
     Attributes:
-        block_id: Physical block id handed out by the allocator.
-        content_hash: Chained content hash of the block's tokens.
-        parent: The block before this one in its chain, None at the root.
-        num_children: Number of cached blocks whose parent this is (a leaf
-            has none).
-        seq: Creation sequence number, the LRU tie-break (older first).
-        ref_count: Number of in-flight requests currently pinning the block.
-        last_access: Logical timestamp of the most recent use (for LRU).
+        hashes: The blocks' chained content hashes, first to tail.
+        block_ids: Their physical block ids, handed out by the allocator.
+        depth: Chain index of the run's first block.
+        parent: The run holding the block before the first one, None at the
+            root.
+        num_children: Number of cached runs whose parent this is (a leaf has
+            none).
+        seq: Creation sequence number of the tail, the LRU tie-break (older
+            first).
+        ref_count: Number of in-flight requests currently pinning the tail.
+        last_access: Logical timestamp of the tail's most recent use (for LRU).
+        created: The run's creation stamp, which its blocks above the tail keep.
     """
 
-    __slots__ = ("block_id", "content_hash", "parent", "num_children", "seq",
-                 "ref_count", "last_access")
+    __slots__ = ("hashes", "block_ids", "depth", "parent", "num_children", "seq",
+                 "ref_count", "last_access", "created")
 
-    def __init__(self, block_id: BlockId, content_hash: int, parent: Block | None,
-                 seq: int, last_access: float) -> None:
-        self.block_id = block_id
-        self.content_hash = content_hash
+    def __init__(self, hashes: list[int], block_ids: list[BlockId], depth: int,
+                 parent: Block | None, seq: int, created: float) -> None:
+        self.hashes = hashes
+        self.block_ids = block_ids
+        self.depth = depth
         self.parent = parent
         self.num_children = 0
         self.seq = seq
         self.ref_count = 0
-        self.last_access = last_access
+        self.last_access = created
+        self.created = created
 
     @property
     def is_pinned(self) -> bool:
-        """True while at least one running request still needs this block."""
+        """True while at least one running request still needs the tail."""
         return self.ref_count > 0
 
     def touch(self, now: float) -> None:
-        """Record an access for LRU bookkeeping."""
+        """Record an access of the tail for LRU bookkeeping."""
         if now >= self.last_access:
             self.last_access = now
 
@@ -88,7 +100,7 @@ class Block:
 
     def unpin(self) -> None:
         if self.ref_count <= 0:
-            raise ValueError(f"block {self.block_id} unpinned more times than pinned")
+            raise ValueError("a run's tail was unpinned more times than pinned")
         self.ref_count -= 1
 
 

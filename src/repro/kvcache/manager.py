@@ -36,7 +36,8 @@ class ExecutionLease:
 
     block_hashes: tuple[int, ...]
     num_tokens: int
-    #: The pinned frontier of the cached prefix (None without a hit).
+    #: The run whose tail is the pinned frontier of the cached prefix (None
+    #: without a hit).
     frontier: Block | None = None
     scratch_blocks: list[BlockId] = field(default_factory=list)
     cached_tokens: int = 0

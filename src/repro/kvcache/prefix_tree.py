@@ -1,15 +1,18 @@
 """Radix-tree prefix cache over chained block hashes.
 
 Cached KV blocks are organised as a tree: a node's children are the blocks that
-can follow it.  Each node is the cached :class:`~repro.kvcache.block.Block`
-itself, holding the integer block id the allocator handed out, so a cached
-block costs one object.  Because the content hash of block *i* already
-incorporates the hashes of blocks 0..i-1 (see
-``repro.kvcache.block.hash_chain``), one flat dict from content hash to node
-finds any block, and the match of a request's block-hash list is its longest
-cached prefix — exactly the prefix-match semantics of vLLM's automatic prefix
-caching.  No lookup goes through a parent, so a node keeps only its parent
-and a count of its children.
+can follow it.  The tree keeps one node per *run*, as SGLang's RadixAttention
+does: a :class:`~repro.kvcache.block.Block` holds the consecutive blocks one
+insert created, with their content hashes and the integer block ids the
+allocator handed out, so a first touch of a long prefix costs one node, not
+one per block.  Because the content hash of block *i* already incorporates
+the hashes of blocks 0..i-1 (see ``repro.kvcache.block.hash_chain``), one flat
+dict from content hash to the run holding it finds any block, and a block's
+offset in its run is its chain index minus the run's ``depth``.  The match of
+a request's block-hash list is its longest cached prefix — exactly the
+prefix-match semantics of vLLM's automatic prefix caching.  No lookup goes
+through a parent, so a run keeps only its parent and a count of its
+children.
 
 The cached part of a chain is a prefix of it: an insert adds a chain's
 missing blocks below its deepest cached one, and only leaves are evicted, so
@@ -24,35 +27,61 @@ A hinted lookup probes the hint first: when ``H[hint-1]`` is cached and
 recalibration whose match did not move costs two probes; otherwise the
 failed probe says which side of the hint to bisect.
 
-Eviction is LRU over *leaf* nodes that are not pinned by a running request
-(evicting an interior node would orphan its descendants' hash chains).  The
+Eviction is LRU over *leaf* blocks that are not pinned by a running request
+(evicting an interior block would orphan its descendants' hash chains).  The
 tree alone guards pins: it never evicts or clears a pinned block.
 
 A request pins and LRU-stamps only its *frontier*, the deepest cached block of
-its chain, as SGLang's RadixAttention keeps one reference count and one
-timestamp per matched run rather than per block.  A pinned frontier keeps every
-ancestor interior, so the whole cached prefix is safe from eviction.  An
-ancestor's own timestamp is stale until it matters: when a victim is evicted,
-its ``last_access`` folds into its parent, so a node that becomes a leaf again
-carries the latest access of any chain that ran through it.  A touched leaf is
-always a frontier, so every leaf's timestamp, and with it the victim order,
-is exactly what stamping every block of every chain would give.
+its chain, as RadixAttention keeps one reference count and one timestamp per
+matched run rather than per block.  A pinned frontier keeps every ancestor
+interior, so the whole cached prefix is safe from eviction.  An ancestor's
+own timestamp is stale until it matters: when a victim is evicted, its
+``last_access`` folds into its parent, so a block that becomes a leaf again
+carries the latest access of any chain that ran through it.  A touched leaf
+is always a frontier, so every leaf's timestamp, and with it the victim
+order, is exactly what stamping every block of every chain would give.
 
-Victim selection uses a lazy min-heap of ``(last_access, creation_seq, node)``
-candidates rather than scanning every node per eviction.  Only leaves are
-candidates, so an entry is pushed for the leaf an insert leaves and for a
-node that becomes a leaf again after its last child is evicted; the interior
-blocks an insert creates get none.  Entries are validated when popped — dead
-and interior nodes are dropped, a node whose timestamp moved since its entry
-was pushed is re-keyed in place (lazy decrease-key, so cache touches stay
-O(1)), and pinned candidates are pushed back once the eviction pass ends.  The
-victim is always the unpinned leaf with the smallest ``(last_access,
-creation_seq)``: ties on the timestamp go to the older node.  An insert frees
-the room it is short of in one eviction pass before it allocates, which picks
-the same victims as evicting one block per failed allocation would: the new
-blocks are never candidates.  ``tests/test_prefix_cache_oracle.py`` checks
-that order against a full-scan reference cache that stamps and pins every
-block and evicts one block at a time.
+Three invariants keep the runs exact against that per-block tree:
+
+* **Only a tail is stamped or pinned.**  A frontier that ends mid-run (a
+  match, an insert's deepest resident block, a pin) first splits the run:
+  the blocks down to the frontier become a new run, the parent of the rest.
+  The original run object keeps the tail, so the pins, leases, heap entries
+  and child runs that name it stay valid, and only the upper part's hashes
+  are re-pointed in the dict, which keeps its order.
+* **Blocks above a run's tail keep the creation stamp.**  They were never a
+  frontier, and a block's only child is the next block of its run, so no
+  fold has reached them: the run's ``created`` is their ``last_access``.
+* **Tail-first eviction of a run is the per-block order.**  When a run's tail
+  ``(last_access, seq)`` is the smallest unpinned leaf key, evicting it
+  makes the next block a leaf keyed ``(last_access, seq - 1)`` (the fold of
+  the tail's stamp onto the creation stamp is the tail's stamp), which is
+  below the minimum just taken.  So one eviction pass takes blocks from the
+  run's tail until its count is met, as block-at-a-time eviction would.
+
+Victim selection uses a lazy min-heap of ``(last_access, seq, run)``
+candidates rather than scanning every node per eviction.  Only leaf runs are
+candidates, so an entry is pushed for the run an insert creates, for a run
+left partly evicted by a pass, and for a run that becomes a leaf again after
+its last child run is evicted.  Entries are validated when popped: an entry
+whose ``seq`` is no longer its run's tail names an evicted block and is
+dropped, as is one for an interior run; a run whose timestamp moved since
+its entry was pushed is re-keyed in place (lazy decrease-key, so cache
+touches stay O(1)), and pinned candidates are pushed back once the eviction
+pass ends.  The victim is always the unpinned leaf block with the smallest
+``(last_access, seq)``: ties on the timestamp go to the older block.  An
+insert frees the room it is short of in one eviction pass before it
+allocates, which picks the same victims as evicting one block per failed
+allocation would: the new blocks are never candidates.
+``tests/test_prefix_cache_oracle.py`` checks that order against a full-scan
+reference cache that stamps and pins every block and evicts one block at a
+time.
+
+Everything observable stays per block: one allocator call per allocated or
+freed block, the stats counters, the version bumps, the change record and
+the victims handed to :attr:`RadixPrefixCache.on_evict`, and
+:meth:`RadixPrefixCache.snapshot`, which expands the runs into one
+:class:`NodeState` per block.
 
 The tree also keeps a change record for one watcher (the SRJF scheduler's
 frontier index, see :mod:`repro.core.scheduler`): the watched content hashes
@@ -63,7 +92,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import islice
 from typing import Container, NamedTuple, Sequence
 
 from repro.errors import AllocationError
@@ -78,7 +106,8 @@ class PrefixMatch:
     Attributes:
         num_blocks: Number of leading blocks found in the cache.
         num_tokens: The same count expressed in tokens.
-        frontier: The deepest matched block, or None when nothing matched.
+        frontier: The run whose tail is the deepest matched block, or None
+            when nothing matched.
     """
 
     num_blocks: int
@@ -87,7 +116,7 @@ class PrefixMatch:
 
 
 class NodeState(NamedTuple):
-    """One resident node, as :meth:`RadixPrefixCache.snapshot` reports it."""
+    """One resident block, as :meth:`RadixPrefixCache.snapshot` reports it."""
 
     parent: int | None
     num_children: int
@@ -102,8 +131,8 @@ class TreeSnapshot:
     """The tree's structure, read by the KV structural invariant check.
 
     Attributes:
-        nodes: Every resident node by content hash.
-        heap_keys: For each resident node with a live LRU-heap entry, the
+        nodes: Every resident block by content hash, in residency order.
+        heap_keys: For each resident block with a live LRU-heap entry, the
             smallest ``(last_access, seq)`` key among its entries.
         allocator: The block pool the tree allocates from.
     """
@@ -127,6 +156,7 @@ class RadixPrefixCache:
     def __init__(self, allocator: BlockAllocator) -> None:
         self._allocator = allocator
         self._block_size = allocator.block_size
+        #: Content hash -> the run holding the block.
         self._nodes: dict[int, Block] = {}
         self._lru_heap: list[tuple[float, int, Block]] = []
         self._node_seq = 0
@@ -144,9 +174,17 @@ class RadixPrefixCache:
         #: prefix store uses it to demote GPU evictions into the host tier.
         self.on_evict = None
 
-    def _note_candidate(self, node: Block) -> None:
-        """Push a fresh LRU-heap entry for ``node`` at its current timestamp."""
-        heapq.heappush(self._lru_heap, (node.last_access, node.seq, node))
+    def _note_candidate(self, run: Block) -> None:
+        """Push a fresh LRU-heap entry for ``run``'s tail at its current timestamp."""
+        heapq.heappush(self._lru_heap, (run.last_access, run.seq, run))
+
+    def _runs(self) -> dict[Block, None]:
+        """Every resident run, in residency order.
+
+        A run's hashes are inserted together and leave from the tail, and a
+        split re-points them in place, so each run is one contiguous slice of
+        the hash dict's order."""
+        return dict.fromkeys(self._nodes.values())
 
     # ---------------------------------------------------------------- state
 
@@ -217,7 +255,7 @@ class RadixPrefixCache:
         if not count:
             return PrefixMatch(0, 0, None)
         self._hits += count
-        frontier = self._nodes[block_hashes[count - 1]]
+        frontier = self._frontier(block_hashes, count)
         frontier.touch(now)
         return PrefixMatch(count, count * self._block_size, frontier)
 
@@ -251,11 +289,40 @@ class RadixPrefixCache:
                 high = middle
         return low
 
+    def _frontier(self, block_hashes: Sequence[int], count: int) -> Block:
+        """The run whose tail is block ``count - 1`` of the cached chain
+        ``block_hashes``, split off first when that block is mid-run."""
+        run = self._nodes[block_hashes[count - 1]]
+        keep = count - run.depth
+        if keep < len(run.hashes):
+            return self._split(run, keep)
+        return run
+
+    def _split(self, run: Block, keep: int) -> Block:
+        """Split ``run``'s first ``keep`` blocks off as a new run, the parent
+        of the rest, and return it.
+
+        ``run`` keeps its tail, so everything that names it stays valid.  The
+        new run's blocks were above the tail: they keep the creation stamp
+        and need no heap entry while ``run`` is their child.
+        """
+        hashes, block_ids = run.hashes, run.block_ids
+        upper = Block(hashes[:keep], block_ids[:keep], run.depth, run.parent,
+                      run.seq - len(hashes) + keep, run.created)
+        upper.num_children = 1
+        del hashes[:keep], block_ids[:keep]
+        run.parent = upper
+        run.depth += keep
+        nodes = self._nodes
+        for content_hash in upper.hashes:
+            nodes[content_hash] = upper
+        return upper
+
     def resident_hashes(self) -> list[int]:
         """Every cached content hash, parents before children.
 
         Because only leaves are ever evicted, the resident set is
-        prefix-closed per chain and the node dict's insertion order always
+        prefix-closed per chain and the hash dict's insertion order always
         lists a block's ancestors before the block itself — so feeding this
         list to a flat prefix store (e.g. the cluster tier on scale-down
         drain) preserves matchability of every cached prefix.
@@ -269,16 +336,15 @@ class RadixPrefixCache:
 
         The deepest block already present is stamped; missing blocks are
         allocated from the shared pool, after one eviction pass frees what the
-        pool is short of.  Insertion stops early (suffix discarding) when the
-        pool cannot supply a block.
+        pool is short of, and become one new run.  Insertion stops early
+        (suffix discarding) when the pool cannot supply a block.
 
         Returns:
             The number of blocks of the request now resident in the cache
             (matched + newly inserted), i.e. the cached prefix length in blocks.
         """
-        nodes = self._nodes
         resident = self._cached_prefix(block_hashes, 0)
-        tail = nodes[block_hashes[resident - 1]] if resident else None
+        tail = self._frontier(block_hashes, resident) if resident else None
         if tail is not None:
             tail.touch(now)
         count = len(block_hashes) - resident
@@ -292,18 +358,19 @@ class RadixPrefixCache:
         if not count:
             return resident
         allocate = self._allocator.allocate
-        watched, changed = self._watched, self._changed
-        seq = self._node_seq
-        for content_hash in islice(block_hashes, resident, resident + count):
-            if tail is not None:
-                tail.num_children += 1
-            tail = nodes[content_hash] = Block(allocate(), content_hash, tail, seq, now)
+        hashes = list(block_hashes[resident:resident + count])
+        self._node_seq += count
+        run = Block(hashes, [allocate() for _ in hashes], resident, tail,
+                    self._node_seq - 1, now)
+        if tail is not None:
+            tail.num_children += 1
+        nodes, watched, changed = self._nodes, self._watched, self._changed
+        for content_hash in hashes:
+            nodes[content_hash] = run
             if content_hash in watched:
                 changed.add(content_hash)
-            seq += 1
-        # Only the chain's last block is a leaf, and so a candidate.
-        self._note_candidate(tail)
-        self._node_seq = seq
+        # The new run is a leaf, and so a candidate.
+        self._note_candidate(run)
         self._insertions += count
         self._version += count
         return resident + count
@@ -334,94 +401,107 @@ class RadixPrefixCache:
 
         This counts the whole unpinned subtree mass, not just current leaves,
         because evicting a leaf exposes its parent as the next victim: every
-        node on no pinned frontier's root path.
+        block on no pinned frontier's root path.
         """
-        protected: set[int] = set()
-        for node in self._nodes.values():
-            if node.is_pinned:
-                while node is not None and node.content_hash not in protected:
-                    protected.add(node.content_hash)
-                    node = node.parent
-        return len(self._nodes) - len(protected)
+        protected: set[Block] = set()
+        for run in self._runs():
+            if run.is_pinned:
+                while run is not None and run not in protected:
+                    protected.add(run)
+                    run = run.parent
+        return len(self._nodes) - sum(len(run.hashes) for run in protected)
 
     def evict_blocks(self, count: int) -> int:
         """Evict up to ``count`` blocks in LRU order; return how many were evicted.
 
         Only a leaf's timestamp decides its turn.  Requests stamp only their
         frontier, and a victim's ``last_access`` folds into its parent as it
-        leaves, so a node that becomes a leaf again has the latest access of
+        leaves, so a block that becomes a leaf again has the latest access of
         every chain that ran through it, as if every block had been stamped.
 
-        Every evictable node has at least one heap entry — pushed when an
-        insert leaves it a leaf and whenever it becomes a leaf again — whose
-        key never *overestimates* the node's recency (``touch`` only moves
-        timestamps forward).  Popping therefore surfaces candidates in
-        optimistic order: a dead or interior node is dropped, a node whose
-        timestamp moved since the entry was pushed is re-keyed at its current
+        Every evictable run has at least one heap entry — pushed when an
+        insert creates it, when a pass leaves it partly evicted and whenever
+        it becomes a leaf again — whose key never *overestimates* its tail's
+        recency (``touch`` only moves timestamps forward).  Popping therefore
+        surfaces candidates in optimistic order: an entry for an evicted
+        block or an interior run is dropped, a run whose timestamp moved
+        since the entry was pushed is re-keyed at its current
         ``last_access`` (lazy decrease-key, paid only when evictions actually
         happen rather than on every cache touch), and a pinned candidate is
         parked and re-pushed after the pass.  The first entry that survives
         validation is the true ``(last_access, seq)`` minimum over the
-        unpinned leaves.
+        unpinned leaves, and the blocks above it follow it in key order (see
+        the module docstring), so the pass takes blocks from that run's tail
+        until its count is met.
 
         The pass's victims go to :attr:`on_evict` in one call once it ends.
         """
         heap = self._lru_heap
+        nodes = self._nodes
+        watched, changed = self._watched, self._changed
+        free = self._allocator.free
         pinned: list[tuple[float, int, Block]] = []
         victims: list[int] = []
         while len(victims) < count and heap:
             entry = heapq.heappop(heap)
-            last_access, _, node = entry
-            if self._nodes.get(node.content_hash) is not node or node.num_children:
+            last_access, seq, run = entry
+            if seq != run.seq or not run.hashes or run.num_children:
                 continue
-            if node.last_access != last_access:
-                heapq.heappush(heap, (node.last_access, node.seq, node))
+            if run.last_access != last_access:
+                heapq.heappush(heap, (run.last_access, seq, run))
                 continue
-            if node.is_pinned:
+            if run.is_pinned:
                 pinned.append(entry)
                 continue
-            self._remove_node(node)
-            victims.append(node.content_hash)
+            hashes, block_ids = run.hashes, run.block_ids
+            taken = min(count - len(victims), len(hashes))
+            for _ in range(taken):
+                content_hash = hashes.pop()
+                del nodes[content_hash]
+                if content_hash in watched:
+                    changed.add(content_hash)
+                free(block_ids.pop())
+                victims.append(content_hash)
+            run.seq -= taken
+            self._evictions += taken
+            self._version += taken
+            if hashes:
+                # Partly evicted: its new tail is a leaf keyed one seq lower.
+                self._note_candidate(run)
+                continue
+            parent = run.parent
+            if parent is not None:
+                parent.num_children -= 1
+                # The parent inherits the victim's recency: every access that
+                # stamped the victim ran through the parent too.
+                parent.touch(run.last_access)
+                if not parent.num_children:
+                    # The parent just became evictable; give it a live heap entry.
+                    self._note_candidate(parent)
         for entry in pinned:
             heapq.heappush(heap, entry)
         if victims and self.on_evict is not None:
             self.on_evict(victims)
         return len(victims)
 
-    def _remove_node(self, node: Block) -> None:
-        parent = node.parent
-        if parent is not None:
-            parent.num_children -= 1
-            # The parent inherits the victim's recency: every access that
-            # stamped the victim ran through the parent too.
-            parent.touch(node.last_access)
-            if not parent.num_children:
-                # The parent just became evictable; give it a live heap entry.
-                self._note_candidate(parent)
-        del self._nodes[node.content_hash]
-        if node.content_hash in self._watched:
-            self._changed.add(node.content_hash)
-        self._allocator.free(node.block_id)
-        self._evictions += 1
-        self._version += 1
-
     # --------------------------------------------------------------- pinning
 
     def pin_prefix(self, block_hashes: Sequence[int], num_blocks: int) -> Block | None:
         """Pin the cached prefix ``block_hashes[:num_blocks]`` while a request executes.
 
-        Only the frontier ``block_hashes[num_blocks - 1]`` is pinned: only
-        unpinned leaves are evicted, so its ancestors stay resident with it.
-        This is how the cache guarantees that a scheduled request's advertised
-        prefix hit is still there when the request actually runs.
+        Only the frontier ``block_hashes[num_blocks - 1]`` is pinned, as the
+        tail of its run (split off first when it is mid-run): only unpinned
+        leaves are evicted, so its ancestors stay resident with it.  This is
+        how the cache guarantees that a scheduled request's advertised prefix
+        hit is still there when the request actually runs.
 
         Returns:
-            The pinned frontier block for :meth:`unpin`, or None when
-            ``num_blocks`` is 0.
+            The run whose tail is the pinned frontier, for :meth:`unpin`, or
+            None when ``num_blocks`` is 0.
         """
         if not num_blocks:
             return None
-        frontier = self._nodes[block_hashes[num_blocks - 1]]
+        frontier = self._frontier(block_hashes, num_blocks)
         frontier.pin()
         return frontier
 
@@ -431,40 +511,45 @@ class RadixPrefixCache:
             frontier.unpin()
 
     def snapshot(self) -> TreeSnapshot:
-        """The tree's structure, for the KV structural invariant check
-        (:func:`repro.simulation.invariants.check_kv_structure`)."""
-        nodes = self._nodes
+        """The tree's structure block by block, for the KV structural
+        invariant check (:func:`repro.simulation.invariants.check_kv_structure`).
+
+        Each run expands into one :class:`NodeState` per block: a block above
+        the tail has its run's next block as its one child, no pin and the
+        creation stamp.
+        """
         heap_keys: dict[int, tuple[float, int]] = {}
-        for last_access, seq, node in self._lru_heap:
-            content_hash = node.content_hash
-            if nodes.get(content_hash) is node:
+        for last_access, seq, run in self._lru_heap:
+            if seq == run.seq and run.hashes:
+                content_hash = run.hashes[-1]
                 key = (last_access, seq)
                 heap_keys[content_hash] = min(heap_keys.get(content_hash, key), key)
-        return TreeSnapshot(
-            nodes={
-                content_hash: NodeState(
-                    parent=node.parent.content_hash if node.parent is not None else None,
-                    num_children=node.num_children,
-                    block_id=node.block_id,
-                    ref_count=node.ref_count,
-                    last_access=node.last_access,
-                    seq=node.seq,
-                )
-                for content_hash, node in nodes.items()
-            },
-            heap_keys=heap_keys,
-            allocator=self._allocator,
-        )
+        nodes: dict[int, NodeState] = {}
+        for run in self._runs():
+            parent = run.parent.hashes[-1] if run.parent is not None else None
+            last = len(run.hashes) - 1
+            first_seq = run.seq - last
+            for index, (content_hash, block_id) in enumerate(zip(run.hashes, run.block_ids)):
+                if index < last:
+                    nodes[content_hash] = NodeState(parent, 1, block_id, 0, run.created,
+                                                    first_seq + index)
+                else:
+                    nodes[content_hash] = NodeState(parent, run.num_children, block_id,
+                                                    run.ref_count, run.last_access, run.seq)
+                parent = content_hash
+        return TreeSnapshot(nodes=nodes, heap_keys=heap_keys, allocator=self._allocator)
 
     # ----------------------------------------------------------------- misc
 
     def clear(self) -> None:
         """Drop every cached block (used between experiments)."""
-        for node in list(self._nodes.values()):
-            if node.is_pinned:
-                raise AllocationError("cannot clear the prefix cache while blocks are pinned")
-        for node in list(self._nodes.values()):
-            self._allocator.free(node.block_id)
+        runs = self._runs()
+        if any(run.is_pinned for run in runs):
+            raise AllocationError("cannot clear the prefix cache while blocks are pinned")
+        free = self._allocator.free
+        for run in runs:
+            for block_id in run.block_ids:
+                free(block_id)
         self._changed.update(self._watched)
         self._nodes.clear()
         self._lru_heap.clear()

@@ -219,17 +219,18 @@ class ClusterPrefixStore:
 
     # ------------------------------------------------------------------ I/O
 
-    def publish(self, replica: str, block_hashes: Sequence[int]) -> tuple[int, float]:
-        """Store blocks on behalf of ``replica``; return (stored, seconds).
+    def publish(self, replica: str, block_hashes: Sequence[int]) -> int:
+        """Store blocks on behalf of ``replica``; return how many were new.
 
         Already-present hashes are refreshed in LRU order (original owner
-        kept) at no transfer cost; new hashes evict LRU entries as needed and
-        are charged through the configured link.  While the store is
-        unavailable the write is refused: nothing is stored and the offered
-        blocks are lost (the caller's demotion path counts them as drops).
+        kept) at no transfer cost; new hashes evict LRU entries as needed.  A
+        caller that charges the write adds :meth:`transfer_time` of the
+        returned count itself.  While the store is unavailable the write is
+        refused: nothing is stored and the offered blocks are lost (the
+        caller's demotion path counts them as drops).
         """
         if not self._available or self._publish_paused:
-            return 0, 0.0
+            return 0
         stored = 0
         blocks = self._blocks
         capacity = self.capacity_blocks
@@ -257,7 +258,7 @@ class ClusterPrefixStore:
             self._publishes_by_replica[replica] = (
                 self._publishes_by_replica.get(replica, 0) + stored
             )
-        return stored, self._transfer_time(stored)
+        return stored
 
     def fetch_block(self, replica: str, *content_hashes: int) -> int:
         """Record block reads by ``replica``, in order; return how many of

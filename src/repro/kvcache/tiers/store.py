@@ -49,6 +49,7 @@ of the block-at-a-time cascade that the run goldens still pin.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -129,7 +130,9 @@ class TieredPrefixStore:
         replica: Name of the owning replica (L3 ownership accounting).
         block_size: Tokens per KV block (must match the L1 cache).
         block_bytes: Bytes per KV block (for transfer-cost modelling).
-        host: Host (L2) store, or None to run without one.
+        host: Host (L2) store, or None to run without one.  A store that
+            holds no whole block is no host tier: it is dropped, so L1
+            victims publish straight to the cluster.
         cluster: Fleet-shared (L3) store, or None to run without one.
         policy: Promotion policy.
         demote_on_evict: Cascade evictions down the hierarchy instead of
@@ -159,12 +162,13 @@ class TieredPrefixStore:
         self.replica = replica
         self._block_size = block_size
         self._block_bytes = block_bytes
-        self._host = host
+        self._host = host if host is not None and host.capacity_blocks else None
         self._cluster = cluster
         self._policy = policy if policy is not None else make_promotion_policy("on-nth-hit")
         self._demote_on_evict = demote_on_evict
         self._tokens_per_second = compute_tokens_per_second
-        self._gpu_cache = None  # bound by the KVCacheManager
+        #: A weak proxy of the L1 radix tree, bound by the KVCacheManager.
+        self._gpu_cache = None
         self._hit_counts: dict[int, int] = {}
         self._obs_now = 0.0
         # counters
@@ -211,8 +215,13 @@ class TieredPrefixStore:
         )
 
     def bind_gpu_cache(self, cache) -> None:
-        """Attach the L1 radix tree (called by the owning KVCacheManager)."""
-        self._gpu_cache = cache
+        """Attach the L1 radix tree (called by the owning KVCacheManager).
+
+        The tree holds this store through its eviction hook, and the store
+        holds the tree weakly: the manager owns the tree, so the two form no
+        reference cycle and a dropped replica is freed by reference counting.
+        """
+        self._gpu_cache = weakref.proxy(cache)
         cache.on_evict = self._on_l1_evict
 
     # --------------------------------------------------------------- lookup
@@ -547,8 +556,8 @@ class TieredPrefixStore:
                 self.obs.emit(now, self.obs_key, "demote", blocks=absorbed)
             return absorbed
         if self._cluster is not None:
-            stored, seconds = self._cluster.publish(self.replica, hashes)
-            self._demote_seconds += seconds
+            stored = self._cluster.publish(self.replica, hashes)
+            self._demote_seconds += self._cluster.transfer_time(stored)
             self._demoted += stored
             self._bytes_down += stored * self._block_bytes
             if stored:
@@ -566,9 +575,6 @@ class TieredPrefixStore:
             return
         host = self._host
         if host is not None:
-            if not host.capacity_blocks:
-                self._dropped += len(hashes)
-                return
             stored, victims = host.offload(hashes)
             published = self._on_host_evict(victims) if victims else 0
             # Every L1 victim is now stored or refreshed: all count as
@@ -605,7 +611,7 @@ class TieredPrefixStore:
         if not self._demote_on_evict or cluster is None:
             self._dropped += len(hashes)
             return 0
-        stored, _ = cluster.publish(self.replica, hashes)
+        stored = cluster.publish(self.replica, hashes)
         if stored < len(hashes) and not cluster.writable:
             # A refused publish changes nothing, so residency after the call
             # is residency at each victim's turn.  A writable store stores or
@@ -646,17 +652,15 @@ class TieredPrefixStore:
         scale-down hands the replica's hot prefixes to the surviving fleet
         instead of discarding them.  Returns the number of blocks published.
         """
-        if self._cluster is None:
+        cluster = self._cluster
+        if cluster is None:
             return 0
-        published = 0
-        stored, seconds = self._cluster.publish(self.replica, list(l1_hashes))
-        published += stored
-        self._demote_seconds += seconds
+        published = cluster.publish(self.replica, list(l1_hashes))
+        self._demote_seconds += cluster.transfer_time(published)
         if self._host is not None:
-            host_hashes = self._host.resident_hashes()
-            stored, seconds = self._cluster.publish(self.replica, host_hashes)
+            stored = cluster.publish(self.replica, self._host.resident_hashes())
             published += stored
-            self._demote_seconds += seconds
+            self._demote_seconds += cluster.transfer_time(stored)
             self._host.clear()
         self._demoted += published
         self._bytes_down += published * self._block_bytes
@@ -679,15 +683,17 @@ def build_tiered_store(config: KVTiersSpec, *, replica: str, block_size: int,
 
     Returns None when the config is disabled.  The cluster store is shared
     fleet-wide and therefore injected, not built here; pass None to run a
-    two-tier (GPU + host) hierarchy.
+    two-tier (GPU + host) hierarchy.  A host tier too small to hold one
+    block is not built.
     """
     if not config.enabled:
         return None
     host = None
     host_tier = config.host
-    if host_tier.capacity_gib > 0:
+    host_bytes = int(host_tier.capacity_gib * (1 << 30))
+    if host_bytes >= block_bytes:
         host = CPUOffloadStore(
-            capacity_bytes=int(host_tier.capacity_gib * (1 << 30)),
+            capacity_bytes=host_bytes,
             block_bytes=block_bytes,
             link=get_interconnect(host_tier.link),
         )

@@ -7,6 +7,17 @@ start with the same segments share a prefix, and the block hashes derived from
 the segment structure are identical for the shared part — which is all the
 prefix cache needs.  This keeps a 60,000-token request at a handful of Python
 objects instead of 60,000 integers.
+
+Hashing is memoized per *run*: the whole blocks a segment covers chain from
+the hash of the block before them, so their hashes are a pure function of
+the key ``(parent hash, content_id, offset, end, block_size)``, where
+``[offset, end)`` is the segment's token span of whole blocks.  One
+process-wide table maps that key to the run's hash tuple, so a shared prefix
+(a user's profile, returning with each of that user's posts) is hashed once
+per process, and a sequence computes only the blocks that straddle a segment
+boundary and the runs no earlier sequence reached.  The parent hash in the
+key is what keeps two sequences apart that reach the same segment at the
+same offsets after different content.
 """
 
 from __future__ import annotations
@@ -17,14 +28,22 @@ from repro.errors import WorkloadError
 from repro.kvcache.block import ROOT_HASH, hash_chain
 
 
-#: Memoized whole-sequence hash chains keyed on ``(block_size, segments)``.
-#: Workload generators build a fresh :class:`TokenSequence` per request even
-#: when the token content repeats (replays, retries, multi-point sweeps that
-#: regenerate the trace), so the per-instance cache alone still re-walks
-#: identical sequences; this table makes each distinct sequence hash once per
-#: process.  Cleared wholesale when full — residency is a speed concern only.
-_SEQUENCE_HASH_MEMO: dict[tuple, tuple[int, ...]] = {}
-_SEQUENCE_HASH_MEMO_MAX = 65_536
+#: Memoized hash runs: ``(parent hash, content_id, offset, end, block_size)``
+#: -> the chained hashes of the segment's whole blocks in ``[offset, end)``
+#: (see the module docstring).  Cleared wholesale when full — residency is a
+#: speed concern only.
+_RUN_HASH_MEMO: dict[tuple, tuple[int, ...]] = {}
+_RUN_HASH_MEMO_MAX = 65_536
+
+
+def _hash_run(parent: int, content_id: int, offset: int, end: int,
+              block_size: int) -> tuple[int, ...]:
+    """The chained hashes of a segment's whole blocks in ``[offset, end)``."""
+    hashes = []
+    for start in range(offset, end, block_size):
+        parent = hash_chain(parent, ((content_id, start, block_size),))
+        hashes.append(parent)
+    return tuple(hashes)
 
 
 @dataclass(frozen=True)
@@ -74,8 +93,10 @@ class TokenSequence:
         piece-length) spans that cover the block, so two sequences produce the
         same hash for block *i* exactly when they agree token-for-token on the
         first ``(i + 1) * block_size`` tokens.  The walk goes segment by
-        segment: the whole blocks inside a segment chain in one loop, and only
-        a block that straddles a segment boundary collects several pieces.
+        segment: the whole blocks inside a segment are one run, looked up in
+        the run memo (see the module docstring) and chained only on a miss,
+        and only a block that straddles a segment boundary collects several
+        pieces.
         """
         if block_size <= 0:
             raise WorkloadError("block_size must be positive")
@@ -83,12 +104,7 @@ class TokenSequence:
         if cached is not None:
             return cached
 
-        memo_key = (block_size, self._segments)
-        shared = _SEQUENCE_HASH_MEMO.get(memo_key)
-        if shared is not None:
-            self._hash_cache[block_size] = shared
-            return shared
-
+        memo = _RUN_HASH_MEMO
         hashes: list[int] = []
         parent = ROOT_HASH
         # The block that straddles segment boundaries, as its pieces so far.
@@ -108,18 +124,22 @@ class TokenSequence:
                 hashes.append(parent)
                 filled = 0
             whole_end = length - (length - offset) % block_size
-            for start in range(offset, whole_end, block_size):
-                parent = hash_chain(parent, ((content_id, start, block_size),))
-                hashes.append(parent)
+            if whole_end > offset:
+                key = (parent, content_id, offset, whole_end, block_size)
+                run = memo.get(key)
+                if run is None:
+                    run = _hash_run(parent, content_id, offset, whole_end, block_size)
+                    if len(memo) >= _RUN_HASH_MEMO_MAX:
+                        memo.clear()
+                    memo[key] = run
+                hashes += run
+                parent = run[-1]
             if whole_end < length:
                 pieces = [(content_id, whole_end, length - whole_end)]
                 filled = length - whole_end
 
         result = tuple(hashes)
         self._hash_cache[block_size] = result
-        if len(_SEQUENCE_HASH_MEMO) >= _SEQUENCE_HASH_MEMO_MAX:
-            _SEQUENCE_HASH_MEMO.clear()
-        _SEQUENCE_HASH_MEMO[memo_key] = result
         return result
 
     def shared_prefix_tokens(self, other: "TokenSequence") -> int:

@@ -5,17 +5,21 @@ loop and builds a multi-piece content tuple only for a block that straddles a
 segment boundary.  The reference below is the per-block walk it replaced: for
 every full block, collect the ``(content_id, offset-in-segment, piece-length)``
 pieces that cover it and chain their tuple onto the previous block's hash.
-The two must agree hash for hash, with the whole-sequence memo cold and warm.
+The two must agree hash for hash, with the run memo cold and warm; warm,
+the walk must build the whole-block runs from the memo's tuples and chain
+only the blocks that straddle a segment boundary.
 
 Runs under the shared ``oracle-run`` hypothesis profile (``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.workloads.trace
 from repro.kvcache.block import ROOT_HASH, hash_chain
-from repro.workloads.trace import _SEQUENCE_HASH_MEMO, TokenSegment, TokenSequence
+from repro.workloads.trace import _RUN_HASH_MEMO, TokenSegment, TokenSequence
 
 
 def reference_block_hashes(segments: tuple[TokenSegment, ...],
@@ -43,6 +47,35 @@ def reference_block_hashes(segments: tuple[TokenSegment, ...],
     return tuple(hashes)
 
 
+def straddling_blocks(segments: tuple[TokenSegment, ...], block_size: int) -> int:
+    """How many full blocks cover more than one segment."""
+    count, start = 0, 0
+    boundaries = []
+    for segment in segments[:-1]:
+        start += segment.length
+        boundaries.append(start)
+    num_full_blocks = sum(segment.length for segment in segments) // block_size
+    for block in range(num_full_blocks):
+        low, high = block * block_size, (block + 1) * block_size
+        count += any(low < boundary < high for boundary in boundaries)
+    return count
+
+
+def counted_walk(segments: tuple[TokenSegment, ...], block_size: int) -> tuple[tuple, int]:
+    """A fresh sequence's hashes and the number of blocks its walk chained."""
+    calls = 0
+
+    def counting_chain(parent, content):
+        nonlocal calls
+        calls += 1
+        return hash_chain(parent, content)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.workloads.trace, "hash_chain", counting_chain)
+        hashes = TokenSequence(segments).block_hashes(block_size)
+    return hashes, calls
+
+
 @settings.get_profile("oracle-run")
 @given(
     # A small content-id range makes segments repeat, so equal pieces recur
@@ -55,11 +88,17 @@ def reference_block_hashes(segments: tuple[TokenSegment, ...],
 def test_block_hashes_match_the_per_block_walk(segments, block_size):
     segments = tuple(TokenSegment(content_id, length) for content_id, length in segments)
     expected = reference_block_hashes(segments, block_size)
-    _SEQUENCE_HASH_MEMO.clear()
-    cold = TokenSequence(segments).block_hashes(block_size)
-    warm = TokenSequence(segments).block_hashes(block_size)
+    _RUN_HASH_MEMO.clear()
+    cold, _ = counted_walk(segments, block_size)
+    runs = dict(_RUN_HASH_MEMO)
+    warm, chained = counted_walk(segments, block_size)
     assert cold == expected
-    assert warm is cold
+    # Warm, an equal sequence is equal and built from the memo's run tuples:
+    # it adds no run and chains only the blocks that straddle a boundary.
+    assert warm == cold
+    assert _RUN_HASH_MEMO == runs
+    assert chained == straddling_blocks(segments, block_size)
+    assert chained + sum(len(run) for run in runs.values()) == len(warm)
 
 
 def test_block_hashes_pin_the_content_tuple_format():
@@ -72,3 +111,17 @@ def test_block_hashes_pin_the_content_tuple_format():
         [TokenSegment(1, 128), TokenSegment(10000, 300), TokenSegment(7, 100)]
     )
     assert sequence.block_hashes(256) == (7964033146986668246, 9170567933712555675)
+
+
+def test_a_run_is_keyed_by_its_parent_hash():
+    """Two sequences that reach a shared segment at the same offsets after
+    different content must hash it differently: the run memo's key holds the
+    parent hash, not only the segment and its span."""
+    shared = TokenSegment(5, 1_000)
+    first = TokenSequence([TokenSegment(1, 100), shared])
+    second = TokenSequence([TokenSegment(2, 100), shared])
+    _RUN_HASH_MEMO.clear()
+    one, two = first.block_hashes(64), second.block_hashes(64)
+    assert one == reference_block_hashes(first.segments, 64)
+    assert two == reference_block_hashes(second.segments, 64)
+    assert not set(one) & set(two)

@@ -407,8 +407,7 @@ def test_cluster_store_outage_hides_contents_and_refuses_writes():
     assert store.owner_of(1) is None
     assert store.resident_hashes() == []
     assert not store.fetch_block("r1", 1)
-    stored, _ = store.publish("r1", [9])
-    assert stored == 0 and 9 not in store._blocks
+    assert store.publish("r1", [9]) == 0 and 9 not in store._blocks
     store.set_available(True)
     assert 1 in store and store.match_length([1, 2, 3]) == 3
     assert 9 not in store  # the outage-time write was lost, not buffered

@@ -43,8 +43,15 @@ def test_count_blocks_helpers():
         count_blocks(10, 0)
 
 
+def run_of(count: int, last_access: float) -> Block:
+    """A root run of ``count`` blocks created at ``last_access``."""
+    return Block(list(range(100, 100 + count)), list(range(count)), depth=0,
+                 parent=None, seq=count - 1, created=last_access)
+
+
 def test_block_pinning():
-    block = Block(1, content_hash=42, parent=None, seq=0, last_access=0.0)
+    """A run keeps one pin count, for its tail."""
+    block = run_of(3, last_access=0.0)
     assert not block.is_pinned
     block.pin()
     block.pin()
@@ -57,8 +64,10 @@ def test_block_pinning():
 
 
 def test_block_touch_is_monotonic():
-    block = Block(1, content_hash=42, parent=None, seq=0, last_access=5.0)
+    """Touching stamps the tail; the blocks above it keep the creation stamp."""
+    block = run_of(3, last_access=5.0)
     block.touch(3.0)
     assert block.last_access == 5.0
     block.touch(7.0)
     assert block.last_access == 7.0
+    assert block.created == 5.0

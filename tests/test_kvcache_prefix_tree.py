@@ -5,7 +5,8 @@ import pytest
 from repro.errors import AllocationError
 from repro.kvcache.allocator import BlockAllocator
 from repro.kvcache.block import hash_token_blocks
-from repro.kvcache.prefix_tree import RadixPrefixCache
+from repro.kvcache.manager import KVCacheManager
+from repro.kvcache.prefix_tree import NodeState, RadixPrefixCache
 
 
 BLOCK = 16
@@ -256,3 +257,90 @@ def test_a_leaf_touched_after_its_heap_entry_is_evicted_by_its_new_stamp():
     cache.insert(hashes(list(range(300, 300 + BLOCK))), now=4.0)
     assert cache.match_length(first) == 1
     assert cache.match_length(second) == 0
+
+
+# ------------------------------------------------------------------- runs
+
+
+def test_an_insert_makes_one_run_of_its_new_blocks():
+    cache, _ = make_cache()
+    chain = hashes(list(range(6 * BLOCK)))
+    cache.insert(chain[:2], now=1.0)
+    cache.insert(chain, now=2.0)
+    first, second = cache.match(chain[:2]).frontier, cache.match(chain).frontier
+    assert first.hashes == chain[:2] and first.depth == 0
+    assert second.hashes == chain[2:] and second.depth == 2
+    assert second.parent is first and first.num_children == 1
+
+
+def test_a_mid_run_match_or_pin_splits_the_run_at_its_frontier():
+    cache, _ = make_cache()
+    chain = hashes(list(range(6 * BLOCK)))
+    cache.insert(chain, now=1.0)
+    run = cache.match(chain).frontier
+    # A match that ends mid-run splits the blocks down to its frontier off
+    # as a new run, the parent of the rest, and stamps only its tail.
+    upper = cache.match(chain[:4], now=2.0).frontier
+    assert upper is not run and upper.hashes == chain[:4]
+    assert run.hashes == chain[4:] and run.parent is upper and run.depth == 4
+    assert upper.last_access == 2.0 and run.last_access == 1.0
+    # A pin that ends mid-run splits again: the pinned frontier is a tail.
+    pinned = cache.pin_prefix(chain, 2)
+    assert pinned.hashes == chain[:2] and pinned.ref_count == 1
+    assert upper.hashes == chain[2:4] and upper.parent is pinned
+    nodes = cache.snapshot().nodes
+    assert [nodes[h].ref_count for h in chain] == [0, 1, 0, 0, 0, 0]
+    assert [nodes[h].last_access for h in chain] == [1.0, 1.0, 1.0, 2.0, 1.0, 1.0]
+    assert [nodes[h].num_children for h in chain] == [1, 1, 1, 1, 1, 0]
+    assert [nodes[h].seq for h in chain] == list(range(6))
+    assert [nodes[h].parent for h in chain] == [None, *chain[:-1]]
+    cache.unpin(pinned)
+    assert cache.num_evictable_blocks == 6
+
+
+def test_a_lease_unpins_the_same_block_after_a_split_above_it():
+    manager = KVCacheManager(16 * BLOCK, block_size=BLOCK)
+    chain = tuple(hashes(list(range(4 * BLOCK))))
+    manager.finish_execution(manager.begin_execution(chain, 4 * BLOCK, reserve_full_kv=False))
+    lease = manager.begin_execution(chain, 4 * BLOCK, reserve_full_kv=False)
+    assert lease.frontier.hashes == list(chain)
+    # A second request's shorter match splits the pinned run above its tail.
+    other = manager.begin_execution(chain[:2], 2 * BLOCK, reserve_full_kv=False)
+    assert other.frontier.hashes == list(chain[:2])
+    assert lease.frontier.hashes == list(chain[2:])
+    nodes = manager.tree_snapshot().nodes
+    assert [nodes[h].ref_count for h in chain] == [0, 1, 0, 1]
+    manager.finish_execution(lease, commit=False)
+    nodes = manager.tree_snapshot().nodes
+    assert [nodes[h].ref_count for h in chain] == [0, 1, 0, 0]
+    manager.finish_execution(other, commit=False)
+    assert all(not node.ref_count for node in manager.tree_snapshot().nodes.values())
+
+
+def test_a_partly_evicted_run_is_next_keyed_at_its_new_tail():
+    cache, allocator = make_cache(num_blocks=64)
+    chain = hashes(list(range(5 * BLOCK)))
+    cache.insert(chain, now=1.0)
+    cache.match(chain, now=3.0)
+    assert cache.snapshot().heap_keys == {chain[-1]: (1.0, 4)}
+    assert cache.evict_blocks(2) == 2
+    # The new tail inherits the evicted tail's stamp, one seq lower per block.
+    snapshot = cache.snapshot()
+    assert snapshot.heap_keys == {chain[2]: (3.0, 2)}
+    block_id = snapshot.nodes[chain[2]].block_id
+    assert snapshot.nodes[chain[2]] == NodeState(chain[1], 0, block_id, 0, 3.0, 2)
+    assert snapshot.nodes[chain[1]].last_access == 1.0
+    assert cache.resident_hashes() == chain[:3]
+    assert allocator.num_free_blocks == 64 - 3
+
+
+def test_resident_hashes_keep_their_order_across_a_split():
+    cache, _ = make_cache()
+    first = hashes(list(range(4 * BLOCK)))
+    second = hashes(list(range(100, 100 + 2 * BLOCK)))
+    cache.insert(first)
+    cache.insert(second)
+    cache.match(first[:3])
+    cache.pin_prefix(first, 1)
+    assert cache.resident_hashes() == [*first, *second]
+    assert list(cache.snapshot().nodes) == [*first, *second]

@@ -171,8 +171,7 @@ def test_build_tiered_store_disabled_returns_none():
 def test_cluster_store_publish_fetch_lru():
     store = ClusterPrefixStore(capacity_bytes=4 * BLOCK_BYTES, block_bytes=BLOCK_BYTES)
     hashes = list(chain(6))
-    stored, seconds = store.publish("a", hashes[:4])
-    assert stored == 4 and seconds > 0
+    assert store.publish("a", hashes[:4]) == 4
     assert store.match_length(hashes) == 4
     # Publishing beyond capacity evicts LRU entries.
     store.publish("a", hashes[4:])
@@ -215,8 +214,7 @@ def test_cluster_store_republish_keeps_owner():
     store = ClusterPrefixStore(capacity_bytes=8 * BLOCK_BYTES, block_bytes=BLOCK_BYTES)
     hashes = list(chain(1))
     store.publish("a", hashes)
-    stored, _ = store.publish("b", hashes)
-    assert stored == 0
+    assert store.publish("b", hashes) == 0
     assert store.owner_of(hashes[0]) == "a"
 
 
@@ -582,6 +580,62 @@ def test_a_tiered_store_without_a_tree_is_freed_by_reference_counting():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_manager_with_a_bound_tree_and_tiers_is_freed_by_reference_counting():
+    """The tiered store holds the radix tree weakly, so a manager whose tree
+    demotes through a host into the cluster forms no reference cycle."""
+    host = CPUOffloadStore(capacity_bytes=BLOCK_BYTES, block_bytes=BLOCK_BYTES)
+    cluster = ClusterPrefixStore(capacity_bytes=8 * BLOCK_BYTES, block_bytes=BLOCK_BYTES)
+    tiers = TieredPrefixStore(replica="r", block_size=BLOCK_SIZE, block_bytes=BLOCK_BYTES,
+                              host=host, cluster=cluster,
+                              policy=make_promotion_policy("never"))
+    manager = KVCacheManager(2 * BLOCK_SIZE, block_size=BLOCK_SIZE, tiers=tiers)
+    # Two blocks fill L1; the next commit evicts them into the one-block
+    # host, whose victim reaches the cluster.
+    assert manager.finish_execution(manager.begin_execution(
+        chain(2), 2 * BLOCK_SIZE, reserve_full_kv=False)) == 2 * BLOCK_SIZE
+    assert manager.finish_execution(manager.begin_execution(
+        chain(2, seed=1), 2 * BLOCK_SIZE, reserve_full_kv=False)) == 2 * BLOCK_SIZE
+    assert tiers.stats.demoted_blocks == 3 and cluster.num_blocks == 1
+    refs = [weakref.ref(obj) for obj in (manager, tiers, host)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del manager, tiers, host
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_host_that_holds_no_block_is_no_host_tier():
+    """A 512-byte host under 1 KiB blocks holds nothing: the tiered store runs
+    without it, so a fetch keeps the replica's own cluster copies instead of
+    discarding them into a host that stores nothing."""
+    host = CPUOffloadStore(capacity_bytes=512, block_bytes=1024)
+    cluster = ClusterPrefixStore(capacity_bytes=8 * 1024, block_bytes=1024)
+    tiers = TieredPrefixStore(replica="r", block_size=BLOCK_SIZE, block_bytes=1024,
+                              host=host, cluster=cluster,
+                              policy=make_promotion_policy("never"))
+    assert tiers.host is None
+    assert cluster.publish("r", [11, 12, 13]) == 3
+    fetched = tiers.fetch([11, 12, 13], 0)
+    assert fetched.cluster_tokens == 3 * BLOCK_SIZE
+    assert cluster.resident_hashes() == [11, 12, 13]
+    assert tiers.stats.dropped_blocks == 0
+    # L1 victims publish to the cluster, as without a host tier.
+    cache = RadixPrefixCache(BlockAllocator(2, BLOCK_SIZE))
+    tiers.bind_gpu_cache(cache)
+    cache.insert(chain(2), now=1.0)
+    assert cache.evict_blocks(2) == 2
+    assert cluster.resident_hashes() == [11, 12, 13, *reversed(chain(2))]
+    assert tiers.stats.demoted_blocks == 2
+    # A host tier sized below one block is not built at all.
+    config = tier_config_from_dict({"enabled": True, "tiers": {
+        "host": {"capacity_gib": 512 / (1 << 30)}}})
+    built = build_tiered_store(config, replica="r", block_size=BLOCK_SIZE, block_bytes=1024)
+    assert built.host is None
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -1,7 +1,7 @@
 """Memoized analytic models must be bit-identical to the unmemoized paths.
 
 The memo layers (the latency model's prefill LRU, precomputed FLOPs
-coefficients, whole-sequence block hashes, profile-run interning) exist
+coefficients, block-hash runs, profile-run interning) exist
 purely for speed; these property tests pin that every cached value equals a
 fresh computation exactly — no rounding, no drift.  Each layer is compared
 with the uncached function that fills it, and two whole runs are compared
@@ -23,7 +23,7 @@ from repro.model.config import get_model
 from repro.model.flops import FlopsModel
 from repro.model.latency import LatencyModel
 from repro.model.memory import PrefillMode
-from repro.workloads.trace import _SEQUENCE_HASH_MEMO, TokenSegment, TokenSequence
+from repro.workloads.trace import _RUN_HASH_MEMO, TokenSegment, TokenSequence
 from test_block_hashes import reference_block_hashes
 
 
@@ -52,8 +52,7 @@ def uncached(monkeypatch):
     def route() -> None:
         monkeypatch.setattr(LatencyModel, "prefill_time", _uncached_prefill_time)
         monkeypatch.setattr(repro.core.profile_run, "_PROFILE_MEMO", _StoresNothing())
-        monkeypatch.setattr(repro.workloads.trace, "_SEQUENCE_HASH_MEMO",
-                            _StoresNothing())
+        monkeypatch.setattr(repro.workloads.trace, "_RUN_HASH_MEMO", _StoresNothing())
     return route
 
 
@@ -130,7 +129,7 @@ def test_precomputed_decode_flops_match_seed_formula(context):
     assert got.attention_flops == attention
 
 
-# ------------------------------------------------ whole-sequence block hashes
+# ----------------------------------------------------------- block-hash runs
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,16 +140,21 @@ def test_precomputed_decode_flops_match_seed_formula(context):
     ),
     block_size=st.sampled_from([16, 256]),
 )
-def test_block_hashes_identical_with_and_without_the_sequence_memo(segments, block_size):
-    """The whole-sequence memo reproduces the per-block walk, cold and warm."""
+def test_block_hashes_identical_with_and_without_the_run_memo(segments, block_size):
+    """The run memo reproduces the per-block walk, cold, warm and off."""
     segments = tuple(TokenSegment(cid, length) for cid, length in segments)
     expected = reference_block_hashes(segments, block_size)
-    _SEQUENCE_HASH_MEMO.clear()
+    _RUN_HASH_MEMO.clear()
     cold = TokenSequence(segments).block_hashes(block_size)
+    runs = dict(_RUN_HASH_MEMO)
     warm = TokenSequence(segments).block_hashes(block_size)
-    # A *distinct but equal* sequence must hit the whole-sequence memo.
-    assert warm is cold
+    # A *distinct but equal* sequence is served from the run memo.
+    assert _RUN_HASH_MEMO == runs
+    assert warm == cold
     assert cold == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.workloads.trace, "_RUN_HASH_MEMO", _StoresNothing())
+        assert TokenSequence(segments).block_hashes(block_size) == expected
 
 
 def test_hash_token_blocks_unchanged_by_memoization(uncached):

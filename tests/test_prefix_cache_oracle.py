@@ -13,9 +13,11 @@ overlapping hash chains and a 3-10 block pool.  After every op the return values
 victims reported through ``on_evict`` must agree.
 
 The reference stamps and pins every block of a chain; the production cache
-stamps and pins only the chain's frontier and folds each victim's timestamp
-into its parent.  Where the two APIs differ, a match or pin returns the
-frontier block, which must be the last block of the reference's prefix.
+keeps runs of blocks, stamps and pins only the chain's frontier (splitting
+its run when the frontier is mid-run) and folds each victim's timestamp into
+its parent.  Where the two APIs differ, a match or pin returns the run whose
+tail is the frontier block, which must be the last block of the reference's
+prefix.
 
 Runs under the shared ``oracle-run`` hypothesis profile (``tests/conftest.py``).
 """
@@ -173,7 +175,7 @@ def last(hashes) -> int | None:
 
 @settings.get_profile("oracle-run")
 @given(paths=paths, ops=ops, capacity=st.integers(3, 10))
-# The eviction stamp fold: a match of (1, 5) stamps only 5, and
+# The eviction stamp fold within a run: a match of (1, 5) stamps only 5, and
 # once 5 is evicted, 1 must inherit its t=1 stamp and outlive the older 2.
 # Without the fold, 1 keeps its t=0 stamp and is evicted before 2.
 @example(
@@ -182,6 +184,28 @@ def last(hashes) -> int | None:
          (0.0, ("pin", 1)), (1.0, ("match", 0)), (0.0, ("evict", 1)),
          (0.0, ("unpin", 0)), (0.0, ("evict", 1))],
     capacity=3,
+)
+# The eviction stamp fold across runs: a match of (1, 5) at t=0 splits the
+# run (1, 5, 21), a match at t=2 stamps only 21, and once 21 is evicted, the
+# run (1, 5) must inherit its t=2 stamp and outlive 2, stamped t=1.  Without
+# the fold, 5 keeps its t=0 stamp and is evicted before 2.
+@example(
+    paths=[[0, 0], [1], [0, 0, 0]],
+    ops=[(0.0, ("insert", 2)), (0.0, ("match", 0)), (1.0, ("insert", 1)),
+         (1.0, ("match", 2)), (0.0, ("pin", 1)), (0.0, ("evict", 1)),
+         (0.0, ("unpin", 0)), (0.0, ("evict", 1))],
+    capacity=4,
+)
+# A split under a pin, then partial evictions: pinning the 2-block prefix of
+# a 4-block run splits it, and with the pin held the passes take one block
+# from the other run's tail, then that run's last block and the split run's
+# re-stamped tail, each leaving a partly evicted run keyed at its new tail.
+@example(
+    paths=[[0, 0, 0, 0], [0, 0], [1, 1]],
+    ops=[(0.0, ("insert", 0)), (1.0, ("insert", 2)), (0.0, ("pin", 1)),
+         (1.0, ("match", 0)), (0.0, ("evict", 1)), (0.0, ("evict", 2)),
+         (0.0, ("evict", 1)), (0.0, ("unpin", 0)), (0.0, ("evict", 3))],
+    capacity=6,
 )
 def test_radix_cache_matches_reference(paths, ops, capacity):
     chains = [chain(path) for path in paths]
@@ -203,13 +227,13 @@ def test_radix_cache_matches_reference(paths, ops, capacity):
             found = cache.match(hashes, now=now)
             expected = reference.match(hashes, now)
             assert (found.num_blocks, found.num_tokens) == (expected, expected * BLOCK)
-            assert (found.frontier and found.frontier.content_hash) == last(hashes[:expected])
+            assert (found.frontier and found.frontier.hashes[-1]) == last(hashes[:expected])
         elif kind == "match_length":
             assert cache.match_length(hashes, op[2]) == len(reference.cached_prefix(hashes))
         elif kind == "pin":
             expected = reference.pin_prefix(hashes)
             frontier = cache.pin_prefix(hashes, len(expected))
-            assert (frontier and frontier.content_hash) == last(expected)
+            assert (frontier and frontier.hashes[-1]) == last(expected)
             pins.append((frontier, expected))
         elif kind == "unpin" and pins:
             frontier, expected = pins.pop(op[1] % len(pins))

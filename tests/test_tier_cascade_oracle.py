@@ -23,7 +23,7 @@ cluster store: commits with overflow, fetches with staging, prefetches, warm
 restores, drains, explicit L1 evictions, brownout multipliers, outage and
 publish-pause toggles.  Capacities are tiny (L1 2-6 blocks, host 0-4,
 cluster 0-6), ``demote_on_evict`` is on or off, and either lower tier may be
-missing.  After every op the two agree on every ``TierStats``,
+missing; a 0-block host counts as a missing one.  After every op the two agree on every ``TierStats``,
 ``OffloadStats`` and ``ClusterStoreStats`` field (floats by
 ``float.hex``), on the host and cluster contents in LRU order with owners,
 on the host and cluster change records, and on the recorded events and
@@ -199,6 +199,9 @@ class ReferenceTiers:
                  host: ReferenceHost | None, cluster: ReferenceCluster | None,
                  policy, demote_on_evict: bool, obs: TraceRecorder) -> None:
         self.replica, self.key = replica, key
+        # A host that holds no whole block is no host tier.
+        if host is not None and not host.capacity:
+            host = None
         self.l1, self.host, self.cluster = l1, host, cluster
         self.policy, self.demote_on_evict, self.obs = policy, demote_on_evict, obs
         self.hit_counts: dict[int, int] = {}
