@@ -18,14 +18,13 @@ from __future__ import annotations
 from repro import (
     Fleet,
     PoissonArrivalProcess,
-    QueueDepthAdmission,
-    ReactiveAutoscaler,
     get_hardware_setup,
     get_workload,
     prefillonly_engine_spec,
     simulate_fleet,
 )
 from repro.analysis.reporting import format_fleet_report
+from repro.spec.models import AutoscaleSpec
 
 
 def fixed_fleet() -> None:
@@ -60,7 +59,7 @@ def shedding_fleet() -> None:
         prefillonly_engine_spec(), setup,
         max_input_length=trace.max_request_tokens,
         num_replicas=2,
-        admission=QueueDepthAdmission(4),
+        max_queue_depth=4,
         name="prefillonly-x2-shedding",
     )
     requests = PoissonArrivalProcess(rate=40.0).assign(list(trace.requests))
@@ -83,7 +82,7 @@ def autoscaling_fleet() -> None:
         prefillonly_engine_spec(), setup,
         max_input_length=trace.max_request_tokens,
         num_replicas=1,
-        autoscaler=ReactiveAutoscaler(
+        autoscale=AutoscaleSpec(
             min_replicas=1, max_replicas=4,
             scale_up_rps_per_replica=2.0,
             window_seconds=5.0, cooldown_seconds=5.0,

@@ -7,7 +7,9 @@ manager and the block allocator's id pool), the block-hash run memo, the
 SRJF scheduler's key-heap pick, the tier change feeds the SRJF
 scheduler's frontier index reads, the batched demotion cascade, a fetch's
 one-pass tail staging and the recorder's batch span recording (sequence
-numbers and block counters), the hedge policy's sorted latency window, the
+numbers and block counters), the tier promotion threshold (its value for
+``always`` and its comparisons in fetch and commit), queue-depth
+admission's bound, the hedge policy's sorted latency window, the
 percentile lerp the hedge delay shares with the latency summaries, the
 router's replica-set hook, the decoupled shard engine's pre-routing and
 replica names, the scenario runner's unsharded run of a kept fleet, and the
@@ -51,6 +53,8 @@ HOST = "src/repro/kvcache/offload.py"
 HASHES = "src/repro/workloads/trace.py"
 CLUSTER = "src/repro/kvcache/tiers/cluster_store.py"
 TIERS = "src/repro/kvcache/tiers/store.py"
+SPEC_MODELS = "src/repro/spec/models.py"
+ADMISSION = "src/repro/cluster/admission.py"
 RECORDER = "src/repro/obs/recorder.py"
 SCHEDULER = "src/repro/core/scheduler.py"
 HEDGE = "src/repro/resilience/policy.py"
@@ -77,9 +81,11 @@ PERCENTILE_TEST = (
 )
 CASCADE_ORACLE = "tests/test_tier_cascade_oracle.py"
 RECORDER_TESTS = "tests/test_obs_recorder.py"
+EXPORT_DIGESTS = "tests/test_obs_export_digests.py"
 SHARD_IDENTITY = "tests/test_sharded_identity.py::test_decoupled_parallel_matches_unsharded"
 KEPT_FLEET = "tests/test_sharded_identity.py::test_a_kept_fleet_is_the_simulated_one"
 RUN_MEMO_TEST = "tests/test_block_hashes.py::test_a_run_is_keyed_by_its_parent_hash"
+ADMISSION_TEST = "tests/test_cluster_fleet.py::test_admission_sheds_at_the_bound_and_not_below"
 
 #: The tests every mutant must fail.
 TESTS = (
@@ -95,13 +101,14 @@ TESTS = (
     RESILIENCE_TESTS,
     PERCENTILE_TEST,
     CASCADE_ORACLE,
-    "tests/test_obs_export_digests.py",
+    EXPORT_DIGESTS,
     SHARD_IDENTITY,
     KEPT_FLEET,
     ALLOCATOR_TESTS,
     COLLECTOR_TESTS,
     RECORDER_TESTS,
     RUN_MEMO_TEST,
+    ADMISSION_TEST,
 )
 
 
@@ -403,6 +410,32 @@ MUTANTS = (
         ("                key = (parent, content_id, offset, whole_end, block_size)\n",
          "                key = (content_id, offset, whole_end, block_size)\n"),
     ), kills=(RUN_MEMO_TEST,)),
+    # ``always`` promotes at one lower-tier hit, so a commit, which asks with
+    # a block's stored hit count, leaves a parked block with no hit parked.
+    Mutant("always-needs-one-hit", SPEC_MODELS, (
+        ('        if self.promotion == "always":\n'
+         "            return 0\n",
+         '        if self.promotion == "always":\n'
+         "            return 1\n"),
+    ), kills=(TIER_TESTS, CASCADE_ORACLE)),
+    # A fetch promotes a block one hit after it reaches the threshold (the
+    # commit that follows still promotes at the threshold).
+    Mutant("promotion-compare-strict", TIERS, (
+        ("            if run_unbroken and hits >= promote_at:\n",
+         "            if run_unbroken and hits > promote_at:\n"),
+    ), kills=(TIER_TESTS, EXPORT_DIGESTS)),
+    # A commit inserts its whole chain into L1, past tier-resident blocks
+    # that have not reached the promotion threshold.
+    Mutant("commit-ignores-promote-at", TIERS, (
+        ("            if ((content_hash in in_host or content_hash in in_cluster)\n"
+         "                    and hit_counts.get(content_hash, 0) < promote_at):\n"
+         "                break\n", ""),
+    ), kills=(TIER_TESTS, CASCADE_ORACLE)),
+    # Admission admits a request while the least-loaded queue is at the bound.
+    Mutant("admission-sheds-below-bound", ADMISSION, (
+        ("min(queue_depths) >= self.max_queue_depth",
+         "min(queue_depths) > self.max_queue_depth"),
+    ), kills=(ADMISSION_TEST,)),
 )
 
 

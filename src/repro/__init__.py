@@ -105,7 +105,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.simulation.scenario": ("load_scenario", "run_scenario"),
     "repro.simulation.simulator": ("simulate", "simulate_fleet"),
     "repro.cluster.fleet": ("Fleet", "ReplicaSpec"),
-    "repro.cluster.admission": ("QueueDepthAdmission",),
+    "repro.cluster.admission": ("AdmissionPolicy",),
     "repro.cluster.autoscaler": ("ReactiveAutoscaler",),
     "repro.faults.schedule": (
         "FaultEvent", "FaultSchedule", "fault_schedule_from_dict", "generate_crash_schedule",

@@ -40,7 +40,7 @@ from repro.analysis.reporting import (
     format_table,
 )
 from repro.baselines.registry import ENGINE_ORDER, all_engine_specs, get_engine_spec
-from repro.cluster import Fleet, QueueDepthAdmission, ReactiveAutoscaler
+from repro.cluster import Fleet
 from repro.errors import (
     ConfigurationError,
     FaultScheduleError,
@@ -52,7 +52,7 @@ from repro.errors import (
 from repro.faults import fault_schedule_from_dict
 from repro.resilience import resilience_from_dict
 from repro.hardware.cluster import get_hardware_setup, list_hardware_setups, HARDWARE_SETUPS
-from repro.kvcache.tiers import PROMOTION_POLICIES, tier_config_from_dict
+from repro.kvcache.tiers import tier_config_from_dict
 from repro.model.config import MODEL_REGISTRY, get_model
 from repro.obs.logging import LOG_LEVELS, configure as configure_logging
 from repro.obs.logging import set_context as set_log_context
@@ -71,8 +71,8 @@ from repro.simulation.scenario import (
     run_scenario_suite,
 )
 from repro.simulation.simulator import simulate_fleet
-from repro.spec.core import check_overrides
-from repro.spec.models import ObservabilitySpec
+from repro.spec.core import check_overrides, from_dict
+from repro.spec.models import PROMOTION_POLICY_NAMES, AutoscaleSpec, ObservabilitySpec
 from repro.workloads.registry import get_workload, list_workloads
 
 
@@ -198,18 +198,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     setup = get_hardware_setup(args.setup)
     trace = get_workload(args.workload, num_users=args.num_users)
 
-    admission = None
-    if args.max_queue_depth is not None:
-        admission = QueueDepthAdmission(args.max_queue_depth)
-    autoscaler = None
+    autoscale = None
     if args.autoscale_max is not None:
-        autoscaler = ReactiveAutoscaler(
-            min_replicas=args.autoscale_min,
-            max_replicas=args.autoscale_max,
-            scale_up_rps_per_replica=args.scale_up_rps,
-            window_seconds=args.autoscale_window,
-            cooldown_seconds=args.autoscale_cooldown,
-        )
+        # The same spec-layer parser a scenario config's "autoscale" block uses.
+        autoscale = from_dict(AutoscaleSpec, {
+            "min_replicas": args.autoscale_min,
+            "max_replicas": args.autoscale_max,
+            "scale_up_rps_per_replica": args.scale_up_rps,
+            "window_seconds": args.autoscale_window,
+            "cooldown_seconds": args.autoscale_cooldown,
+        })
     tier_config = None
     if args.tiers:
         # Route the flags through the same spec-layer parser a scenario
@@ -226,8 +224,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         max_input_length=trace.max_request_tokens,
         num_replicas=args.replicas,
         router=make_router(args.router, args.replicas or 1),
-        admission=admission,
-        autoscaler=autoscaler,
+        max_queue_depth=args.max_queue_depth,
+        autoscale=autoscale,
         name=f"{args.engine}x{args.replicas or 'auto'}",
         tier_config=tier_config,
         policies=(
@@ -571,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.add_argument("--tier-cluster-gib", type=float, default=16.0,
                               help="fleet-shared cluster (L3) tier budget, GiB")
     fleet_parser.add_argument("--tier-promotion", default="on-nth-hit",
-                              choices=sorted(PROMOTION_POLICIES),
+                              choices=PROMOTION_POLICY_NAMES,
                               help="when a lower-tier hit is promoted into GPU memory")
     fleet_parser.add_argument("--no-tier-prefetch", action="store_true",
                               help="disable router-hint prefetch into the routed replica")

@@ -6,10 +6,14 @@ abstraction suitable for production-scale simulation:
 
 * :mod:`repro.cluster.fleet` — :class:`Fleet`, N (optionally heterogeneous)
   engine replicas with lazily advanced per-replica clocks;
-* :mod:`repro.cluster.admission` — queue-depth admission control with load
-  shedding;
-* :mod:`repro.cluster.autoscaler` — reactive autoscaling from the observed
-  arrival rate, with hysteresis and cooldown.
+* :mod:`repro.cluster.admission` — :class:`AdmissionPolicy`, queue-depth
+  admission control with load shedding;
+* :mod:`repro.cluster.autoscaler` — :class:`ReactiveAutoscaler`, reactive
+  autoscaling from the observed arrival rate, with hysteresis and cooldown.
+
+The fleet builds both from plain values — ``max_queue_depth`` and an
+:class:`~repro.spec.models.AutoscaleSpec` — as it builds its cluster store
+from a :class:`~repro.spec.models.KVTiersSpec`.
 
 The fleet also executes the failure lifecycle of the fault-injection
 subsystem (:mod:`repro.faults`): :meth:`Fleet.apply_fault` handles replica
@@ -27,9 +31,7 @@ router added for this layer), and the driving event loop is
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.cluster.admission": (
-        "ADMIT", "AdmissionDecision", "AdmissionPolicy", "QueueDepthAdmission",
-    ),
+    "repro.cluster.admission": ("AdmissionPolicy",),
     "repro.cluster.autoscaler": ("ReactiveAutoscaler", "ScaleEvent"),
     "repro.cluster.fleet": ("Fleet", "FleetStats", "ReplicaSpec"),
 })

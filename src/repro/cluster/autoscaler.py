@@ -17,11 +17,10 @@ elapsed, because rate estimates over a nearly empty window are noise.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.spec.models import AutoscaleSpec
 
 
 @dataclass(frozen=True)
@@ -59,39 +58,16 @@ class ReactiveAutoscaler:
     (subject to its own bounds) and records a :class:`ScaleEvent`.
 
     Args:
-        min_replicas / max_replicas: Hard bounds on the active replica count.
-        scale_up_rps_per_replica: Grow when the windowed arrival rate divided
-            by the current replica count exceeds this; shrink when it falls
-            below half of it (``scale_down_rps_per_replica``) and every queue
-            is empty.
-        window_seconds: Length of the sliding observation window.
-        cooldown_seconds: Minimum time between two scale events.
+        spec: The bounds and thresholds, validated by the spec layer
+            (:func:`repro.spec.core.from_dict`): the replica-count bounds, the
+            per-replica arrival rate above which it grows (it shrinks below
+            half of it, ``scale_down_rps_per_replica``, when every queue is
+            empty), the sliding window and the cooldown between two events.
     """
 
-    def __init__(self, min_replicas: int = 1, max_replicas: int = 8, *,
-                 scale_up_rps_per_replica: float,
-                 window_seconds: float = 30.0,
-                 cooldown_seconds: float = 60.0) -> None:
-        for name, value in (("scale_up_rps_per_replica", scale_up_rps_per_replica),
-                            ("window_seconds", window_seconds),
-                            ("cooldown_seconds", cooldown_seconds)):
-            # NaN passes every range comparison below.
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-        if min_replicas < 1:
-            raise ConfigurationError("min_replicas must be at least 1")
-        if max_replicas < min_replicas:
-            raise ConfigurationError("max_replicas must be >= min_replicas")
-        if scale_up_rps_per_replica <= 0:
-            raise ConfigurationError("scale_up_rps_per_replica must be positive")
-        if window_seconds <= 0 or cooldown_seconds < 0:
-            raise ConfigurationError("window/cooldown durations must be positive")
-        self.min_replicas = min_replicas
-        self.max_replicas = max_replicas
-        self.scale_up_rps_per_replica = scale_up_rps_per_replica
-        self.scale_down_rps_per_replica = scale_up_rps_per_replica / 2.0
-        self.window_seconds = window_seconds
-        self.cooldown_seconds = cooldown_seconds
+    def __init__(self, spec: AutoscaleSpec) -> None:
+        self.spec = spec
+        self.scale_down_rps_per_replica = spec.scale_up_rps_per_replica / 2.0
         #: Human-readable explanation of the most recent non-zero vote.
         self.last_reason = ""
         self._arrivals: deque[float] = deque()
@@ -105,7 +81,7 @@ class ReactiveAutoscaler:
         self._trim(now)
 
     def _trim(self, now: float) -> None:
-        horizon = now - self.window_seconds
+        horizon = now - self.spec.window_seconds
         while self._arrivals and self._arrivals[0] < horizon:
             self._arrivals.popleft()
 
@@ -114,32 +90,33 @@ class ReactiveAutoscaler:
     def arrival_rate(self, now: float) -> float:
         """Windowed arrival rate in requests per second."""
         self._trim(now)
-        effective_window = min(self.window_seconds, now) or self.window_seconds
-        return len(self._arrivals) / effective_window
+        window = self.spec.window_seconds
+        return len(self._arrivals) / (min(window, now) or window)
 
     # --------------------------------------------------------------- decision
 
     def decide(self, now: float, num_replicas: int, queue_depths: list[int]) -> int:
         """Vote +1/-1/0 from the windowed rate, respecting hysteresis."""
-        if now < self.window_seconds:
+        spec = self.spec
+        if now < spec.window_seconds:
             # Warm-up: a near-empty window makes count/elapsed wildly noisy in
             # both directions (one early arrival reads as a huge rate; no early
             # arrival reads as idleness).  Hold until the window has filled.
             return 0
-        if now - self._last_scale_time < self.cooldown_seconds:
+        if now - self._last_scale_time < spec.cooldown_seconds:
             return 0
         rate = self.arrival_rate(now)
         per_replica = rate / max(num_replicas, 1)
 
-        if num_replicas < self.max_replicas and per_replica > self.scale_up_rps_per_replica:
+        if num_replicas < spec.max_replicas and per_replica > spec.scale_up_rps_per_replica:
             self.last_reason = (
                 f"arrival rate {rate:.2f} rps = {per_replica:.2f} rps/replica "
-                f"> {self.scale_up_rps_per_replica:.2f}"
+                f"> {spec.scale_up_rps_per_replica:.2f}"
             )
             self._last_scale_time = now
             return 1
 
-        if (num_replicas > self.min_replicas
+        if (num_replicas > spec.min_replicas
                 and per_replica < self.scale_down_rps_per_replica
                 and sum(queue_depths) == 0):
             self.last_reason = (

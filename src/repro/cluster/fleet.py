@@ -12,8 +12,9 @@ a production-shaped serving tier:
   matching the paper's deployment rule) that is kept in sync with the replica
   set as it changes;
 * optional queue-depth :class:`~repro.cluster.admission.AdmissionPolicy` load
-  shedding in front of the router;
-* an optional :class:`~repro.cluster.autoscaler.ReactiveAutoscaler` that adds
+  shedding in front of the router, built from ``max_queue_depth``;
+* an optional :class:`~repro.cluster.autoscaler.ReactiveAutoscaler`, built
+  from an :class:`~repro.spec.models.AutoscaleSpec`, that adds
   replicas cloned from a template spec and drains the highest-indexed replica on
   scale-down (drained replicas stop receiving traffic, finish their queue,
   and retire with their completion records preserved).
@@ -46,7 +47,7 @@ from repro.obs.recorder import GLOBAL_KEY, NULL_RECORDER
 from repro.resilience.policy import PolicyRuntime, HealthAwareRouter, TrackedRequest
 from repro.simulation.events import EventQueue
 from repro.simulation.routing import Router, UserIdRouter
-from repro.spec.models import KVTiersSpec, ResilienceSpec
+from repro.spec.models import AutoscaleSpec, KVTiersSpec, ResilienceSpec
 from repro.cluster.admission import AdmissionPolicy
 from repro.cluster.autoscaler import ReactiveAutoscaler, ScaleEvent
 from repro.workloads.trace import Request
@@ -98,6 +99,40 @@ class FleetStats:
     peak_replicas: int = 0
 
 
+def _breaker_reporter(counters: ResilienceCounters, obs,
+                      states: dict[int, _ReplicaState]):
+    """The breaker bank's transition callback: counts opens and closes and
+    records a ``breaker`` span event named after the replica."""
+
+    def on_transition(key: int, old: str, new: str, now: float) -> None:
+        if new == "open":
+            counters.num_breaker_opens += 1
+        elif new == "closed":
+            counters.num_breaker_closes += 1
+        state = states.get(key)
+        obs.emit(
+            now, key, "breaker",
+            replica=state.instance.name if state is not None else key,
+            **{"from": old, "to": new},
+        )
+
+    return on_transition
+
+
+def _degrade_reporter(obs, cluster_store: ClusterPrefixStore | None):
+    """The degrade controller's transition callback: records a ``degrade``
+    span event and pauses cluster publishes from tier 1 up."""
+
+    def on_transition(old: int, new: int, now: float) -> None:
+        obs.emit(now, GLOBAL_KEY, "degrade", **{"from": old, "to": new})
+        if cluster_store is not None:
+            # Tier >= 1 pauses L3 publish traffic (demotions, drains); reads
+            # stay up — serving beats cache durability in a brownout.
+            cluster_store.set_publish_paused(new >= 1)
+
+    return on_transition
+
+
 class Fleet:
     """N engine replicas behind a router, admission control, and an autoscaler.
 
@@ -108,8 +143,12 @@ class Fleet:
         model: Model served by every replica.
         max_input_length: MIL each replica is provisioned for.
         router: Routing policy; defaults to the paper's user-id router.
-        admission: Optional load-shedding policy consulted before routing.
-        autoscaler: Optional reactive autoscaler.
+        max_queue_depth: Per-replica queue bound of the
+            :class:`~repro.cluster.admission.AdmissionPolicy` consulted before
+            routing; None admits everything.
+        autoscale: Bounds and thresholds of the fleet's
+            :class:`~repro.cluster.autoscaler.ReactiveAutoscaler`; None keeps
+            the replica count fixed.
         name: Fleet name used in reports.
         tier_config: Optional tiered prefix-cache configuration
             (:class:`~repro.spec.models.KVTiersSpec`).  When enabled the
@@ -132,8 +171,8 @@ class Fleet:
     def __init__(self, replica_specs: list[ReplicaSpec], model: ModelConfig, *,
                  max_input_length: int,
                  router: Router | None = None,
-                 admission: AdmissionPolicy | None = None,
-                 autoscaler: ReactiveAutoscaler | None = None,
+                 max_queue_depth: int | None = None,
+                 autoscale: AutoscaleSpec | None = None,
                  name: str = "fleet",
                  tier_config: KVTiersSpec | None = None,
                  recorder=None,
@@ -148,8 +187,10 @@ class Fleet:
         self.model = model
         self.max_input_length = max_input_length
         self.template = replica_specs[0]
-        self.admission = admission
-        self.autoscaler = autoscaler
+        self.admission = (
+            AdmissionPolicy(max_queue_depth) if max_queue_depth is not None else None
+        )
+        self.autoscaler = ReactiveAutoscaler(autoscale) if autoscale is not None else None
         self.tier_config = tier_config if tier_config is not None and tier_config.enabled else None
         self.cluster_store: ClusterPrefixStore | None = None
         if self.tier_config is not None:
@@ -209,10 +250,13 @@ class Fleet:
         self._policy_events = EventQueue()
         self._tracked: dict[int, TrackedRequest] = {}
         if policies is not None and policies.active:
+            # The callbacks close over the fleet's parts, not the fleet, so
+            # a dropped fleet is freed by reference counting alone.
             self.policies = PolicyRuntime(
                 policies,
-                on_breaker_transition=self._on_breaker_transition,
-                on_degrade_transition=self._on_degrade_transition,
+                on_breaker_transition=_breaker_reporter(
+                    self.resilience, self.obs, self._states_by_key),
+                on_degrade_transition=_degrade_reporter(self.obs, self.cluster_store),
             )
         self.router: Router = (
             router if router is not None else UserIdRouter(len(self._active))
@@ -394,16 +438,14 @@ class Fleet:
         else:
             depths = []
         if self.admission is not None:
-            decision = self.admission.admit(request, depths, now)
-            if not decision.admitted:
+            reason = self.admission.admit(request, depths, now)
+            if reason is not None:
+                reason = f"{shed_reason_prefix}{reason}"
                 self._shed.append(self._rejection_record(
-                    request, arrival_time=arrival_time, now=now,
-                    reason=f"{shed_reason_prefix}{decision.reason}",
+                    request, arrival_time=arrival_time, now=now, reason=reason,
                 ))
-                self.obs.emit(
-                    now, GLOBAL_KEY, "shed", request=request.request_id,
-                    reason=f"{shed_reason_prefix}{decision.reason}",
-                )
+                self.obs.emit(now, GLOBAL_KEY, "shed", request=request.request_id,
+                              reason=reason)
                 return None
         state = self._active[self.router.route(request, depths)]
         self.obs.emit(now, state.key, "route", request=request.request_id,
@@ -1109,26 +1151,6 @@ class Fleet:
         ))
         self.obs.emit(now, GLOBAL_KEY, "shed", request=request.request_id,
                       reason=reason)
-
-    def _on_breaker_transition(self, key: int, old: str, new: str,
-                               now: float) -> None:
-        if new == "open":
-            self.resilience.num_breaker_opens += 1
-        elif new == "closed":
-            self.resilience.num_breaker_closes += 1
-        state = self._states_by_key.get(key)
-        self.obs.emit(
-            now, key, "breaker",
-            replica=state.instance.name if state is not None else key,
-            **{"from": old, "to": new},
-        )
-
-    def _on_degrade_transition(self, old: int, new: int, now: float) -> None:
-        self.obs.emit(now, GLOBAL_KEY, "degrade", **{"from": old, "to": new})
-        if self.cluster_store is not None:
-            # Tier >= 1 pauses L3 publish traffic (demotions, drains); reads
-            # stay up — serving beats cache durability in a brownout.
-            self.cluster_store.set_publish_paused(new >= 1)
 
     def resilience_summary(self, summary):
         """Summarise fault/recovery accounting for the whole run.

@@ -299,7 +299,6 @@ class EngineInstance:
         self._stages = [_Stage(index=i) for i in range(spec.pipeline_parallel)]
         self._finished: list[FinishedRequest] = []
         self._rejected: list[FinishedRequest] = []
-        self._submitted = 0
         #: Service-time multiplier applied to work *started* while it is set.
         #: 1.0 (the default) is a bit-exact no-op; the fault subsystem raises
         #: it to model a degraded (slow) node.
@@ -351,7 +350,6 @@ class EngineInstance:
         Returns False (and records a rejection) when the request exceeds the
         engine's maximum input length and can therefore never be served.
         """
-        self._submitted += 1
         if request.num_tokens > self.max_input_length:
             record = FinishedRequest(
                 request_id=request.request_id,

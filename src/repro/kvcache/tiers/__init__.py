@@ -6,9 +6,9 @@ into a full hierarchy that the fleet layer can share:
 
 * :mod:`repro.kvcache.tiers.config` — the ``"kv_tiers"`` JSON-block parser
   (typed errors with JSON paths) into the
-  :class:`~repro.spec.models.KVTiersSpec` every tier builder reads;
-* :mod:`repro.kvcache.tiers.policy` — pluggable promotion policies
-  (``always`` / ``on-nth-hit`` / ``never``);
+  :class:`~repro.spec.models.KVTiersSpec` every tier builder reads, whose
+  ``promote_at`` turns the promotion policy (``always`` / ``on-nth-hit`` /
+  ``never``) into the lower-tier hit count that promotes a block;
 * :mod:`repro.kvcache.tiers.cluster_store` — the fleet-shared L3
   :class:`ClusterPrefixStore` with per-replica hit accounting;
 * :mod:`repro.kvcache.tiers.store` — :class:`TieredPrefixStore`, the
@@ -23,10 +23,6 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.kvcache.tiers.cluster_store": ("ClusterPrefixStore", "ClusterStoreStats"),
     "repro.kvcache.tiers.config": ("TIER_NAMES", "tier_config_from_dict"),
-    "repro.kvcache.tiers.policy": (
-        "PROMOTION_POLICIES", "AlwaysPromote", "NeverPromote", "PromoteOnNthHit",
-        "PromotionPolicy", "make_promotion_policy",
-    ),
     "repro.kvcache.tiers.store": (
         "TieredPrefixStore", "TierLookup", "TierStats", "build_cluster_store", "build_tiered_store",
     ),

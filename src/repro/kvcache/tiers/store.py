@@ -12,12 +12,13 @@ tiers into one hierarchy:
   network), and blocks published by *other* replicas match too — the chained
   content hash is replica-independent.
 
-Block movement follows two pluggable policies:
+Block movement follows two policies:
 
-* **promotion** (:mod:`repro.kvcache.tiers.policy`) — whether a lower-tier
-  hit installs the block in L1.  Only the leading contiguous run of
-  promotable continuation blocks is installed, preserving the radix tree's
-  prefix-closure invariant.
+* **promotion** — a lower-tier hit installs the block in L1 once the block
+  has hit ``promote_at`` times in the lower tiers (``KVTiersSpec.promote_at``:
+  0 for ``always``, N for ``on-nth-hit``, infinite for ``never``).  Only the
+  leading contiguous run of promotable continuation blocks is installed,
+  preserving the radix tree's prefix-closure invariant.
 * **demote-instead-of-evict** — L1 evictions cascade into L2 and L2
   evictions into L3 (instead of dropping the bytes), so capacity pressure
   pushes cold prefixes *down* the hierarchy rather than out of it.  Each
@@ -56,7 +57,6 @@ from typing import NamedTuple
 from repro.hardware.interconnect import get_interconnect
 from repro.kvcache.offload import CPUOffloadStore
 from repro.kvcache.tiers.cluster_store import ClusterPrefixStore
-from repro.kvcache.tiers.policy import PromotionPolicy, make_promotion_policy
 from repro.obs.recorder import NULL_RECORDER
 from repro.spec.models import KVTiersSpec
 
@@ -134,7 +134,8 @@ class TieredPrefixStore:
             holds no whole block is no host tier: it is dropped, so L1
             victims publish straight to the cluster.
         cluster: Fleet-shared (L3) store, or None to run without one.
-        policy: Promotion policy.
+        promote_at: Lower-tier hits at which a block is promoted into L1
+            (``math.inf`` never promotes).
         demote_on_evict: Cascade evictions down the hierarchy instead of
             dropping blocks.
         compute_tokens_per_second: The replica's uncached prefill rate, used
@@ -152,7 +153,7 @@ class TieredPrefixStore:
     def __init__(self, *, replica: str, block_size: int, block_bytes: int,
                  host: CPUOffloadStore | None = None,
                  cluster: ClusterPrefixStore | None = None,
-                 policy: PromotionPolicy | None = None,
+                 promote_at: float = 2,
                  demote_on_evict: bool = True,
                  compute_tokens_per_second: float = 0.0) -> None:
         if block_size <= 0:
@@ -164,7 +165,7 @@ class TieredPrefixStore:
         self._block_bytes = block_bytes
         self._host = host if host is not None and host.capacity_blocks else None
         self._cluster = cluster
-        self._policy = policy if policy is not None else make_promotion_policy("on-nth-hit")
+        self._promote_at = promote_at
         self._demote_on_evict = demote_on_evict
         self._tokens_per_second = compute_tokens_per_second
         #: A weak proxy of the L1 radix tree, bound by the KVCacheManager.
@@ -288,10 +289,11 @@ class TieredPrefixStore:
     def fetch(self, block_hashes, gpu_blocks: int, *, now: float = 0.0) -> TierLookup:
         """Stream the tier-resident continuation to the GPU for execution.
 
-        Counts per-block hits, applies the promotion policy to the leading
-        contiguous run of the continuation (promoted blocks are inserted into
-        L1 and removed from their source tier), stages unpromoted L3 hits
-        into L2 when one exists (:meth:`_stage_tail`), and returns the
+        Counts per-block hits, promotes the leading contiguous run of the
+        continuation whose blocks reached ``promote_at`` hits (promoted
+        blocks are inserted into L1 and removed from their source tier),
+        stages unpromoted L3 hits into L2 when one exists
+        (:meth:`_stage_tail`), and returns the
         resolved :class:`TierLookup` — whose ``tier_tokens`` need no
         recompute and whose ``load_seconds`` is the transfer time to charge
         the request.
@@ -318,13 +320,13 @@ class TieredPrefixStore:
         # Count every streamed block's hit and find the leading contiguous
         # promotable run.
         hit_counts = self._hit_counts
-        should_promote = self._policy.should_promote
+        promote_at = self._promote_at
         promote_run = 0
         run_unbroken = True
         for content_hash in continuation:
             hits = hit_counts.get(content_hash, 0) + 1
             hit_counts[content_hash] = hits
-            if run_unbroken and should_promote(content_hash, hits):
+            if run_unbroken and hits >= promote_at:
                 promote_run += 1
             else:
                 run_unbroken = False
@@ -417,10 +419,10 @@ class TieredPrefixStore:
 
         The tier-aware counterpart of the manager's plain radix-tree insert:
 
-        * blocks already resident in a lower tier re-enter L1 only if the
-          promotion policy votes yes at their current hit count — a block
-          that is deliberately parked in the host tier stays there instead
-          of churning the GPU cache on every pass;
+        * blocks already resident in a lower tier re-enter L1 only if their
+          current hit count has reached ``promote_at`` — a block that is
+          deliberately parked in the host tier stays there instead of
+          churning the GPU cache on every pass;
         * the first unpromotable tier-resident block ends the L1 insert (the
           radix tree cannot hold a block without its ancestors);
         * everything past the L1-resident run demotes into the tiers via
@@ -440,12 +442,11 @@ class TieredPrefixStore:
         hashes = tuple(block_hashes)
         gpu_match = self._gpu_cache.match_length(hashes)
         in_host, in_cluster = self._residency()
+        hit_counts, promote_at = self._hit_counts, self._promote_at
         stop = gpu_match
         for content_hash in hashes[gpu_match:]:
-            in_lower = content_hash in in_host or content_hash in in_cluster
-            if in_lower and not self._policy.should_promote(
-                content_hash, self._hit_counts.get(content_hash, 0)
-            ):
+            if ((content_hash in in_host or content_hash in in_cluster)
+                    and hit_counts.get(content_hash, 0) < promote_at):
                 break
             stop += 1
         resident = self._gpu_cache.insert(hashes[:stop], now=now)
@@ -703,7 +704,7 @@ def build_tiered_store(config: KVTiersSpec, *, replica: str, block_size: int,
         block_bytes=block_bytes,
         host=host,
         cluster=cluster,
-        policy=make_promotion_policy(config.promotion, threshold=config.promotion_threshold),
+        promote_at=config.promote_at,
         demote_on_evict=config.demote_on_evict,
         compute_tokens_per_second=compute_tokens_per_second,
     )

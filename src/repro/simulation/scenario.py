@@ -63,7 +63,7 @@ from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 from repro.baselines.registry import get_engine_spec
-from repro.cluster import Fleet, QueueDepthAdmission, ReactiveAutoscaler
+from repro.cluster import Fleet
 from repro.errors import ScenarioError, ScenarioSpecError
 from repro.faults import FaultSchedule, fault_schedule_from_model
 from repro.hardware.cluster import get_hardware_setup
@@ -71,7 +71,7 @@ from repro.obs.logging import get_logger, set_context
 from repro.obs.recorder import TraceRecorder
 from repro.perf.runner import ParallelRunner, resolve_runner
 from repro.simulation.arrival import make_arrival
-from repro.spec.core import check_overrides, from_dict, spec_fields, to_dict
+from repro.spec.core import check_overrides, from_dict, spec_fields
 from repro.spec.models import (
     AutoscaleSpec,
     KVTiersSpec,
@@ -303,12 +303,6 @@ def build_mix(spec: ScenarioSpec) -> MixedTrace:
 
 
 def _build_fleet(spec: ScenarioSpec, max_input_length: int) -> Fleet:
-    admission = None
-    if spec.max_queue_depth is not None:
-        admission = QueueDepthAdmission(spec.max_queue_depth)
-    autoscaler = None
-    if spec.autoscale is not None:
-        autoscaler = ReactiveAutoscaler(**to_dict(spec.autoscale))
     recorder = None
     if spec.observability is not None and spec.observability.enabled:
         recorder = TraceRecorder(
@@ -324,8 +318,8 @@ def _build_fleet(spec: ScenarioSpec, max_input_length: int) -> Fleet:
         max_input_length=max_input_length,
         num_replicas=spec.replicas,
         router=make_router(spec.router, spec.replicas or 1),
-        admission=admission,
-        autoscaler=autoscaler,
+        max_queue_depth=spec.max_queue_depth,
+        autoscale=spec.autoscale,
         name=spec.name,
         tier_config=spec.kv_tiers,
         recorder=recorder,

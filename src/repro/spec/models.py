@@ -12,15 +12,16 @@ config: fleets, replicas, tier stores, recorders, alert evaluation and the
 resilience policies read :class:`KVTiersSpec`, :class:`ObservabilitySpec`,
 :class:`AlertRuleSpec`, :class:`ResilienceSpec` and its sub-specs directly,
 through a few read-only properties for the derived views (``host``,
-``buckets``, ``active``).  Only blocks whose runtime object does real work
-beyond the JSON are compiled by a service layer: the fault schedule
-(``repro.faults.schedule``) and the tenants and scenario
+``promote_at``, ``buckets``, ``active``).  Only blocks whose runtime object
+does real work beyond the JSON are compiled by a service layer: the fault
+schedule (``repro.faults.schedule``) and the tenants and scenario
 (``repro.simulation.scenario``).  The models import nothing from engines,
 fleets, or schedules, which keeps the dependency direction one-way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -72,9 +73,8 @@ TIER_NAMES = ("host", "cluster")
 #: The fault kinds a ``"faults"`` block's ``events`` list may use.
 FAULT_KINDS = ("crash", "recover", "slow", "brownout", "outage", "spot_preempt")
 
-#: Promotion policy names (mirrors ``repro.kvcache.tiers.policy``; kept as a
-#: literal so the spec layer stays import-light — pinned against the registry
-#: by the spec tests).
+#: The promotion policies a ``"kv_tiers"`` block may name; each is a hit
+#: threshold (:attr:`KVTiersSpec.promote_at`).
 PROMOTION_POLICY_NAMES = ("always", "never", "on-nth-hit")
 
 #: Default request-latency histogram bucket upper edges (seconds), used when
@@ -185,6 +185,20 @@ class KVTiersSpec:
     def cluster(self) -> ClusterTierSpec:
         """The cluster (L3) tier's sizing; its defaults when ``tiers`` omits it."""
         return self.tiers.get("cluster") or ClusterTierSpec()
+
+    @property
+    def promote_at(self) -> float:
+        """Lower-tier hits at which a block is promoted into L1.
+
+        ``always`` is 0, not 1: a commit asks with a block's stored hit
+        count, which is 0 for a block that has not hit yet.  ``never`` is
+        infinite, so no count reaches it.
+        """
+        if self.promotion == "always":
+            return 0
+        if self.promotion == "never":
+            return math.inf
+        return self.promotion_threshold
 
 
 # --------------------------------------------------------------- fault events

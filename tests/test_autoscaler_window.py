@@ -15,15 +15,21 @@ from repro.core.engine import prefillonly_engine_spec
 from repro.faults import fault_schedule_from_dict
 from repro.simulation.arrival import PoissonArrivalProcess
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.core import from_dict
+from repro.spec.models import AutoscaleSpec
 
 
-def make_autoscaler(**kwargs):
+def autoscale_spec(**kwargs) -> AutoscaleSpec:
     defaults = dict(
         min_replicas=1, max_replicas=4, scale_up_rps_per_replica=2.0,
         window_seconds=10.0, cooldown_seconds=20.0,
     )
     defaults.update(kwargs)
-    return ReactiveAutoscaler(**defaults)
+    return from_dict(AutoscaleSpec, defaults)
+
+
+def make_autoscaler(**kwargs):
+    return ReactiveAutoscaler(autoscale_spec(**kwargs))
 
 
 # ----------------------------------------------------------- window edges
@@ -70,20 +76,20 @@ def test_no_flapping_when_queue_depths_oscillate():
     scale_times = [now for now, vote in votes if vote != 0]
     # Cooldown bounds the event rate regardless of the oscillation.
     for earlier, later in zip(scale_times, scale_times[1:]):
-        assert later - earlier >= autoscaler.cooldown_seconds
+        assert later - earlier >= autoscaler.spec.cooldown_seconds
 
 
 def test_no_flapping_during_replica_loss_and_rejoin(h100_setup, small_post_trace):
     """Crash/recover churn must not make the autoscaler thrash: every pair of
     applied scale events stays at least one cooldown apart."""
-    autoscaler = make_autoscaler(
+    spec = autoscale_spec(
         max_replicas=4, scale_up_rps_per_replica=1.0,
         window_seconds=5.0, cooldown_seconds=10.0,
     )
     fleet = Fleet.for_setup(
         prefillonly_engine_spec(), h100_setup,
         max_input_length=small_post_trace.max_request_tokens,
-        num_replicas=2, autoscaler=autoscaler,
+        num_replicas=2, autoscale=spec,
     )
     schedule = fault_schedule_from_dict({"events": [
         {"kind": "crash", "replica": 0, "at": 5.0, "recover_at": 9.0},
@@ -96,7 +102,7 @@ def test_no_flapping_during_replica_loss_and_rejoin(h100_setup, small_post_trace
     simulate_fleet(fleet, requests, faults=schedule)
     times = [event.time for event in fleet.scale_events]
     for earlier, later in zip(times, times[1:]):
-        assert later - earlier >= autoscaler.cooldown_seconds - 1e-9
+        assert later - earlier >= spec.cooldown_seconds - 1e-9
 
 
 # ------------------------------------------------ empty-results summaries

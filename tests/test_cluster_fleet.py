@@ -2,20 +2,17 @@
 
 import pytest
 
-from repro.cluster import (
-    Fleet,
-    QueueDepthAdmission,
-    ReactiveAutoscaler,
-    ReplicaSpec,
-)
+from repro.cluster import AdmissionPolicy, Fleet, ReplicaSpec
 from repro.baselines.registry import all_engine_specs
 from repro.core.engine import prefillonly_engine_spec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ScenarioSpecError
 from repro.hardware.cluster import HARDWARE_SETUPS, ClusterSpec
 from repro.model.config import get_model
 from repro.simulation.arrival import PoissonArrivalProcess, UniformArrivalProcess
 from repro.simulation.server import ServingSystem
 from repro.simulation.simulator import simulate, simulate_fleet
+from repro.spec.core import from_dict
+from repro.spec.models import AutoscaleSpec
 from repro.workloads.registry import get_workload
 
 
@@ -33,6 +30,10 @@ def build_fleet(setup, trace, **kwargs):
 
 def arrivals(trace, rate=3.0):
     return UniformArrivalProcess(rate=rate).assign(list(trace.requests))
+
+
+def autoscale(**fields) -> AutoscaleSpec:
+    return from_dict(AutoscaleSpec, fields)
 
 
 # ------------------------------------------------------------- construction
@@ -128,8 +129,7 @@ def test_serving_system_is_the_for_setup_fleet():
 
 
 def test_admission_control_sheds_and_accounts(h100_setup, tiny_trace):
-    fleet = build_fleet(h100_setup, tiny_trace, num_replicas=2,
-                        admission=QueueDepthAdmission(2))
+    fleet = build_fleet(h100_setup, tiny_trace, num_replicas=2, max_queue_depth=2)
     requests = PoissonArrivalProcess(rate=50.0, seed=1).assign(list(tiny_trace.requests))
     result = simulate_fleet(fleet, requests)
 
@@ -159,19 +159,30 @@ def test_no_admission_policy_admits_everything(h100_setup, tiny_trace):
 
 def test_queue_depth_admission_validation():
     with pytest.raises(ConfigurationError):
-        QueueDepthAdmission(0)
+        AdmissionPolicy(0)
+
+
+def test_admission_sheds_at_the_bound_and_not_below():
+    """A request is shed once the least-loaded queue holds max_queue_depth
+    requests, with a reason naming the bound; one slot short admits it."""
+    policy = AdmissionPolicy(2)
+    assert policy.admit(None, [2, 3], 0.0) == (
+        "admission control: every replica has at least 2 requests waiting"
+    )
+    assert policy.admit(None, [1, 3], 0.0) is None
+    assert policy.admit(None, [], 0.0) is None
 
 
 # ------------------------------------------------------------- autoscaling
 
 
 def test_autoscaler_scales_up_under_overload(h100_setup, tiny_trace):
-    autoscaler = ReactiveAutoscaler(
+    spec = autoscale(
         min_replicas=1, max_replicas=4,
         scale_up_rps_per_replica=1.5,
         window_seconds=2.0, cooldown_seconds=3.0,
     )
-    fleet = build_fleet(h100_setup, tiny_trace, num_replicas=1, autoscaler=autoscaler)
+    fleet = build_fleet(h100_setup, tiny_trace, num_replicas=1, autoscale=spec)
     result = simulate_fleet(fleet, arrivals(tiny_trace, rate=4.0))
     assert fleet.stats.num_scale_ups >= 1
     assert fleet.stats.peak_replicas > 1
@@ -181,12 +192,12 @@ def test_autoscaler_scales_up_under_overload(h100_setup, tiny_trace):
 
 def test_autoscaler_hysteresis_no_flapping_under_constant_load(h100_setup, tiny_trace):
     """Constant load inside the hysteresis band must not cause oscillation."""
-    autoscaler = ReactiveAutoscaler(
+    spec = autoscale(
         min_replicas=1, max_replicas=4,
         scale_up_rps_per_replica=3.0,
         window_seconds=2.0, cooldown_seconds=1.0,
     )
-    fleet = build_fleet(h100_setup, tiny_trace, num_replicas=2, autoscaler=autoscaler)
+    fleet = build_fleet(h100_setup, tiny_trace, num_replicas=2, autoscale=spec)
     # 4 rps over 2 replicas = 2 rps/replica: inside the (1.5, 3.0) band.
     result = simulate_fleet(fleet, arrivals(tiny_trace, rate=4.0))
     in_flight_events = [
@@ -198,12 +209,12 @@ def test_autoscaler_hysteresis_no_flapping_under_constant_load(h100_setup, tiny_
 
 
 def test_autoscaler_scales_down_when_idle(h100_setup, tiny_trace):
-    autoscaler = ReactiveAutoscaler(
+    spec = autoscale(
         min_replicas=1, max_replicas=4,
         scale_up_rps_per_replica=100.0,
         window_seconds=1.0, cooldown_seconds=0.5,
     )
-    fleet = build_fleet(h100_setup, tiny_trace, num_replicas=3, autoscaler=autoscaler)
+    fleet = build_fleet(h100_setup, tiny_trace, num_replicas=3, autoscale=spec)
     result = simulate_fleet(fleet, arrivals(tiny_trace, rate=1.0))
     assert fleet.stats.num_scale_downs >= 1
     # Draining preserves every completion record.
@@ -211,15 +222,16 @@ def test_autoscaler_scales_down_when_idle(h100_setup, tiny_trace):
 
 
 def test_autoscaler_threshold_validation():
-    with pytest.raises(ConfigurationError):
-        ReactiveAutoscaler(scale_up_rps_per_replica=0.0)
-    with pytest.raises(ConfigurationError):
-        ReactiveAutoscaler(min_replicas=0, scale_up_rps_per_replica=1.0)
+    """The autoscaler's bounds are checked once, by the spec layer."""
+    with pytest.raises(ScenarioSpecError, match="autoscale.scale_up_rps_per_replica"):
+        autoscale(scale_up_rps_per_replica=0.0)
+    with pytest.raises(ScenarioSpecError, match="autoscale.min_replicas"):
+        autoscale(min_replicas=0, scale_up_rps_per_replica=1.0)
     # NaN passes every range comparison, so it needs its own check.
-    with pytest.raises(ConfigurationError):
-        ReactiveAutoscaler(scale_up_rps_per_replica=2.0, window_seconds=float("nan"))
-    with pytest.raises(ConfigurationError):
-        ReactiveAutoscaler(scale_up_rps_per_replica=2.0, cooldown_seconds=float("nan"))
+    with pytest.raises(ScenarioSpecError, match="autoscale.window_seconds"):
+        autoscale(scale_up_rps_per_replica=2.0, window_seconds=float("nan"))
+    with pytest.raises(ScenarioSpecError, match="autoscale.cooldown_seconds"):
+        autoscale(scale_up_rps_per_replica=2.0, cooldown_seconds=float("nan"))
 
 
 def test_manual_scale_down_drains_without_losing_requests(h100_setup, tiny_trace):

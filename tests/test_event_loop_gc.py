@@ -5,7 +5,8 @@ the loop and leaves it as its caller had it: when the loop returns, when it
 raises :class:`~repro.errors.SimulationError`, and when the caller had already
 disabled it.  The pause is safe because a run makes no cyclic garbage: with
 the collector paused around a whole run and the fleet kept alive, a
-collection afterwards finds nothing unreachable.
+collection afterwards finds nothing unreachable, and none once the kept
+fleet is dropped.
 """
 
 from __future__ import annotations
@@ -110,4 +111,8 @@ def test_a_scenario_run_leaves_no_cyclic_garbage(name):
         gc.collect()
         result = run_scenario(spec, keep_fleet=True)
         assert gc.collect() == 0
-    assert result.fleet is not None
+        assert result.fleet is not None
+        # The kept fleet holds no reference cycle either: dropping it frees
+        # it by reference counting alone.
+        del result
+        assert gc.collect() == 0

@@ -9,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import TierCapacityError, TierError, UnknownNameError, UnknownTierError
+from repro.errors import TierCapacityError, TierError, UnknownTierError
 from repro.kvcache.allocator import BlockAllocator
 from repro.kvcache.block import hash_token_blocks
 from repro.kvcache.manager import KVCacheManager
@@ -20,11 +20,9 @@ from repro.kvcache.tiers import (
     TieredPrefixStore,
     build_cluster_store,
     build_tiered_store,
-    make_promotion_policy,
     tier_config_from_dict,
 )
-from repro.kvcache.tiers.policy import AlwaysPromote, NeverPromote, PromoteOnNthHit
-from repro.spec.models import KVTiersSpec
+from repro.spec.models import PROMOTION_POLICY_NAMES, KVTiersSpec
 
 BLOCK_SIZE = 4
 BLOCK_BYTES = 1024
@@ -148,15 +146,24 @@ def test_unknown_promotion_policy_rejected_at_parse_time():
     assert "kv_tiers.promotion_threshold" in str(excinfo.value)
 
 
-def test_promotion_policy_registry():
-    assert isinstance(make_promotion_policy("always"), AlwaysPromote)
-    assert isinstance(make_promotion_policy("never"), NeverPromote)
-    policy = make_promotion_policy("on-nth-hit", threshold=3)
-    assert isinstance(policy, PromoteOnNthHit)
-    assert not policy.should_promote(1, 2)
-    assert policy.should_promote(1, 3)
-    with pytest.raises(UnknownNameError):
-        make_promotion_policy("sometimes")
+def test_promote_at_is_the_hit_threshold_of_each_policy_name():
+    def promote_at(promotion, **fields):
+        return tier_config_from_dict(
+            {"enabled": True, "promotion": promotion, **fields}
+        ).promote_at
+
+    assert PROMOTION_POLICY_NAMES == ("always", "never", "on-nth-hit")
+    assert promote_at("always") == 0
+    assert promote_at("never") == math.inf
+    assert promote_at("on-nth-hit") == 2
+    assert promote_at("on-nth-hit", promotion_threshold=3) == 3
+    # The threshold is the N of on-nth-hit alone.
+    assert promote_at("always", promotion_threshold=3) == 0
+    assert promote_at("never", promotion_threshold=3) == math.inf
+    with pytest.raises(TierError) as excinfo:
+        promote_at("sometimes")
+    assert "kv_tiers.promotion" in str(excinfo.value)
+    assert "on-nth-hit" in str(excinfo.value)
 
 
 def test_build_tiered_store_disabled_returns_none():
@@ -276,9 +283,30 @@ def test_promote_on_nth_hit_waits_for_second_hit():
     # First re-use: streamed from host, hit count 1 < 2 -> stays in host.
     run_request(manager, short, now=2.0)
     assert tiers.stats.promoted_blocks == 0
-    # Second re-use: hit count reaches 2 -> promoted into L1.
-    run_request(manager, short, now=3.0)
+    # Second re-use: the fetch brings the hit count to 2 and promotes the
+    # blocks into L1 itself, before the commit.
+    lease = manager.begin_execution(short, len(short) * BLOCK_SIZE,
+                                    reserve_full_kv=False, now=3.0)
+    manager.fetch_tiers(short, now=3.0)
     assert tiers.stats.promoted_blocks > 0
+    manager.finish_execution(lease, now=3.5)
+
+
+def test_always_promotes_a_parked_block_on_a_commit_with_no_tier_hit():
+    """``always`` is a threshold of 0 hits, not 1: a commit asks with a
+    block's stored hit count, which is 0 for a block an eviction demoted and
+    no fetch has hit since."""
+    manager, tiers, cluster = make_stack(gpu_blocks=4, host_blocks=8, promotion="always")
+    hashes = chain(4, seed=12)
+    assert tiers.commit(hashes, now=0.0) == 4
+    assert manager._cache.evict_blocks(4) == 4
+    assert set(tiers.host.resident_hashes()) == set(hashes)
+    assert tiers.commit(hashes, now=1.0) == 4
+    assert set(manager._cache.resident_hashes()) == set(hashes)
+    assert list(tiers.host.resident_hashes()) == []
+    stats = tiers.stats
+    assert stats.host_hit_blocks == stats.cluster_hit_blocks == 0
+    assert stats.promoted_blocks == 4
 
 
 def test_prefetch_warms_l1_without_charging_requests():
@@ -589,7 +617,7 @@ def test_a_manager_with_a_bound_tree_and_tiers_is_freed_by_reference_counting():
     cluster = ClusterPrefixStore(capacity_bytes=8 * BLOCK_BYTES, block_bytes=BLOCK_BYTES)
     tiers = TieredPrefixStore(replica="r", block_size=BLOCK_SIZE, block_bytes=BLOCK_BYTES,
                               host=host, cluster=cluster,
-                              policy=make_promotion_policy("never"))
+                              promote_at=math.inf)
     manager = KVCacheManager(2 * BLOCK_SIZE, block_size=BLOCK_SIZE, tiers=tiers)
     # Two blocks fill L1; the next commit evicts them into the one-block
     # host, whose victim reaches the cluster.
@@ -617,7 +645,7 @@ def test_a_host_that_holds_no_block_is_no_host_tier():
     cluster = ClusterPrefixStore(capacity_bytes=8 * 1024, block_bytes=1024)
     tiers = TieredPrefixStore(replica="r", block_size=BLOCK_SIZE, block_bytes=1024,
                               host=host, cluster=cluster,
-                              policy=make_promotion_policy("never"))
+                              promote_at=math.inf)
     assert tiers.host is None
     assert cluster.publish("r", [11, 12, 13]) == 3
     fetched = tiers.fetch([11, 12, 13], 0)

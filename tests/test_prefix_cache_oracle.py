@@ -9,8 +9,13 @@ sequences through it and the production
 pick the very same victims in the very same order.  The ops are inserts
 (which evict to make room), matches (which stamp), read-only hinted
 ``match_length`` probes, pins and unpins, explicit evictions and clears, over
-overlapping hash chains and a 3-10 block pool.  After every op the return values, the stats counters, the resident hashes and the
-victims reported through ``on_evict`` must agree.
+overlapping hash chains and a 3-10 block pool.  An insert, match or pin may
+act on a prefix of its chain, so the ops on one long chain's prefixes split
+its runs mid-run.  After every op the return values, the stats counters, the
+resident hashes and the victims reported through ``on_evict`` must agree,
+and so must every leaf's LRU key ``(last_access, seq)``: the eviction order
+of the leaves that exist now, including a parent run that just inherited its
+last child's stamp.
 
 The reference stamps and pins every block of a chain; the production cache
 keeps runs of blocks, stamps and pins only the chain's frontier (splitting
@@ -140,25 +145,31 @@ def chain(path) -> tuple[int, ...]:
     return tuple(hashes)
 
 
-# Each example draws a few trie paths that often share a prefix, and every op
-# names one of them, so the same chains are inserted, touched and evicted
-# again and again, like one user's requests.
-paths = st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=4),
-                 min_size=3, max_size=8)
+# Each example draws one long trie path and a few short ones that often share
+# a prefix, and every op names one of them, so the same chains are inserted,
+# touched and evicted again and again, like one user's requests.
+paths = st.tuples(
+    st.lists(st.integers(0, 2), min_size=4, max_size=8),
+    st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=4),
+             min_size=2, max_size=7),
+).map(lambda drawn: [drawn[0], *drawn[1]])
 chain_index = st.integers(0, 7)
+# An insert, match or pin may act on a prefix of its chain (None: the whole
+# chain), so ops on one chain's prefixes split its runs mid-run.
+prefix_length = st.one_of(st.none(), st.integers(1, 8))
 # The clock advances before each op by 0 or 1, so timestamps both tie (the
 # creation sequence breaks those) and separate (recency decides those).
 # Inserts and matches are drawn several times as often as the other ops, so
 # most examples build a long LRU history between clears.
-insert = st.tuples(st.just("insert"), chain_index)
-match = st.tuples(st.just("match"), chain_index)
+insert = st.tuples(st.just("insert"), chain_index, prefix_length)
+match = st.tuples(st.just("match"), chain_index, prefix_length)
 ops = st.lists(
     st.tuples(
         st.sampled_from([0.0, 1.0]),
         st.one_of(
             insert, insert, insert, insert, match, match, match,
             st.tuples(st.just("match_length"), chain_index, st.integers(0, 7)),
-            st.tuples(st.just("pin"), chain_index),
+            st.tuples(st.just("pin"), chain_index, prefix_length),
             st.tuples(st.just("unpin"), st.integers(0, 7)),
             st.tuples(st.just("evict"), st.integers(0, 4)),
             st.tuples(st.just("clear")),
@@ -180,8 +191,8 @@ def last(hashes) -> int | None:
 # Without the fold, 1 keeps its t=0 stamp and is evicted before 2.
 @example(
     paths=[[0, 0], [1], [2]],
-    ops=[(0.0, ("insert", 0)), (0.0, ("insert", 1)),
-         (0.0, ("pin", 1)), (1.0, ("match", 0)), (0.0, ("evict", 1)),
+    ops=[(0.0, ("insert", 0, None)), (0.0, ("insert", 1, None)),
+         (0.0, ("pin", 1, None)), (1.0, ("match", 0, None)), (0.0, ("evict", 1)),
          (0.0, ("unpin", 0)), (0.0, ("evict", 1))],
     capacity=3,
 )
@@ -191,8 +202,8 @@ def last(hashes) -> int | None:
 # the fold, 5 keeps its t=0 stamp and is evicted before 2.
 @example(
     paths=[[0, 0], [1], [0, 0, 0]],
-    ops=[(0.0, ("insert", 2)), (0.0, ("match", 0)), (1.0, ("insert", 1)),
-         (1.0, ("match", 2)), (0.0, ("pin", 1)), (0.0, ("evict", 1)),
+    ops=[(0.0, ("insert", 2, None)), (0.0, ("match", 0, None)), (1.0, ("insert", 1, None)),
+         (1.0, ("match", 2, None)), (0.0, ("pin", 1, None)), (0.0, ("evict", 1)),
          (0.0, ("unpin", 0)), (0.0, ("evict", 1))],
     capacity=4,
 )
@@ -202,8 +213,8 @@ def last(hashes) -> int | None:
 # re-stamped tail, each leaving a partly evicted run keyed at its new tail.
 @example(
     paths=[[0, 0, 0, 0], [0, 0], [1, 1]],
-    ops=[(0.0, ("insert", 0)), (1.0, ("insert", 2)), (0.0, ("pin", 1)),
-         (1.0, ("match", 0)), (0.0, ("evict", 1)), (0.0, ("evict", 2)),
+    ops=[(0.0, ("insert", 0, None)), (1.0, ("insert", 2, None)), (0.0, ("pin", 1, None)),
+         (1.0, ("match", 0, None)), (0.0, ("evict", 1)), (0.0, ("evict", 2)),
          (0.0, ("evict", 1)), (0.0, ("unpin", 0)), (0.0, ("evict", 3))],
     capacity=6,
 )
@@ -219,7 +230,9 @@ def test_radix_cache_matches_reference(paths, ops, capacity):
     for tick, op in ops:
         now += tick
         kind = op[0]
-        if kind in ("insert", "match", "match_length", "pin"):
+        if kind in ("insert", "match", "pin"):
+            hashes = chains[op[1] % len(chains)][:op[2]]
+        elif kind == "match_length":
             hashes = chains[op[1] % len(chains)]
         if kind == "insert":
             assert cache.insert(hashes, now=now) == reference.insert(hashes, now)
@@ -255,3 +268,12 @@ def test_radix_cache_matches_reference(paths, ops, capacity):
         assert cache.num_evictable_blocks == sum(
             1 for count in reference.pins.values() if not count
         )
+        leaf_keys = {
+            content_hash: (node.last_access, node.seq)
+            for content_hash, node in cache.snapshot().nodes.items()
+            if not node.num_children
+        }
+        assert leaf_keys == {
+            block: (reference.last_access[block], reference.seq[block])
+            for block, children in reference.children.items() if not children
+        }

@@ -34,7 +34,7 @@ from repro.errors import CapacityError
 from repro.hardware.interconnect import Interconnect
 from repro.kvcache.manager import KVCacheManager
 from repro.kvcache.offload import CPUOffloadStore
-from repro.kvcache.tiers import ClusterPrefixStore, TieredPrefixStore, make_promotion_policy
+from repro.kvcache.tiers import ClusterPrefixStore, TieredPrefixStore, tier_config_from_dict
 from repro.model.config import get_model
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
@@ -282,7 +282,8 @@ def tiered_replica(name, capacity_blocks, host_blocks, cluster, promotion):
                                block_bytes=BLOCK_BYTES, link=HOST_LINK)
     tiers = TieredPrefixStore(replica=name, block_size=BLOCK, block_bytes=BLOCK_BYTES,
                               host=host, cluster=cluster,
-                              policy=make_promotion_policy(promotion),
+                              promote_at=tier_config_from_dict(
+                                  {"enabled": True, "promotion": promotion}).promote_at,
                               compute_tokens_per_second=1000.0)
     return KVCacheManager(capacity_blocks * BLOCK, block_size=BLOCK, tiers=tiers)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.baselines.registry import get_engine_spec
-from repro.cluster import Fleet, QueueDepthAdmission, ReactiveAutoscaler
+from repro.cluster import Fleet
 from repro.faults import FaultEvent, FaultSchedule
 from repro.hardware.cluster import get_hardware_setup
 from repro.kvcache.tiers import tier_config_from_dict
@@ -36,7 +36,8 @@ from repro.simulation.routing import LeastLoadedRouter, Router, make_router
 from repro.simulation.scenario import build_mix, load_scenario, run_scenario
 from repro.simulation.sharded import fleet_is_decoupled
 from repro.simulation.simulator import simulate_fleet
-from repro.spec.models import ObservabilitySpec
+from repro.spec.core import from_dict
+from repro.spec.models import AutoscaleSpec, ObservabilitySpec
 from repro.workloads.registry import get_workload
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
@@ -241,11 +242,11 @@ def _scaled_up_fleet(trace) -> Fleet:
 _MODE_CASES = {
     "bare": lambda trace: (_build_fleet(2, trace), None),
     "admission": lambda trace: (
-        _build_fleet(2, trace, admission=QueueDepthAdmission(4)), None,
+        _build_fleet(2, trace, max_queue_depth=4), None,
     ),
     "autoscaler": lambda trace: (
-        _build_fleet(2, trace,
-                     autoscaler=ReactiveAutoscaler(scale_up_rps_per_replica=4.0)),
+        _build_fleet(2, trace, autoscale=from_dict(
+            AutoscaleSpec, {"scale_up_rps_per_replica": 4.0})),
         None,
     ),
     "kv-tiers": lambda trace: (

@@ -27,7 +27,6 @@ from repro.errors import (
     TierSpecError,
 )
 from repro.faults.schedule import DEFAULT_WARM_RESTORE_BLOCKS
-from repro.kvcache.tiers.policy import PROMOTION_POLICIES
 from repro.spec.core import from_dict, normalize, spec_fields, to_dict
 from repro.spec.fuzz import (
     alert_rule_configs,
@@ -45,7 +44,6 @@ from repro.spec.models import (
     _EVENT_MODELS,
     DOCUMENTED_MODELS,
     FAULT_KINDS,
-    PROMOTION_POLICY_NAMES,
     TIER_NAMES,
     AlertRuleSpec,
     AutoscaleSpec,
@@ -209,7 +207,6 @@ def test_spec_error_formats_path_prefix():
 def test_spec_literals_match_runtime_registries():
     """The spec layer duplicates a few runtime name sets as literals (so the
     models stay import-light); pin them to the registries they mirror."""
-    assert PROMOTION_POLICY_NAMES == tuple(sorted(PROMOTION_POLICIES))
     assert set(_EVENT_MODELS) == set(FAULT_KINDS)
     assert spec_fields(FaultsSpec)["warm_restore_blocks"].default \
         == DEFAULT_WARM_RESTORE_BLOCKS

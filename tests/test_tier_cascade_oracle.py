@@ -23,17 +23,21 @@ cluster store: commits with overflow, fetches with staging, prefetches, warm
 restores, drains, explicit L1 evictions, brownout multipliers, outage and
 publish-pause toggles.  Capacities are tiny (L1 2-6 blocks, host 0-4,
 cluster 0-6), ``demote_on_evict`` is on or off, and either lower tier may be
-missing; a 0-block host counts as a missing one.  After every op the two agree on every ``TierStats``,
-``OffloadStats`` and ``ClusterStoreStats`` field (floats by
-``float.hex``), on the host and cluster contents in LRU order with owners,
-on the host and cluster change records, and on the recorded events and
-counters.
+missing; a 0-block host counts as a missing one.  The production store
+promotes at the ``promote_at`` of a parsed ``"kv_tiers"`` block and the
+reference at its own table of thresholds (:data:`PROMOTE_AT`), so the oracle
+pins the policy-name-to-threshold mapping too.  After every op the two agree
+on every ``TierStats``, ``OffloadStats`` and ``ClusterStoreStats`` field
+(floats by ``float.hex``), on the host and cluster contents in LRU order
+with owners, on the host and cluster change records, and on the recorded
+events and counters.
 
 Runs under the shared ``oracle-run`` hypothesis profile (``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 
 from hypothesis import example, given, settings, strategies as st
@@ -42,13 +46,17 @@ from repro.hardware.interconnect import NVLINK, PCIE_GEN4
 from repro.kvcache.allocator import BlockAllocator
 from repro.kvcache.offload import CPUOffloadStore
 from repro.kvcache.prefix_tree import RadixPrefixCache
-from repro.kvcache.tiers import ClusterPrefixStore, TieredPrefixStore, make_promotion_policy
+from repro.kvcache.tiers import ClusterPrefixStore, TieredPrefixStore, tier_config_from_dict
 from repro.obs.recorder import TraceRecorder
 from test_prefix_cache_oracle import ReferenceRadixCache, chain
 
 BLOCK = 4
 BLOCK_BYTES = 1024
 MULTIPLIERS = (1.0, 3.0, 1.7)
+#: The reference's lower-tier hit count at which each promotion policy
+#: promotes a block (``on-nth-hit`` at its default N).  A commit asks with a
+#: block's stored count, so ``always`` must be 0.
+PROMOTE_AT = {"always": 0, "on-nth-hit": 2, "never": math.inf}
 
 
 def transfer_time(link, multiplier: float, num_blocks: int) -> float:
@@ -197,13 +205,13 @@ class ReferenceTiers:
 
     def __init__(self, replica: str, key: int, l1: ReferenceRadixCache,
                  host: ReferenceHost | None, cluster: ReferenceCluster | None,
-                 policy, demote_on_evict: bool, obs: TraceRecorder) -> None:
+                 promote_at: float, demote_on_evict: bool, obs: TraceRecorder) -> None:
         self.replica, self.key = replica, key
         # A host that holds no whole block is no host tier.
         if host is not None and not host.capacity:
             host = None
         self.l1, self.host, self.cluster = l1, host, cluster
-        self.policy, self.demote_on_evict, self.obs = policy, demote_on_evict, obs
+        self.promote_at, self.demote_on_evict, self.obs = promote_at, demote_on_evict, obs
         self.hit_counts: dict[int, int] = {}
         self.obs_now = 0.0
         self.host_hits = self.cluster_hits = self.promoted = self.demoted = 0
@@ -266,7 +274,7 @@ class ReferenceTiers:
             if not self.in_host(content_hash) and self.in_cluster(content_hash):
                 self.cluster.fetch_block(self.replica, content_hash)
                 peer_reads += 1
-            if unbroken and self.policy.should_promote(content_hash, hits):
+            if unbroken and hits >= self.promote_at:
                 promote_run += 1
             else:
                 unbroken = False
@@ -312,8 +320,7 @@ class ReferenceTiers:
         stop = gpu_match
         for content_hash in hashes[gpu_match:]:
             if ((self.in_host(content_hash) or self.in_cluster(content_hash))
-                    and not self.policy.should_promote(
-                        content_hash, self.hit_counts.get(content_hash, 0))):
+                    and self.hit_counts.get(content_hash, 0) < self.promote_at):
                 break
             stop += 1
         resident = self.l1.insert(hashes[:stop], now)
@@ -502,7 +509,7 @@ def test_batched_cascade_matches_per_block_reference(
     watched = [{block for index, block in enumerate(blocks)
                 if (watch >> ((index + replica) % 8)) & 1} or {blocks[0]}
                for replica in range(2)]
-    policy = make_promotion_policy(promotion)
+    promote_at = tier_config_from_dict({"enabled": True, "promotion": promotion}).promote_at
     prod_obs, ref_obs = TraceRecorder(), TraceRecorder()
 
     cluster = ref_cluster = None
@@ -522,13 +529,13 @@ def test_batched_cascade_matches_per_block_reference(
             ref_cluster.records[name] = (watched[key], set())
         cache = RadixPrefixCache(BlockAllocator(l1_blocks, BLOCK))
         tiers = TieredPrefixStore(replica=name, block_size=BLOCK, block_bytes=BLOCK_BYTES,
-                                  host=host, cluster=cluster, policy=policy,
+                                  host=host, cluster=cluster, promote_at=promote_at,
                                   demote_on_evict=demote_on_evict)
         tiers.bind_gpu_cache(cache)
         tiers.obs, tiers.obs_key = prod_obs, key
         l1 = ReferenceRadixCache(l1_blocks)
-        reference = ReferenceTiers(name, key, l1, ref_host, ref_cluster, policy,
-                                   demote_on_evict, ref_obs)
+        reference = ReferenceTiers(name, key, l1, ref_host, ref_cluster,
+                                   PROMOTE_AT[promotion], demote_on_evict, ref_obs)
         replicas.append((cache, tiers, reference))
 
     now = 0.0

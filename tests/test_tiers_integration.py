@@ -20,6 +20,8 @@ from repro.kvcache import tier_config_from_dict
 from repro.simulation.arrival import PoissonArrivalProcess, UniformArrivalProcess
 from repro.simulation.scenario import load_scenario, run_scenario, scenario_from_dict
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.core import from_dict
+from repro.spec.models import AutoscaleSpec
 from repro.workloads.registry import get_workload
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
@@ -171,20 +173,18 @@ def test_scale_down_drains_prefixes_into_cluster_store(h100_setup, tiny_trace):
 
 
 def test_autoscaled_replica_joins_shared_cluster_store(h100_setup, tiny_trace):
-    from repro.cluster import ReactiveAutoscaler
-
-    autoscaler = ReactiveAutoscaler(
-        min_replicas=1, max_replicas=3,
-        scale_up_rps_per_replica=1.5,
-        window_seconds=2.0, cooldown_seconds=3.0,
-    )
+    autoscale = from_dict(AutoscaleSpec, {
+        "min_replicas": 1, "max_replicas": 3,
+        "scale_up_rps_per_replica": 1.5,
+        "window_seconds": 2.0, "cooldown_seconds": 3.0,
+    })
     config = tier_config_from_dict({"enabled": True, "tiers": {
         "host": {"capacity_gib": 2.0}, "cluster": {"capacity_gib": 8.0},
     }})
     fleet = Fleet.for_setup(
         prefillonly_engine_spec(), h100_setup,
         max_input_length=tiny_trace.max_request_tokens,
-        num_replicas=1, autoscaler=autoscaler, tier_config=config,
+        num_replicas=1, autoscale=autoscale, tier_config=config,
     )
     requests = UniformArrivalProcess(rate=4.0).assign(list(tiny_trace.requests))
     result = simulate_fleet(fleet, requests)
