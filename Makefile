@@ -15,10 +15,10 @@
 #   make mutants     - seeded KV (radix-tree runs, run splits and tail-first eviction,
 #                    prefix bisection, manager, block allocator), hash-run memo, SRJF
 #                    scheduler-heap, tier-feed, demotion-cascade, fetch staging-pass,
-#                    promotion-threshold, recorder-batch, queue-depth admission, hedge
-#                    and event-loop collector-pause mutants, each of which the mutant
-#                    tests must kill (scripts/mutants.py; one mutant:
-#                    python scripts/mutants.py --mutant NAME)
+#                    promotion-threshold, recorder-batch, queue-depth admission, hedge,
+#                    event-loop collector-pause, spec-construction and arrival_params
+#                    mutants, each of which the mutant tests must kill
+#                    (scripts/mutants.py; one mutant: python scripts/mutants.py --mutant NAME)
 #   make test-shard-identity - sharded-engine differential suite (byte-identity at shards=4)
 #   make obs-check   - validate observability exports + disabled-path seed fingerprints
 #   make test-resilience - resilience unit + identity suite (policies-off byte-identical)

@@ -22,11 +22,11 @@ from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
 from repro.faults import fault_schedule_from_dict
 from repro.hardware.cluster import get_hardware_setup
-from repro.kvcache import tier_config_from_dict
 from repro.simulation.arrival import MMPPArrivalProcess
 from repro.simulation.metrics import percentile
 from repro.simulation.routing import make_router
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.core import from_dict
 from repro.spec.models import KVTiersSpec
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
@@ -108,7 +108,7 @@ def post_recovery_p99(result) -> float:
 
 def _compute():
     cold = run_arm(None)
-    warm = run_arm(tier_config_from_dict({
+    warm = run_arm(from_dict(KVTiersSpec, {
         "enabled": True,
         "tiers": {"host": {"capacity_gib": 1.0}, "cluster": {"capacity_gib": 16.0}},
         "promotion": "on-nth-hit", "promotion_threshold": 2,

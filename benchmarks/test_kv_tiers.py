@@ -24,9 +24,9 @@ from conftest import PAPER_SCALE, show
 from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
 from repro.hardware.cluster import get_hardware_setup
-from repro.kvcache import tier_config_from_dict
 from repro.simulation.arrival import MMPPArrivalProcess
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.core import from_dict
 from repro.spec.models import KVTiersSpec
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
@@ -89,7 +89,7 @@ def run_arm(tier_config: KVTiersSpec | None):
 
 
 def _compute():
-    tier_config = tier_config_from_dict({
+    tier_config = from_dict(KVTiersSpec, {
         "enabled": True,
         "tiers": {"host": {"capacity_gib": 1.0}, "cluster": {"capacity_gib": 16.0}},
         "promotion": "on-nth-hit", "promotion_threshold": 2,

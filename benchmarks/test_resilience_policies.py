@@ -25,11 +25,12 @@ from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
 from repro.faults import fault_schedule_from_dict
 from repro.hardware.cluster import get_hardware_setup
-from repro.resilience import resilience_from_dict
 from repro.simulation.arrival import MMPPArrivalProcess
 from repro.simulation.metrics import percentile
 from repro.simulation.routing import make_router
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.core import from_dict
+from repro.spec.models import ResilienceSpec
 from repro.workloads.registry import get_workload
 
 NUM_REPLICAS = 3
@@ -87,7 +88,7 @@ def run_arm(policies: dict | None):
         max_input_length=trace.max_request_tokens,
         num_replicas=NUM_REPLICAS,
         router=make_router("least-loaded", NUM_REPLICAS),
-        policies=resilience_from_dict(policies) if policies else None,
+        policies=from_dict(ResilienceSpec, policies) if policies else None,
         name="policies" if policies else "naive-retry",
     )
     arrivals = MMPPArrivalProcess(

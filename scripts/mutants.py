@@ -12,8 +12,10 @@ numbers and block counters), the tier promotion threshold (its value for
 admission's bound, the hedge policy's sorted latency window, the
 percentile lerp the hedge delay shares with the latency summaries, the
 router's replica-set hook, the decoupled shard engine's pre-routing and
-replica names, the scenario runner's unsharded run of a kept fleet, and the
-event loop's pause of the cyclic garbage collector.  A mutant is one or more exact
+replica names, the scenario runner's unsharded run of a kept fleet, the
+event loop's pause of the cyclic garbage collector, a spec model's checks
+on construction (its field checks and its cross-field rules), and the
+scenario parser's check of a tenant's ``arrival_params``.  A mutant is one or more exact
 source-text replacements in a module under ``src/``.  For the unmutated tree
 and then for each mutant, the script copies ``src/``, ``tests/`` and the
 cookbook scenarios (``examples/scenarios/``, which the KV-invariant and
@@ -54,6 +56,7 @@ HASHES = "src/repro/workloads/trace.py"
 CLUSTER = "src/repro/kvcache/tiers/cluster_store.py"
 TIERS = "src/repro/kvcache/tiers/store.py"
 SPEC_MODELS = "src/repro/spec/models.py"
+SPEC_CORE = "src/repro/spec/core.py"
 ADMISSION = "src/repro/cluster/admission.py"
 RECORDER = "src/repro/obs/recorder.py"
 SCHEDULER = "src/repro/core/scheduler.py"
@@ -86,6 +89,7 @@ SHARD_IDENTITY = "tests/test_sharded_identity.py::test_decoupled_parallel_matche
 KEPT_FLEET = "tests/test_sharded_identity.py::test_a_kept_fleet_is_the_simulated_one"
 RUN_MEMO_TEST = "tests/test_block_hashes.py::test_a_run_is_keyed_by_its_parent_hash"
 ADMISSION_TEST = "tests/test_cluster_fleet.py::test_admission_sheds_at_the_bound_and_not_below"
+SPEC_CONSTRUCTION = "tests/test_spec_construction.py"
 
 #: The tests every mutant must fail.
 TESTS = (
@@ -109,6 +113,7 @@ TESTS = (
     RECORDER_TESTS,
     RUN_MEMO_TEST,
     ADMISSION_TEST,
+    SPEC_CONSTRUCTION,
 )
 
 
@@ -423,7 +428,7 @@ MUTANTS = (
     Mutant("promotion-compare-strict", TIERS, (
         ("            if run_unbroken and hits >= promote_at:\n",
          "            if run_unbroken and hits > promote_at:\n"),
-    ), kills=(TIER_TESTS, EXPORT_DIGESTS)),
+    ), kills=(CASCADE_ORACLE, TIER_TESTS)),
     # A commit inserts its whole chain into L1, past tier-resident blocks
     # that have not reached the promotion threshold.
     Mutant("commit-ignores-promote-at", TIERS, (
@@ -436,6 +441,24 @@ MUTANTS = (
         ("min(queue_depths) >= self.max_queue_depth",
          "min(queue_depths) > self.max_queue_depth"),
     ), kills=(ADMISSION_TEST,)),
+    # Building a spec model checks none of its fields.
+    Mutant("spec-init-skips-checks", SPEC_CORE, (
+        ("    for name, info in model_info.fields.items():\n"
+         "        value = getattr(instance, name)\n",
+         "    for name, info in {}.items():\n"
+         "        value = getattr(instance, name)\n"),
+    ), kills=(SPEC_CONSTRUCTION,)),
+    # Building a spec model never runs its cross-field rules.
+    Mutant("spec-init-skips-cross-field", SPEC_CORE, (
+        ('    validate = getattr(instance, "__spec_validate__", None)\n'
+         "    if validate is not None:\n"
+         "        validate(path)\n", ""),
+    ), kills=(SPEC_CONSTRUCTION,)),
+    # A tenant's arrival_params reach the arrival process unchecked.
+    Mutant("arrival-params-unchecked", SCENARIO, (
+        ("    _check_params(ARRIVAL_FACTORIES.get(model.arrival), model.arrival_params,\n"
+         '                  f"tenants[{index}].arrival_params")\n', ""),
+    ), kills=(SPEC_CONSTRUCTION,)),
 )
 
 

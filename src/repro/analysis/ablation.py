@@ -26,7 +26,7 @@ from repro.analysis.mil import max_input_length
 from repro.hardware.gpu import GPUSpec
 from repro.model.config import ModelConfig
 from repro.model.memory import MemoryModel, PrefillMode
-from repro.perf.runner import ParallelRunner, resolve_runner
+from repro.perf.runner import ParallelRunner
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def _ablation_variant_task(task: tuple) -> int:
 def mil_ablation(model: ModelConfig, gpu: GPUSpec, *,
                  vanilla_spec: EngineSpec, chunked_spec: EngineSpec,
                  chunk_tokens: int = 2048,
-                 runner: ParallelRunner | None = None,
-                 max_workers: int | None = None) -> list[MILAblationStep]:
+                 runner: ParallelRunner | None = None) -> list[MILAblationStep]:
     """Compute the Figure 10 bars for one model / GPU pair.
 
     The five bars are independent binary searches, so they fan across the
@@ -116,9 +115,9 @@ def mil_ablation(model: ModelConfig, gpu: GPUSpec, *,
         vanilla_spec: The vanilla vLLM (PagedAttention) spec.
         chunked_spec: The chunked prefill spec.
         chunk_tokens: Hybrid prefilling chunk size for the three hybrid stages.
-        runner / max_workers: Optional parallel fan-out.
+        runner: Optional parallel fan-out; None runs serially in-process.
     """
-    active = resolve_runner(runner, max_workers)
+    runner = runner or ParallelRunner(max_workers=1)
     tasks = [
         ("engine", model, gpu, vanilla_spec, chunk_tokens),
         ("engine", model, gpu, chunked_spec, chunk_tokens),
@@ -126,7 +125,7 @@ def mil_ablation(model: ModelConfig, gpu: GPUSpec, *,
         ("hybrid", model, gpu, 0, chunk_tokens),
         ("hybrid", model, gpu, -1, chunk_tokens),
     ]
-    vanilla, chunked, chunking_only, with_prealloc, with_inplace = active.map(
+    vanilla, chunked, chunking_only, with_prealloc, with_inplace = runner.map(
         _ablation_variant_task, tasks
     )
 

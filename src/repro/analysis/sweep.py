@@ -11,9 +11,8 @@ achieves when the whole trace arrives at once (§7.2), which
 Every sweep point is an independent simulation (its seed and offered rate are
 explicit), so :func:`qps_sweep`, :func:`compare_engines`, and
 :func:`throughput_comparison` accept a
-:class:`~repro.perf.runner.ParallelRunner` (or the ``max_workers``
-convenience) to fan the points across CPU cores; results are byte-identical
-to the default serial run.
+:class:`~repro.perf.runner.ParallelRunner` to fan the points across CPU
+cores; results are byte-identical to the default serial run.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from repro.core.engine import EngineSpec
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.cluster import HardwareSetup
-from repro.perf.runner import ParallelRunner, resolve_runner
+from repro.perf.runner import ParallelRunner
 from repro.simulation.arrival import BurstArrivalProcess, PoissonArrivalProcess
 from repro.simulation.server import ServingSystem
 from repro.simulation.simulator import SimulationResult, simulate
@@ -136,35 +135,33 @@ def _base_throughput_task(task: tuple) -> float:
 
 def qps_sweep(spec: EngineSpec, setup: HardwareSetup, trace: WorkloadTrace,
               qps_values: list[float], *, seed: int = 0,
-              runner: ParallelRunner | None = None,
-              max_workers: int | None = None) -> list[SweepPoint]:
+              runner: ParallelRunner | None = None) -> list[SweepPoint]:
     """Sweep one engine over the offered-QPS grid.
 
     Engines that cannot serve the workload at all (profile run fails) return an
     empty list, mirroring the missing curves in the paper's figures.
 
-    Pass ``runner`` (or ``max_workers``) to fan the points across processes;
-    the returned points are byte-identical to the serial default.
+    Pass ``runner`` to fan the points across processes; the returned points
+    are byte-identical to the serial in-process default.
     """
     try:
         _build_system(spec, setup, trace)
     except CapacityError:
         return []
-    active = resolve_runner(runner, max_workers)
+    runner = runner or ParallelRunner(max_workers=1)
     tasks = [(spec, setup, trace, qps, seed) for qps in qps_values]
-    return active.map(_sweep_point_task, tasks)
+    return runner.map(_sweep_point_task, tasks)
 
 
 def compare_engines(specs: list[EngineSpec], setup: HardwareSetup, trace: WorkloadTrace,
                     qps_values: list[float], *, seed: int = 0,
-                    runner: ParallelRunner | None = None,
-                    max_workers: int | None = None) -> dict[str, list[SweepPoint]]:
+                    runner: ParallelRunner | None = None) -> dict[str, list[SweepPoint]]:
     """Sweep several engines over the same grid; infeasible engines map to [].
 
     With a parallel runner the fan-out is per (engine, rate) pair — finer than
     per engine, so a slow engine's points do not serialise behind each other.
     """
-    active = resolve_runner(runner, max_workers)
+    runner = runner or ParallelRunner(max_workers=1)
     results: dict[str, list[SweepPoint]] = {spec.name: [] for spec in specs}
     feasible: list[EngineSpec] = []
     for spec in specs:
@@ -177,21 +174,20 @@ def compare_engines(specs: list[EngineSpec], setup: HardwareSetup, trace: Worklo
         (spec, setup, trace, qps, seed)
         for spec in feasible for qps in qps_values
     ]
-    for point in active.map(_sweep_point_task, tasks):
+    for point in runner.map(_sweep_point_task, tasks):
         results[point.engine].append(point)
     return results
 
 
 def throughput_comparison(specs: list[EngineSpec], setup: HardwareSetup, trace: WorkloadTrace, *,
                           seed: int = 0,
-                          runner: ParallelRunner | None = None,
-                          max_workers: int | None = None) -> dict[str, float]:
+                          runner: ParallelRunner | None = None) -> dict[str, float]:
     """Base throughput of each engine on one setup/workload (Figure 8 bars).
 
     Engines that cannot serve the workload report 0.  The engines are
     independent burst simulations, so they fan across the runner's workers.
     """
-    active = resolve_runner(runner, max_workers)
+    runner = runner or ParallelRunner(max_workers=1)
     tasks = [(spec, setup, trace, seed) for spec in specs]
-    values = active.map(_base_throughput_task, tasks)
+    values = runner.map(_base_throughput_task, tasks)
     return {spec.name: value for spec, value in zip(specs, values)}

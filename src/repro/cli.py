@@ -43,19 +43,18 @@ from repro.baselines.registry import ENGINE_ORDER, all_engine_specs, get_engine_
 from repro.cluster import Fleet
 from repro.errors import (
     ConfigurationError,
-    FaultScheduleError,
+    FaultError,
     ObsError,
     ReproError,
     ResilienceError,
     ScenarioSpecError,
 )
 from repro.faults import fault_schedule_from_dict
-from repro.resilience import resilience_from_dict
 from repro.hardware.cluster import get_hardware_setup, list_hardware_setups, HARDWARE_SETUPS
-from repro.kvcache.tiers import tier_config_from_dict
 from repro.model.config import MODEL_REGISTRY, get_model
 from repro.obs.logging import LOG_LEVELS, configure as configure_logging
 from repro.obs.logging import set_context as set_log_context
+from repro.perf.runner import ParallelRunner
 from repro.hardware.gpu import GPU_REGISTRY
 from repro.simulation.arrival import (
     ARRIVAL_FACTORIES,
@@ -72,7 +71,13 @@ from repro.simulation.scenario import (
 )
 from repro.simulation.simulator import simulate_fleet
 from repro.spec.core import check_overrides, from_dict
-from repro.spec.models import PROMOTION_POLICY_NAMES, AutoscaleSpec, ObservabilitySpec
+from repro.spec.models import (
+    PROMOTION_POLICY_NAMES,
+    AutoscaleSpec,
+    KVTiersSpec,
+    ObservabilitySpec,
+    ResilienceSpec,
+)
 from repro.workloads.registry import get_workload, list_workloads
 
 
@@ -148,43 +153,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_fault_schedule(path: str, *, default_replicas: int | None):
-    """Load a fault schedule from a JSON file for the ``fleet`` subcommand.
+def _load_block(path: str, key: str, error: type):
+    """Read one config block from a JSON file for the ``fleet`` subcommand.
 
-    Accepts either the bare ``"faults"`` block or a wrapping object with a
-    ``"faults"`` key (so a scenario config's block can be reused verbatim).
+    The file holds either the bare block or an object wrapping it under
+    ``key`` (so a scenario config's block can be reused verbatim).  A file
+    that is missing or not JSON raises ``error``.
     """
     file = Path(path)
     if not file.exists():
-        raise FaultScheduleError(f"fault schedule file not found: {path}")
+        raise error(f"{key} file not found: {path}")
     try:
         config = json.loads(file.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise FaultScheduleError(f"{path}: invalid JSON ({exc})") from None
-    if isinstance(config, dict) and "faults" in config:
-        config = config["faults"]
-    return fault_schedule_from_dict(config, default_replicas=default_replicas)
-
-
-def _load_resilience(path: str):
-    """Load resilience policies from a JSON file for the ``fleet`` subcommand.
-
-    Accepts either the bare ``"resilience"`` block or a wrapping object with
-    a ``"resilience"`` key (so a scenario config's block can be reused
-    verbatim).  An inert block (disabled, or no sub-policies) returns None —
-    byte-identical to not passing the flag.
-    """
-    file = Path(path)
-    if not file.exists():
-        raise ResilienceError(f"resilience config file not found: {path}")
-    try:
-        config = json.loads(file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ResilienceError(f"{path}: invalid JSON ({exc})") from None
-    if isinstance(config, dict) and "resilience" in config:
-        config = config["resilience"]
-    resilience = resilience_from_dict(config)
-    return resilience if resilience.active else None
+        raise error(f"{path}: invalid JSON ({exc})") from None
+    if isinstance(config, dict) and key in config:
+        config = config[key]
+    return config
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -212,13 +197,22 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.tiers:
         # Route the flags through the same spec-layer parser a scenario
         # config's "kv_tiers" block uses, so flag validation is identical.
-        tier_config = tier_config_from_dict({
+        tier_config = from_dict(KVTiersSpec, {
             "enabled": True,
             "tiers": {"host": {"capacity_gib": args.tier_host_gib},
                       "cluster": {"capacity_gib": args.tier_cluster_gib}},
             "promotion": args.tier_promotion,
             "prefetch": not args.no_tier_prefetch,
         })
+    policies = None
+    if args.resilience is not None:
+        policies = from_dict(
+            ResilienceSpec, _load_block(args.resilience, "resilience", ResilienceError)
+        )
+        # An inert block (disabled, or no sub-policies) is byte-identical to
+        # not passing the flag.
+        if not policies.active:
+            policies = None
     fleet = Fleet.for_setup(
         spec, setup,
         max_input_length=trace.max_request_tokens,
@@ -228,14 +222,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         autoscale=autoscale,
         name=f"{args.engine}x{args.replicas or 'auto'}",
         tier_config=tier_config,
-        policies=(
-            _load_resilience(args.resilience)
-            if args.resilience is not None else None
-        ),
+        policies=policies,
     )
     faults = None
     if args.faults is not None:
-        faults = _load_fault_schedule(args.faults, default_replicas=args.replicas)
+        faults = fault_schedule_from_dict(_load_block(args.faults, "faults", FaultError),
+                                          default_replicas=args.replicas)
     qps = args.qps if args.qps is not None else 8.0
     if args.arrival == "diurnal":
         arrivals = DiurnalArrivalProcess(mean_rate=qps, seed=args.seed)
@@ -277,7 +269,8 @@ def _cmd_scenario_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_suite(args: argparse.Namespace) -> int:
-    results = run_scenario_suite(args.dir, max_workers=args.workers)
+    runner = None if args.workers is None else ParallelRunner(max_workers=args.workers)
+    results = run_scenario_suite(args.dir, runner=runner)
     rows = []
     for result in results:
         summary = result.result.summary

@@ -129,6 +129,15 @@ class SpecVersionError(SpecError):
         )
 
 
+class WorkloadSpecError(SpecError, WorkloadError):
+    """A workload generator's or arrival process's parameters failed their
+    spec-field declaration.
+
+    Subclasses :class:`WorkloadError` as well, so existing ``except
+    WorkloadError`` handlers keep catching bad parameters.
+    """
+
+
 class ScenarioError(ReproError):
     """A scenario configuration is invalid, or a trace file is malformed."""
 

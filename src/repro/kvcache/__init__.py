@@ -10,7 +10,9 @@ reserve-for-execution, commit, discard suffix).
 :mod:`repro.kvcache.tiers` grows the offload store into a full hierarchy —
 GPU radix tree (L1) over host memory (L2) over a fleet-shared cluster store
 (L3) — with pluggable promotion/demotion policies, modelled transfer costs,
-and router-hint prefetch; see ``docs/KV_TIERS.md``.
+and router-hint prefetch; a ``"kv_tiers"`` block parses into its
+:class:`~repro.spec.models.KVTiersSpec` with
+``repro.spec.core.from_dict``.  See ``docs/KV_TIERS.md``.
 """
 
 from repro import lazy_exports
@@ -23,5 +25,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.kvcache.manager": ("KVCacheManager", "CacheStats"),
     "repro.kvcache.tiers.cluster_store": ("ClusterPrefixStore",),
     "repro.kvcache.tiers.store": ("TieredPrefixStore", "TierLookup", "TierStats"),
-    "repro.kvcache.tiers.config": ("tier_config_from_dict",),
 })

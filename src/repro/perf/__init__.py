@@ -15,5 +15,5 @@ lives outside the package, in ``perfbench/`` (see ``docs/PERFORMANCE.md``).
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.perf.runner": ("ParallelRunner", "derive_task_seeds", "resolve_runner"),
+    "repro.perf.runner": ("ParallelRunner", "derive_task_seeds"),
 })

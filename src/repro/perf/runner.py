@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ParallelRunner", "SERIAL_RUNNER", "resolve_runner", "derive_task_seeds"]
+__all__ = ["ParallelRunner", "derive_task_seeds"]
 
 
 def _pool_probe() -> bool:
@@ -118,28 +118,6 @@ class ParallelRunner:
                 return [fn(task) for task in tasks]
         self.last_mode = "parallel"
         return results
-
-
-#: Shared serial runner — the default for every wired-in entry point, so the
-#: single-process behaviour (and its results) stay exactly as before.
-SERIAL_RUNNER = ParallelRunner(max_workers=1)
-
-
-def resolve_runner(runner: ParallelRunner | None,
-                   max_workers: int | None) -> ParallelRunner:
-    """Resolve the ``runner`` / ``max_workers`` convenience pair of an API.
-
-    Passing an explicit ``runner`` wins; otherwise ``max_workers`` builds one
-    (``None`` keeps the serial default).  Passing both is a configuration
-    error — the caller's intent is ambiguous.
-    """
-    if runner is not None and max_workers is not None:
-        raise ConfigurationError("pass either runner or max_workers, not both")
-    if runner is not None:
-        return runner
-    if max_workers is None:
-        return SERIAL_RUNNER
-    return ParallelRunner(max_workers=max_workers)
 
 
 def derive_task_seeds(base_seed: int, num_tasks: int) -> list[int]:

@@ -3,8 +3,12 @@
 This package owns the client-side *reaction* to failure, complementing
 :mod:`repro.faults` (which owns the failures themselves).  A JSON
 ``"resilience"`` block parses into a :class:`~repro.spec.models.ResilienceSpec`
-(:func:`resilience_from_dict`), which the :class:`~repro.cluster.fleet.Fleet`
-hands to the :class:`PolicyRuntime` it drives:
+(``repro.spec.core.from_dict(ResilienceSpec, block)``), whose optional
+sub-specs the policy state machines in :mod:`repro.resilience.policy` read
+directly; the :class:`~repro.cluster.fleet.Fleet` hands it to the
+:class:`PolicyRuntime` it drives.  A block with no sub-policy, or with
+``enabled: false``, is inactive (``ResilienceSpec.active`` is false) and
+treated exactly like ``None``.  The policies:
 
 * **deadlines** — requests past ``arrival + timeout_s`` are cancelled in
   queue or mid-flight and accounted as ``deadline_missed``;
@@ -30,7 +34,6 @@ ordinary fleet loop).  See ``docs/RESILIENCE.md``.
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.resilience.config": ("resilience_from_dict",),
     "repro.resilience.policy": (
         "BreakerBank", "CircuitBreaker", "DegradeController", "HealthAwareRouter", "PolicyRuntime",
     ),

@@ -21,23 +21,28 @@ cluster layer can be exercised well beyond the paper's evaluation grid:
   the response time is modelled by a fixed per-request estimate, because
   arrival times are assigned before the simulation runs).
 
-Every process is a frozen dataclass with an explicit ``seed``, and
-:func:`make_arrival` builds any of them by registry name — the names the
-``scenario`` CLI subcommand and scenario config files use.  Two runs with the
-same process parameters and the same request list produce bit-identical
-arrival times, which is what makes recorded traces
-(:mod:`repro.workloads.tracefile`) replayable.
+Every process is a frozen dataclass with an explicit ``seed``, declared as a
+spec model (:mod:`repro.spec.core`): building one checks each parameter
+against its declared type and range, and the cross-field rules in its
+``__spec_validate__``, and the scenario engine checks a tenant's
+``arrival_params`` against the same declarations.  :func:`make_arrival`
+builds any of them by registry name — the names the ``scenario`` CLI
+subcommand and scenario config files use.  Two runs with the same process
+parameters and the same request list produce bit-identical arrival times,
+which is what makes recorded traces (:mod:`repro.workloads.tracefile`)
+replayable.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import UnknownNameError, WorkloadError
+from repro.errors import UnknownNameError, WorkloadError, WorkloadSpecError
+from repro.spec.core import spec_field, spec_model
 from repro.workloads.trace import Request
 
 __all__ = [
@@ -64,12 +69,36 @@ class ArrivalProcess(abc.ABC):
         arrival time (``requests`` itself is not modified)."""
 
 
-def _require_finite(process: ArrivalProcess) -> None:
-    """Reject NaN and infinite parameters, which pass every ``<=`` range check."""
-    for field in fields(process):
-        value = getattr(process, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise WorkloadError(f"{field.name} must be a finite number, got {value!r}")
+def _rate():
+    """A required arrival rate (queries per second), > 0.
+
+    Rates and times are stored as given, with no ``float`` conversion, so
+    every arrival time is bit-identical to one computed from the caller's
+    own values.
+    """
+    return spec_field(types=(int, float), minimum=0, exclusive_minimum=True)
+
+
+def _seconds(default: float, *, positive: bool = False):
+    """A time in seconds: non-negative, or > 0 when ``positive``."""
+    return spec_field(default=default, types=(int, float), minimum=0,
+                      exclusive_minimum=positive)
+
+
+def _seed():
+    return spec_field(default=0, types=int, minimum=0)
+
+
+def _flag(default: bool):
+    return spec_field(default=default, types=bool)
+
+
+def _must_exceed(process, name: str, other: str, path: str) -> None:
+    """Raise unless ``process.<name>`` exceeds ``process.<other>``."""
+    value, bound = getattr(process, name), getattr(process, other)
+    if value <= bound:
+        raise WorkloadSpecError(f"{name} ({value:g}) must exceed {other} ({bound:g})",
+                                path=f"{path}.{name}")
 
 
 def _sorted_copy(requests: list[Request], times: list[float],
@@ -86,6 +115,7 @@ def _sorted_copy(requests: list[Request], times: list[float],
     return sorted(timed, key=lambda r: (r.arrival_time, r.request_id))
 
 
+@spec_model(error=WorkloadSpecError, path="arrival_params")
 @dataclass(frozen=True)
 class PoissonArrivalProcess(ArrivalProcess):
     """Poisson arrivals at ``rate`` requests per second.
@@ -98,14 +128,9 @@ class PoissonArrivalProcess(ArrivalProcess):
             online service would see them.
     """
 
-    rate: float
-    seed: int = 0
-    shuffle: bool = True
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.rate <= 0:
-            raise WorkloadError("arrival rate must be positive")
+    rate: float = _rate()
+    seed: int = _seed()
+    shuffle: bool = _flag(True)
 
     def assign(self, requests: list[Request]) -> list[Request]:
         rng = np.random.default_rng(self.seed)
@@ -115,18 +140,14 @@ class PoissonArrivalProcess(ArrivalProcess):
         return _sorted_copy(requests, list(times), order)
 
 
+@spec_model(error=WorkloadSpecError, path="arrival_params")
 @dataclass(frozen=True)
 class BurstArrivalProcess(ArrivalProcess):
     """Every request arrives at the same instant (used to measure base throughput)."""
 
-    at_time: float = 0.0
-    seed: int = 0
-    shuffle: bool = True
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.at_time < 0:
-            raise WorkloadError("at_time must be non-negative")
+    at_time: float = _seconds(0.0)
+    seed: int = _seed()
+    shuffle: bool = _flag(True)
 
     def assign(self, requests: list[Request]) -> list[Request]:
         rng = np.random.default_rng(self.seed)
@@ -135,18 +156,14 @@ class BurstArrivalProcess(ArrivalProcess):
         return _sorted_copy(requests, times, order)
 
 
+@spec_model(error=WorkloadSpecError, path="arrival_params")
 @dataclass(frozen=True)
 class UniformArrivalProcess(ArrivalProcess):
     """Deterministic arrivals spaced exactly ``1 / rate`` seconds apart."""
 
-    rate: float
-    seed: int = 0
-    shuffle: bool = False
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.rate <= 0:
-            raise WorkloadError("arrival rate must be positive")
+    rate: float = _rate()
+    seed: int = _seed()
+    shuffle: bool = _flag(False)
 
     def assign(self, requests: list[Request]) -> list[Request]:
         rng = np.random.default_rng(self.seed)
@@ -156,6 +173,7 @@ class UniformArrivalProcess(ArrivalProcess):
         return _sorted_copy(requests, times, order)
 
 
+@spec_model(error=WorkloadSpecError, path="arrival_params")
 @dataclass(frozen=True)
 class MMPPArrivalProcess(ArrivalProcess):
     """Bursty arrivals: a two-state Markov-modulated Poisson process.
@@ -177,22 +195,16 @@ class MMPPArrivalProcess(ArrivalProcess):
         shuffle: Randomise the request order before assigning times.
     """
 
-    base_rate: float
-    burst_rate: float
-    mean_quiet_seconds: float = 30.0
-    mean_burst_seconds: float = 5.0
-    start_bursting: bool = False
-    seed: int = 0
-    shuffle: bool = True
+    base_rate: float = _rate()
+    burst_rate: float = _rate()
+    mean_quiet_seconds: float = _seconds(30.0, positive=True)
+    mean_burst_seconds: float = _seconds(5.0, positive=True)
+    start_bursting: bool = _flag(False)
+    seed: int = _seed()
+    shuffle: bool = _flag(True)
 
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.base_rate <= 0 or self.burst_rate <= 0:
-            raise WorkloadError("arrival rate must be positive")
-        if self.burst_rate <= self.base_rate:
-            raise WorkloadError("burst_rate must exceed base_rate")
-        if self.mean_quiet_seconds <= 0 or self.mean_burst_seconds <= 0:
-            raise WorkloadError("state dwell times must be positive")
+    def __spec_validate__(self, path: str) -> None:
+        _must_exceed(self, "burst_rate", "base_rate", path)
 
     def assign(self, requests: list[Request]) -> list[Request]:
         rng = np.random.default_rng(self.seed)
@@ -220,6 +232,7 @@ class MMPPArrivalProcess(ArrivalProcess):
         return _sorted_copy(requests, times, order)
 
 
+@spec_model(error=WorkloadSpecError, path="arrival_params")
 @dataclass(frozen=True)
 class DiurnalArrivalProcess(ArrivalProcess):
     """Sinusoidal day/night arrivals via Lewis-Shedler thinning.
@@ -238,21 +251,18 @@ class DiurnalArrivalProcess(ArrivalProcess):
         shuffle: Randomise the request order before assigning times.
     """
 
-    mean_rate: float
-    period_seconds: float = 600.0
-    amplitude: float = 0.8
-    phase: float = 0.0
-    seed: int = 0
-    shuffle: bool = True
+    mean_rate: float = _rate()
+    period_seconds: float = _seconds(600.0, positive=True)
+    amplitude: float = spec_field(default=0.8, types=(int, float), minimum=0)
+    phase: float = spec_field(default=0.0, types=(int, float))
+    seed: int = _seed()
+    shuffle: bool = _flag(True)
 
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.mean_rate <= 0:
-            raise WorkloadError("arrival rate must be positive")
-        if not 0 <= self.amplitude < 1:
-            raise WorkloadError("amplitude must be in [0, 1)")
-        if self.period_seconds <= 0:
-            raise WorkloadError("period_seconds must be positive")
+    def __spec_validate__(self, path: str) -> None:
+        # An exclusive maximum: at 1 the trough rate is 0.
+        if self.amplitude >= 1:
+            raise WorkloadSpecError(f"amplitude must be below 1, got {self.amplitude:g}",
+                                    path=f"{path}.amplitude")
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate at simulated time ``t``."""
@@ -273,6 +283,7 @@ class DiurnalArrivalProcess(ArrivalProcess):
         return _sorted_copy(requests, times, order)
 
 
+@spec_model(error=WorkloadSpecError, path="arrival_params")
 @dataclass(frozen=True)
 class FlashCrowdArrivalProcess(ArrivalProcess):
     """Baseline Poisson traffic with one or more flash-crowd spikes.
@@ -293,26 +304,18 @@ class FlashCrowdArrivalProcess(ArrivalProcess):
         shuffle: Randomise the request order before assigning times.
     """
 
-    base_rate: float
-    spike_rate: float
-    first_spike_at: float = 30.0
-    spike_seconds: float = 10.0
-    spike_interval_seconds: float = 0.0
-    seed: int = 0
-    shuffle: bool = True
+    base_rate: float = _rate()
+    spike_rate: float = _rate()
+    first_spike_at: float = _seconds(30.0)
+    spike_seconds: float = _seconds(10.0, positive=True)
+    spike_interval_seconds: float = _seconds(0.0)
+    seed: int = _seed()
+    shuffle: bool = _flag(True)
 
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.base_rate <= 0 or self.spike_rate <= 0:
-            raise WorkloadError("arrival rate must be positive")
-        if self.spike_rate <= self.base_rate:
-            raise WorkloadError("spike_rate must exceed base_rate")
-        if self.spike_seconds <= 0:
-            raise WorkloadError("spike_seconds must be positive")
-        if self.first_spike_at < 0:
-            raise WorkloadError("first_spike_at must be non-negative")
-        if 0 < self.spike_interval_seconds <= self.spike_seconds:
-            raise WorkloadError("spike_interval_seconds must exceed spike_seconds")
+    def __spec_validate__(self, path: str) -> None:
+        _must_exceed(self, "spike_rate", "base_rate", path)
+        if self.spike_interval_seconds > 0:
+            _must_exceed(self, "spike_interval_seconds", "spike_seconds", path)
 
     def _in_spike(self, t: float) -> bool:
         if t < self.first_spike_at:
@@ -355,6 +358,7 @@ class FlashCrowdArrivalProcess(ArrivalProcess):
         return _sorted_copy(requests, times, order)
 
 
+@spec_model(error=WorkloadSpecError, path="arrival_params")
 @dataclass(frozen=True)
 class ClosedLoopArrivalProcess(ArrivalProcess):
     """N closed-loop clients, each pausing a think time between requests.
@@ -379,20 +383,11 @@ class ClosedLoopArrivalProcess(ArrivalProcess):
         shuffle: Randomise which requests each client gets.
     """
 
-    num_clients: int
-    mean_think_seconds: float = 1.0
-    service_estimate_seconds: float = 0.5
-    seed: int = 0
-    shuffle: bool = True
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.num_clients <= 0:
-            raise WorkloadError("num_clients must be positive")
-        if self.mean_think_seconds <= 0:
-            raise WorkloadError("mean_think_seconds must be positive")
-        if self.service_estimate_seconds < 0:
-            raise WorkloadError("service_estimate_seconds must be non-negative")
+    num_clients: int = spec_field(types=int, minimum=1)
+    mean_think_seconds: float = _seconds(1.0, positive=True)
+    service_estimate_seconds: float = _seconds(0.5)
+    seed: int = _seed()
+    shuffle: bool = _flag(True)
 
     def assign(self, requests: list[Request]) -> list[Request]:
         rng = np.random.default_rng(self.seed)
@@ -433,8 +428,9 @@ def make_arrival(name: str, **params) -> ArrivalProcess:
 
     Raises:
         UnknownNameError: if ``name`` is not registered.
-        WorkloadError: if ``params`` are invalid for the process, or name an
-            unknown field.
+        WorkloadError: if ``params`` name an unknown field, or (as
+            :class:`~repro.errors.WorkloadSpecError`, at ``arrival_params``)
+            fail the process's declaration.
     """
     try:
         factory = ARRIVAL_FACTORIES[name]

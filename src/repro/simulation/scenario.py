@@ -59,7 +59,7 @@ exact same metrics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.baselines.registry import get_engine_spec
@@ -69,9 +69,9 @@ from repro.faults import FaultSchedule, fault_schedule_from_model
 from repro.hardware.cluster import get_hardware_setup
 from repro.obs.logging import get_logger, set_context
 from repro.obs.recorder import TraceRecorder
-from repro.perf.runner import ParallelRunner, resolve_runner
-from repro.simulation.arrival import make_arrival
-from repro.spec.core import check_overrides, from_dict, spec_fields
+from repro.perf.runner import ParallelRunner
+from repro.simulation.arrival import ARRIVAL_FACTORIES, make_arrival
+from repro.spec.core import check_overrides, from_dict, is_spec_model
 from repro.spec.models import (
     AutoscaleSpec,
     KVTiersSpec,
@@ -141,22 +141,21 @@ class ScenarioSpec:
     #: config that omits the block entirely.
     resilience: ResilienceSpec | None = None
 
-    def __post_init__(self) -> None:
-        if not self.tenants:
-            raise ScenarioError(f"scenario {self.name!r} has no tenants")
-        if self.replicas is not None and self.replicas < 1:
-            raise ScenarioError(f"scenario {self.name!r}: replicas must be >= 1")
-        if self.shards < 1:
-            raise ScenarioError(f"scenario {self.name!r}: shards must be >= 1")
+
+def _check_params(factory, params: dict, path: str) -> None:
+    """Check a tenant's generator or arrival parameters against the
+    factory's declaration when it is a spec model (a registered workload may
+    be any callable)."""
+    if is_spec_model(factory):
+        check_overrides(factory, params, path=path, error=ScenarioSpecError)
 
 
 def _tenant_from_model(model: TenantModel, *, index: int,
                        scenario_seed: int) -> TenantSpec:
-    factory = WORKLOAD_FACTORIES.get(model.workload)
-    if is_dataclass(factory) and spec_fields(factory):
-        check_overrides(factory, model.workload_params,
-                        path=f"tenants[{index}].workload_params",
-                        error=ScenarioSpecError)
+    _check_params(WORKLOAD_FACTORIES.get(model.workload), model.workload_params,
+                  f"tenants[{index}].workload_params")
+    _check_params(ARRIVAL_FACTORIES.get(model.arrival), model.arrival_params,
+                  f"tenants[{index}].arrival_params")
     workload_params = dict(model.workload_params)
     workload_params.setdefault("seed", scenario_seed)
     arrival_params = dict(model.arrival_params)
@@ -184,7 +183,10 @@ def scenario_from_dict(config: dict) -> ScenarioSpec:
     Raises:
         ScenarioError: on unknown or missing keys (typos fail loudly rather
             than silently falling back to defaults).  Spec-layer failures are
-            :class:`~repro.errors.ScenarioSpecError`, a subclass.
+            :class:`~repro.errors.ScenarioSpecError`, a subclass, including
+            each bad ``workload_params`` or ``arrival_params`` value.
+        WorkloadSpecError: when a tenant's arrival parameters break a
+            cross-field rule of their process (``burst_rate > base_rate``).
     """
     return scenario_from_model(from_dict(ScenarioModel, config))
 
@@ -465,17 +467,16 @@ def _suite_task(path: str) -> ScenarioResult:
 
 
 def run_scenario_suite(scenarios: str | Path | list[str | Path], *,
-                       runner: ParallelRunner | None = None,
-                       max_workers: int | None = None) -> list[ScenarioResult]:
+                       runner: ParallelRunner | None = None) -> list[ScenarioResult]:
     """Run a whole suite of scenario configs, optionally across processes.
 
     Args:
         scenarios: A directory of ``*.json`` configs (run in sorted order) or
             an explicit list of config paths (run in the given order).
-        runner / max_workers: Optional parallel fan-out — each scenario is an
-            independent simulation, and each worker re-derives the request
-            stream from the config's explicit seeds, so parallel results are
-            byte-identical to a serial run.
+        runner: Optional parallel fan-out (None runs serially in-process) —
+            each scenario is an independent simulation, and each worker
+            re-derives the request stream from the config's explicit seeds,
+            so parallel results are byte-identical to a serial run.
 
     Returns:
         One :class:`ScenarioResult` per config, in config order.
@@ -486,8 +487,8 @@ def run_scenario_suite(scenarios: str | Path | list[str | Path], *,
         paths = [Path(path) for path in scenarios]
         if not paths:
             raise ScenarioError("run_scenario_suite needs at least one scenario")
-    active = resolve_runner(runner, max_workers)
-    return active.map(_suite_task, [str(path) for path in paths])
+    runner = runner or ParallelRunner(max_workers=1)
+    return runner.map(_suite_task, [str(path) for path in paths])
 
 
 def replay_scenario(spec: ScenarioSpec, trace_path: str | Path) -> ScenarioResult:

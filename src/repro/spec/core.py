@@ -7,10 +7,16 @@ built with :func:`spec_field` (type, default, range, choices, docs) and whose
 class is decorated with :func:`spec_model` (error class, base JSON path,
 supported versions) — and everything else derives from the declaration:
 
-* :func:`from_dict` — parse a decoded JSON object into the model, rejecting
-  unknown keys, missing required keys, type mismatches (``bool`` is never an
-  ``int``), out-of-range values, and bad choices, every failure carrying the
-  dotted JSON path of the offending value;
+* construction — building an instance checks every declared field (type,
+  finiteness, range, choices, conversion, the field's own ``check`` hook, the
+  model of a nested block) and then the model's cross-field
+  ``__spec_validate__(path)`` hook, so a model built by hand is held to the
+  same declaration as a parsed one;
+* :func:`from_dict` — parse a decoded JSON object into the model: reject a
+  non-object, unknown keys, missing required keys and unsupported versions,
+  recurse into nested blocks, then construct the instance.  Every failure,
+  the construction checks included, carries the dotted JSON path of the
+  offending value (``bool`` is never an ``int``);
 * :func:`to_dict` — emit the *normalized* config dict (defaults filled,
   numbers coerced, keys in declaration order), the round-trip inverse that
   ``to_dict(from_dict(x)) == normalize(x)`` pins;
@@ -37,6 +43,7 @@ queue, ``repro.simulation.scenario`` the tenants' arrival processes).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Any, Callable
 
@@ -79,7 +86,7 @@ class FieldInfo:
             makes the lower bound strict).
         choices: Closed set of allowed values.
         convert: Post-validation coercion (e.g. ``float``) applied both when
-            parsing and when normalizing.
+            an instance is built and when normalizing.
         check: Extra validator ``check(value, path)`` that raises on bad
             values — the hook for field-specific error classes and messages.
         model: Nested spec-model class (the value is a JSON object).
@@ -173,7 +180,7 @@ def spec_field(*, default: Any = MISSING, types: Any = None, doc: str = "",
     )
     kwargs: dict = {"metadata": {_METADATA_KEY: info}}
     if default is MISSING:
-        kwargs["default"] = None  # dataclass default; parsing enforces presence
+        kwargs["default"] = None  # dataclass default; construction rejects it
     elif isinstance(default, (dict, list)):
         kwargs["default_factory"] = (dict if isinstance(default, dict) else list)
     else:
@@ -189,27 +196,44 @@ class ModelInfo:
     path: str
     versions: tuple[int, ...]
     title: str
+    #: Config key -> :class:`FieldInfo`, declaration order.
+    fields: dict
+    #: The dataclass-generated ``__init__``, before construction checks.
+    init: Callable
 
 
 def spec_model(*, error: type = SpecError, path: str = "",
                versions: tuple[int, ...] = (1,), title: str = ""):
     """Class decorator registering a frozen dataclass as a spec model.
 
+    Apply it above ``@dataclass``.  The class's ``__init__`` then checks the
+    built instance against its declaration (see :func:`_validate`), so every
+    instance of a spec model is a valid one.
+
     Args:
         error: Exception class raised for every validation failure of this
             model; must accept ``(message, *, path=...)``.
-        path: Default dotted JSON path of the model when parsed as a document
-            root (nested parses pass their own).
+        path: Dotted JSON path of the model when built by hand or parsed as
+            a document root (nested parses pass their own).
         versions: Config format versions this build understands.
         title: Section heading for the generated docs table (defaults to the
             class name).
     """
 
     def wrap(cls: type) -> type:
-        cls.__spec__ = ModelInfo(
+        init = cls.__init__
+        info = ModelInfo(
             error=error, path=path, versions=tuple(versions),
-            title=title or cls.__name__,
+            title=title or cls.__name__, fields=spec_fields(cls), init=init,
         )
+        cls.__spec__ = info
+
+        @functools.wraps(init)
+        def __init__(self, *args, **kwargs) -> None:
+            init(self, *args, **kwargs)
+            _validate(self, info.path)
+
+        cls.__init__ = __init__
         return cls
 
     return wrap
@@ -280,6 +304,46 @@ def _check_value(name: str, value, info: FieldInfo, *, path: str, error: type):
     return value
 
 
+def _validate(instance, path: str) -> None:
+    """Check a just-built spec model against its declaration, at ``path``.
+
+    Each declared field is checked like a parsed value (type, finiteness,
+    range, choices, the ``check`` hook) and stored converted; a nested block
+    must hold an instance of its declared model, and an array field the
+    tuple its item parser built.  An optional field left at ``None`` is
+    omitted.  The model's ``__spec_validate__(path)`` hook then checks the
+    cross-field rules.
+    """
+    model_info: ModelInfo = type(instance).__spec__
+    error = model_info.error
+    for name, info in model_info.fields.items():
+        value = getattr(instance, name)
+        if value is None and info.default is None:
+            continue
+        if info.model is not None:
+            parsed = isinstance(value, info.model)
+        elif info.key_models is not None:
+            parsed = isinstance(value, dict) and all(
+                isinstance(entry, info.key_models.get(key, ()))
+                for key, entry in value.items()
+            )
+        elif info.item_parser is not None:
+            parsed = isinstance(value, tuple)
+        else:
+            checked = _check_value(name, value, info, path=path, error=error)
+            if checked is not value:
+                object.__setattr__(instance, name, checked)
+            continue
+        if not parsed:
+            raise error(
+                f"{name} must hold its parsed {info.type_name()}, got {value!r}",
+                path=f"{path}.{name}" if path else name,
+            )
+    validate = getattr(instance, "__spec_validate__", None)
+    if validate is not None:
+        validate(path)
+
+
 def _article(type_name: str) -> str:
     return ("an " if type_name[:1] in "aio" else "a ") + type_name
 
@@ -304,11 +368,15 @@ def _check_version(cls, data: dict, *, path: str, error: type):
 def from_dict(cls, data, *, path: str | None = None):
     """Parse a decoded JSON object into an instance of spec model ``cls``.
 
+    The parse is structural: the value must be a JSON object with no unknown
+    and no missing required keys and a supported ``"version"``; nested
+    blocks and arrays are parsed recursively; keys left out take their
+    declared defaults.  Constructing the instance then checks every value
+    and the cross-field rules at ``path`` (see :func:`spec_model`).
+
     Raises the model's declared error class (a :class:`~repro.errors.SpecError`
-    subclass) on any shape problem, always carrying the dotted JSON path, and
+    subclass) on any problem, always carrying the dotted JSON path, and
     :class:`~repro.errors.SpecVersionError` on an unsupported ``"version"``.
-    After construction, the model's optional ``__spec_validate__(path)`` hook
-    runs for cross-field checks.
     """
     model_info: ModelInfo = cls.__spec__
     error = model_info.error
@@ -318,7 +386,7 @@ def from_dict(cls, data, *, path: str | None = None):
         raise error(
             f"expected a JSON object, got {type(data).__name__}", path=path
         )
-    infos = spec_fields(cls)
+    infos = model_info.fields
     unknown = set(data) - set(infos) - {VERSION_KEY}
     if unknown:
         raise error(f"unknown keys {sorted(unknown)}", path=path)
@@ -332,32 +400,24 @@ def from_dict(cls, data, *, path: str | None = None):
         if name not in data:
             if info.required:
                 raise error(f"missing required key {name!r}", path=path)
-            kwargs[name] = _default_value(info)
             continue
         value = data[name]
         child_path = f"{path}.{name}" if path else name
-        if info.model is not None:
-            if value is None:
-                kwargs[name] = None
-                continue
-            kwargs[name] = from_dict(info.model, value, path=child_path)
+        if info.model is not None and value is not None:
+            value = from_dict(info.model, value, path=child_path)
         elif info.key_models is not None:
-            kwargs[name] = _parse_key_models(
-                name, value, info, path=child_path, error=error
-            )
+            value = _parse_key_models(name, value, info, path=child_path, error=error)
         elif info.item_parser is not None:
             if not isinstance(value, list):
                 raise error(f"{name} must be a JSON array", path=child_path)
-            kwargs[name] = tuple(
+            value = tuple(
                 info.item_parser(entry, f"{child_path}[{index}]")
                 for index, entry in enumerate(value)
             )
-        else:
-            kwargs[name] = _check_value(name, value, info, path=path, error=error)
-    instance = cls(**kwargs)
-    validate = getattr(instance, "__spec_validate__", None)
-    if validate is not None:
-        validate(path)
+        kwargs[name] = value
+    instance = cls.__new__(cls)
+    model_info.init(instance, **kwargs)
+    _validate(instance, path)
     return instance
 
 
@@ -378,17 +438,6 @@ def check_overrides(cls, data: dict, *, path: str, error: type) -> None:
                 path=f"{path}.{name}",
             )
         _check_value(name, value, info, path=path, error=error)
-
-
-def _default_value(info: FieldInfo):
-    default = info.default
-    if isinstance(default, dict):
-        return dict(default)
-    if isinstance(default, list):
-        return list(default)
-    if info.item_parser is not None and default == ():
-        return ()
-    return default
 
 
 def _parse_key_models(name: str, value, info: FieldInfo, *, path: str,
@@ -463,18 +512,17 @@ def normalize(cls, data, *, path: str | None = None) -> dict:
             result[name] = version
             continue
         if name not in data:
-            default = _default_value(info)
-            if default is None:
-                continue
-            if info.item_parser is not None and default == ():
-                result[name] = []
-            else:
-                result[name] = default
+            if info.item_parser is not None:
+                result[name] = list(info.default)
+            elif isinstance(info.default, dict):
+                result[name] = dict(info.default)
+            elif info.default is not None:
+                result[name] = info.default
             continue
         value = data[name]
+        if value is None and info.default is None:
+            continue
         if info.model is not None:
-            if value is None:
-                continue
             result[name] = normalize(info.model, value, path=child_path)
         elif info.key_models is not None:
             if not isinstance(value, dict):

@@ -3,9 +3,10 @@
 Typed models of the JSON shapes the system parses — scenario documents,
 ``"kv_tiers"``, ``"faults"``, ``"observability"`` and ``"resilience"``
 blocks, tenants, autoscale policies, alert rules, and fault events —
-declared once with :func:`repro.spec.core.spec_field` and consumed three
-ways: parsing (:func:`repro.spec.core.from_dict`), normalization / docs
-generation, and hypothesis fuzzing (:mod:`repro.spec.fuzz`).
+declared once with :func:`repro.spec.core.spec_field` and consumed four
+ways: construction checks (every instance, parsed or built by hand, holds
+valid values), parsing (:func:`repro.spec.core.from_dict`), normalization /
+docs generation, and hypothesis fuzzing (:mod:`repro.spec.fuzz`).
 
 Where a block's JSON shape is its runtime shape, the model *is* the runtime
 config: fleets, replicas, tier stores, recorders, alert evaluation and the
@@ -372,6 +373,20 @@ _EVENT_MODELS = {
 }
 
 
+def _event_model(entry, path: str) -> type:
+    """The event model an ``events[]`` entry's ``kind`` names."""
+    if not isinstance(entry, dict):
+        raise FaultScheduleError(
+            f"expected a JSON object, got {type(entry).__name__}", path=path
+        )
+    kind = entry.get("kind")
+    # A list or object kind is unhashable, so it cannot be looked up.
+    model = _EVENT_MODELS.get(kind) if isinstance(kind, str) else None
+    if model is None:
+        raise UnknownFaultError(str(kind), FAULT_KINDS, path=f"{path}.kind")
+    return model
+
+
 def parse_fault_event(entry, path: str):
     """Parse one polymorphic ``events[]`` entry by its ``kind`` discriminator.
 
@@ -380,28 +395,12 @@ def parse_fault_event(entry, path: str):
             message lists the valid kinds and the JSON path of the typo).
         FaultScheduleError: on any other malformed key or value.
     """
-    if not isinstance(entry, dict):
-        raise FaultScheduleError(
-            f"expected a JSON object, got {type(entry).__name__}", path=path
-        )
-    kind = entry.get("kind")
-    model = _EVENT_MODELS.get(kind)
-    if model is None:
-        raise UnknownFaultError(str(kind), FAULT_KINDS, path=f"{path}.kind")
-    return from_dict(model, entry, path=path)
+    return from_dict(_event_model(entry, path), entry, path=path)
 
 
 def normalize_fault_event(entry, path: str) -> dict:
     """The :func:`repro.spec.core.normalize` counterpart of the event union."""
-    if not isinstance(entry, dict):
-        raise FaultScheduleError(
-            f"expected a JSON object, got {type(entry).__name__}", path=path
-        )
-    kind = entry.get("kind")
-    model = _EVENT_MODELS.get(kind)
-    if model is None:
-        raise UnknownFaultError(str(kind), FAULT_KINDS, path=f"{path}.kind")
-    return normalize(model, entry, path=path)
+    return normalize(_event_model(entry, path), entry, path=path)
 
 
 @spec_model(error=FaultScheduleError, path="faults.generate",
@@ -504,9 +503,12 @@ class AutoscaleSpec:
 
 
 def _parse_latency_bucket(entry, path: str) -> float:
-    if isinstance(entry, bool) or not isinstance(entry, (int, float)) or entry <= 0:
+    # NaN passes ``entry <= 0`` and the strictly-increasing check, and
+    # infinity is no bucket edge.
+    if (isinstance(entry, bool) or not isinstance(entry, (int, float))
+            or not math.isfinite(entry) or entry <= 0):
         raise ScenarioSpecError(
-            f"latency bucket edges must be positive numbers, got {entry!r}",
+            f"latency bucket edges must be positive finite numbers, got {entry!r}",
             path=path,
         )
     return float(entry)
@@ -993,13 +995,16 @@ class ScenarioModel:
     )
 
     def __spec_validate__(self, path: str) -> None:
+        prefix = f"{path}." if path else ""
+        if not self.tenants:
+            raise ScenarioSpecError(f"scenario {self.name!r} has no tenants",
+                                    path=f"{prefix}tenants")
         # A misspelt low-priority tenant would otherwise never match a request
         # and silently disable shedding.
         degrade = self.resilience.degrade if self.resilience is not None else None
         if degrade is None:
             return
         names = sorted(tenant.name for tenant in self.tenants)
-        prefix = f"{path}." if path else ""
         for index, name in enumerate(degrade.low_priority_tenants):
             if name not in names:
                 raise ScenarioSpecError(

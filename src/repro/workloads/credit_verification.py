@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import WorkloadError
-from repro.spec.core import spec_field
+from repro.errors import WorkloadSpecError
+from repro.spec.core import spec_field, spec_model
 from repro.workloads.trace import Request, TokenSegment, TokenSequence, WorkloadTrace
 
 _SYSTEM_PROMPT_ID = 2
@@ -22,13 +22,15 @@ _HISTORY_BASE = 20_000_000
 _QUESTION_BASE = 30_000_000
 
 
+@spec_model(error=WorkloadSpecError, path="workload_params")
 @dataclass(frozen=True)
 class CreditVerificationWorkload:
     """Generator for the credit verification trace.
 
     Attributes mirror the paper's dataset parameters: 60 users, one request per
     user, ten months of history at 4,000-6,000 tokens per month.  Their
-    declared types and minimums check a scenario's ``workload_params``.
+    declared types and minimums check the generator when it is built and a
+    scenario's ``workload_params`` when it is parsed.
     """
 
     num_users: int = spec_field(default=60, types=int, minimum=1)
@@ -41,11 +43,13 @@ class CreditVerificationWorkload:
 
     name = "credit-verification"
 
-    def __post_init__(self) -> None:
-        if self.num_users <= 0 or self.months_of_history <= 0:
-            raise WorkloadError("credit verification needs at least one user and one month")
+    def __spec_validate__(self, path: str) -> None:
         if self.month_min_tokens > self.month_max_tokens:
-            raise WorkloadError("month_min_tokens must not exceed month_max_tokens")
+            raise WorkloadSpecError(
+                f"month_min_tokens ({self.month_min_tokens}) must not exceed "
+                f"month_max_tokens ({self.month_max_tokens})",
+                path=f"{path}.month_min_tokens",
+            )
 
     def history_length(self, rng: np.random.Generator) -> int:
         """Draw one user's total credit-history length in tokens."""

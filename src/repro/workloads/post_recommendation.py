@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import WorkloadError
-from repro.spec.core import spec_field
+from repro.errors import WorkloadSpecError
+from repro.spec.core import spec_field, spec_model
 from repro.workloads.trace import Request, TokenSegment, TokenSequence, WorkloadTrace
 
 #: Content-id namespaces keep segment ids from different roles disjoint.
@@ -33,13 +33,15 @@ _POST_BASE = 1_000_000
 _QUESTION_BASE = 5_000_000
 
 
+@spec_model(error=WorkloadSpecError, path="workload_params")
 @dataclass(frozen=True)
 class PostRecommendationWorkload:
     """Generator for the post recommendation trace.
 
     Attributes mirror the paper's dataset parameters; shrink ``num_users`` or
     ``posts_per_user`` for fast tests.  Their declared types and minimums
-    check a scenario's ``workload_params``.
+    check the generator when it is built and a scenario's ``workload_params``
+    when it is parsed.
     """
 
     num_users: int = spec_field(default=20, types=int, minimum=1)
@@ -55,11 +57,13 @@ class PostRecommendationWorkload:
 
     name = "post-recommendation"
 
-    def __post_init__(self) -> None:
-        if self.num_users <= 0 or self.posts_per_user <= 0:
-            raise WorkloadError("post recommendation needs at least one user and one post")
+    def __spec_validate__(self, path: str) -> None:
         if self.profile_min_tokens > self.profile_max_tokens:
-            raise WorkloadError("profile_min_tokens must not exceed profile_max_tokens")
+            raise WorkloadSpecError(
+                f"profile_min_tokens ({self.profile_min_tokens}) must not exceed "
+                f"profile_max_tokens ({self.profile_max_tokens})",
+                path=f"{path}.profile_min_tokens",
+            )
 
     def profile_length(self, rng: np.random.Generator) -> int:
         """Draw one user-profile length from the paper's distribution."""

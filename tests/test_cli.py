@@ -131,7 +131,7 @@ def test_nan_qps_exits_2_naming_the_rate(command, capsys):
     ])
     err = capsys.readouterr().err
     assert code == 2
-    assert "prefillonly: error: rate must be a finite number, got nan" in err
+    assert "prefillonly: error: arrival_params.rate: rate must be a finite number, got nan" in err
 
 
 @pytest.mark.parametrize("replicas", ["0", "-2"])
@@ -216,6 +216,28 @@ def test_scenario_run_bad_workload_params_exit_2_at_their_path(tmp_path, capsys,
         f'"post-recommendation", "workload_params": {params}, '
         '"arrival": "poisson", "arrival_params": {"rate": 2.0}}]}'
     )
+    code = main(["scenario", "run", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"prefillonly: error: {path}:" in err
+
+
+@pytest.mark.parametrize("arrival, params, path", [
+    ("poisson", {"rate": 2.0, "seed": -3}, "tenants[0].arrival_params.seed"),
+    ("closed-loop", {"num_clients": 2.5}, "tenants[0].arrival_params.num_clients"),
+], ids=["negative-seed", "fractional-clients"])
+def test_scenario_run_bad_arrival_params_exit_2_at_their_path(tmp_path, capsys,
+                                                               arrival, params, path):
+    """Both reached numpy or list arithmetic unchecked and ended in a traceback."""
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "name": "bad",
+        "tenants": [{
+            "name": "t", "workload": "post-recommendation",
+            "workload_params": {"num_users": 2, "posts_per_user": 2},
+            "arrival": arrival, "arrival_params": params,
+        }],
+    }))
     code = main(["scenario", "run", "--config", str(config)])
     err = capsys.readouterr().err
     assert code == 2

@@ -24,16 +24,18 @@ from repro.faults import (
 )
 from repro.kvcache.manager import KVCacheManager
 from repro.kvcache.offload import CPUOffloadStore
-from repro.kvcache.tiers import ClusterPrefixStore, TieredPrefixStore, tier_config_from_dict
+from repro.kvcache.tiers import ClusterPrefixStore, TieredPrefixStore
 from repro.simulation.arrival import PoissonArrivalProcess
 from repro.simulation.invariants import check_kv_structure
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.core import from_dict
+from repro.spec.models import KVTiersSpec
 
 
 def build_fleet(setup, trace, *, num_replicas=2, tiers=False, **kwargs):
     tier_config = None
     if tiers:
-        tier_config = tier_config_from_dict({"enabled": True, "tiers": {
+        tier_config = from_dict(KVTiersSpec, {"enabled": True, "tiers": {
             "host": {"capacity_gib": 1.0}, "cluster": {"capacity_gib": 4.0},
         }})
     return Fleet.for_setup(
@@ -447,7 +449,7 @@ def test_recovery_warm_restores_and_serves_warm_hits(h100_setup):
         spec, h100_setup,
         max_input_length=trace.max_request_tokens, num_replicas=2,
         router=make_router("least-loaded", 2),
-        tier_config=tier_config_from_dict({
+        tier_config=from_dict(KVTiersSpec, {
             "enabled": True, "promotion": "always",
             "tiers": {"host": {"capacity_gib": 0.5},
                       "cluster": {"capacity_gib": 16.0}},

@@ -17,6 +17,7 @@ import pytest
 from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
 from repro.faults import FaultSchedule
+from repro.perf.runner import ParallelRunner
 from repro.simulation.arrival import UniformArrivalProcess
 from repro.simulation.scenario import run_scenario, run_scenario_suite, scenario_from_dict
 from repro.simulation.simulator import simulate_fleet
@@ -75,7 +76,7 @@ def test_scenario_summaries_identical_with_default_off_faults(config_path):
 def test_chaos_scenarios_are_bit_reproducible_across_processes(config_path):
     """A fixed scenario seed reproduces the chaos run in a worker process."""
     serial = run_scenario_suite([config_path])
-    parallel = run_scenario_suite([config_path] * 2, max_workers=2)
+    parallel = run_scenario_suite([config_path] * 2, runner=ParallelRunner(max_workers=2))
     for other in parallel:
         assert other.result.summary == serial[0].result.summary
         assert other.result.fleet == serial[0].result.fleet

@@ -20,8 +20,8 @@ from repro.kvcache.tiers import (
     TieredPrefixStore,
     build_cluster_store,
     build_tiered_store,
-    tier_config_from_dict,
 )
+from repro.spec.core import from_dict
 from repro.spec.models import PROMOTION_POLICY_NAMES, KVTiersSpec
 
 BLOCK_SIZE = 4
@@ -38,7 +38,7 @@ def make_stack(*, gpu_blocks=8, host_blocks=8, cluster_blocks=32,
                promotion="always", threshold=2, demote_on_evict=True,
                replica="r0", cluster=None):
     """A manager + tiered store with capacities expressed in blocks."""
-    config = tier_config_from_dict({
+    config = from_dict(KVTiersSpec, {
         "enabled": True,
         "tiers": {
             "host": {"capacity_gib": host_blocks * BLOCK_BYTES / (1 << 30)},
@@ -73,11 +73,11 @@ def run_request(manager, hashes, *, now=0.0):
 
 def test_tier_config_defaults_disabled():
     assert KVTiersSpec().enabled is False
-    assert tier_config_from_dict({}).enabled is False
+    assert from_dict(KVTiersSpec, {}).enabled is False
 
 
 def test_tier_config_parses_full_block():
-    config = tier_config_from_dict({
+    config = from_dict(KVTiersSpec, {
         "enabled": True,
         "tiers": {"host": {"capacity_gib": 2.0, "link": "pcie-gen4"},
                   "cluster": {"capacity_gib": 8.0, "link": "nvlink"}},
@@ -94,7 +94,7 @@ def test_tier_config_parses_full_block():
 
 def test_unknown_tier_name_lists_valid_tiers_and_path():
     with pytest.raises(UnknownTierError) as excinfo:
-        tier_config_from_dict({"enabled": True, "tiers": {"hots": {}}})
+        from_dict(KVTiersSpec, {"enabled": True, "tiers": {"hots": {}}})
     message = str(excinfo.value)
     assert "kv_tiers.tiers" in message
     assert "host" in message and "cluster" in message
@@ -105,9 +105,7 @@ def test_unknown_tier_name_lists_valid_tiers_and_path():
 
 def test_negative_capacity_raises_tier_capacity_error_with_path():
     with pytest.raises(TierCapacityError) as excinfo:
-        tier_config_from_dict(
-            {"enabled": True, "tiers": {"host": {"capacity_gib": -1}}}
-        )
+        from_dict(KVTiersSpec, {"enabled": True, "tiers": {"host": {"capacity_gib": -1}}})
     assert "kv_tiers.tiers.host.capacity_gib" in str(excinfo.value)
     assert excinfo.value.tier == "host"
 
@@ -115,42 +113,36 @@ def test_negative_capacity_raises_tier_capacity_error_with_path():
 @pytest.mark.parametrize("capacity", [math.inf, math.nan], ids=["inf", "nan"])
 def test_non_finite_capacity_raises_tier_error_with_path(capacity):
     with pytest.raises(TierError) as excinfo:
-        tier_config_from_dict(
-            {"enabled": True, "tiers": {"host": {"capacity_gib": capacity}}}
-        )
+        from_dict(KVTiersSpec, {"enabled": True, "tiers": {"host": {"capacity_gib": capacity}}})
     assert "kv_tiers.tiers.host.capacity_gib" in str(excinfo.value)
     assert "finite" in str(excinfo.value)
 
 
 def test_non_numeric_capacity_rejected():
     with pytest.raises(TierCapacityError):
-        tier_config_from_dict(
-            {"enabled": True, "tiers": {"cluster": {"capacity_gib": "big"}}}
-        )
+        from_dict(KVTiersSpec, {"enabled": True, "tiers": {"cluster": {"capacity_gib": "big"}}})
 
 
 def test_unknown_config_keys_rejected():
     with pytest.raises(TierError):
-        tier_config_from_dict({"enabled": True, "promtion": "always"})
+        from_dict(KVTiersSpec, {"enabled": True, "promtion": "always"})
     with pytest.raises(TierError):
-        tier_config_from_dict({"enabled": True, "tiers": {"host": {"gib": 1}}})
+        from_dict(KVTiersSpec, {"enabled": True, "tiers": {"host": {"gib": 1}}})
 
 
 def test_unknown_promotion_policy_rejected_at_parse_time():
     with pytest.raises(TierError) as excinfo:
-        tier_config_from_dict({"enabled": True, "promotion": "alwys"})
+        from_dict(KVTiersSpec, {"enabled": True, "promotion": "alwys"})
     assert "kv_tiers.promotion" in str(excinfo.value)
     assert "always" in str(excinfo.value)
     with pytest.raises(TierError) as excinfo:
-        tier_config_from_dict({"enabled": True, "promotion_threshold": "two"})
+        from_dict(KVTiersSpec, {"enabled": True, "promotion_threshold": "two"})
     assert "kv_tiers.promotion_threshold" in str(excinfo.value)
 
 
 def test_promote_at_is_the_hit_threshold_of_each_policy_name():
     def promote_at(promotion, **fields):
-        return tier_config_from_dict(
-            {"enabled": True, "promotion": promotion, **fields}
-        ).promote_at
+        return from_dict(KVTiersSpec, {"enabled": True, "promotion": promotion, **fields}).promote_at
 
     assert PROMOTION_POLICY_NAMES == ("always", "never", "on-nth-hit")
     assert promote_at("always") == 0
@@ -167,7 +159,7 @@ def test_promote_at_is_the_hit_threshold_of_each_policy_name():
 
 
 def test_build_tiered_store_disabled_returns_none():
-    config = tier_config_from_dict({"enabled": False})
+    config = from_dict(KVTiersSpec, {"enabled": False})
     assert build_tiered_store(config, replica="r", block_size=4, block_bytes=8) is None
     assert build_cluster_store(config, block_bytes=8) is None
 
@@ -385,7 +377,7 @@ def test_drain_refuses_with_active_lease():
 
 def test_peer_replica_fetches_published_prefix():
     """A prefix computed on replica A is matchable and fetchable on replica B."""
-    shared_config = tier_config_from_dict({"enabled": True, "tiers": {
+    shared_config = from_dict(KVTiersSpec, {"enabled": True, "tiers": {
         "host": {"capacity_gib": 0.0},
         "cluster": {"capacity_gib": 32 * BLOCK_BYTES / (1 << 30)},
     }})
@@ -660,7 +652,7 @@ def test_a_host_that_holds_no_block_is_no_host_tier():
     assert cluster.resident_hashes() == [11, 12, 13, *reversed(chain(2))]
     assert tiers.stats.demoted_blocks == 2
     # A host tier sized below one block is not built at all.
-    config = tier_config_from_dict({"enabled": True, "tiers": {
+    config = from_dict(KVTiersSpec, {"enabled": True, "tiers": {
         "host": {"capacity_gib": 512 / (1 << 30)}}})
     built = build_tiered_store(config, replica="r", block_size=BLOCK_SIZE, block_bytes=1024)
     assert built.host is None

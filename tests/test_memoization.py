@@ -214,9 +214,10 @@ def test_tiered_chaos_fleet_identical_with_memo_on_and_off(h100_setup, small_pos
     from repro.cluster import Fleet
     from repro.core.engine import prefillonly_engine_spec
     from repro.faults import fault_schedule_from_dict
-    from repro.kvcache.tiers import tier_config_from_dict
     from repro.simulation.arrival import make_arrival
     from repro.simulation.simulator import simulate_fleet
+    from repro.spec.core import from_dict
+    from repro.spec.models import KVTiersSpec
 
     faults = fault_schedule_from_dict({
         "enabled": True,
@@ -234,7 +235,7 @@ def test_tiered_chaos_fleet_identical_with_memo_on_and_off(h100_setup, small_pos
         fleet = Fleet.for_setup(
             prefillonly_engine_spec(), h100_setup,
             max_input_length=small_post_trace.max_request_tokens, num_replicas=4,
-            tier_config=tier_config_from_dict({"enabled": True, "tiers": {
+            tier_config=from_dict(KVTiersSpec, {"enabled": True, "tiers": {
                 "host": {"capacity_gib": 2.0}, "cluster": {"capacity_gib": 8.0},
             }}),
         )

@@ -7,12 +7,7 @@ import os
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.perf.runner import (
-    SERIAL_RUNNER,
-    ParallelRunner,
-    derive_task_seeds,
-    resolve_runner,
-)
+from repro.perf.runner import ParallelRunner, derive_task_seeds
 
 
 def _square(value: int) -> int:
@@ -67,15 +62,6 @@ def test_task_exceptions_propagate_instead_of_falling_back():
     with pytest.raises(FileNotFoundError):
         runner.map(_raise_oserror, range(6))
     assert runner.last_mode != "fallback"
-
-
-def test_resolve_runner():
-    assert resolve_runner(None, None) is SERIAL_RUNNER
-    assert resolve_runner(None, 3).max_workers == 3
-    runner = ParallelRunner(max_workers=2)
-    assert resolve_runner(runner, None) is runner
-    with pytest.raises(ConfigurationError):
-        resolve_runner(runner, 2)
 
 
 def test_derive_task_seeds_deterministic_and_distinct():

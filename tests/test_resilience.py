@@ -25,11 +25,11 @@ from repro.resilience import (
     CircuitBreaker,
     DegradeController,
     PolicyRuntime,
-    resilience_from_dict,
 )
 from repro.resilience.policy import HEDGE_SAMPLE_WINDOW
 from repro.simulation.arrival import PoissonArrivalProcess
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.core import from_dict
 from repro.spec.models import BreakerSpec, DegradationSpec, ResilienceSpec
 
 # A generous hedge/crash window: short enough that a multi-hundred-token
@@ -53,9 +53,9 @@ def arrivals(trace, *, rate=4.0, seed=0):
 
 
 def test_inert_blocks_compile_inactive():
-    assert not resilience_from_dict({}).active
-    assert not resilience_from_dict({"enabled": True}).active
-    disabled = resilience_from_dict({
+    assert not from_dict(ResilienceSpec, {}).active
+    assert not from_dict(ResilienceSpec, {"enabled": True}).active
+    disabled = from_dict(ResilienceSpec, {
         "enabled": False, "deadline": {"timeout_s": 1.0},
     })
     assert not disabled.active
@@ -63,7 +63,7 @@ def test_inert_blocks_compile_inactive():
 
 
 def test_active_block_compiles_every_policy():
-    config = resilience_from_dict({
+    config = from_dict(ResilienceSpec, {
         "seed": 7,
         "deadline": {"timeout_s": 9.0},
         "retry": {"max_attempts": 2, "budget_per_tenant": 5},
@@ -97,7 +97,7 @@ def test_active_block_compiles_every_policy():
 ])
 def test_malformed_resilience_raises_typed_errors(config, fragment):
     with pytest.raises(ResilienceSpecError) as excinfo:
-        resilience_from_dict(config)
+        from_dict(ResilienceSpec, config)
     assert fragment in str(excinfo.value)
     assert excinfo.value.path.startswith("resilience")
 
@@ -236,7 +236,7 @@ def test_degrade_finalize_closes_trailing_interval():
 
 
 def test_retry_delay_is_a_pure_function_of_seed_request_attempt():
-    config = resilience_from_dict({
+    config = from_dict(ResilienceSpec, {
         "seed": 11,
         "retry": {"backoff_base_s": 0.5, "backoff_multiplier": 2.0,
                   "jitter": 0.5},
@@ -246,7 +246,7 @@ def test_retry_delay_is_a_pure_function_of_seed_request_attempt():
     assert runtime.retry_delay(5, 1) == again.retry_delay(5, 1)
     assert runtime.retry_delay(5, 1) != runtime.retry_delay(5, 2)
     assert runtime.retry_delay(5, 1) != runtime.retry_delay(6, 1)
-    other_seed = PolicyRuntime(resilience_from_dict({
+    other_seed = PolicyRuntime(from_dict(ResilienceSpec, {
         "seed": 12,
         "retry": {"backoff_base_s": 0.5, "backoff_multiplier": 2.0,
                   "jitter": 0.5},
@@ -260,7 +260,7 @@ def test_retry_delay_is_a_pure_function_of_seed_request_attempt():
 
 
 def test_retry_delay_without_jitter_is_exact_backoff():
-    runtime = PolicyRuntime(resilience_from_dict({
+    runtime = PolicyRuntime(from_dict(ResilienceSpec, {
         "retry": {"backoff_base_s": 0.25, "backoff_multiplier": 3.0,
                   "jitter": 0.0},
     }))
@@ -270,19 +270,19 @@ def test_retry_delay_without_jitter_is_exact_backoff():
 
 
 def test_retry_budget_is_per_tenant():
-    runtime = PolicyRuntime(resilience_from_dict({
+    runtime = PolicyRuntime(from_dict(ResilienceSpec, {
         "retry": {"budget_per_tenant": 2},
     }))
     assert runtime.try_consume_retry_budget("a")
     assert runtime.try_consume_retry_budget("a")
     assert not runtime.try_consume_retry_budget("a")
     assert runtime.try_consume_retry_budget("b")  # separate tenant, own budget
-    unlimited = PolicyRuntime(resilience_from_dict({"retry": {}}))
+    unlimited = PolicyRuntime(from_dict(ResilienceSpec, {"retry": {}}))
     assert all(unlimited.try_consume_retry_budget(None) for _ in range(100))
 
 
 def test_hedge_delay_needs_samples_and_respects_floor():
-    runtime = PolicyRuntime(resilience_from_dict({
+    runtime = PolicyRuntime(from_dict(ResilienceSpec, {
         "hedge": {"percentile": 90, "min_samples": 3, "min_delay_s": 0.5},
     }))
     assert runtime.hedge_delay() is None
@@ -310,7 +310,7 @@ def test_hedge_delay_is_numpys_linear_quantile_bit_for_bit(count, seed, distinct
                                                            percentile):
     """After every completion the delay equals ``np.quantile`` of the trailing
     window, to the last bit, as the window wraps and with tied samples."""
-    runtime = PolicyRuntime(resilience_from_dict({"hedge": {
+    runtime = PolicyRuntime(from_dict(ResilienceSpec, {"hedge": {
         "percentile": percentile, "min_samples": 1, "min_delay_s": 1e-9,
     }}))
     rng = np.random.default_rng(seed)
@@ -328,7 +328,7 @@ def test_hedge_delay_is_numpys_linear_quantile_bit_for_bit(count, seed, distinct
 
 
 def test_fixed_hedge_delay_ignores_samples():
-    runtime = PolicyRuntime(resilience_from_dict({"hedge": {"delay_s": 1.25}}))
+    runtime = PolicyRuntime(from_dict(ResilienceSpec, {"hedge": {"delay_s": 1.25}}))
     assert runtime.hedge_delay() == 1.25
     runtime.record_latency(100.0)
     assert runtime.hedge_delay() == 1.25
@@ -338,7 +338,7 @@ def test_fixed_hedge_delay_ignores_samples():
 
 
 def test_deadline_cancels_queued_and_running_work(h100_setup, small_post_trace):
-    policies = resilience_from_dict({"deadline": {"timeout_s": TINY}})
+    policies = from_dict(ResilienceSpec, {"deadline": {"timeout_s": TINY}})
     fleet = build_fleet(h100_setup, small_post_trace, num_replicas=1,
                         policies=policies)
     first, second = small_post_trace.requests[:2]
@@ -362,7 +362,7 @@ def test_deadline_cancels_queued_and_running_work(h100_setup, small_post_trace):
 
 
 def test_deadline_misses_count_in_end_to_end_run(h100_setup, small_post_trace):
-    policies = resilience_from_dict({"deadline": {"timeout_s": 0.2}})
+    policies = from_dict(ResilienceSpec, {"deadline": {"timeout_s": 0.2}})
     fleet = build_fleet(h100_setup, small_post_trace, num_replicas=1,
                         policies=policies)
     requests = arrivals(small_post_trace, rate=20.0)
@@ -383,7 +383,7 @@ def test_deadline_misses_count_in_end_to_end_run(h100_setup, small_post_trace):
 
 def _hedged_single_request(setup, trace, *, num_replicas=2):
     """A fleet with one tracked request, its hedge copy already launched."""
-    policies = resilience_from_dict({"hedge": {"delay_s": TINY}})
+    policies = from_dict(ResilienceSpec, {"hedge": {"delay_s": TINY}})
     fleet = build_fleet(setup, trace, num_replicas=num_replicas,
                         policies=policies)
     request = max(trace.requests, key=lambda entry: entry.num_tokens)
@@ -432,7 +432,7 @@ def test_crashed_primary_promotes_hedge_without_lost_work(h100_setup, small_post
 
 def test_unhedged_crash_still_bills_lost_work(h100_setup, small_post_trace):
     """The rollback is hedge-specific: a plain crash victim stays billed."""
-    policies = resilience_from_dict({"hedge": {"delay_s": 1e6}})
+    policies = from_dict(ResilienceSpec, {"hedge": {"delay_s": 1e6}})
     fleet = build_fleet(h100_setup, small_post_trace, policies=policies)
     request = max(small_post_trace.requests, key=lambda entry: entry.num_tokens)
     fleet.submit(request, 0.0)
@@ -443,7 +443,7 @@ def test_unhedged_crash_still_bills_lost_work(h100_setup, small_post_trace):
 
 
 def test_hedged_chaos_run_conserves_requests(h100_setup, small_post_trace):
-    policies = resilience_from_dict({"hedge": {"delay_s": 2.0}})
+    policies = from_dict(ResilienceSpec, {"hedge": {"delay_s": 2.0}})
     schedule = fault_schedule_from_dict({"events": [
         {"kind": "crash", "replica": 0, "at": 1.0, "recover_at": 2.0},
         {"kind": "crash", "replica": 1, "at": 3.0, "recover_at": 4.0},
@@ -468,7 +468,7 @@ def test_hedged_chaos_run_conserves_requests(h100_setup, small_post_trace):
 
 def test_retry_accounting_survives_chained_crashes(h100_setup, small_post_trace):
     """A crash that kills a retry re-execution must not double-bill anything."""
-    policies = resilience_from_dict({
+    policies = from_dict(ResilienceSpec, {
         "retry": {"max_attempts": 3, "backoff_base_s": 0.3,
                   "backoff_multiplier": 1.0, "jitter": 0.0},
     })
@@ -502,7 +502,7 @@ def test_retry_accounting_survives_chained_crashes(h100_setup, small_post_trace)
 
 
 def test_retry_budget_exhaustion_rejects_with_reason(h100_setup, small_post_trace):
-    policies = resilience_from_dict({
+    policies = from_dict(ResilienceSpec, {
         "retry": {"max_attempts": 5, "budget_per_tenant": 0,
                   "backoff_base_s": 0.1, "jitter": 0.0},
     })
@@ -526,12 +526,12 @@ def test_retry_budget_exhaustion_rejects_with_reason(h100_setup, small_post_trac
 def test_overlapping_slow_and_brownout_windows_coexist(h100_setup, small_post_trace):
     """Different-kind windows on one replica overlap freely and unwind
     independently — only same-kind overlaps are rejected at parse time."""
-    from repro.kvcache.tiers import tier_config_from_dict
+    from repro.spec.models import KVTiersSpec
 
     fleet = Fleet.for_setup(
         prefillonly_engine_spec(), h100_setup,
         max_input_length=small_post_trace.max_request_tokens, num_replicas=2,
-        tier_config=tier_config_from_dict({"enabled": True, "tiers": {
+        tier_config=from_dict(KVTiersSpec, {"enabled": True, "tiers": {
             "host": {"capacity_gib": 1.0}, "cluster": {"capacity_gib": 4.0},
         }}),
     )
@@ -596,7 +596,7 @@ def test_mttr_is_zero_when_no_repair_completes(h100_setup, small_post_trace):
 
 
 def test_degrade_tier2_sheds_low_priority_tenants_only(h100_setup, small_post_trace):
-    policies = resilience_from_dict({"degrade": {
+    policies = from_dict(ResilienceSpec, {"degrade": {
         "depth_per_replica": 0.1, "shed_depth_per_replica": 0.1,
         "sustain_s": 0.0, "recover_s": 1e6,
         "low_priority_tenants": ["batch"],

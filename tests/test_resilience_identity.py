@@ -23,13 +23,14 @@ import pytest
 from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
 from repro.hardware.cluster import get_hardware_setup
-from repro.resilience import resilience_from_dict
 from repro.simulation.arrival import PoissonArrivalProcess
 from repro.simulation.invariants import scenario_fingerprint
 from repro.simulation.routing import make_router
 from repro.simulation.scenario import load_scenario, run_scenario, scenario_from_dict
 from repro.simulation.sharded import fleet_is_decoupled
 from repro.simulation.simulator import simulate_fleet
+from repro.spec.core import from_dict
+from repro.spec.models import ResilienceSpec
 from repro.workloads.registry import get_workload
 
 REPO = Path(__file__).resolve().parent.parent
@@ -155,7 +156,7 @@ def test_policies_force_lockstep_and_match_across_modes_and_workers():
     four shards, with or without a worker pool, give the unsharded bytes."""
     trace = get_workload("post-recommendation", num_users=4, posts_per_user=8,
                          seed=7)
-    policies = resilience_from_dict({
+    policies = from_dict(ResilienceSpec, {
         "deadline": {"timeout_s": 30.0},
         "hedge": {"delay_s": 2.0},
     })

@@ -11,14 +11,23 @@ The hypothesis profiles are the shared ``fuzz`` / ``fuzz-smoke`` pair
 derandomized: a failure reproduces on every run, and the falsifying example's
 notes include the scenario JSON so it can be saved to a file and replayed
 with ``prefillonly scenario run --config <file>``.
+
+A third property breaks one scalar leaf of a fuzzed valid scenario, at any
+depth, and requires the typed-error contract: parsing and building the
+request stream either succeed or raise a :class:`~repro.errors.ReproError`,
+never another exception.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 
-from hypothesis import assume, given, note, settings
+from hypothesis import assume, example, given, note, settings
+from hypothesis import strategies as st
 
+from repro.errors import ReproError
 from repro.simulation.invariants import (
     check_scenario_invariants,
     scenario_fingerprint,
@@ -91,3 +100,61 @@ def test_fuzzed_configs_reparse_from_normalized_form(config):
     rehydrated = from_dict(ScenarioModel, json.loads(json.dumps(config)))
     assert model == rehydrated
     assert to_dict(model) == normalize(ScenarioModel, config)
+
+
+#: What a malformed leaf is replaced with: non-finite, negative, fractional,
+#: and wrongly typed JSON values.
+MALFORMED = (math.nan, math.inf, -1, 2.5, "x", True, None, [], {})
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of every scalar leaf of a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _leaf_paths(value, (*path, index))
+    else:
+        yield path
+
+
+@st.composite
+def malformed_scenarios(draw):
+    """A fuzzed valid scenario with one scalar leaf replaced by a bad value."""
+    config = copy.deepcopy(draw(scenario_configs()))
+    *parents, last = draw(st.sampled_from(list(_leaf_paths(config))))
+    node = config
+    for key in parents:
+        node = node[key]
+    node[last] = draw(st.sampled_from(MALFORMED))
+    return config
+
+
+def _tenant_scenario(arrival: str, arrival_params: dict) -> dict:
+    return {"name": "malformed", "tenants": [{
+        "name": "t", "workload": "post-recommendation",
+        "workload_params": {"num_users": 2, "posts_per_user": 2},
+        "arrival": arrival, "arrival_params": arrival_params,
+    }]}
+
+
+@fuzz_settings
+# Both reached the arrival process unchecked and ended in a traceback: numpy
+# refuses a negative seed, and a fractional client count cannot size a list.
+@example(config=_tenant_scenario("poisson", {"rate": 2.0, "seed": -3}))
+@example(config=_tenant_scenario("closed-loop", {"num_clients": 2.5}))
+# An unhashable fault kind failed the event-model lookup with a TypeError.
+@example(config={**_tenant_scenario("poisson", {"rate": 2.0}),
+                 "faults": {"events": [{"kind": [], "at": 1.0}]}})
+@given(config=malformed_scenarios())
+def test_a_malformed_leaf_fails_with_a_typed_error(config):
+    note(json.dumps(config, sort_keys=True))
+    try:
+        spec = scenario_from_dict(config)
+    except ReproError:
+        return
+    try:
+        build_mix(spec)
+    except ReproError:
+        pass

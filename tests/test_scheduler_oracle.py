@@ -34,8 +34,10 @@ from repro.errors import CapacityError
 from repro.hardware.interconnect import Interconnect
 from repro.kvcache.manager import KVCacheManager
 from repro.kvcache.offload import CPUOffloadStore
-from repro.kvcache.tiers import ClusterPrefixStore, TieredPrefixStore, tier_config_from_dict
+from repro.kvcache.tiers import ClusterPrefixStore, TieredPrefixStore
 from repro.model.config import get_model
+from repro.spec.core import from_dict
+from repro.spec.models import KVTiersSpec
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 
 BLOCK = 16
@@ -282,8 +284,8 @@ def tiered_replica(name, capacity_blocks, host_blocks, cluster, promotion):
                                block_bytes=BLOCK_BYTES, link=HOST_LINK)
     tiers = TieredPrefixStore(replica=name, block_size=BLOCK, block_bytes=BLOCK_BYTES,
                               host=host, cluster=cluster,
-                              promote_at=tier_config_from_dict(
-                                  {"enabled": True, "promotion": promotion}).promote_at,
+                              promote_at=from_dict(KVTiersSpec, {
+                                  "enabled": True, "promotion": promotion}).promote_at,
                               compute_tokens_per_second=1000.0)
     return KVCacheManager(capacity_blocks * BLOCK, block_size=BLOCK, tiers=tiers)
 

@@ -27,7 +27,6 @@ from repro.baselines.registry import get_engine_spec
 from repro.cluster import Fleet
 from repro.faults import FaultEvent, FaultSchedule
 from repro.hardware.cluster import get_hardware_setup
-from repro.kvcache.tiers import tier_config_from_dict
 from repro.obs.logging import configure as configure_logging, get_logger
 from repro.obs.recorder import TraceRecorder
 from repro.simulation.arrival import make_arrival
@@ -37,7 +36,7 @@ from repro.simulation.scenario import build_mix, load_scenario, run_scenario
 from repro.simulation.sharded import fleet_is_decoupled
 from repro.simulation.simulator import simulate_fleet
 from repro.spec.core import from_dict
-from repro.spec.models import AutoscaleSpec, ObservabilitySpec
+from repro.spec.models import AutoscaleSpec, KVTiersSpec, ObservabilitySpec
 from repro.workloads.registry import get_workload
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
@@ -250,7 +249,7 @@ _MODE_CASES = {
         None,
     ),
     "kv-tiers": lambda trace: (
-        _build_fleet(2, trace, tier_config=tier_config_from_dict({"enabled": True})),
+        _build_fleet(2, trace, tier_config=from_dict(KVTiersSpec, {"enabled": True})),
         None,
     ),
     "faults": lambda trace: (

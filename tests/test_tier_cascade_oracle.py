@@ -26,7 +26,9 @@ cluster 0-6), ``demote_on_evict`` is on or off, and either lower tier may be
 missing; a 0-block host counts as a missing one.  The production store
 promotes at the ``promote_at`` of a parsed ``"kv_tiers"`` block and the
 reference at its own table of thresholds (:data:`PROMOTE_AT`), so the oracle
-pins the policy-name-to-threshold mapping too.  After every op the two agree
+pins the policy-name-to-threshold mapping too.  The ``on-nth-hit`` N is drawn
+from 1-3: at N = 1 a block's first fetch from a lower tier reaches the
+threshold, so the fetch's own promotion comparison is exercised.  After every op the two agree
 on every ``TierStats``, ``OffloadStats`` and ``ClusterStoreStats`` field
 (floats by ``float.hex``), on the host and cluster contents in LRU order
 with owners, on the host and cluster change records, and on the recorded
@@ -46,17 +48,19 @@ from repro.hardware.interconnect import NVLINK, PCIE_GEN4
 from repro.kvcache.allocator import BlockAllocator
 from repro.kvcache.offload import CPUOffloadStore
 from repro.kvcache.prefix_tree import RadixPrefixCache
-from repro.kvcache.tiers import ClusterPrefixStore, TieredPrefixStore, tier_config_from_dict
+from repro.kvcache.tiers import ClusterPrefixStore, TieredPrefixStore
 from repro.obs.recorder import TraceRecorder
+from repro.spec.core import from_dict
+from repro.spec.models import KVTiersSpec
 from test_prefix_cache_oracle import ReferenceRadixCache, chain
 
 BLOCK = 4
 BLOCK_BYTES = 1024
 MULTIPLIERS = (1.0, 3.0, 1.7)
 #: The reference's lower-tier hit count at which each promotion policy
-#: promotes a block (``on-nth-hit`` at its default N).  A commit asks with a
+#: promotes a block (``on-nth-hit`` at its drawn N).  A commit asks with a
 #: block's stored count, so ``always`` must be 0.
-PROMOTE_AT = {"always": 0, "on-nth-hit": 2, "never": math.inf}
+PROMOTE_AT = {"always": 0, "never": math.inf}
 
 
 def transfer_time(link, multiplier: float, num_blocks: int) -> float:
@@ -473,7 +477,7 @@ ops = st.binary(min_size=16, max_size=80)
 # block's turn comes.
 @example(paths=[[0] * 6, [1]], ops=bytes([0, 0, 4, 0]), l1_blocks=2,
          host_blocks=2, cluster_blocks=6, demote_on_evict=True,
-         promotion="never", watch=255)
+         promotion="never", threshold=2, watch=255)
 # Fetch staging against a full cluster: the same commit leaves a full 2-block
 # host and a full 2-block cluster.  Staging the first cluster hit evicts a
 # host block, whose publish evicts the cluster's LRU entry, the staged
@@ -482,13 +486,13 @@ ops = st.binary(min_size=16, max_size=80)
 # orders apart.
 @example(paths=[[0] * 6, [1]], ops=bytes([0, 0, 4, 0]), l1_blocks=2,
          host_blocks=2, cluster_blocks=2, demote_on_evict=True,
-         promotion="never", watch=255)
+         promotion="never", threshold=2, watch=255)
 # A refreshed L1 victim still counts as demoted: a commit fills L1, a drain
 # publishes L1 to the cluster (L1 stays), a warm restore stages the same
 # blocks into the host, and evicting them from L1 finds them host-resident.
 @example(paths=[[0, 0], [1]], ops=bytes([0, 0, 9, 0, 8, 0, 10, 32]), l1_blocks=2,
          host_blocks=2, cluster_blocks=4, demote_on_evict=True,
-         promotion="never", watch=255)
+         promotion="never", threshold=2, watch=255)
 @given(
     paths=paths, ops=ops,
     l1_blocks=st.integers(2, 6),
@@ -497,11 +501,12 @@ ops = st.binary(min_size=16, max_size=80)
     cluster_blocks=st.sampled_from((3, 1, 2, 4, 5, 6, 0, None)),
     demote_on_evict=st.booleans(),
     promotion=st.sampled_from(["on-nth-hit", "never", "always"]),
+    threshold=st.integers(1, 3),
     watch=st.integers(1, 255),
 )
 def test_batched_cascade_matches_per_block_reference(
         paths, ops, l1_blocks, host_blocks, cluster_blocks, demote_on_evict,
-        promotion, watch):
+        promotion, threshold, watch):
     chains = [chain(path) for path in paths]
     # Each replica watches its own pseudo-random subset of the blocks (never
     # empty, so the cluster keeps both subscribers).
@@ -509,7 +514,9 @@ def test_batched_cascade_matches_per_block_reference(
     watched = [{block for index, block in enumerate(blocks)
                 if (watch >> ((index + replica) % 8)) & 1} or {blocks[0]}
                for replica in range(2)]
-    promote_at = tier_config_from_dict({"enabled": True, "promotion": promotion}).promote_at
+    promote_at = from_dict(KVTiersSpec, {
+        "enabled": True, "promotion": promotion, "promotion_threshold": threshold,
+    }).promote_at
     prod_obs, ref_obs = TraceRecorder(), TraceRecorder()
 
     cluster = ref_cluster = None
@@ -535,7 +542,8 @@ def test_batched_cascade_matches_per_block_reference(
         tiers.obs, tiers.obs_key = prod_obs, key
         l1 = ReferenceRadixCache(l1_blocks)
         reference = ReferenceTiers(name, key, l1, ref_host, ref_cluster,
-                                   PROMOTE_AT[promotion], demote_on_evict, ref_obs)
+                                   PROMOTE_AT.get(promotion, threshold),
+                                   demote_on_evict, ref_obs)
         replicas.append((cache, tiers, reference))
 
     now = 0.0

@@ -16,12 +16,11 @@ import pytest
 from repro.cluster import Fleet
 from repro.core.engine import prefillonly_engine_spec
 from repro.errors import UnknownTierError
-from repro.kvcache import tier_config_from_dict
 from repro.simulation.arrival import PoissonArrivalProcess, UniformArrivalProcess
 from repro.simulation.scenario import load_scenario, run_scenario, scenario_from_dict
 from repro.simulation.simulator import simulate_fleet
 from repro.spec.core import from_dict
-from repro.spec.models import AutoscaleSpec
+from repro.spec.models import AutoscaleSpec, KVTiersSpec
 from repro.workloads.registry import get_workload
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
@@ -33,7 +32,7 @@ def tiny_trace():
 
 
 def tiered_fleet(setup, trace, *, num_replicas=2, spec=None, **tier_kwargs):
-    config = tier_config_from_dict({
+    config = from_dict(KVTiersSpec, {
         "enabled": True,
         "tiers": {"host": {"capacity_gib": 2.0}, "cluster": {"capacity_gib": 8.0}},
         **tier_kwargs,
@@ -60,7 +59,7 @@ def test_disabled_tiers_fleet_is_byte_identical(h100_setup, tiny_trace):
         return simulate_fleet(fleet, requests)
 
     plain = run(None)
-    disabled = run(tier_config_from_dict({"enabled": False}))
+    disabled = run(from_dict(KVTiersSpec, {"enabled": False}))
     key = lambda record: record.request_id  # noqa: E731
     assert sorted(disabled.finished, key=key) == sorted(plain.finished, key=key)
     assert disabled.summary == plain.summary
@@ -178,7 +177,7 @@ def test_autoscaled_replica_joins_shared_cluster_store(h100_setup, tiny_trace):
         "scale_up_rps_per_replica": 1.5,
         "window_seconds": 2.0, "cooldown_seconds": 3.0,
     })
-    config = tier_config_from_dict({"enabled": True, "tiers": {
+    config = from_dict(KVTiersSpec, {"enabled": True, "tiers": {
         "host": {"capacity_gib": 2.0}, "cluster": {"capacity_gib": 8.0},
     }})
     fleet = Fleet.for_setup(
@@ -206,7 +205,7 @@ def test_srjf_calibration_credits_tier_resident_prefixes(h100_setup, tiny_trace)
     from repro.core.request_state import EngineRequest
 
     spec = prefillonly_engine_spec().with_overrides(kv_capacity_tokens=2048)
-    config = tier_config_from_dict({
+    config = from_dict(KVTiersSpec, {
         "enabled": True, "promotion": "never", "prefetch": False,
         "tiers": {"host": {"capacity_gib": 4.0}, "cluster": {"capacity_gib": 0.0}},
     })
