@@ -16,7 +16,7 @@
 #                    prefix bisection, manager, block allocator), hash-run memo, SRJF
 #                    scheduler-heap, tier-feed, demotion-cascade, fetch staging-pass,
 #                    promotion-threshold, recorder-batch, queue-depth admission, hedge,
-#                    event-loop collector-pause, spec-construction and arrival_params
+#                    event-loop collector-pause, spec-construction and tenant-build
 #                    mutants, each of which the mutant tests must kill
 #                    (scripts/mutants.py; one mutant: python scripts/mutants.py --mutant NAME)
 #   make test-shard-identity - sharded-engine differential suite (byte-identity at shards=4)

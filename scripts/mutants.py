@@ -15,11 +15,13 @@ router's replica-set hook, the decoupled shard engine's pre-routing and
 replica names, the scenario runner's unsharded run of a kept fleet, the
 event loop's pause of the cyclic garbage collector, a spec model's checks
 on construction (its field checks and its cross-field rules), and the
-scenario parser's check of a tenant's ``arrival_params``.  A mutant is one or more exact
-source-text replacements in a module under ``src/``.  For the unmutated tree
-and then for each mutant, the script copies ``src/``, ``tests/`` and the
-cookbook scenarios (``examples/scenarios/``, which the KV-invariant and
-export-digest tests run) into a temporary directory, applies the mutant there
+scenario parser's tenant build (each tenant's generator and arrival process
+at the tenant's own path, and its refusal of a repeated tenant name).  A
+mutant is one or more exact source-text replacements in a module under
+``src/``.  For the unmutated tree and then for each mutant, the script
+copies ``src/``, ``tests/`` and the cookbook scenarios
+(``examples/scenarios/``, which the KV-invariant and export-digest tests
+run) into a temporary directory, applies the mutant there
 and runs the mutant test set (:data:`TESTS`, tier-1 hypothesis profile
 without shrinking, stopping at the first failure), the tests each mutant
 names as its killers first.  The unmutated copy must pass; a mutant is
@@ -454,10 +456,18 @@ MUTANTS = (
          "    if validate is not None:\n"
          "        validate(path)\n", ""),
     ), kills=(SPEC_CONSTRUCTION,)),
-    # A tenant's arrival_params reach the arrival process unchecked.
+    # A tenant's arrival process is built at the process's own
+    # arrival_params path, so its errors do not name the tenant.
     Mutant("arrival-params-unchecked", SCENARIO, (
-        ("    _check_params(ARRIVAL_FACTORIES.get(model.arrival), model.arrival_params,\n"
-         '                  f"tenants[{index}].arrival_params")\n', ""),
+        ('        path=f"{path}.arrival_params",\n', ""),
+    ), kills=(SPEC_CONSTRUCTION,)),
+    # The same for a tenant's workload generator and its workload_params.
+    Mutant("workload-params-unchecked", SCENARIO, (
+        ('        path=f"{path}.workload_params",\n', ""),
+    ), kills=(SPEC_CONSTRUCTION,)),
+    # A scenario parses with two tenants of one name.
+    Mutant("duplicate-tenant-names-accepted", SPEC_MODELS, (
+        ("            if first < index:\n", "            if first > index:\n"),
     ), kills=(SPEC_CONSTRUCTION,)),
 )
 

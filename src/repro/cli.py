@@ -47,7 +47,6 @@ from repro.errors import (
     ObsError,
     ReproError,
     ResilienceError,
-    ScenarioSpecError,
 )
 from repro.faults import fault_schedule_from_dict
 from repro.hardware.cluster import get_hardware_setup, list_hardware_setups, HARDWARE_SETUPS
@@ -70,7 +69,7 @@ from repro.simulation.scenario import (
     run_scenario_suite,
 )
 from repro.simulation.simulator import simulate_fleet
-from repro.spec.core import check_overrides, from_dict
+from repro.spec.core import from_dict
 from repro.spec.models import (
     PROMOTION_POLICY_NAMES,
     AutoscaleSpec,
@@ -319,8 +318,7 @@ def _sample_interval(args: argparse.Namespace) -> float | None:
     that print no samples and so have no such flag."""
     interval = getattr(args, "sample_interval", None)
     if interval is not None:
-        check_overrides(ObservabilitySpec, {"sample_interval_s": interval},
-                        path="observability", error=ScenarioSpecError)
+        ObservabilitySpec(sample_interval_s=interval)
     return interval
 
 

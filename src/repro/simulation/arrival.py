@@ -24,13 +24,13 @@ cluster layer can be exercised well beyond the paper's evaluation grid:
 Every process is a frozen dataclass with an explicit ``seed``, declared as a
 spec model (:mod:`repro.spec.core`): building one checks each parameter
 against its declared type and range, and the cross-field rules in its
-``__spec_validate__``, and the scenario engine checks a tenant's
-``arrival_params`` against the same declarations.  :func:`make_arrival`
-builds any of them by registry name — the names the ``scenario`` CLI
-subcommand and scenario config files use.  Two runs with the same process
-parameters and the same request list produce bit-identical arrival times,
-which is what makes recorded traces (:mod:`repro.workloads.tracefile`)
-replayable.
+``__spec_validate__``.  :func:`make_arrival` builds any of them by registry
+name — the names the ``scenario`` CLI subcommand and scenario config files
+use — through :func:`~repro.spec.core.from_dict`, which the scenario engine
+also calls to build a tenant's process at ``tenants[i].arrival_params``.
+Two runs with the same process parameters and the same request list produce
+bit-identical arrival times, which is what makes recorded traces
+(:mod:`repro.workloads.tracefile`) replayable.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import UnknownNameError, WorkloadError, WorkloadSpecError
-from repro.spec.core import spec_field, spec_model
+from repro.errors import UnknownNameError, WorkloadSpecError
+from repro.spec.core import from_dict, spec_field, spec_model
 from repro.workloads.trace import Request
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "ClosedLoopArrivalProcess",
     "ARRIVAL_FACTORIES",
     "list_arrivals",
+    "arrival_factory",
     "make_arrival",
 ]
 
@@ -419,24 +420,28 @@ def list_arrivals() -> list[str]:
     return sorted(ARRIVAL_FACTORIES)
 
 
+def arrival_factory(name: str) -> type:
+    """The arrival process registered under ``name``.
+
+    Raises:
+        UnknownNameError: if ``name`` is not registered.
+    """
+    try:
+        return ARRIVAL_FACTORIES[name]
+    except KeyError:
+        raise UnknownNameError("arrival process", name, list_arrivals()) from None
+
+
 def make_arrival(name: str, **params) -> ArrivalProcess:
     """Construct an arrival process by registry name.
 
     Args:
         name: One of :func:`list_arrivals`.
-        **params: The process's dataclass fields (e.g. ``rate=5.0, seed=3``).
+        **params: The process's parameters (e.g. ``rate=5.0, seed=3``).
 
     Raises:
         UnknownNameError: if ``name`` is not registered.
-        WorkloadError: if ``params`` name an unknown field, or (as
-            :class:`~repro.errors.WorkloadSpecError`, at ``arrival_params``)
-            fail the process's declaration.
+        WorkloadSpecError: if ``params`` name an unknown parameter or fail
+            the process's declaration, at ``arrival_params.<key>``.
     """
-    try:
-        factory = ARRIVAL_FACTORIES[name]
-    except KeyError:
-        raise UnknownNameError("arrival process", name, list_arrivals()) from None
-    try:
-        return factory(**params)
-    except TypeError as exc:
-        raise WorkloadError(f"invalid parameters for arrival process {name!r}: {exc}") from None
+    return from_dict(arrival_factory(name), params)

@@ -64,14 +64,14 @@ from pathlib import Path
 
 from repro.baselines.registry import get_engine_spec
 from repro.cluster import Fleet
-from repro.errors import ScenarioError, ScenarioSpecError
+from repro.errors import ScenarioError
 from repro.faults import FaultSchedule, fault_schedule_from_model
 from repro.hardware.cluster import get_hardware_setup
 from repro.obs.logging import get_logger, set_context
 from repro.obs.recorder import TraceRecorder
 from repro.perf.runner import ParallelRunner
-from repro.simulation.arrival import ARRIVAL_FACTORIES, make_arrival
-from repro.spec.core import check_overrides, from_dict, is_spec_model
+from repro.simulation.arrival import arrival_factory
+from repro.spec.core import from_dict
 from repro.spec.models import (
     AutoscaleSpec,
     KVTiersSpec,
@@ -84,7 +84,7 @@ from repro.simulation.metrics import LatencySummary, summarize_finished
 from repro.simulation.routing import make_router
 from repro.simulation.simulator import FleetSimulationResult, simulate_fleet
 from repro.workloads.mixer import MixedTrace, TenantSpec, mix_tenants
-from repro.workloads.registry import WORKLOAD_FACTORIES
+from repro.workloads.registry import workload_factory
 from repro.workloads.trace import Request
 from repro.workloads.tracefile import load_trace, save_trace
 
@@ -93,7 +93,6 @@ __all__ = [
     "TenantReport",
     "ScenarioResult",
     "scenario_from_dict",
-    "scenario_from_model",
     "load_scenario",
     "build_mix",
     "run_scenario",
@@ -142,31 +141,27 @@ class ScenarioSpec:
     resilience: ResilienceSpec | None = None
 
 
-def _check_params(factory, params: dict, path: str) -> None:
-    """Check a tenant's generator or arrival parameters against the
-    factory's declaration when it is a spec model (a registered workload may
-    be any callable)."""
-    if is_spec_model(factory):
-        check_overrides(factory, params, path=path, error=ScenarioSpecError)
-
-
 def _tenant_from_model(model: TenantModel, *, index: int,
                        scenario_seed: int) -> TenantSpec:
-    _check_params(WORKLOAD_FACTORIES.get(model.workload), model.workload_params,
-                  f"tenants[{index}].workload_params")
-    _check_params(ARRIVAL_FACTORIES.get(model.arrival), model.arrival_params,
-                  f"tenants[{index}].arrival_params")
-    workload_params = dict(model.workload_params)
-    workload_params.setdefault("seed", scenario_seed)
-    arrival_params = dict(model.arrival_params)
+    """Build tenant ``index``'s generator and arrival process, each checked
+    by its own declaration at the tenant's path."""
+    path = f"tenants[{index}]"
+    generator = from_dict(
+        workload_factory(model.workload),
+        {"seed": scenario_seed, **model.workload_params},
+        path=f"{path}.workload_params",
+    )
     # Offset by index + 1 so no tenant's arrival stream shares a seed with
     # another tenant's, nor with the workload generators' default above.
-    arrival_params.setdefault("seed", scenario_seed + index + 1)
+    arrival = from_dict(
+        arrival_factory(model.arrival),
+        {"seed": scenario_seed + index + 1, **model.arrival_params},
+        path=f"{path}.arrival_params",
+    )
     return TenantSpec(
         name=model.name,
-        workload=model.workload,
-        arrival=make_arrival(model.arrival, **arrival_params),
-        workload_params=workload_params,
+        generator=generator,
+        arrival=arrival,
         weight=model.weight,
         slo_latency_s=model.slo_latency_s,
     )
@@ -175,32 +170,27 @@ def _tenant_from_model(model: TenantModel, *, index: int,
 def scenario_from_dict(config: dict) -> ScenarioSpec:
     """Build a :class:`ScenarioSpec` from a plain config dict.
 
-    A thin wrapper over the declarative spec layer: the config parses into a
-    :class:`~repro.spec.models.ScenarioModel` (types, defaults, ranges,
-    unknown-key rejection with JSON paths, ``"version"`` handling), which
-    :func:`scenario_from_model` converts into the runtime spec.
+    The config parses into a :class:`~repro.spec.models.ScenarioModel`
+    (types, defaults, ranges, unknown-key rejection with JSON paths,
+    ``"version"`` handling); then each tenant's workload generator and
+    arrival process are built, with their seeds defaulted, and the
+    ``faults`` model is compiled into its schedule.  Every other nested
+    block (``autoscale``, ``kv_tiers``, ``observability``, ``resilience``)
+    is its own runtime config and is carried over as parsed; an inactive
+    ``resilience`` block is dropped.
 
     Raises:
         ScenarioError: on unknown or missing keys (typos fail loudly rather
             than silently falling back to defaults).  Spec-layer failures are
-            :class:`~repro.errors.ScenarioSpecError`, a subclass, including
-            each bad ``workload_params`` or ``arrival_params`` value.
-        WorkloadSpecError: when a tenant's arrival parameters break a
-            cross-field rule of their process (``burst_rate > base_rate``).
+            :class:`~repro.errors.ScenarioSpecError`, a subclass.
+        WorkloadSpecError: when a tenant's ``workload_params`` or
+            ``arrival_params`` fail the generator's or arrival process's
+            declaration, at ``tenants[i].workload_params.<key>`` or
+            ``tenants[i].arrival_params.<key>``.
+        UnknownNameError: for an unregistered workload
+            (:class:`~repro.errors.UnknownWorkloadError`) or arrival process.
     """
-    return scenario_from_model(from_dict(ScenarioModel, config))
-
-
-def scenario_from_model(model: ScenarioModel) -> ScenarioSpec:
-    """Convert a parsed :class:`~repro.spec.models.ScenarioModel` to a spec.
-
-    Only the steps that do real work live here: seed-defaulting for tenant
-    workload and arrival streams, arrival-process construction, and
-    compiling the ``faults`` model into its schedule.  Every other nested
-    block (``autoscale``, ``kv_tiers``, ``observability``, ``resilience``)
-    is its own runtime config and is carried over as parsed; an inactive
-    ``resilience`` block is dropped.
-    """
+    model = from_dict(ScenarioModel, config)
     tenants = tuple(
         _tenant_from_model(entry, index=index, scenario_seed=model.seed)
         for index, entry in enumerate(model.tenants)

@@ -37,7 +37,8 @@ A model is the one typed description of its block (the firebolt SDK's
 model/service split): where the JSON shape is the runtime shape, services
 take the parsed model itself; a service layer compiles a model only where
 that does real work (``repro.faults.schedule`` builds the fault event
-queue, ``repro.simulation.scenario`` the tenants' arrival processes).
+queue, ``repro.simulation.scenario`` each tenant's workload generator and
+arrival process, parsed at the tenant's own path).
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "is_spec_model",
     "spec_fields",
     "from_dict",
-    "check_overrides",
     "to_dict",
     "normalize",
     "field_rows",
@@ -348,6 +348,17 @@ def _article(type_name: str) -> str:
     return ("an " if type_name[:1] in "aio" else "a ") + type_name
 
 
+def _reject_unknown(keys, accepted, *, path: str, error: type) -> None:
+    """Raise ``error`` at the path of the first of ``keys`` not among the
+    ``accepted`` keys, naming both."""
+    unknown = sorted(set(keys) - set(accepted))
+    if unknown:
+        raise error(
+            f"unknown keys {unknown}; accepted: {', '.join(accepted)}",
+            path=f"{path}.{unknown[0]}" if path else unknown[0],
+        )
+
+
 def _check_version(cls, data: dict, *, path: str, error: type):
     """Validate the optional ``"version"`` key; returns the resolved version."""
     model_info: ModelInfo = cls.__spec__
@@ -387,9 +398,7 @@ def from_dict(cls, data, *, path: str | None = None):
             f"expected a JSON object, got {type(data).__name__}", path=path
         )
     infos = model_info.fields
-    unknown = set(data) - set(infos) - {VERSION_KEY}
-    if unknown:
-        raise error(f"unknown keys {sorted(unknown)}", path=path)
+    _reject_unknown(data.keys() - {VERSION_KEY}, infos, path=path, error=error)
     version = _check_version(cls, data, path=path, error=error)
 
     kwargs: dict = {}
@@ -421,36 +430,17 @@ def from_dict(cls, data, *, path: str | None = None):
     return instance
 
 
-def check_overrides(cls, data: dict, *, path: str, error: type) -> None:
-    """Check ``data`` as keyword overrides of the dataclass ``cls``.
-
-    Every key is optional.  Each key must be one of ``cls``'s
-    :func:`spec_field` fields (an unknown key's error names the accepted
-    ones), and each value is checked like a parsed field: type, finiteness
-    and range.  Every failure carries the path ``<path>.<key>``.
-    """
-    infos = spec_fields(cls)
-    for name, value in data.items():
-        info = infos.get(name)
-        if info is None:
-            raise error(
-                f"unknown key {name!r}; accepted: {', '.join(infos)}",
-                path=f"{path}.{name}",
-            )
-        _check_value(name, value, info, path=path, error=error)
-
-
 def _parse_key_models(name: str, value, info: FieldInfo, *, path: str,
                       error: type) -> dict:
     if not isinstance(value, dict):
         raise error(f"{name} must be a JSON object", path=path)
+    if info.unknown_key_error is None:
+        _reject_unknown(value, info.key_models, path=path, error=error)
     parsed = {}
     for key, entry in value.items():
         model = info.key_models.get(key)
         if model is None:
-            if info.unknown_key_error is not None:
-                raise info.unknown_key_error(key, path)
-            raise error(f"unknown keys ['{key}']", path=path)
+            raise info.unknown_key_error(key, path)
         parsed[key] = from_dict(model, entry, path=f"{path}.{key}")
     return parsed
 
@@ -501,9 +491,7 @@ def normalize(cls, data, *, path: str | None = None) -> dict:
             f"expected a JSON object, got {type(data).__name__}", path=path
         )
     infos = spec_fields(cls)
-    unknown = set(data) - set(infos) - {VERSION_KEY}
-    if unknown:
-        raise error(f"unknown keys {sorted(unknown)}", path=path)
+    _reject_unknown(data.keys() - {VERSION_KEY}, infos, path=path, error=error)
     version = _check_version(cls, data, path=path, error=error)
     result: dict = {}
     for name, info in infos.items():
@@ -527,13 +515,14 @@ def normalize(cls, data, *, path: str | None = None) -> dict:
         elif info.key_models is not None:
             if not isinstance(value, dict):
                 raise error(f"{name} must be a JSON object", path=child_path)
+            if info.unknown_key_error is None:
+                _reject_unknown(value, info.key_models, path=child_path,
+                                error=error)
             normalized = {}
             for key, entry in value.items():
                 model = info.key_models.get(key)
                 if model is None:
-                    if info.unknown_key_error is not None:
-                        raise info.unknown_key_error(key, child_path)
-                    raise error(f"unknown keys ['{key}']", path=child_path)
+                    raise info.unknown_key_error(key, child_path)
                 normalized[key] = normalize(model, entry, path=f"{child_path}.{key}")
             result[name] = normalized
         elif info.item_parser is not None:

@@ -999,17 +999,24 @@ class ScenarioModel:
         if not self.tenants:
             raise ScenarioSpecError(f"scenario {self.name!r} has no tenants",
                                     path=f"{prefix}tenants")
+        names = [tenant.name for tenant in self.tenants]
+        for index, name in enumerate(names):
+            first = names.index(name)
+            if first < index:
+                raise ScenarioSpecError(
+                    f"duplicate tenant name {name!r}; first used by tenants[{first}]",
+                    path=f"{prefix}tenants[{index}].name",
+                )
         # A misspelt low-priority tenant would otherwise never match a request
         # and silently disable shedding.
         degrade = self.resilience.degrade if self.resilience is not None else None
         if degrade is None:
             return
-        names = sorted(tenant.name for tenant in self.tenants)
         for index, name in enumerate(degrade.low_priority_tenants):
             if name not in names:
                 raise ScenarioSpecError(
                     f"unknown low-priority tenant {name!r}; scenario tenants: "
-                    f"{', '.join(names)}",
+                    f"{', '.join(sorted(names))}",
                     path=f"{prefix}resilience.degrade.low_priority_tenants[{index}]",
                 )
 

@@ -10,8 +10,7 @@ they share:
   60,000-token requests do not materialise 60,000 integers;
 * a name-based generator registry (:mod:`repro.workloads.registry`) that
   raises :class:`repro.errors.UnknownWorkloadError` — carrying the valid
-  names — on a bad lookup, and accepts new generators via
-  :func:`register_workload`;
+  names — on a bad lookup;
 * a multi-tenant mixer (:mod:`repro.workloads.mixer`) that interleaves
   weighted, namespaced tenant streams with per-tenant SLOs;
 * trace recording and bit-for-bit replay (:mod:`repro.workloads.tracefile`)
@@ -35,7 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.workloads.tokenizer": ("SyntheticTokenizer",),
     "repro.workloads.post_recommendation": ("PostRecommendationWorkload",),
     "repro.workloads.credit_verification": ("CreditVerificationWorkload",),
-    "repro.workloads.registry": ("get_workload", "list_workloads", "register_workload"),
+    "repro.workloads.registry": ("get_workload", "list_workloads"),
     "repro.workloads.mixer": ("MixedTrace", "TenantSpec", "mix_tenants"),
     "repro.workloads.tracefile": ("TRACE_SCHEMA", "load_trace", "save_trace"),
 })

@@ -5,8 +5,8 @@ Production fleets rarely serve one workload: the paper's two applications
 its own traffic shape and its own latency SLO.  :func:`mix_tenants` builds that
 combined stream from per-tenant specs:
 
-* each tenant generates its own workload trace (any registered workload, with
-  parameter overrides) and assigns arrival times with its own arrival process;
+* each tenant generates its own workload trace with its own generator and
+  assigns arrival times with its own arrival process;
 * ``weight`` subsamples a tenant's trace, so one tenant can be a sliver of the
   traffic without shrinking its generator parameters;
 * tenant streams are *namespaced* — user ids get a ``"tenant:"`` prefix and
@@ -24,14 +24,13 @@ in-memory mix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workloads.registry import get_workload
-from repro.workloads.trace import Request, TokenSegment, TokenSequence
+from repro.workloads.trace import Request, TokenSegment, TokenSequence, WorkloadTrace
 
 if TYPE_CHECKING:  # avoid a runtime workloads -> simulation import cycle
     from repro.simulation.arrival import ArrivalProcess
@@ -43,16 +42,21 @@ __all__ = ["CONTENT_ID_STRIDE", "TenantSpec", "MixedTrace", "mix_tenants"]
 CONTENT_ID_STRIDE = 100_000_000
 
 
+class WorkloadGenerator(Protocol):
+    """What a tenant draws its requests from (a registered generator)."""
+
+    def generate(self) -> WorkloadTrace: ...
+
+
 @dataclass(frozen=True)
 class TenantSpec:
     """One tenant of a mixed workload.
 
     Attributes:
         name: Tenant name (used in reports, user-id prefixes, and metadata).
-        workload: Registered workload name (see
-            :func:`repro.workloads.registry.list_workloads`).
+        generator: Built workload generator, e.g. a
+            :class:`~repro.workloads.post_recommendation.PostRecommendationWorkload`.
         arrival: Arrival process that stamps this tenant's request times.
-        workload_params: Generator parameter overrides (e.g. ``num_users=6``).
         weight: Fraction of the tenant's generated trace to include, in
             ``(0, 1]``; subsampling is deterministic given the mix seed.
         slo_latency_s: Optional per-tenant latency SLO (seconds); consumed by
@@ -60,9 +64,8 @@ class TenantSpec:
     """
 
     name: str
-    workload: str
+    generator: WorkloadGenerator
     arrival: "ArrivalProcess"
-    workload_params: dict = field(default_factory=dict)
     weight: float = 1.0
     slo_latency_s: float | None = None
 
@@ -139,8 +142,7 @@ def mix_tenants(tenants: list[TenantSpec] | tuple[TenantSpec, ...], *,
 
     merged: list[tuple[float, int, int, Request]] = []
     for tenant_index, tenant in enumerate(tenants):
-        trace = get_workload(tenant.workload, **tenant.workload_params)
-        requests = list(trace.requests)
+        requests = list(tenant.generator.generate().requests)
         if tenant.weight < 1.0:
             keep = max(1, round(tenant.weight * len(requests)))
             # Salted entropy keeps this stream independent of the tenant's

@@ -1,23 +1,22 @@
 """Workload registry: look up workload generators by name.
 
-Ships with the paper's two datasets and accepts additional generators through
-:func:`register_workload` (the scenario engine uses the same registry, so a
-registered generator is immediately usable from scenario config files).
+Ships with the paper's two datasets.  Every generator is a spec model
+(:mod:`repro.spec.core`), built from its parameters with
+:func:`~repro.spec.core.from_dict`: :func:`get_workload` builds one at the
+generator's own ``workload_params`` path, and the scenario engine builds a
+tenant's at ``tenants[i].workload_params``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.errors import UnknownWorkloadError
+from repro.spec.core import from_dict
 from repro.workloads.credit_verification import CreditVerificationWorkload
 from repro.workloads.post_recommendation import PostRecommendationWorkload
 from repro.workloads.trace import WorkloadTrace
 
-#: Workload name -> generator factory.  When a dataclass factory declares its
-#: fields with :func:`~repro.spec.core.spec_field`, a scenario's
-#: ``workload_params`` are checked against them at parse time.
-WORKLOAD_FACTORIES: dict[str, Callable] = {
+#: Workload name -> generator spec model.
+WORKLOAD_FACTORIES: dict[str, type] = {
     "post-recommendation": PostRecommendationWorkload,
     "credit-verification": CreditVerificationWorkload,
 }
@@ -28,15 +27,17 @@ def list_workloads() -> list[str]:
     return sorted(WORKLOAD_FACTORIES)
 
 
-def register_workload(name: str, factory: Callable) -> None:
-    """Register ``factory`` under ``name``.
+def workload_factory(name: str) -> type:
+    """The generator registered under ``name``.
 
-    Args:
-        name: Registry key (kebab-case by convention).
-        factory: Callable accepting the generator's keyword parameters and
-            returning an object with a ``generate() -> WorkloadTrace`` method.
+    Raises:
+        UnknownWorkloadError: if ``name`` is not registered; the exception
+            carries the valid names in its ``available`` attribute.
     """
-    WORKLOAD_FACTORIES[name] = factory
+    try:
+        return WORKLOAD_FACTORIES[name]
+    except KeyError:
+        raise UnknownWorkloadError(name, list_workloads()) from None
 
 
 def get_workload(name: str, **overrides) -> WorkloadTrace:
@@ -47,11 +48,8 @@ def get_workload(name: str, **overrides) -> WorkloadTrace:
         **overrides: Generator parameters (e.g. ``num_users=4`` for fast tests).
 
     Raises:
-        UnknownWorkloadError: if ``name`` is not registered; the exception
-            carries the valid names in its ``available`` attribute.
+        UnknownWorkloadError: if ``name`` is not registered.
+        WorkloadSpecError: if ``overrides`` name an unknown parameter or fail
+            the generator's declaration, at ``workload_params.<key>``.
     """
-    try:
-        factory = WORKLOAD_FACTORIES[name]
-    except KeyError:
-        raise UnknownWorkloadError(name, list_workloads()) from None
-    return factory(**overrides).generate()
+    return from_dict(workload_factory(name), overrides).generate()

@@ -244,6 +244,34 @@ def test_scenario_run_bad_arrival_params_exit_2_at_their_path(tmp_path, capsys,
     assert f"prefillonly: error: {path}:" in err
 
 
+_TENANT = {"name": "a", "workload": "post-recommendation",
+           "workload_params": {"num_users": 2, "posts_per_user": 2},
+           "arrival": "poisson", "arrival_params": {"rate": 2.0}}
+
+
+@pytest.mark.parametrize("tenants, message", [
+    ([{**_TENANT, "arrival": "mmpp",
+       "arrival_params": {"base_rate": 5, "burst_rate": 1}}],
+     "tenants[0].arrival_params.burst_rate: burst_rate (1) must exceed"),
+    ([{**_TENANT, "workload_params": {"profile_min_tokens": 20000,
+                                      "profile_max_tokens": 100}}],
+     "tenants[0].workload_params.profile_min_tokens: profile_min_tokens"),
+    ([{**_TENANT, "workload": "nope"}], "unknown workload 'nope'"),
+    ([{**_TENANT, "arrival_params": {"rate": -1}}],
+     "tenants[0].arrival_params.rate: rate must be greater than 0"),
+    ([_TENANT, _TENANT], "tenants[1].name: duplicate tenant name 'a'"),
+], ids=["mmpp-burst-below-base", "profile-range", "unknown-workload",
+        "negative-rate", "repeated-tenant-name"])
+def test_scenario_run_refuses_a_bad_tenant_exit_2(tmp_path, capsys, tenants, message):
+    """Each parsed and then ended inside the run."""
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"name": "bad", "tenants": tenants}))
+    code = main(["scenario", "run", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"prefillonly: error: {message}" in err
+
+
 def test_scenario_run_unknown_router_exits_2(tmp_path, capsys):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({

@@ -34,6 +34,7 @@ from repro.errors import (
     UnknownNameError,
     UnknownWorkloadError,
     WorkloadError,
+    WorkloadSpecError,
 )
 from repro.hardware.cluster import get_hardware_setup
 from repro.simulation.arrival import (
@@ -53,7 +54,8 @@ from repro.simulation.scenario import (
 from repro.simulation.server import ServingSystem
 from repro.simulation.simulator import simulate, simulate_fleet
 from repro.workloads.mixer import TenantSpec, mix_tenants
-from repro.workloads.registry import WORKLOAD_FACTORIES, get_workload
+from repro.workloads.post_recommendation import PostRecommendationWorkload
+from repro.workloads.registry import get_workload
 from repro.workloads.trace import Request, TokenSegment, TokenSequence
 from repro.workloads.tracefile import load_trace, save_trace
 
@@ -207,13 +209,12 @@ def test_workload_registry_unknown_name_is_typed():
 
 
 def test_mix_tenants_namespaces_and_weights(small_trace):
+    generator = PostRecommendationWorkload(num_users=3, posts_per_user=6)
     tenants = [
-        TenantSpec(name="a", workload="post-recommendation",
-                   arrival=make_arrival("poisson", rate=5.0, seed=1),
-                   workload_params={"num_users": 3, "posts_per_user": 6}),
-        TenantSpec(name="b", workload="post-recommendation",
+        TenantSpec(name="a", generator=generator,
+                   arrival=make_arrival("poisson", rate=5.0, seed=1)),
+        TenantSpec(name="b", generator=generator,
                    arrival=make_arrival("poisson", rate=5.0, seed=2),
-                   workload_params={"num_users": 3, "posts_per_user": 6},
                    weight=0.5),
     ]
     mix = mix_tenants(tenants, name="two-tenant", seed=0)
@@ -235,9 +236,9 @@ def test_mix_tenants_namespaces_and_weights(small_trace):
 
 
 def test_mix_tenants_rejects_duplicates():
-    tenant = TenantSpec(name="a", workload="post-recommendation",
-                        arrival=make_arrival("burst"),
-                        workload_params={"num_users": 1, "posts_per_user": 2})
+    tenant = TenantSpec(name="a",
+                        generator=PostRecommendationWorkload(num_users=1, posts_per_user=2),
+                        arrival=make_arrival("burst"))
     with pytest.raises(WorkloadError):
         mix_tenants([tenant, tenant])
 
@@ -517,7 +518,7 @@ def test_scenario_rejects_a_nan_slo_at_its_path():
 def test_scenario_rejects_bad_workload_params_at_their_path(key, value, message):
     config = _two_tenant_config()
     config["tenants"][0]["workload_params"][key] = value
-    with pytest.raises(ScenarioSpecError) as excinfo:
+    with pytest.raises(WorkloadSpecError) as excinfo:
         scenario_from_dict(config)
     assert excinfo.value.path == f"tenants[0].workload_params.{key}"
     assert message in str(excinfo.value)
@@ -526,19 +527,22 @@ def test_scenario_rejects_bad_workload_params_at_their_path(key, value, message)
 def test_scenario_rejects_unknown_workload_param_naming_the_accepted_keys():
     config = _two_tenant_config()
     config["tenants"][1]["workload_params"]["months"] = 3
-    with pytest.raises(ScenarioSpecError) as excinfo:
+    with pytest.raises(WorkloadSpecError) as excinfo:
         scenario_from_dict(config)
     assert excinfo.value.path == "tenants[1].workload_params.months"
-    assert "unknown key 'months'" in str(excinfo.value)
+    assert "unknown keys ['months']" in str(excinfo.value)
     assert "months_of_history" in str(excinfo.value)
 
 
-def test_workload_params_of_a_factory_without_spec_fields_are_not_checked(monkeypatch):
-    monkeypatch.setitem(WORKLOAD_FACTORIES, "tiny",
-                        dataclasses.make_dataclass("Tiny", [("users", int, 1)]))
+def test_scenario_rejects_a_repeated_tenant_name_at_its_path():
+    """Two tenants named alike parsed, and the run failed in the mixer with
+    a path-less error."""
     config = _two_tenant_config()
-    config["tenants"][1].update(workload="tiny", workload_params={"users": 2})
-    assert scenario_from_dict(config).tenants[1].workload_params["users"] == 2
+    config["tenants"][1]["name"] = "social"
+    with pytest.raises(ScenarioSpecError) as excinfo:
+        scenario_from_dict(config)
+    assert excinfo.value.path == "tenants[1].name"
+    assert "duplicate tenant name 'social'" in str(excinfo.value)
 
 
 def test_scenario_rejects_unknown_low_priority_tenant():

@@ -13,9 +13,9 @@ notes include the scenario JSON so it can be saved to a file and replayed
 with ``prefillonly scenario run --config <file>``.
 
 A third property breaks one scalar leaf of a fuzzed valid scenario, at any
-depth, and requires the typed-error contract: parsing and building the
-request stream either succeed or raise a :class:`~repro.errors.ReproError`,
-never another exception.
+depth, and requires the typed-error contract: parsing either fails with a
+:class:`~repro.errors.ReproError`, never another exception, or accepts a
+document whose request stream then builds without error.
 """
 
 from __future__ import annotations
@@ -131,12 +131,18 @@ def malformed_scenarios(draw):
     return config
 
 
-def _tenant_scenario(arrival: str, arrival_params: dict) -> dict:
+def _tenant_scenario(arrival: str, arrival_params: dict, **workload_params) -> dict:
     return {"name": "malformed", "tenants": [{
         "name": "t", "workload": "post-recommendation",
-        "workload_params": {"num_users": 2, "posts_per_user": 2},
+        "workload_params": {"num_users": 2, "posts_per_user": 2, **workload_params},
         "arrival": arrival, "arrival_params": arrival_params,
     }]}
+
+
+def _repeated_tenant() -> dict:
+    config = _tenant_scenario("poisson", {"rate": 2.0})
+    config["tenants"] *= 2
+    return config
 
 
 @fuzz_settings
@@ -147,6 +153,12 @@ def _tenant_scenario(arrival: str, arrival_params: dict) -> dict:
 # An unhashable fault kind failed the event-model lookup with a TypeError.
 @example(config={**_tenant_scenario("poisson", {"rate": 2.0}),
                  "faults": {"events": [{"kind": [], "at": 1.0}]}})
+# Both parsed, and the request stream then failed to build: the generator's
+# cross-field rule ran only when the mixer built it, and the mixer refused
+# the repeated name.
+@example(config=_tenant_scenario("poisson", {"rate": 2.0},
+                                 profile_min_tokens=20000, profile_max_tokens=100))
+@example(config=_repeated_tenant())
 @given(config=malformed_scenarios())
 def test_a_malformed_leaf_fails_with_a_typed_error(config):
     note(json.dumps(config, sort_keys=True))
@@ -154,7 +166,4 @@ def test_a_malformed_leaf_fails_with_a_typed_error(config):
         spec = scenario_from_dict(config)
     except ReproError:
         return
-    try:
-        build_mix(spec)
-    except ReproError:
-        pass
+    build_mix(spec)

@@ -5,8 +5,8 @@ hand or through :func:`~repro.spec.core.from_dict`, checks every declared
 field (type, finiteness, range, choices, conversion, the ``check`` hook, the
 model of a nested block) and then the model's cross-field rules, raising the
 model's error class at the value's JSON path.  The arrival processes and the
-workload generators are spec models too, and a scenario's ``arrival_params``
-are checked at parse time like its ``workload_params``.
+workload generators are spec models too: a scenario builds each tenant's
+generator and arrival process once, at parse time, at the tenant's path.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from repro.errors import (
     ScenarioSpecError,
     TierError,
     TierSpecError,
+    UnknownWorkloadError,
     WorkloadError,
     WorkloadSpecError,
 )
-from repro.simulation.arrival import ARRIVAL_FACTORIES
+from repro.simulation.arrival import ARRIVAL_FACTORIES, make_arrival
 from repro.simulation.scenario import scenario_from_dict
 from repro.spec.core import from_dict, spec_fields
 from repro.spec.models import (
@@ -33,7 +34,7 @@ from repro.spec.models import (
     ObservabilitySpec,
     ResilienceSpec,
 )
-from repro.workloads.registry import WORKLOAD_FACTORIES
+from repro.workloads.registry import WORKLOAD_FACTORIES, get_workload
 
 # ------------------------------------------------------------- hand-built models
 
@@ -155,13 +156,29 @@ def test_cross_field_rules_run_on_construction(name, params, field):
     assert excinfo.value.path == f"{base}.{field}"
 
 
-def _scenario(arrival_params: dict, arrival: str = "poisson") -> dict:
+def test_get_workload_reports_an_unknown_parameter_at_its_path():
+    """It raised a bare ``TypeError``."""
+    with pytest.raises(WorkloadSpecError) as excinfo:
+        get_workload("post-recommendation", bogus=1)
+    assert excinfo.value.path == "workload_params.bogus"
+    assert "accepted: num_users, posts_per_user" in str(excinfo.value)
+
+
+def test_make_arrival_reports_an_unknown_parameter_at_its_path():
+    """It raised a path-less ``WorkloadError`` made from a ``TypeError``."""
+    with pytest.raises(WorkloadSpecError) as excinfo:
+        make_arrival("poisson", rate=1.0, bogus=1)
+    assert excinfo.value.path == "arrival_params.bogus"
+    assert "unknown keys ['bogus']; accepted: rate, seed, shuffle" in str(excinfo.value)
+
+
+def _scenario(arrival_params: dict, arrival: str = "poisson", **tenant) -> dict:
     return {
         "name": "s",
         "tenants": [{
             "name": "t", "workload": "post-recommendation",
             "workload_params": {"num_users": 2, "posts_per_user": 2},
-            "arrival": arrival, "arrival_params": arrival_params,
+            "arrival": arrival, "arrival_params": arrival_params, **tenant,
         }],
     }
 
@@ -175,6 +192,31 @@ def _scenario(arrival_params: dict, arrival: str = "poisson") -> dict:
 ], ids=["negative-seed", "fractional-clients", "string-rate", "boolean-period",
         "unknown-key"])
 def test_arrival_params_are_checked_at_parse_time(arrival, params, key):
-    with pytest.raises(ScenarioSpecError) as excinfo:
+    with pytest.raises(WorkloadSpecError) as excinfo:
         scenario_from_dict(_scenario(params, arrival))
     assert excinfo.value.path == f"tenants[0].arrival_params.{key}"
+
+
+def _two_tenants_named_a() -> dict:
+    config = _scenario({"rate": 2.0}, name="a")
+    config["tenants"].append({**config["tenants"][0], "arrival_params": {"rate": 1.0}})
+    return config
+
+
+@pytest.mark.parametrize("config, error, path", [
+    (_scenario({"base_rate": 5, "burst_rate": 1}, "mmpp"), WorkloadSpecError,
+     "tenants[0].arrival_params.burst_rate"),
+    (_scenario({"rate": 2.0}, workload_params={"profile_min_tokens": 20000,
+                                               "profile_max_tokens": 100}),
+     WorkloadSpecError, "tenants[0].workload_params.profile_min_tokens"),
+    (_scenario({"rate": 2.0}, workload="nope"), UnknownWorkloadError, None),
+    (_scenario({"rate": -1}), WorkloadSpecError, "tenants[0].arrival_params.rate"),
+    (_two_tenants_named_a(), ScenarioSpecError, "tenants[1].name"),
+], ids=["mmpp-burst-below-base", "profile-range", "unknown-workload",
+        "negative-rate", "repeated-tenant-name"])
+def test_a_tenant_is_refused_at_parse_time(config, error, path):
+    """Each parsed and then failed inside ``run_scenario``, the cross-field
+    rules at the model's own path or with no path at all."""
+    with pytest.raises(error) as excinfo:
+        scenario_from_dict(config)
+    assert getattr(excinfo.value, "path", None) == path
